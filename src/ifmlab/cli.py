@@ -16,6 +16,7 @@ directory, in that order of precedence.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 import time
@@ -28,6 +29,7 @@ from .config import ConfigError, ExperimentConfig, build_map, build_space, load_
 from .contractions import (
     DomainEscapeError,
     SelfMap,
+    apply_point,
     closed_ball_hypotheses,
     contractive_sequence_check,
     direct_ratio_contractive_check,
@@ -37,7 +39,6 @@ from .contractions import (
 )
 from .operators import audit_operator_pair, check_idempotent, operator_pair
 from .report import format_float, json_text, records_to_jsonl, write_text_atomic
-from .sampling import coordinate_box
 from .solver import (
     SolveConfig,
     SolveResult,
@@ -46,13 +47,9 @@ from .solver import (
     iterate_trace,
     picard_solve,
     power_map_solve,
+    sampling_box,
 )
-from .spaces import (
-    CoordinateSpace,
-    IfmSpace,
-    axiom_audit,
-    membership_grid,
-)
+from .spaces import IfmSpace, axiom_audit, membership_grid, point_jsonable, points_equal
 
 OUTPUT_DIR_ENV = "IFMLAB_OUT"
 
@@ -141,8 +138,8 @@ def result_document(result: SolveResult, experiment: dict[str, Any]) -> dict[str
         "status": result.status,
         "stop_reason": result.stop_reason,
         "iterations": result.iterations,
-        "fixed_point": _point_doc(result.fixed_point),
-        "trace_points": [_point_doc(p) for p in result.trace.points],
+        "fixed_point": point_jsonable(result.fixed_point),
+        "trace_points": [point_jsonable(p) for p in result.trace.points],
         "probe_ts": [float(t) for t in result.trace.probe_ts],
         "residual_mu": None if result.residual_mu is None else [float(v) for v in result.residual_mu],
         "residual_nu": None if result.residual_nu is None else [float(v) for v in result.residual_nu],
@@ -153,14 +150,6 @@ def result_document(result: SolveResult, experiment: dict[str, Any]) -> dict[str
     if result.hypothesis_report is not None:
         doc["hypothesis"] = result.hypothesis_report.to_record()
     return doc
-
-
-def _point_doc(p):
-    if p is None:
-        return None
-    if isinstance(p, str):
-        return p
-    return [float(v) for v in np.atleast_1d(np.asarray(p, float))]
 
 
 def export_trace(result: SolveResult, path: str, format: str = "tabular",
@@ -185,15 +174,26 @@ def export_trace(result: SolveResult, path: str, format: str = "tabular",
     return path
 
 
-def validate_result_document(doc: dict[str, Any]) -> list[str]:
+def _required(doc: dict[str, Any], key: str) -> Any:
+    if doc.get(key) is None:
+        raise ConfigError(key, "required field is missing")
+    return doc[key]
+
+
+def validate_result_document(doc: Any) -> list[str]:
     """Re-verify a stored result from its own points; returns problems.
 
     Each trace step must be the image of its predecessor under
     ``experiment.iteration_map`` (the m-th power for the ``power`` regime;
     documents without that key fall back to ``experiment.map``).  The
     residual certificate of a converged result is always checked against
-    ``experiment.map``, the map whose fixed point is claimed.
+    ``experiment.map``, the map whose fixed point is claimed.  A document
+    that is not a mapping, or a converged one without ``probe_ts``,
+    ``fixed_point`` or ``iterations``, raises :class:`ConfigError` with
+    the field's path.
     """
+    if not isinstance(doc, dict):
+        raise ConfigError("document", f"expected a mapping, got {type(doc).__name__}")
     problems: list[str] = []
     exp = doc.get("experiment") or {}
     try:
@@ -203,14 +203,9 @@ def validate_result_document(doc: dict[str, Any]) -> list[str]:
     except (KeyError, ValueError) as exc:
         return [f"cannot rebuild experiment: {exc}"]
 
-    def norm(p):
-        return p if isinstance(p, str) else np.asarray(p, dtype=float)
-
-    points = [norm(p) for p in doc.get("trace_points", [])]
+    points = doc.get("trace_points") or []
     if not points:
         return ["document carries no trace points"]
-    from .spaces import points_equal
-    from .contractions import apply_point
 
     for i in range(len(points) - 1):
         image = apply_point(space, step_map, points[i])
@@ -219,27 +214,23 @@ def validate_result_document(doc: dict[str, Any]) -> list[str]:
             break
 
     if doc.get("status") == "converged":
-        ts = np.asarray(doc["probe_ts"], dtype=float)
+        ts = np.asarray(_required(doc, "probe_ts"), dtype=float)
         epsilon = float(exp.get("solve_config", {}).get("epsilon", 1e-8))
-        x_star = norm(doc["fixed_point"])
-        iterations = int(doc["iterations"])
-        if iterations >= len(points) or not points_equal(points[iterations], x_star):
+        x_star = _required(doc, "fixed_point")
+        iterations = int(_required(doc, "iterations"))
+        if not 0 <= iterations < len(points) or not points_equal(points[iterations], x_star):
             problems.append("fixed_point does not match the trace at the stated iteration")
         image = apply_point(space, map_, x_star)
-        from .solver import _batch
-
-        mu, nu = membership_grid(space, _batch(space, [x_star]), _batch(space, [image]), ts)
+        mu, nu = membership_grid(space, x_star, image, ts)
         if not bool(np.all((mu[0] >= 1.0 - epsilon) & (nu[0] <= epsilon))):
             problems.append(
                 f"residual certificate fails: mu_min={mu[0].min()!r}, nu_max={nu[0].max()!r}, "
                 f"epsilon={epsilon!r}"
             )
-        stored_mu = doc.get("residual_mu")
-        if stored_mu is not None and not np.array_equal(np.asarray(stored_mu, float), mu[0]):
-            problems.append("stored residual_mu does not reproduce from the stored points")
-        stored_nu = doc.get("residual_nu")
-        if stored_nu is not None and not np.array_equal(np.asarray(stored_nu, float), nu[0]):
-            problems.append("stored residual_nu does not reproduce from the stored points")
+        for key, values in (("residual_mu", mu[0]), ("residual_nu", nu[0])):
+            stored = doc.get(key)
+            if stored is not None and not np.array_equal(np.asarray(stored, float), values):
+                problems.append(f"stored {key} does not reproduce from the stored points")
     return problems
 
 
@@ -251,13 +242,6 @@ def _space_and_map(config: ExperimentConfig) -> tuple[IfmSpace, SelfMap | None]:
     space = build_space(config.space_spec, config.operators_name)
     map_ = build_map(config) if config.map_spec is not None else None
     return space, map_
-
-
-def _sampling_box(space: IfmSpace, config: ExperimentConfig):
-    if isinstance(space.domain, CoordinateSpace):
-        return coordinate_box(space.domain.dimension,
-                              halfwidth=float(config.sampling.get("halfwidth", 8.0)))
-    return None
 
 
 def _run_audit(config: ExperimentConfig, out_dir: str | None, summary: RunSummary) -> int:
@@ -279,7 +263,7 @@ def _run_audit(config: ExperimentConfig, out_dir: str | None, summary: RunSummar
             t_samples=solve_cfg.probe_ts,
             tolerance=tolerance,
             seed=config.seed,
-            box=_sampling_box(space, config),
+            box=sampling_box(space, solve_cfg),
         )
     path = _resolve_out(config.output.get("report", "audit_report.jsonl"), out_dir)
     write_text_atomic(path, records_to_jsonl(report.to_records()))
@@ -296,7 +280,7 @@ def _run_check(config: ExperimentConfig, out_dir: str | None, summary: RunSummar
     space, map_ = _space_and_map(config)
     solve_cfg = config.solve_config()
     pairs_count = int(config.sampling.get("pairs", 1000))
-    box = _sampling_box(space, config)
+    box = sampling_box(space, solve_cfg)
 
     if notion == "if_contractive":
         report = if_contractive_check(space, map_, pairs_count, solve_cfg.probe_ts,
@@ -392,7 +376,7 @@ def _run_solve(config: ExperimentConfig, out_dir: str | None, summary: RunSummar
         "clause": f"solve.{regime}",
         "verdict": result.status,
         "iterations": result.iterations,
-        "fixed_point": _point_doc(result.fixed_point),
+        "fixed_point": point_jsonable(result.fixed_point),
         "note": result.stop_reason,
     })
     report_path = _resolve_out(config.output.get("report", "solve_report.jsonl"), out_dir)
@@ -402,7 +386,7 @@ def _run_solve(config: ExperimentConfig, out_dir: str | None, summary: RunSummar
     summary.verdicts[f"solve.{regime}"] = result.status
     summary.key_numbers["iterations"] = result.iterations
     if result.fixed_point is not None:
-        summary.key_numbers["fixed_point"] = json_text(_point_doc(result.fixed_point))
+        summary.key_numbers["fixed_point"] = json_text(point_jsonable(result.fixed_point))
     if result.hypothesis_report is not None and not result.hypothesis_report.passed:
         summary.key_numbers["hypothesis_note"] = (
             result.hypothesis_report.notes or result.hypothesis_report.verdict
@@ -481,15 +465,17 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_PASS
 
     if args.command == "validate":
-        import json
-
         try:
             with open(args.result) as handle:
                 doc = json.load(handle)
         except (OSError, ValueError) as exc:
             print(f"error: cannot read result document: {exc}", file=sys.stderr)
             return EXIT_INPUT_ERROR
-        problems = validate_result_document(doc)
+        try:
+            problems = validate_result_document(doc)
+        except (ValueError, DomainEscapeError) as exc:
+            print(f"error: invalid result document: {exc}", file=sys.stderr)
+            return EXIT_INPUT_ERROR
         if problems:
             for p in problems:
                 print(f"certificate problem: {p}")
@@ -501,10 +487,9 @@ def main(argv: list[str] | None = None) -> int:
         config = load_config(args.config)
         if args.seed is not None:
             config.seed = args.seed
-        expected = {"audit": "audit", "check": "check", "solve": "solve"}[args.command]
-        if config.action_kind != expected:
+        if config.action_kind != args.command:
             raise ConfigError("action", f"config declares a {config.action_kind!r} action "
-                                        f"but the {expected!r} subcommand was invoked")
+                                        f"but the {args.command!r} subcommand was invoked")
         override = False if args.no_hypothesis_checks else None
         code, summary = run(config, out_dir=args.out, hypothesis_override=override)
     except ConfigError as exc:

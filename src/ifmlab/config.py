@@ -28,7 +28,7 @@ from .solver import SolveConfig
 
 
 class ConfigError(ValueError):
-    """Config validation failure, annotated with the field path."""
+    """Validation failure of a config or result document, annotated with the field path."""
 
     def __init__(self, path: str, message: str):
         super().__init__(f"{path}: {message}")
@@ -156,7 +156,7 @@ def build_space(space_spec: dict, operators_name: str) -> IfmSpace:
 def _validate_map(spec: Any, space_spec: dict) -> dict:
     spec = _expect_mapping(spec, "map")
     try:
-        built = self_map_from_spec(spec)
+        self_map_from_spec(spec)
     except (ValueError, KeyError) as exc:
         raise ConfigError("map", str(exc)) from exc
     if "affine" in spec and "induced" in space_spec:
@@ -168,7 +168,6 @@ def _validate_map(spec: Any, space_spec: dict) -> dict:
     if ("table" in spec or ("constant" in spec and isinstance(spec["constant"], str))) \
             and "tabulated" not in space_spec:
         raise ConfigError("map", "label-valued maps require a tabulated space")
-    del built
     return spec
 
 

@@ -22,7 +22,6 @@ from typing import Any, Callable, Iterable
 
 import numpy as np
 
-from .report import ClauseResult
 from .sampling import sample_pairs
 from .spaces import (
     CoordinateSpace,
@@ -58,8 +57,8 @@ class SelfMap:
 
     Wraps an evaluator together with a serializable descriptor (used by
     the CLI to reconstruct maps from result documents).  Coordinate-domain
-    evaluators should accept both single points ``(dim,)`` and batches
-    ``(n, dim)``; non-broadcasting callables are applied row by row.
+    evaluators must accept both single points ``(dim,)`` and batches
+    ``(n, dim)``.
     """
 
     def __init__(self, fn: Callable, label: str = "custom", spec: dict | None = None):
@@ -79,6 +78,8 @@ class SelfMap:
         b = np.atleast_1d(np.asarray(offset, dtype=float))
         if a.shape[0] != a.shape[1] or a.shape[0] != b.shape[0]:
             raise ValueError(f"incompatible affine shapes: matrix {a.shape}, offset {b.shape}")
+        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+            raise ValueError("affine coefficients must be finite")
 
         def fn(x):
             return np.asarray(x, dtype=float) @ a.T + b
@@ -113,7 +114,7 @@ class SelfMap:
                 arr = np.asarray(x, dtype=float)
                 if arr.ndim <= 1:
                     return target.copy()
-                return np.broadcast_to(target, arr.shape).copy()
+                return np.broadcast_to(target, arr.shape[:-1] + target.shape).copy()
 
         return cls(fn, label="constant", spec={"constant": point_jsonable(value)})
 
@@ -135,13 +136,6 @@ class SelfMap:
 
         spec = {"power": {"of": self.spec, "m": m}} if self.spec is not None else None
         return SelfMap(fn, label=f"{self.label}^{m}", spec=spec)
-
-    @classmethod
-    def compose(cls, outer: "SelfMap", inner: "SelfMap") -> "SelfMap":
-        spec = None
-        if outer.spec is not None and inner.spec is not None:
-            spec = {"compose": {"outer": outer.spec, "inner": inner.spec}}
-        return cls(lambda x: outer.fn(inner.fn(x)), label=f"{outer.label}*{inner.label}", spec=spec)
 
 
 BUILTIN_MAPS: dict[str, Callable[[], SelfMap]] = {
@@ -166,8 +160,6 @@ def self_map_from_spec(spec: dict) -> SelfMap:
         return BUILTIN_MAPS[payload]()
     if kind == "power":
         return self_map_from_spec(payload["of"]).power(int(payload["m"]))
-    if kind == "compose":
-        return SelfMap.compose(self_map_from_spec(payload["outer"]), self_map_from_spec(payload["inner"]))
     raise ValueError(f"unknown map kind {kind!r}")
 
 
@@ -189,16 +181,13 @@ def apply_point(space: IfmSpace, map_: SelfMap, p):
 
 
 def apply_batch(space: IfmSpace, map_: SelfMap, pts):
-    """Apply a map to a point batch; row-by-row fallback for scalar maps."""
+    """Apply a map to a point batch, validating the images stay in the domain."""
     if isinstance(space.domain, FiniteTabulated):
         return np.asarray([apply_point(space, map_, p) for p in pts], dtype=object)
     arr = np.asarray(pts, dtype=float)
-    try:
-        out = np.asarray(map_(arr), dtype=float)
-    except Exception:
-        out = None
-    if out is None or out.shape != arr.shape:
-        out = np.stack([apply_point(space, map_, row) for row in arr])
+    out = np.asarray(map_(arr), dtype=float)
+    if out.shape != arr.shape:
+        raise DomainEscapeError(f"image batch has shape {out.shape}, expected {arr.shape}", point=out)
     bad = ~np.all(np.isfinite(out), axis=-1)
     if np.any(bad):
         i = int(np.nonzero(bad)[0][0])
@@ -244,14 +233,12 @@ class ContractivityReport:
             rec["details"] = self.details
         return rec
 
-    def as_clause(self) -> ClauseResult:
-        return ClauseResult(
-            clause=self.notion,
-            passed=self.passed,
-            worst=float(self.details.get("sup_ratio", 0.0) or 0.0),
-            witness=self.worst_witness,
-            note=self.notes,
-        )
+
+def _pair_grids(space: IfmSpace, map_: SelfMap, xs, ys, ts):
+    """``(mu, nu)`` grids of the pairs, then of their images under the map."""
+    mu1, nu1 = membership_grid(space, xs, ys, ts)
+    mu2, nu2 = membership_grid(space, apply_batch(space, map_, xs), apply_batch(space, map_, ys), ts)
+    return mu1, nu1, mu2, nu2
 
 
 def _ratio_argmax(ratios: np.ndarray) -> tuple[int, int]:
@@ -286,11 +273,7 @@ def if_contractive_check(
         xs, ys = sample_pairs(space, sample_pairs_count, seed, box)
     else:
         xs, ys = pairs
-    fxs = apply_batch(space, map_, xs)
-    fys = apply_batch(space, map_, ys)
-
-    mu1, nu1 = membership_grid(space, xs, ys, ts)
-    mu2, nu2 = membership_grid(space, fxs, fys, ts)
+    mu1, nu1, mu2, nu2 = _pair_grids(space, map_, xs, ys, ts)
 
     with np.errstate(divide="ignore", invalid="ignore"):
         gap1 = 1.0 / mu1 - 1.0
@@ -351,7 +334,6 @@ def direct_ratio_contractive_check(
     include_coincident: bool = False,
     seed: int = 0,
     box: tuple[Any, Any] | None = None,
-    unit_margin: float = UNIT_RESOLUTION,
 ) -> ContractivityReport:
     """Sampled check of the direct membership-ratio contraction.
 
@@ -359,8 +341,8 @@ def direct_ratio_contractive_check(
     ``nu(Tx,Ty,t) <= k * nu(x,y,t)`` for a single ``k`` in (0, 1).  With
     coincident pairs included the requirement collapses to ``k >= 1`` and
     the report is a vacuous fail.  Over distinct pairs the verdict is pass
-    iff the ratio supremum stays below ``1 - unit_margin``: a sampled
-    supremum within the margin of 1 means no constant bounded away from 1
+    iff the ratio supremum stays below ``1 - UNIT_RESOLUTION``: a sampled
+    supremum within that margin of 1 means no constant bounded away from 1
     exists on the probe grid (typical for large-``t`` probes on spaces
     whose nearness tends to certainty).
     """
@@ -376,10 +358,7 @@ def direct_ratio_contractive_check(
         )
     ts = probe_grid(probe_ts)
     xs, ys = sample_pairs(space, sample_pairs_count, seed, box)
-    fxs = apply_batch(space, map_, xs)
-    fys = apply_batch(space, map_, ys)
-    mu1, nu1 = membership_grid(space, xs, ys, ts)
-    mu2, nu2 = membership_grid(space, fxs, fys, ts)
+    mu1, nu1, mu2, nu2 = _pair_grids(space, map_, xs, ys, ts)
 
     with np.errstate(divide="ignore", invalid="ignore"):
         mu_ratio = np.where(mu2 == 0.0, np.inf, mu1 / mu2)
@@ -406,11 +385,11 @@ def direct_ratio_contractive_check(
         "ratio": sup,
     }
 
-    passed = estimated <= 1.0 - unit_margin
+    passed = estimated <= 1.0 - UNIT_RESOLUTION
     notes = ""
     if not passed and sup <= 1.0:
         notes = (
-            f"ratio supremum {sup:.9f} lies within {unit_margin:g} of 1 on the probe grid; "
+            f"ratio supremum {sup:.9f} lies within {UNIT_RESOLUTION:g} of 1 on the probe grid; "
             "no contraction constant bounded away from 1 is admissible"
         )
     return ContractivityReport(
@@ -421,7 +400,7 @@ def direct_ratio_contractive_check(
         samples_used=int(np.shape(mu1)[0]),
         notes=notes,
         details={"sup_ratio": sup, "sup_mu_ratio": sup_mu, "sup_nu_ratio": sup_nu,
-                 "unit_margin": unit_margin, "witness": witness},
+                 "unit_margin": UNIT_RESOLUTION, "witness": witness},
     )
 
 
@@ -448,10 +427,7 @@ def t_uniform_continuity_probe(
     if not eps_list or any(not 0.0 < e < 1.0 for e in eps_list):
         raise ValueError("epsilons must be a nonempty collection inside (0, 1)")
     xs, ys = sample_pairs(space, sample_pairs_count, seed, box)
-    fxs = apply_batch(space, map_, xs)
-    fys = apply_batch(space, map_, ys)
-    mu1, nu1 = membership_grid(space, xs, ys, ts)
-    mu2, nu2 = membership_grid(space, fxs, fys, ts)
+    mu1, nu1, mu2, nu2 = _pair_grids(space, map_, xs, ys, ts)
 
     table: list[dict] = []
     witness: dict | None = None
@@ -525,37 +501,35 @@ def contractive_sequence_check(
             fixed_from = n
             break
 
+    # rows n of the step grids compare step (n, n+1) with step (n+1, n+2);
+    # steps from an exactly fixed index on pass trivially
+    checked = len(pts) - 2 if fixed_from is None else min(fixed_from, len(pts) - 2)
+    mu, nu = membership_grid(space, pts[:-1], pts[1:], ts)
     slack = 1.0 + K_SAFETY_MARGIN
     eps_fp = 4.0 * np.finfo(float).eps
-    checked = 0
-    for n in range(len(pts) - 2):
-        if fixed_from is not None and n >= fixed_from:
-            break
-        mu_a, nu_a = membership_grid(space, [pts[n]], [pts[n + 1]], ts)
-        mu_b, nu_b = membership_grid(space, [pts[n + 1]], [pts[n + 2]], ts)
-        gap_a = 1.0 / mu_a[0] - 1.0
-        gap_b = 1.0 / mu_b[0] - 1.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gap = 1.0 / mu - 1.0
+        co_gap = np.where(nu == 0.0, np.inf, 1.0 / nu - 1.0)
+        gap_a, gap_b = gap[:checked], gap[1 : checked + 1]
+        co_a, co_b = co_gap[:checked], co_gap[1 : checked + 1]
         mu_allow = eps_fp * ((1.0 + gap_b) ** 2 + k * (1.0 + gap_a) ** 2)
         mu_bad = gap_b > k * gap_a * slack + mu_allow
-        with np.errstate(divide="ignore"):
-            co_a = np.where(nu_a[0] == 0.0, np.inf, 1.0 / nu_a[0] - 1.0)
-            co_b = np.where(nu_b[0] == 0.0, np.inf, 1.0 / nu_b[0] - 1.0)
-        with np.errstate(invalid="ignore"):
-            nu_allow = eps_fp * ((1.0 + co_b) ** 2 + (1.0 + co_a) ** 2 / k)
-            nu_bad = co_b < (co_a / k) / slack - nu_allow
-        checked += 1
-        if np.any(mu_bad) or np.any(nu_bad):
-            j = int(np.argmax(mu_bad)) if np.any(mu_bad) else int(np.argmax(nu_bad))
-            side = "mu" if np.any(mu_bad) else "nu"
-            lhs = float(gap_b[j]) if side == "mu" else float(co_b[j])
-            bound = float(k * gap_a[j]) if side == "mu" else float(co_a[j] / k)
-            return ContractivityReport(
-                notion="contractive_sequence",
-                verdict="fail",
-                worst_witness={"n": n, "t": float(ts[j]), "side": side, "lhs": lhs, "bound": bound},
-                samples_used=checked,
-                details={"k": k},
-            )
+        nu_allow = eps_fp * ((1.0 + co_b) ** 2 + (1.0 + co_a) ** 2 / k)
+        nu_bad = co_b < (co_a / k) / slack - nu_allow
+    failed = np.nonzero(np.any(mu_bad | nu_bad, axis=1))[0]
+    if failed.size:
+        n = int(failed[0])
+        side = "mu" if np.any(mu_bad[n]) else "nu"
+        j = int(np.argmax(mu_bad[n] if side == "mu" else nu_bad[n]))
+        lhs = float(gap_b[n, j]) if side == "mu" else float(co_b[n, j])
+        bound = float(k * gap_a[n, j]) if side == "mu" else float(co_a[n, j] / k)
+        return ContractivityReport(
+            notion="contractive_sequence",
+            verdict="fail",
+            worst_witness={"n": n, "t": float(ts[j]), "side": side, "lhs": lhs, "bound": bound},
+            samples_used=n + 1,
+            details={"k": k},
+        )
     notes = ""
     if fixed_from is not None:
         notes = f"sequence is exactly fixed from index {fixed_from}; remaining steps pass trivially"
@@ -610,7 +584,7 @@ def closed_ball_hypotheses(
             details=details,
         )
 
-    mu0, nu0 = membership_grid(space, [x0p], [tx0], np.asarray([t]))
+    mu0, nu0 = membership_grid(space, x0p, tx0, [t])
     mu0, nu0 = float(mu0[0, 0]), float(nu0[0, 0])
     mu_lhs = 1.0 / mu0 - 1.0
     nu_lhs = float("inf") if nu0 == 0.0 else 1.0 / nu0 - 1.0

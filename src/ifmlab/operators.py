@@ -53,9 +53,8 @@ def unit_scalar(value: float, name: str = "value") -> float:
 class OperatorPair:
     """A t-norm/t-conorm pair with idempotency metadata.
 
-    The callables must accept numpy arrays (scalar inputs also work);
-    audits fall back to elementwise application for callables that do not
-    broadcast.
+    The callables must accept numpy arrays and broadcast them (scalar
+    inputs also work).
     """
 
     name: str
@@ -106,15 +105,9 @@ def operator_pair(name: str) -> OperatorPair:
 
 
 def _apply(op: BinaryOp, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Apply ``op`` with broadcasting, falling back to elementwise calls."""
-    expected = np.broadcast_shapes(np.shape(a), np.shape(b))
-    try:
-        out = np.asarray(op(a, b), dtype=float)
-        if out.shape == expected:
-            return out
-    except Exception:
-        pass
-    return np.vectorize(op, otypes=[float])(a, b)
+    """Apply ``op`` to broadcast arrays; the result has their broadcast shape."""
+    shape = np.broadcast_shapes(np.shape(a), np.shape(b))
+    return np.broadcast_to(np.asarray(op(a, b), dtype=float), shape)
 
 
 def _argmax_witness(values: np.ndarray, grids: list[np.ndarray], names: list[str]) -> dict:

@@ -115,13 +115,26 @@ def records_to_jsonl(records: list[dict[str, Any]]) -> str:
     return "".join(json_text(r) + "\n" for r in records)
 
 
+def _umask() -> int:
+    """The process umask.  Reading it means setting it, so for that instant
+    it is set to the restrictive ``0o077``, then put back."""
+    mask = os.umask(0o077)
+    os.umask(mask)
+    return mask
+
+
 def write_text_atomic(path: str, text: str) -> None:
-    """Write ``text`` to ``path`` via a temp file and rename."""
+    """Write ``text`` to ``path`` via a temp file and rename.
+
+    The file gets the mode a plain ``open`` would give it: ``0o666`` less
+    the process umask.
+    """
     directory = os.path.dirname(os.path.abspath(path)) or "."
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as handle:
+            os.fchmod(handle.fileno(), 0o666 & ~_umask())
             handle.write(text)
         os.replace(tmp, path)
     except BaseException:

@@ -12,11 +12,13 @@ from typing import Any
 
 import numpy as np
 
-from .spaces import CoordinateSpace, FiniteTabulated, IfmSpace, ball_contains, BallSpec
+from .spaces import CoordinateSpace, FiniteTabulated, IfmSpace, ball_contains, BallSpec, membership_grid
 
 DEFAULT_HALFWIDTH = 8.0
 MIN_SEPARATION_FRACTION = 1e-4
 MAX_SEPARATION_FRACTION = 0.5
+# Rejection rounds of sample_ball_pairs; the box doubles after each short one.
+BALL_SAMPLING_ROUNDS = 12
 
 
 def coordinate_box(space_dim: int, center=None, halfwidth: float = DEFAULT_HALFWIDTH):
@@ -80,9 +82,7 @@ def sample_pairs(
     return sample_label_pairs(domain.labels, count, seed)
 
 
-def sample_ball_pairs(
-    space: IfmSpace, ball: BallSpec, count: int, seed: int, max_rounds: int = 12
-) -> tuple[Any, Any]:
+def sample_ball_pairs(space: IfmSpace, ball: BallSpec, count: int, seed: int) -> tuple[Any, Any]:
     """Distinct pairs with both endpoints inside the closed ball.
 
     Uses rejection sampling from a box around the center.  For induced
@@ -107,19 +107,18 @@ def sample_ball_pairs(
         halfwidth = 1.0
     rng = np.random.default_rng(seed)
     kept: list[np.ndarray] = []
-    for _ in range(max_rounds):
+    found = 0
+    for _ in range(BALL_SAMPLING_ROUNDS):
         draw = rng.uniform(center - halfwidth, center + halfwidth, (4 * count, domain.dimension))
-        for row in draw:
-            if ball_contains(space, ball, row, mode="closed"):
-                kept.append(row)
-            if len(kept) >= 2 * count:
-                break
-        if len(kept) >= 2 * count:
+        mu, nu = membership_grid(space, center, draw, [ball.time])
+        kept.append(draw[(mu[:, 0] >= 1.0 - r) & (nu[:, 0] <= r)])
+        found += len(kept[-1])
+        if found >= 2 * count:
             break
         halfwidth *= 2.0
-    if len(kept) < 2:
+    if found < 2:
         raise ValueError("could not sample points inside the closed ball")
-    pts = np.asarray(kept[: 2 * count])
+    pts = np.concatenate(kept)[: 2 * count]
     xs, ys = pts[0::2], pts[1::2]
     coincident = np.all(xs == ys, axis=1)
     return xs[~coincident], ys[~coincident]

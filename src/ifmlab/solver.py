@@ -32,6 +32,7 @@ from .contractions import (
 )
 from .sampling import coordinate_box, sample_ball_pairs, sample_pairs
 from .spaces import (
+    AsymptoticReport,
     BallSpec,
     CoordinateSpace,
     IfmSpace,
@@ -91,9 +92,6 @@ class IterationTrace:
     step_nu: np.ndarray
     ball_flags: list[bool] | None = None
 
-    def __len__(self) -> int:
-        return len(self.points)
-
     def verify(self, space: IfmSpace, map_: SelfMap) -> bool:
         """Re-check chain consistency and stored nearness values exactly."""
         for i in range(len(self.points) - 1):
@@ -101,8 +99,7 @@ class IterationTrace:
                 return False
         if len(self.points) > 1:
             ts = np.asarray(self.probe_ts)
-            mu, nu = membership_grid(space, _batch(space, self.points[:-1]),
-                                     _batch(space, self.points[1:]), ts)
+            mu, nu = membership_grid(space, self.points[:-1], self.points[1:], ts)
             return bool(np.array_equal(mu, self.step_mu) and np.array_equal(nu, self.step_nu))
         return True
 
@@ -124,12 +121,6 @@ class SolveResult:
     @property
     def converged(self) -> bool:
         return self.status == "converged"
-
-
-def _batch(space: IfmSpace, pts: list):
-    if isinstance(space.domain, CoordinateSpace):
-        return np.asarray(pts, dtype=float)
-    return np.asarray(pts, dtype=object)
 
 
 def iterate_trace(space: IfmSpace, map_: SelfMap, x0, n: int) -> list:
@@ -166,9 +157,7 @@ def _hypothesis_failed(space, x0, config, report, reason) -> SolveResult:
 
 def _window_near(space, points, c, window, eps, ts) -> bool:
     """All of x_{c+1} .. x_{c+window} strictly eps-near x_c at every t."""
-    xs = _batch(space, [points[c]] * window)
-    ys = _batch(space, points[c + 1 : c + 1 + window])
-    mu, nu = membership_grid(space, xs, ys, ts)
+    mu, nu = membership_grid(space, points[c], points[c + 1 : c + 1 + window], ts)
     return bool(np.all((mu > 1.0 - eps) & (nu < eps)))
 
 
@@ -218,8 +207,7 @@ def _picard_engine(space, map_, x0, config, ball: BallSpec | None = None):
         nxt = apply_point(space, map_, points[-1])
         applications += 1
         points.append(nxt)
-        mu_row, nu_row = membership_grid(space, _batch(space, [points[-2]]),
-                                         _batch(space, [nxt]), ts)
+        mu_row, nu_row = membership_grid(space, points[-2], nxt, ts)
         mu_rows.append(mu_row[0])
         nu_rows.append(nu_row[0])
         if ball is not None:
@@ -254,11 +242,21 @@ def _picard_engine(space, map_, x0, config, ball: BallSpec | None = None):
     )
 
 
-def _sampling_box(space: IfmSpace, config: SolveConfig, center=None):
+def sampling_box(space: IfmSpace, config: SolveConfig, center=None):
+    """Box of ``config.sample_halfwidth`` around ``center`` (default the
+    origin) for coordinate spaces; ``None`` for tabulated ones."""
     if isinstance(space.domain, CoordinateSpace):
         c = None if center is None else np.asarray(center, float)
         return coordinate_box(space.domain.dimension, c, config.sample_halfwidth)
     return None
+
+
+def _asymptotic_probe(space: IfmSpace, config: SolveConfig, box) -> AsymptoticReport:
+    """Large-horizon nearness probe on eight seeded pairs."""
+    pair_x, pair_y = sample_pairs(space, 8, config.seed + 1, box)
+    return asymptotic_nearness_probe(
+        space, list(zip(pair_x, pair_y)), config.asymptotic_horizon, config.asymptotic_epsilon
+    )
 
 
 def picard_solve(space: IfmSpace, map_: SelfMap, x0, config: SolveConfig | None = None) -> SolveResult:
@@ -272,18 +270,14 @@ def picard_solve(space: IfmSpace, map_: SelfMap, x0, config: SolveConfig | None 
     config = config or SolveConfig()
     report: ContractivityReport | None = None
     if config.hypothesis_checks:
-        box = _sampling_box(space, config, space.as_point(x0) if isinstance(space.domain, CoordinateSpace) else None)
+        box = sampling_box(space, config, space.as_point(x0) if isinstance(space.domain, CoordinateSpace) else None)
         report = if_contractive_check(
             space, map_, config.sample_pairs, config.probe_ts, seed=config.seed, box=box
         )
         if not report.passed:
             return _hypothesis_failed(space, x0, config, report,
                                       "map failed the contraction check on sampled pairs")
-        pair_x, pair_y = sample_pairs(space, 8, config.seed + 1, box)
-        probe = asymptotic_nearness_probe(
-            space, list(zip(pair_x, pair_y)), config.asymptotic_horizon, config.asymptotic_epsilon
-        )
-        if not probe.passed:
+        if not _asymptotic_probe(space, config, box).passed:
             return _hypothesis_failed(
                 space, x0, config, report,
                 f"space failed the large-horizon nearness probe at t={config.asymptotic_horizon:g}",
@@ -354,7 +348,7 @@ def power_map_solve(
     power = map_.power(m)
     report: ContractivityReport | None = None
     if config.hypothesis_checks:
-        box = _sampling_box(space, config)
+        box = sampling_box(space, config)
         report = if_contractive_check(space, power, config.sample_pairs, config.probe_ts,
                                       seed=config.seed, box=box)
         if not report.passed:
@@ -377,8 +371,7 @@ def power_map_solve(
 
     ts = np.asarray(config.probe_ts)
     image = apply_point(space, map_, result.fixed_point)
-    res_mu, res_nu = membership_grid(space, _batch(space, [result.fixed_point]),
-                                     _batch(space, [image]), ts)
+    res_mu, res_nu = membership_grid(space, result.fixed_point, image, ts)
     ok = bool(np.all((res_mu[0] >= 1.0 - config.epsilon) & (res_nu[0] <= config.epsilon)))
     result.residual_mu = res_mu[0]
     result.residual_nu = res_nu[0]
@@ -415,7 +408,7 @@ def direct_ratio_solve(
     report: ContractivityReport | None = None
     notes = ""
     if config.hypothesis_checks:
-        box = _sampling_box(space, config)
+        box = sampling_box(space, config)
         report = direct_ratio_contractive_check(
             space, map_, config.sample_pairs, config.probe_ts,
             include_coincident=include_coincident, seed=config.seed, box=box,
@@ -425,13 +418,9 @@ def direct_ratio_solve(
             if report.verdict == "vacuous":
                 reason = "direct-ratio contraction is vacuous with coincident pairs included"
             return _hypothesis_failed(space, start, config, report, reason)
-        pair_x, pair_y = sample_pairs(space, 8, config.seed + 1, box)
-        probe = asymptotic_nearness_probe(
-            space, list(zip(pair_x, pair_y)), config.asymptotic_horizon, config.asymptotic_epsilon
-        )
         notes = (
             "large-horizon nearness probe "
-            + ("passed" if probe.passed else "failed")
+            + ("passed" if _asymptotic_probe(space, config, box).passed else "failed")
             + " (recorded only: jointly with the ratio contraction it is unsatisfiable)"
         )
     result = _picard_engine(space, map_, start, config)
@@ -486,14 +475,13 @@ def uniqueness_probe(
     max_dist: float | None = None
     for i in range(len(limits)):
         for j in range(i + 1, len(limits)):
-            mu, nu = membership_grid(space, _batch(space, [limits[i]]),
-                                     _batch(space, [limits[j]]), ts)
-            margin = float(np.min(np.minimum(mu[0] - (1.0 - eq_eps), eq_eps - nu[0])))
-            ok = margin >= 0.0
-            agreement = agreement and ok
+            mu, nu = membership_grid(space, limits[i], limits[j], ts)
+            margins = np.minimum(mu[0] - (1.0 - eq_eps), eq_eps - nu[0])
+            t_idx = int(np.argmin(margins))
+            margin = float(margins[t_idx])
+            agreement = agreement and margin >= 0.0
             if margin < worst_margin:
                 worst_margin = margin
-                t_idx = int(np.argmin(np.minimum(mu[0] - (1.0 - eq_eps), eq_eps - nu[0])))
                 worst_pair = {
                     "i": i,
                     "j": j,

@@ -17,6 +17,7 @@ finite ``t`` grid and reports per-clause worst-case witnesses.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
@@ -32,20 +33,27 @@ DEFAULT_AUDIT_BOX_HALFWIDTH = 5.0
 
 BASE_METRICS = ("euclidean", "chebyshev", "absolute-difference")
 
+# Continuity in t is judged by the largest jump of mu or nu between
+# neighbours of a grid that splits each probe interval this many times.
+CONTINUITY_BOUND = 0.25
+CONTINUITY_REFINEMENT = 16
+
 
 def time_parameter(t: float, name: str = "t") -> float:
-    """Validate and return a strictly positive time parameter."""
+    """Validate and return a finite, strictly positive time parameter."""
     v = float(t)
-    if not v > 0.0:
-        raise ValueError(f"{name} must be strictly positive, got {t!r}")
+    if not (v > 0.0 and math.isfinite(v)):
+        raise ValueError(f"{name} must be finite and strictly positive, got {t!r}")
     return v
 
 
 def probe_grid(ts: Iterable[float] | None) -> np.ndarray:
-    """Normalize a probe grid: positive, strictly increasing."""
+    """Normalize a probe grid: finite, positive, strictly increasing."""
     arr = np.asarray(list(DEFAULT_PROBE_TS if ts is None else ts), dtype=float)
     if arr.size == 0:
         raise ValueError("probe grid must be nonempty")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("probe times must be finite")
     if np.any(arr <= 0.0):
         raise ValueError("probe times must be strictly positive")
     if np.any(np.diff(arr) <= 0.0):
@@ -87,6 +95,8 @@ class CoordinateSpace:
         arr = np.atleast_1d(np.asarray(p, dtype=float))
         if arr.shape != (self.dimension,):
             raise ValueError(f"expected a point of dimension {self.dimension}, got shape {arr.shape}")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"point coordinates must be finite, got {arr.tolist()}")
         return arr
 
 
@@ -167,15 +177,15 @@ class FiniteTabulated:
         self.pair_curves = curves
 
     def as_point(self, p: Any) -> str:
-        if p not in self.index:
+        if not isinstance(p, str) or p not in self.index:
             raise ValueError(f"unknown label {p!r}")
         return p
 
     def as_indices(self, points) -> np.ndarray:
-        if isinstance(points, str):
-            return np.asarray([self.index[points]], dtype=int)
+        """Label indices in the shape of ``points`` (a label or an array of labels)."""
+        labels = np.asarray(points, dtype=object)
         try:
-            return np.asarray([self.index[p] for p in points], dtype=int)
+            return np.asarray([self.index[p] for p in labels.ravel()], dtype=int).reshape(labels.shape)
         except KeyError as exc:
             raise ValueError(f"unknown label {exc.args[0]!r}") from None
 
@@ -187,11 +197,13 @@ PointDomain = CoordinateSpace | FiniteTabulated
 class IfmSpace:
     """A point domain with nearness/non-nearness evaluators and operators.
 
-    ``membership(x, y, t)`` accepts single points or equal-length batches
-    (arrays of shape ``(n, dim)`` for coordinate domains, label sequences
-    for tabulated ones) with scalar or matching-shape ``t`` and returns the
-    ``(mu, nu)`` arrays.  Spaces are immutable after construction and all
-    evaluation is pure.
+    ``membership(x, y, t)`` is the kernel.  :func:`membership_grid` calls
+    it once per grid, with point batches of shape ``(n, 1)`` (``(n, 1,
+    dim)`` floats for coordinate domains, ``(n, 1)`` labels for tabulated
+    ones; either side may have ``n = 1``) against a ``(k,)`` time vector,
+    and the kernel returns ``(mu, nu)`` arrays of shape ``(n, k)``, or
+    arrays that broadcast to it.  Spaces are immutable after construction
+    and all evaluation is pure.
     """
 
     domain: PointDomain
@@ -203,14 +215,19 @@ class IfmSpace:
     def mu_nu(self, x, y, t):
         return self.membership(x, y, t)
 
-    def mu(self, x, y, t):
-        return self.membership(x, y, t)[0]
-
-    def nu(self, x, y, t):
-        return self.membership(x, y, t)[1]
-
     def as_point(self, p):
         return self.domain.as_point(p)
+
+    def batch(self, points) -> np.ndarray:
+        """One point or a sequence of points as a batch.
+
+        Coordinate domains give an ``(n, dim)`` float array, tabulated ones
+        an ``(n,)`` array of labels.  Points are not validated here; labels
+        are checked by the kernel and :meth:`as_point` checks one point.
+        """
+        if isinstance(self.domain, CoordinateSpace):
+            return np.asarray(points, dtype=float).reshape(-1, self.domain.dimension)
+        return np.asarray([points] if isinstance(points, str) else points, dtype=object)
 
     def default_start(self):
         if isinstance(self.domain, CoordinateSpace):
@@ -226,7 +243,7 @@ def points_equal(a, b) -> bool:
 
 
 def point_jsonable(p):
-    if isinstance(p, str):
+    if p is None or isinstance(p, str):
         return p
     return [float(v) for v in np.atleast_1d(np.asarray(p, dtype=float))]
 
@@ -254,9 +271,9 @@ def induced_from_metric(domain: CoordinateSpace, operators: OperatorPair) -> Ifm
     _require_idempotent(operators)
 
     def membership(x, y, t):
-        d = domain.distance(np.asarray(x, float), np.asarray(y, float))
-        t_arr = np.asarray(t, dtype=float)
-        mu = t_arr / (t_arr + d)
+        d = domain.distance(x, y)
+        t = np.asarray(t, dtype=float)
+        mu = t / (t + d)
         return mu, 1.0 - mu
 
     return IfmSpace(
@@ -273,32 +290,27 @@ def finite_tabulated(domain: FiniteTabulated, operators: OperatorPair) -> IfmSpa
 
     Coincident labels are hard-wired to ``(1, 0)``.  Requires idempotent
     operators; pair coverage and curve monotonicity were already enforced
-    when the domain was built.
+    when the domain was built.  Each call interpolates only the curves of
+    the pairs it is given, once per curve for the whole time vector.
     """
     if not isinstance(domain, FiniteTabulated):
         raise TypeError("finite_tabulated needs a FiniteTabulated domain")
     _require_idempotent(operators)
 
+    # curves[pair_id[i, j]] are the (mu, nu) curves of labels i and j; id 0
+    # is the coincident pair
+    curves = [(Curve((1.0,), (1.0,)), Curve((1.0,), (0.0,))), *domain.pair_curves.values()]
+    pair_id = np.zeros((len(domain.labels), len(domain.labels)), dtype=int)
+    for p, (i, j) in enumerate(domain.pair_curves, start=1):
+        pair_id[i, j] = pair_id[j, i] = p
+
     def membership(x, y, t):
-        xi = domain.as_indices(x)
-        yi = domain.as_indices(y)
-        if xi.shape != yi.shape:
-            raise ValueError("point batches must have equal length")
-        t_arr = np.broadcast_to(np.asarray(t, dtype=float), xi.shape)
-        mu = np.ones(xi.shape, dtype=float)
-        nu = np.zeros(xi.shape, dtype=float)
-        lo = np.minimum(xi, yi)
-        hi = np.maximum(xi, yi)
-        off_diag = lo != hi
-        for key, (mu_curve, nu_curve) in domain.pair_curves.items():
-            mask = off_diag & (lo == key[0]) & (hi == key[1])
-            if np.any(mask):
-                mu[mask] = mu_curve(t_arr[mask])
-                nu[mask] = nu_curve(t_arr[mask])
-        scalar_in = isinstance(x, str)
-        if scalar_in:
-            return mu[0], nu[0]
-        return mu, nu
+        ids = pair_id[domain.as_indices(x), domain.as_indices(y)]
+        used, inverse = np.unique(ids.ravel(), return_inverse=True)
+        t = np.asarray(t, dtype=float)
+        mu = np.stack([curves[p][0](t) for p in used])
+        nu = np.stack([curves[p][1](t) for p in used])
+        return mu[inverse], nu[inverse]
 
     return IfmSpace(
         domain=domain,
@@ -310,22 +322,24 @@ def finite_tabulated(domain: FiniteTabulated, operators: OperatorPair) -> IfmSpa
 
 def evaluate(space: IfmSpace, x, y, t: float) -> MembershipPair:
     """Evaluate one pair at one time; the shared scalar accessor."""
-    t = time_parameter(t)
-    px = space.as_point(x)
-    py = space.as_point(y)
-    mu, nu = space.mu_nu(px, py, t)
-    return MembershipPair(float(np.asarray(mu).reshape(())), float(np.asarray(nu).reshape(())))
+    mu, nu = membership_grid(space, space.as_point(x), space.as_point(y), [time_parameter(t)])
+    return MembershipPair(float(mu[0, 0]), float(nu[0, 0]))
 
 
-def membership_grid(space: IfmSpace, xs, ys, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate batches against every probe time; returns ``(n, k)`` arrays."""
-    mu_cols = []
-    nu_cols = []
-    for t in ts:
-        mu, nu = space.mu_nu(xs, ys, float(t))
-        mu_cols.append(np.atleast_1d(mu))
-        nu_cols.append(np.atleast_1d(nu))
-    return np.stack(mu_cols, axis=1), np.stack(nu_cols, axis=1)
+def membership_grid(space: IfmSpace, xs, ys, ts) -> tuple[np.ndarray, np.ndarray]:
+    """Evaluate point pairs at every time of ``ts`` in one kernel call.
+
+    ``xs`` and ``ys`` are points or point sequences (see
+    :meth:`IfmSpace.batch`); a single point pairs with every point of the
+    other side.  Returns read-only ``(mu, nu)`` arrays of shape ``(n, k)``
+    for ``n`` pairs and ``k`` times.
+    """
+    xs = space.batch(xs)
+    ys = space.batch(ys)
+    ts = np.asarray(ts, dtype=float)
+    mu, nu = space.mu_nu(xs[:, None], ys[:, None], ts)
+    shape = (len(xs) if len(ys) == 1 else len(ys), len(ts))
+    return np.broadcast_to(mu, shape), np.broadcast_to(nu, shape)
 
 
 # ---------------------------------------------------------------------------
@@ -350,25 +364,47 @@ def _distinct_mask(space, xs, ys) -> np.ndarray:
     return np.asarray([a != b for a, b in zip(xs, ys)])
 
 
-def _take(points, idx):
-    if isinstance(points, np.ndarray) and points.dtype != object:
-        return points[idx]
-    return points[idx]
-
-
-def _grid_witness(space, xs, ys, values, ts, extra=None) -> dict:
+def _grid_witness(xs, ys, values, ts, extra=None) -> dict:
     """Witness for the worst entry of a (pairs x times) violation array."""
     flat = int(np.argmax(values))
     i, j = np.unravel_index(flat, values.shape)
     wit = {
-        "x": point_jsonable(_take(xs, i)),
-        "y": point_jsonable(_take(ys, i)),
+        "x": point_jsonable(xs[i]),
+        "y": point_jsonable(ys[i]),
         "t": float(ts[j]),
         "violation": float(values[i, j]),
     }
     if extra:
         wit.update(extra)
     return wit
+
+
+def _max_clause(name, viol, xs, ys, ts, tolerance) -> ClauseResult:
+    """Clause that passes iff the largest entry of ``viol`` (pairs x times) is within tolerance."""
+    worst = float(viol.max(initial=-np.inf))
+    return ClauseResult(name, passed=worst <= tolerance, worst=max(worst, 0.0),
+                        witness=_grid_witness(xs, ys, viol, ts) if viol.size else None)
+
+
+def _triangle_worst(best, viol, xs, ys, zs, s, ts) -> tuple[float, dict | None]:
+    """Keep the larger of ``best`` and the worst entry of ``viol`` at time shift ``s``.
+
+    Entries are scanned by time, then by sample, and only a strictly larger
+    violation replaces ``best``, so the first worst entry in
+    ``(s, t, sample)`` order wins.
+    """
+    j, m = np.unravel_index(int(np.argmax(viol.T)), viol.T.shape)
+    worst = float(viol[m, j])
+    if not worst > best[0]:
+        return best
+    return worst, {
+        "x": point_jsonable(xs[m]),
+        "y": point_jsonable(ys[m]),
+        "z": point_jsonable(zs[m]),
+        "s": float(s),
+        "t": float(ts[j]),
+        "violation": worst,
+    }
 
 
 def axiom_audit(
@@ -378,8 +414,6 @@ def axiom_audit(
     tolerance: float = 1e-9,
     seed: int = 0,
     box: tuple[float, float] | None = None,
-    continuity_bound: float = 0.25,
-    continuity_refinement: int = 16,
 ) -> AuditReport:
     """Audit the defining clauses of a space on seeded samples.
 
@@ -394,6 +428,8 @@ def axiom_audit(
     """
     if sample_count < 1:
         raise ValueError("sample_count must be at least 1")
+    if tolerance < 0:
+        raise ValueError("tolerance must be nonnegative")
     ts = probe_grid(t_samples)
     rng = np.random.default_rng(seed)
     if box is None:
@@ -407,17 +443,7 @@ def axiom_audit(
     distinct = _distinct_mask(space, xs, ys)
     clauses: list[ClauseResult] = []
 
-    # bounded sum
-    excess = mu_xy + nu_xy - 1.0
-    worst = float(excess.max())
-    clauses.append(
-        ClauseResult(
-            "bounded_sum",
-            passed=worst <= tolerance,
-            worst=max(worst, 0.0),
-            witness=_grid_witness(space, xs, ys, excess, ts),
-        )
-    )
+    clauses.append(_max_clause("bounded_sum", mu_xy + nu_xy - 1.0, xs, ys, ts, tolerance))
 
     # mu positivity
     min_mu = float(mu_xy.min())
@@ -426,7 +452,7 @@ def axiom_audit(
             "mu_positive",
             passed=min_mu > 0.0,
             worst=max(0.0, -min_mu),
-            witness=_grid_witness(space, xs, ys, -mu_xy, ts, {"min_mu": min_mu}),
+            witness=_grid_witness(xs, ys, -mu_xy, ts, {"min_mu": min_mu}),
         )
     )
 
@@ -447,67 +473,29 @@ def axiom_audit(
             passed=(worst_diag <= tolerance) and distinct_ok,
             worst=worst_diag,
             witness=_grid_witness(
-                space, xs, xs, diag_gap, ts, {"max_mu_distinct": max_mu_distinct}
+                xs, xs, diag_gap, ts, {"max_mu_distinct": max_mu_distinct}
             ),
             note=note,
         )
     )
 
-    # symmetry, mu side
-    sym = np.abs(mu_xy - mu_yx)
-    clauses.append(
-        ClauseResult(
-            "mu_symmetry",
-            passed=float(sym.max()) <= tolerance,
-            worst=float(sym.max()),
-            witness=_grid_witness(space, xs, ys, sym, ts),
-        )
-    )
+    clauses.append(_max_clause("mu_symmetry", np.abs(mu_xy - mu_yx), xs, ys, ts, tolerance))
 
-    # triangle inequalities over (s, t) grid pairs
+    # triangle inequalities over (s, t) grid pairs, one grid over t per s
     mu_yz, nu_yz = membership_grid(space, ys, zs, ts)
-    k = len(ts)
-    tri_mu_worst = -np.inf
-    tri_nu_worst = -np.inf
-    tri_mu_wit: dict | None = None
-    tri_nu_wit: dict | None = None
-    tnorm = space.operators.tnorm
-    tconorm = space.operators.tconorm
-    for i in range(k):
-        for j in range(k):
-            mu_xz, nu_xz = space.mu_nu(xs, zs, float(ts[i] + ts[j]))
-            lhs_mu = np.asarray(tnorm(mu_xy[:, i], mu_yz[:, j]), dtype=float)
-            viol_mu = lhs_mu - np.atleast_1d(mu_xz)
-            m = int(np.argmax(viol_mu))
-            if float(viol_mu[m]) > tri_mu_worst:
-                tri_mu_worst = float(viol_mu[m])
-                tri_mu_wit = {
-                    "x": point_jsonable(_take(xs, m)),
-                    "y": point_jsonable(_take(ys, m)),
-                    "z": point_jsonable(_take(zs, m)),
-                    "s": float(ts[i]),
-                    "t": float(ts[j]),
-                    "violation": tri_mu_worst,
-                }
-            lhs_nu = np.asarray(tconorm(nu_xy[:, i], nu_yz[:, j]), dtype=float)
-            viol_nu = np.atleast_1d(nu_xz) - lhs_nu
-            m = int(np.argmax(viol_nu))
-            if float(viol_nu[m]) > tri_nu_worst:
-                tri_nu_worst = float(viol_nu[m])
-                tri_nu_wit = {
-                    "x": point_jsonable(_take(xs, m)),
-                    "y": point_jsonable(_take(ys, m)),
-                    "z": point_jsonable(_take(zs, m)),
-                    "s": float(ts[i]),
-                    "t": float(ts[j]),
-                    "violation": tri_nu_worst,
-                }
+    tri_mu = tri_nu = (-np.inf, None)
+    for i, s in enumerate(ts):
+        mu_xz, nu_xz = membership_grid(space, xs, zs, s + ts)
+        viol_mu = np.asarray(space.operators.tnorm(mu_xy[:, i, None], mu_yz), dtype=float) - mu_xz
+        viol_nu = nu_xz - np.asarray(space.operators.tconorm(nu_xy[:, i, None], nu_yz), dtype=float)
+        tri_mu = _triangle_worst(tri_mu, viol_mu, xs, ys, zs, s, ts)
+        tri_nu = _triangle_worst(tri_nu, viol_nu, xs, ys, zs, s, ts)
     clauses.append(
         ClauseResult(
             "mu_triangle",
-            passed=tri_mu_worst <= tolerance,
-            worst=max(tri_mu_worst, 0.0),
-            witness=tri_mu_wit,
+            passed=tri_mu[0] <= tolerance,
+            worst=max(tri_mu[0], 0.0),
+            witness=tri_mu[1],
         )
     )
 
@@ -515,16 +503,17 @@ def axiom_audit(
     worst_mu_jump = 0.0
     worst_nu_jump = 0.0
     for lo_t, hi_t in zip(ts[:-1], ts[1:]):
-        sub = np.linspace(lo_t, hi_t, continuity_refinement + 1)
+        sub = np.linspace(lo_t, hi_t, CONTINUITY_REFINEMENT + 1)
         mu_sub, nu_sub = membership_grid(space, xs, ys, sub)
         worst_mu_jump = max(worst_mu_jump, float(np.abs(np.diff(mu_sub, axis=1)).max()))
         worst_nu_jump = max(worst_nu_jump, float(np.abs(np.diff(nu_sub, axis=1)).max()))
+    continuity_witness = {"bound": CONTINUITY_BOUND, "refinement": CONTINUITY_REFINEMENT}
     clauses.append(
         ClauseResult(
             "mu_time_continuity",
-            passed=worst_mu_jump <= continuity_bound,
+            passed=worst_mu_jump <= CONTINUITY_BOUND,
             worst=worst_mu_jump,
-            witness={"bound": continuity_bound, "refinement": continuity_refinement},
+            witness=continuity_witness,
             note="finite-difference modulus on a refined t grid",
         )
     )
@@ -537,7 +526,7 @@ def axiom_audit(
             "nu_nonnegative",
             passed=min_nu >= 0.0,
             worst=max(0.0, -min_nu),
-            witness=_grid_witness(space, xs, ys, -nu_xy, ts, {"min_nu": min_nu}),
+            witness=_grid_witness(xs, ys, -nu_xy, ts, {"min_nu": min_nu}),
         )
     )
 
@@ -558,38 +547,29 @@ def axiom_audit(
             passed=(worst_diag_nu <= tolerance) and distinct_ok,
             worst=worst_diag_nu,
             witness=_grid_witness(
-                space, xs, xs, diag_nu, ts, {"min_nu_distinct": min_nu_distinct}
+                xs, xs, diag_nu, ts, {"min_nu_distinct": min_nu_distinct}
             ),
             note=note,
         )
     )
 
-    # symmetry, nu side
-    sym_nu = np.abs(nu_xy - nu_yx)
-    clauses.append(
-        ClauseResult(
-            "nu_symmetry",
-            passed=float(sym_nu.max()) <= tolerance,
-            worst=float(sym_nu.max()),
-            witness=_grid_witness(space, xs, ys, sym_nu, ts),
-        )
-    )
+    clauses.append(_max_clause("nu_symmetry", np.abs(nu_xy - nu_yx), xs, ys, ts, tolerance))
 
     clauses.append(
         ClauseResult(
             "nu_triangle",
-            passed=tri_nu_worst <= tolerance,
-            worst=max(tri_nu_worst, 0.0),
-            witness=tri_nu_wit,
+            passed=tri_nu[0] <= tolerance,
+            worst=max(tri_nu[0], 0.0),
+            witness=tri_nu[1],
         )
     )
 
     clauses.append(
         ClauseResult(
             "nu_time_continuity",
-            passed=worst_nu_jump <= continuity_bound,
+            passed=worst_nu_jump <= CONTINUITY_BOUND,
             worst=worst_nu_jump,
-            witness={"bound": continuity_bound, "refinement": continuity_refinement},
+            witness=continuity_witness,
             note="finite-difference modulus on a refined t grid",
         )
     )
@@ -608,25 +588,9 @@ def axiom_audit(
 
     # monotonicity along the t grid
     mono_mu = mu_xy[:, :-1] - mu_xy[:, 1:]
-    worst_mono_mu = float(mono_mu.max(initial=0.0))
-    clauses.append(
-        ClauseResult(
-            "mu_nondecreasing_t",
-            passed=worst_mono_mu <= tolerance,
-            worst=max(worst_mono_mu, 0.0),
-            witness=_grid_witness(space, xs, ys, mono_mu, ts[:-1]) if mono_mu.size else None,
-        )
-    )
     mono_nu = nu_xy[:, 1:] - nu_xy[:, :-1]
-    worst_mono_nu = float(mono_nu.max(initial=0.0))
-    clauses.append(
-        ClauseResult(
-            "nu_nonincreasing_t",
-            passed=worst_mono_nu <= tolerance,
-            worst=max(worst_mono_nu, 0.0),
-            witness=_grid_witness(space, xs, ys, mono_nu, ts[:-1]) if mono_nu.size else None,
-        )
-    )
+    clauses.append(_max_clause("mu_nondecreasing_t", mono_mu, xs, ys, ts[:-1], tolerance))
+    clauses.append(_max_clause("nu_nonincreasing_t", mono_nu, xs, ys, ts[:-1], tolerance))
 
     return AuditReport(subject=space.description or "space", clauses=clauses)
 
@@ -713,12 +677,6 @@ def _normalize_prefix(space: IfmSpace, prefix) -> list:
     return pts
 
 
-def _prefix_batch(space: IfmSpace, pts: list):
-    if isinstance(space.domain, CoordinateSpace):
-        return np.asarray(pts, dtype=float)
-    return np.asarray(pts, dtype=object)
-
-
 @dataclass
 class SequenceReport:
     """Windowed Cauchy/convergence verdicts for a finite sequence prefix."""
@@ -763,7 +721,7 @@ def sequence_diagnostics(
     if length <= window:
         raise ValueError(f"prefix length {length} must exceed the window {window}")
     ts = probe_grid(probe_ts)
-    batch = _prefix_batch(space, pts)
+    batch = space.batch(pts)
 
     last_fail = -1
     witness: dict | None = None
@@ -790,9 +748,7 @@ def sequence_diagnostics(
     convergent = None
     conv_from = None
     if candidate_limit is not None:
-        limit = space.as_point(candidate_limit)
-        limit_batch = _prefix_batch(space, [limit] * length)
-        mu, nu = membership_grid(space, batch, limit_batch, ts)
+        mu, nu = membership_grid(space, batch, space.as_point(candidate_limit), ts)
         ok = np.all((mu > 1.0 - epsilon) & (nu < epsilon), axis=1)
         fails = np.nonzero(~ok)[0]
         m0 = int(fails[-1]) + 1 if fails.size else 0

@@ -124,6 +124,30 @@ def test_validate_unreadable_document(tmp_path):
     assert main(["validate", str(bad)]) == 2
 
 
+@pytest.mark.parametrize("field", ["document", "probe_ts", "fixed_point", "iterations"])
+def test_validate_malformed_document_exits_two_with_field_path(tmp_path, capsys, field):
+    cfg = write(tmp_path, "picard.yaml", PICARD_YAML)
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 0
+    doc = json.loads((tmp_path / "result.json").read_text())
+    bad = [doc] if field == "document" else {k: v for k, v in doc.items() if k != field}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(bad))
+    capsys.readouterr()
+    assert main(["validate", str(path)]) == 2
+    assert f"{field}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("old, new", [
+    ("x0: [0.0]", "x0: [.nan]"),
+    ("offset: [1.0]", "offset: [.inf]"),
+    ("output:", "solve: {probe_ts: [1.0, .inf]}\noutput:"),
+])
+def test_nonfinite_config_numbers_exit_two(tmp_path, capsys, old, new):
+    cfg = write(tmp_path, "bad.yaml", PICARD_YAML.replace(old, new))
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "finite" in capsys.readouterr().err
+
+
 def test_vacuous_check_exits_one_with_note(tmp_path, capsys):
     cfg = write(tmp_path, "vacuous.yaml", VACUOUS_YAML)
     code = main(["check", "--config", cfg, "--out", str(tmp_path)])

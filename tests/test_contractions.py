@@ -183,6 +183,16 @@ def test_map_leaving_domain_is_an_error(line, three_point_space):
     partial = SelfMap.table({"a": "b"})
     with pytest.raises(DomainEscapeError):
         if_contractive_check(three_point_space, partial, 50, seed=1)
+    wrong_dimension = SelfMap.constant([1.0, 2.0])
+    with pytest.raises(DomainEscapeError, match="shape"):
+        if_contractive_check(line, wrong_dimension, 50, seed=1)
+
+
+def test_affine_rejects_nonfinite_coefficients():
+    with pytest.raises(ValueError, match="finite"):
+        SelfMap.affine([[float("nan")]], [0.0])
+    with pytest.raises(ValueError, match="finite"):
+        SelfMap.affine([[0.5]], [float("inf")])
 
 
 def test_self_map_spec_round_trip(plane, swap_scale_map):

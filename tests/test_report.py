@@ -65,3 +65,13 @@ def test_atomic_write_creates_parents_and_replaces(tmp_path):
     write_text_atomic(str(target), "second")
     assert target.read_text() == "second"
     assert not [p for p in os.listdir(target.parent) if p.endswith(".tmp")]
+
+
+def test_atomic_write_applies_the_umask(tmp_path):
+    target = tmp_path / "artifact.txt"
+    previous = os.umask(0o027)
+    try:
+        write_text_atomic(str(target), "x")
+    finally:
+        os.umask(previous)
+    assert os.stat(target).st_mode & 0o777 == 0o666 & ~0o027

@@ -17,6 +17,7 @@ from ifmlab import (
     finite_tabulated,
     induced_from_metric,
     joint_continuity_probe,
+    membership_grid,
     min_max,
     product_probsum,
     sequence_diagnostics,
@@ -29,9 +30,19 @@ positive_t = st.floats(min_value=1e-3, max_value=1e3, allow_nan=False)
 
 def test_time_parameter_rejects_nonpositive():
     assert time_parameter(0.5) == 0.5
-    for bad in (0.0, -1.0):
+    for bad in (0.0, -1.0, float("inf"), float("nan")):
         with pytest.raises(ValueError):
             time_parameter(bad)
+
+
+def test_nonfinite_times_and_points_rejected(line):
+    for bad_t in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="finite"):
+            evaluate(line, 0.0, 1.0, bad_t)
+        with pytest.raises(ValueError, match="finite"):
+            axiom_audit(line, 10, t_samples=[1.0, bad_t])
+    with pytest.raises(ValueError, match="finite"):
+        evaluate(line, float("nan"), 1.0, 1.0)
 
 
 def test_induced_line_values(line):
@@ -119,6 +130,13 @@ def test_corrupted_space_fails_bounded_sum(three_point_space):
     clause = report.clause("bounded_sum")
     assert not clause.passed
     assert clause.worst == pytest.approx(0.2)  # 0.5 + 0.7 - 1
+
+
+def test_audit_rejects_bad_arguments(plane):
+    with pytest.raises(ValueError, match="sample_count"):
+        axiom_audit(plane, 0)
+    with pytest.raises(ValueError, match="tolerance"):
+        axiom_audit(plane, 10, tolerance=-1e-3)
 
 
 def test_audit_is_seed_deterministic(plane):
@@ -284,3 +302,66 @@ def test_induced_triangle_and_monotonicity(x, y, z, s, t):
     assert max(nu_xy, nu_yz) >= nu_xz - 1e-12
     # nearness grows with t
     assert evaluate(space, x, y, s)[0] <= evaluate(space, x, y, s + t)[0] + 1e-15
+
+
+FOUR_LABELS = finite_tabulated(
+    FiniteTabulated(
+        ["a", "b", "c", "d"],
+        {
+            ("a", "b"): ([[0.5, 0.3], [4.0, 0.9]], [[0.5, 0.6], [4.0, 0.05]]),
+            ("a", "c"): (0.4, 0.5),
+            ("a", "d"): ([[0.1, 0.2], [1.0, 0.25], [30.0, 0.7]], [[0.1, 0.7], [30.0, 0.2]]),
+            ("b", "c"): ([[2.0, 0.35], [3.0, 0.45]], 0.5),
+            ("b", "d"): (0.4, [[1.0, 0.5], [9.0, 0.1]]),
+            ("c", "d"): ([[0.2, 0.4], [50.0, 0.99]], [[0.2, 0.5], [50.0, 0.005]]),
+        },
+    ),
+    min_max(),
+)
+
+
+def reference_grid(space, xs, ys, ts):
+    """One time at a time, one pair at a time, from the domain's primitives."""
+    domain = space.domain
+    mu = np.empty((len(xs), len(ts)))
+    nu = np.empty((len(xs), len(ts)))
+    for j, t in enumerate(ts):
+        for i, (x, y) in enumerate(zip(xs, ys)):
+            if isinstance(domain, CoordinateSpace):
+                m = t / (t + domain.distance(x, y))
+                mu[i, j], nu[i, j] = m, 1.0 - m
+            elif x == y:
+                mu[i, j], nu[i, j] = 1.0, 0.0
+            else:
+                mu_curve, nu_curve = domain.pair_curves[tuple(sorted((domain.index[x], domain.index[y])))]
+                mu[i, j], nu[i, j] = mu_curve(t), nu_curve(t)
+    return mu, nu
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    kind=st.sampled_from(["euclidean", "chebyshev", "absolute-difference", "tabulated"]),
+    dim=st.integers(1, 3),
+    n=st.integers(1, 12),
+    ts=st.lists(positive_t, min_size=1, max_size=6),
+    data=st.data(),
+)
+def test_membership_grid_matches_per_t_reference_bit_for_bit(kind, dim, n, ts, data):
+    if kind == "tabulated":
+        space = FOUR_LABELS
+        point = st.sampled_from(space.domain.labels)
+    else:
+        space = induced_from_metric(CoordinateSpace(dim, kind), min_max())
+        point = st.lists(coord, min_size=dim, max_size=dim)
+    xs = space.batch(data.draw(st.lists(point, min_size=n, max_size=n)))
+    ys = space.batch(data.draw(st.lists(point, min_size=n, max_size=n)))
+
+    mu, nu = membership_grid(space, xs, ys, ts)
+    ref_mu, ref_nu = reference_grid(space, xs, ys, ts)
+    assert mu.shape == (n, len(ts))
+    assert np.array_equal(mu, ref_mu) and np.array_equal(nu, ref_nu)
+
+    # a single point pairs with every point of the other side
+    mu, nu = membership_grid(space, xs[0], ys, ts)
+    ref_mu, ref_nu = reference_grid(space, [xs[0]] * n, ys, ts)
+    assert np.array_equal(mu, ref_mu) and np.array_equal(nu, ref_nu)
