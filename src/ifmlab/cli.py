@@ -25,11 +25,19 @@ from typing import Any
 
 import numpy as np
 
-from .config import ConfigError, ExperimentConfig, build_map, build_space, load_config, parse_ball
+from .config import (
+    ConfigError,
+    ExperimentConfig,
+    build_map,
+    build_space,
+    expect_list,
+    expect_mapping,
+    load_config,
+    parse_ball,
+)
 from .contractions import (
     DomainEscapeError,
     SelfMap,
-    apply_point,
     closed_ball_hypotheses,
     contractive_sequence_check,
     direct_ratio_contractive_check,
@@ -42,14 +50,16 @@ from .report import format_float, json_text, records_to_jsonl, write_text_atomic
 from .solver import (
     SolveConfig,
     SolveResult,
+    chain_break,
     closed_ball_solve,
     direct_ratio_solve,
     iterate_trace,
     picard_solve,
     power_map_solve,
+    residual_certificate,
     sampling_box,
 )
-from .spaces import IfmSpace, axiom_audit, membership_grid, point_jsonable, points_equal
+from .spaces import IfmSpace, axiom_audit, point_jsonable, points_equal
 
 OUTPUT_DIR_ENV = "IFMLAB_OUT"
 
@@ -180,6 +190,16 @@ def _required(doc: dict[str, Any], key: str) -> Any:
     return doc[key]
 
 
+def _number(value: Any, path: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(path, f"expected a number, got {type(value).__name__}")
+    return float(value)
+
+
+def _numbers(value: Any, path: str) -> np.ndarray:
+    return np.asarray([_number(v, f"{path}[{i}]") for i, v in enumerate(expect_list(value, path))])
+
+
 def validate_result_document(doc: Any) -> list[str]:
     """Re-verify a stored result from its own points; returns problems.
 
@@ -188,14 +208,12 @@ def validate_result_document(doc: Any) -> list[str]:
     documents without that key fall back to ``experiment.map``).  The
     residual certificate of a converged result is always checked against
     ``experiment.map``, the map whose fixed point is claimed.  A document
-    that is not a mapping, or a converged one without ``probe_ts``,
-    ``fixed_point`` or ``iterations``, raises :class:`ConfigError` with
-    the field's path.
+    that is not a mapping, a converged one without ``probe_ts``,
+    ``fixed_point`` or ``iterations``, or one whose fields have the wrong
+    type raises :class:`ConfigError` with the field's path.
     """
-    if not isinstance(doc, dict):
-        raise ConfigError("document", f"expected a mapping, got {type(doc).__name__}")
-    problems: list[str] = []
-    exp = doc.get("experiment") or {}
+    doc = expect_mapping(doc, "document")
+    exp = expect_mapping(doc.get("experiment") or {}, "experiment")
     try:
         space = build_space(exp["space"], exp.get("operators", "min-max"))
         map_ = self_map_from_spec(exp["map"])
@@ -203,33 +221,37 @@ def validate_result_document(doc: Any) -> list[str]:
     except (KeyError, ValueError) as exc:
         return [f"cannot rebuild experiment: {exc}"]
 
-    points = doc.get("trace_points") or []
+    points = expect_list(doc.get("trace_points") or [], "trace_points")
     if not points:
         return ["document carries no trace points"]
 
-    for i in range(len(points) - 1):
-        image = apply_point(space, step_map, points[i])
-        if not points_equal(image, points[i + 1]):
-            problems.append(f"trace breaks at step {i}: stored successor differs from the map image")
-            break
+    problems: list[str] = []
+    step = chain_break(space, step_map, points)
+    if step is not None:
+        problems.append(f"trace breaks at step {step}: stored successor differs from the map image")
 
     if doc.get("status") == "converged":
-        ts = np.asarray(_required(doc, "probe_ts"), dtype=float)
-        epsilon = float(exp.get("solve_config", {}).get("epsilon", 1e-8))
-        x_star = _required(doc, "fixed_point")
-        iterations = int(_required(doc, "iterations"))
+        ts = _numbers(_required(doc, "probe_ts"), "probe_ts")
+        solve_config = expect_mapping(exp.get("solve_config") or {}, "experiment.solve_config")
+        epsilon = _number(solve_config.get("epsilon", 1e-8), "experiment.solve_config.epsilon")
+        try:
+            x_star = space.as_point(_required(doc, "fixed_point"))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError("fixed_point", str(exc)) from exc
+        iterations = _required(doc, "iterations")
+        if isinstance(iterations, bool) or not isinstance(iterations, int):
+            raise ConfigError("iterations", f"expected an integer, got {type(iterations).__name__}")
         if not 0 <= iterations < len(points) or not points_equal(points[iterations], x_star):
             problems.append("fixed_point does not match the trace at the stated iteration")
-        image = apply_point(space, map_, x_star)
-        mu, nu = membership_grid(space, x_star, image, ts)
-        if not bool(np.all((mu[0] >= 1.0 - epsilon) & (nu[0] <= epsilon))):
+        ok, mu, nu = residual_certificate(space, map_, x_star, ts, epsilon)
+        if not ok:
             problems.append(
-                f"residual certificate fails: mu_min={mu[0].min()!r}, nu_max={nu[0].max()!r}, "
+                f"residual certificate fails: mu_min={mu.min()!r}, nu_max={nu.max()!r}, "
                 f"epsilon={epsilon!r}"
             )
-        for key, values in (("residual_mu", mu[0]), ("residual_nu", nu[0])):
+        for key, values in (("residual_mu", mu), ("residual_nu", nu)):
             stored = doc.get(key)
-            if stored is not None and not np.array_equal(np.asarray(stored, float), values):
+            if stored is not None and not np.array_equal(_numbers(stored, key), values):
                 problems.append(f"stored {key} does not reproduce from the stored points")
     return problems
 

@@ -76,13 +76,13 @@ class ExperimentConfig:
             raise ConfigError("solve", str(exc)) from exc
 
 
-def _expect_mapping(obj: Any, path: str) -> dict:
+def expect_mapping(obj: Any, path: str) -> dict:
     if not isinstance(obj, dict):
         raise ConfigError(path, f"expected a mapping, got {type(obj).__name__}")
     return obj
 
 
-def _expect_list(obj: Any, path: str) -> list:
+def expect_list(obj: Any, path: str) -> list:
     if not isinstance(obj, list):
         raise ConfigError(path, f"expected a list, got {type(obj).__name__}")
     return obj
@@ -97,12 +97,12 @@ def _get(d: dict, key: str, path: str, required: bool = True, default: Any = Non
 
 
 def _validate_space(spec: Any) -> dict:
-    spec = _expect_mapping(spec, "space")
+    spec = expect_mapping(spec, "space")
     kinds = [k for k in ("induced", "tabulated") if k in spec]
     if len(kinds) != 1:
         raise ConfigError("space", "exactly one of 'induced' or 'tabulated' is required")
     kind = kinds[0]
-    body = _expect_mapping(spec[kind], f"space.{kind}")
+    body = expect_mapping(spec[kind], f"space.{kind}")
     if kind == "induced":
         dim = _get(body, "dimension", "space.induced")
         if not isinstance(dim, int) or dim < 1:
@@ -113,13 +113,13 @@ def _validate_space(spec: Any) -> dict:
         except ValueError as exc:
             raise ConfigError("space.induced.base_metric", str(exc)) from exc
         return {"induced": {"dimension": dim, "base_metric": metric}}
-    labels = _expect_list(_get(body, "labels", "space.tabulated"), "space.tabulated.labels")
-    pairs_raw = _expect_list(_get(body, "pairs", "space.tabulated"), "space.tabulated.pairs")
+    labels = expect_list(_get(body, "labels", "space.tabulated"), "space.tabulated.labels")
+    pairs_raw = expect_list(_get(body, "pairs", "space.tabulated"), "space.tabulated.pairs")
     pairs = []
     for i, entry in enumerate(pairs_raw):
         p = f"space.tabulated.pairs[{i}]"
-        entry = _expect_mapping(entry, p)
-        between = _expect_list(_get(entry, "between", p), f"{p}.between")
+        entry = expect_mapping(entry, p)
+        between = expect_list(_get(entry, "between", p), f"{p}.between")
         if len(between) != 2:
             raise ConfigError(f"{p}.between", "must name exactly two labels")
         pairs.append(
@@ -154,7 +154,7 @@ def build_space(space_spec: dict, operators_name: str) -> IfmSpace:
 
 
 def _validate_map(spec: Any, space_spec: dict) -> dict:
-    spec = _expect_mapping(spec, "map")
+    spec = expect_mapping(spec, "map")
     try:
         self_map_from_spec(spec)
     except (ValueError, KeyError) as exc:
@@ -178,12 +178,12 @@ def build_map(config: ExperimentConfig) -> SelfMap:
 
 
 def _validate_action(raw: Any) -> tuple[str, dict]:
-    raw = _expect_mapping(raw, "action")
+    raw = expect_mapping(raw, "action")
     kinds = [k for k in ("audit", "check", "solve") if k in raw]
     if len(kinds) != 1:
         raise ConfigError("action", "exactly one of 'audit', 'check' or 'solve' is required")
     kind = kinds[0]
-    body = _expect_mapping(raw[kind], f"action.{kind}")
+    body = expect_mapping(raw[kind], f"action.{kind}")
     if kind == "audit":
         target = body.get("target", "space")
         if target not in AUDIT_TARGETS:
@@ -203,7 +203,7 @@ def _validate_action(raw: Any) -> tuple[str, dict]:
 
 
 def parse_ball(params: dict, path: str) -> BallSpec:
-    ball = _expect_mapping(_get(params, "ball", path), f"{path}.ball")
+    ball = expect_mapping(_get(params, "ball", path), f"{path}.ball")
     try:
         return BallSpec(
             center=_get(ball, "center", f"{path}.ball"),
@@ -215,7 +215,7 @@ def parse_ball(params: dict, path: str) -> BallSpec:
 
 
 def validate_config(doc: Any) -> ExperimentConfig:
-    doc = _expect_mapping(doc, "config")
+    doc = expect_mapping(doc, "config")
     seed = doc.get("seed", 0)
     if not isinstance(seed, int):
         raise ConfigError("seed", f"must be an integer, got {seed!r}")
@@ -239,11 +239,11 @@ def validate_config(doc: Any) -> ExperimentConfig:
         raise ConfigError("map", f"action {action_kind!r} requires a map")
 
     solve = doc.get("solve", {}) or {}
-    _expect_mapping(solve, "solve")
+    expect_mapping(solve, "solve")
     sampling = doc.get("sampling", {}) or {}
-    _expect_mapping(sampling, "sampling")
+    expect_mapping(sampling, "sampling")
     output = doc.get("output", {}) or {}
-    _expect_mapping(output, "output")
+    expect_mapping(output, "output")
     for key, value in output.items():
         if not isinstance(value, str):
             raise ConfigError(f"output.{key}", "output paths must be strings")

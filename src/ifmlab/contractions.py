@@ -52,6 +52,10 @@ class DomainEscapeError(RuntimeError):
         self.index = index
 
 
+class NonFiniteImageError(DomainEscapeError):
+    """A map sent a coordinate point to a non-finite image (overflow)."""
+
+
 class SelfMap:
     """A self-map of a space's point domain.
 
@@ -176,7 +180,7 @@ def apply_point(space: IfmSpace, map_: SelfMap, p):
         raise DomainEscapeError(f"image has shape {arr.shape}, expected ({space.domain.dimension},)",
                                 point=image)
     if not np.all(np.isfinite(arr)):
-        raise DomainEscapeError(f"image {arr.tolist()} left the coordinate domain", point=arr)
+        raise NonFiniteImageError(f"image {arr.tolist()} left the coordinate domain", point=arr)
     return arr
 
 

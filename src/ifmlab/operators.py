@@ -51,7 +51,7 @@ def unit_scalar(value: float, name: str = "value") -> float:
 
 @dataclass
 class OperatorPair:
-    """A t-norm/t-conorm pair with idempotency metadata.
+    """A named t-norm/t-conorm pair.
 
     The callables must accept numpy arrays and broadcast them (scalar
     inputs also work).
@@ -60,15 +60,13 @@ class OperatorPair:
     name: str
     tnorm: BinaryOp
     tconorm: BinaryOp
-    idempotent_tnorm: bool = False
-    idempotent_tconorm: bool = False
 
     def __repr__(self) -> str:  # keep reports compact
         return f"OperatorPair({self.name!r})"
 
 
 def min_max() -> OperatorPair:
-    return OperatorPair("min-max", np.minimum, np.maximum, True, True)
+    return OperatorPair("min-max", np.minimum, np.maximum)
 
 
 def product_probsum() -> OperatorPair:
@@ -238,21 +236,19 @@ def audit_operator_pair(
 def check_idempotent(
     pair: OperatorPair, grid_size: int = 101, tolerance: float = DEFAULT_AUDIT_TOLERANCE
 ) -> tuple[bool, bool]:
-    """Test a(op)a = a for both operators on a grid; update pair metadata."""
-    if grid_size < 2:
-        raise ValueError("grid_size must be at least 2")
-    grid = np.linspace(0.0, 1.0, grid_size)
-    tnorm_ok = bool(np.abs(_apply(pair.tnorm, grid, grid) - grid).max() <= tolerance)
-    tconorm_ok = bool(np.abs(_apply(pair.tconorm, grid, grid) - grid).max() <= tolerance)
-    pair.idempotent_tnorm = tnorm_ok
-    pair.idempotent_tconorm = tconorm_ok
-    return tnorm_ok, tconorm_ok
+    """Test a(op)a = a for both operators on a grid, within ``tolerance``."""
+    return idempotent_within(idempotency_witness(pair, grid_size), tolerance)
 
 
 def idempotency_witness(
     pair: OperatorPair, grid_size: int = 101
 ) -> tuple[dict | None, dict | None]:
-    """Worst idempotency violations (or ``None`` for a clean operator)."""
+    """Worst idempotency violations (or ``None`` for a clean operator).
+
+    A witness's ``violation`` is the largest ``|a (op) a - a|`` on the grid.
+    """
+    if grid_size < 2:
+        raise ValueError("grid_size must be at least 2")
     grid = np.linspace(0.0, 1.0, grid_size)
     out = []
     for op in (pair.tnorm, pair.tconorm):
@@ -260,6 +256,14 @@ def idempotency_witness(
         i = int(np.argmax(gap))
         out.append(None if gap[i] == 0.0 else {"a": float(grid[i]), "violation": float(gap[i])})
     return out[0], out[1]
+
+
+def idempotent_within(
+    witnesses: tuple[dict | None, dict | None], tolerance: float = DEFAULT_AUDIT_TOLERANCE
+) -> tuple[bool, bool]:
+    """Idempotency flags of both operators from their :func:`idempotency_witness`
+    results: an operator is idempotent when its violation is within ``tolerance``."""
+    return tuple(w is None or w["violation"] <= tolerance for w in witnesses)
 
 
 @dataclass(frozen=True)

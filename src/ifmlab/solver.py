@@ -16,7 +16,7 @@ result status carrying the failing check, never as exceptions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Iterable, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from .contractions import (
     direct_ratio_contractive_check,
     if_contractive_check,
     K_SAFETY_MARGIN,
+    NonFiniteImageError,
     t_uniform_continuity_probe,
 )
 from .sampling import coordinate_box, sample_ball_pairs, sample_pairs
@@ -56,6 +57,10 @@ EQUALITY_SLACK = 10.0
 
 DEFAULT_UNIFORM_EPSILONS = (0.1, 0.01)
 
+# Horizon t and tolerance of the large-horizon nearness probe.
+ASYMPTOTIC_HORIZON = 1e6
+ASYMPTOTIC_EPSILON = 1e-2
+
 
 @dataclass
 class SolveConfig:
@@ -69,8 +74,6 @@ class SolveConfig:
     sample_pairs: int = 400
     seed: int = 0
     sample_halfwidth: float = 8.0
-    asymptotic_horizon: float = 1e6
-    asymptotic_epsilon: float = 1e-2
 
     def __post_init__(self) -> None:
         if not 0.0 < self.epsilon < 1.0:
@@ -94,21 +97,20 @@ class IterationTrace:
 
     def verify(self, space: IfmSpace, map_: SelfMap) -> bool:
         """Re-check chain consistency and stored nearness values exactly."""
-        for i in range(len(self.points) - 1):
-            if not points_equal(apply_point(space, map_, self.points[i]), self.points[i + 1]):
-                return False
-        if len(self.points) > 1:
-            ts = np.asarray(self.probe_ts)
-            mu, nu = membership_grid(space, self.points[:-1], self.points[1:], ts)
-            return bool(np.array_equal(mu, self.step_mu) and np.array_equal(nu, self.step_nu))
-        return True
+        if chain_break(space, map_, self.points) is not None:
+            return False
+        if len(self.points) == 1:
+            return True
+        mu, nu = membership_grid(space, self.points[:-1], self.points[1:], self.probe_ts)
+        return bool(np.array_equal(mu, self.step_mu) and np.array_equal(nu, self.step_nu))
 
 
 @dataclass
 class SolveResult:
     """Outcome of one solve: status, candidate, trace, and certificates."""
 
-    status: str  # converged | budget_exhausted | hypothesis_failed | diverged_from_ball
+    # converged | budget_exhausted | hypothesis_failed | diverged_from_ball | diverged
+    status: str
     fixed_point: Any | None
     iterations: int
     trace: IterationTrace
@@ -133,113 +135,98 @@ def iterate_trace(space: IfmSpace, map_: SelfMap, x0, n: int) -> list:
     return pts
 
 
-def _empty_trace(space: IfmSpace, x0, ts, ball_flags=None) -> IterationTrace:
-    k = len(ts)
-    return IterationTrace(
-        points=[space.as_point(x0)],
-        probe_ts=tuple(float(t) for t in ts),
-        step_mu=np.empty((0, k)),
-        step_nu=np.empty((0, k)),
-        ball_flags=ball_flags,
-    )
+def chain_break(space: IfmSpace, map_: SelfMap, points: Sequence) -> int | None:
+    """First step ``i`` whose stored successor is not the image of
+    ``points[i]``, or ``None`` when the whole chain holds."""
+    for i in range(len(points) - 1):
+        if not points_equal(apply_point(space, map_, points[i]), points[i + 1]):
+            return i
+    return None
 
 
-def _hypothesis_failed(space, x0, config, report, reason) -> SolveResult:
-    return SolveResult(
-        status="hypothesis_failed",
-        fixed_point=None,
-        iterations=0,
-        trace=_empty_trace(space, x0, np.asarray(config.probe_ts)),
-        stop_reason=reason,
-        hypothesis_report=report,
-    )
+def residual_certificate(space: IfmSpace, map_: SelfMap, x, ts, epsilon: float):
+    """Single-step residual ``(mu, nu)`` of ``x`` at every probe time and
+    whether it certifies ``x`` fixed: ``mu >= 1 - epsilon`` and
+    ``nu <= epsilon`` at every t.  Returns ``(ok, mu, nu)``."""
+    mu, nu = membership_grid(space, x, apply_point(space, map_, x), ts)
+    return bool(np.all((mu[0] >= 1.0 - epsilon) & (nu[0] <= epsilon))), mu[0], nu[0]
 
 
-def _window_near(space, points, c, window, eps, ts) -> bool:
-    """All of x_{c+1} .. x_{c+window} strictly eps-near x_c at every t."""
-    mu, nu = membership_grid(space, points[c], points[c + 1 : c + 1 + window], ts)
-    return bool(np.all((mu > 1.0 - eps) & (nu < eps)))
+def _gate(report: ContractivityReport, reason: str) -> tuple[ContractivityReport, str | None]:
+    return report, None if report.passed else reason
 
 
-def _picard_engine(space, map_, x0, config, ball: BallSpec | None = None):
-    """Shared iteration loop; returns a SolveResult without hypothesis data."""
+def _solve(space: IfmSpace, map_: SelfMap, x0, config: SolveConfig,
+           gates: Sequence[Callable[[], tuple]], ball: BallSpec | None = None) -> SolveResult:
+    """Run a regime's hypothesis gates in order, then Picard iteration.
+
+    A gate runs one check and returns its report and a failure reason,
+    ``None`` when the check passes.  With hypothesis checks on, the first
+    failing gate ends the solve as ``hypothesis_failed`` carrying that
+    gate's report, or the first gate's report when the failing gate has
+    none; otherwise the result carries the first gate's report.  With
+    ``ball`` every iterate must stay in the open ball.  A coordinate image
+    that overflows stops the solve at the last finite iterate as
+    ``diverged``.
+    """
     ts = np.asarray(config.probe_ts)
-    eps = config.epsilon
-    start = space.as_point(x0)
-    points = [start]
+    points = [space.as_point(x0)]
     mu_rows: list[np.ndarray] = []
     nu_rows: list[np.ndarray] = []
     flags: list[bool] | None = None
-    if ball is not None:
-        flags = [ball_contains(space, ball, start, mode="open")]
-        if not flags[0]:
-            return SolveResult(
-                status="diverged_from_ball",
-                fixed_point=None,
-                iterations=0,
-                trace=_empty_trace(space, x0, ts, ball_flags=flags),
-                stop_reason="starting point lies outside the open ball",
-            )
+    report = None
 
-    def build_trace() -> IterationTrace:
+    def stop(status: str, reason: str, c: int | None = None) -> SolveResult:
         k = len(ts)
-        return IterationTrace(
-            points=points,
-            probe_ts=tuple(float(t) for t in ts),
-            step_mu=np.asarray(mu_rows).reshape(len(mu_rows), k),
-            step_nu=np.asarray(nu_rows).reshape(len(nu_rows), k),
-            ball_flags=flags,
-        )
+        trace = IterationTrace(points, tuple(float(t) for t in ts), np.reshape(mu_rows, (-1, k)),
+                               np.reshape(nu_rows, (-1, k)), flags)
+        if c is None:
+            return SolveResult(status, None, len(points) - 1, trace, reason, report)
+        return SolveResult(status, points[c], c, trace, reason, report,
+                           residual_mu=trace.step_mu[c].copy(), residual_nu=trace.step_nu[c].copy())
 
-    def converged(candidate: int, reason: str) -> SolveResult:
-        return SolveResult(
-            status="converged",
-            fixed_point=points[candidate],
-            iterations=candidate,
-            trace=build_trace(),
-            stop_reason=reason,
-            residual_mu=mu_rows[candidate].copy(),
-            residual_nu=nu_rows[candidate].copy(),
-        )
+    if config.hypothesis_checks:
+        for i, gate in enumerate(gates):
+            gate_report, reason = gate()
+            if i == 0 or (reason is not None and gate_report is not None):
+                report = gate_report
+            if reason is not None:
+                return stop("hypothesis_failed", reason)
 
-    applications = 0
-    while applications < config.max_iterations:
-        nxt = apply_point(space, map_, points[-1])
-        applications += 1
+    if ball is not None:
+        flags = [ball_contains(space, ball, points[0], mode="open")]
+        if not flags[0]:
+            return stop("diverged_from_ball", "starting point lies outside the open ball")
+    while len(points) <= config.max_iterations:
+        try:
+            nxt = apply_point(space, map_, points[-1])
+        except NonFiniteImageError as exc:
+            return stop("diverged", f"iterate {len(points)} overflowed: {exc}")
         points.append(nxt)
+        m = len(points) - 1
         mu_row, nu_row = membership_grid(space, points[-2], nxt, ts)
         mu_rows.append(mu_row[0])
         nu_rows.append(nu_row[0])
         if ball is not None:
-            inside = ball_contains(space, ball, nxt, mode="open")
-            flags.append(inside)
-            if not inside:
-                return SolveResult(
-                    status="diverged_from_ball",
-                    fixed_point=None,
-                    iterations=len(points) - 1,
-                    trace=build_trace(),
-                    stop_reason=f"iterate {len(points) - 1} left the open ball",
-                )
-        m = len(points) - 1
+            flags.append(ball_contains(space, ball, nxt, mode="open"))
+            if not flags[-1]:
+                return stop("diverged_from_ball", f"iterate {m} left the open ball")
         if points_equal(nxt, points[-2]):
-            return converged(m - 1, f"exact fixed point reached at iteration {m - 1}")
+            return stop("converged", f"exact fixed point reached at iteration {m - 1}", m - 1)
         c = m - config.window
-        if c >= 0 and _window_near(space, points, c, config.window, eps, ts):
-            # residual at the candidate (non-strict) is implied by the
-            # strict window bound on the pair (c, c+1)
-            return converged(
-                c,
+        if c < 0:
+            continue
+        # x_{c+1} .. x_m all strictly eps-near x_c at every t; this implies
+        # the (non-strict) residual bound at the candidate x_c
+        mu, nu = membership_grid(space, points[c], points[c + 1 :], ts)
+        if np.all((mu > 1.0 - config.epsilon) & (nu < config.epsilon)):
+            return stop(
+                "converged",
                 f"window of {config.window} iterates after iteration {c} stayed "
-                f"within epsilon={eps:g} at every probe t",
+                f"within epsilon={config.epsilon:g} at every probe t",
+                c,
             )
-    return SolveResult(
-        status="budget_exhausted",
-        fixed_point=None,
-        iterations=applications,
-        trace=build_trace(),
-        stop_reason=f"no fixed point certified within {config.max_iterations} iterations",
-    )
+    return stop("budget_exhausted", f"no fixed point certified within {config.max_iterations} iterations")
 
 
 def sampling_box(space: IfmSpace, config: SolveConfig, center=None):
@@ -255,7 +242,7 @@ def _asymptotic_probe(space: IfmSpace, config: SolveConfig, box) -> AsymptoticRe
     """Large-horizon nearness probe on eight seeded pairs."""
     pair_x, pair_y = sample_pairs(space, 8, config.seed + 1, box)
     return asymptotic_nearness_probe(
-        space, list(zip(pair_x, pair_y)), config.asymptotic_horizon, config.asymptotic_epsilon
+        space, list(zip(pair_x, pair_y)), ASYMPTOTIC_HORIZON, ASYMPTOTIC_EPSILON
     )
 
 
@@ -268,23 +255,18 @@ def picard_solve(space: IfmSpace, map_: SelfMap, x0, config: SolveConfig | None 
     result carrying the report.
     """
     config = config or SolveConfig()
-    report: ContractivityReport | None = None
-    if config.hypothesis_checks:
-        box = sampling_box(space, config, space.as_point(x0) if isinstance(space.domain, CoordinateSpace) else None)
-        report = if_contractive_check(
-            space, map_, config.sample_pairs, config.probe_ts, seed=config.seed, box=box
-        )
-        if not report.passed:
-            return _hypothesis_failed(space, x0, config, report,
-                                      "map failed the contraction check on sampled pairs")
-        if not _asymptotic_probe(space, config, box).passed:
-            return _hypothesis_failed(
-                space, x0, config, report,
-                f"space failed the large-horizon nearness probe at t={config.asymptotic_horizon:g}",
-            )
-    result = _picard_engine(space, map_, x0, config)
-    result.hypothesis_report = report
-    return result
+    start = space.as_point(x0)
+    box = sampling_box(space, config, start)
+
+    return _solve(space, map_, start, config, (
+        lambda: _gate(if_contractive_check(space, map_, config.sample_pairs, config.probe_ts,
+                                           seed=config.seed, box=box),
+                      "map failed the contraction check on sampled pairs"),
+        # the probe's report is not a contraction report, so a failure
+        # carries the contraction check's
+        lambda: (None, None if _asymptotic_probe(space, config, box).passed else
+                 f"space failed the large-horizon nearness probe at t={ASYMPTOTIC_HORIZON:g}"),
+    ))
 
 
 def closed_ball_solve(
@@ -299,23 +281,23 @@ def closed_ball_solve(
     needs the closed ball.
     """
     config = config or SolveConfig()
-    report: ContractivityReport | None = None
-    if config.hypothesis_checks:
-        report = closed_ball_hypotheses(space, map_, ball.center, ball.radius, ball.time, k)
-        if not report.passed:
-            return _hypothesis_failed(space, ball.center, config, report,
-                                      "first-step ball bounds failed")
+
+    def ball_constant() -> tuple[ContractivityReport, str | None]:
         pairs = sample_ball_pairs(space, ball, max(64, config.sample_pairs // 4), config.seed)
-        ball_check = if_contractive_check(space, map_, 0, config.probe_ts, pairs=pairs)
-        sup = float(ball_check.details.get("sup_ratio", np.inf))
-        if not ball_check.passed or sup > k + K_SAFETY_MARGIN * (1.0 + k):
-            ball_check.notes = (ball_check.notes + "; " if ball_check.notes else "") + (
-                f"observed ratio supremum {sup!r} is not within the supplied constant k={k!r}"
-            )
-            return _hypothesis_failed(space, ball.center, config, ball_check,
-                                      "map is not contractive with the supplied constant on ball pairs")
-    result = _picard_engine(space, map_, ball.center, config, ball=ball)
-    result.hypothesis_report = report
+        report = if_contractive_check(space, map_, 0, config.probe_ts, pairs=pairs)
+        sup = float(report.details.get("sup_ratio", np.inf))
+        if report.passed and not sup > k + K_SAFETY_MARGIN * (1.0 + k):
+            return report, None
+        report.notes = (report.notes + "; " if report.notes else "") + (
+            f"observed ratio supremum {sup!r} is not within the supplied constant k={k!r}"
+        )
+        return report, "map is not contractive with the supplied constant on ball pairs"
+
+    result = _solve(space, map_, ball.center, config, (
+        lambda: _gate(closed_ball_hypotheses(space, map_, ball.center, ball.radius, ball.time, k),
+                      "first-step ball bounds failed"),
+        ball_constant,
+    ), ball=ball)
     if result.converged and not ball_contains(space, ball, result.fixed_point, mode="closed"):
         result.status = "diverged_from_ball"
         result.stop_reason = "fixed-point candidate left the closed ball"
@@ -346,35 +328,23 @@ def power_map_solve(
     config = config or SolveConfig()
     start = space.default_start() if x0 is None else x0
     power = map_.power(m)
-    report: ContractivityReport | None = None
-    if config.hypothesis_checks:
-        box = sampling_box(space, config)
-        report = if_contractive_check(space, power, config.sample_pairs, config.probe_ts,
-                                      seed=config.seed, box=box)
-        if not report.passed:
-            return _hypothesis_failed(space, start, config, report,
-                                      f"power map (m={m}) failed the contraction check")
-        uniform = t_uniform_continuity_probe(
-            space, map_, DEFAULT_UNIFORM_EPSILONS, config.sample_pairs, config.probe_ts,
-            seed=config.seed, box=box,
-        )
-        if not uniform.passed:
-            return _hypothesis_failed(space, start, config, uniform,
-                                      "map failed the t-uniform continuity probe")
-    inner = config if m == 1 else replace(
-        config, epsilon=config.epsilon / POWER_SOLVE_TIGHTENING, hypothesis_checks=False
-    )
-    result = _picard_engine(space, power, start, inner)
-    result.hypothesis_report = report
+    box = sampling_box(space, config)
+    inner = config if m == 1 else replace(config, epsilon=config.epsilon / POWER_SOLVE_TIGHTENING)
+    result = _solve(space, power, start, inner, (
+        lambda: _gate(if_contractive_check(space, power, config.sample_pairs, config.probe_ts,
+                                           seed=config.seed, box=box),
+                      f"power map (m={m}) failed the contraction check"),
+        lambda: _gate(t_uniform_continuity_probe(space, map_, DEFAULT_UNIFORM_EPSILONS,
+                                                 config.sample_pairs, config.probe_ts,
+                                                 seed=config.seed, box=box),
+                      "map failed the t-uniform continuity probe"),
+    ))
     if not result.converged:
         return result
 
-    ts = np.asarray(config.probe_ts)
-    image = apply_point(space, map_, result.fixed_point)
-    res_mu, res_nu = membership_grid(space, result.fixed_point, image, ts)
-    ok = bool(np.all((res_mu[0] >= 1.0 - config.epsilon) & (res_nu[0] <= config.epsilon)))
-    result.residual_mu = res_mu[0]
-    result.residual_nu = res_nu[0]
+    ok, result.residual_mu, result.residual_nu = residual_certificate(
+        space, map_, result.fixed_point, config.probe_ts, config.epsilon
+    )
     if not ok:
         result.status = "budget_exhausted"
         result.fixed_point = None
@@ -405,28 +375,24 @@ def direct_ratio_solve(
     """
     config = config or SolveConfig()
     start = space.default_start() if x0 is None else x0
-    report: ContractivityReport | None = None
-    notes = ""
-    if config.hypothesis_checks:
-        box = sampling_box(space, config)
+    box = sampling_box(space, config)
+
+    def ratio() -> tuple[ContractivityReport, str | None]:
         report = direct_ratio_contractive_check(
             space, map_, config.sample_pairs, config.probe_ts,
             include_coincident=include_coincident, seed=config.seed, box=box,
         )
-        if not report.passed:
-            reason = "direct-ratio contraction check failed on sampled pairs"
-            if report.verdict == "vacuous":
-                reason = "direct-ratio contraction is vacuous with coincident pairs included"
-            return _hypothesis_failed(space, start, config, report, reason)
-        notes = (
+        if report.verdict == "vacuous":
+            return _gate(report, "direct-ratio contraction is vacuous with coincident pairs included")
+        return _gate(report, "direct-ratio contraction check failed on sampled pairs")
+
+    result = _solve(space, map_, start, config, (ratio,))
+    if result.hypothesis_report is not None and result.hypothesis_report.passed:
+        result.notes = (
             "large-horizon nearness probe "
             + ("passed" if _asymptotic_probe(space, config, box).passed else "failed")
             + " (recorded only: jointly with the ratio contraction it is unsatisfiable)"
         )
-    result = _picard_engine(space, map_, start, config)
-    result.hypothesis_report = report
-    if notes:
-        result.notes = notes
     return result
 
 

@@ -23,7 +23,7 @@ from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .operators import OperatorPair, check_idempotent, idempotency_witness, unit_scalar
+from .operators import OperatorPair, idempotency_witness, idempotent_within, unit_scalar
 from .report import AuditReport, ClauseResult
 
 # Geometric grid spanning two decades; the finite stand-in for "all t > 0".
@@ -249,9 +249,8 @@ def point_jsonable(p):
 
 
 def _require_idempotent(operators: OperatorPair) -> None:
-    tnorm_ok, tconorm_ok = check_idempotent(operators)
-    if not (tnorm_ok and tconorm_ok):
-        wit_t, wit_s = idempotency_witness(operators)
+    wit_t, wit_s = witnesses = idempotency_witness(operators)
+    if not all(idempotent_within(witnesses)):
         raise ValueError(
             f"operator pair {operators.name!r} is not idempotent "
             f"(tnorm witness {wit_t}, tconorm witness {wit_s}); "
@@ -575,13 +574,13 @@ def axiom_audit(
     )
 
     # operator idempotency
-    tnorm_ok, tconorm_ok = check_idempotent(space.operators, tolerance=max(tolerance, 1e-12))
-    wit_t, wit_s = idempotency_witness(space.operators)
+    wit_t, wit_s = witnesses = idempotency_witness(space.operators)
+    idempotent = all(idempotent_within(witnesses, max(tolerance, 1e-12)))
     clauses.append(
         ClauseResult(
             "idempotent_operators",
-            passed=tnorm_ok and tconorm_ok,
-            worst=0.0 if (tnorm_ok and tconorm_ok) else 1.0,
+            passed=idempotent,
+            worst=0.0 if idempotent else 1.0,
             witness={"tnorm": wit_t, "tconorm": wit_s, "pair": space.operators.name},
         )
     )

@@ -2,7 +2,9 @@
 
 Each config runs through ``cli.main`` and every file it writes is hashed.
 The expected sha256 digests were recorded before the pair x time kernel
-refactor; a change that moves any artifact byte fails here unless the
+refactor, and those of the solve configs that end at a hypothesis gate,
+a spent budget or a ball exit before the solver's gates were merged into
+one runner; a change that moves any artifact byte fails here unless the
 change declares the numeric difference and records new digests.
 """
 
@@ -27,6 +29,8 @@ TABULATED = {
     }
 }
 HALF_SHIFT = {"affine": {"matrix": [[0.5]], "offset": [1.0]}}
+HALVING = {"affine": {"matrix": [[0.5]], "offset": [0.0]}}
+BALL = {"center": [0.0], "radius": 0.5, "time": 1.0}
 PLANE_MAP = {"affine": {"matrix": [[0.5, 0.1], [0.0, 0.4]], "offset": [1.0, -1.0]}}
 
 CONFIGS = {
@@ -57,6 +61,48 @@ CONFIGS = {
         "seed": 3, "space": TABULATED, "map": {"table": {"a": "a", "b": "a", "c": "b"}},
         "action": {"solve": {"regime": "closed_ball",
                              "ball": {"center": "a", "radius": 0.65, "time": 1.0}, "k": 0.5}},
+    }),
+    "solve-picard-contraction-fails": ("solve", {
+        "seed": 11, "space": LINE, "map": {"affine": {"matrix": [[1.0]], "offset": [1.0]}},
+        "action": {"solve": {"regime": "picard", "x0": [0.0]}},
+    }),
+    "solve-picard-horizon-fails": ("solve", {
+        "seed": 3, "space": TABULATED, "map": {"constant": "a"},
+        "action": {"solve": {"regime": "picard", "x0": "c"}},
+    }),
+    "solve-picard-budget-exhausted": ("solve", {
+        "seed": 11, "space": LINE, "map": HALF_SHIFT,
+        "solve": {"hypothesis_checks": False, "max_iterations": 5},
+        "action": {"solve": {"regime": "picard", "x0": [0.0]}},
+    }),
+    "solve-closed-ball-first-step-fails": ("solve", {
+        "seed": 23, "space": LINE, "map": {"affine": {"matrix": [[0.5]], "offset": [0.6]}},
+        "action": {"solve": {"regime": "closed_ball", "ball": BALL, "k": 0.5}},
+    }),
+    "solve-closed-ball-k-fails": ("solve", {
+        "seed": 23, "space": LINE, "map": {"affine": {"matrix": [[0.5]], "offset": [0.4]}},
+        "action": {"solve": {"regime": "closed_ball", "ball": BALL, "k": 0.3}},
+    }),
+    "solve-closed-ball-diverged": ("solve", {
+        "seed": 23, "space": LINE, "map": {"affine": {"matrix": [[0.5]], "offset": [2.0]}},
+        "solve": {"hypothesis_checks": False},
+        "action": {"solve": {"regime": "closed_ball", "ball": BALL, "k": 0.5}},
+    }),
+    "solve-power-contraction-fails": ("solve", {
+        "seed": 7, "space": LINE, "map": {"affine": {"matrix": [[-1.0]], "offset": [1.0]}},
+        "action": {"solve": {"regime": "power", "m": 2, "x0": [0.0]}},
+    }),
+    "solve-direct-ratio-fails": ("solve", {
+        "seed": 1, "space": LINE, "map": HALVING,
+        "action": {"solve": {"regime": "direct_ratio", "x0": [1.0]}},
+    }),
+    "solve-direct-ratio-vacuous": ("solve", {
+        "seed": 1, "space": LINE, "map": HALVING,
+        "action": {"solve": {"regime": "direct_ratio", "x0": [1.0], "include_coincident": True}},
+    }),
+    "solve-direct-ratio-tabulated": ("solve", {
+        "seed": 1, "space": TABULATED, "map": {"constant": "a"},
+        "action": {"solve": {"regime": "direct_ratio", "x0": "c"}},
     }),
     "audit-tabulated": ("audit", {
         "seed": 2, "space": TABULATED, "action": {"audit": {"target": "space", "samples": 300}},
@@ -117,6 +163,21 @@ DIGESTS = {
     "check-t-uniform-continuity": (0, {
         "report.jsonl": "7074eeb7ae5900824203f64b2a4ba346715a575a42c32eae11e0818b09afce21",
     }),
+    "solve-closed-ball-diverged": (1, {
+        "report.jsonl": "f11a956d06c50d5b75145903de73868bfbf310f36705d59e709acc841688d3df",
+        "result.json": "6fdaca834ec46ab73f3482c9593210f12dfe4ae99de777a6569ac5fb17cf9dc0",
+        "trace.csv": "7b8cb0b199704823fea76ff6017b0924fde9888a1e231d9cdf9fbfa09510f616",
+    }),
+    "solve-closed-ball-first-step-fails": (1, {
+        "report.jsonl": "528f5e742f8191521816dc752825d96f2e93a5a5e6f681b9bd581eff07e381dc",
+        "result.json": "5979d1c70e529964d80522ccf60256356686e056fbb46966b7a624f33ce486d9",
+        "trace.csv": "0d57a3c0ede3ad6bcf6995c3b20e9067de4db205a7af8b7580ce1df7e5d37e09",
+    }),
+    "solve-closed-ball-k-fails": (1, {
+        "report.jsonl": "7aec4fe368b84db06dea99574837d80df896885140421d14bca86ca11376f3b0",
+        "result.json": "67c987a88a8e1f2e6ebac2b2dacc54fda67b91ed1f37618d27780da73e5615ab",
+        "trace.csv": "0d57a3c0ede3ad6bcf6995c3b20e9067de4db205a7af8b7580ce1df7e5d37e09",
+    }),
     "solve-closed-ball-readme": (0, {
         "report.jsonl": "9e73108cf526061ee7a28a91e3ecc5be323f0d8b1c3ccb289eefcf0f148114ef",
         "result.json": "333cbe3f06ad2faf754b0103ff06ff4b08b47df43201b5500eb87d7760578f30",
@@ -126,6 +187,36 @@ DIGESTS = {
         "report.jsonl": "2e5ba7c098558930157fa39d4f48d33f76a570679d8571d4b3e41a4d784afb3a",
         "result.json": "e9c3fd34a3feff1f1c361a585e02fdaa88ceec43aa60f7ac07b2e92de937a0cf",
         "trace.csv": "d5ea2937383706e6849f9eba26ae9b58d8af7576866ea398f9f19aab30e52d0c",
+    }),
+    "solve-direct-ratio-fails": (1, {
+        "report.jsonl": "3a376a12aeceb30994460c3d00e1691393617ee4a3775cf00d09041093817ccf",
+        "result.json": "685fc03fdf75ae0e1f857b1aafc50c40359e5ab4c2848423271379c9fb95460f",
+        "trace.csv": "4745cd91a9f4bea4df2f129a307de05258bd91562333924e9ecbe62988335d0b",
+    }),
+    "solve-direct-ratio-tabulated": (0, {
+        "report.jsonl": "3f5988e5ecb12bf5306a40f7e960fcafa69444788fb0b42f3b4f612724b2ed69",
+        "result.json": "296b17f844f482e3d64ccda1b341aa92abff778ea91a2fe91ae6f591ce8a3d3c",
+        "trace.csv": "c23e32145561546611196d30f0c8bfb5e811381388d25d5ec22014e3b3f43fd1",
+    }),
+    "solve-direct-ratio-vacuous": (1, {
+        "report.jsonl": "dbdad50d06d87bef0772c9859cf26c7ab72970b5090d3012b235213d4356b723",
+        "result.json": "c6b28ee6ab03202e7f7cbbb59a87daf3dcd391f11cf3070bb59f2bed7cd9adc7",
+        "trace.csv": "4745cd91a9f4bea4df2f129a307de05258bd91562333924e9ecbe62988335d0b",
+    }),
+    "solve-picard-budget-exhausted": (1, {
+        "report.jsonl": "68988f133a2a0798bbbcbf9aef819cde1545e6de11a355c1b49652afb12e4510",
+        "result.json": "f8ae581cd1f715c1e8b3cd160be373c97c888e9d781ed28bdd848a25a2fcb1f4",
+        "trace.csv": "f2e7854c877d12a10543ee916d7a7b1ffc13a5dee2185c52063274fbc8efbd3c",
+    }),
+    "solve-picard-contraction-fails": (1, {
+        "report.jsonl": "1f9b47f7a52208ccdcbeebfa590e1940140c364a498e0f914d28113f703ebfae",
+        "result.json": "522905f37d6649522831f65fc85b08c244afebed5fed7d1a1113ee6d53b281f3",
+        "trace.csv": "0d57a3c0ede3ad6bcf6995c3b20e9067de4db205a7af8b7580ce1df7e5d37e09",
+    }),
+    "solve-picard-horizon-fails": (1, {
+        "report.jsonl": "c1e100c82584787cd5c9b6623f4452de389b74e487dc66bbf5a6888944ec1980",
+        "result.json": "c02fa1d030675382f5111dea4d130cc773b2bae0c05976db306738339ccf7580",
+        "trace.csv": "0e8f7df62ca354ec8e1f39c5d483e6aacfcbe70bdb3e7bc0f1acff4a9ecba0a4",
     }),
     "solve-picard-plane": (0, {
         "report.jsonl": "306cc0d183b36e4abcf84974f0a8017b17a98d43d01c269be6cd00bf7dd9a392",
@@ -146,6 +237,11 @@ DIGESTS = {
         "report.jsonl": "cca56feaa7be8b178340e33b109bcc92aa46613de5a9affefe561a02561db1e1",
         "result.json": "7dddb9b88bbf30b3a8a75e53aed100e96b0c501f913d7e2d25519365c7fb0df5",
         "trace.csv": "83d49b472afc5bc019e9b4dc754739e55c9d3f8c05d2eeec89237c42a2841689",
+    }),
+    "solve-power-contraction-fails": (1, {
+        "report.jsonl": "8dfc45056dec10bd1f55870d05e5d9cd92f8a20f32629025e620c83d671cb3e8",
+        "result.json": "b2be77ca7c983348dee0e1c5ebfba9928493bfa6e19b8fc68497bc1be78d402a",
+        "trace.csv": "0d57a3c0ede3ad6bcf6995c3b20e9067de4db205a7af8b7580ce1df7e5d37e09",
     }),
 }
 

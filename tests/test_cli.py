@@ -124,12 +124,35 @@ def test_validate_unreadable_document(tmp_path):
     assert main(["validate", str(bad)]) == 2
 
 
-@pytest.mark.parametrize("field", ["document", "probe_ts", "fixed_point", "iterations"])
-def test_validate_malformed_document_exits_two_with_field_path(tmp_path, capsys, field):
+MISSING = object()
+
+
+@pytest.mark.parametrize("field, value", [
+    pytest.param("document", None, id="document"),
+    pytest.param("probe_ts", MISSING, id="probe_ts"),
+    pytest.param("fixed_point", MISSING, id="fixed_point"),
+    pytest.param("iterations", MISSING, id="iterations"),
+    pytest.param("iterations", [3], id="iterations-list"),
+    pytest.param("trace_points", 5, id="trace_points-number"),
+    pytest.param("experiment", [1], id="experiment-list"),
+    pytest.param("fixed_point", {"a": 1}, id="fixed_point-mapping"),
+    pytest.param("experiment.solve_config", [1], id="solve_config-list"),
+])
+def test_validate_malformed_document_exits_two_with_field_path(tmp_path, capsys, field, value):
     cfg = write(tmp_path, "picard.yaml", PICARD_YAML)
     assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 0
     doc = json.loads((tmp_path / "result.json").read_text())
-    bad = [doc] if field == "document" else {k: v for k, v in doc.items() if k != field}
+    if field == "document":
+        bad = [doc]
+    else:
+        bad = doc
+        *parents, key = field.split(".")
+        for name in parents:
+            doc = doc[name]
+        if value is MISSING:
+            del doc[key]
+        else:
+            doc[key] = value
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(bad))
     capsys.readouterr()
@@ -214,6 +237,29 @@ def test_no_hypothesis_checks_flag(tmp_path):
     doc = json.loads((tmp_path / "result.json").read_text())
     assert doc["status"] == "budget_exhausted"
     assert len(doc["trace_points"]) == 41
+
+
+def test_overflowing_solve_is_diverged_with_files_written(tmp_path, capsys):
+    cfg = write(tmp_path, "expand.yaml", PICARD_YAML.replace("[[0.5]]", "[[3.0]]"))
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path), "--no-hypothesis-checks"]) == 1
+    assert "solve.picard: diverged" in capsys.readouterr().out
+    doc = json.loads((tmp_path / "result.json").read_text())
+    assert doc["status"] == "diverged" and doc["fixed_point"] is None
+    assert doc["iterations"] == len(doc["trace_points"]) - 1 > 0
+    assert np.all(np.isfinite(doc["trace_points"]))
+    rows = (tmp_path / "trace.csv").read_text().splitlines()
+    assert len(rows) == len(doc["trace_points"]) + 1
+    record = json.loads((tmp_path / "report.jsonl").read_text())
+    assert record["verdict"] == "diverged" and "overflowed" in record["note"]
+    assert main(["validate", str(tmp_path / "result.json")]) == 0
+
+
+def test_wrong_shape_image_stays_a_domain_error(tmp_path, capsys):
+    cfg = write(tmp_path, "shape.yaml", PICARD_YAML.replace(
+        "affine: {matrix: [[0.5]], offset: [1.0]}", "constant: [1.0, 2.0]"))
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path), "--no-hypothesis-checks"]) == 2
+    assert "domain error" in capsys.readouterr().err
+    assert not (tmp_path / "result.json").exists()
 
 
 def test_audit_subcommands(tmp_path, capsys):
@@ -430,15 +476,9 @@ def test_console_script_entry_point(tmp_path):
 
 
 def test_export_trace_zero_iteration_single_row(tmp_path, line):
-    from ifmlab.solver import _empty_trace, SolveResult
-
-    result = SolveResult(
-        status="hypothesis_failed",
-        fixed_point=None,
-        iterations=0,
-        trace=_empty_trace(line, 0.0, np.asarray(SolveConfig().probe_ts)),
-        stop_reason="test",
-    )
+    # the identity fails the contraction gate, so the solve stops at x0
+    result = picard_solve(line, SelfMap.affine([[1.0]], [0.0]), 0.0)
+    assert result.status == "hypothesis_failed" and result.iterations == 0
     path = export_trace(result, str(tmp_path / "zero.csv"))
     lines = open(path).read().splitlines()
     assert len(lines) == 2  # header plus the single starting row

@@ -94,7 +94,6 @@ def test_idempotency_flags():
     assert check_idempotent(min_max(), 101) == (True, True)
     pair = product_probsum()
     assert check_idempotent(pair, 101) == (False, False)
-    assert pair.idempotent_tnorm is False
 
     mixed = OperatorPair("min-probsum", np.minimum, product_probsum().tconorm)
     assert check_idempotent(mixed, 101) == (True, False)
