@@ -28,6 +28,10 @@ import numpy as np
 from .config import (
     ConfigError,
     ExperimentConfig,
+    _number,
+    _validate_map,
+    _validate_operators,
+    _validate_space,
     build_map,
     build_space,
     expect_list,
@@ -59,7 +63,7 @@ from .solver import (
     residual_certificate,
     sampling_box,
 )
-from .spaces import IfmSpace, axiom_audit, point_jsonable, points_equal
+from .spaces import CoordinateSpace, IfmSpace, axiom_audit, point_jsonable, points_equal
 
 OUTPUT_DIR_ENV = "IFMLAB_OUT"
 
@@ -115,10 +119,7 @@ def trace_rows(result: SolveResult) -> tuple[list[str], list[list[str]]]:
     else:
         point_cols = ["label"]
     header = ["iteration", *point_cols]
-    for t in ts:
-        header.append(f"mu@t={format_float(float(t))}")
-    for t in ts:
-        header.append(f"nu@t={format_float(float(t))}")
+    header += [f"{side}@t={format_float(float(t))}" for side in ("mu", "nu") for t in ts]
     if trace.ball_flags is not None:
         header.append("in_ball")
     rows = []
@@ -130,8 +131,7 @@ def trace_rows(result: SolveResult) -> tuple[list[str], list[list[str]]]:
         else:
             row.append(str(p))
         if i < n_steps:
-            row.extend(format_float(float(v)) for v in trace.step_mu[i])
-            row.extend(format_float(float(v)) for v in trace.step_nu[i])
+            row.extend(format_float(float(v)) for side in (trace.step_mu, trace.step_nu) for v in side[i])
         else:
             row.extend("" for _ in range(2 * len(ts)))
         if trace.ball_flags is not None:
@@ -190,14 +190,36 @@ def _required(doc: dict[str, Any], key: str) -> Any:
     return doc[key]
 
 
-def _number(value: Any, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(path, f"expected a number, got {type(value).__name__}")
-    return float(value)
-
-
 def _numbers(value: Any, path: str) -> np.ndarray:
-    return np.asarray([_number(v, f"{path}[{i}]") for i, v in enumerate(expect_list(value, path))])
+    return np.asarray([_number(v, f"{path}[{i}]") for i, v in enumerate(expect_list(value, path))],
+                      dtype=float)
+
+
+def _rebuild_experiment(exp: dict) -> tuple[IfmSpace, SelfMap, SelfMap]:
+    """Space, map and per-step map of a result document's experiment."""
+    try:
+        space_spec = _validate_space(exp.get("space"))
+        operators = _validate_operators(exp.get("operators", "min-max"))
+        map_spec = _validate_map(exp.get("map"), space_spec)
+        step_spec = _validate_map(exp.get("iteration_map", map_spec), space_spec, "iteration_map")
+    except ConfigError as exc:
+        raise ConfigError(f"experiment.{exc.path}", exc.message) from exc
+    return build_space(space_spec, operators), self_map_from_spec(map_spec), self_map_from_spec(step_spec)
+
+
+def _check_trace_points(space: IfmSpace, points: list) -> None:
+    """All stored trace points at once against the space's domain."""
+    domain = space.domain
+    if isinstance(domain, CoordinateSpace):
+        try:
+            arr = np.asarray(points, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError("trace_points", f"expected coordinate points: {exc}") from exc
+        valid = arr.shape == (len(points), domain.dimension) and bool(np.all(np.isfinite(arr)))
+    else:
+        valid = all(isinstance(p, str) and p in domain.index for p in points)
+    if not valid:
+        raise ConfigError("trace_points", f"expected finite points of {space.description}")
 
 
 def validate_result_document(doc: Any) -> list[str]:
@@ -207,23 +229,20 @@ def validate_result_document(doc: Any) -> list[str]:
     ``experiment.iteration_map`` (the m-th power for the ``power`` regime;
     documents without that key fall back to ``experiment.map``).  The
     residual certificate of a converged result is always checked against
-    ``experiment.map``, the map whose fixed point is claimed.  A document
-    that is not a mapping, a converged one without ``probe_ts``,
+    ``experiment.map``, the map whose fixed point is claimed; other
+    statuses carry none.  A document that is not a mapping, one whose
+    experiment fails the config checks or whose trace points are not
+    finite points of its space, a converged one without ``probe_ts``,
     ``fixed_point`` or ``iterations``, or one whose fields have the wrong
     type raises :class:`ConfigError` with the field's path.
     """
     doc = expect_mapping(doc, "document")
     exp = expect_mapping(doc.get("experiment") or {}, "experiment")
-    try:
-        space = build_space(exp["space"], exp.get("operators", "min-max"))
-        map_ = self_map_from_spec(exp["map"])
-        step_map = self_map_from_spec(exp["iteration_map"]) if "iteration_map" in exp else map_
-    except (KeyError, ValueError) as exc:
-        return [f"cannot rebuild experiment: {exc}"]
-
+    space, map_, step_map = _rebuild_experiment(exp)
     points = expect_list(doc.get("trace_points") or [], "trace_points")
     if not points:
         return ["document carries no trace points"]
+    _check_trace_points(space, points)
 
     problems: list[str] = []
     step = chain_break(space, step_map, points)
@@ -233,14 +252,12 @@ def validate_result_document(doc: Any) -> list[str]:
     if doc.get("status") == "converged":
         ts = _numbers(_required(doc, "probe_ts"), "probe_ts")
         solve_config = expect_mapping(exp.get("solve_config") or {}, "experiment.solve_config")
-        epsilon = _number(solve_config.get("epsilon", 1e-8), "experiment.solve_config.epsilon")
+        epsilon = float(_number(solve_config.get("epsilon", 1e-8), "experiment.solve_config.epsilon"))
         try:
             x_star = space.as_point(_required(doc, "fixed_point"))
         except (TypeError, ValueError) as exc:
             raise ConfigError("fixed_point", str(exc)) from exc
-        iterations = _required(doc, "iterations")
-        if isinstance(iterations, bool) or not isinstance(iterations, int):
-            raise ConfigError("iterations", f"expected an integer, got {type(iterations).__name__}")
+        iterations = _number(_required(doc, "iterations"), "iterations", integer=True)
         if not 0 <= iterations < len(points) or not points_equal(points[iterations], x_star):
             problems.append("fixed_point does not match the trace at the stated iteration")
         ok, mu, nu = residual_certificate(space, map_, x_star, ts, epsilon)
@@ -502,7 +519,12 @@ def main(argv: list[str] | None = None) -> int:
             for p in problems:
                 print(f"certificate problem: {p}")
             return EXIT_FAIL
-        print("certificate verified: trace is consistent and the residual bounds hold")
+        status = doc.get("status")
+        if status == "converged":
+            print("certificate verified: trace is consistent and the residual bounds hold")
+        else:
+            print(f"trace verified: every stored step is the map image; status {status!r} "
+                  "carries no residual certificate")
         return EXIT_PASS
 
     try:

@@ -8,6 +8,7 @@ Validation errors carry the offending field path.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -33,6 +34,7 @@ class ConfigError(ValueError):
     def __init__(self, path: str, message: str):
         super().__init__(f"{path}: {message}")
         self.path = path
+        self.message = message
 
 
 CHECK_NOTIONS = (
@@ -64,10 +66,6 @@ class ExperimentConfig:
         kwargs["sample_pairs"] = int(self.sampling.get("pairs", kwargs.pop("sample_pairs", 400)))
         if "halfwidth" in self.sampling:
             kwargs["sample_halfwidth"] = float(self.sampling["halfwidth"])
-        if "probe_ts" in kwargs and kwargs["probe_ts"] is not None:
-            kwargs["probe_ts"] = tuple(float(t) for t in kwargs["probe_ts"])
-        else:
-            kwargs.pop("probe_ts", None)
         if hypothesis_override is not None:
             kwargs["hypothesis_checks"] = hypothesis_override
         try:
@@ -86,6 +84,14 @@ def expect_list(obj: Any, path: str) -> list:
     if not isinstance(obj, list):
         raise ConfigError(path, f"expected a list, got {type(obj).__name__}")
     return obj
+
+
+def _number(value: Any, path: str, integer: bool = False) -> Any:
+    """``value`` when it is a number (an integer if ``integer``), else a ConfigError."""
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+        kind = "an integer" if integer else "a number"
+        raise ConfigError(path, f"expected {kind}, got {type(value).__name__}")
+    return value
 
 
 def _get(d: dict, key: str, path: str, required: bool = True, default: Any = None) -> Any:
@@ -153,21 +159,30 @@ def build_space(space_spec: dict, operators_name: str) -> IfmSpace:
     return finite_tabulated(domain, pair)
 
 
-def _validate_map(spec: Any, space_spec: dict) -> dict:
-    spec = expect_mapping(spec, "map")
+def _validate_operators(name: Any) -> str:
+    if not isinstance(name, str) or name not in OPERATOR_FACTORIES:
+        raise ConfigError(
+            "operators",
+            f"unknown operator pair {name!r} (known: {', '.join(sorted(OPERATOR_FACTORIES))})",
+        )
+    return name
+
+
+def _validate_map(spec: Any, space_spec: dict, path: str = "map") -> dict:
+    spec = expect_mapping(spec, path)
     try:
         self_map_from_spec(spec)
-    except (ValueError, KeyError) as exc:
-        raise ConfigError("map", str(exc)) from exc
+    except (TypeError, ValueError, KeyError) as exc:
+        raise ConfigError(path, str(exc)) from exc
     if "affine" in spec and "induced" in space_spec:
         dim = space_spec["induced"]["dimension"]
         a = np.atleast_2d(np.asarray(spec["affine"]["matrix"], float))
         if a.shape != (dim, dim):
-            raise ConfigError("map.affine.matrix",
+            raise ConfigError(f"{path}.affine.matrix",
                               f"matrix shape {a.shape} does not match space dimension {dim}")
     if ("table" in spec or ("constant" in spec and isinstance(spec["constant"], str))) \
             and "tabulated" not in space_spec:
-        raise ConfigError("map", "label-valued maps require a tabulated space")
+        raise ConfigError(path, "label-valued maps require a tabulated space")
     return spec
 
 
@@ -202,6 +217,29 @@ def _validate_action(raw: Any) -> tuple[str, dict]:
     return kind, dict(body)
 
 
+def _validate_points(kind: str, action: dict, domain: CoordinateSpace | FiniteTabulated) -> None:
+    """The action's start point and ball center, when given, are points of the domain."""
+    ball = action.get("ball")
+    center = ball.get("center") if isinstance(ball, dict) else None
+    for path, point in ((f"action.{kind}.x0", action.get("x0")),
+                        (f"action.{kind}.ball.center", center)):
+        if point is not None:
+            try:
+                domain.as_point(point)
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(path, str(exc)) from exc
+
+
+def _validate_sampling(sampling: Any) -> dict:
+    sampling = expect_mapping(sampling, "sampling")
+    pairs, halfwidth = sampling.get("pairs"), sampling.get("halfwidth")
+    if "pairs" in sampling and _number(pairs, "sampling.pairs", integer=True) < 1:
+        raise ConfigError("sampling.pairs", f"must be at least 1, got {pairs!r}")
+    if "halfwidth" in sampling and not 0.0 < _number(halfwidth, "sampling.halfwidth") < math.inf:
+        raise ConfigError("sampling.halfwidth", f"must be finite and positive, got {halfwidth!r}")
+    return sampling
+
+
 def parse_ball(params: dict, path: str) -> BallSpec:
     ball = expect_mapping(_get(params, "ball", path), f"{path}.ball")
     try:
@@ -219,14 +257,10 @@ def validate_config(doc: Any) -> ExperimentConfig:
     seed = doc.get("seed", 0)
     if not isinstance(seed, int):
         raise ConfigError("seed", f"must be an integer, got {seed!r}")
-    operators_name = doc.get("operators", "min-max")
-    if operators_name not in OPERATOR_FACTORIES:
-        raise ConfigError(
-            "operators",
-            f"unknown operator pair {operators_name!r} (known: {', '.join(sorted(OPERATOR_FACTORIES))})",
-        )
+    operators_name = _validate_operators(doc.get("operators", "min-max"))
     space_spec = _validate_space(_get(doc, "space", "config"))
     action_kind, action = _validate_action(_get(doc, "action", "config"))
+    _validate_points(action_kind, action, _domain_from_spec(space_spec))
 
     map_spec = None
     if "map" in doc and doc["map"] is not None:
@@ -238,12 +272,9 @@ def validate_config(doc: Any) -> ExperimentConfig:
     if map_spec is None and needs_map:
         raise ConfigError("map", f"action {action_kind!r} requires a map")
 
-    solve = doc.get("solve", {}) or {}
-    expect_mapping(solve, "solve")
-    sampling = doc.get("sampling", {}) or {}
-    expect_mapping(sampling, "sampling")
-    output = doc.get("output", {}) or {}
-    expect_mapping(output, "output")
+    solve = expect_mapping(doc.get("solve") or {}, "solve")
+    sampling = _validate_sampling(doc.get("sampling") or {})
+    output = expect_mapping(doc.get("output") or {}, "output")
     for key, value in output.items():
         if not isinstance(value, str):
             raise ConfigError(f"output.{key}", "output paths must be strings")

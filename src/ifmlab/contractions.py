@@ -245,9 +245,31 @@ def _pair_grids(space: IfmSpace, map_: SelfMap, xs, ys, ts):
     return mu1, nu1, mu2, nu2
 
 
-def _ratio_argmax(ratios: np.ndarray) -> tuple[int, int]:
-    flat = int(np.argmax(ratios))
-    return np.unravel_index(flat, ratios.shape)  # type: ignore[return-value]
+def _reciprocal_gap(v):
+    """``1/v - 1`` elementwise; a zero (either sign) gives an infinite gap."""
+    with np.errstate(divide="ignore"):
+        return 1.0 / (np.asarray(v, dtype=float) + 0.0) - 1.0  # + 0.0 turns -0.0 into 0.0
+
+
+def _worst_side(xs, ys, ts, keys, mu_side, nu_side) -> tuple[float, float, dict]:
+    """Ratio suprema of both sides and the witness of the larger (``mu`` on a tie).
+
+    Each side is ``(ratios, numerators, denominators)`` over (pairs x
+    times); ``keys`` names the numerator and denominator in the witness.
+    """
+    sup_mu, sup_nu = (float(r.max()) if r.size else 0.0 for r, _, _ in (mu_side, nu_side))
+    side, (ratios, num, den) = ("mu", mu_side) if sup_mu >= sup_nu else ("nu", nu_side)
+    i, j = np.unravel_index(int(np.argmax(ratios)), ratios.shape)
+    witness = {
+        "x": point_jsonable(xs[i]),
+        "y": point_jsonable(ys[i]),
+        "t": float(ts[j]),
+        "side": side,
+        keys[0]: float(num[i, j]),
+        keys[1]: float(den[i, j]),
+        "ratio": max(sup_mu, sup_nu),
+    }
+    return sup_mu, sup_nu, witness
 
 
 def if_contractive_check(
@@ -277,41 +299,16 @@ def if_contractive_check(
         xs, ys = sample_pairs(space, sample_pairs_count, seed, box)
     else:
         xs, ys = pairs
-    mu1, nu1, mu2, nu2 = _pair_grids(space, map_, xs, ys, ts)
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        gap1 = 1.0 / mu1 - 1.0
-        gap2 = 1.0 / mu2 - 1.0
-        mu_ratio = np.where(gap2 == 0.0, 0.0, gap2 / gap1)
-        co_gap1 = np.where(nu1 == 0.0, np.inf, 1.0 / nu1 - 1.0)
-        co_gap2 = np.where(nu2 == 0.0, np.inf, 1.0 / nu2 - 1.0)
-        nu_skip = np.isinf(co_gap2)
-        nu_ratio = np.where(nu_skip, 0.0, co_gap1 / co_gap2)
-
+    gap1, co_gap1, gap2, co_gap2 = map(_reciprocal_gap, _pair_grids(space, map_, xs, ys, ts))
+    nu_skip = np.isinf(co_gap2)
     degenerate = gap1 <= 0.0  # coincident or mu==1 originals; sampler avoids these
-    mu_ratio = np.where(degenerate, 0.0, mu_ratio)
-    nu_ratio = np.where(degenerate, 0.0, nu_ratio)
-
-    sup_mu = float(mu_ratio.max()) if mu_ratio.size else 0.0
-    sup_nu = float(nu_ratio.max()) if nu_ratio.size else 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mu_ratio = np.where(degenerate | (gap2 == 0.0), 0.0, gap2 / gap1)
+        nu_ratio = np.where(degenerate | nu_skip, 0.0, co_gap1 / co_gap2)
+    sup_mu, sup_nu, witness = _worst_side(xs, ys, ts, ("lhs", "rhs_gap"),
+                                          (mu_ratio, gap2, gap1), (nu_ratio, co_gap1, co_gap2))
     sup = max(sup_mu, sup_nu)
     estimated = sup + K_SAFETY_MARGIN
-
-    if sup_mu >= sup_nu:
-        i, j = _ratio_argmax(mu_ratio)
-        side, lhs, rhs_gap = "mu", float(gap2[i, j]), float(gap1[i, j])
-    else:
-        i, j = _ratio_argmax(nu_ratio)
-        side, lhs, rhs_gap = "nu", float(co_gap1[i, j]), float(co_gap2[i, j])
-    witness = {
-        "x": point_jsonable(xs[i]),
-        "y": point_jsonable(ys[i]),
-        "t": float(ts[j]),
-        "side": side,
-        "lhs": lhs,
-        "rhs_gap": rhs_gap,
-        "ratio": float(max(sup_mu, sup_nu)),
-    }
 
     skipped = int(np.count_nonzero(nu_skip & ~degenerate))
     notes = ""
@@ -323,7 +320,7 @@ def if_contractive_check(
         verdict="pass" if passed else "fail",
         estimated_k=estimated if passed else None,
         worst_witness=None if passed else witness,
-        samples_used=int(np.shape(mu1)[0]),
+        samples_used=int(gap1.shape[0]),
         notes=notes,
         details={"sup_ratio": sup, "sup_mu_ratio": sup_mu, "sup_nu_ratio": sup_nu,
                  "nu_skipped": skipped, "witness": witness},
@@ -367,27 +364,10 @@ def direct_ratio_contractive_check(
     with np.errstate(divide="ignore", invalid="ignore"):
         mu_ratio = np.where(mu2 == 0.0, np.inf, mu1 / mu2)
         nu_ratio = np.where(nu2 == 0.0, 0.0, nu2 / nu1)
-
-    sup_mu = float(mu_ratio.max())
-    sup_nu = float(nu_ratio.max())
+    sup_mu, sup_nu, witness = _worst_side(xs, ys, ts, ("numerator", "denominator"),
+                                          (mu_ratio, mu1, mu2), (nu_ratio, nu2, nu1))
     sup = max(sup_mu, sup_nu)
     estimated = sup + K_SAFETY_MARGIN
-
-    if sup_mu >= sup_nu:
-        i, j = _ratio_argmax(mu_ratio)
-        side, lhs, rhs = "mu", float(mu1[i, j]), float(mu2[i, j])
-    else:
-        i, j = _ratio_argmax(nu_ratio)
-        side, lhs, rhs = "nu", float(nu2[i, j]), float(nu1[i, j])
-    witness = {
-        "x": point_jsonable(xs[i]),
-        "y": point_jsonable(ys[i]),
-        "t": float(ts[j]),
-        "side": side,
-        "numerator": lhs,
-        "denominator": rhs,
-        "ratio": sup,
-    }
 
     passed = estimated <= 1.0 - UNIT_RESOLUTION
     notes = ""
@@ -449,10 +429,9 @@ def t_uniform_continuity_probe(
                 break
         if found_r is None:
             all_found = False
-            qualify = (mu1 >= 1.0 - candidates[-1]) & (nu1 <= candidates[-1])
-            bad = qualify & ~image_ok
+            bad = qualify & ~image_ok  # no break: qualify is the smallest candidate's mask
             if np.any(bad):
-                i, j = _ratio_argmax(bad.astype(float))
+                i, j = np.unravel_index(int(np.argmax(bad)), bad.shape)
                 witness = {
                     "epsilon": eps,
                     "x": point_jsonable(xs[i]),
@@ -508,29 +487,28 @@ def contractive_sequence_check(
     # rows n of the step grids compare step (n, n+1) with step (n+1, n+2);
     # steps from an exactly fixed index on pass trivially
     checked = len(pts) - 2 if fixed_from is None else min(fixed_from, len(pts) - 2)
-    mu, nu = membership_grid(space, pts[:-1], pts[1:], ts)
     slack = 1.0 + K_SAFETY_MARGIN
     eps_fp = 4.0 * np.finfo(float).eps
-    with np.errstate(divide="ignore", invalid="ignore"):
-        gap = 1.0 / mu - 1.0
-        co_gap = np.where(nu == 0.0, np.inf, 1.0 / nu - 1.0)
-        gap_a, gap_b = gap[:checked], gap[1 : checked + 1]
-        co_a, co_b = co_gap[:checked], co_gap[1 : checked + 1]
+    gap, co_gap = map(_reciprocal_gap, membership_grid(space, pts[:-1], pts[1:], ts))
+    gap_a, gap_b = gap[:checked], gap[1 : checked + 1]
+    co_a, co_b = co_gap[:checked], co_gap[1 : checked + 1]
+    with np.errstate(invalid="ignore"):
+        mu_bound, nu_bound = k * gap_a, co_a / k
         mu_allow = eps_fp * ((1.0 + gap_b) ** 2 + k * (1.0 + gap_a) ** 2)
-        mu_bad = gap_b > k * gap_a * slack + mu_allow
+        mu_bad = gap_b > mu_bound * slack + mu_allow
         nu_allow = eps_fp * ((1.0 + co_b) ** 2 + (1.0 + co_a) ** 2 / k)
-        nu_bad = co_b < (co_a / k) / slack - nu_allow
+        nu_bad = co_b < nu_bound / slack - nu_allow
     failed = np.nonzero(np.any(mu_bad | nu_bad, axis=1))[0]
     if failed.size:
         n = int(failed[0])
-        side = "mu" if np.any(mu_bad[n]) else "nu"
-        j = int(np.argmax(mu_bad[n] if side == "mu" else nu_bad[n]))
-        lhs = float(gap_b[n, j]) if side == "mu" else float(co_b[n, j])
-        bound = float(k * gap_a[n, j]) if side == "mu" else float(co_a[n, j] / k)
+        side, bad, lhs, bound = (("mu", mu_bad, gap_b, mu_bound) if np.any(mu_bad[n])
+                                 else ("nu", nu_bad, co_b, nu_bound))
+        j = int(np.argmax(bad[n]))
         return ContractivityReport(
             notion="contractive_sequence",
             verdict="fail",
-            worst_witness={"n": n, "t": float(ts[j]), "side": side, "lhs": lhs, "bound": bound},
+            worst_witness={"n": n, "t": float(ts[j]), "side": side,
+                           "lhs": float(lhs[n, j]), "bound": float(bound[n, j])},
             samples_used=n + 1,
             details={"k": k},
         )
@@ -575,46 +553,27 @@ def closed_ball_hypotheses(
 
     mu_rhs = (1.0 - k) * (1.0 / (1.0 - r) - 1.0)
     nu_rhs = (1.0 / (1.0 - k)) * (1.0 / r - 1.0)
-
-    if points_equal(x0p, tx0):
-        details = {"mu_lhs": 0.0, "mu_rhs": mu_rhs, "nu_lhs": float("inf"), "nu_rhs": nu_rhs,
-                   "degenerate": True}
-        return ContractivityReport(
-            notion="closed_ball_hypotheses",
-            verdict="pass",
-            estimated_k=k,
-            samples_used=1,
-            notes="center is already fixed by the map; bounds hold degenerately",
-            details=details,
-        )
-
-    mu0, nu0 = membership_grid(space, x0p, tx0, [t])
-    mu0, nu0 = float(mu0[0, 0]), float(nu0[0, 0])
-    mu_lhs = 1.0 / mu0 - 1.0
-    nu_lhs = float("inf") if nu0 == 0.0 else 1.0 / nu0 - 1.0
-
-    mu_ok = mu_lhs < mu_rhs
-    nu_ok = nu_lhs > nu_rhs
+    degenerate = points_equal(x0p, tx0)
+    if degenerate:
+        mu_lhs, nu_lhs = 0.0, float("inf")
+    else:
+        first_step = membership_grid(space, x0p, tx0, [t])
+        mu_lhs, nu_lhs = (float(_reciprocal_gap(v[0, 0])) for v in first_step)
+    failing = [f"{side} side: {lhs!r} is not {rel} {rhs!r}"
+               for side, ok, lhs, rel, rhs in (("mu", mu_lhs < mu_rhs, mu_lhs, "<", mu_rhs),
+                                               ("nu", nu_lhs > nu_rhs, nu_lhs, ">", nu_rhs))
+               if not ok]
     details = {"mu_lhs": mu_lhs, "mu_rhs": mu_rhs, "nu_lhs": nu_lhs, "nu_rhs": nu_rhs,
-               "degenerate": False}
-    if mu_ok and nu_ok:
-        return ContractivityReport(
-            notion="closed_ball_hypotheses",
-            verdict="pass",
-            estimated_k=k,
-            samples_used=1,
-            details=details,
-        )
-    failing = []
-    if not mu_ok:
-        failing.append(f"mu side: {mu_lhs!r} is not < {mu_rhs!r}")
-    if not nu_ok:
-        failing.append(f"nu side: {nu_lhs!r} is not > {nu_rhs!r}")
+               "degenerate": degenerate}
+    passed = not failing
     return ContractivityReport(
         notion="closed_ball_hypotheses",
-        verdict="fail",
-        worst_witness={"x0": point_jsonable(x0p), "image": point_jsonable(tx0), "t": t, **details},
+        verdict="pass" if passed else "fail",
+        estimated_k=k if passed else None,
+        worst_witness=None if passed else {"x0": point_jsonable(x0p), "image": point_jsonable(tx0),
+                                           "t": t, **details},
         samples_used=1,
-        notes="; ".join(failing),
+        notes=("center is already fixed by the map; bounds hold degenerately" if degenerate
+               else "; ".join(failing)),
         details=details,
     )

@@ -108,12 +108,21 @@ def _apply(op: BinaryOp, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.broadcast_to(np.asarray(op(a, b), dtype=float), shape)
 
 
-def _argmax_witness(values: np.ndarray, grids: list[np.ndarray], names: list[str]) -> dict:
+def _argmax_witness(values: np.ndarray, grid: np.ndarray, names: str) -> dict:
+    """Grid arguments (one per letter of ``names``) of the largest entry of ``values``."""
     flat = int(np.argmax(values))
     idx = np.unravel_index(flat, values.shape)
-    witness = {n: float(g[i]) for n, g, i in zip(names, grids, idx)}
+    witness = {n: float(grid[i]) for n, i in zip(names, idx)}
     witness["violation"] = float(values[idx])
     return witness
+
+
+def _max_clause(clause: str, viol: np.ndarray, grid: np.ndarray, names: str,
+                tolerance: float) -> ClauseResult:
+    """Clause that passes iff the largest entry of ``viol`` is within tolerance."""
+    worst = float(viol.max())
+    return ClauseResult(clause=clause, passed=worst <= tolerance, worst=worst,
+                        witness=_argmax_witness(viol, grid, names))
 
 
 def _audit_one_operator(
@@ -128,52 +137,22 @@ def _audit_one_operator(
     # axiom failure, but they invalidate everything downstream.
     over = np.maximum(table - 1.0, 0.0)
     under = np.maximum(-table, 0.0)
-    range_viol = np.maximum(over, under)
-    worst = float(range_viol.max())
-    clauses.append(
-        ClauseResult(
-            clause=f"{label}.range",
-            passed=worst <= tolerance,
-            worst=worst,
-            witness=_argmax_witness(range_viol, [grid, grid], ["a", "b"]),
-            note="" if worst <= tolerance else "operator returned a value outside [0, 1]",
-        )
-    )
+    clauses.append(_max_clause(f"{label}.range", np.maximum(over, under), grid, "ab", tolerance))
+    if not clauses[-1].passed:
+        clauses[-1].note = "operator returned a value outside [0, 1]"
 
     comm = np.abs(table - table.T)
-    clauses.append(
-        ClauseResult(
-            clause=f"{label}.commutativity",
-            passed=float(comm.max()) <= tolerance,
-            worst=float(comm.max()),
-            witness=_argmax_witness(comm, [grid, grid], ["a", "b"]),
-        )
-    )
+    clauses.append(_max_clause(f"{label}.commutativity", comm, grid, "ab", tolerance))
 
     a3 = grid[:, None, None]
     b3 = grid[None, :, None]
     c3 = grid[None, None, :]
     left = _apply(op, _apply(op, a3, b3), c3)
     right = _apply(op, a3, _apply(op, b3, c3))
-    assoc = np.abs(left - right)
-    clauses.append(
-        ClauseResult(
-            clause=f"{label}.associativity",
-            passed=float(assoc.max()) <= tolerance,
-            worst=float(assoc.max()),
-            witness=_argmax_witness(assoc, [grid, grid, grid], ["a", "b", "c"]),
-        )
-    )
+    clauses.append(_max_clause(f"{label}.associativity", np.abs(left - right), grid, "abc", tolerance))
 
     ident = np.abs(_apply(op, grid, np.full_like(grid, identity)) - grid)
-    clauses.append(
-        ClauseResult(
-            clause=f"{label}.identity",
-            passed=float(ident.max()) <= tolerance,
-            worst=float(ident.max()),
-            witness=_argmax_witness(ident, [grid], ["a"]),
-        )
-    )
+    clauses.append(_max_clause(f"{label}.identity", ident, grid, "a", tolerance))
 
     # Monotonicity in both arguments reduces to monotonicity along adjacent
     # grid steps: any a <= c, b <= d decomposes into such steps.
@@ -181,9 +160,9 @@ def _audit_one_operator(
     step_b = table[:, :-1] - table[:, 1:]
     worst_mono = max(float(step_a.max(initial=0.0)), float(step_b.max(initial=0.0)), 0.0)
     if step_a.size and float(step_a.max()) >= float(step_b.max(initial=-np.inf)):
-        wit = _argmax_witness(step_a, [grid, grid], ["a", "b"])
+        wit = _argmax_witness(step_a, grid, "ab")
     else:
-        wit = _argmax_witness(step_b, [grid, grid], ["a", "b"])
+        wit = _argmax_witness(step_b, grid, "ab")
     clauses.append(
         ClauseResult(
             clause=f"{label}.monotonicity",

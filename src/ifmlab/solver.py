@@ -197,35 +197,38 @@ def _solve(space: IfmSpace, map_: SelfMap, x0, config: SolveConfig,
         flags = [ball_contains(space, ball, points[0], mode="open")]
         if not flags[0]:
             return stop("diverged_from_ball", "starting point lies outside the open ball")
-    while len(points) <= config.max_iterations:
-        try:
-            nxt = apply_point(space, map_, points[-1])
-        except NonFiniteImageError as exc:
-            return stop("diverged", f"iterate {len(points)} overflowed: {exc}")
-        points.append(nxt)
-        m = len(points) - 1
-        mu_row, nu_row = membership_grid(space, points[-2], nxt, ts)
-        mu_rows.append(mu_row[0])
-        nu_rows.append(nu_row[0])
-        if ball is not None:
-            flags.append(ball_contains(space, ball, nxt, mode="open"))
-            if not flags[-1]:
-                return stop("diverged_from_ball", f"iterate {m} left the open ball")
-        if points_equal(nxt, points[-2]):
-            return stop("converged", f"exact fixed point reached at iteration {m - 1}", m - 1)
-        c = m - config.window
-        if c < 0:
-            continue
-        # x_{c+1} .. x_m all strictly eps-near x_c at every t; this implies
-        # the (non-strict) residual bound at the candidate x_c
-        mu, nu = membership_grid(space, points[c], points[c + 1 :], ts)
-        if np.all((mu > 1.0 - config.epsilon) & (nu < config.epsilon)):
-            return stop(
-                "converged",
-                f"window of {config.window} iterates after iteration {c} stayed "
-                f"within epsilon={config.epsilon:g} at every probe t",
-                c,
-            )
+    # an overflowing image ends the solve as a status, so numpy's overflow
+    # warnings on the way there are noise
+    with np.errstate(over="ignore"):
+        while len(points) <= config.max_iterations:
+            try:
+                nxt = apply_point(space, map_, points[-1])
+            except NonFiniteImageError as exc:
+                return stop("diverged", f"iterate {len(points)} overflowed: {exc}")
+            points.append(nxt)
+            m = len(points) - 1
+            mu_row, nu_row = membership_grid(space, points[-2], nxt, ts)
+            mu_rows.append(mu_row[0])
+            nu_rows.append(nu_row[0])
+            if ball is not None:
+                flags.append(ball_contains(space, ball, nxt, mode="open"))
+                if not flags[-1]:
+                    return stop("diverged_from_ball", f"iterate {m} left the open ball")
+            if points_equal(nxt, points[-2]):
+                return stop("converged", f"exact fixed point reached at iteration {m - 1}", m - 1)
+            c = m - config.window
+            if c < 0:
+                continue
+            # x_{c+1} .. x_m all strictly eps-near x_c at every t; this implies
+            # the (non-strict) residual bound at the candidate x_c
+            mu, nu = membership_grid(space, points[c], points[c + 1 :], ts)
+            if np.all((mu > 1.0 - config.epsilon) & (nu < config.epsilon)):
+                return stop(
+                    "converged",
+                    f"window of {config.window} iterates after iteration {c} stayed "
+                    f"within epsilon={config.epsilon:g} at every probe t",
+                    c,
+                )
     return stop("budget_exhausted", f"no fixed point certified within {config.max_iterations} iterations")
 
 

@@ -18,6 +18,7 @@ finite ``t`` grid and reports per-clause worst-case witnesses.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
@@ -307,8 +308,7 @@ def finite_tabulated(domain: FiniteTabulated, operators: OperatorPair) -> IfmSpa
         ids = pair_id[domain.as_indices(x), domain.as_indices(y)]
         used, inverse = np.unique(ids.ravel(), return_inverse=True)
         t = np.asarray(t, dtype=float)
-        mu = np.stack([curves[p][0](t) for p in used])
-        nu = np.stack([curves[p][1](t) for p in used])
+        mu, nu = (np.stack([curves[p][side](t) for p in used]) for side in (0, 1))
         return mu[inverse], nu[inverse]
 
     return IfmSpace(
@@ -406,6 +406,50 @@ def _triangle_worst(best, viol, xs, ys, zs, s, ts) -> tuple[float, dict | None]:
     }
 
 
+# Per side, the clauses that mirror each other: the lower-bound clause and
+# its test, the value on coincident pairs, and the distinct-pair extreme
+# that must stay strictly on one side of that value.  nu may reach 0 off
+# the diagonal only as a limit, so its lower bound is not strict; strict
+# positivity for distinct points is part of nu_identity.
+_SIDE_RULES = {
+    "mu": ("mu_positive", operator.gt, 1.0, "max", operator.lt),
+    "nu": ("nu_nonnegative", operator.ge, 0.0, "min", operator.gt),
+}
+
+
+def _side_clauses(side, xy, yx, xx, distinct, triangle, jump, xs, ys, ts, tolerance):
+    """Lower bound, identity, symmetry, triangle and time continuity of ``side``.
+
+    ``xy``, ``yx`` and ``xx`` are the side's (pairs x times) grids of the
+    sampled pairs, their swaps and the coincident pairs; ``triangle`` is
+    the side's worst triangle violation and witness and ``jump`` its
+    largest continuity jump.
+    """
+    floor_name, floor_ok, coincident, nearest, apart = _SIDE_RULES[side]
+    low = float(xy.min())
+    diag = np.abs(xx - coincident)
+    worst_diag = float(diag.max())
+    if np.any(distinct):
+        extreme = float(getattr(xy[distinct], nearest)())
+        distinct_ok, note = apart(extreme, coincident), ""
+    else:
+        extreme, distinct_ok, note = float("nan"), True, "no distinct pairs sampled"
+    worst_tri, tri_witness = triangle
+    return [
+        ClauseResult(floor_name, passed=floor_ok(low, 0.0), worst=max(0.0, -low),
+                     witness=_grid_witness(xs, ys, -xy, ts, {f"min_{side}": low})),
+        ClauseResult(f"{side}_identity", passed=(worst_diag <= tolerance) and distinct_ok,
+                     worst=worst_diag, note=note,
+                     witness=_grid_witness(xs, xs, diag, ts, {f"{nearest}_{side}_distinct": extreme})),
+        _max_clause(f"{side}_symmetry", np.abs(xy - yx), xs, ys, ts, tolerance),
+        ClauseResult(f"{side}_triangle", passed=worst_tri <= tolerance, worst=max(worst_tri, 0.0),
+                     witness=tri_witness),
+        ClauseResult(f"{side}_time_continuity", passed=jump <= CONTINUITY_BOUND, worst=jump,
+                     witness={"bound": CONTINUITY_BOUND, "refinement": CONTINUITY_REFINEMENT},
+                     note="finite-difference modulus on a refined t grid"),
+    ]
+
+
 def axiom_audit(
     space: IfmSpace,
     sample_count: int,
@@ -416,14 +460,14 @@ def axiom_audit(
 ) -> AuditReport:
     """Audit the defining clauses of a space on seeded samples.
 
-    Checks, per clause: bounded sum ``mu + nu <= 1``; positivity of ``mu``;
-    identity of indiscernibles for ``mu`` and ``nu`` on coincident and
-    distinct pairs; symmetry; the two time-shifted triangle inequalities
-    over sampled triples and ``(s, t)`` grid pairs; continuity in ``t`` by
-    a refined finite-difference modulus; operator idempotency; and
-    monotonicity of ``mu`` (nondecreasing) and ``nu`` (nonincreasing)
-    along the ``t`` grid.  Deterministic for a fixed seed; failures are
-    report entries, never exceptions.
+    Checks, per clause: bounded sum ``mu + nu <= 1``; positivity of ``mu``
+    and nonnegativity of ``nu``; identity of indiscernibles for ``mu`` and
+    ``nu`` on coincident and distinct pairs; symmetry; the two
+    time-shifted triangle inequalities over sampled triples and ``(s, t)``
+    grid pairs; continuity in ``t`` by a refined finite-difference modulus;
+    operator idempotency; and monotonicity of ``mu`` (nondecreasing) and
+    ``nu`` (nonincreasing) along the ``t`` grid.  Deterministic for a fixed
+    seed; failures are report entries, never exceptions.
     """
     if sample_count < 1:
         raise ValueError("sample_count must be at least 1")
@@ -435,143 +479,31 @@ def axiom_audit(
         box = (-DEFAULT_AUDIT_BOX_HALFWIDTH, DEFAULT_AUDIT_BOX_HALFWIDTH)
     xs, ys, zs = _sample_audit_points(space, sample_count, rng, box)
 
-    mu_xy, nu_xy = membership_grid(space, xs, ys, ts)
-    mu_yx, nu_yx = membership_grid(space, ys, xs, ts)
-    mu_xx, nu_xx = membership_grid(space, xs, xs, ts)
-
-    distinct = _distinct_mask(space, xs, ys)
-    clauses: list[ClauseResult] = []
-
-    clauses.append(_max_clause("bounded_sum", mu_xy + nu_xy - 1.0, xs, ys, ts, tolerance))
-
-    # mu positivity
-    min_mu = float(mu_xy.min())
-    clauses.append(
-        ClauseResult(
-            "mu_positive",
-            passed=min_mu > 0.0,
-            worst=max(0.0, -min_mu),
-            witness=_grid_witness(xs, ys, -mu_xy, ts, {"min_mu": min_mu}),
-        )
-    )
-
-    # identity of indiscernibles, mu side
-    diag_gap = np.abs(mu_xx - 1.0)
-    worst_diag = float(diag_gap.max())
-    if np.any(distinct):
-        max_mu_distinct = float(mu_xy[distinct].max())
-        distinct_ok = max_mu_distinct < 1.0
-        note = ""
-    else:
-        max_mu_distinct = float("nan")
-        distinct_ok = True
-        note = "no distinct pairs sampled"
-    clauses.append(
-        ClauseResult(
-            "mu_identity",
-            passed=(worst_diag <= tolerance) and distinct_ok,
-            worst=worst_diag,
-            witness=_grid_witness(
-                xs, xs, diag_gap, ts, {"max_mu_distinct": max_mu_distinct}
-            ),
-            note=note,
-        )
-    )
-
-    clauses.append(_max_clause("mu_symmetry", np.abs(mu_xy - mu_yx), xs, ys, ts, tolerance))
+    xy = mu_xy, nu_xy = membership_grid(space, xs, ys, ts)
+    yx = membership_grid(space, ys, xs, ts)
+    xx = membership_grid(space, xs, xs, ts)
 
     # triangle inequalities over (s, t) grid pairs, one grid over t per s
     mu_yz, nu_yz = membership_grid(space, ys, zs, ts)
-    tri_mu = tri_nu = (-np.inf, None)
+    triangles = [(-np.inf, None)] * 2
     for i, s in enumerate(ts):
         mu_xz, nu_xz = membership_grid(space, xs, zs, s + ts)
-        viol_mu = np.asarray(space.operators.tnorm(mu_xy[:, i, None], mu_yz), dtype=float) - mu_xz
-        viol_nu = nu_xz - np.asarray(space.operators.tconorm(nu_xy[:, i, None], nu_yz), dtype=float)
-        tri_mu = _triangle_worst(tri_mu, viol_mu, xs, ys, zs, s, ts)
-        tri_nu = _triangle_worst(tri_nu, viol_nu, xs, ys, zs, s, ts)
-    clauses.append(
-        ClauseResult(
-            "mu_triangle",
-            passed=tri_mu[0] <= tolerance,
-            worst=max(tri_mu[0], 0.0),
-            witness=tri_mu[1],
-        )
-    )
+        viols = (np.asarray(space.operators.tnorm(mu_xy[:, i, None], mu_yz), dtype=float) - mu_xz,
+                 nu_xz - np.asarray(space.operators.tconorm(nu_xy[:, i, None], nu_yz), dtype=float))
+        triangles = [_triangle_worst(best, viol, xs, ys, zs, s, ts)
+                     for best, viol in zip(triangles, viols)]
 
-    # continuity in t (checked for both mu and nu in one sweep)
-    worst_mu_jump = 0.0
-    worst_nu_jump = 0.0
+    # continuity in t: the largest jump of each side on a refined grid
+    jumps = [0.0, 0.0]
     for lo_t, hi_t in zip(ts[:-1], ts[1:]):
         sub = np.linspace(lo_t, hi_t, CONTINUITY_REFINEMENT + 1)
-        mu_sub, nu_sub = membership_grid(space, xs, ys, sub)
-        worst_mu_jump = max(worst_mu_jump, float(np.abs(np.diff(mu_sub, axis=1)).max()))
-        worst_nu_jump = max(worst_nu_jump, float(np.abs(np.diff(nu_sub, axis=1)).max()))
-    continuity_witness = {"bound": CONTINUITY_BOUND, "refinement": CONTINUITY_REFINEMENT}
-    clauses.append(
-        ClauseResult(
-            "mu_time_continuity",
-            passed=worst_mu_jump <= CONTINUITY_BOUND,
-            worst=worst_mu_jump,
-            witness=continuity_witness,
-            note="finite-difference modulus on a refined t grid",
-        )
-    )
+        jumps = [max(jump, float(np.abs(np.diff(grid, axis=1)).max()))
+                 for jump, grid in zip(jumps, membership_grid(space, xs, ys, sub))]
 
-    # nu nonnegative (zero allowed off the diagonal only as a limit; the
-    # strict positivity for distinct points is part of nu_identity)
-    min_nu = float(nu_xy.min())
-    clauses.append(
-        ClauseResult(
-            "nu_nonnegative",
-            passed=min_nu >= 0.0,
-            worst=max(0.0, -min_nu),
-            witness=_grid_witness(xs, ys, -nu_xy, ts, {"min_nu": min_nu}),
-        )
-    )
-
-    # identity of indiscernibles, nu side
-    diag_nu = np.abs(nu_xx)
-    worst_diag_nu = float(diag_nu.max())
-    if np.any(distinct):
-        min_nu_distinct = float(nu_xy[distinct].min())
-        distinct_ok = min_nu_distinct > 0.0
-        note = ""
-    else:
-        min_nu_distinct = float("nan")
-        distinct_ok = True
-        note = "no distinct pairs sampled"
-    clauses.append(
-        ClauseResult(
-            "nu_identity",
-            passed=(worst_diag_nu <= tolerance) and distinct_ok,
-            worst=worst_diag_nu,
-            witness=_grid_witness(
-                xs, xs, diag_nu, ts, {"min_nu_distinct": min_nu_distinct}
-            ),
-            note=note,
-        )
-    )
-
-    clauses.append(_max_clause("nu_symmetry", np.abs(nu_xy - nu_yx), xs, ys, ts, tolerance))
-
-    clauses.append(
-        ClauseResult(
-            "nu_triangle",
-            passed=tri_nu[0] <= tolerance,
-            worst=max(tri_nu[0], 0.0),
-            witness=tri_nu[1],
-        )
-    )
-
-    clauses.append(
-        ClauseResult(
-            "nu_time_continuity",
-            passed=worst_nu_jump <= CONTINUITY_BOUND,
-            worst=worst_nu_jump,
-            witness=continuity_witness,
-            note="finite-difference modulus on a refined t grid",
-        )
-    )
+    distinct = _distinct_mask(space, xs, ys)
+    clauses = [_max_clause("bounded_sum", mu_xy + nu_xy - 1.0, xs, ys, ts, tolerance)]
+    for side, *grids, triangle, jump in zip(("mu", "nu"), xy, yx, xx, triangles, jumps):
+        clauses += _side_clauses(side, *grids, distinct, triangle, jump, xs, ys, ts, tolerance)
 
     # operator idempotency
     wit_t, wit_s = witnesses = idempotency_witness(space.operators)
@@ -726,14 +658,13 @@ def sequence_diagnostics(
     witness: dict | None = None
     for p in range(1, window + 1):
         mu, nu = membership_grid(space, batch[:-p], batch[p:], ts)
-        ok = np.all((mu > 1.0 - epsilon) & (nu < epsilon), axis=1)
-        fails = np.nonzero(~ok)[0]
+        margin = np.minimum(mu - (1.0 - epsilon), epsilon - nu)
+        fails = np.nonzero(~np.all(margin > 0.0, axis=1))[0]
         if fails.size:
             i = int(fails[-1])
             if i > last_fail:
                 last_fail = i
-                margin = np.minimum(mu[i] - (1.0 - epsilon), epsilon - nu[i])
-                bad_t = int(np.argmin(margin))
+                bad_t = int(np.argmin(margin[i]))
                 witness = {
                     "n": i,
                     "m": i + p,

@@ -4,7 +4,9 @@ Each config runs through ``cli.main`` and every file it writes is hashed.
 The expected sha256 digests were recorded before the pair x time kernel
 refactor, and those of the solve configs that end at a hypothesis gate,
 a spent budget or a ball exit before the solver's gates were merged into
-one runner; a change that moves any artifact byte fails here unless the
+one runner, and those of the failing, degenerate, tabulated and
+nu-side checks and the indiscernible-pair audit before each mu clause and
+its nu mirror were written once; a change that moves any artifact byte fails here unless the
 change declares the numeric difference and records new digests.
 """
 
@@ -32,6 +34,31 @@ HALF_SHIFT = {"affine": {"matrix": [[0.5]], "offset": [1.0]}}
 HALVING = {"affine": {"matrix": [[0.5]], "offset": [0.0]}}
 BALL = {"center": [0.0], "radius": 0.5, "time": 1.0}
 PLANE_MAP = {"affine": {"matrix": [[0.5, 0.1], [0.0, 0.4]], "offset": [1.0, -1.0]}}
+SHIFT_04 = {"affine": {"matrix": [[0.5]], "offset": [0.4]}}
+TABLE_MAP = {"table": {"a": "a", "b": "a", "c": "b"}}
+# constant curves under a swap of b and c: the nu side sets the worst ratio
+# in both sampled checks (reciprocal gap 9 / 1.5 = 6, direct 0.4 / 0.1 = 4)
+NU_SIDE = {
+    "tabulated": {
+        "labels": ["a", "b", "c"],
+        "pairs": [
+            {"between": ["a", "b"], "mu": 0.5, "nu": 0.1},
+            {"between": ["a", "c"], "mu": 0.5, "nu": 0.4},
+            {"between": ["b", "c"], "mu": 0.5, "nu": 0.4},
+        ],
+    }
+}
+NU_SIDE_MAP = {"table": {"a": "a", "b": "c", "c": "b"}}
+INDISCERNIBLE = {
+    "tabulated": {
+        "labels": ["a", "b", "c"],
+        "pairs": [
+            {"between": ["a", "b"], "mu": 1.0, "nu": 0.0},
+            {"between": ["a", "c"], "mu": 0.6, "nu": 0.3},
+            {"between": ["b", "c"], "mu": 0.6, "nu": 0.3},
+        ],
+    }
+}
 
 CONFIGS = {
     "solve-closed-ball-readme": ("solve", {
@@ -136,6 +163,34 @@ CONFIGS = {
         "action": {"check": {"notion": "closed_ball_hypotheses",
                              "ball": {"center": [0.0], "radius": 0.5, "time": 1.0}, "k": 0.5}},
     }),
+    "check-if-contractive-fails": ("check", {
+        "seed": 1, "space": LINE, "map": {"affine": {"matrix": [[1.5]], "offset": [0.0]}},
+        "sampling": {"pairs": 300}, "action": {"check": {"notion": "if_contractive"}},
+    }),
+    "check-if-contractive-tabulated": ("check", {
+        "seed": 1, "space": TABULATED, "map": TABLE_MAP, "sampling": {"pairs": 300},
+        "action": {"check": {"notion": "if_contractive"}},
+    }),
+    "check-if-contractive-nu-side": ("check", {
+        "seed": 1, "space": NU_SIDE, "map": NU_SIDE_MAP, "sampling": {"pairs": 300},
+        "action": {"check": {"notion": "if_contractive"}},
+    }),
+    "check-direct-ratio-nu-side": ("check", {
+        "seed": 1, "space": NU_SIDE, "map": NU_SIDE_MAP, "sampling": {"pairs": 300},
+        "action": {"check": {"notion": "direct_ratio"}},
+    }),
+    "check-contractive-sequence-fails": ("check", {
+        "seed": 1, "space": LINE, "map": HALF_SHIFT,
+        "action": {"check": {"notion": "contractive_sequence", "k": 0.3, "x0": [0.0], "steps": 12}},
+    }),
+    "check-closed-ball-hypotheses-degenerate": ("check", {
+        "seed": 1, "space": LINE, "map": SHIFT_04,
+        "action": {"check": {"notion": "closed_ball_hypotheses",
+                             "ball": {"center": [0.8], "radius": 0.5, "time": 1.0}, "k": 0.5}},
+    }),
+    "audit-tabulated-indiscernible": ("audit", {
+        "seed": 2, "space": INDISCERNIBLE, "action": {"audit": {"target": "space", "samples": 300}},
+    }),
 }
 
 DIGESTS = {
@@ -148,17 +203,38 @@ DIGESTS = {
     "audit-tabulated": (1, {
         "report.jsonl": "cc51bd257e10d4c753cd1ffa63b9d880839172fa4b6d4f84fb92220dc839c7ee",
     }),
+    "audit-tabulated-indiscernible": (1, {
+        "report.jsonl": "e6efe2ec270ce77075b31c5128e1fda2320c4f7a51dc11438a3f4ff0cb135871",
+    }),
     "check-closed-ball-hypotheses": (0, {
         "report.jsonl": "8306b22a604901ff5e28de734f1e6c57b30dc070fbac2c469536d7a91d53a357",
+    }),
+    "check-closed-ball-hypotheses-degenerate": (0, {
+        "report.jsonl": "8efceec7c121f16e61ed231fd2ea7de6ac9beafb4be9b64011a887ba42052c33",
     }),
     "check-contractive-sequence": (0, {
         "report.jsonl": "02bde4d616e731528d47f47e585920cece7c0e388b83dc5696966549efcde70f",
     }),
+    "check-contractive-sequence-fails": (1, {
+        "report.jsonl": "d7b925df5743a57f56b7159da0d846b1c724f63f8cb6d8d0d4c0253d7c2b7282",
+    }),
     "check-direct-ratio": (1, {
         "report.jsonl": "12018875a2dc056a0f3697fa1e765957782beb5d61432e42a5fd7517375736c6",
     }),
+    "check-direct-ratio-nu-side": (1, {
+        "report.jsonl": "1f44c6392237a09fafa1ba8b584646c9c786ecd991c727b4a957a45c9c9edba6",
+    }),
     "check-if-contractive": (0, {
         "report.jsonl": "65f45b9a1ce027391ae778902296182539f2a421467e171b150865f632bbcd2b",
+    }),
+    "check-if-contractive-fails": (1, {
+        "report.jsonl": "a4ecebb45ab89479ba8cc50cbe95c526d049c9340b4714cc3168533274567a86",
+    }),
+    "check-if-contractive-nu-side": (1, {
+        "report.jsonl": "5537ccfa91dc5c2fbb364c9a393ef020eea089308ced85933b1f3eeee6ec912b",
+    }),
+    "check-if-contractive-tabulated": (1, {
+        "report.jsonl": "c4c042c0fd5b906eb4129ba1a7a55247c523ab1956fb08ba74649101845e2366",
     }),
     "check-t-uniform-continuity": (0, {
         "report.jsonl": "7074eeb7ae5900824203f64b2a4ba346715a575a42c32eae11e0818b09afce21",

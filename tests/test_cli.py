@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -137,6 +138,9 @@ MISSING = object()
     pytest.param("experiment", [1], id="experiment-list"),
     pytest.param("fixed_point", {"a": 1}, id="fixed_point-mapping"),
     pytest.param("experiment.solve_config", [1], id="solve_config-list"),
+    pytest.param("trace_points", [{"a": 1}, [1.0]], id="trace_points-mapping"),
+    pytest.param("experiment.space", [1], id="space-list"),
+    pytest.param("experiment.map", {"affine": [1]}, id="map-affine-list"),
 ])
 def test_validate_malformed_document_exits_two_with_field_path(tmp_path, capsys, field, value):
     cfg = write(tmp_path, "picard.yaml", PICARD_YAML)
@@ -169,6 +173,25 @@ def test_nonfinite_config_numbers_exit_two(tmp_path, capsys, old, new):
     cfg = write(tmp_path, "bad.yaml", PICARD_YAML.replace(old, new))
     assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 2
     assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, old, new, field", [
+    pytest.param(PICARD_YAML, "output:", "sampling: {pairs: abc}\noutput:", "sampling.pairs",
+                 id="pairs-string"),
+    pytest.param(PICARD_YAML, "output:", "sampling: {halfwidth: -1.0}\noutput:", "sampling.halfwidth",
+                 id="halfwidth-negative"),
+    pytest.param(PICARD_YAML, "x0: [0.0]", "x0: [0.0, 1.0]", "action.solve.x0", id="x0-dimension"),
+    pytest.param(BALL_YAML, "center: [0.0]", "center: {a: 1}", "action.solve.ball.center",
+                 id="center-mapping"),
+    pytest.param(PICARD_YAML, "operators: min-max", "operators: [1]", "operators", id="operators-list"),
+    pytest.param(PICARD_YAML, "output:", "solve: {probe_ts: 5}\noutput:", "solve", id="probe_ts-number"),
+    pytest.param(PICARD_YAML, "affine: {matrix: [[0.5]], offset: [1.0]}", "affine: [1]", "map",
+                 id="map-affine-list"),
+])
+def test_mistyped_config_fields_exit_two_with_field_path(tmp_path, capsys, text, old, new, field):
+    cfg = write(tmp_path, "bad.yaml", text.replace(old, new))
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert f"config error: {field}: " in capsys.readouterr().err
 
 
 def test_vacuous_check_exits_one_with_note(tmp_path, capsys):
@@ -241,7 +264,10 @@ def test_no_hypothesis_checks_flag(tmp_path):
 
 def test_overflowing_solve_is_diverged_with_files_written(tmp_path, capsys):
     cfg = write(tmp_path, "expand.yaml", PICARD_YAML.replace("[[0.5]]", "[[3.0]]"))
-    assert main(["solve", "--config", cfg, "--out", str(tmp_path), "--no-hypothesis-checks"]) == 1
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path), "--no-hypothesis-checks"]) == 1
+    assert caught == []
     assert "solve.picard: diverged" in capsys.readouterr().out
     doc = json.loads((tmp_path / "result.json").read_text())
     assert doc["status"] == "diverged" and doc["fixed_point"] is None
@@ -251,7 +277,10 @@ def test_overflowing_solve_is_diverged_with_files_written(tmp_path, capsys):
     assert len(rows) == len(doc["trace_points"]) + 1
     record = json.loads((tmp_path / "report.jsonl").read_text())
     assert record["verdict"] == "diverged" and "overflowed" in record["note"]
+    capsys.readouterr()
     assert main(["validate", str(tmp_path / "result.json")]) == 0
+    out = capsys.readouterr().out
+    assert "'diverged' carries no residual certificate" in out and "residual bounds" not in out
 
 
 def test_wrong_shape_image_stays_a_domain_error(tmp_path, capsys):
