@@ -28,16 +28,18 @@ import numpy as np
 from .config import (
     ConfigError,
     ExperimentConfig,
+    _check_points,
     _number,
-    _validate_map,
-    _validate_operators,
-    _validate_space,
+    _numbers,
+    _point,
+    _probe_ts,
+    _rebuild_experiment,
     build_map,
     build_space,
     expect_list,
     expect_mapping,
     load_config,
-    parse_ball,
+    solve_record,
 )
 from .contractions import (
     DomainEscapeError,
@@ -46,7 +48,6 @@ from .contractions import (
     contractive_sequence_check,
     direct_ratio_contractive_check,
     if_contractive_check,
-    self_map_from_spec,
     t_uniform_continuity_probe,
 )
 from .operators import audit_operator_pair, check_idempotent, operator_pair
@@ -63,7 +64,7 @@ from .solver import (
     residual_certificate,
     sampling_box,
 )
-from .spaces import CoordinateSpace, IfmSpace, axiom_audit, point_jsonable, points_equal
+from .spaces import IfmSpace, axiom_audit, point_jsonable, points_equal
 
 OUTPUT_DIR_ENV = "IFMLAB_OUT"
 
@@ -190,38 +191,6 @@ def _required(doc: dict[str, Any], key: str) -> Any:
     return doc[key]
 
 
-def _numbers(value: Any, path: str) -> np.ndarray:
-    return np.asarray([_number(v, f"{path}[{i}]") for i, v in enumerate(expect_list(value, path))],
-                      dtype=float)
-
-
-def _rebuild_experiment(exp: dict) -> tuple[IfmSpace, SelfMap, SelfMap]:
-    """Space, map and per-step map of a result document's experiment."""
-    try:
-        space_spec = _validate_space(exp.get("space"))
-        operators = _validate_operators(exp.get("operators", "min-max"))
-        map_spec = _validate_map(exp.get("map"), space_spec)
-        step_spec = _validate_map(exp.get("iteration_map", map_spec), space_spec, "iteration_map")
-    except ConfigError as exc:
-        raise ConfigError(f"experiment.{exc.path}", exc.message) from exc
-    return build_space(space_spec, operators), self_map_from_spec(map_spec), self_map_from_spec(step_spec)
-
-
-def _check_trace_points(space: IfmSpace, points: list) -> None:
-    """All stored trace points at once against the space's domain."""
-    domain = space.domain
-    if isinstance(domain, CoordinateSpace):
-        try:
-            arr = np.asarray(points, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError("trace_points", f"expected coordinate points: {exc}") from exc
-        valid = arr.shape == (len(points), domain.dimension) and bool(np.all(np.isfinite(arr)))
-    else:
-        valid = all(isinstance(p, str) and p in domain.index for p in points)
-    if not valid:
-        raise ConfigError("trace_points", f"expected finite points of {space.description}")
-
-
 def validate_result_document(doc: Any) -> list[str]:
     """Re-verify a stored result from its own points; returns problems.
 
@@ -238,11 +207,11 @@ def validate_result_document(doc: Any) -> list[str]:
     """
     doc = expect_mapping(doc, "document")
     exp = expect_mapping(doc.get("experiment") or {}, "experiment")
-    space, map_, step_map = _rebuild_experiment(exp)
+    space, map_, step_map, solve = _rebuild_experiment(exp)
     points = expect_list(doc.get("trace_points") or [], "trace_points")
     if not points:
         return ["document carries no trace points"]
-    _check_trace_points(space, points)
+    _check_points(points, "trace_points", space.domain)
 
     problems: list[str] = []
     step = chain_break(space, step_map, points)
@@ -250,21 +219,16 @@ def validate_result_document(doc: Any) -> list[str]:
         problems.append(f"trace breaks at step {step}: stored successor differs from the map image")
 
     if doc.get("status") == "converged":
-        ts = _numbers(_required(doc, "probe_ts"), "probe_ts")
-        solve_config = expect_mapping(exp.get("solve_config") or {}, "experiment.solve_config")
-        epsilon = float(_number(solve_config.get("epsilon", 1e-8), "experiment.solve_config.epsilon"))
-        try:
-            x_star = space.as_point(_required(doc, "fixed_point"))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError("fixed_point", str(exc)) from exc
+        ts = _probe_ts(_required(doc, "probe_ts"), "probe_ts")
+        x_star = _point(_required(doc, "fixed_point"), "fixed_point", space.domain)
         iterations = _number(_required(doc, "iterations"), "iterations", integer=True)
         if not 0 <= iterations < len(points) or not points_equal(points[iterations], x_star):
             problems.append("fixed_point does not match the trace at the stated iteration")
-        ok, mu, nu = residual_certificate(space, map_, x_star, ts, epsilon)
+        ok, mu, nu = residual_certificate(space, map_, x_star, ts, solve.epsilon)
         if not ok:
             problems.append(
                 f"residual certificate fails: mu_min={mu.min()!r}, nu_max={nu.max()!r}, "
-                f"epsilon={epsilon!r}"
+                f"epsilon={solve.epsilon!r}"
             )
         for key, values in (("residual_mu", mu), ("residual_nu", nu)):
             stored = doc.get(key)
@@ -284,26 +248,16 @@ def _space_and_map(config: ExperimentConfig) -> tuple[IfmSpace, SelfMap | None]:
 
 
 def _run_audit(config: ExperimentConfig, out_dir: str | None, summary: RunSummary) -> int:
-    params = config.action
-    target = params.get("target", "space")
-    tolerance = float(params.get("tolerance", 1e-9 if target == "space" else 1e-12))
-    if target == "operators":
+    action, cfg = config.action, config.solve
+    if action.name == "operators":
         pair = operator_pair(config.operators_name)
-        grid = int(params.get("grid_size", 100))
-        report = audit_operator_pair(pair, grid, tolerance)
+        report = audit_operator_pair(pair, action.grid_size, action.tolerance)
         idem = check_idempotent(pair)
         summary.key_numbers["idempotent"] = f"tnorm={idem[0]} tconorm={idem[1]}"
     else:
         space, _ = _space_and_map(config)
-        solve_cfg = config.solve_config()
-        report = axiom_audit(
-            space,
-            sample_count=int(params.get("samples", 1000)),
-            t_samples=solve_cfg.probe_ts,
-            tolerance=tolerance,
-            seed=config.seed,
-            box=sampling_box(space, solve_cfg),
-        )
+        report = axiom_audit(space, sample_count=action.samples, t_samples=cfg.probe_ts,
+                             tolerance=action.tolerance, seed=cfg.seed, box=sampling_box(space, cfg))
     path = _resolve_out(config.output.get("report", "audit_report.jsonl"), out_dir)
     write_text_atomic(path, records_to_jsonl(report.to_records()))
     summary.files.append(path)
@@ -313,45 +267,40 @@ def _run_audit(config: ExperimentConfig, out_dir: str | None, summary: RunSummar
     return EXIT_PASS if report.passed else EXIT_FAIL
 
 
+# notion -> check of (space, map, action, solve settings, sampling box)
+CHECKS = {
+    "if_contractive": lambda space, map_, a, cfg, box: if_contractive_check(
+        space, map_, cfg.sample_pairs, cfg.probe_ts, seed=cfg.seed, box=box),
+    "direct_ratio": lambda space, map_, a, cfg, box: direct_ratio_contractive_check(
+        space, map_, cfg.sample_pairs, cfg.probe_ts, include_coincident=a.include_coincident,
+        seed=cfg.seed, box=box),
+    "t_uniform_continuity": lambda space, map_, a, cfg, box: t_uniform_continuity_probe(
+        space, map_, a.epsilons, cfg.sample_pairs, cfg.probe_ts, seed=cfg.seed, box=box),
+    "contractive_sequence": lambda space, map_, a, cfg, box: contractive_sequence_check(
+        space, iterate_trace(space, map_, a.x0, a.steps) if a.prefix is None else a.prefix,
+        a.k, cfg.probe_ts),
+    "closed_ball_hypotheses": lambda space, map_, a, cfg, box: closed_ball_hypotheses(
+        space, map_, a.ball.center, a.ball.radius, a.ball.time, a.k),
+}
+
+# regime -> solve of (space, map, action, solve settings)
+SOLVES = {
+    "picard": lambda space, map_, a, cfg: picard_solve(space, map_, a.x0, cfg),
+    "closed_ball": lambda space, map_, a, cfg: closed_ball_solve(space, map_, a.ball, a.k, cfg),
+    "power": lambda space, map_, a, cfg: power_map_solve(space, map_, a.m, cfg, x0=a.x0),
+    "direct_ratio": lambda space, map_, a, cfg: direct_ratio_solve(
+        space, map_, cfg, x0=a.x0, include_coincident=a.include_coincident),
+}
+
+
 def _run_check(config: ExperimentConfig, out_dir: str | None, summary: RunSummary) -> int:
-    params = config.action
-    notion = params["notion"]
     space, map_ = _space_and_map(config)
-    solve_cfg = config.solve_config()
-    pairs_count = int(config.sampling.get("pairs", 1000))
-    box = sampling_box(space, solve_cfg)
-
-    if notion == "if_contractive":
-        report = if_contractive_check(space, map_, pairs_count, solve_cfg.probe_ts,
-                                      seed=config.seed, box=box)
-    elif notion == "direct_ratio":
-        report = direct_ratio_contractive_check(
-            space, map_, pairs_count, solve_cfg.probe_ts,
-            include_coincident=bool(params.get("include_coincident", False)),
-            seed=config.seed, box=box,
-        )
-    elif notion == "t_uniform_continuity":
-        epsilons = [float(e) for e in params.get("epsilons", [0.1, 0.01])]
-        report = t_uniform_continuity_probe(space, map_, epsilons, pairs_count,
-                                            solve_cfg.probe_ts, seed=config.seed, box=box)
-    elif notion == "contractive_sequence":
-        k = float(params.get("k", 0.5))
-        if "prefix" in params:
-            prefix = params["prefix"]
-        else:
-            x0 = params.get("x0", space.default_start())
-            steps = int(params.get("steps", 16))
-            prefix = iterate_trace(space, map_, x0, steps)
-        report = contractive_sequence_check(space, prefix, k, solve_cfg.probe_ts)
-    else:  # closed_ball_hypotheses
-        ball = parse_ball(params, "action.check")
-        report = closed_ball_hypotheses(space, map_, ball.center, ball.radius,
-                                        ball.time, float(params.get("k", 0.5)))
-
+    action, cfg = config.action, config.solve
+    report = CHECKS[action.name](space, map_, action, cfg, sampling_box(space, cfg))
     path = _resolve_out(config.output.get("report", "check_report.jsonl"), out_dir)
     write_text_atomic(path, records_to_jsonl([report.to_record()]))
     summary.files.append(path)
-    summary.verdicts[notion] = report.verdict
+    summary.verdicts[action.name] = report.verdict
     if report.estimated_k is not None:
         summary.key_numbers["estimated_k"] = report.estimated_k
     if report.notes:
@@ -359,25 +308,11 @@ def _run_check(config: ExperimentConfig, out_dir: str | None, summary: RunSummar
     return EXIT_PASS if report.passed else EXIT_FAIL
 
 
-def _run_solve(config: ExperimentConfig, out_dir: str | None, summary: RunSummary,
-               hypothesis_override: bool | None) -> int:
-    params = config.action
-    regime = params["regime"]
+def _run_solve(config: ExperimentConfig, out_dir: str | None, summary: RunSummary) -> int:
     space, map_ = _space_and_map(config)
-    solve_cfg = config.solve_config(hypothesis_override)
-
-    if regime == "picard":
-        x0 = params.get("x0", space.default_start())
-        result = picard_solve(space, map_, x0, solve_cfg)
-    elif regime == "closed_ball":
-        ball = parse_ball(params, "action.solve")
-        result = closed_ball_solve(space, map_, ball, float(params.get("k", 0.5)), solve_cfg)
-    elif regime == "power":
-        result = power_map_solve(space, map_, int(params.get("m", 1)), solve_cfg,
-                                 x0=params.get("x0"))
-    else:  # direct_ratio
-        result = direct_ratio_solve(space, map_, solve_cfg, x0=params.get("x0"),
-                                    include_coincident=bool(params.get("include_coincident", False)))
+    action, cfg = config.action, config.solve
+    regime = action.name
+    result = SOLVES[regime](space, map_, action, cfg)
 
     experiment = {
         "space": config.space_spec,
@@ -387,19 +322,11 @@ def _run_solve(config: ExperimentConfig, out_dir: str | None, summary: RunSummar
         # the power regime, whose residual certificate is about the
         # original map while the iteration runs its m-th power
         "iteration_map": (
-            {"power": {"of": config.map_spec, "m": int(params.get("m", 1))}}
-            if regime == "power"
-            else config.map_spec
+            {"power": {"of": config.map_spec, "m": action.m}} if regime == "power" else config.map_spec
         ),
-        "action": {"solve": params},
-        "seed": config.seed,
-        "solve_config": {
-            "epsilon": solve_cfg.epsilon,
-            "max_iterations": solve_cfg.max_iterations,
-            "probe_ts": list(solve_cfg.probe_ts),
-            "window": solve_cfg.window,
-            "hypothesis_checks": solve_cfg.hypothesis_checks,
-        },
+        "action": {"solve": action.written},
+        "seed": cfg.seed,
+        "solve_config": solve_record(cfg),
     }
     result_path = _resolve_out(config.output.get("result", "result.json"), out_dir)
     export_trace(result, result_path, format="structured", experiment=experiment)
@@ -434,17 +361,14 @@ def _run_solve(config: ExperimentConfig, out_dir: str | None, summary: RunSummar
     return EXIT_PASS if result.converged else EXIT_FAIL
 
 
-def run(config: ExperimentConfig, out_dir: str | None = None,
-        hypothesis_override: bool | None = None) -> tuple[int, RunSummary]:
+RUNNERS = {"audit": _run_audit, "check": _run_check, "solve": _run_solve}
+
+
+def run(config: ExperimentConfig, out_dir: str | None = None) -> tuple[int, RunSummary]:
     """Dispatch a validated config to its action; returns (exit code, summary)."""
     started = time.perf_counter()
-    summary = RunSummary(action=config.action_kind)
-    if config.action_kind == "audit":
-        code = _run_audit(config, out_dir, summary)
-    elif config.action_kind == "check":
-        code = _run_check(config, out_dir, summary)
-    else:
-        code = _run_solve(config, out_dir, summary, hypothesis_override)
+    summary = RunSummary(action=config.action.kind)
+    code = RUNNERS[config.action.kind](config, out_dir, summary)
     summary.duration_s = time.perf_counter() - started
     return code, summary
 
@@ -487,16 +411,9 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.command == "defaults":
         cfg = SolveConfig()
-        doc = {
-            "probe_ts": list(cfg.probe_ts),
-            "solve": {
-                "epsilon": cfg.epsilon,
-                "max_iterations": cfg.max_iterations,
-                "window": cfg.window,
-                "hypothesis_checks": cfg.hypothesis_checks,
-            },
-            "sampling": {"pairs": cfg.sample_pairs, "halfwidth": cfg.sample_halfwidth},
-        }
+        solve = solve_record(cfg)
+        doc = {"probe_ts": solve.pop("probe_ts"), "solve": solve,
+               "sampling": {"pairs": cfg.sample_pairs, "halfwidth": cfg.sample_halfwidth}}
         text = json_text(doc)
         print(text)
         if args.out:
@@ -528,14 +445,13 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_PASS
 
     try:
-        config = load_config(args.config)
-        if args.seed is not None:
-            config.seed = args.seed
-        if config.action_kind != args.command:
-            raise ConfigError("action", f"config declares a {config.action_kind!r} action "
+        config = load_config(args.config, seed=args.seed)
+        if config.action.kind != args.command:
+            raise ConfigError("action", f"config declares a {config.action.kind!r} action "
                                         f"but the {args.command!r} subcommand was invoked")
-        override = False if args.no_hypothesis_checks else None
-        code, summary = run(config, out_dir=args.out, hypothesis_override=override)
+        if args.no_hypothesis_checks:
+            config.solve.hypothesis_checks = False
+        code, summary = run(config, out_dir=args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

@@ -3,20 +3,21 @@
 A config is a single YAML document selecting a space, an operator pair, an
 optional self-map, exactly one action (audit, check, or solve) with its
 parameters, solver settings, sampling settings, and output paths.
-Validation errors carry the offending field path.
+Validation types, defaults and range-checks every field once, and its
+errors carry the offending field path.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 import yaml
 
 from .contractions import SelfMap, self_map_from_spec
-from .operators import OPERATOR_FACTORIES, operator_pair
+from .operators import OPERATOR_FACTORIES, check_idempotent, operator_pair
 from .spaces import (
     BallSpec,
     CoordinateSpace,
@@ -24,8 +25,9 @@ from .spaces import (
     IfmSpace,
     finite_tabulated,
     induced_from_metric,
+    probe_grid,
 )
-from .solver import SolveConfig
+from .solver import DEFAULT_UNIFORM_EPSILONS, SolveConfig
 
 
 class ConfigError(ValueError):
@@ -35,43 +37,6 @@ class ConfigError(ValueError):
         super().__init__(f"{path}: {message}")
         self.path = path
         self.message = message
-
-
-CHECK_NOTIONS = (
-    "if_contractive",
-    "direct_ratio",
-    "t_uniform_continuity",
-    "contractive_sequence",
-    "closed_ball_hypotheses",
-)
-SOLVE_REGIMES = ("picard", "closed_ball", "power", "direct_ratio")
-AUDIT_TARGETS = ("space", "operators")
-
-
-@dataclass
-class ExperimentConfig:
-    seed: int
-    operators_name: str
-    space_spec: dict
-    action_kind: str  # "audit" | "check" | "solve"
-    action: dict
-    map_spec: dict | None = None
-    solve: dict = field(default_factory=dict)
-    sampling: dict = field(default_factory=dict)
-    output: dict = field(default_factory=dict)
-
-    def solve_config(self, hypothesis_override: bool | None = None) -> SolveConfig:
-        kwargs: dict[str, Any] = dict(self.solve)
-        kwargs.setdefault("seed", self.seed)
-        kwargs["sample_pairs"] = int(self.sampling.get("pairs", kwargs.pop("sample_pairs", 400)))
-        if "halfwidth" in self.sampling:
-            kwargs["sample_halfwidth"] = float(self.sampling["halfwidth"])
-        if hypothesis_override is not None:
-            kwargs["hypothesis_checks"] = hypothesis_override
-        try:
-            return SolveConfig(**kwargs)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError("solve", str(exc)) from exc
 
 
 def expect_mapping(obj: Any, path: str) -> dict:
@@ -94,12 +59,181 @@ def _number(value: Any, path: str, integer: bool = False) -> Any:
     return value
 
 
-def _get(d: dict, key: str, path: str, required: bool = True, default: Any = None) -> Any:
+def _numbers(value: Any, path: str) -> np.ndarray:
+    return np.asarray([_number(v, f"{path}[{i}]") for i, v in enumerate(expect_list(value, path))], float)
+
+
+def _get(d: dict, key: str, path: str) -> Any:
     if key not in d:
-        if required:
-            raise ConfigError(f"{path}.{key}", "required field is missing")
-        return default
+        raise ConfigError(f"{path}.{key}", "required field is missing")
     return d[key]
+
+
+# A field table maps each key to (reader, default).  A reader turns the raw
+# value into a typed one or raises a ConfigError with the field's path (the
+# domain is there for point fields).  An absent key takes its default:
+# REQUIRED makes it an error, START is the domain's start point and UNSET
+# leaves the key out.
+Reader = Callable[[Any, str, Any], Any]
+REQUIRED, START, UNSET = object(), object(), object()
+
+
+def _between(lo: float, hi: float, integer: bool = False, closed: bool = False) -> Reader:
+    """Reader of a number (an integer if ``integer``) in ``(lo, hi)``, ``[lo, hi)`` if ``closed``."""
+    def read(value: Any, path: str, domain: Any = None) -> Any:
+        x = _number(value, path, integer)
+        if not ((lo <= x) if closed else (lo < x)) or not x < hi:
+            raise ConfigError(path, f"must lie in {'[' if closed else '('}{lo:g}, {hi:g}), got {value!r}")
+        return x if integer else float(x)
+    return read
+
+
+UNIT = _between(0.0, 1.0)
+POSITIVE = _between(0.0, math.inf)
+NONNEGATIVE = _between(0.0, math.inf, closed=True)
+
+
+def _at_least(lo: int) -> Reader:
+    return _between(lo, math.inf, integer=True, closed=True)
+
+
+def _flag(value: Any, path: str, domain: Any = None) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(path, f"expected true or false, got {value!r}")
+    return value
+
+
+def _probe_ts(value: Any, path: str, domain: Any = None) -> tuple[float, ...]:
+    ts = _numbers(value, path)
+    try:
+        return tuple(float(t) for t in probe_grid(ts))
+    except ValueError as exc:
+        raise ConfigError(path, str(exc)) from exc
+
+
+def _epsilons(value: Any, path: str, domain: Any = None) -> tuple[float, ...]:
+    if not expect_list(value, path):
+        raise ConfigError(path, "must name at least one epsilon")
+    return tuple(UNIT(e, f"{path}[{i}]") for i, e in enumerate(value))
+
+
+def _point(value: Any, path: str, domain: CoordinateSpace | FiniteTabulated) -> Any:
+    try:
+        return domain.as_point(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(path, str(exc)) from exc
+
+
+def _check_points(points: list, path: str, domain: CoordinateSpace | FiniteTabulated) -> None:
+    """All of ``points`` at once against the domain."""
+    if isinstance(domain, FiniteTabulated):
+        if not all(isinstance(p, str) and p in domain.index for p in points):
+            raise ConfigError(path, f"expected labels among {domain.labels}")
+        return
+    try:
+        arr = np.asarray(points, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(path, f"expected coordinate points: {exc}") from exc
+    if arr.shape != (len(points), domain.dimension) or not np.all(np.isfinite(arr)):
+        raise ConfigError(path, f"expected finite points of dimension {domain.dimension}")
+
+
+def _prefix(value: Any, path: str, domain: CoordinateSpace | FiniteTabulated) -> list:
+    if len(expect_list(value, path)) < 3:
+        raise ConfigError(path, "must hold at least 3 points")
+    _check_points(value, path, domain)
+    return value
+
+
+def _fields(body: Any, table: dict[str, tuple[Reader, Any]], path: str, domain: Any = None) -> dict:
+    """``body`` (null reads as empty) through the field ``table``; a key outside it is an error."""
+    body = {} if body is None else body
+    for key in expect_mapping(body, path):
+        if key not in table:
+            raise ConfigError(f"{path}.{key}", f"unknown key (known: {', '.join(table) or 'none'})")
+    fields = {}
+    for key, (read, default) in table.items():
+        if key in body:
+            fields[key] = read(body[key], f"{path}.{key}", domain)
+        elif default is REQUIRED:
+            raise ConfigError(f"{path}.{key}", "required field is missing")
+        elif default is not UNSET:
+            fields[key] = domain.default_start() if default is START else default
+    return fields
+
+
+def _ball(value: Any, path: str, domain: CoordinateSpace | FiniteTabulated) -> BallSpec:
+    table = {"center": (_point, REQUIRED), "radius": (UNIT, REQUIRED), "time": (POSITIVE, REQUIRED)}
+    return BallSpec(**_fields(value, table, path, domain))
+
+
+# solve: keeps SolveConfig's defaults; sampling: goes in as sample_<key>,
+# and a check samples more pairs than a solve's gates do
+SOLVE_FIELDS = {"epsilon": (UNIT, UNSET), "max_iterations": (_at_least(1), UNSET),
+                "probe_ts": (_probe_ts, UNSET), "window": (_at_least(1), UNSET),
+                "hypothesis_checks": (_flag, UNSET)}
+SAMPLING_FIELDS = {"pairs": (_at_least(1), UNSET), "halfwidth": (POSITIVE, UNSET)}
+CHECK_SAMPLING_FIELDS = {**SAMPLING_FIELDS, "pairs": (_at_least(1), 1000)}
+
+K = (UNIT, 0.5)
+X0 = (_point, START)
+BALL = (_ball, REQUIRED)
+COINCIDENT = (_flag, False)
+
+# kind -> (key naming the target/notion/regime, its default)
+NAME_KEYS = {"audit": ("target", "space"), "check": ("notion", REQUIRED), "solve": ("regime", REQUIRED)}
+# kind -> target/notion/regime -> parameter -> (reader, default)
+ACTIONS: dict[str, dict[str, dict[str, tuple[Reader, Any]]]] = {
+    "audit": {
+        "space": {"samples": (_at_least(1), 1000), "tolerance": (NONNEGATIVE, 1e-9)},
+        "operators": {"grid_size": (_at_least(2), 100), "tolerance": (NONNEGATIVE, 1e-12)},
+    },
+    "check": {
+        "if_contractive": {},
+        "direct_ratio": {"include_coincident": COINCIDENT},
+        "t_uniform_continuity": {"epsilons": (_epsilons, DEFAULT_UNIFORM_EPSILONS)},
+        # an explicit prefix replaces the iterates of x0 and needs no map
+        "contractive_sequence": {"k": K, "prefix": (_prefix, None), "x0": X0,
+                                 "steps": (_at_least(1), 16)},
+        "closed_ball_hypotheses": {"ball": BALL, "k": K},
+    },
+    "solve": {
+        "picard": {"x0": X0},
+        "closed_ball": {"ball": BALL, "k": K},
+        "power": {"m": (_at_least(1), 1), "x0": X0},
+        "direct_ratio": {"x0": X0, "include_coincident": COINCIDENT},
+    },
+}
+
+
+@dataclass(frozen=True)
+class Action:
+    """A validated action: the parameters of its target, notion or regime, typed and defaulted."""
+
+    kind: str  # audit | check | solve
+    name: str  # the target, notion or regime
+    written: dict  # the action body as written, pinned in result documents
+    samples: int | None = None
+    tolerance: float | None = None
+    grid_size: int | None = None
+    include_coincident: bool | None = None
+    epsilons: tuple[float, ...] | None = None
+    k: float | None = None
+    prefix: list | None = None
+    x0: Any = None
+    steps: int | None = None
+    ball: BallSpec | None = None
+    m: int | None = None
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    operators_name: str
+    space_spec: dict
+    action: Action
+    solve: SolveConfig  # from solve:, seed and sampling:
+    map_spec: dict | None = None
+    output: dict = field(default_factory=dict)
 
 
 def _validate_space(spec: Any) -> dict:
@@ -110,9 +244,7 @@ def _validate_space(spec: Any) -> dict:
     kind = kinds[0]
     body = expect_mapping(spec[kind], f"space.{kind}")
     if kind == "induced":
-        dim = _get(body, "dimension", "space.induced")
-        if not isinstance(dim, int) or dim < 1:
-            raise ConfigError("space.induced.dimension", f"must be a positive integer, got {dim!r}")
+        dim = _at_least(1)(_get(body, "dimension", "space.induced"), "space.induced.dimension")
         metric = body.get("base_metric", "euclidean")
         try:
             CoordinateSpace(dim, metric)
@@ -159,12 +291,14 @@ def build_space(space_spec: dict, operators_name: str) -> IfmSpace:
     return finite_tabulated(domain, pair)
 
 
-def _validate_operators(name: Any) -> str:
+def _validate_operators(name: Any, builds_space: bool = True) -> str:
+    """A known pair name; an idempotent one when the action builds a space."""
     if not isinstance(name, str) or name not in OPERATOR_FACTORIES:
-        raise ConfigError(
-            "operators",
-            f"unknown operator pair {name!r} (known: {', '.join(sorted(OPERATOR_FACTORIES))})",
-        )
+        known = ", ".join(sorted(OPERATOR_FACTORIES))
+        raise ConfigError("operators", f"unknown operator pair {name!r} (known: {known})")
+    if builds_space and not all(check_idempotent(operator_pair(name))):
+        raise ConfigError("operators", f"operator pair {name!r} is not idempotent; "
+                                       "spaces require idempotent operators")
     return name
 
 
@@ -176,10 +310,12 @@ def _validate_map(spec: Any, space_spec: dict, path: str = "map") -> dict:
         raise ConfigError(path, str(exc)) from exc
     if "affine" in spec and "induced" in space_spec:
         dim = space_spec["induced"]["dimension"]
-        a = np.atleast_2d(np.asarray(spec["affine"]["matrix"], float))
-        if a.shape != (dim, dim):
-            raise ConfigError(f"{path}.affine.matrix",
-                              f"matrix shape {a.shape} does not match space dimension {dim}")
+        shapes = {"matrix": (np.atleast_2d, (dim, dim)), "offset": (np.atleast_1d, (dim,))}
+        for key, (atleast, shape) in shapes.items():
+            got = atleast(np.asarray(spec["affine"][key], float)).shape
+            if got != shape:
+                raise ConfigError(f"{path}.affine.{key}",
+                                  f"{key} shape {got} does not match space dimension {dim}")
     if ("table" in spec or ("constant" in spec and isinstance(spec["constant"], str))) \
             and "tabulated" not in space_spec:
         raise ConfigError(path, "label-valued maps require a tabulated space")
@@ -192,107 +328,71 @@ def build_map(config: ExperimentConfig) -> SelfMap:
     return self_map_from_spec(config.map_spec)
 
 
-def _validate_action(raw: Any) -> tuple[str, dict]:
+def _validate_action(raw: Any, domain: CoordinateSpace | FiniteTabulated) -> Action:
     raw = expect_mapping(raw, "action")
-    kinds = [k for k in ("audit", "check", "solve") if k in raw]
+    kinds = [k for k in ACTIONS if k in raw]
     if len(kinds) != 1:
         raise ConfigError("action", "exactly one of 'audit', 'check' or 'solve' is required")
     kind = kinds[0]
-    body = expect_mapping(raw[kind], f"action.{kind}")
-    if kind == "audit":
-        target = body.get("target", "space")
-        if target not in AUDIT_TARGETS:
-            raise ConfigError("action.audit.target",
-                              f"must be one of {AUDIT_TARGETS}, got {target!r}")
-    elif kind == "check":
-        notion = _get(body, "notion", "action.check")
-        if notion not in CHECK_NOTIONS:
-            raise ConfigError("action.check.notion",
-                              f"must be one of {CHECK_NOTIONS}, got {notion!r}")
-    else:
-        regime = _get(body, "regime", "action.solve")
-        if regime not in SOLVE_REGIMES:
-            raise ConfigError("action.solve.regime",
-                              f"must be one of {SOLVE_REGIMES}, got {regime!r}")
-    return kind, dict(body)
+    path = f"action.{kind}"
+    body = expect_mapping(raw[kind], path)
+    key, default = NAME_KEYS[kind]
+    name = body.get(key, default)
+    if name is REQUIRED:
+        raise ConfigError(f"{path}.{key}", "required field is missing")
+    if not isinstance(name, str) or name not in ACTIONS[kind]:
+        raise ConfigError(f"{path}.{key}", f"must be one of {tuple(ACTIONS[kind])}, got {name!r}")
+    params = _fields({k: v for k, v in body.items() if k != key}, ACTIONS[kind][name], path, domain)
+    return Action(kind, name, dict(body), **params)
 
 
-def _validate_points(kind: str, action: dict, domain: CoordinateSpace | FiniteTabulated) -> None:
-    """The action's start point and ball center, when given, are points of the domain."""
-    ball = action.get("ball")
-    center = ball.get("center") if isinstance(ball, dict) else None
-    for path, point in ((f"action.{kind}.x0", action.get("x0")),
-                        (f"action.{kind}.ball.center", center)):
-        if point is not None:
-            try:
-                domain.as_point(point)
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(path, str(exc)) from exc
+def solve_record(config: SolveConfig) -> dict:
+    """The ``solve:`` settings of ``config``, as result documents record them."""
+    return {key: getattr(config, key) for key in SOLVE_FIELDS}
 
 
-def _validate_sampling(sampling: Any) -> dict:
-    sampling = expect_mapping(sampling, "sampling")
-    pairs, halfwidth = sampling.get("pairs"), sampling.get("halfwidth")
-    if "pairs" in sampling and _number(pairs, "sampling.pairs", integer=True) < 1:
-        raise ConfigError("sampling.pairs", f"must be at least 1, got {pairs!r}")
-    if "halfwidth" in sampling and not 0.0 < _number(halfwidth, "sampling.halfwidth") < math.inf:
-        raise ConfigError("sampling.halfwidth", f"must be finite and positive, got {halfwidth!r}")
-    return sampling
-
-
-def parse_ball(params: dict, path: str) -> BallSpec:
-    ball = expect_mapping(_get(params, "ball", path), f"{path}.ball")
+def _rebuild_experiment(exp: dict) -> tuple[IfmSpace, SelfMap, SelfMap, SolveConfig]:
+    """Space, maps and solve settings of a result document's experiment, checked as in a config."""
     try:
-        return BallSpec(
-            center=_get(ball, "center", f"{path}.ball"),
-            radius=float(_get(ball, "radius", f"{path}.ball")),
-            time=float(_get(ball, "time", f"{path}.ball")),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{path}.ball", str(exc)) from exc
+        space_spec = _validate_space(exp.get("space"))
+        operators = _validate_operators(exp.get("operators", "min-max"))
+        map_spec = _validate_map(exp.get("map"), space_spec)
+        step_spec = _validate_map(exp.get("iteration_map", map_spec), space_spec, "iteration_map")
+        solve = SolveConfig(**_fields(exp.get("solve_config"), SOLVE_FIELDS, "solve_config"))
+    except ConfigError as exc:
+        raise ConfigError(f"experiment.{exc.path}", exc.message) from exc
+    space = build_space(space_spec, operators)
+    return space, self_map_from_spec(map_spec), self_map_from_spec(step_spec), solve
 
 
-def validate_config(doc: Any) -> ExperimentConfig:
+def validate_config(doc: Any, seed: int | None = None) -> ExperimentConfig:
+    """The typed config of ``doc``; ``seed``, when given, replaces its seed."""
     doc = expect_mapping(doc, "config")
-    seed = doc.get("seed", 0)
-    if not isinstance(seed, int):
-        raise ConfigError("seed", f"must be an integer, got {seed!r}")
-    operators_name = _validate_operators(doc.get("operators", "min-max"))
+    if seed is not None:
+        doc = {**doc, "seed": seed}
     space_spec = _validate_space(_get(doc, "space", "config"))
-    action_kind, action = _validate_action(_get(doc, "action", "config"))
-    _validate_points(action_kind, action, _domain_from_spec(space_spec))
+    action = _validate_action(_get(doc, "action", "config"), _domain_from_spec(space_spec))
+    operators_name = _validate_operators(doc.get("operators", "min-max"),
+                                         builds_space=(action.kind, action.name) != ("audit", "operators"))
 
-    map_spec = None
-    if "map" in doc and doc["map"] is not None:
-        map_spec = _validate_map(doc["map"], space_spec)
-    needs_map = action_kind in ("solve", "check")
-    if (action_kind == "check" and action.get("notion") == "contractive_sequence"
-            and "prefix" in action):
-        needs_map = False
-    if map_spec is None and needs_map:
-        raise ConfigError("map", f"action {action_kind!r} requires a map")
+    map_spec = None if doc.get("map") is None else _validate_map(doc["map"], space_spec)
+    if map_spec is None and action.kind != "audit" and action.prefix is None:
+        raise ConfigError("map", f"action {action.kind!r} requires a map")
 
-    solve = expect_mapping(doc.get("solve") or {}, "solve")
-    sampling = _validate_sampling(doc.get("sampling") or {})
+    sampling = _fields(doc.get("sampling"),
+                       CHECK_SAMPLING_FIELDS if action.kind == "check" else SAMPLING_FIELDS, "sampling")
+    solve = SolveConfig(**_fields(doc.get("solve"), SOLVE_FIELDS, "solve"),
+                        seed=_at_least(0)(doc.get("seed", 0), "seed"),
+                        **{f"sample_{key}": value for key, value in sampling.items()})
     output = expect_mapping(doc.get("output") or {}, "output")
     for key, value in output.items():
         if not isinstance(value, str):
             raise ConfigError(f"output.{key}", "output paths must be strings")
 
-    return ExperimentConfig(
-        seed=seed,
-        operators_name=operators_name,
-        space_spec=space_spec,
-        action_kind=action_kind,
-        action=action,
-        map_spec=map_spec,
-        solve=dict(solve),
-        sampling=dict(sampling),
-        output=dict(output),
-    )
+    return ExperimentConfig(operators_name, space_spec, action, solve, map_spec, dict(output))
 
 
-def load_config(path: str) -> ExperimentConfig:
+def load_config(path: str, seed: int | None = None) -> ExperimentConfig:
     """Parse and validate a YAML experiment config file."""
     try:
         with open(path) as handle:
@@ -303,4 +403,4 @@ def load_config(path: str) -> ExperimentConfig:
         mark = getattr(exc, "problem_mark", None)
         where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
         raise ConfigError("config", f"YAML parse error{where}: {exc}") from exc
-    return validate_config(doc)
+    return validate_config(doc, seed)

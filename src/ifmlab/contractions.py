@@ -163,7 +163,9 @@ def self_map_from_spec(spec: dict) -> SelfMap:
             raise ValueError(f"unknown builtin map {payload!r}")
         return BUILTIN_MAPS[payload]()
     if kind == "power":
-        return self_map_from_spec(payload["of"]).power(int(payload["m"]))
+        if isinstance(m := payload["m"], bool) or not isinstance(m, int):
+            raise ValueError(f"power exponent must be an integer, got {m!r}")
+        return self_map_from_spec(payload["of"]).power(m)
     raise ValueError(f"unknown map kind {kind!r}")
 
 

@@ -329,7 +329,7 @@ def power_map_solve(
     if m < 1:
         raise ValueError("m must be at least 1")
     config = config or SolveConfig()
-    start = space.default_start() if x0 is None else x0
+    start = space.domain.default_start() if x0 is None else x0
     power = map_.power(m)
     box = sampling_box(space, config)
     inner = config if m == 1 else replace(config, epsilon=config.epsilon / POWER_SOLVE_TIGHTENING)
@@ -377,7 +377,7 @@ def direct_ratio_solve(
     hypothesis failure with its note.
     """
     config = config or SolveConfig()
-    start = space.default_start() if x0 is None else x0
+    start = space.domain.default_start() if x0 is None else x0
     box = sampling_box(space, config)
 
     def ratio() -> tuple[ContractivityReport, str | None]:

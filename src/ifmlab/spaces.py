@@ -100,6 +100,9 @@ class CoordinateSpace:
             raise ValueError(f"point coordinates must be finite, got {arr.tolist()}")
         return arr
 
+    def default_start(self) -> np.ndarray:
+        return np.zeros(self.dimension)
+
 
 @dataclass(frozen=True)
 class Curve:
@@ -182,6 +185,9 @@ class FiniteTabulated:
             raise ValueError(f"unknown label {p!r}")
         return p
 
+    def default_start(self) -> str:
+        return self.labels[0]
+
     def as_indices(self, points) -> np.ndarray:
         """Label indices in the shape of ``points`` (a label or an array of labels)."""
         labels = np.asarray(points, dtype=object)
@@ -229,11 +235,6 @@ class IfmSpace:
         if isinstance(self.domain, CoordinateSpace):
             return np.asarray(points, dtype=float).reshape(-1, self.domain.dimension)
         return np.asarray([points] if isinstance(points, str) else points, dtype=object)
-
-    def default_start(self):
-        if isinstance(self.domain, CoordinateSpace):
-            return np.zeros(self.domain.dimension)
-        return self.domain.labels[0]
 
 
 def points_equal(a, b) -> bool:

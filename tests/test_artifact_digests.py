@@ -6,8 +6,10 @@ refactor, and those of the solve configs that end at a hypothesis gate,
 a spent budget or a ball exit before the solver's gates were merged into
 one runner, and those of the failing, degenerate, tabulated and
 nu-side checks and the indiscernible-pair audit before each mu clause and
-its nu mirror were written once; a change that moves any artifact byte fails here unless the
-change declares the numeric difference and records new digests.
+its nu mirror were written once, and those of the configs that rely on an
+action default before the action parameters were typed in one place; a
+change that moves any artifact byte fails here unless the change declares
+the numeric difference and records new digests.
 """
 
 import hashlib
@@ -191,14 +193,53 @@ CONFIGS = {
     "audit-tabulated-indiscernible": ("audit", {
         "seed": 2, "space": INDISCERNIBLE, "action": {"audit": {"target": "space", "samples": 300}},
     }),
+    # defaults that no config above reaches
+    "check-if-contractive-default-pairs": ("check", {
+        "seed": 1, "space": LINE, "map": HALF_SHIFT, "action": {"check": {"notion": "if_contractive"}},
+    }),
+    "check-contractive-sequence-prefix": ("check", {
+        "seed": 1, "space": LINE,
+        "action": {"check": {"notion": "contractive_sequence", "k": 0.5,
+                             "prefix": [[0.0], [1.0], [1.5], [1.75], [1.875]]}},
+    }),
+    "check-contractive-sequence-defaults": ("check", {
+        "seed": 1, "space": LINE, "map": HALF_SHIFT,
+        "action": {"check": {"notion": "contractive_sequence"}},
+    }),
+    "check-direct-ratio-coincident": ("check", {
+        "seed": 1, "space": LINE, "map": HALF_SHIFT, "sampling": {"pairs": 300},
+        "action": {"check": {"notion": "direct_ratio", "include_coincident": True}},
+    }),
+    "audit-induced-tolerance": ("audit", {
+        "seed": 4, "space": LINE,
+        "action": {"audit": {"target": "space", "samples": 200, "tolerance": 1e-6}},
+    }),
+    "audit-operators-default-grid": ("audit", {
+        "operators": "lukasiewicz", "space": LINE, "action": {"audit": {"target": "operators"}},
+    }),
+    "solve-power-default-start": ("solve", {
+        "seed": 7, "space": {"induced": {"dimension": 2, "base_metric": "chebyshev"}},
+        "map": {"affine": {"matrix": [[0.0, 2.0], [0.125, 0.0]], "offset": [1.0, 0.5]}},
+        "action": {"solve": {"regime": "power", "m": 2}},
+    }),
+    "solve-closed-ball-default-k": ("solve", {
+        "seed": 23, "space": LINE, "map": SHIFT_04,
+        "action": {"solve": {"regime": "closed_ball", "ball": BALL}},
+    }),
 }
 
 DIGESTS = {
     "audit-induced": (0, {
         "report.jsonl": "e74af2a89e998d352927b9fd172f67bbcb72fffa03cd59aec8a1395abf8b423c",
     }),
+    "audit-induced-tolerance": (0, {
+        "report.jsonl": "658303ab5fbe4276e50b37625762a14415d0aabd67a4df89e8eb29e8116bd0be",
+    }),
     "audit-operators": (0, {
         "report.jsonl": "44c95a8f0092250e94c0d0fc09e56cd2ef0b1a0fcd01cc468608b5c053a2bb35",
+    }),
+    "audit-operators-default-grid": (0, {
+        "report.jsonl": "9a16eb303ed6acbe250b55a0da0b8d0429a2597c77c4952ba729e51d59091264",
     }),
     "audit-tabulated": (1, {
         "report.jsonl": "cc51bd257e10d4c753cd1ffa63b9d880839172fa4b6d4f84fb92220dc839c7ee",
@@ -215,17 +256,29 @@ DIGESTS = {
     "check-contractive-sequence": (0, {
         "report.jsonl": "02bde4d616e731528d47f47e585920cece7c0e388b83dc5696966549efcde70f",
     }),
+    "check-contractive-sequence-defaults": (0, {
+        "report.jsonl": "dfc8fae7fa856684775c90b6712abba9a92d9d1ca4eff94ca464a2be8ef3ee87",
+    }),
     "check-contractive-sequence-fails": (1, {
         "report.jsonl": "d7b925df5743a57f56b7159da0d846b1c724f63f8cb6d8d0d4c0253d7c2b7282",
     }),
+    "check-contractive-sequence-prefix": (0, {
+        "report.jsonl": "9519bc133410f3a5561bc1ceb0646043c8442ae80cef5a9dc1c34ecf181dfcad",
+    }),
     "check-direct-ratio": (1, {
         "report.jsonl": "12018875a2dc056a0f3697fa1e765957782beb5d61432e42a5fd7517375736c6",
+    }),
+    "check-direct-ratio-coincident": (1, {
+        "report.jsonl": "68f6bc650924d956688b75ec10738216b6443a8f559ea4e09dc73ff1ec02868a",
     }),
     "check-direct-ratio-nu-side": (1, {
         "report.jsonl": "1f44c6392237a09fafa1ba8b584646c9c786ecd991c727b4a957a45c9c9edba6",
     }),
     "check-if-contractive": (0, {
         "report.jsonl": "65f45b9a1ce027391ae778902296182539f2a421467e171b150865f632bbcd2b",
+    }),
+    "check-if-contractive-default-pairs": (0, {
+        "report.jsonl": "fdfa0103a26b1e9e921b85a453a9b54f693910f06c004a706af60f61c8d9593e",
     }),
     "check-if-contractive-fails": (1, {
         "report.jsonl": "a4ecebb45ab89479ba8cc50cbe95c526d049c9340b4714cc3168533274567a86",
@@ -238,6 +291,11 @@ DIGESTS = {
     }),
     "check-t-uniform-continuity": (0, {
         "report.jsonl": "7074eeb7ae5900824203f64b2a4ba346715a575a42c32eae11e0818b09afce21",
+    }),
+    "solve-closed-ball-default-k": (0, {
+        "report.jsonl": "9e73108cf526061ee7a28a91e3ecc5be323f0d8b1c3ccb289eefcf0f148114ef",
+        "result.json": "f48f88efad55ba2b2fbbba9bb5d01d95c7d747ffe5dd5f11c6685045f9bef1fc",
+        "trace.csv": "ea1b44696e2e66bd337a03033f25347d6fda92da3b6c0077e3cbd07fe782dc3f",
     }),
     "solve-closed-ball-diverged": (1, {
         "report.jsonl": "f11a956d06c50d5b75145903de73868bfbf310f36705d59e709acc841688d3df",
@@ -318,6 +376,11 @@ DIGESTS = {
         "report.jsonl": "8dfc45056dec10bd1f55870d05e5d9cd92f8a20f32629025e620c83d671cb3e8",
         "result.json": "b2be77ca7c983348dee0e1c5ebfba9928493bfa6e19b8fc68497bc1be78d402a",
         "trace.csv": "0d57a3c0ede3ad6bcf6995c3b20e9067de4db205a7af8b7580ce1df7e5d37e09",
+    }),
+    "solve-power-default-start": (0, {
+        "report.jsonl": "cde17fdaa209f5f70168986bafc13080702bc39a1af8d25dc7b9073673c8518d",
+        "result.json": "41ea7cb146b6b8d211c9422f746ced702d3425291ea63aa54e6962cd47eba74f",
+        "trace.csv": "0cfa04cd7afaa1889340e3cf7387cc893e07e337f7abb8e03ea972e0738741de",
     }),
 }
 

@@ -62,6 +62,60 @@ output:
   report: vacuous.jsonl
 """
 
+POWER_YAML = """
+operators: min-max
+space:
+  induced: {dimension: 2}
+map:
+  affine: {matrix: [[0.0, 2.0], [0.125, 0.0]], offset: [0.0, 0.0]}
+action:
+  solve:
+    regime: power
+    m: 2
+    x0: [1.0, 1.0]
+output: {result: p.json, trace: p.csv, report: p.jsonl}
+"""
+
+SEQUENCE_YAML = """
+operators: min-max
+space:
+  induced: {dimension: 1}
+map:
+  affine: {matrix: [[0.5]], offset: [1.0]}
+action:
+  check: {notion: contractive_sequence, x0: [0.0], steps: 12, k: 0.5}
+output: {report: seq.jsonl}
+"""
+
+UNIFORM_YAML = """
+operators: min-max
+space:
+  induced: {dimension: 1}
+map:
+  affine: {matrix: [[0.5]], offset: [0.4]}
+action:
+  check: {notion: t_uniform_continuity, epsilons: [0.1, 0.01]}
+output: {report: uni.jsonl}
+"""
+
+SPACE_AUDIT_YAML = """
+operators: min-max
+space:
+  induced: {dimension: 2}
+action:
+  audit: {target: space, samples: 40, tolerance: 1.0e-9}
+output: {report: space.jsonl}
+"""
+
+OPERATOR_AUDIT_YAML = """
+operators: lukasiewicz
+space:
+  induced: {dimension: 1}
+action:
+  audit: {target: operators, grid_size: 20}
+output: {report: ops.jsonl}
+"""
+
 MISSING_PAIR_YAML = """
 operators: min-max
 space:
@@ -141,6 +195,9 @@ MISSING = object()
     pytest.param("trace_points", [{"a": 1}, [1.0]], id="trace_points-mapping"),
     pytest.param("experiment.space", [1], id="space-list"),
     pytest.param("experiment.map", {"affine": [1]}, id="map-affine-list"),
+    pytest.param("experiment.solve_config.epsilon", 5.0, id="epsilon-above-one"),
+    pytest.param("experiment.space.induced.dimension", True, id="dimension-bool"),
+    pytest.param("experiment.operators", "product-probsum", id="operators-not-idempotent"),
 ])
 def test_validate_malformed_document_exits_two_with_field_path(tmp_path, capsys, field, value):
     cfg = write(tmp_path, "picard.yaml", PICARD_YAML)
@@ -175,23 +232,68 @@ def test_nonfinite_config_numbers_exit_two(tmp_path, capsys, old, new):
     assert "finite" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("text, old, new, field", [
-    pytest.param(PICARD_YAML, "output:", "sampling: {pairs: abc}\noutput:", "sampling.pairs",
-                 id="pairs-string"),
-    pytest.param(PICARD_YAML, "output:", "sampling: {halfwidth: -1.0}\noutput:", "sampling.halfwidth",
-                 id="halfwidth-negative"),
-    pytest.param(PICARD_YAML, "x0: [0.0]", "x0: [0.0, 1.0]", "action.solve.x0", id="x0-dimension"),
-    pytest.param(BALL_YAML, "center: [0.0]", "center: {a: 1}", "action.solve.ball.center",
-                 id="center-mapping"),
-    pytest.param(PICARD_YAML, "operators: min-max", "operators: [1]", "operators", id="operators-list"),
-    pytest.param(PICARD_YAML, "output:", "solve: {probe_ts: 5}\noutput:", "solve", id="probe_ts-number"),
-    pytest.param(PICARD_YAML, "affine: {matrix: [[0.5]], offset: [1.0]}", "affine: [1]", "map",
-                 id="map-affine-list"),
+def case(command, text, old, new, field, id):
+    return pytest.param(command, text, old, new, field, id=id)
+
+
+@pytest.mark.parametrize("command, text, old, new, field", [
+    case("solve", PICARD_YAML, "output:", "sampling: {pairs: abc}\noutput:", "sampling.pairs",
+         "pairs-string"),
+    case("solve", PICARD_YAML, "output:", "sampling: {halfwidth: -1.0}\noutput:", "sampling.halfwidth",
+         "halfwidth-negative"),
+    case("solve", PICARD_YAML, "x0: [0.0]", "x0: [0.0, 1.0]", "action.solve.x0", "x0-dimension"),
+    case("solve", BALL_YAML, "center: [0.0]", "center: {a: 1}", "action.solve.ball.center",
+         "center-mapping"),
+    case("solve", PICARD_YAML, "operators: min-max", "operators: [1]", "operators", "operators-list"),
+    case("solve", PICARD_YAML, "output:", "solve: {probe_ts: 5}\noutput:", "solve.probe_ts",
+         "probe_ts-number"),
+    case("solve", PICARD_YAML, "affine: {matrix: [[0.5]], offset: [1.0]}", "affine: [1]", "map",
+         "map-affine-list"),
+    # tracebacks before the action parameters were typed at load
+    case("solve", PICARD_YAML, "output:", "solve: {window: 2.5}\noutput:", "solve.window", "window-float"),
+    case("solve", BALL_YAML, "radius: 0.5", "radius: [0.5]", "action.solve.ball.radius", "radius-list"),
+    case("check", SEQUENCE_YAML, "x0: [0.0]", "prefix: 5", "action.check.prefix", "prefix-number"),
+    case("check", UNIFORM_YAML, "epsilons: [0.1, 0.01]", "epsilons: 0.1", "action.check.epsilons",
+         "epsilons-number"),
+    case("solve", POWER_YAML, "m: 2", "m: .inf", "action.solve.m", "m-inf"),
+    case("solve", PICARD_YAML, "dimension: 1", "dimension: true", "space.induced.dimension",
+         "dimension-bool"),
+    case("solve", PICARD_YAML, "affine: {matrix: [[0.5]], offset: [1.0]}",
+         "power: {of: {affine: {matrix: [[0.5]], offset: [1.0]}}, m: .inf}", "map", "map-power-inf"),
+    # exits 2 without a field path before
+    case("solve", BALL_YAML, "k: 0.5", "k: abc", "action.solve.k", "k-string"),
+    case("solve", POWER_YAML, "m: 2", "m: 0", "action.solve.m", "m-zero"),
+    case("check", SEQUENCE_YAML, "steps: 12", "steps: 0", "action.check.steps", "steps-zero"),
+    case("audit", SPACE_AUDIT_YAML, "samples: 40", "samples: 0", "action.audit.samples", "samples-zero"),
+    case("audit", OPERATOR_AUDIT_YAML, "grid_size: 20", "grid_size: 1", "action.audit.grid_size",
+         "grid_size-one"),
+    case("check", UNIFORM_YAML, "epsilons: [0.1, 0.01]", "epsilons: [2.0]", "action.check.epsilons[0]",
+         "epsilons-above-one"),
+    case("solve", PICARD_YAML, "seed: 11", "seed: -1", "seed", "seed-negative"),
+    case("solve", PICARD_YAML, "offset: [1.0]", "offset: [[1.0]]", "map.affine.offset", "offset-nested"),
+    case("solve", BALL_YAML, "operators: min-max", "operators: product-probsum", "operators",
+         "operators-not-idempotent"),
+    # accepted silently before
+    case("solve", POWER_YAML, "m: 2", "m: 1.5", "action.solve.m", "m-float"),
+    case("check", SEQUENCE_YAML, "steps: 12", "steps: 2.5", "action.check.steps", "steps-float"),
+    case("audit", OPERATOR_AUDIT_YAML, "grid_size: 20", "grid_size: 2.5", "action.audit.grid_size",
+         "grid_size-float"),
+    case("check", VACUOUS_YAML, "include_coincident: true", "include_coincident: 'no'",
+         "action.check.include_coincident", "include_coincident-string"),
+    case("solve", PICARD_YAML, "output:", "solve: {hypothesis_checks: 'no'}\noutput:",
+         "solve.hypothesis_checks", "hypothesis_checks-string"),
+    case("solve", BALL_YAML, "k: 0.5", "kk: 0.3", "action.solve.kk", "unknown-parameter"),
+    case("solve", PICARD_YAML, "output:", "solve: {sample_pairs: 5}\noutput:", "solve.sample_pairs",
+         "solve-sample_pairs"),
+    # an unhashable name must not reach a table lookup
+    case("solve", PICARD_YAML, "regime: picard", "regime: [1]", "action.solve.regime", "regime-list"),
 ])
-def test_mistyped_config_fields_exit_two_with_field_path(tmp_path, capsys, text, old, new, field):
+def test_mistyped_config_fields_exit_two_with_field_path(tmp_path, capsys, command, text, old, new,
+                                                         field):
+    assert old in text
     cfg = write(tmp_path, "bad.yaml", text.replace(old, new))
-    assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 2
-    assert f"config error: {field}: " in capsys.readouterr().err
+    assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {field}: ")
 
 
 def test_vacuous_check_exits_one_with_note(tmp_path, capsys):
@@ -231,6 +333,19 @@ def test_seed_flag_overrides_config(tmp_path):
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "a"), "--seed", "99"]) == 0
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "b"), "--seed", "99"]) == 0
     assert (tmp_path / "a" / "result.json").read_bytes() == (tmp_path / "b" / "result.json").read_bytes()
+
+
+def test_seed_flag_matches_config_seed_for_sampled_check(tmp_path):
+    check_yaml = VACUOUS_YAML.replace("include_coincident: true", "include_coincident: false")
+    flagged = write(tmp_path, "one.yaml", check_yaml.replace("seed: 3", "seed: 1"))
+    written = write(tmp_path, "seven.yaml", check_yaml.replace("seed: 3", "seed: 7"))
+    for run, argv in (("flag", [flagged, "--seed", "7"]), ("config", [written]),
+                      ("other", [flagged])):
+        (tmp_path / run).mkdir()
+        main(["check", "--config", *argv, "--out", str(tmp_path / run)])
+    report = (tmp_path / "flag" / "vacuous.jsonl").read_bytes()
+    assert report == (tmp_path / "config" / "vacuous.jsonl").read_bytes()
+    assert report != (tmp_path / "other" / "vacuous.jsonl").read_bytes()
 
 
 def test_env_var_sets_output_dir(tmp_path, monkeypatch):
@@ -410,21 +525,6 @@ output: {result: p.json, trace: p.csv, report: p.jsonl}
     assert doc["status"] == "converged"
     assert abs(doc["fixed_point"][0]) <= 1e-8
     assert main(["validate", str(tmp_path / "p.json")]) == 0
-
-
-POWER_YAML = """
-operators: min-max
-space:
-  induced: {dimension: 2}
-map:
-  affine: {matrix: [[0.0, 2.0], [0.125, 0.0]], offset: [0.0, 0.0]}
-action:
-  solve:
-    regime: power
-    m: 2
-    x0: [1.0, 1.0]
-output: {result: p.json, trace: p.csv, report: p.jsonl}
-"""
 
 
 def _edit_m(exp):
