@@ -32,7 +32,6 @@ from .config import (
     _number,
     _numbers,
     _point,
-    _probe_ts,
     _rebuild_experiment,
     build_map,
     build_space,
@@ -84,17 +83,11 @@ class RunSummary:
     duration_s: float = 0.0
 
     def render(self) -> str:
+        numbers = {k: format_float(v) if isinstance(v, float) else v for k, v in self.key_numbers.items()}
         lines = [f"action: {self.action}"]
-        for name, verdict in self.verdicts.items():
-            lines.append(f"{name}: {verdict}")
-        for name, value in self.key_numbers.items():
-            if isinstance(value, float):
-                value = format_float(value)
-            lines.append(f"{name}: {value}")
-        for path in self.files:
-            lines.append(f"wrote: {path}")
-        lines.append(f"duration: {self.duration_s:.3f}s")
-        return "\n".join(lines)
+        lines += [f"{name}: {value}" for name, value in [*self.verdicts.items(), *numbers.items()]]
+        lines += [f"wrote: {path}" for path in self.files]
+        return "\n".join([*lines, f"duration: {self.duration_s:.3f}s"])
 
 
 def _resolve_out(path: str, out_dir: str | None) -> str:
@@ -219,7 +212,7 @@ def validate_result_document(doc: Any) -> list[str]:
         problems.append(f"trace breaks at step {step}: stored successor differs from the map image")
 
     if doc.get("status") == "converged":
-        ts = _probe_ts(_required(doc, "probe_ts"), "probe_ts")
+        ts = _numbers(_required(doc, "probe_ts"), "probe_ts")
         x_star = _point(_required(doc, "fixed_point"), "fixed_point", space.domain)
         iterations = _number(_required(doc, "iterations"), "iterations", integer=True)
         if not 0 <= iterations < len(points) or not points_equal(points[iterations], x_star):
@@ -243,8 +236,7 @@ def validate_result_document(doc: Any) -> list[str]:
 
 def _space_and_map(config: ExperimentConfig) -> tuple[IfmSpace, SelfMap | None]:
     space = build_space(config.space_spec, config.operators_name)
-    map_ = build_map(config) if config.map_spec is not None else None
-    return space, map_
+    return space, None if config.map_spec is None else build_map(config)
 
 
 def _run_audit(config: ExperimentConfig, out_dir: str | None, summary: RunSummary) -> int:
@@ -252,8 +244,7 @@ def _run_audit(config: ExperimentConfig, out_dir: str | None, summary: RunSummar
     if action.name == "operators":
         pair = operator_pair(config.operators_name)
         report = audit_operator_pair(pair, action.grid_size, action.tolerance)
-        idem = check_idempotent(pair)
-        summary.key_numbers["idempotent"] = f"tnorm={idem[0]} tconorm={idem[1]}"
+        summary.key_numbers["idempotent"] = "tnorm={} tconorm={}".format(*check_idempotent(pair))
     else:
         space, _ = _space_and_map(config)
         report = axiom_audit(space, sample_count=action.samples, t_samples=cfg.probe_ts,
@@ -335,9 +326,8 @@ def _run_solve(config: ExperimentConfig, out_dir: str | None, summary: RunSummar
     export_trace(result, trace_path, format="tabular")
     summary.files.append(trace_path)
 
-    records = []
-    if result.hypothesis_report is not None:
-        records.append(result.hypothesis_report.to_record())
+    hypothesis = result.hypothesis_report
+    records = [] if hypothesis is None else [hypothesis.to_record()]
     records.append({
         "clause": f"solve.{regime}",
         "verdict": result.status,
@@ -353,10 +343,8 @@ def _run_solve(config: ExperimentConfig, out_dir: str | None, summary: RunSummar
     summary.key_numbers["iterations"] = result.iterations
     if result.fixed_point is not None:
         summary.key_numbers["fixed_point"] = json_text(point_jsonable(result.fixed_point))
-    if result.hypothesis_report is not None and not result.hypothesis_report.passed:
-        summary.key_numbers["hypothesis_note"] = (
-            result.hypothesis_report.notes or result.hypothesis_report.verdict
-        )
+    if hypothesis is not None and not hypothesis.passed:
+        summary.key_numbers["hypothesis_note"] = hypothesis.notes or hypothesis.verdict
     summary.key_numbers["stop_reason"] = result.stop_reason
     return EXIT_PASS if result.converged else EXIT_FAIL
 

@@ -9,6 +9,7 @@ errors carry the offending field path.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Any, Callable
@@ -17,7 +18,7 @@ import numpy as np
 import yaml
 
 from .contractions import SelfMap, self_map_from_spec
-from .operators import OPERATOR_FACTORIES, check_idempotent, operator_pair
+from .operators import OPERATOR_FACTORIES, operator_pair
 from .spaces import (
     BallSpec,
     CoordinateSpace,
@@ -25,7 +26,7 @@ from .spaces import (
     IfmSpace,
     finite_tabulated,
     induced_from_metric,
-    probe_grid,
+    require_idempotent,
 )
 from .solver import DEFAULT_UNIFORM_EPSILONS, SolveConfig
 
@@ -104,11 +105,8 @@ def _flag(value: Any, path: str, domain: Any = None) -> bool:
 
 
 def _probe_ts(value: Any, path: str, domain: Any = None) -> tuple[float, ...]:
-    ts = _numbers(value, path)
-    try:
-        return tuple(float(t) for t in probe_grid(ts))
-    except ValueError as exc:
-        raise ConfigError(path, str(exc)) from exc
+    """The probe times as written; null or an empty list keeps the default grid."""
+    return () if value is None else tuple(_numbers(value, path))
 
 
 def _epsilons(value: Any, path: str, domain: Any = None) -> tuple[float, ...]:
@@ -134,6 +132,8 @@ def _check_points(points: list, path: str, domain: CoordinateSpace | FiniteTabul
         arr = np.asarray(points, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ConfigError(path, f"expected coordinate points: {exc}") from exc
+    if arr.ndim == 1 and domain.dimension == 1:  # scalars on a line, as as_point reads them
+        arr = arr[:, None]
     if arr.shape != (len(points), domain.dimension) or not np.all(np.isfinite(arr)):
         raise ConfigError(path, f"expected finite points of dimension {domain.dimension}")
 
@@ -236,7 +236,8 @@ class ExperimentConfig:
     output: dict = field(default_factory=dict)
 
 
-def _validate_space(spec: Any) -> dict:
+def _validate_space(spec: Any) -> tuple[dict, CoordinateSpace | FiniteTabulated]:
+    """The normalised space spec and its point domain."""
     spec = expect_mapping(spec, "space")
     kinds = [k for k in ("induced", "tabulated") if k in spec]
     if len(kinds) != 1:
@@ -247,10 +248,10 @@ def _validate_space(spec: Any) -> dict:
         dim = _at_least(1)(_get(body, "dimension", "space.induced"), "space.induced.dimension")
         metric = body.get("base_metric", "euclidean")
         try:
-            CoordinateSpace(dim, metric)
+            domain = CoordinateSpace(dim, metric)
         except ValueError as exc:
             raise ConfigError("space.induced.base_metric", str(exc)) from exc
-        return {"induced": {"dimension": dim, "base_metric": metric}}
+        return {"induced": {"dimension": dim, "base_metric": metric}}, domain
     labels = expect_list(_get(body, "labels", "space.tabulated"), "space.tabulated.labels")
     pairs_raw = expect_list(_get(body, "pairs", "space.tabulated"), "space.tabulated.pairs")
     pairs = []
@@ -266,10 +267,9 @@ def _validate_space(spec: Any) -> dict:
         )
     normalized = {"tabulated": {"labels": [str(l) for l in labels], "pairs": pairs}}
     try:
-        _domain_from_spec(normalized)
+        return normalized, _domain_from_spec(normalized)
     except ValueError as exc:
         raise ConfigError("space.tabulated", str(exc)) from exc
-    return normalized
 
 
 def _domain_from_spec(space_spec: dict) -> CoordinateSpace | FiniteTabulated:
@@ -291,14 +291,22 @@ def build_space(space_spec: dict, operators_name: str) -> IfmSpace:
     return finite_tabulated(domain, pair)
 
 
+@functools.cache
+def _idempotency_error(name: str) -> str | None:
+    """Why the shipped pair ``name`` cannot build a space, or None; fixed per name."""
+    try:
+        require_idempotent(operator_pair(name))
+    except ValueError as exc:
+        return str(exc)
+
+
 def _validate_operators(name: Any, builds_space: bool = True) -> str:
     """A known pair name; an idempotent one when the action builds a space."""
     if not isinstance(name, str) or name not in OPERATOR_FACTORIES:
         known = ", ".join(sorted(OPERATOR_FACTORIES))
         raise ConfigError("operators", f"unknown operator pair {name!r} (known: {known})")
-    if builds_space and not all(check_idempotent(operator_pair(name))):
-        raise ConfigError("operators", f"operator pair {name!r} is not idempotent; "
-                                       "spaces require idempotent operators")
+    if builds_space and _idempotency_error(name):
+        raise ConfigError("operators", _idempotency_error(name))
     return name
 
 
@@ -323,8 +331,6 @@ def _validate_map(spec: Any, space_spec: dict, path: str = "map") -> dict:
 
 
 def build_map(config: ExperimentConfig) -> SelfMap:
-    if config.map_spec is None:
-        raise ConfigError("map", "this action requires a map")
     return self_map_from_spec(config.map_spec)
 
 
@@ -337,13 +343,20 @@ def _validate_action(raw: Any, domain: CoordinateSpace | FiniteTabulated) -> Act
     path = f"action.{kind}"
     body = expect_mapping(raw[kind], path)
     key, default = NAME_KEYS[kind]
-    name = body.get(key, default)
-    if name is REQUIRED:
-        raise ConfigError(f"{path}.{key}", "required field is missing")
+    name = _get(body, key, path) if default is REQUIRED else body.get(key, default)
     if not isinstance(name, str) or name not in ACTIONS[kind]:
         raise ConfigError(f"{path}.{key}", f"must be one of {tuple(ACTIONS[kind])}, got {name!r}")
     params = _fields({k: v for k, v in body.items() if k != key}, ACTIONS[kind][name], path, domain)
     return Action(kind, name, dict(body), **params)
+
+
+def _solve_config(body: Any, path: str, **settings: Any) -> SolveConfig:
+    """``SolveConfig`` of a ``solve:`` block; only the probe grid is left for it to check."""
+    fields = _fields(body, SOLVE_FIELDS, path)
+    try:
+        return SolveConfig(**fields, **settings)
+    except ValueError as exc:
+        raise ConfigError(f"{path}.probe_ts", str(exc)) from exc
 
 
 def solve_record(config: SolveConfig) -> dict:
@@ -354,11 +367,11 @@ def solve_record(config: SolveConfig) -> dict:
 def _rebuild_experiment(exp: dict) -> tuple[IfmSpace, SelfMap, SelfMap, SolveConfig]:
     """Space, maps and solve settings of a result document's experiment, checked as in a config."""
     try:
-        space_spec = _validate_space(exp.get("space"))
+        space_spec, _ = _validate_space(exp.get("space"))
         operators = _validate_operators(exp.get("operators", "min-max"))
         map_spec = _validate_map(exp.get("map"), space_spec)
         step_spec = _validate_map(exp.get("iteration_map", map_spec), space_spec, "iteration_map")
-        solve = SolveConfig(**_fields(exp.get("solve_config"), SOLVE_FIELDS, "solve_config"))
+        solve = _solve_config(exp.get("solve_config"), "solve_config")
     except ConfigError as exc:
         raise ConfigError(f"experiment.{exc.path}", exc.message) from exc
     space = build_space(space_spec, operators)
@@ -370,8 +383,8 @@ def validate_config(doc: Any, seed: int | None = None) -> ExperimentConfig:
     doc = expect_mapping(doc, "config")
     if seed is not None:
         doc = {**doc, "seed": seed}
-    space_spec = _validate_space(_get(doc, "space", "config"))
-    action = _validate_action(_get(doc, "action", "config"), _domain_from_spec(space_spec))
+    space_spec, domain = _validate_space(_get(doc, "space", "config"))
+    action = _validate_action(_get(doc, "action", "config"), domain)
     operators_name = _validate_operators(doc.get("operators", "min-max"),
                                          builds_space=(action.kind, action.name) != ("audit", "operators"))
 
@@ -381,9 +394,8 @@ def validate_config(doc: Any, seed: int | None = None) -> ExperimentConfig:
 
     sampling = _fields(doc.get("sampling"),
                        CHECK_SAMPLING_FIELDS if action.kind == "check" else SAMPLING_FIELDS, "sampling")
-    solve = SolveConfig(**_fields(doc.get("solve"), SOLVE_FIELDS, "solve"),
-                        seed=_at_least(0)(doc.get("seed", 0), "seed"),
-                        **{f"sample_{key}": value for key, value in sampling.items()})
+    solve = _solve_config(doc.get("solve"), "solve", seed=_at_least(0)(doc.get("seed", 0), "seed"),
+                          **{f"sample_{key}": value for key, value in sampling.items()})
     output = expect_mapping(doc.get("output") or {}, "output")
     for key, value in output.items():
         if not isinstance(value, str):

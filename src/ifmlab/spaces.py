@@ -250,7 +250,8 @@ def point_jsonable(p):
     return [float(v) for v in np.atleast_1d(np.asarray(p, dtype=float))]
 
 
-def _require_idempotent(operators: OperatorPair) -> None:
+def require_idempotent(operators: OperatorPair) -> None:
+    """Raise ValueError, naming the worst witnesses, unless both operators are idempotent."""
     wit_t, wit_s = witnesses = idempotency_witness(operators)
     if not all(idempotent_within(witnesses)):
         raise ValueError(
@@ -269,7 +270,7 @@ def induced_from_metric(domain: CoordinateSpace, operators: OperatorPair) -> Ifm
     """
     if not isinstance(domain, CoordinateSpace):
         raise TypeError("induced_from_metric needs a CoordinateSpace domain")
-    _require_idempotent(operators)
+    require_idempotent(operators)
 
     def membership(x, y, t):
         d = domain.distance(x, y)
@@ -296,7 +297,7 @@ def finite_tabulated(domain: FiniteTabulated, operators: OperatorPair) -> IfmSpa
     """
     if not isinstance(domain, FiniteTabulated):
         raise TypeError("finite_tabulated needs a FiniteTabulated domain")
-    _require_idempotent(operators)
+    require_idempotent(operators)
 
     # curves[pair_id[i, j]] are the (mu, nu) curves of labels i and j; id 0
     # is the coincident pair

@@ -296,6 +296,23 @@ def test_mistyped_config_fields_exit_two_with_field_path(tmp_path, capsys, comma
     assert capsys.readouterr().err.startswith(f"config error: {field}: ")
 
 
+@pytest.mark.parametrize("command, text, old, new", [
+    # scalars on a line read as points, as x0 and ball centres do
+    pytest.param("check", SEQUENCE_YAML, "x0: [0.0]", "prefix: [0.0, 1.0, 1.5, 1.75]",
+                 id="scalar-prefix-on-line"),
+    # null or an empty probe grid keeps the default grid
+    pytest.param("solve", PICARD_YAML, "output:", "solve: {probe_ts: []}\noutput:", id="probe_ts-empty"),
+    pytest.param("solve", PICARD_YAML, "output:", "solve: {probe_ts: null}\noutput:", id="probe_ts-null"),
+])
+def test_lenient_config_forms_still_run(tmp_path, command, text, old, new):
+    assert old in text
+    cfg = write(tmp_path, "ok.yaml", text.replace(old, new))
+    assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 0
+    if command == "solve":
+        doc = json.loads((tmp_path / "result.json").read_text())
+        assert doc["probe_ts"] == list(SolveConfig().probe_ts)
+
+
 def test_vacuous_check_exits_one_with_note(tmp_path, capsys):
     cfg = write(tmp_path, "vacuous.yaml", VACUOUS_YAML)
     code = main(["check", "--config", cfg, "--out", str(tmp_path)])
