@@ -7,7 +7,9 @@ a spent budget or a ball exit before the solver's gates were merged into
 one runner, and those of the failing, degenerate, tabulated and
 nu-side checks and the indiscernible-pair audit before each mu clause and
 its nu mirror were written once, and those of the configs that rely on an
-action default before the action parameters were typed in one place; a
+action default before the action parameters were typed in one place, and
+those of three operator audits on either side of a 16-row slab edge before
+the associativity clause was scanned in slabs; a
 change that moves any artifact byte fails here unless the change declares
 the numeric difference and records new digests.
 """
@@ -226,6 +228,20 @@ CONFIGS = {
         "seed": 23, "space": LINE, "map": SHIFT_04,
         "action": {"solve": {"regime": "closed_ball", "ball": BALL}},
     }),
+    # operator grids one row past a 16-row associativity slab (17, 33) and
+    # one that ends mid-slab (200)
+    "audit-operators-min-max-17": ("audit", {
+        "operators": "min-max", "space": LINE,
+        "action": {"audit": {"target": "operators", "grid_size": 17}},
+    }),
+    "audit-operators-product-probsum-33": ("audit", {
+        "operators": "product-probsum", "space": LINE,
+        "action": {"audit": {"target": "operators", "grid_size": 33}},
+    }),
+    "audit-operators-lukasiewicz-200": ("audit", {
+        "operators": "lukasiewicz", "space": LINE,
+        "action": {"audit": {"target": "operators", "grid_size": 200}},
+    }),
 }
 
 DIGESTS = {
@@ -237,6 +253,15 @@ DIGESTS = {
     }),
     "audit-operators": (0, {
         "report.jsonl": "44c95a8f0092250e94c0d0fc09e56cd2ef0b1a0fcd01cc468608b5c053a2bb35",
+    }),
+    "audit-operators-lukasiewicz-200": (0, {
+        "report.jsonl": "728344c7f4bf1fdf525c81e877531bbc7993afd19be0d5b42cd13e90992e51fa",
+    }),
+    "audit-operators-min-max-17": (0, {
+        "report.jsonl": "91406ab9b2fb70a49ba61e12b008b4d4d1e8b985f40b33e60478b6f4ee5a4913",
+    }),
+    "audit-operators-product-probsum-33": (0, {
+        "report.jsonl": "e386bf94f8a7cfb02b2713f41d835d4c9fe302a3b1474b0f0560e839608544c2",
     }),
     "audit-operators-default-grid": (0, {
         "report.jsonl": "9a16eb303ed6acbe250b55a0da0b8d0429a2597c77c4952ba729e51d59091264",
