@@ -63,7 +63,7 @@ from .solver import (
     residual_certificate,
     sampling_box,
 )
-from .spaces import IfmSpace, axiom_audit, point_jsonable, points_equal
+from .spaces import IfmSpace, axiom_audit, point_jsonable, points_equal, probe_grid
 
 OUTPUT_DIR_ENV = "IFMLAB_OUT"
 
@@ -195,8 +195,9 @@ def validate_result_document(doc: Any) -> list[str]:
     statuses carry none.  A document that is not a mapping, one whose
     experiment fails the config checks or whose trace points are not
     finite points of its space, a converged one without ``probe_ts``,
-    ``fixed_point`` or ``iterations``, or one whose fields have the wrong
-    type raises :class:`ConfigError` with the field's path.
+    ``fixed_point`` or ``iterations`` or whose ``probe_ts`` is not a probe
+    grid (nonempty, positive, strictly increasing), or one whose fields
+    have the wrong type raises :class:`ConfigError` with the field's path.
     """
     doc = expect_mapping(doc, "document")
     exp = expect_mapping(doc.get("experiment") or {}, "experiment")
@@ -213,6 +214,10 @@ def validate_result_document(doc: Any) -> list[str]:
 
     if doc.get("status") == "converged":
         ts = _numbers(_required(doc, "probe_ts"), "probe_ts")
+        try:
+            ts = probe_grid(ts)
+        except ValueError as exc:
+            raise ConfigError("probe_ts", str(exc)) from exc
         x_star = _point(_required(doc, "fixed_point"), "fixed_point", space.domain)
         iterations = _number(_required(doc, "iterations"), "iterations", integer=True)
         if not 0 <= iterations < len(points) or not points_equal(points[iterations], x_star):

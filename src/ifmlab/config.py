@@ -20,6 +20,7 @@ import yaml
 from .contractions import SelfMap, self_map_from_spec
 from .operators import OPERATOR_FACTORIES, operator_pair
 from .spaces import (
+    BASE_METRICS,
     BallSpec,
     CoordinateSpace,
     FiniteTabulated,
@@ -145,12 +146,18 @@ def _prefix(value: Any, path: str, domain: CoordinateSpace | FiniteTabulated) ->
     return value
 
 
+def _known(body: Any, known: Any, path: str) -> dict:
+    """The mapping ``body`` when each of its keys is in ``known``; ``path`` "" is the top level."""
+    for key in expect_mapping(body, path or "config"):
+        if key not in known:
+            raise ConfigError(f"{path}.{key}" if path else str(key),
+                              f"unknown key (known: {', '.join(known) or 'none'})")
+    return body
+
+
 def _fields(body: Any, table: dict[str, tuple[Reader, Any]], path: str, domain: Any = None) -> dict:
     """``body`` (null reads as empty) through the field ``table``; a key outside it is an error."""
-    body = {} if body is None else body
-    for key in expect_mapping(body, path):
-        if key not in table:
-            raise ConfigError(f"{path}.{key}", f"unknown key (known: {', '.join(table) or 'none'})")
+    body = _known({} if body is None else body, table, path)
     fields = {}
     for key, (read, default) in table.items():
         if key in body:
@@ -160,6 +167,36 @@ def _fields(body: Any, table: dict[str, tuple[Reader, Any]], path: str, domain: 
         elif default is not UNSET:
             fields[key] = domain.default_start() if default is START else default
     return fields
+
+
+def _as_is(value: Any, path: str, domain: Any = None) -> Any:
+    return value
+
+
+def _text(value: Any, path: str, domain: Any = None) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(path, "output paths must be strings")
+    return value
+
+
+def _metric(value: Any, path: str, domain: Any = None) -> str:
+    if value not in BASE_METRICS:
+        raise ConfigError(path, f"unknown base metric {value!r} (known: {', '.join(BASE_METRICS)})")
+    return value
+
+
+def _labels(value: Any, path: str, domain: Any = None) -> list[str]:
+    return [str(label) for label in expect_list(value, path)]
+
+
+def _between_labels(value: Any, path: str, domain: Any = None) -> list[str]:
+    if len(expect_list(value, path)) != 2:
+        raise ConfigError(path, "must name exactly two labels")
+    return _labels(value, path)
+
+
+def _pairs(value: Any, path: str, domain: Any = None) -> list[dict]:
+    return [_fields(entry, PAIR_FIELDS, f"{path}[{i}]") for i, entry in enumerate(expect_list(value, path))]
 
 
 def _ball(value: Any, path: str, domain: CoordinateSpace | FiniteTabulated) -> BallSpec:
@@ -174,6 +211,17 @@ SOLVE_FIELDS = {"epsilon": (UNIT, UNSET), "max_iterations": (_at_least(1), UNSET
                 "hypothesis_checks": (_flag, UNSET)}
 SAMPLING_FIELDS = {"pairs": (_at_least(1), UNSET), "halfwidth": (POSITIVE, UNSET)}
 CHECK_SAMPLING_FIELDS = {**SAMPLING_FIELDS, "pairs": (_at_least(1), 1000)}
+
+# the curves of a tabulated pair are checked when its domain is built
+PAIR_FIELDS = {"between": (_between_labels, REQUIRED), "mu": (_as_is, REQUIRED), "nu": (_as_is, REQUIRED)}
+SPACE_FIELDS = {
+    "induced": {"dimension": (_at_least(1), REQUIRED), "base_metric": (_metric, "euclidean")},
+    "tabulated": {"labels": (_labels, REQUIRED), "pairs": (_pairs, REQUIRED)},
+}
+# map kind -> the keys of its body; a table, constant or builtin body is a value
+MAP_KEYS = {"affine": ("matrix", "offset"), "power": ("of", "m")}
+OUTPUT_FIELDS = {key: (_text, UNSET) for key in ("result", "trace", "report")}
+CONFIG_KEYS = ("seed", "operators", "space", "map", "action", "solve", "sampling", "output")
 
 K = (UNIT, 0.5)
 X0 = (_point, START)
@@ -238,38 +286,15 @@ class ExperimentConfig:
 
 def _validate_space(spec: Any) -> tuple[dict, CoordinateSpace | FiniteTabulated]:
     """The normalised space spec and its point domain."""
-    spec = expect_mapping(spec, "space")
-    kinds = [k for k in ("induced", "tabulated") if k in spec]
-    if len(kinds) != 1:
+    spec = _known(spec, SPACE_FIELDS, "space")
+    if len(spec) != 1:
         raise ConfigError("space", "exactly one of 'induced' or 'tabulated' is required")
-    kind = kinds[0]
-    body = expect_mapping(spec[kind], f"space.{kind}")
-    if kind == "induced":
-        dim = _at_least(1)(_get(body, "dimension", "space.induced"), "space.induced.dimension")
-        metric = body.get("base_metric", "euclidean")
-        try:
-            domain = CoordinateSpace(dim, metric)
-        except ValueError as exc:
-            raise ConfigError("space.induced.base_metric", str(exc)) from exc
-        return {"induced": {"dimension": dim, "base_metric": metric}}, domain
-    labels = expect_list(_get(body, "labels", "space.tabulated"), "space.tabulated.labels")
-    pairs_raw = expect_list(_get(body, "pairs", "space.tabulated"), "space.tabulated.pairs")
-    pairs = []
-    for i, entry in enumerate(pairs_raw):
-        p = f"space.tabulated.pairs[{i}]"
-        entry = expect_mapping(entry, p)
-        between = expect_list(_get(entry, "between", p), f"{p}.between")
-        if len(between) != 2:
-            raise ConfigError(f"{p}.between", "must name exactly two labels")
-        pairs.append(
-            {"between": [str(between[0]), str(between[1])],
-             "mu": _get(entry, "mu", p), "nu": _get(entry, "nu", p)}
-        )
-    normalized = {"tabulated": {"labels": [str(l) for l in labels], "pairs": pairs}}
+    (kind, body), = spec.items()
+    normalized = {kind: _fields(body, SPACE_FIELDS[kind], f"space.{kind}")}
     try:
         return normalized, _domain_from_spec(normalized)
-    except ValueError as exc:
-        raise ConfigError("space.tabulated", str(exc)) from exc
+    except ValueError as exc:  # a tabulated label set or curve
+        raise ConfigError(f"space.{kind}", str(exc)) from exc
 
 
 def _domain_from_spec(space_spec: dict) -> CoordinateSpace | FiniteTabulated:
@@ -310,8 +335,18 @@ def _validate_operators(name: Any, builds_space: bool = True) -> str:
     return name
 
 
+def _known_map_keys(spec: dict, path: str) -> None:
+    """Each key of an affine or power body, and of the map a power raises, is known."""
+    for kind, body in spec.items():
+        if kind in MAP_KEYS and isinstance(body, dict):
+            _known(body, MAP_KEYS[kind], f"{path}.{kind}")
+            if kind == "power" and isinstance(body.get("of"), dict):
+                _known_map_keys(body["of"], f"{path}.power.of")
+
+
 def _validate_map(spec: Any, space_spec: dict, path: str = "map") -> dict:
     spec = expect_mapping(spec, path)
+    _known_map_keys(spec, path)
     try:
         self_map_from_spec(spec)
     except (TypeError, ValueError, KeyError) as exc:
@@ -380,7 +415,7 @@ def _rebuild_experiment(exp: dict) -> tuple[IfmSpace, SelfMap, SelfMap, SolveCon
 
 def validate_config(doc: Any, seed: int | None = None) -> ExperimentConfig:
     """The typed config of ``doc``; ``seed``, when given, replaces its seed."""
-    doc = expect_mapping(doc, "config")
+    doc = _known(doc, CONFIG_KEYS, "")
     if seed is not None:
         doc = {**doc, "seed": seed}
     space_spec, domain = _validate_space(_get(doc, "space", "config"))
@@ -396,12 +431,8 @@ def validate_config(doc: Any, seed: int | None = None) -> ExperimentConfig:
                        CHECK_SAMPLING_FIELDS if action.kind == "check" else SAMPLING_FIELDS, "sampling")
     solve = _solve_config(doc.get("solve"), "solve", seed=_at_least(0)(doc.get("seed", 0), "seed"),
                           **{f"sample_{key}": value for key, value in sampling.items()})
-    output = expect_mapping(doc.get("output") or {}, "output")
-    for key, value in output.items():
-        if not isinstance(value, str):
-            raise ConfigError(f"output.{key}", "output paths must be strings")
-
-    return ExperimentConfig(operators_name, space_spec, action, solve, map_spec, dict(output))
+    output = _fields(doc.get("output"), OUTPUT_FIELDS, "output")
+    return ExperimentConfig(operators_name, space_spec, action, solve, map_spec, output)
 
 
 def load_config(path: str, seed: int | None = None) -> ExperimentConfig:

@@ -198,6 +198,11 @@ MISSING = object()
     pytest.param("experiment.solve_config.epsilon", 5.0, id="epsilon-above-one"),
     pytest.param("experiment.space.induced.dimension", True, id="dimension-bool"),
     pytest.param("experiment.operators", "product-probsum", id="operators-not-idempotent"),
+    # a converged document with these grids printed "certificate verified"
+    pytest.param("probe_ts", [], id="probe_ts-empty"),
+    pytest.param("probe_ts", [0.0, 1.0], id="probe_ts-nonpositive"),
+    pytest.param("probe_ts", [2.0, 1.0], id="probe_ts-decreasing"),
+    pytest.param("experiment.space.induced.metric", "euclidean", id="space-unknown-key"),
 ])
 def test_validate_malformed_document_exits_two_with_field_path(tmp_path, capsys, field, value):
     cfg = write(tmp_path, "picard.yaml", PICARD_YAML)
@@ -285,6 +290,25 @@ def case(command, text, old, new, field, id):
     case("solve", BALL_YAML, "k: 0.5", "kk: 0.3", "action.solve.kk", "unknown-parameter"),
     case("solve", PICARD_YAML, "output:", "solve: {sample_pairs: 5}\noutput:", "solve.sample_pairs",
          "solve-sample_pairs"),
+    # ignored silently before: a misspelled key in each block
+    case("solve", PICARD_YAML, "output:", "sampilng: {pairs: 5}\noutput:", "sampilng", "top-level-key"),
+    case("solve", PICARD_YAML, "induced: {dimension: 1, base_metric: euclidean}",
+         "induced: {dimension: 1, metric: euclidean}", "space.induced.metric", "space-induced-key"),
+    case("solve", PICARD_YAML, "  induced: {dimension: 1, base_metric: euclidean}",
+         "  induced: {dimension: 1, base_metric: euclidean}\n  indcued: null", "space.indcued",
+         "space-key"),
+    case("solve", MISSING_PAIR_YAML, "labels: [a, b, c]", "labels: [a, b, c]\n    label: [d]",
+         "space.tabulated.label", "space-tabulated-key"),
+    case("solve", MISSING_PAIR_YAML, "{between: [a, b], mu: 0.4, nu: 0.5}",
+         "{between: [a, b], mu: 0.4, nu: 0.5, nu_: 0.5}", "space.tabulated.pairs[0].nu_",
+         "space-tabulated-pair-key"),
+    case("solve", PICARD_YAML, "offset: [1.0]", "offset: [1.0], ofset: [1.0]", "map.affine.ofset",
+         "map-affine-key"),
+    case("solve", PICARD_YAML, "affine: {matrix: [[0.5]], offset: [1.0]}",
+         "power: {of: {affine: {matrix: [[0.5]], offset: [1.0], scale: 2}}, m: 2}",
+         "map.power.of.affine.scale", "map-power-of-key"),
+    case("solve", PICARD_YAML, "  report: report.jsonl", "  reprot: report.jsonl", "output.reprot",
+         "output-key"),
     # an unhashable name must not reach a table lookup
     case("solve", PICARD_YAML, "regime: picard", "regime: [1]", "action.solve.regime", "regime-list"),
 ])

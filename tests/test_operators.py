@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -15,6 +17,8 @@ from ifmlab import (
     product_probsum,
     unit_scalar,
 )
+from ifmlab.operators import _apply
+from ifmlab.report import ClauseResult
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 inner_unit = st.floats(min_value=1e-6, max_value=1.0 - 1e-6, allow_nan=False)
@@ -191,3 +195,97 @@ def test_witnesses_reverify_for_random_levels(factory, upper, lower, level):
     assert float(pair.tconorm(w.tconorm_partner, lower)) < upper
     assert float(pair.tnorm(w.tnorm_self, w.tnorm_self)) >= level
     assert float(pair.tconorm(w.tconorm_self, w.tconorm_self)) <= level
+
+
+def full_table_associativity(op, grid, tolerance):
+    """The associativity clause over one (a, b, c) table of grid_size**3
+    floats, as the audit computed it before it scanned slabs of a."""
+    a3, b3, c3 = grid[:, None, None], grid[None, :, None], grid[None, None, :]
+    left = _apply(op, _apply(op, a3, b3), c3)
+    right = _apply(op, a3, _apply(op, b3, c3))
+    viol = np.abs(left - right)
+    idx = np.unravel_index(int(np.argmax(viol)), viol.shape)
+    witness = {n: float(grid[i]) for n, i in zip("abc", idx)}
+    witness["violation"] = float(viol[idx])
+    worst = float(viol.max())
+    return ClauseResult("tnorm.associativity", worst <= tolerance, worst, witness)
+
+
+def audited_associativity(op, grid_size, tolerance=1e-12):
+    report = audit_operator_pair(OperatorPair("audited", op, np.maximum), grid_size, tolerance)
+    return report.clause("tnorm.associativity")
+
+
+def planted(base, grid, plants):
+    """``base`` with ``op(grid[i], grid[j])`` moved by ``bump`` (NaN plants a NaN)
+    for each (u, v, bump) of ``plants``, where i and j are u and v of the grid's length."""
+    def op(x, y):
+        out = np.asarray(base(x, y), dtype=float)
+        for u, v, bump in plants:
+            i, j = int(u * (grid.size - 1)), int(v * (grid.size - 1))
+            out = np.where((x == grid[i]) & (y == grid[j]), out + bump, out)
+        return out
+    return op
+
+
+NAN = float("nan")
+PLANT = st.tuples(unit, unit, st.sampled_from([1e-9, 1e-3, 0.5, NAN]))
+
+
+@given(grid_size=st.integers(2, 60), factory=st.sampled_from(SHIPPED),
+       side=st.sampled_from(["tnorm", "tconorm"]), plants=st.lists(PLANT, max_size=3))
+@settings(max_examples=80, deadline=None)
+@example(grid_size=15, factory=min_max, side="tnorm", plants=[])
+@example(grid_size=16, factory=lukasiewicz, side="tconorm", plants=[(0.9, 0.2, 0.5)])
+@example(grid_size=17, factory=product_probsum, side="tnorm", plants=[(1.0, 0.5, 1e-3)])
+@example(grid_size=32, factory=min_max, side="tconorm",
+         plants=[(0.0, 0.3, 0.5), (0.6, 0.1, NAN), (1.0, 0.7, NAN)])
+@example(grid_size=33, factory=lukasiewicz, side="tnorm", plants=[(0.5, 0.5, NAN)])
+def test_slabbed_associativity_matches_the_full_table(grid_size, factory, side, plants):
+    grid = np.linspace(0.0, 1.0, grid_size)
+    op = planted(getattr(factory(), side), grid, plants)
+    assert repr(audited_associativity(op, grid_size)) == repr(full_table_associativity(op, grid, 1e-12))
+
+
+def row_violations(grid, rows):
+    """An operator whose associativity violation is ``rows[i]`` on the whole
+    row a = grid[i] and 0 elsewhere.  It maps a marked x = grid[i] to rows[i]
+    and any other x to 0.  Row values lie off the grid and grid[0] = 0 is
+    never marked, so (a*b)*c is 0, while a*(b*c) is the row value of a."""
+    def op(x, y):
+        out = np.zeros(np.broadcast_shapes(np.shape(x), np.shape(y)))
+        for i, value in rows.items():
+            out = np.where(x == grid[i], value, out)
+        return out
+    return op
+
+
+@given(grid_size=st.integers(2, 60),
+       rows=st.dictionaries(st.integers(1, 59), st.sampled_from([1e-3, 2.0, 5.0, NAN]), max_size=4))
+@settings(max_examples=80, deadline=None)
+@example(grid_size=15, rows={})
+@example(grid_size=16, rows={15: 2.0})
+@example(grid_size=17, rows={1: 2.0, 16: 2.0})  # a tie across slabs: the first wins
+@example(grid_size=32, rows={3: 5.0, 20: NAN, 31: 5.0})  # a NaN after a larger value
+@example(grid_size=33, rows={2: 1e-3, 17: NAN, 32: NAN})  # two NaNs: the first wins
+def test_associativity_witness_is_the_first_worst_row(grid_size, rows):
+    grid = np.linspace(0.0, 1.0, grid_size)
+    rows = {1 + (i - 1) % (grid_size - 1): value for i, value in rows.items()}
+    clause = audited_associativity(row_violations(grid, rows), grid_size)
+    assert repr(clause) == repr(full_table_associativity(row_violations(grid, rows), grid, 1e-12))
+    values = np.array([rows.get(i, 0.0) for i in range(grid_size)])
+    first = int(np.argmax(values))  # the first NaN, else the first largest
+    assert repr(clause.worst) == repr(float(values[first]))
+    assert [clause.witness[n] for n in "abc"] == [grid[first], 0.0, 0.0]
+
+
+@pytest.mark.parametrize("name", ["min-max", "product-probsum", "lukasiewicz"])
+def test_operator_audit_memory_stays_bounded(name):
+    # the full (a, b, c) tables of one grid-200 clause peaked at 245 MiB
+    tracemalloc.start()
+    try:
+        audit_operator_pair(operator_pair(name), 200)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 * 2**20
