@@ -9,8 +9,9 @@ nu-side checks and the indiscernible-pair audit before each mu clause and
 its nu mirror were written once, and those of the configs that rely on an
 action default before the action parameters were typed in one place, and
 those of three operator audits on either side of a 16-row slab edge before
-the associativity clause was scanned in slabs; a
-change that moves any artifact byte fails here unless the change declares
+the associativity clause was scanned in slabs, and those of five Picard
+solves that end at a block edge of the iteration loop before its step
+rows were evaluated in blocks; a change that moves any artifact byte fails here unless the change declares
 the numeric difference and records new digests.
 """
 
@@ -242,6 +243,30 @@ CONFIGS = {
         "operators": "lukasiewicz", "space": LINE,
         "action": {"audit": {"target": "operators", "grid_size": 200}},
     }),
+    # Picard solves that end on an overflow, an exact fixed point, a window
+    # of 1 or 3 iterates, and a budget spent after the window checks began
+    "solve-picard-diverged": ("solve", {
+        "seed": 11, "space": LINE, "map": {"affine": {"matrix": [[3.0]], "offset": [1.0]}},
+        "solve": {"hypothesis_checks": False},
+        "action": {"solve": {"regime": "picard", "x0": [0.0]}},
+    }),
+    "solve-picard-exact-fixed-point": ("solve", {
+        "seed": 11, "space": LINE, "map": {"affine": {"matrix": [[0.0]], "offset": [0.5]}},
+        "action": {"solve": {"regime": "picard", "x0": [0.0]}},
+    }),
+    "solve-picard-window-1": ("solve", {
+        "seed": 11, "space": LINE, "map": HALF_SHIFT, "solve": {"window": 1},
+        "action": {"solve": {"regime": "picard", "x0": [0.0]}},
+    }),
+    "solve-picard-window-3": ("solve", {
+        "seed": 11, "space": LINE, "map": HALF_SHIFT, "solve": {"window": 3},
+        "action": {"solve": {"regime": "picard", "x0": [0.0]}},
+    }),
+    "solve-picard-budget-13": ("solve", {
+        "seed": 11, "space": LINE, "map": HALF_SHIFT,
+        "solve": {"hypothesis_checks": False, "max_iterations": 13},
+        "action": {"solve": {"regime": "picard", "x0": [0.0]}},
+    }),
 }
 
 DIGESTS = {
@@ -362,6 +387,11 @@ DIGESTS = {
         "result.json": "c6b28ee6ab03202e7f7cbbb59a87daf3dcd391f11cf3070bb59f2bed7cd9adc7",
         "trace.csv": "4745cd91a9f4bea4df2f129a307de05258bd91562333924e9ecbe62988335d0b",
     }),
+    "solve-picard-budget-13": (1, {
+        "report.jsonl": "18e143bbde640c6ed46443ec8f778466e7b3d79788793889582d0d474d74193f",
+        "result.json": "3231e71db262126a1b95c5815c5a006e376d4d65ecd5ce33dbc8c3f1008ddf36",
+        "trace.csv": "ce7f7a3205f63db1ecf768966a1c9b37cd34660746c467ec62e469ecf89e29e8",
+    }),
     "solve-picard-budget-exhausted": (1, {
         "report.jsonl": "68988f133a2a0798bbbcbf9aef819cde1545e6de11a355c1b49652afb12e4510",
         "result.json": "f8ae581cd1f715c1e8b3cd160be373c97c888e9d781ed28bdd848a25a2fcb1f4",
@@ -371,6 +401,16 @@ DIGESTS = {
         "report.jsonl": "1f9b47f7a52208ccdcbeebfa590e1940140c364a498e0f914d28113f703ebfae",
         "result.json": "522905f37d6649522831f65fc85b08c244afebed5fed7d1a1113ee6d53b281f3",
         "trace.csv": "0d57a3c0ede3ad6bcf6995c3b20e9067de4db205a7af8b7580ce1df7e5d37e09",
+    }),
+    "solve-picard-diverged": (1, {
+        "report.jsonl": "39f43cd9cdd63449916a2c0d2810455178e2bc660e02fac268ec6e273d52c942",
+        "result.json": "71b1a75b4b0450b23f2f9a19b8aac332c99b4c3abb5f97559350a143e47dfe52",
+        "trace.csv": "cd2b49839770b427c35177bfa0c2f705da76cb8a801ebdab65c7b88b81f26b4b",
+    }),
+    "solve-picard-exact-fixed-point": (0, {
+        "report.jsonl": "051612434f97ec803201ef4f2a190cca90b78daf6c184845f72623ea9ab2abfa",
+        "result.json": "cf6249f89d1f80b32a7b68900ef92678cdc0e1abe954587857694b6e5414bd55",
+        "trace.csv": "fb99325c69e86d8ee0eca72e3196d2a67c46c0791a4865c2780dce35070b414d",
     }),
     "solve-picard-horizon-fails": (1, {
         "report.jsonl": "c1e100c82584787cd5c9b6623f4452de389b74e487dc66bbf5a6888944ec1980",
@@ -391,6 +431,16 @@ DIGESTS = {
         "report.jsonl": "08f98dae9f82a8f3fd5e3d83095d2fc97d62fba7ea80fa2dabeab381be10c4f7",
         "result.json": "8118899524239f5493b420d829f6fbc4023b547b45038a95e6d006e571f97a20",
         "trace.csv": "fc6415b7636a3324299b4c9dbc4c69a2d507107935c4f141540e05e74cbea660",
+    }),
+    "solve-picard-window-1": (0, {
+        "report.jsonl": "a25e493d6c155e80285f524fae425e90cd42c6e3445689022aeda23f42579eb9",
+        "result.json": "fde3daa5ecdff79da89688927b72d8eb86ffb376b2fa0621e958b1d6772266a2",
+        "trace.csv": "71fb40ba8da1ff6a3775644f62e50cfd65707d2e67144bc691ee65243fdb8df3",
+    }),
+    "solve-picard-window-3": (0, {
+        "report.jsonl": "2f5977bf19b20a86c81a57a6c093860e1fd98bdb198ae24695f5d5e7f0a5ce56",
+        "result.json": "b62d7794152561a599d5513e94f9cece6b517a7635104c77f6b0d032955db87f",
+        "trace.csv": "6db5b5ea1bbcbeb3d599de51ce4218834d951c31b28bf5931d8f389bf944fa5e",
     }),
     "solve-power": (0, {
         "report.jsonl": "cca56feaa7be8b178340e33b109bcc92aa46613de5a9affefe561a02561db1e1",
