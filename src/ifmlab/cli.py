@@ -101,8 +101,13 @@ def _resolve_out(path: str, out_dir: str | None) -> str:
 # trace and result documents
 
 
-def trace_rows(result: SolveResult) -> tuple[list[str], list[list[str]]]:
-    """Header and rows of the tabular trace (17-significant-digit floats)."""
+def trace_rows(result: SolveResult) -> list[str]:
+    """Lines of the tabular trace, header first (17-significant-digit floats).
+
+    A row's floats go through one ``%.17g`` format, which renders a finite
+    float exactly as :func:`format_float` does; a row holding NaN or an
+    infinity is rendered cell by cell instead.
+    """
     trace = result.trace
     ts = trace.probe_ts
     first = trace.points[0] if trace.points else None
@@ -116,22 +121,25 @@ def trace_rows(result: SolveResult) -> tuple[list[str], list[list[str]]]:
     header += [f"{side}@t={format_float(float(t))}" for side in ("mu", "nu") for t in ts]
     if trace.ball_flags is not None:
         header.append("in_ball")
-    rows = []
-    n_steps = trace.step_mu.shape[0]
+    steps = np.hstack([trace.step_mu, trace.step_nu]).tolist()
+    lines = [",".join(header)]
     for i, p in enumerate(trace.points):
         row = [str(i)]
-        if coordinate:
-            row.extend(format_float(float(v)) for v in np.atleast_1d(np.asarray(p, float)))
-        else:
+        values = np.atleast_1d(np.asarray(p, float)).tolist() if coordinate else []
+        if not coordinate:
             row.append(str(p))
-        if i < n_steps:
-            row.extend(format_float(float(v)) for side in (trace.step_mu, trace.step_nu) for v in side[i])
-        else:
+        if i < len(steps):
+            values += steps[i]
+        if values:
+            text = ",".join(["%.17g"] * len(values)) % tuple(values)
+            # only "nan" and "inf" put an "n" in a %g rendering
+            row.append(",".join(map(format_float, values)) if "n" in text else text)
+        if i >= len(steps):
             row.extend("" for _ in range(2 * len(ts)))
         if trace.ball_flags is not None:
             row.append(str(trace.ball_flags[i]).lower() if i < len(trace.ball_flags) else "")
-        rows.append(row)
-    return header, rows
+        lines.append(",".join(row))
+    return lines
 
 
 def result_document(result: SolveResult, experiment: dict[str, Any]) -> dict[str, Any]:
@@ -166,8 +174,7 @@ def export_trace(result: SolveResult, path: str, format: str = "tabular",
     the experiment context for later re-validation.
     """
     if format == "tabular":
-        header, rows = trace_rows(result)
-        text = "\n".join([",".join(header), *(",".join(r) for r in rows)]) + "\n"
+        text = "\n".join(trace_rows(result)) + "\n"
     elif format == "structured":
         if experiment is None:
             raise ValueError("structured export needs the experiment context")

@@ -195,6 +195,18 @@ def _between_labels(value: Any, path: str, domain: Any = None) -> list[str]:
     return _labels(value, path)
 
 
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _curve(value: Any, path: str, domain: Any = None) -> Any:
+    """A tabulated curve as written; its values are checked when the domain is built."""
+    if not _is_number(value) and not (isinstance(value, list) and value and all(
+            isinstance(p, list) and len(p) == 2 and all(map(_is_number, p)) for p in value)):
+        raise ConfigError(path, f"a curve is a constant or a list of [t, value] pairs, got {value!r}")
+    return value
+
+
 def _pairs(value: Any, path: str, domain: Any = None) -> list[dict]:
     return [_fields(entry, PAIR_FIELDS, f"{path}[{i}]") for i, entry in enumerate(expect_list(value, path))]
 
@@ -212,14 +224,14 @@ SOLVE_FIELDS = {"epsilon": (UNIT, UNSET), "max_iterations": (_at_least(1), UNSET
 SAMPLING_FIELDS = {"pairs": (_at_least(1), UNSET), "halfwidth": (POSITIVE, UNSET)}
 CHECK_SAMPLING_FIELDS = {**SAMPLING_FIELDS, "pairs": (_at_least(1), 1000)}
 
-# the curves of a tabulated pair are checked when its domain is built
-PAIR_FIELDS = {"between": (_between_labels, REQUIRED), "mu": (_as_is, REQUIRED), "nu": (_as_is, REQUIRED)}
+PAIR_FIELDS = {"between": (_between_labels, REQUIRED), "mu": (_curve, REQUIRED), "nu": (_curve, REQUIRED)}
 SPACE_FIELDS = {
     "induced": {"dimension": (_at_least(1), REQUIRED), "base_metric": (_metric, "euclidean")},
     "tabulated": {"labels": (_labels, REQUIRED), "pairs": (_pairs, REQUIRED)},
 }
-# map kind -> the keys of its body; a table, constant or builtin body is a value
-MAP_KEYS = {"affine": ("matrix", "offset"), "power": ("of", "m")}
+# map kind -> the fields of its body; a table, constant or builtin body is a value
+MAP_FIELDS = {"affine": {"matrix": (_as_is, REQUIRED), "offset": (_as_is, REQUIRED)},
+              "power": {"of": (_as_is, REQUIRED), "m": (_as_is, REQUIRED)}}
 OUTPUT_FIELDS = {key: (_text, UNSET) for key in ("result", "trace", "report")}
 CONFIG_KEYS = ("seed", "operators", "space", "map", "action", "solve", "sampling", "output")
 
@@ -335,18 +347,18 @@ def _validate_operators(name: Any, builds_space: bool = True) -> str:
     return name
 
 
-def _known_map_keys(spec: dict, path: str) -> None:
-    """Each key of an affine or power body, and of the map a power raises, is known."""
+def _map_fields(spec: dict, path: str) -> None:
+    """An affine or power body, and the map a power raises, has each of its fields and no other."""
     for kind, body in spec.items():
-        if kind in MAP_KEYS and isinstance(body, dict):
-            _known(body, MAP_KEYS[kind], f"{path}.{kind}")
-            if kind == "power" and isinstance(body.get("of"), dict):
-                _known_map_keys(body["of"], f"{path}.power.of")
+        if kind in MAP_FIELDS and isinstance(body, dict | None):
+            _fields(body, MAP_FIELDS[kind], f"{path}.{kind}")
+            if kind == "power" and isinstance(body["of"], dict):
+                _map_fields(body["of"], f"{path}.power.of")
 
 
 def _validate_map(spec: Any, space_spec: dict, path: str = "map") -> dict:
     spec = expect_mapping(spec, path)
-    _known_map_keys(spec, path)
+    _map_fields(spec, path)
     try:
         self_map_from_spec(spec)
     except (TypeError, ValueError, KeyError) as exc:

@@ -6,7 +6,11 @@ single-step residual confirms ``x_n`` is fixed to tolerance; ``n`` is the
 reported iteration count and ``x_n`` the fixed-point candidate.  The extra
 confirmation iterates remain visible at the end of the trace.  An iterate
 that exactly reproduces its predecessor short-circuits the window (the
-tail is constant from there on).
+tail is constant from there on).  Step rows ``(x_i, x_{i+1})`` are
+evaluated in blocks of up to ``window`` steps by one kernel call, and the
+window grid of ``x_c`` runs only when the stored step row of ``x_c``, its
+first row, is near.  The kernel works pair by pair, so a batched row is the
+one-pair row bit for bit and the trace is that of a step-by-step loop.
 
 Each solver enforces the hypothesis set of its regime before iterating
 (bypassable via configuration); hypothesis failures are reported as a
@@ -167,7 +171,10 @@ def _solve(space: IfmSpace, map_: SelfMap, x0, config: SolveConfig,
     none; otherwise the result carries the first gate's report.  With
     ``ball`` every iterate must stay in the open ball.  A coordinate image
     that overflows stops the solve at the last finite iterate as
-    ``diverged``.
+    ``diverged``.  Step rows are stored in one kernel call per block: the
+    rows not yet stored when the window first needs row ``c``, and the rest
+    at the stop.  Every kernel call of the iteration runs with numpy's
+    overflow warnings off.
     """
     ts = np.asarray(config.probe_ts)
     points = [space.as_point(x0)]
@@ -176,7 +183,19 @@ def _solve(space: IfmSpace, map_: SelfMap, x0, config: SolveConfig,
     flags: list[bool] | None = None
     report = None
 
+    def fill() -> None:
+        # the step rows of every iterate not yet stored, in one kernel call
+        f = len(mu_rows)
+        if f < len(points) - 1:
+            mu, nu = membership_grid(space, points[f:-1], points[f + 1 :], ts)
+            mu_rows.extend(mu)
+            nu_rows.extend(nu)
+
+    def near(mu, nu) -> bool:
+        return bool(np.all((mu > 1.0 - config.epsilon) & (nu < config.epsilon)))
+
     def stop(status: str, reason: str, c: int | None = None) -> SolveResult:
+        fill()
         k = len(ts)
         trace = IterationTrace(points, tuple(float(t) for t in ts), np.reshape(mu_rows, (-1, k)),
                                np.reshape(nu_rows, (-1, k)), flags)
@@ -193,13 +212,13 @@ def _solve(space: IfmSpace, map_: SelfMap, x0, config: SolveConfig,
             if reason is not None:
                 return stop("hypothesis_failed", reason)
 
-    if ball is not None:
-        flags = [ball_contains(space, ball, points[0], mode="open")]
-        if not flags[0]:
-            return stop("diverged_from_ball", "starting point lies outside the open ball")
     # an overflowing image ends the solve as a status, so numpy's overflow
-    # warnings on the way there are noise
+    # warnings on the way there, in the map and in the kernel, are noise
     with np.errstate(over="ignore"):
+        if ball is not None:
+            flags = [ball_contains(space, ball, points[0], mode="open")]
+            if not flags[0]:
+                return stop("diverged_from_ball", "starting point lies outside the open ball")
         while len(points) <= config.max_iterations:
             try:
                 nxt = apply_point(space, map_, points[-1])
@@ -207,9 +226,6 @@ def _solve(space: IfmSpace, map_: SelfMap, x0, config: SolveConfig,
                 return stop("diverged", f"iterate {len(points)} overflowed: {exc}")
             points.append(nxt)
             m = len(points) - 1
-            mu_row, nu_row = membership_grid(space, points[-2], nxt, ts)
-            mu_rows.append(mu_row[0])
-            nu_rows.append(nu_row[0])
             if ball is not None:
                 flags.append(ball_contains(space, ball, nxt, mode="open"))
                 if not flags[-1]:
@@ -219,17 +235,18 @@ def _solve(space: IfmSpace, map_: SelfMap, x0, config: SolveConfig,
             c = m - config.window
             if c < 0:
                 continue
+            if c == len(mu_rows):
+                fill()
             # x_{c+1} .. x_m all strictly eps-near x_c at every t; this implies
             # the (non-strict) residual bound at the candidate x_c
-            mu, nu = membership_grid(space, points[c], points[c + 1 :], ts)
-            if np.all((mu > 1.0 - config.epsilon) & (nu < config.epsilon)):
+            if near(mu_rows[c], nu_rows[c]) and near(*membership_grid(space, points[c], points[c + 1 :], ts)):
                 return stop(
                     "converged",
                     f"window of {config.window} iterates after iteration {c} stayed "
                     f"within epsilon={config.epsilon:g} at every probe t",
                     c,
                 )
-    return stop("budget_exhausted", f"no fixed point certified within {config.max_iterations} iterations")
+        return stop("budget_exhausted", f"no fixed point certified within {config.max_iterations} iterations")
 
 
 def sampling_box(space: IfmSpace, config: SolveConfig, center=None):

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -6,10 +7,14 @@ import warnings
 
 import numpy as np
 import pytest
+import yaml
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from ifmlab.cli import export_trace, main, validate_result_document
+from ifmlab.cli import export_trace, main, trace_rows, validate_result_document
 from ifmlab.config import ConfigError, load_config
-from ifmlab.solver import SolveConfig, picard_solve
+from ifmlab.report import format_float
+from ifmlab.solver import IterationTrace, SolveConfig, SolveResult, picard_solve
 from ifmlab import CoordinateSpace, SelfMap, induced_from_metric, min_max
 
 PICARD_YAML = """
@@ -716,3 +721,135 @@ map:
 action:
   check: {notion: banach}
 """))
+
+
+# a tabulated curve or a map body of the wrong form names its field
+TABULATED_YAML = MISSING_PAIR_YAML.replace(
+    "      - {between: [a, c], mu: 0.4, nu: 0.5}\n",
+    "      - {between: [a, c], mu: 0.4, nu: 0.5}\n      - {between: [b, c], mu: 0.4, nu: 0.5}\n")
+CURVE = "a curve is a constant or a list of [t, value] pairs"
+MISSING_FIELD = "required field is missing"
+
+
+@pytest.mark.parametrize("text, old, new, field, message", [
+    # a TypeError traceback before
+    pytest.param(TABULATED_YAML, "mu: 0.4", "mu: [1, 2]", "space.tabulated.pairs[0].mu", CURVE,
+                 id="curve-numbers"),
+    # Python's unpacking text on space.tabulated before
+    pytest.param(TABULATED_YAML, "mu: 0.4", "mu: abc", "space.tabulated.pairs[0].mu", CURVE,
+                 id="curve-text"),
+    pytest.param(TABULATED_YAML, "nu: 0.5", "nu: [[1, 2, 3]]", "space.tabulated.pairs[0].nu", CURVE,
+                 id="curve-triple"),
+    # the bare KeyError text on the whole map before
+    pytest.param(PICARD_YAML, "affine: {matrix: [[0.5]], offset: [1.0]}", "affine: {matrix: [[0.5]]}",
+                 "map.affine.offset", MISSING_FIELD, id="affine-offset"),
+    pytest.param(PICARD_YAML, "affine: {matrix: [[0.5]], offset: [1.0]}", "affine: {offset: [1.0]}",
+                 "map.affine.matrix", MISSING_FIELD, id="affine-matrix"),
+    # Python's subscript text on the whole map before
+    pytest.param(PICARD_YAML, "affine: {matrix: [[0.5]], offset: [1.0]}", "affine: null",
+                 "map.affine.matrix", MISSING_FIELD, id="affine-null"),
+    pytest.param(PICARD_YAML, "affine: {matrix: [[0.5]], offset: [1.0]}", "power: {m: 2}",
+                 "map.power.of", MISSING_FIELD, id="power-of"),
+    pytest.param(PICARD_YAML, "affine: {matrix: [[0.5]], offset: [1.0]}",
+                 "power: {of: {affine: {matrix: [[0.5]], offset: [1.0]}}}", "map.power.m", MISSING_FIELD,
+                 id="power-m"),
+])
+def test_malformed_curve_or_map_body_names_its_field(tmp_path, capsys, text, old, new, field, message):
+    assert old in text
+    cfg = write(tmp_path, "bad.yaml", text.replace(old, new, 1))
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {field}: {message}")
+
+
+def test_tabulated_config_of_the_curve_cases_runs(tmp_path):
+    cfg = write(tmp_path, "ok.yaml", TABULATED_YAML)
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 0
+
+
+def reference_trace_lines(result):
+    """Lines of the tabular trace with one format_float call per cell."""
+    trace = result.trace
+    ts = trace.probe_ts
+    first = trace.points[0] if trace.points else None
+    coordinate = not isinstance(first, str)
+    if coordinate:
+        dim = int(np.atleast_1d(np.asarray(first, float)).shape[0]) if first is not None else 0
+        point_cols = [f"x{i}" for i in range(dim)]
+    else:
+        point_cols = ["label"]
+    header = ["iteration", *point_cols]
+    header += [f"{side}@t={format_float(float(t))}" for side in ("mu", "nu") for t in ts]
+    if trace.ball_flags is not None:
+        header.append("in_ball")
+    rows = []
+    n_steps = trace.step_mu.shape[0]
+    for i, p in enumerate(trace.points):
+        row = [str(i)]
+        if coordinate:
+            row.extend(format_float(float(v)) for v in np.atleast_1d(np.asarray(p, float)))
+        else:
+            row.append(str(p))
+        if i < n_steps:
+            row.extend(format_float(float(v)) for side in (trace.step_mu, trace.step_nu) for v in side[i])
+        else:
+            row.extend("" for _ in range(2 * len(ts)))
+        if trace.ball_flags is not None:
+            row.append(str(trace.ball_flags[i]).lower() if i < len(trace.ball_flags) else "")
+        rows.append(row)
+    return [",".join(header), *(",".join(r) for r in rows)]
+
+
+cell = st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324])
+
+
+@settings(max_examples=40, deadline=None)
+@given(dim=st.integers(0, 3), n=st.integers(1, 6), k=st.integers(1, 4), flags=st.booleans(),
+       data=st.data())
+def test_trace_rows_match_per_cell_rendering(dim, n, k, flags, data):
+    if dim == 0:
+        points = data.draw(st.lists(st.sampled_from(["a", "b", "c"]), min_size=n, max_size=n))
+    else:
+        points = [np.asarray(data.draw(st.lists(cell, min_size=dim, max_size=dim))) for _ in range(n)]
+    ts = tuple(data.draw(st.lists(st.floats(1e-3, 1e3), min_size=k, max_size=k, unique=True)))
+    step_mu, step_nu = (np.reshape(data.draw(st.lists(cell, min_size=(n - 1) * k, max_size=(n - 1) * k)),
+                                   (n - 1, k)) for _ in range(2))
+    ball_flags = data.draw(st.lists(st.booleans(), min_size=n, max_size=n)) if flags else None
+    trace = IterationTrace(points, ts, step_mu, step_nu, ball_flags)
+    result = SolveResult("budget_exhausted", None, n - 1, trace, "")
+    assert trace_rows(result) == reference_trace_lines(result)
+
+
+# a random affine contraction rho * P * diag(s) with a signed permutation P
+# and 0 <= s <= 1, so rho bounds its Lipschitz constant in every base metric
+@settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(dim=st.integers(1, 3), metric=st.sampled_from(["euclidean", "chebyshev", "absolute-difference"]),
+       rho=st.floats(0.3, 0.95), seed=st.integers(0, 1000), data=st.data())
+def test_random_contraction_round_trips_through_cli(tmp_path, capsys, dim, metric, rho, seed, data):
+    unit = st.floats(0.0, 1.0)
+    perm = data.draw(st.permutations(range(dim)))
+    signs = data.draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=dim, max_size=dim))
+    scales = data.draw(st.lists(unit, min_size=dim, max_size=dim))
+    matrix = np.zeros((dim, dim))
+    matrix[np.arange(dim), perm] = rho * np.asarray(signs) * np.asarray(scales)
+    coords = st.lists(st.floats(-3.0, 3.0), min_size=dim, max_size=dim)
+    config = {
+        "seed": seed, "space": {"induced": {"dimension": dim, "base_metric": metric}},
+        "map": {"affine": {"matrix": matrix.tolist(), "offset": data.draw(coords)}},
+        "action": {"solve": {"regime": "picard", "x0": data.draw(coords)}},
+        "output": {"result": "result.json", "trace": "trace.csv", "report": "report.jsonl"},
+    }
+    cfg = tmp_path / "contraction.yaml"
+    cfg.write_text(yaml.safe_dump(config))
+    runs = [tmp_path / "one", tmp_path / "two"]
+    for out in runs:
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+    for name in ("result.json", "trace.csv", "report.jsonl"):
+        assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes()
+    assert main(["validate", str(runs[0] / "result.json")]) == 0
+
+    text = (runs[0] / "result.json").read_bytes()
+    cut = tmp_path / "cut.json"
+    cut.write_bytes(text[: data.draw(st.integers(0, len(text.rstrip()) - 1))])
+    capsys.readouterr()
+    assert main(["validate", str(cut)]) in (1, 2)
+    assert "Traceback" not in capsys.readouterr().err

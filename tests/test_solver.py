@@ -1,15 +1,21 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ifmlab import (
     BallSpec,
     CoordinateSpace,
+    FiniteTabulated,
     SelfMap,
     SolveConfig,
     ball_contains,
     closed_ball_solve,
     direct_ratio_solve,
     evaluate,
+    finite_tabulated,
     if_contractive_check,
     induced_from_metric,
     iterate_trace,
@@ -18,6 +24,9 @@ from ifmlab import (
     power_map_solve,
     uniqueness_probe,
 )
+from ifmlab.contractions import NonFiniteImageError, apply_point
+from ifmlab.solver import IterationTrace, SolveResult, _solve
+from ifmlab.spaces import membership_grid, points_equal
 
 
 def test_iterate_trace_examples(line, half_plus_one):
@@ -242,3 +251,154 @@ def test_solve_config_validation():
     cfg = SolveConfig()
     assert cfg.epsilon == 1e-8 and cfg.max_iterations == 10_000 and cfg.window == 8
     assert cfg.probe_ts[0] == 0.1 and cfg.probe_ts[-1] == 51.2 and len(cfg.probe_ts) == 10
+
+
+# ---------------------------------------------------------------------------
+# the Picard loop evaluates step rows in blocks; it must match one-pair rows
+
+STEP_TABLE = finite_tabulated(
+    FiniteTabulated(
+        ["a", "b", "c", "d"],
+        {
+            ("a", "b"): ([[0.5, 0.3], [4.0, 0.9]], [[0.5, 0.6], [4.0, 0.05]]),
+            ("a", "c"): (0.4, 0.5),
+            ("a", "d"): ([[0.1, 0.2], [1.0, 0.25], [30.0, 0.7]], [[0.1, 0.7], [30.0, 0.2]]),
+            ("b", "c"): ([[2.0, 0.35], [3.0, 0.45]], 0.5),
+            ("b", "d"): (0.4, [[1.0, 0.5], [9.0, 0.1]]),
+            ("c", "d"): ([[0.2, 0.4], [50.0, 0.99]], [[0.2, 0.5], [50.0, 0.005]]),
+        },
+    ),
+    min_max(),
+)
+METRICS = ("euclidean", "chebyshev", "absolute-difference")
+magnitude = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+probe_times = st.lists(st.floats(min_value=1e-3, max_value=1e3), min_size=1, max_size=6, unique=True)
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from([*METRICS, "tabulated"]), dim=st.integers(1, 12), n=st.integers(1, 20),
+       ts=probe_times, data=st.data())
+def test_batched_step_rows_equal_one_pair_rows(kind, dim, n, ts, data):
+    if kind == "tabulated":
+        space = STEP_TABLE
+        walk = data.draw(st.lists(st.sampled_from(space.domain.labels), min_size=n + 1, max_size=n + 1))
+    else:
+        space = induced_from_metric(CoordinateSpace(dim, kind), min_max())
+        walk = [np.asarray(data.draw(st.lists(magnitude, min_size=dim, max_size=dim)))
+                for _ in range(n + 1)]
+    ts = np.sort(ts)
+    mu, nu = membership_grid(space, walk[:-1], walk[1:], ts)
+    for i in range(n):
+        one_mu, one_nu = membership_grid(space, walk[i], walk[i + 1], ts)
+        assert mu[i].tobytes() == one_mu[0].tobytes() and nu[i].tobytes() == one_nu[0].tobytes()
+    # the step row of x_0 is the first row of the window grid of x_0
+    win_mu, win_nu = membership_grid(space, walk[0], walk[1:], ts)
+    assert win_mu[0].tobytes() == mu[0].tobytes() and win_nu[0].tobytes() == nu[0].tobytes()
+
+
+def reference_solve(space, map_, x0, config, ball=None):
+    """The Picard loop with one kernel call per step row and a window grid at every step."""
+    ts = np.asarray(config.probe_ts)
+    points = [space.as_point(x0)]
+    mu_rows, nu_rows = [], []
+    flags = None
+
+    def stop(status, reason, c=None):
+        k = len(ts)
+        trace = IterationTrace(points, tuple(float(t) for t in ts), np.reshape(mu_rows, (-1, k)),
+                               np.reshape(nu_rows, (-1, k)), flags)
+        if c is None:
+            return SolveResult(status, None, len(points) - 1, trace, reason)
+        return SolveResult(status, points[c], c, trace, reason,
+                           residual_mu=trace.step_mu[c].copy(), residual_nu=trace.step_nu[c].copy())
+
+    if ball is not None:
+        flags = [ball_contains(space, ball, points[0], mode="open")]
+        if not flags[0]:
+            return stop("diverged_from_ball", "starting point lies outside the open ball")
+    with np.errstate(over="ignore"):
+        while len(points) <= config.max_iterations:
+            try:
+                nxt = apply_point(space, map_, points[-1])
+            except NonFiniteImageError as exc:
+                return stop("diverged", f"iterate {len(points)} overflowed: {exc}")
+            points.append(nxt)
+            m = len(points) - 1
+            mu_row, nu_row = membership_grid(space, points[-2], nxt, ts)
+            mu_rows.append(mu_row[0])
+            nu_rows.append(nu_row[0])
+            if ball is not None:
+                flags.append(ball_contains(space, ball, nxt, mode="open"))
+                if not flags[-1]:
+                    return stop("diverged_from_ball", f"iterate {m} left the open ball")
+            if points_equal(nxt, points[-2]):
+                return stop("converged", f"exact fixed point reached at iteration {m - 1}", m - 1)
+            c = m - config.window
+            if c < 0:
+                continue
+            mu, nu = membership_grid(space, points[c], points[c + 1 :], ts)
+            if np.all((mu > 1.0 - config.epsilon) & (nu < config.epsilon)):
+                return stop(
+                    "converged",
+                    f"window of {config.window} iterates after iteration {c} stayed "
+                    f"within epsilon={config.epsilon:g} at every probe t",
+                    c,
+                )
+    return stop("budget_exhausted", f"no fixed point certified within {config.max_iterations} iterations")
+
+
+def same_bytes(a, b):
+    if a is None or b is None:
+        return a is None and b is None
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    metric=st.sampled_from(METRICS),
+    dim=st.integers(1, 3),
+    scale=st.sampled_from([0.0, 1e-3, 0.3, 0.6, 0.9, 1.0, 3.0, 1e150]),
+    x_scale=st.sampled_from([1.0, 1e3, 1e300]),
+    epsilon=st.sampled_from([1e-8, 1e-4, 1e-2, 0.3]),
+    window=st.integers(1, 10),
+    max_iterations=st.integers(1, 40),
+    ball=st.none() | st.tuples(st.floats(0.05, 0.95), st.floats(0.1, 10.0)),
+    data=st.data(),
+)
+def test_block_solve_matches_per_step_reference(metric, dim, scale, x_scale, epsilon, window,
+                                                max_iterations, ball, data):
+    unit = st.floats(min_value=-1.0, max_value=1.0)
+    matrix = scale * np.asarray(data.draw(st.lists(unit, min_size=dim * dim, max_size=dim * dim)))
+    offset = np.asarray(data.draw(st.lists(unit, min_size=dim, max_size=dim)))
+    x0 = x_scale * np.asarray(data.draw(st.lists(unit, min_size=dim, max_size=dim)))
+    space = induced_from_metric(CoordinateSpace(dim, metric), min_max())
+    map_ = SelfMap.affine(matrix.reshape(dim, dim), offset)
+    config = SolveConfig(epsilon=epsilon, max_iterations=max_iterations, window=window,
+                         hypothesis_checks=False)
+    if ball is not None:
+        ball = BallSpec(np.asarray(data.draw(st.lists(unit, min_size=dim, max_size=dim))), *ball)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _solve(space, map_, x0, config, (), ball)
+    with np.errstate(over="ignore"):
+        want = reference_solve(space, map_, x0, config, ball)
+    assert (got.status, got.stop_reason, got.iterations) == (want.status, want.stop_reason, want.iterations)
+    assert len(got.trace.points) == len(want.trace.points)
+    assert all(same_bytes(p, q) for p, q in zip(got.trace.points, want.trace.points))
+    assert same_bytes(got.trace.step_mu, want.trace.step_mu)
+    assert same_bytes(got.trace.step_nu, want.trace.step_nu)
+    assert got.trace.ball_flags == want.trace.ball_flags
+    assert same_bytes(got.fixed_point, want.fixed_point)
+    assert same_bytes(got.residual_mu, want.residual_mu)
+    assert same_bytes(got.residual_nu, want.residual_nu)
+
+
+def test_overflowing_budget_stop_warns_nothing(line):
+    config = SolveConfig(hypothesis_checks=False, max_iterations=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = picard_solve(line, SelfMap.affine([[1.5]], [0.0]), 1e300, config)
+    assert result.status == "budget_exhausted"
+    assert result.trace.step_mu.shape == (1, len(config.probe_ts))
+    assert np.all(result.trace.step_mu == 0.0)
