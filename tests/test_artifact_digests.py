@@ -11,8 +11,11 @@ action default before the action parameters were typed in one place, and
 those of three operator audits on either side of a 16-row slab edge before
 the associativity clause was scanned in slabs, and those of five Picard
 solves that end at a block edge of the iteration loop before its step
-rows were evaluated in blocks; a change that moves any artifact byte fails here unless the change declares
-the numeric difference and records new digests.
+rows were evaluated in blocks, and those of four space audits over
+several sample blocks and two operator audits at a one-row or part-full
+associativity slab before both audits were blocked by cell count; a
+change that moves any artifact byte fails here unless the change
+declares the numeric difference and records new digests.
 """
 
 import hashlib
@@ -267,11 +270,42 @@ CONFIGS = {
         "solve": {"hypothesis_checks": False, "max_iterations": 13},
         "action": {"solve": {"regime": "picard", "x0": [0.0]}},
     }),
+    # space audits over several sample blocks, with exact triangle ties
+    # across blocks in the tabulated ones, and operator grids whose
+    # associativity slab holds one row (181) or ends part-full (90)
+    "audit-induced-chebyshev-1000": ("audit", {
+        "seed": 6, "space": {"induced": {"dimension": 3, "base_metric": "chebyshev"}},
+        "action": {"audit": {"target": "space", "samples": 1000}},
+    }),
+    "audit-induced-euclidean-2000": ("audit", {
+        "seed": 8, "space": LINE, "solve": {"probe_ts": [0.25, 1.0, 3.0, 9.0]},
+        "action": {"audit": {"target": "space", "samples": 2000}},
+    }),
+    "audit-tabulated-1500": ("audit", {
+        "seed": 5, "space": TABULATED, "action": {"audit": {"target": "space", "samples": 1500}},
+    }),
+    "audit-tabulated-indiscernible-1500": ("audit", {
+        "seed": 5, "space": INDISCERNIBLE, "action": {"audit": {"target": "space", "samples": 1500}},
+    }),
+    "audit-operators-product-probsum-181": ("audit", {
+        "operators": "product-probsum", "space": LINE,
+        "action": {"audit": {"target": "operators", "grid_size": 181}},
+    }),
+    "audit-operators-min-max-90": ("audit", {
+        "operators": "min-max", "space": LINE,
+        "action": {"audit": {"target": "operators", "grid_size": 90}},
+    }),
 }
 
 DIGESTS = {
     "audit-induced": (0, {
         "report.jsonl": "e74af2a89e998d352927b9fd172f67bbcb72fffa03cd59aec8a1395abf8b423c",
+    }),
+    "audit-induced-chebyshev-1000": (0, {
+        "report.jsonl": "2f0e73e09fdb58be79908a46586e6c6306ab6baab78dda2fc2f165d84ccbc037",
+    }),
+    "audit-induced-euclidean-2000": (0, {
+        "report.jsonl": "e48c126de75bfeef4cf5a70ccc04cea10bcce4a3495a9c67e406b102b4e58a33",
     }),
     "audit-induced-tolerance": (0, {
         "report.jsonl": "658303ab5fbe4276e50b37625762a14415d0aabd67a4df89e8eb29e8116bd0be",
@@ -285,6 +319,12 @@ DIGESTS = {
     "audit-operators-min-max-17": (0, {
         "report.jsonl": "91406ab9b2fb70a49ba61e12b008b4d4d1e8b985f40b33e60478b6f4ee5a4913",
     }),
+    "audit-operators-min-max-90": (0, {
+        "report.jsonl": "d0ed3fca5cdee87b181d921da398bbd82e645d1216c60d27054723f0c7a761f7",
+    }),
+    "audit-operators-product-probsum-181": (0, {
+        "report.jsonl": "fd72ec08396e72fe236af3765d9a781eae86c1c21b1aad5b107c71385ede4f87",
+    }),
     "audit-operators-product-probsum-33": (0, {
         "report.jsonl": "e386bf94f8a7cfb02b2713f41d835d4c9fe302a3b1474b0f0560e839608544c2",
     }),
@@ -294,8 +334,14 @@ DIGESTS = {
     "audit-tabulated": (1, {
         "report.jsonl": "cc51bd257e10d4c753cd1ffa63b9d880839172fa4b6d4f84fb92220dc839c7ee",
     }),
+    "audit-tabulated-1500": (1, {
+        "report.jsonl": "a541924c1e2b4086191f1662081c3eb117dd62e1b90073745dfe5367660d1e80",
+    }),
     "audit-tabulated-indiscernible": (1, {
         "report.jsonl": "e6efe2ec270ce77075b31c5128e1fda2320c4f7a51dc11438a3f4ff0cb135871",
+    }),
+    "audit-tabulated-indiscernible-1500": (1, {
+        "report.jsonl": "179f61dee11fede4bdeb70324fa4cd23a660e066f6016d23facf5201b8f4913d",
     }),
     "check-closed-ball-hypotheses": (0, {
         "report.jsonl": "8306b22a604901ff5e28de734f1e6c57b30dc070fbac2c469536d7a91d53a357",
