@@ -28,6 +28,7 @@ from .spaces import (
     finite_tabulated,
     induced_from_metric,
     require_idempotent,
+    triangle_shifts,
 )
 from .solver import DEFAULT_UNIFORM_EPSILONS, SolveConfig
 
@@ -231,7 +232,7 @@ SPACE_FIELDS = {
 }
 # map kind -> the fields of its body; a table, constant or builtin body is a value
 MAP_FIELDS = {"affine": {"matrix": (_as_is, REQUIRED), "offset": (_as_is, REQUIRED)},
-              "power": {"of": (_as_is, REQUIRED), "m": (_as_is, REQUIRED)}}
+              "power": {"of": (_as_is, REQUIRED), "m": (_at_least(1), REQUIRED)}}
 OUTPUT_FIELDS = {key: (_text, UNSET) for key in ("result", "trace", "report")}
 CONFIG_KEYS = ("seed", "operators", "space", "map", "action", "solve", "sampling", "output")
 
@@ -350,7 +351,7 @@ def _validate_operators(name: Any, builds_space: bool = True) -> str:
 def _map_fields(spec: dict, path: str) -> None:
     """An affine or power body, and the map a power raises, has each of its fields and no other."""
     for kind, body in spec.items():
-        if kind in MAP_FIELDS and isinstance(body, dict | None):
+        if kind in MAP_FIELDS:
             _fields(body, MAP_FIELDS[kind], f"{path}.{kind}")
             if kind == "power" and isinstance(body["of"], dict):
                 _map_fields(body["of"], f"{path}.power.of")
@@ -443,6 +444,11 @@ def validate_config(doc: Any, seed: int | None = None) -> ExperimentConfig:
                        CHECK_SAMPLING_FIELDS if action.kind == "check" else SAMPLING_FIELDS, "sampling")
     solve = _solve_config(doc.get("solve"), "solve", seed=_at_least(0)(doc.get("seed", 0), "seed"),
                           **{f"sample_{key}": value for key, value in sampling.items()})
+    if (action.kind, action.name) == ("audit", "space"):
+        try:
+            triangle_shifts(solve.probe_ts)
+        except ValueError as exc:
+            raise ConfigError("solve.probe_ts", str(exc)) from exc
     output = _fields(doc.get("output"), OUTPUT_FIELDS, "output")
     return ExperimentConfig(operators_name, space_spec, action, solve, map_spec, output)
 

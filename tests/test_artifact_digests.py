@@ -13,9 +13,11 @@ the associativity clause was scanned in slabs, and those of five Picard
 solves that end at a block edge of the iteration loop before its step
 rows were evaluated in blocks, and those of four space audits over
 several sample blocks and two operator audits at a one-row or part-full
-associativity slab before both audits were blocked by cell count; a
-change that moves any artifact byte fails here unless the change
-declares the numeric difference and records new digests.
+associativity slab before both audits were blocked by cell count (2**15
+floats a block: 225 samples on the default probe grid, and slabs of
+max(1, 2**15 // n**2) rows at grid n); a change that moves any artifact
+byte fails here unless the change declares the numeric difference and
+records new digests.
 """
 
 import hashlib

@@ -199,7 +199,7 @@ MISSING = object()
     pytest.param("experiment.solve_config", [1], id="solve_config-list"),
     pytest.param("trace_points", [{"a": 1}, [1.0]], id="trace_points-mapping"),
     pytest.param("experiment.space", [1], id="space-list"),
-    pytest.param("experiment.map", {"affine": [1]}, id="map-affine-list"),
+    pytest.param("experiment.map.affine", [1], id="map-affine-list"),
     pytest.param("experiment.solve_config.epsilon", 5.0, id="epsilon-above-one"),
     pytest.param("experiment.space.induced.dimension", True, id="dimension-bool"),
     pytest.param("experiment.operators", "product-probsum", id="operators-not-idempotent"),
@@ -257,7 +257,7 @@ def case(command, text, old, new, field, id):
     case("solve", PICARD_YAML, "operators: min-max", "operators: [1]", "operators", "operators-list"),
     case("solve", PICARD_YAML, "output:", "solve: {probe_ts: 5}\noutput:", "solve.probe_ts",
          "probe_ts-number"),
-    case("solve", PICARD_YAML, "affine: {matrix: [[0.5]], offset: [1.0]}", "affine: [1]", "map",
+    case("solve", PICARD_YAML, "affine: {matrix: [[0.5]], offset: [1.0]}", "affine: [1]", "map.affine",
          "map-affine-list"),
     # tracebacks before the action parameters were typed at load
     case("solve", PICARD_YAML, "output:", "solve: {window: 2.5}\noutput:", "solve.window", "window-float"),
@@ -269,7 +269,8 @@ def case(command, text, old, new, field, id):
     case("solve", PICARD_YAML, "dimension: 1", "dimension: true", "space.induced.dimension",
          "dimension-bool"),
     case("solve", PICARD_YAML, "affine: {matrix: [[0.5]], offset: [1.0]}",
-         "power: {of: {affine: {matrix: [[0.5]], offset: [1.0]}}, m: .inf}", "map", "map-power-inf"),
+         "power: {of: {affine: {matrix: [[0.5]], offset: [1.0]}}, m: .inf}", "map.power.m",
+         "map-power-inf"),
     # exits 2 without a field path before
     case("solve", BALL_YAML, "k: 0.5", "k: abc", "action.solve.k", "k-string"),
     case("solve", POWER_YAML, "m: 2", "m: 0", "action.solve.m", "m-zero"),
@@ -316,6 +317,13 @@ def case(command, text, old, new, field, id):
          "output-key"),
     # an unhashable name must not reach a table lookup
     case("solve", PICARD_YAML, "regime: picard", "regime: [1]", "action.solve.regime", "regime-list"),
+    # named the whole map before
+    case("solve", PICARD_YAML, "affine: {matrix: [[0.5]], offset: [1.0]}",
+         "power: {of: {affine: {matrix: [[0.5]], offset: [1.0]}}, m: 1.5}", "map.power.m",
+         "map-power-float"),
+    case("solve", PICARD_YAML, "affine: {matrix: [[0.5]], offset: [1.0]}",
+         "power: {of: {affine: {matrix: [[0.5]], offset: [1.0]}}, m: true}", "map.power.m",
+         "map-power-bool"),
 ])
 def test_mistyped_config_fields_exit_two_with_field_path(tmp_path, capsys, command, text, old, new,
                                                          field):
@@ -323,6 +331,17 @@ def test_mistyped_config_fields_exit_two_with_field_path(tmp_path, capsys, comma
     cfg = write(tmp_path, "bad.yaml", text.replace(old, new))
     assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith(f"config error: {field}: ")
+
+
+def test_overflowing_probe_shifts_exit_two_on_space_audit(tmp_path, capsys):
+    # the sums s + t overflowed with two RuntimeWarnings, and the NaN rows
+    # they left were dropped, so both triangle clauses passed
+    cfg = write(tmp_path, "bad.yaml", SPACE_AUDIT_YAML.replace(
+        "output:", "solve: {probe_ts: [1.0, 1.0e+308, 1.7e+308]}\noutput:"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["audit", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("config error: solve.probe_ts: ")
 
 
 @pytest.mark.parametrize("command, text, old, new", [

@@ -241,6 +241,13 @@ PLANT = st.tuples(unit, unit, st.sampled_from([1e-9, 1e-3, 0.5, NAN]))
 @example(grid_size=32, factory=min_max, side="tconorm",
          plants=[(0.0, 0.3, 0.5), (0.6, 0.1, NAN), (1.0, 0.7, NAN)])
 @example(grid_size=33, factory=lukasiewicz, side="tnorm", plants=[(0.5, 0.5, NAN)])
+# slabs of BLOCK_CELLS = 2**15 floats: 8 rows that fill grid 64, 3 rows with
+# a one-row last slab at 91, one row at 129
+@example(grid_size=64, factory=product_probsum, side="tconorm",
+         plants=[(0.12, 0.3, 0.5), (0.13, 0.3, 0.5)])
+@example(grid_size=91, factory=min_max, side="tnorm", plants=[(0.0, 0.2, 0.5), (1.0, 0.5, NAN)])
+@example(grid_size=129, factory=lukasiewicz, side="tconorm",
+         plants=[(0.5, 0.5, 1e-3), (0.75, 0.25, NAN)])
 def test_slabbed_associativity_matches_the_full_table(grid_size, factory, side, plants):
     grid = np.linspace(0.0, 1.0, grid_size)
     op = planted(getattr(factory(), side), grid, plants)
@@ -268,6 +275,10 @@ def row_violations(grid, rows):
 @example(grid_size=17, rows={1: 2.0, 16: 2.0})  # a tie across slabs: the first wins
 @example(grid_size=32, rows={3: 5.0, 20: NAN, 31: 5.0})  # a NaN after a larger value
 @example(grid_size=33, rows={2: 1e-3, 17: NAN, 32: NAN})  # two NaNs: the first wins
+@example(grid_size=64, rows={7: 2.0, 8: 2.0})  # a tie across 8-row slabs
+@example(grid_size=90, rows={88: 5.0, 89: NAN})  # both in the part-full last slab
+@example(grid_size=91, rows={89: NAN, 90: NAN})  # the second in a one-row last slab
+@example(grid_size=129, rows={1: 5.0, 2: NAN, 3: NAN})  # one-row slabs
 def test_associativity_witness_is_the_first_worst_row(grid_size, rows):
     grid = np.linspace(0.0, 1.0, grid_size)
     rows = {1 + (i - 1) % (grid_size - 1): value for i, value in rows.items()}
@@ -281,11 +292,12 @@ def test_associativity_witness_is_the_first_worst_row(grid_size, rows):
 
 @pytest.mark.parametrize("name", ["min-max", "product-probsum", "lukasiewicz"])
 def test_operator_audit_memory_stays_bounded(name):
-    # the full (a, b, c) tables of one grid-200 clause peaked at 245 MiB
+    # the full (a, b, c) tables of one grid-200 clause peaked at 245 MiB, and
+    # 16-row slabs at 21.5 MiB
     tracemalloc.start()
     try:
         audit_operator_pair(operator_pair(name), 200)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 48 * 2**20
+    assert peak < 8 * 2**20

@@ -1,6 +1,10 @@
+import math
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ifmlab import (
@@ -22,6 +26,17 @@ from ifmlab import (
     product_probsum,
     sequence_diagnostics,
     time_parameter,
+)
+from ifmlab.operators import BLOCK_CELLS
+from ifmlab.report import ClauseResult
+from ifmlab.spaces import (
+    BASE_METRICS,
+    CONTINUITY_BOUND,
+    CONTINUITY_REFINEMENT,
+    DEFAULT_PROBE_TS,
+    _sample_audit_points,
+    point_jsonable,
+    probe_grid,
 )
 
 coord = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
@@ -365,3 +380,147 @@ def test_membership_grid_matches_per_t_reference_bit_for_bit(kind, dim, n, ts, d
     mu, nu = membership_grid(space, xs[0], ys, ts)
     ref_mu, ref_nu = reference_grid(space, [xs[0]] * n, ys, ts)
     assert np.array_equal(mu, ref_mu) and np.array_equal(nu, ref_nu)
+
+
+def reference_triangle_and_continuity(space, sample_count, ts, seed, tolerance=1e-9):
+    """The triangle and time-continuity clauses as the audit computed them
+    before it worked in sample blocks: one kernel call over all samples per
+    time shift s and per probe interval."""
+    ts = probe_grid(ts)
+    xs, ys, zs = _sample_audit_points(space, sample_count, np.random.default_rng(seed), (-5.0, 5.0))
+    mu_xy, nu_xy = membership_grid(space, xs, ys, ts)
+    mu_yz, nu_yz = membership_grid(space, ys, zs, ts)
+    best = [(-np.inf, None)] * 2
+    for i, s in enumerate(ts):
+        mu_xz, nu_xz = membership_grid(space, xs, zs, s + ts)
+        viols = (np.asarray(space.operators.tnorm(mu_xy[:, i, None], mu_yz), dtype=float) - mu_xz,
+                 nu_xz - np.asarray(space.operators.tconorm(nu_xy[:, i, None], nu_yz), dtype=float))
+        for side, viol in enumerate(viols):
+            # by time, then by sample; only a strictly larger value replaces
+            j, m = np.unravel_index(int(np.argmax(viol.T)), viol.T.shape)
+            worst = float(viol[m, j])
+            if worst > best[side][0]:
+                best[side] = worst, {
+                    "x": point_jsonable(xs[m]), "y": point_jsonable(ys[m]), "z": point_jsonable(zs[m]),
+                    "s": float(s), "t": float(ts[j]), "violation": worst,
+                }
+    jumps = [0.0, 0.0]
+    for lo_t, hi_t in zip(ts[:-1], ts[1:]):
+        sub = np.linspace(lo_t, hi_t, CONTINUITY_REFINEMENT + 1)
+        jumps = [max(jump, float(np.abs(np.diff(grid, axis=1)).max()))
+                 for jump, grid in zip(jumps, membership_grid(space, xs, ys, sub))]
+    clauses = {}
+    for side, (worst, witness), jump in zip(("mu", "nu"), best, jumps):
+        clauses[f"{side}_triangle"] = ClauseResult(
+            f"{side}_triangle", passed=worst <= tolerance, worst=max(worst, 0.0), witness=witness)
+        clauses[f"{side}_time_continuity"] = ClauseResult(
+            f"{side}_time_continuity", passed=jump <= CONTINUITY_BOUND, worst=jump,
+            witness={"bound": CONTINUITY_BOUND, "refinement": CONTINUITY_REFINEMENT},
+            note="finite-difference modulus on a refined t grid")
+    return clauses
+
+
+def audit_block(k):
+    """Samples per block of an audit over ``k`` probe times."""
+    return max(1, BLOCK_CELLS // max(k * k, 1 + CONTINUITY_REFINEMENT * (k - 1)))
+
+
+def small_table(values):
+    """Constant curves ``values[p] = (mu, nu)`` for the label pairs of a, b, c in
+    order; few distinct values make many exact triangle ties."""
+    labels = "abc"[:{0: 1, 1: 2, 3: 3}[len(values)]]
+    pairs = [(a, b) for i, a in enumerate(labels) for b in labels[i + 1:]]
+    return finite_tabulated(FiniteTabulated(list(labels), dict(zip(pairs, values))), min_max())
+
+
+def audit_space(kind, shape):
+    """An induced space (``shape`` is its dimension) or a tabulated one
+    (``shape`` is ``small_table``'s values, or None for ``FOUR_LABELS``)."""
+    if kind in BASE_METRICS:
+        return induced_from_metric(CoordinateSpace(shape, kind), min_max())
+    return FOUR_LABELS if shape is None else small_table(shape)
+
+
+CURVE_VALUES = st.tuples(st.sampled_from([0.4, 0.6, 1.0]), st.sampled_from([0.0, 0.3, 0.5]))
+
+
+@st.composite
+def audit_cases(draw):
+    kind = draw(st.sampled_from([*BASE_METRICS, "tabulated"]))
+    if kind == "tabulated":
+        shape = draw(st.none() | st.sampled_from([0, 1, 3]).flatmap(
+            lambda n: st.lists(CURVE_VALUES, min_size=n, max_size=n).map(tuple)))
+    else:
+        shape = draw(st.integers(1, 3))
+    ts = sorted(set(draw(st.lists(positive_t, min_size=1, max_size=12))))
+    samples = draw(st.integers(1, 4 * audit_block(len(ts))))
+    return kind, shape, tuple(ts), samples, draw(st.integers(0, 2**16))
+
+
+B10 = audit_block(len(DEFAULT_PROBE_TS))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=audit_cases())
+@example(case=("euclidean", 2, DEFAULT_PROBE_TS, B10, 0))
+@example(case=("tabulated", ((0.4, 0.3), (0.4, 0.3), (0.6, 0.0)), DEFAULT_PROBE_TS, B10 + 1, 1))
+@example(case=("tabulated", None, DEFAULT_PROBE_TS, 2 * B10 + 1, 2))
+@example(case=("chebyshev", 3, (0.5, 2.0, 8.0), 2 * audit_block(3) + 1, 3))
+def test_blocked_audit_matches_the_per_shift_reference(case):
+    kind, shape, ts, samples, seed = case
+    space = audit_space(kind, shape)
+    report = axiom_audit(space, samples, t_samples=ts, seed=seed)
+    reference = reference_triangle_and_continuity(space, samples, ts, seed)
+    for name, clause in reference.items():
+        assert repr(report.clause(name)) == repr(clause)
+
+
+@pytest.mark.parametrize("planted", [np.nan, 0.25])
+def test_triangle_witness_is_the_first_worst_across_blocks(line, planted):
+    # nearness 0.5 everywhere but at two sampled (x, z) pairs, where it is
+    # ``planted`` at one sum s + t: the pair at the smaller (s, t) wins,
+    # though its sample lies in a later block.  A NaN also beats a real
+    # violation of 0.5 before both in (s, t, sample) order.
+    ts = (1.0, 3.0, 8.0, 20.0)  # no sum s + t is a probe time
+    count = 3 * audit_block(len(ts))
+    xs, _, zs = _sample_audit_points(line, count, np.random.default_rng(0), (-5.0, 5.0))
+    early, late = count - 1, 0
+    plants = [(early, 1.0 + 8.0, planted), (late, 3.0 + 20.0, planted)]
+    if math.isnan(planted):
+        plants.append((5, 1.0 + 1.0, 0.0))
+
+    def membership(x, y, t):
+        mu = np.full(np.broadcast_shapes(x.shape[:-1], np.shape(t)), 0.5)
+        for m, at, value in plants:
+            mu = np.where((x[..., 0] == xs[m, 0]) & (y[..., 0] == zs[m, 0]) & (t == at), value, mu)
+        return mu, 1.0 - mu
+
+    space = IfmSpace(domain=line.domain, operators=line.operators, membership=membership)
+    report = axiom_audit(space, count, t_samples=ts, seed=0)
+    for side in ("mu", "nu"):
+        clause = report.clause(f"{side}_triangle")
+        assert not clause.passed
+        assert repr(clause.worst) == repr(clause.witness["violation"]) == repr(0.5 - planted)
+        assert (clause.witness["x"], clause.witness["z"]) == ([xs[early, 0]], [zs[early, 0]])
+        assert (clause.witness["s"], clause.witness["t"]) == (1.0, 8.0)
+
+
+def test_overflowing_time_shifts_are_rejected(line):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="overflows"):
+            axiom_audit(line, 10, t_samples=[1.0, 1e308, 1.7e308])
+        report = axiom_audit(line, 10, t_samples=[1.0, 8e307])
+    assert report.clause("mu_triangle").passed and report.clause("nu_triangle").passed
+
+
+def test_axiom_audit_memory_stays_bounded():
+    # the whole-sample grids of the triangle and continuity loops peaked at 30.5 MiB
+    space = induced_from_metric(CoordinateSpace(3), min_max())
+    tracemalloc.start()
+    try:
+        axiom_audit(space, 20_000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2**20
