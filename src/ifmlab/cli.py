@@ -28,7 +28,6 @@ import numpy as np
 from .config import (
     ConfigError,
     ExperimentConfig,
-    _check_points,
     _number,
     _numbers,
     _point,
@@ -61,8 +60,8 @@ from .solver import (
     picard_solve,
     power_map_solve,
     residual_certificate,
-    sampling_box,
 )
+from .sampling import sampling_box
 from .spaces import IfmSpace, axiom_audit, point_jsonable, points_equal, probe_grid
 
 OUTPUT_DIR_ENV = "IFMLAB_OUT"
@@ -101,6 +100,13 @@ def _resolve_out(path: str, out_dir: str | None) -> str:
 # trace and result documents
 
 
+def _csv_cell(text: str) -> str:
+    """``text`` as one CSV cell: quoted (RFC 4180) when it holds a comma, a quote or a line break."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def trace_rows(result: SolveResult) -> list[str]:
     """Lines of the tabular trace, header first (17-significant-digit floats).
 
@@ -127,7 +133,7 @@ def trace_rows(result: SolveResult) -> list[str]:
         row = [str(i)]
         values = np.atleast_1d(np.asarray(p, float)).tolist() if coordinate else []
         if not coordinate:
-            row.append(str(p))
+            row.append(_csv_cell(str(p)))
         if i < len(steps):
             values += steps[i]
         if values:
@@ -212,7 +218,7 @@ def validate_result_document(doc: Any) -> list[str]:
     points = expect_list(doc.get("trace_points") or [], "trace_points")
     if not points:
         return ["document carries no trace points"]
-    _check_points(points, "trace_points", space.domain)
+    points = _point(points, "trace_points", space.domain, many=True)
 
     problems: list[str] = []
     step = chain_break(space, step_map, points)
@@ -247,7 +253,7 @@ def validate_result_document(doc: Any) -> list[str]:
 
 
 def _space_and_map(config: ExperimentConfig) -> tuple[IfmSpace, SelfMap | None]:
-    space = build_space(config.space_spec, config.operators_name)
+    space = build_space(config.space_spec, config.domain, config.operators_name)
     return space, None if config.map_spec is None else build_map(config)
 
 
@@ -260,7 +266,8 @@ def _run_audit(config: ExperimentConfig, out_dir: str | None, summary: RunSummar
     else:
         space, _ = _space_and_map(config)
         report = axiom_audit(space, sample_count=action.samples, t_samples=cfg.probe_ts,
-                             tolerance=action.tolerance, seed=cfg.seed, box=sampling_box(space, cfg))
+                             tolerance=action.tolerance, seed=cfg.seed,
+                             box=sampling_box(space, cfg.sample_halfwidth))
     path = _resolve_out(config.output.get("report", "audit_report.jsonl"), out_dir)
     write_text_atomic(path, records_to_jsonl(report.to_records()))
     summary.files.append(path)
@@ -299,7 +306,7 @@ SOLVES = {
 def _run_check(config: ExperimentConfig, out_dir: str | None, summary: RunSummary) -> int:
     space, map_ = _space_and_map(config)
     action, cfg = config.action, config.solve
-    report = CHECKS[action.name](space, map_, action, cfg, sampling_box(space, cfg))
+    report = CHECKS[action.name](space, map_, action, cfg, sampling_box(space, cfg.sample_halfwidth))
     path = _resolve_out(config.output.get("report", "check_report.jsonl"), out_dir)
     write_text_atomic(path, records_to_jsonl([report.to_record()]))
     summary.files.append(path)

@@ -25,6 +25,7 @@ from .spaces import (
     CoordinateSpace,
     FiniteTabulated,
     IfmSpace,
+    PointDomain,
     finite_tabulated,
     induced_from_metric,
     require_idempotent,
@@ -117,33 +118,18 @@ def _epsilons(value: Any, path: str, domain: Any = None) -> tuple[float, ...]:
     return tuple(UNIT(e, f"{path}[{i}]") for i, e in enumerate(value))
 
 
-def _point(value: Any, path: str, domain: CoordinateSpace | FiniteTabulated) -> Any:
+def _point(value: Any, path: str, domain: PointDomain, many: bool = False) -> Any:
+    """``value`` read by the domain as one point, or as a point sequence if ``many``."""
     try:
-        return domain.as_point(value)
-    except (TypeError, ValueError) as exc:
+        return domain.read(value) if many else domain.as_point(value)
+    except ValueError as exc:
         raise ConfigError(path, str(exc)) from exc
 
 
-def _check_points(points: list, path: str, domain: CoordinateSpace | FiniteTabulated) -> None:
-    """All of ``points`` at once against the domain."""
-    if isinstance(domain, FiniteTabulated):
-        if not all(isinstance(p, str) and p in domain.index for p in points):
-            raise ConfigError(path, f"expected labels among {domain.labels}")
-        return
-    try:
-        arr = np.asarray(points, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(path, f"expected coordinate points: {exc}") from exc
-    if arr.ndim == 1 and domain.dimension == 1:  # scalars on a line, as as_point reads them
-        arr = arr[:, None]
-    if arr.shape != (len(points), domain.dimension) or not np.all(np.isfinite(arr)):
-        raise ConfigError(path, f"expected finite points of dimension {domain.dimension}")
-
-
-def _prefix(value: Any, path: str, domain: CoordinateSpace | FiniteTabulated) -> list:
+def _prefix(value: Any, path: str, domain: PointDomain) -> list:
     if len(expect_list(value, path)) < 3:
         raise ConfigError(path, "must hold at least 3 points")
-    _check_points(value, path, domain)
+    _point(value, path, domain, many=True)
     return value
 
 
@@ -187,7 +173,10 @@ def _metric(value: Any, path: str, domain: Any = None) -> str:
 
 
 def _labels(value: Any, path: str, domain: Any = None) -> list[str]:
-    return [str(label) for label in expect_list(value, path)]
+    for i, label in enumerate(expect_list(value, path)):
+        if not isinstance(label, str):
+            raise ConfigError(f"{path}[{i}]", f"a label is a string, got {label!r}")
+    return list(value)
 
 
 def _between_labels(value: Any, path: str, domain: Any = None) -> list[str]:
@@ -212,7 +201,7 @@ def _pairs(value: Any, path: str, domain: Any = None) -> list[dict]:
     return [_fields(entry, PAIR_FIELDS, f"{path}[{i}]") for i, entry in enumerate(expect_list(value, path))]
 
 
-def _ball(value: Any, path: str, domain: CoordinateSpace | FiniteTabulated) -> BallSpec:
+def _ball(value: Any, path: str, domain: PointDomain) -> BallSpec:
     table = {"center": (_point, REQUIRED), "radius": (UNIT, REQUIRED), "time": (POSITIVE, REQUIRED)}
     return BallSpec(**_fields(value, table, path, domain))
 
@@ -291,42 +280,41 @@ class Action:
 class ExperimentConfig:
     operators_name: str
     space_spec: dict
+    domain: PointDomain  # built once from space_spec, at validation
     action: Action
     solve: SolveConfig  # from solve:, seed and sampling:
     map_spec: dict | None = None
     output: dict = field(default_factory=dict)
 
 
-def _validate_space(spec: Any) -> tuple[dict, CoordinateSpace | FiniteTabulated]:
+def _tabulated_domain(body: dict) -> FiniteTabulated:
+    return FiniteTabulated(body["labels"], {tuple(p["between"]): (p["mu"], p["nu"]) for p in body["pairs"]})
+
+
+# space kind -> (its point domain from the validated body, its space over that domain)
+SPACE_KINDS = {
+    "induced": (lambda body: CoordinateSpace(body["dimension"], body["base_metric"]), induced_from_metric),
+    "tabulated": (_tabulated_domain, finite_tabulated),
+}
+
+
+def _validate_space(spec: Any) -> tuple[dict, PointDomain]:
     """The normalised space spec and its point domain."""
     spec = _known(spec, SPACE_FIELDS, "space")
     if len(spec) != 1:
         raise ConfigError("space", "exactly one of 'induced' or 'tabulated' is required")
     (kind, body), = spec.items()
-    normalized = {kind: _fields(body, SPACE_FIELDS[kind], f"space.{kind}")}
+    body = _fields(body, SPACE_FIELDS[kind], f"space.{kind}")
     try:
-        return normalized, _domain_from_spec(normalized)
+        return {kind: body}, SPACE_KINDS[kind][0](body)
     except ValueError as exc:  # a tabulated label set or curve
         raise ConfigError(f"space.{kind}", str(exc)) from exc
 
 
-def _domain_from_spec(space_spec: dict) -> CoordinateSpace | FiniteTabulated:
-    if "induced" in space_spec:
-        body = space_spec["induced"]
-        return CoordinateSpace(body["dimension"], body.get("base_metric", "euclidean"))
-    body = space_spec["tabulated"]
-    pairwise = {
-        tuple(entry["between"]): (entry["mu"], entry["nu"]) for entry in body["pairs"]
-    }
-    return FiniteTabulated(body["labels"], pairwise)
-
-
-def build_space(space_spec: dict, operators_name: str) -> IfmSpace:
-    domain = _domain_from_spec(space_spec)
-    pair = operator_pair(operators_name)
-    if isinstance(domain, CoordinateSpace):
-        return induced_from_metric(domain, pair)
-    return finite_tabulated(domain, pair)
+def build_space(space_spec: dict, domain: PointDomain, operators_name: str) -> IfmSpace:
+    """The space of a validated spec over ``domain``, the point domain built from it."""
+    (kind,) = space_spec
+    return SPACE_KINDS[kind][1](domain, operator_pair(operators_name))
 
 
 @functools.cache
@@ -382,7 +370,7 @@ def build_map(config: ExperimentConfig) -> SelfMap:
     return self_map_from_spec(config.map_spec)
 
 
-def _validate_action(raw: Any, domain: CoordinateSpace | FiniteTabulated) -> Action:
+def _validate_action(raw: Any, domain: PointDomain) -> Action:
     raw = expect_mapping(raw, "action")
     kinds = [k for k in ACTIONS if k in raw]
     if len(kinds) != 1:
@@ -415,14 +403,14 @@ def solve_record(config: SolveConfig) -> dict:
 def _rebuild_experiment(exp: dict) -> tuple[IfmSpace, SelfMap, SelfMap, SolveConfig]:
     """Space, maps and solve settings of a result document's experiment, checked as in a config."""
     try:
-        space_spec, _ = _validate_space(exp.get("space"))
+        space_spec, domain = _validate_space(exp.get("space"))
         operators = _validate_operators(exp.get("operators", "min-max"))
         map_spec = _validate_map(exp.get("map"), space_spec)
         step_spec = _validate_map(exp.get("iteration_map", map_spec), space_spec, "iteration_map")
         solve = _solve_config(exp.get("solve_config"), "solve_config")
     except ConfigError as exc:
         raise ConfigError(f"experiment.{exc.path}", exc.message) from exc
-    space = build_space(space_spec, operators)
+    space = build_space(space_spec, domain, operators)
     return space, self_map_from_spec(map_spec), self_map_from_spec(step_spec), solve
 
 
@@ -450,7 +438,7 @@ def validate_config(doc: Any, seed: int | None = None) -> ExperimentConfig:
         except ValueError as exc:
             raise ConfigError("solve.probe_ts", str(exc)) from exc
     output = _fields(doc.get("output"), OUTPUT_FIELDS, "output")
-    return ExperimentConfig(operators_name, space_spec, action, solve, map_spec, output)
+    return ExperimentConfig(operators_name, space_spec, domain, action, solve, map_spec, output)
 
 
 def load_config(path: str, seed: int | None = None) -> ExperimentConfig:

@@ -23,10 +23,10 @@ from typing import Any, Callable, Iterable
 import numpy as np
 
 from .sampling import sample_pairs
-from .spaces import (
-    CoordinateSpace,
-    FiniteTabulated,
+from .spaces import (  # the domain errors are re-exported here, beside the maps that raise them
+    DomainEscapeError,
     IfmSpace,
+    NonFiniteImageError,
     membership_grid,
     point_jsonable,
     points_equal,
@@ -43,26 +43,13 @@ K_SAFETY_MARGIN = 1e-9
 UNIT_RESOLUTION = 1e-3
 
 
-class DomainEscapeError(RuntimeError):
-    """A self-map produced a point outside its space's domain."""
-
-    def __init__(self, message: str, point=None, index: int | None = None):
-        super().__init__(message)
-        self.point = point
-        self.index = index
-
-
-class NonFiniteImageError(DomainEscapeError):
-    """A map sent a coordinate point to a non-finite image (overflow)."""
-
-
 class SelfMap:
     """A self-map of a space's point domain.
 
     Wraps an evaluator together with a serializable descriptor (used by
     the CLI to reconstruct maps from result documents).  Coordinate-domain
     evaluators must accept both single points ``(dim,)`` and batches
-    ``(n, dim)``.
+    ``(n, dim)``; label evaluators get one label at a time.
     """
 
     def __init__(self, fn: Callable, label: str = "custom", spec: dict | None = None):
@@ -96,11 +83,9 @@ class SelfMap:
         table = dict(mapping)
 
         def fn(x):
-            if isinstance(x, str):
-                if x not in table:
-                    raise DomainEscapeError(f"label {x!r} has no image in the table map", point=x)
-                return table[x]
-            return np.asarray([fn(p) for p in x], dtype=object)
+            if x not in table:
+                raise DomainEscapeError(f"label {x!r} has no image in the table map", point=x)
+            return table[x]
 
         return cls(fn, label=f"table({len(table)} labels)", spec={"table": table})
 
@@ -108,9 +93,7 @@ class SelfMap:
     def constant(cls, value) -> "SelfMap":
         if isinstance(value, str):
             def fn(x):
-                if isinstance(x, str):
-                    return value
-                return np.asarray([value] * len(x), dtype=object)
+                return value
         else:
             target = np.atleast_1d(np.asarray(value, dtype=float))
 
@@ -171,36 +154,12 @@ def self_map_from_spec(spec: dict) -> SelfMap:
 
 def apply_point(space: IfmSpace, map_: SelfMap, p):
     """Apply a map to one point, validating the image stays in the domain."""
-    p = space.as_point(p)
-    image = map_(p)
-    if isinstance(space.domain, FiniteTabulated):
-        if image not in space.domain.index:
-            raise DomainEscapeError(f"image {image!r} is not a domain label", point=image)
-        return image
-    arr = np.atleast_1d(np.asarray(image, dtype=float))
-    if arr.shape != (space.domain.dimension,):
-        raise DomainEscapeError(f"image has shape {arr.shape}, expected ({space.domain.dimension},)",
-                                point=image)
-    if not np.all(np.isfinite(arr)):
-        raise NonFiniteImageError(f"image {arr.tolist()} left the coordinate domain", point=arr)
-    return arr
+    return space.domain.image(map_(space.domain.as_point(p)))
 
 
 def apply_batch(space: IfmSpace, map_: SelfMap, pts):
-    """Apply a map to a point batch, validating the images stay in the domain."""
-    if isinstance(space.domain, FiniteTabulated):
-        return np.asarray([apply_point(space, map_, p) for p in pts], dtype=object)
-    arr = np.asarray(pts, dtype=float)
-    out = np.asarray(map_(arr), dtype=float)
-    if out.shape != arr.shape:
-        raise DomainEscapeError(f"image batch has shape {out.shape}, expected {arr.shape}", point=out)
-    bad = ~np.all(np.isfinite(out), axis=-1)
-    if np.any(bad):
-        i = int(np.nonzero(bad)[0][0])
-        raise DomainEscapeError(
-            f"map left the domain at sample {i}: {out[i].tolist()}", point=out[i], index=i
-        )
-    return out
+    """Apply a map to a point sequence, validating the images stay in the domain."""
+    return space.domain.apply(map_, pts)
 
 
 @dataclass
@@ -475,16 +434,12 @@ def contractive_sequence_check(
     if not 0.0 < float(k) < 1.0:
         raise ValueError(f"k must lie strictly inside (0, 1), got {k!r}")
     k = float(k)
-    pts = [space.as_point(p) for p in prefix]
+    pts = space.domain.read(prefix)
     if len(pts) < 3:
         raise ValueError("prefix must contain at least 3 points")
     ts = probe_grid(probe_ts)
-
-    fixed_from: int | None = None
-    for n in range(len(pts) - 1):
-        if points_equal(pts[n], pts[n + 1]):
-            fixed_from = n
-            break
+    same = np.flatnonzero(~space.domain.distinct(pts[:-1], pts[1:]))
+    fixed_from = int(same[0]) if same.size else None
 
     # rows n of the step grids compare step (n, n+1) with step (n+1, n+2);
     # steps from an exactly fixed index on pass trivially
@@ -550,7 +505,7 @@ def closed_ball_hypotheses(
         raise ValueError(f"k must lie strictly inside (0, 1), got {k!r}")
     t = time_parameter(t)
     r, k = float(r), float(k)
-    x0p = space.as_point(x0)
+    x0p = space.domain.as_point(x0)
     tx0 = apply_point(space, map_, x0p)
 
     mu_rhs = (1.0 - k) * (1.0 / (1.0 - r) - 1.0)

@@ -21,8 +21,12 @@ MAX_SEPARATION_FRACTION = 0.5
 BALL_SAMPLING_ROUNDS = 12
 
 
-def coordinate_box(space_dim: int, center=None, halfwidth: float = DEFAULT_HALFWIDTH):
-    c = np.zeros(space_dim) if center is None else np.asarray(center, float)
+def sampling_box(space: IfmSpace, halfwidth: float = DEFAULT_HALFWIDTH, center=None):
+    """Box of ``halfwidth`` around ``center`` (default the origin) for a
+    coordinate space; ``None`` for a tabulated one."""
+    if not isinstance(space.domain, CoordinateSpace):
+        return None
+    c = np.zeros(space.domain.dimension) if center is None else np.asarray(center, float)
     return c - halfwidth, c + halfwidth
 
 
@@ -41,7 +45,7 @@ def sample_coordinate_pairs(
     """
     if count < 1:
         raise ValueError("count must be at least 1")
-    low, high = box if box is not None else coordinate_box(dimension)
+    low, high = box if box is not None else (-DEFAULT_HALFWIDTH, DEFAULT_HALFWIDTH)
     low = np.broadcast_to(np.asarray(low, float), (dimension,))
     high = np.broadcast_to(np.asarray(high, float), (dimension,))
     width = float(np.max(high - low))
@@ -78,7 +82,6 @@ def sample_pairs(
     domain = space.domain
     if isinstance(domain, CoordinateSpace):
         return sample_coordinate_pairs(domain.dimension, count, seed, box)
-    assert isinstance(domain, FiniteTabulated)
     return sample_label_pairs(domain.labels, count, seed)
 
 
@@ -99,7 +102,7 @@ def sample_ball_pairs(space: IfmSpace, ball: BallSpec, count: int, seed: int) ->
             raise ValueError("closed ball contains fewer than two labels; nothing to sample")
         return sample_label_pairs(members, count, seed)
 
-    center = space.as_point(ball.center)
+    center = space.domain.as_point(ball.center)
     r = float(ball.radius)
     if space.base_distance is not None:
         halfwidth = ball.time * r / (1.0 - r)
@@ -120,5 +123,5 @@ def sample_ball_pairs(space: IfmSpace, ball: BallSpec, count: int, seed: int) ->
         raise ValueError("could not sample points inside the closed ball")
     pts = np.concatenate(kept)[: 2 * count]
     xs, ys = pts[0::2], pts[1::2]
-    coincident = np.all(xs == ys, axis=1)
-    return xs[~coincident], ys[~coincident]
+    distinct = domain.distinct(xs, ys)
+    return xs[distinct], ys[distinct]

@@ -35,11 +35,10 @@ from .contractions import (
     NonFiniteImageError,
     t_uniform_continuity_probe,
 )
-from .sampling import coordinate_box, sample_ball_pairs, sample_pairs
+from .sampling import DEFAULT_HALFWIDTH, sample_ball_pairs, sample_pairs, sampling_box
 from .spaces import (
     AsymptoticReport,
     BallSpec,
-    CoordinateSpace,
     IfmSpace,
     asymptotic_nearness_probe,
     ball_contains,
@@ -77,7 +76,7 @@ class SolveConfig:
     hypothesis_checks: bool = True
     sample_pairs: int = 400
     seed: int = 0
-    sample_halfwidth: float = 8.0
+    sample_halfwidth: float = DEFAULT_HALFWIDTH
 
     def __post_init__(self) -> None:
         if not 0.0 < self.epsilon < 1.0:
@@ -86,7 +85,7 @@ class SolveConfig:
             raise ValueError("max_iterations must be at least 1")
         if self.window < 1:
             raise ValueError("window must be at least 1")
-        self.probe_ts = tuple(float(t) for t in probe_grid(self.probe_ts or None))
+        self.probe_ts = tuple(float(t) for t in probe_grid(tuple(self.probe_ts) or None))
 
 
 @dataclass
@@ -133,7 +132,7 @@ def iterate_trace(space: IfmSpace, map_: SelfMap, x0, n: int) -> list:
     """Points ``x0 .. xn`` with each entry the image of its predecessor."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    pts = [space.as_point(x0)]
+    pts = [space.domain.as_point(x0)]
     for _ in range(n):
         pts.append(apply_point(space, map_, pts[-1]))
     return pts
@@ -177,7 +176,7 @@ def _solve(space: IfmSpace, map_: SelfMap, x0, config: SolveConfig,
     overflow warnings off.
     """
     ts = np.asarray(config.probe_ts)
-    points = [space.as_point(x0)]
+    points = [space.domain.as_point(x0)]
     mu_rows: list[np.ndarray] = []
     nu_rows: list[np.ndarray] = []
     flags: list[bool] | None = None
@@ -249,15 +248,6 @@ def _solve(space: IfmSpace, map_: SelfMap, x0, config: SolveConfig,
         return stop("budget_exhausted", f"no fixed point certified within {config.max_iterations} iterations")
 
 
-def sampling_box(space: IfmSpace, config: SolveConfig, center=None):
-    """Box of ``config.sample_halfwidth`` around ``center`` (default the
-    origin) for coordinate spaces; ``None`` for tabulated ones."""
-    if isinstance(space.domain, CoordinateSpace):
-        c = None if center is None else np.asarray(center, float)
-        return coordinate_box(space.domain.dimension, c, config.sample_halfwidth)
-    return None
-
-
 def _asymptotic_probe(space: IfmSpace, config: SolveConfig, box) -> AsymptoticReport:
     """Large-horizon nearness probe on eight seeded pairs."""
     pair_x, pair_y = sample_pairs(space, 8, config.seed + 1, box)
@@ -275,10 +265,9 @@ def picard_solve(space: IfmSpace, map_: SelfMap, x0, config: SolveConfig | None 
     result carrying the report.
     """
     config = config or SolveConfig()
-    start = space.as_point(x0)
-    box = sampling_box(space, config, start)
+    box = sampling_box(space, config.sample_halfwidth, x0)
 
-    return _solve(space, map_, start, config, (
+    return _solve(space, map_, x0, config, (
         lambda: _gate(if_contractive_check(space, map_, config.sample_pairs, config.probe_ts,
                                            seed=config.seed, box=box),
                       "map failed the contraction check on sampled pairs"),
@@ -348,7 +337,7 @@ def power_map_solve(
     config = config or SolveConfig()
     start = space.domain.default_start() if x0 is None else x0
     power = map_.power(m)
-    box = sampling_box(space, config)
+    box = sampling_box(space, config.sample_halfwidth)
     inner = config if m == 1 else replace(config, epsilon=config.epsilon / POWER_SOLVE_TIGHTENING)
     result = _solve(space, power, start, inner, (
         lambda: _gate(if_contractive_check(space, power, config.sample_pairs, config.probe_ts,
@@ -395,7 +384,7 @@ def direct_ratio_solve(
     """
     config = config or SolveConfig()
     start = space.domain.default_start() if x0 is None else x0
-    box = sampling_box(space, config)
+    box = sampling_box(space, config.sample_halfwidth)
 
     def ratio() -> tuple[ContractivityReport, str | None]:
         report = direct_ratio_contractive_check(
@@ -476,8 +465,7 @@ def uniqueness_probe(
                     "nu": float(nu[0, t_idx]),
                 }
             if space.base_distance is not None:
-                d = float(space.base_distance(np.asarray(limits[i], float),
-                                              np.asarray(limits[j], float)))
+                d = float(space.base_distance(limits[i], limits[j]))
                 max_dist = d if max_dist is None else max(max_dist, d)
     return UniquenessReport(
         statuses=statuses,

@@ -62,6 +62,19 @@ def probe_grid(ts: Iterable[float] | None) -> np.ndarray:
     return arr
 
 
+class DomainEscapeError(RuntimeError):
+    """A self-map produced a point outside its space's domain."""
+
+    def __init__(self, message: str, point=None, index: int | None = None):
+        super().__init__(message)
+        self.point = point
+        self.index = index
+
+
+class NonFiniteImageError(DomainEscapeError):
+    """A map sent a coordinate point to a non-finite image (overflow)."""
+
+
 class MembershipPair(NamedTuple):
     """Degrees of nearness and non-nearness for one evaluation."""
 
@@ -92,13 +105,64 @@ class CoordinateSpace:
             return np.max(delta, axis=-1)
         return np.sum(delta, axis=-1)  # absolute-difference (|x - y| on the line)
 
+    def read(self, points) -> np.ndarray:
+        """A sequence of points as an ``(n, dim)`` float array; a point is ``dim``
+        finite numbers or a bare number on a line, and a ValueError names the first bad one."""
+        return self._floats(points, 2)
+
     def as_point(self, p: Any) -> np.ndarray:
-        arr = np.atleast_1d(np.asarray(p, dtype=float))
-        if arr.shape != (self.dimension,):
-            raise ValueError(f"expected a point of dimension {self.dimension}, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError(f"point coordinates must be finite, got {arr.tolist()}")
+        """One point as a ``(dim,)`` array, read as :meth:`read` reads each point."""
+        return self._floats(p, 1)
+
+    def image(self, value: Any) -> np.ndarray:
+        """A map's image of one point, read as a point is: a wrong shape is a
+        DomainEscapeError and a non-finite coordinate (an overflow) a
+        NonFiniteImageError."""
+        return self._floats(value, 1, image=True)
+
+    def apply(self, fn: Callable, points) -> np.ndarray:
+        """The checked images under ``fn`` of a point sequence, mapped in one call."""
+        points = self.read(points)
+        return self._floats(fn(points), 2, len(points), image=True)
+
+    def _floats(self, values, rank: int, count: int | None = None, image: bool = False) -> np.ndarray:
+        """``values`` as floats of ``rank`` 1 (one point) or 2 (a sequence, of
+        ``count`` points when given), raising as :meth:`read` says, or as
+        :meth:`image` says for a map's images."""
+        def misfit(message: str) -> Exception:
+            return DomainEscapeError(message, point=values) if image else ValueError(message)
+
+        try:
+            arr = np.asarray(values, dtype=float)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise misfit(f"expected coordinates: {exc}") from None
+        if self.dimension == 1 and arr.ndim == rank - 1:  # bare numbers on a line
+            arr = arr[..., None]
+        shape = (*(() if rank == 1 else arr.shape[:1] if count is None else (count,)), self.dimension)
+        if arr.shape != shape:
+            raise misfit(f"expected {'image' if image else 'point'} shape {shape}, got {arr.shape}")
+        finite = np.isfinite(arr).all(axis=-1)
+        if not finite.all():
+            i = None if rank == 1 else int(np.argmin(finite))
+            row, at = (arr, "") if i is None else (arr[i], f" {i}")
+            if image:
+                raise NonFiniteImageError(f"image{at} {row.tolist()} left the coordinate domain",
+                                          point=row, index=i)
+            raise ValueError(f"point{at} coordinates must be finite, got {row.tolist()}")
         return arr
+
+    def batch(self, points) -> np.ndarray:
+        """One point or a sequence of points as an unchecked ``(n, dim)`` batch."""
+        return np.asarray(points, dtype=float).reshape(-1, self.dimension)
+
+    def draw(self, rng: np.random.Generator, count: int, box) -> np.ndarray:
+        """``count`` audit points, uniform over ``box``."""
+        return rng.uniform(*box, (count, self.dimension))
+
+    @staticmethod
+    def distinct(xs, ys) -> np.ndarray:
+        """Whether each pair of two point batches differs."""
+        return ~np.all(np.asarray(xs, float) == np.asarray(ys, float), axis=-1)
 
     def default_start(self) -> np.ndarray:
         return np.zeros(self.dimension)
@@ -148,9 +212,12 @@ class FiniteTabulated:
         labels = list(labels)
         if not labels:
             raise ValueError("at least one label is required")
+        if not all(isinstance(label, str) for label in labels):
+            raise ValueError("labels must be strings")
         if len(set(labels)) != len(labels):
             raise ValueError("labels must be unique")
         self.labels = labels
+        self.label_array = np.asarray(labels, dtype=object)
         self.index = {lab: i for i, lab in enumerate(labels)}
 
         curves: dict[tuple[int, int], tuple[Curve, Curve]] = {}
@@ -180,21 +247,52 @@ class FiniteTabulated:
                     raise ValueError(f"missing curve data for pair ({labels[i]!r}, {labels[j]!r})")
         self.pair_curves = curves
 
+    def read(self, points) -> np.ndarray:
+        """A sequence of labels as an ``(n,)`` object array; a point is a
+        known string, and a ValueError names the first that is not."""
+        return self.label_array[self.indices(np.fromiter(points, object, len(points)))]
+
     def as_point(self, p: Any) -> str:
-        if not isinstance(p, str) or p not in self.index:
-            raise ValueError(f"unknown label {p!r}")
-        return p
+        """One label, read as :meth:`read` reads each point."""
+        return self.read([p])[0]
+
+    def image(self, value: Any) -> str:
+        """A map's image of one label; a DomainEscapeError unless it is a known label."""
+        try:
+            return self.as_point(value)
+        except ValueError as exc:
+            raise DomainEscapeError(f"image {value!r} is not a domain label", point=value) from exc
+
+    def apply(self, fn: Callable, points) -> np.ndarray:
+        """The checked images under ``fn`` of a label sequence, mapped one label at a time."""
+        return np.asarray([self.image(fn(p)) for p in self.read(points)], dtype=object)
+
+    def indices(self, points) -> np.ndarray:
+        """The index of each label of ``points``, an array of any shape; a
+        ValueError names the first entry that is not a known string."""
+        labels = np.asarray(points, dtype=object)
+        flat = labels.ravel()
+        try:
+            return np.fromiter(map(self.index.__getitem__, flat), int, flat.size).reshape(labels.shape)
+        except (KeyError, TypeError):
+            bad = next(p for p in flat if not isinstance(p, str) or p not in self.index)
+            raise ValueError(f"unknown label {bad!r}") from None
+
+    def batch(self, points) -> np.ndarray:
+        """One label or a sequence of labels as an unchecked ``(n,)`` batch."""
+        return np.asarray([points] if isinstance(points, str) else points, dtype=object)
+
+    def draw(self, rng: np.random.Generator, count: int, box=None) -> np.ndarray:
+        """``count`` audit points, uniform over the labels."""
+        return self.label_array[rng.integers(0, len(self.labels), count)]
+
+    @staticmethod
+    def distinct(xs, ys) -> np.ndarray:
+        """Whether each pair of two label batches differs."""
+        return np.asarray([a != b for a, b in zip(xs, ys)])
 
     def default_start(self) -> str:
         return self.labels[0]
-
-    def as_indices(self, points) -> np.ndarray:
-        """Label indices in the shape of ``points`` (a label or an array of labels)."""
-        labels = np.asarray(points, dtype=object)
-        try:
-            return np.asarray([self.index[p] for p in labels.ravel()], dtype=int).reshape(labels.shape)
-        except KeyError as exc:
-            raise ValueError(f"unknown label {exc.args[0]!r}") from None
 
 
 PointDomain = CoordinateSpace | FiniteTabulated
@@ -221,20 +319,6 @@ class IfmSpace:
 
     def mu_nu(self, x, y, t):
         return self.membership(x, y, t)
-
-    def as_point(self, p):
-        return self.domain.as_point(p)
-
-    def batch(self, points) -> np.ndarray:
-        """One point or a sequence of points as a batch.
-
-        Coordinate domains give an ``(n, dim)`` float array, tabulated ones
-        an ``(n,)`` array of labels.  Points are not validated here; labels
-        are checked by the kernel and :meth:`as_point` checks one point.
-        """
-        if isinstance(self.domain, CoordinateSpace):
-            return np.asarray(points, dtype=float).reshape(-1, self.domain.dimension)
-        return np.asarray([points] if isinstance(points, str) else points, dtype=object)
 
 
 def points_equal(a, b) -> bool:
@@ -307,7 +391,7 @@ def finite_tabulated(domain: FiniteTabulated, operators: OperatorPair) -> IfmSpa
         pair_id[i, j] = pair_id[j, i] = p
 
     def membership(x, y, t):
-        ids = pair_id[domain.as_indices(x), domain.as_indices(y)]
+        ids = pair_id[domain.indices(x), domain.indices(y)]
         used, inverse = np.unique(ids.ravel(), return_inverse=True)
         t = np.asarray(t, dtype=float)
         mu, nu = (np.stack([curves[p][side](t) for p in used]) for side in (0, 1))
@@ -323,20 +407,20 @@ def finite_tabulated(domain: FiniteTabulated, operators: OperatorPair) -> IfmSpa
 
 def evaluate(space: IfmSpace, x, y, t: float) -> MembershipPair:
     """Evaluate one pair at one time; the shared scalar accessor."""
-    mu, nu = membership_grid(space, space.as_point(x), space.as_point(y), [time_parameter(t)])
+    mu, nu = membership_grid(space, space.domain.as_point(x), space.domain.as_point(y), [time_parameter(t)])
     return MembershipPair(float(mu[0, 0]), float(nu[0, 0]))
 
 
 def membership_grid(space: IfmSpace, xs, ys, ts) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate point pairs at every time of ``ts`` in one kernel call.
 
-    ``xs`` and ``ys`` are points or point sequences (see
-    :meth:`IfmSpace.batch`); a single point pairs with every point of the
+    ``xs`` and ``ys`` are points or point sequences, unchecked (see the
+    domains' ``batch``); a single point pairs with every point of the
     other side.  Returns read-only ``(mu, nu)`` arrays of shape ``(n, k)``
     for ``n`` pairs and ``k`` times.
     """
-    xs = space.batch(xs)
-    ys = space.batch(ys)
+    xs = space.domain.batch(xs)
+    ys = space.domain.batch(ys)
     ts = np.asarray(ts, dtype=float)
     mu, nu = space.mu_nu(xs[:, None], ys[:, None], ts)
     shape = (len(xs) if len(ys) == 1 else len(ys), len(ts))
@@ -345,24 +429,6 @@ def membership_grid(space: IfmSpace, xs, ys, ts) -> tuple[np.ndarray, np.ndarray
 
 # ---------------------------------------------------------------------------
 # axiom audit
-
-
-def _sample_audit_points(space, count, rng, box):
-    """Three independent point batches from the domain."""
-    domain = space.domain
-    if isinstance(domain, CoordinateSpace):
-        low, high = box
-        shape = (count, domain.dimension)
-        return tuple(rng.uniform(low, high, shape) for _ in range(3))
-    n_labels = len(domain.labels)
-    labels = np.asarray(domain.labels, dtype=object)
-    return tuple(labels[rng.integers(0, n_labels, count)] for _ in range(3))
-
-
-def _distinct_mask(space, xs, ys) -> np.ndarray:
-    if isinstance(space.domain, CoordinateSpace):
-        return ~np.all(np.asarray(xs, float) == np.asarray(ys, float), axis=-1)
-    return np.asarray([a != b for a, b in zip(xs, ys)])
 
 
 def _grid_witness(xs, ys, values, ts, extra=None) -> dict:
@@ -491,7 +557,7 @@ def axiom_audit(
     rng = np.random.default_rng(seed)
     if box is None:
         box = (-DEFAULT_AUDIT_BOX_HALFWIDTH, DEFAULT_AUDIT_BOX_HALFWIDTH)
-    xs, ys, zs = _sample_audit_points(space, sample_count, rng, box)
+    xs, ys, zs = (space.domain.draw(rng, sample_count, box) for _ in range(3))
 
     xy = mu_xy, nu_xy = membership_grid(space, xs, ys, ts)
     yx = membership_grid(space, ys, xs, ts)
@@ -520,7 +586,7 @@ def axiom_audit(
     # the largest jump of each side, over the intervals in order
     jumps = [max([0.0, *step.tolist()]) for step in steps]
 
-    distinct = _distinct_mask(space, xs, ys)
+    distinct = space.domain.distinct(xs, ys)
     clauses = [_max_clause("bounded_sum", mu_xy + nu_xy - 1.0, xs, ys, ts, tolerance)]
     for side, *grids, triangle, jump in zip(("mu", "nu"), xy, yx, xx, triangles, jumps):
         clauses += _side_clauses(side, *grids, distinct, triangle, jump, xs, ys, ts, tolerance)
@@ -621,13 +687,6 @@ def ball_contains(space: IfmSpace, ball: BallSpec, y, mode: str = "open") -> boo
 # sequence diagnostics
 
 
-def _normalize_prefix(space: IfmSpace, prefix) -> list:
-    pts = [space.as_point(p) for p in prefix]
-    if not pts:
-        raise ValueError("sequence prefix must be nonempty")
-    return pts
-
-
 @dataclass
 class SequenceReport:
     """Windowed Cauchy/convergence verdicts for a finite sequence prefix."""
@@ -667,12 +726,11 @@ def sequence_diagnostics(
         raise ValueError("epsilon must lie strictly inside (0, 1)")
     if window < 1:
         raise ValueError("window must be at least 1")
-    pts = _normalize_prefix(space, prefix)
-    length = len(pts)
+    batch = space.domain.read(prefix)
+    length = len(batch)
     if length <= window:
         raise ValueError(f"prefix length {length} must exceed the window {window}")
     ts = probe_grid(probe_ts)
-    batch = space.batch(pts)
 
     last_fail = -1
     witness: dict | None = None
@@ -698,7 +756,7 @@ def sequence_diagnostics(
     convergent = None
     conv_from = None
     if candidate_limit is not None:
-        mu, nu = membership_grid(space, batch, space.as_point(candidate_limit), ts)
+        mu, nu = membership_grid(space, batch, space.domain.as_point(candidate_limit), ts)
         ok = np.all((mu > 1.0 - epsilon) & (nu < epsilon), axis=1)
         fails = np.nonzero(~ok)[0]
         m0 = int(fails[-1]) + 1 if fails.size else 0
@@ -800,7 +858,7 @@ def closedness_probe(
     """
     escapes: list[dict] = []
     for idx, (prefix, limit) in enumerate(test_sequences):
-        pts = _normalize_prefix(space, prefix)
+        pts = space.domain.read(prefix)
         outside = [i for i, p in enumerate(pts) if not member_predicate(p)]
         if outside:
             raise ValueError(
@@ -812,6 +870,6 @@ def closedness_probe(
         )
         if not diag.convergent:
             raise ValueError(f"sequence {idx} is not convergent to its stated limit: {diag.witness}")
-        if not member_predicate(space.as_point(limit)):
+        if not member_predicate(space.domain.as_point(limit)):
             escapes.append({"sequence": idx, "limit": point_jsonable(limit)})
     return ClosednessReport(passed=not escapes, escapes=escapes, checked=len(test_sequences))

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -324,6 +325,13 @@ def case(command, text, old, new, field, id):
     case("solve", PICARD_YAML, "affine: {matrix: [[0.5]], offset: [1.0]}",
          "power: {of: {affine: {matrix: [[0.5]], offset: [1.0]}}, m: true}", "map.power.m",
          "map-power-bool"),
+    # turned into the strings "1", "2" before, which no point could then name
+    case("solve", MISSING_PAIR_YAML, "labels: [a, b, c]", "labels: [1, b, c]", "space.tabulated.labels[0]",
+         "labels-number"),
+    case("solve", MISSING_PAIR_YAML, "{between: [a, b]", "{between: [a, 2]",
+         "space.tabulated.pairs[0].between[1]", "between-number"),
+    # a traceback (numpy's OverflowError) before
+    case("solve", PICARD_YAML, "x0: [0.0]", "x0: [1" + "0" * 400 + "]", "action.solve.x0", "x0-huge-int"),
 ])
 def test_mistyped_config_fields_exit_two_with_field_path(tmp_path, capsys, command, text, old, new,
                                                          field):
@@ -646,6 +654,68 @@ output: {result: t.json, trace: t.csv, report: t.jsonl}
     rows = (tmp_path / "t.csv").read_text().splitlines()
     assert rows[1].startswith("0,a") and rows[2].startswith("1,c")
     assert main(["validate", str(tmp_path / "t.json")]) == 0
+
+
+COMMA_LABELS_YAML = """
+operators: min-max
+space:
+  tabulated:
+    labels: ["a,b", 'q"t', c]
+    pairs:
+      - {between: ["a,b", 'q"t'], mu: 0.5, nu: 0.4}
+      - {between: ["a,b", c], mu: 0.5, nu: 0.4}
+      - {between: ['q"t', c], mu: 0.5, nu: 0.4}
+map:
+  table: {"a,b": 'q"t', 'q"t': c, c: c}
+action:
+  solve: {regime: picard, x0: "a,b"}
+solve: {hypothesis_checks: false}
+output: {result: r.json, trace: t.csv, report: r.jsonl}
+"""
+
+
+def test_trace_quotes_label_cells_that_hold_a_comma_or_a_quote(tmp_path):
+    cfg = write(tmp_path, "comma.yaml", COMMA_LABELS_YAML)
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "t.csv", newline="") as handle:
+        header, *rows = list(csv.reader(handle))
+    assert len(header) == 22 and all(len(row) == len(header) for row in rows)
+    assert [row[1] for row in rows] == ["a,b", 'q"t', "c", "c"]
+    text = (tmp_path / "t.csv").read_text()
+    assert '\n0,"a,b",0.5,' in text and '\n1,"q""t",0.5,' in text and "\n2,c,1," in text
+    assert main(["validate", str(tmp_path / "r.json")]) == 0
+
+
+@pytest.mark.parametrize("text, command", [
+    pytest.param(MISSING_PAIR_YAML.replace(
+        "      - {between: [a, c], mu: 0.4, nu: 0.5}\n",
+        "      - {between: [a, c], mu: 0.4, nu: 0.5}\n      - {between: [b, c], mu: 0.4, nu: 0.5}\n"),
+        "solve", id="tabulated-solve"),
+    pytest.param(PICARD_YAML, "solve", id="picard-solve"),
+    pytest.param(SEQUENCE_YAML, "check", id="sequence-check"),
+    pytest.param(SPACE_AUDIT_YAML, "audit", id="space-audit"),
+])
+def test_each_run_builds_its_point_domain_once(tmp_path, monkeypatch, text, command):
+    import ifmlab.config
+
+    built = []
+
+    def counted(domain_class):
+        class Counted(domain_class):
+            def __init__(self, *args):
+                built.append(domain_class.__name__)
+                super().__init__(*args)
+        return Counted
+
+    for name in ("CoordinateSpace", "FiniteTabulated"):
+        monkeypatch.setattr(ifmlab.config, name, counted(getattr(ifmlab.config, name)))
+    cfg = write(tmp_path, "run.yaml", text)
+    assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert len(built) == 1
+    if command == "solve":
+        result = next(tmp_path.glob("*.json"))
+        assert main(["validate", str(result)]) == 0
+        assert len(built) == 2
 
 
 def test_defaults_subcommand(tmp_path, capsys):

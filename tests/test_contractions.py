@@ -15,6 +15,7 @@ from ifmlab import (
     self_map_from_spec,
     t_uniform_continuity_probe,
 )
+from ifmlab.contractions import NonFiniteImageError, apply_batch, apply_point
 from ifmlab.sampling import sample_coordinate_pairs
 
 
@@ -186,6 +187,36 @@ def test_map_leaving_domain_is_an_error(line, three_point_space):
     wrong_dimension = SelfMap.constant([1.0, 2.0])
     with pytest.raises(DomainEscapeError, match="shape"):
         if_contractive_check(line, wrong_dimension, 50, seed=1)
+
+
+@pytest.mark.parametrize("kind, map_, error", [
+    ("line", SelfMap.constant([1.0, 2.0]), DomainEscapeError),
+    ("line", SelfMap(lambda x: np.asarray(x, float)[..., :0]), DomainEscapeError),
+    ("line", SelfMap(lambda x: "a"), DomainEscapeError),
+    ("tabulated", SelfMap.table({"a": "z", "b": "z", "c": "z"}), DomainEscapeError),
+    ("tabulated", SelfMap.table({"a": 1, "b": 1, "c": 1}), DomainEscapeError),
+    ("tabulated", SelfMap.table({"a": ["a"], "b": ["a"], "c": ["a"]}), DomainEscapeError),
+    ("line", SelfMap(lambda x: np.asarray(x, float) + np.inf), NonFiniteImageError),
+])
+def test_image_errors_keep_their_class(line, three_point_space, kind, map_, error):
+    # a wrong shape or an unknown label is a DomainEscapeError, an overflow a
+    # NonFiniteImageError, for one point and for a batch alike.  Before one
+    # image check served both, a batch overflow was a plain DomainEscapeError,
+    # a text image of a coordinate point numpy's ValueError, and a list image
+    # of a label a TypeError.
+    space, point = (line, [0.5]) if kind == "line" else (three_point_space, "a")
+    for apply, points in ((apply_point, point), (apply_batch, [point, point])):
+        with pytest.raises(DomainEscapeError) as raised:
+            apply(space, map_, points)
+        assert type(raised.value) is error
+
+
+def test_image_checks_return_the_images(line, three_point_space, half_plus_one):
+    assert np.array_equal(apply_point(line, half_plus_one, 2.0), [2.0])
+    assert np.array_equal(apply_batch(line, half_plus_one, [[0.0], [2.0]]), [[1.0], [2.0]])
+    swap = SelfMap.table({"a": "b", "b": "a", "c": "c"})
+    assert apply_point(three_point_space, swap, "a") == "b"
+    assert apply_batch(three_point_space, swap, ["a", "c"]).tolist() == ["b", "c"]
 
 
 def test_affine_rejects_nonfinite_coefficients():

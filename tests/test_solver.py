@@ -299,7 +299,7 @@ def test_batched_step_rows_equal_one_pair_rows(kind, dim, n, ts, data):
 def reference_solve(space, map_, x0, config, ball=None):
     """The Picard loop with one kernel call per step row and a window grid at every step."""
     ts = np.asarray(config.probe_ts)
-    points = [space.as_point(x0)]
+    points = [space.domain.as_point(x0)]
     mu_rows, nu_rows = [], []
     flags = None
 
@@ -402,3 +402,12 @@ def test_overflowing_budget_stop_warns_nothing(line):
     assert result.status == "budget_exhausted"
     assert result.trace.step_mu.shape == (1, len(config.probe_ts))
     assert np.all(result.trace.step_mu == 0.0)
+
+
+@pytest.mark.parametrize("grid", [[1.0, 2.0], (1.0, 2.0), np.array([1.0, 2.0]), [], np.array([])],
+                         ids=["list", "tuple", "numpy", "empty-list", "empty-numpy"])
+def test_solve_config_reads_any_probe_grid_sequence(grid):
+    # a numpy grid raised numpy's "truth value of an array is ambiguous" before
+    expected = SolveConfig(probe_ts=list(grid)).probe_ts
+    assert SolveConfig(probe_ts=grid).probe_ts == expected
+    assert expected == ((1.0, 2.0) if len(grid) else SolveConfig().probe_ts)

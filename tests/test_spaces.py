@@ -34,7 +34,6 @@ from ifmlab.spaces import (
     CONTINUITY_BOUND,
     CONTINUITY_REFINEMENT,
     DEFAULT_PROBE_TS,
-    _sample_audit_points,
     point_jsonable,
     probe_grid,
 )
@@ -127,8 +126,8 @@ def test_unknown_label_rejected(three_point_space):
 
 def test_corrupted_space_fails_bounded_sum(three_point_space):
     def membership(x, y, t):
-        xi = three_point_space.domain.as_indices(x)
-        yi = three_point_space.domain.as_indices(y)
+        xi = three_point_space.domain.indices(x)
+        yi = three_point_space.domain.indices(y)
         mu = np.where(xi == yi, 1.0, 0.5)
         nu = np.where(xi == yi, 0.0, 0.7)
         if isinstance(x, str):
@@ -368,8 +367,8 @@ def test_membership_grid_matches_per_t_reference_bit_for_bit(kind, dim, n, ts, d
     else:
         space = induced_from_metric(CoordinateSpace(dim, kind), min_max())
         point = st.lists(coord, min_size=dim, max_size=dim)
-    xs = space.batch(data.draw(st.lists(point, min_size=n, max_size=n)))
-    ys = space.batch(data.draw(st.lists(point, min_size=n, max_size=n)))
+    xs = space.domain.batch(data.draw(st.lists(point, min_size=n, max_size=n)))
+    ys = space.domain.batch(data.draw(st.lists(point, min_size=n, max_size=n)))
 
     mu, nu = membership_grid(space, xs, ys, ts)
     ref_mu, ref_nu = reference_grid(space, xs, ys, ts)
@@ -387,7 +386,8 @@ def reference_triangle_and_continuity(space, sample_count, ts, seed, tolerance=1
     before it worked in sample blocks: one kernel call over all samples per
     time shift s and per probe interval."""
     ts = probe_grid(ts)
-    xs, ys, zs = _sample_audit_points(space, sample_count, np.random.default_rng(seed), (-5.0, 5.0))
+    rng = np.random.default_rng(seed)
+    xs, ys, zs = (space.domain.draw(rng, sample_count, (-5.0, 5.0)) for _ in range(3))
     mu_xy, nu_xy = membership_grid(space, xs, ys, ts)
     mu_yz, nu_yz = membership_grid(space, ys, zs, ts)
     best = [(-np.inf, None)] * 2
@@ -483,7 +483,8 @@ def test_triangle_witness_is_the_first_worst_across_blocks(line, planted):
     # violation of 0.5 before both in (s, t, sample) order.
     ts = (1.0, 3.0, 8.0, 20.0)  # no sum s + t is a probe time
     count = 3 * audit_block(len(ts))
-    xs, _, zs = _sample_audit_points(line, count, np.random.default_rng(0), (-5.0, 5.0))
+    rng = np.random.default_rng(0)
+    xs, _, zs = (line.domain.draw(rng, count, (-5.0, 5.0)) for _ in range(3))
     early, late = count - 1, 0
     plants = [(early, 1.0 + 8.0, planted), (late, 3.0 + 20.0, planted)]
     if math.isnan(planted):
@@ -524,3 +525,105 @@ def test_axiom_audit_memory_stays_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 24 * 2**20
+
+
+# ---------------------------------------------------------------------------
+# the domain point reader against the rules it replaced
+
+
+def reference_as_point(domain, p):
+    """``as_point`` as it was: a known string, or a finite ``(dim,)`` point
+    (a bare number on a line); a TypeError from numpy counts as a rejection."""
+    if isinstance(domain, FiniteTabulated):
+        if not isinstance(p, str) or p not in domain.index:
+            raise ValueError(f"unknown label {p!r}")
+        return p
+    try:
+        arr = np.atleast_1d(np.asarray(p, dtype=float))
+    except TypeError as exc:
+        raise ValueError(str(exc)) from exc
+    if arr.shape != (domain.dimension,) or not np.all(np.isfinite(arr)):
+        raise ValueError(f"not a point: {p!r}")
+    return arr
+
+
+def reference_read(domain, points):
+    """A point sequence as the config loader's whole-sequence check accepted
+    it, with each point then read by the old ``as_point``."""
+    if isinstance(domain, FiniteTabulated):
+        if not all(isinstance(p, str) and p in domain.index for p in points):
+            raise ValueError(f"expected labels among {domain.labels}")
+        return np.asarray([reference_as_point(domain, p) for p in points], dtype=object)
+    try:
+        arr = np.asarray(points, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"expected coordinate points: {exc}") from exc
+    if arr.ndim == 1 and domain.dimension == 1:  # scalars on a line, as as_point reads them
+        arr = arr[:, None]
+    if arr.shape != (len(points), domain.dimension) or not np.all(np.isfinite(arr)):
+        raise ValueError(f"expected finite points of dimension {domain.dimension}")
+    rows = [reference_as_point(domain, p) for p in points]
+    return np.asarray(rows, dtype=float).reshape(len(points), domain.dimension)
+
+
+def outcome(read, *args):
+    """What ``read`` gives: ("ok", dtype, shape, values) or ("rejected",)."""
+    try:
+        got = read(*args)
+    except ValueError:
+        return ("rejected",)
+    got = np.asarray(got)
+    values = got.tobytes() if got.dtype == float else got.tolist()
+    return "ok", got.dtype, got.shape, values
+
+
+number = st.floats(allow_nan=True, allow_infinity=True) | st.integers(-10**6, 10**6) | st.booleans()
+coordinate_point = (number | st.none() | st.sampled_from(["1.5", "a", "nan"])
+                    | st.lists(number, max_size=4)
+                    | st.lists(st.lists(number, max_size=2), min_size=1, max_size=2)
+                    | st.dictionaries(st.text(max_size=1), number, max_size=1))
+label_point = (st.sampled_from(["a", "b", "c", "d", "z", "", "a,b"]) | st.integers(-2, 2) | st.none()
+               | st.floats() | st.lists(st.sampled_from(["a", "b"]), max_size=2))
+
+
+@st.composite
+def domains_and_points(draw):
+    if draw(st.booleans()):
+        domain, point = FOUR_LABELS.domain, label_point
+    else:
+        domain, point = CoordinateSpace(draw(st.integers(1, 3))), coordinate_point
+    # mostly well-formed sequences, so that acceptance is exercised too
+    good = st.lists(st.sampled_from(domain.labels), max_size=5) if domain is FOUR_LABELS.domain else \
+        st.lists(st.lists(st.floats(-9.0, 9.0), min_size=domain.dimension, max_size=domain.dimension)
+                 | (st.floats(-9.0, 9.0) if domain.dimension == 1 else st.nothing()), max_size=5)
+    return domain, draw(good | st.lists(point, max_size=5))
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=domains_and_points())
+@example(case=(CoordinateSpace(1), [0.0, [1.0], 2.0]))  # mixed forms on a line: rejected by both
+@example(case=(CoordinateSpace(1), [0.0, 1.0, 1.5]))
+@example(case=(CoordinateSpace(2), []))
+@example(case=(CoordinateSpace(1), []))
+@example(case=(CoordinateSpace(2), [[1.0, float("inf")]]))
+def test_domain_reader_matches_the_old_point_rules(case):
+    domain, points = case
+    assert outcome(domain.read, points) == outcome(reference_read, domain, points)
+    for p in points:
+        assert outcome(domain.as_point, p) == outcome(reference_as_point, domain, p)
+
+
+@pytest.mark.parametrize("domain, points, message", [
+    (CoordinateSpace(2), [[0.0, 1.0], [2.0, float("nan")]], r"point 1 coordinates must be finite"),
+    (CoordinateSpace(1), [0.0, float("inf")], r"point 1 coordinates must be finite, got \[inf\]"),
+    (FOUR_LABELS.domain, ["a", "z", 3], "unknown label 'z'"),
+    (FOUR_LABELS.domain, ["a", 3], "unknown label 3"),
+])
+def test_domain_reader_names_the_first_bad_point(domain, points, message):
+    with pytest.raises(ValueError, match=message):
+        domain.read(points)
+
+
+def test_tabulated_labels_must_be_strings():
+    with pytest.raises(ValueError, match="labels must be strings"):
+        FiniteTabulated([1, 2], {(1, 2): (0.4, 0.5)})
