@@ -15,9 +15,10 @@ rows were evaluated in blocks, and those of four space audits over
 several sample blocks and two operator audits at a one-row or part-full
 associativity slab before both audits were blocked by cell count (2**15
 floats a block: 225 samples on the default probe grid, and slabs of
-max(1, 2**15 // n**2) rows at grid n); a change that moves any artifact
-byte fails here unless the change declares the numeric difference and
-records new digests.
+max(1, 2**15 // n**2) rows at grid n), and that of a power solve whose
+candidate misses the original map's residual before the Picard step loop
+was made cheaper; a change that moves any artifact byte fails here unless
+the change declares the numeric difference and records new digests.
 """
 
 import hashlib
@@ -297,6 +298,14 @@ CONFIGS = {
         "operators": "min-max", "space": LINE,
         "action": {"audit": {"target": "operators", "grid_size": 90}},
     }),
+    # (x, y) -> (1000 y, 0.00081 x): its square scales by 0.81, and the map
+    # expands by 1000, more than the 32x tighter inner tolerance covers, so
+    # the power-map candidate misses the original map's residual
+    "solve-power-residual-misses": ("solve", {
+        "seed": 7, "space": {"induced": {"dimension": 2, "base_metric": "chebyshev"}},
+        "map": {"affine": {"matrix": [[0.0, 1000.0], [0.00081, 0.0]], "offset": [0.0, 0.0]}},
+        "action": {"solve": {"regime": "power", "m": 2, "x0": [1.0, -2.0]}},
+    }),
 }
 
 DIGESTS = {
@@ -504,6 +513,11 @@ DIGESTS = {
         "report.jsonl": "cde17fdaa209f5f70168986bafc13080702bc39a1af8d25dc7b9073673c8518d",
         "result.json": "41ea7cb146b6b8d211c9422f746ced702d3425291ea63aa54e6962cd47eba74f",
         "trace.csv": "0cfa04cd7afaa1889340e3cf7387cc893e07e337f7abb8e03ea972e0738741de",
+    }),
+    "solve-power-residual-misses": (1, {
+        "report.jsonl": "d15253a9838e093fcb7746205a02f0281a469be30872878f025616c35fd2aad2",
+        "result.json": "b5cc1f7fe1ffc3f606372afdf35f18cd976b768de4f11f952981c4439ca4f67c",
+        "trace.csv": "700edac7fd8cbbbe52b3b6c3e4382da17bb51396bc87ad8989ae493a8a89d94b",
     }),
 }
 

@@ -179,6 +179,85 @@ def test_validate_round_trip_and_tamper_detection(tmp_path, capsys):
     assert "trace breaks" in capsys.readouterr().out
 
 
+PLANE_PICARD_YAML = PICARD_YAML.replace("dimension: 1", "dimension: 2").replace(
+    "affine: {matrix: [[0.5]], offset: [1.0]}",
+    "affine: {matrix: [[0.5, 0.1], [0.0, 0.4]], offset: [1.0, -1.0]}").replace("x0: [0.0]", "x0: [3.0, 2.0]")
+
+
+def converged_document(directory, text=PICARD_YAML):
+    """The result document of a converged solve of ``text``, written under ``directory``."""
+    directory.mkdir(exist_ok=True)
+    assert main(["solve", "--config", write(directory, "solve.yaml", text), "--out", str(directory)]) == 0
+    doc = json.loads((directory / "result.json").read_text())
+    assert doc["status"] == "converged" and 0 < doc["iterations"] < len(doc["trace_points"]) - 1
+    return doc
+
+
+def validate_problems(tmp_path, capsys, doc):
+    """Exit code and printed certificate problems of ``validate`` on ``doc``."""
+    path = tmp_path / "tampered.json"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    code = main(["validate", str(path)])
+    out = capsys.readouterr().out.splitlines()
+    return code, [line.removeprefix("certificate problem: ") for line in out
+                  if line.startswith("certificate problem: ")]
+
+
+def _nudge_fixed_point(doc):
+    doc["fixed_point"][0] = float(np.nextafter(doc["fixed_point"][0], np.inf))
+
+
+def _tighten_epsilon(doc):
+    # a tighter tolerance than the solve reached: the stored residual no longer certifies
+    doc["experiment"]["solve_config"]["epsilon"] = 1e-15
+
+
+def _nudge_residual(doc):
+    doc["residual_nu"][0] = float(np.nextafter(doc["residual_nu"][0], np.inf))
+
+
+@pytest.mark.parametrize("tamper, message", [
+    (_nudge_fixed_point, "fixed_point does not match the trace at the stated iteration"),
+    (_tighten_epsilon, "residual certificate fails: mu_min="),
+    (_nudge_residual, "stored residual_nu does not reproduce from the stored points"),
+])
+def test_validate_rejects_a_tampered_converged_document(tmp_path, capsys, tamper, message):
+    doc = converged_document(tmp_path / "solve")
+    tamper(doc)
+    code, problems = validate_problems(tmp_path, capsys, doc)
+    assert code == 1
+    assert any(p.startswith(message) for p in problems), problems
+    if tamper is not _nudge_fixed_point:  # the nudged candidate may also move its residual
+        assert len(problems) == 1
+
+
+@pytest.fixture(scope="module")
+def plane_document(tmp_path_factory):
+    return converged_document(tmp_path_factory.mktemp("plane"), PLANE_PICARD_YAML)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(field=st.sampled_from(["fixed_point", "residual_mu", "residual_nu", "trace_points"]),
+       up=st.booleans(), data=st.data())
+def test_validate_names_a_one_ulp_move_of_a_converged_result(tmp_path, capsys, plane_document,
+                                                             field, up, data):
+    doc = json.loads(json.dumps(plane_document))
+    if field == "trace_points":
+        # a move of x_0 can vanish in the image, so the first point moved is x_1
+        i = data.draw(st.integers(1, len(doc["trace_points"]) - 1))
+        values, message = doc["trace_points"][i], f"trace breaks at step {i - 1}: "
+    else:
+        values = doc[field]
+        message = ("fixed_point does not match the trace" if field == "fixed_point"
+                   else f"stored {field} does not reproduce from the stored points")
+    j = data.draw(st.integers(0, len(values) - 1))
+    values[j] = float(np.nextafter(values[j], np.inf if up else -np.inf))
+    code, problems = validate_problems(tmp_path, capsys, doc)
+    assert code == 1
+    assert any(p.startswith(message) for p in problems), problems
+
+
 def test_validate_unreadable_document(tmp_path):
     bad = tmp_path / "nope.json"
     bad.write_text("{not json")
@@ -942,3 +1021,55 @@ def test_random_contraction_round_trips_through_cli(tmp_path, capsys, dim, metri
     capsys.readouterr()
     assert main(["validate", str(cut)]) in (1, 2)
     assert "Traceback" not in capsys.readouterr().err
+
+
+COUNTED_SOLVE_YAML = """
+seed: 11
+operators: min-max
+space:
+  induced: {dimension: 1, base_metric: euclidean}
+map:
+  affine: {matrix: [[0.99]], offset: [0.0]}
+action:
+  solve: {regime: picard, x0: [5.0]}
+output: {result: result.json, trace: trace.csv}
+"""
+
+
+def test_solve_and_validate_keep_their_map_and_kernel_call_counts(tmp_path, monkeypatch):
+    # The benchmark's tracer counts map applications at contractions.apply_point,
+    # rebound in every module that holds it, and kernel calls at IfmSpace.mu_nu;
+    # a loop that bypasses either, or adds kernel calls, changes these counts.
+    import ifmlab.contractions
+    from ifmlab import IfmSpace
+
+    calls = {"apply_point": 0, "mu_nu": 0}
+    apply_point, kernel = ifmlab.contractions.apply_point, IfmSpace.mu_nu
+
+    def counted_apply_point(*args):
+        calls["apply_point"] += 1
+        return apply_point(*args)
+
+    def counted_kernel(space, x, y, t):
+        calls["mu_nu"] += 1
+        return kernel(space, x, y, t)
+
+    holders = [(module, key) for name, module in sorted(sys.modules.items())
+               if name == "ifmlab" or name.startswith("ifmlab.")
+               for key, value in vars(module).items() if value is apply_point]
+    assert {module.__name__ for module, _ in holders} >= {"ifmlab.contractions", "ifmlab.solver"}
+    for module, key in holders:
+        monkeypatch.setattr(module, key, counted_apply_point)
+    monkeypatch.setattr(IfmSpace, "mu_nu", counted_kernel)
+
+    cfg = write(tmp_path, "counted.yaml", COUNTED_SOLVE_YAML)
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 0
+    doc = json.loads((tmp_path / "result.json").read_text())
+    solved = dict(calls)
+    assert main(["validate", str(tmp_path / "result.json")]) == 0
+    validated = {key: calls[key] - solved[key] for key in calls}
+    assert (doc["iterations"], len(doc["trace_points"])) == (1968, 1977)
+    # one application per step; the gates' sampled checks, the step-row
+    # blocks and the window grids; then the chain and the residual
+    assert solved == {"apply_point": 1976, "mu_nu": 462}
+    assert validated == {"apply_point": 1977, "mu_nu": 1}

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ifmlab import (
     BallSpec,
@@ -34,7 +35,10 @@ from ifmlab.spaces import (
     CONTINUITY_BOUND,
     CONTINUITY_REFINEMENT,
     DEFAULT_PROBE_TS,
+    DomainEscapeError,
+    NonFiniteImageError,
     point_jsonable,
+    points_equal,
     probe_grid,
 )
 
@@ -627,3 +631,120 @@ def test_domain_reader_names_the_first_bad_point(domain, points, message):
 def test_tabulated_labels_must_be_strings():
     with pytest.raises(ValueError, match="labels must be strings"):
         FiniteTabulated([1, 2], {(1, 2): (0.4, 0.5)})
+
+
+# ---------------------------------------------------------------------------
+# the one-point fast paths against the bodies they shortcut
+
+
+def reference_floats(domain, values, rank, count=None, image=False):
+    """``CoordinateSpace._floats`` as it was before checked float points were taken as they are."""
+    def misfit(message):
+        return DomainEscapeError(message, point=values) if image else ValueError(message)
+
+    try:
+        arr = np.asarray(values, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise misfit(f"expected coordinates: {exc}") from None
+    if domain.dimension == 1 and arr.ndim == rank - 1:
+        arr = arr[..., None]
+    shape = (*(() if rank == 1 else arr.shape[:1] if count is None else (count,)), domain.dimension)
+    if arr.shape != shape:
+        raise misfit(f"expected {'image' if image else 'point'} shape {shape}, got {arr.shape}")
+    finite = np.isfinite(arr).all(axis=-1)
+    if not finite.all():
+        i = None if rank == 1 else int(np.argmin(finite))
+        row, at = (arr, "") if i is None else (arr[i], f" {i}")
+        if image:
+            raise NonFiniteImageError(f"image{at} {row.tolist()} left the coordinate domain",
+                                      point=row, index=i)
+        raise ValueError(f"point{at} coordinates must be finite, got {row.tolist()}")
+    return arr
+
+
+def reference_points_equal(a, b):
+    """``points_equal`` as it was, through ``np.array_equal``."""
+    if isinstance(a, str) or isinstance(b, str):
+        return a == b
+    return bool(np.array_equal(np.asarray(a, float), np.asarray(b, float)))
+
+
+def exact_outcome(fn, value):
+    """What ``fn(value)`` gives: the error class and message, or the result's
+    type, dtype, shape, bytes and whether it is ``value`` itself."""
+    try:
+        got = fn(value)
+    except Exception as exc:
+        return "raised", type(exc), str(exc)
+    return "ok", type(got), got.dtype, got.shape, got.tobytes(), got is value
+
+
+class TaggedArray(np.ndarray):
+    pass
+
+
+any_float = st.floats(allow_nan=True, allow_infinity=True)
+
+
+@st.composite
+def coordinate_inputs(draw):
+    """A dimension and a value to read as one of its points, mostly near the fast path's edges."""
+    dim = draw(st.integers(1, 3))
+    size = st.integers(0, 4) if draw(st.booleans()) else st.just(dim)
+    kind = draw(st.sampled_from(["float64", "float32", "int", "list", "0-d", "column", "subclass",
+                                 "byteswapped", "strided", "huge"]))
+    n = draw(size)
+    if kind == "float64":
+        return dim, draw(hnp.arrays(np.float64, n, elements=any_float))
+    if kind == "float32":
+        return dim, draw(hnp.arrays(np.float32, n, elements=st.floats(width=32)))
+    if kind == "int":
+        return dim, draw(hnp.arrays(np.int64, n))
+    if kind == "list":
+        return dim, draw(st.lists(any_float | st.integers(-5, 5), min_size=n, max_size=n))
+    if kind == "0-d":
+        return dim, draw(st.sampled_from([np.asarray, np.float64, float]))(draw(any_float))
+    if kind == "column":
+        return dim, draw(hnp.arrays(np.float64, (n, 1), elements=any_float))
+    if kind == "subclass":
+        return dim, draw(hnp.arrays(np.float64, n, elements=any_float)).view(TaggedArray)
+    if kind == "byteswapped":
+        return dim, draw(hnp.arrays(np.float64, n, elements=any_float)).astype(">f8")
+    if kind == "strided":
+        return dim, draw(hnp.arrays(np.float64, 2 * n, elements=any_float))[::2]
+    return dim, [10**400] * n
+
+
+@settings(max_examples=500, deadline=None)
+@given(case=coordinate_inputs())
+@example(case=(1, np.asarray(2.0)))
+@example(case=(1, np.zeros((1, 1))))
+@example(case=(2, np.asarray([1.0, np.nan])))
+@example(case=(2, np.asarray([1.0, -np.inf]).view(TaggedArray)))
+def test_point_and_image_reads_match_the_reference_body(case):
+    dim, value = case
+    domain = CoordinateSpace(dim)
+    assert exact_outcome(domain.as_point, value) == \
+        exact_outcome(lambda v: reference_floats(domain, v, 1), value)
+    assert exact_outcome(domain.image, value) == \
+        exact_outcome(lambda v: reference_floats(domain, v, 1, image=True), value)
+
+
+equality_operand = (st.sampled_from(["a", "b", "", 0.0, -0.0, math.nan, 1.0])
+                    | hnp.arrays(np.float64, st.sampled_from([(), (1,), (2,), (1, 1), (2, 1)]),
+                                 elements=st.sampled_from([0.0, -0.0, 1.0, math.nan, math.inf, 5e-324]))
+                    | hnp.arrays(np.int64, st.sampled_from([(1,), (2,)]), elements=st.integers(-1, 1))
+                    | st.lists(st.sampled_from([0.0, -0.0, 1.0, math.nan]), max_size=2))
+
+
+@settings(max_examples=500, deadline=None)
+@given(a=equality_operand, b=equality_operand, same=st.booleans())
+@example(a=np.asarray([0.0]), b=np.asarray([-0.0]), same=False)
+@example(a=np.asarray([math.nan]), b=None, same=True)
+@example(a=np.asarray([1.0, 2.0]), b=np.asarray([[1.0], [2.0]]), same=False)
+@example(a="a", b=np.asarray([1.0]), same=False)
+def test_points_equal_matches_array_equal(a, b, same):
+    b = a if same else b
+    got, want = points_equal(a, b), reference_points_equal(a, b)
+    # a label against an array compares elementwise, in both
+    assert (type(got), repr(got)) == (type(want), repr(want))
