@@ -56,11 +56,24 @@ def expect_list(obj: Any, path: str) -> list:
 
 
 def _number(value: Any, path: str, integer: bool = False) -> Any:
-    """``value`` when it is a number (an integer if ``integer``), else a ConfigError."""
+    """``value`` when it is a number (an integer if ``integer``, else one a
+    float can hold), else a ConfigError."""
     if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
         kind = "an integer" if integer else "a number"
         raise ConfigError(path, f"expected {kind}, got {type(value).__name__}")
+    if not integer and isinstance(value, int):
+        try:
+            float(value)
+        except OverflowError:
+            raise ConfigError(path, "integer is too large for a float") from None
     return value
+
+
+def _float_sized(value: Any, path: str, domain: Any = None) -> Any:
+    """``value`` as written, once each number in its nested lists fits a float."""
+    for i, item in enumerate(value if isinstance(value, list) else ()):
+        _float_sized(item, f"{path}[{i}]")
+    return _number(value, path) if _is_number(value) else value
 
 
 def _numbers(value: Any, path: str) -> np.ndarray:
@@ -194,7 +207,7 @@ def _curve(value: Any, path: str, domain: Any = None) -> Any:
     if not _is_number(value) and not (isinstance(value, list) and value and all(
             isinstance(p, list) and len(p) == 2 and all(map(_is_number, p)) for p in value)):
         raise ConfigError(path, f"a curve is a constant or a list of [t, value] pairs, got {value!r}")
-    return value
+    return _float_sized(value, path)
 
 
 def _pairs(value: Any, path: str, domain: Any = None) -> list[dict]:
@@ -220,7 +233,7 @@ SPACE_FIELDS = {
     "tabulated": {"labels": (_labels, REQUIRED), "pairs": (_pairs, REQUIRED)},
 }
 # map kind -> the fields of its body; a table, constant or builtin body is a value
-MAP_FIELDS = {"affine": {"matrix": (_as_is, REQUIRED), "offset": (_as_is, REQUIRED)},
+MAP_FIELDS = {"affine": {"matrix": (_float_sized, REQUIRED), "offset": (_float_sized, REQUIRED)},
               "power": {"of": (_as_is, REQUIRED), "m": (_at_least(1), REQUIRED)}}
 OUTPUT_FIELDS = {key: (_text, UNSET) for key in ("result", "trace", "report")}
 CONFIG_KEYS = ("seed", "operators", "space", "map", "action", "solve", "sampling", "output")
@@ -348,6 +361,8 @@ def _map_fields(spec: dict, path: str) -> None:
 def _validate_map(spec: Any, space_spec: dict, path: str = "map") -> dict:
     spec = expect_mapping(spec, path)
     _map_fields(spec, path)
+    if "constant" in spec:
+        _float_sized(spec["constant"], f"{path}.constant")
     try:
         self_map_from_spec(spec)
     except (TypeError, ValueError, KeyError) as exc:

@@ -7,9 +7,10 @@ reported iteration count and ``x_n`` the fixed-point candidate.  The extra
 confirmation iterates remain visible at the end of the trace.  An iterate
 that exactly reproduces its predecessor short-circuits the window (the
 tail is constant from there on).  Step rows ``(x_i, x_{i+1})`` are
-evaluated in blocks of up to ``window`` steps by one kernel call, and the
-window grid of ``x_c`` runs only when the stored step row of ``x_c``, its
-first row, is near.  The kernel works pair by pair, so a batched row is the
+evaluated in blocks of up to ``window`` steps by one kernel call, which also
+gives each row its near flag (every probe t epsilon-near), and the window
+grid of ``x_c`` runs only when the flag of ``x_c``'s step row, the grid's
+first row, is set.  The kernel works pair by pair, so a batched row is the
 one-pair row bit for bit and the trace is that of a step-by-step loop.
 
 Each solver enforces the hypothesis set of its regime before iterating
@@ -170,17 +171,21 @@ def _solve(space: IfmSpace, map_: SelfMap, x0, config: SolveConfig,
     none; otherwise the result carries the first gate's report.  With
     ``ball`` every iterate must stay in the open ball.  A coordinate image
     that overflows stops the solve at the last finite iterate as
-    ``diverged``.  Step rows are stored in one kernel call per block: the
-    rows not yet stored when the window first needs row ``c``, and the rest
-    at the stop.  Every kernel call of the iteration runs with numpy's
-    overflow warnings off.
+    ``diverged``.  Step rows and their near flags are stored in one kernel
+    call per block: the rows not yet stored when the window first needs row
+    ``c``, and the rest at the stop.  Every kernel call of the iteration
+    runs with numpy's overflow warnings off.
     """
     ts = np.asarray(config.probe_ts)
     points = [space.domain.as_point(x0)]
     mu_rows: list[np.ndarray] = []
     nu_rows: list[np.ndarray] = []
+    near_rows: list[bool] = []
     flags: list[bool] | None = None
     report = None
+
+    def near(mu, nu, axis=None):
+        return np.all((mu > 1.0 - config.epsilon) & (nu < config.epsilon), axis=axis)
 
     def fill() -> None:
         # the step rows of every iterate not yet stored, in one kernel call
@@ -189,15 +194,12 @@ def _solve(space: IfmSpace, map_: SelfMap, x0, config: SolveConfig,
             mu, nu = membership_grid(space, points[f:-1], points[f + 1 :], ts)
             mu_rows.extend(mu)
             nu_rows.extend(nu)
-
-    def near(mu, nu) -> bool:
-        return bool(np.all((mu > 1.0 - config.epsilon) & (nu < config.epsilon)))
+            near_rows.extend(near(mu, nu, axis=1).tolist())
 
     def stop(status: str, reason: str, c: int | None = None) -> SolveResult:
         fill()
-        k = len(ts)
-        trace = IterationTrace(points, tuple(float(t) for t in ts), np.reshape(mu_rows, (-1, k)),
-                               np.reshape(nu_rows, (-1, k)), flags)
+        trace = IterationTrace(points, tuple(float(t) for t in ts), np.reshape(mu_rows, (-1, len(ts))),
+                               np.reshape(nu_rows, (-1, len(ts))), flags)
         if c is None:
             return SolveResult(status, None, len(points) - 1, trace, reason, report)
         return SolveResult(status, points[c], c, trace, reason, report,
@@ -231,14 +233,12 @@ def _solve(space: IfmSpace, map_: SelfMap, x0, config: SolveConfig,
                     return stop("diverged_from_ball", f"iterate {m} left the open ball")
             if points_equal(nxt, points[-2]):
                 return stop("converged", f"exact fixed point reached at iteration {m - 1}", m - 1)
-            c = m - config.window
-            if c < 0:
-                continue
+            c = m - config.window  # the candidate whose window x_{c+1} .. x_m is full
             if c == len(mu_rows):
                 fill()
             # x_{c+1} .. x_m all strictly eps-near x_c at every t; this implies
             # the (non-strict) residual bound at the candidate x_c
-            if near(mu_rows[c], nu_rows[c]) and near(*membership_grid(space, points[c], points[c + 1 :], ts)):
+            if c >= 0 and near_rows[c] and near(*membership_grid(space, points[c], points[c + 1 :], ts)):
                 return stop(
                     "converged",
                     f"window of {config.window} iterates after iteration {c} stayed "
@@ -286,8 +286,8 @@ def closed_ball_solve(
     Hypothesis checks require the first-step ball bounds to hold and the
     map to be contractive with constant ``k`` on pairs sampled inside the
     closed ball.  Every iterate must stay in the open ball (matching the
-    strict per-step bounds); the fixed point itself, being a limit, only
-    needs the closed ball.
+    strict per-step bounds); the fixed-point candidate is a stored iterate,
+    so it lies in the open ball and so in the closed one.
     """
     config = config or SolveConfig()
 
@@ -302,18 +302,11 @@ def closed_ball_solve(
         )
         return report, "map is not contractive with the supplied constant on ball pairs"
 
-    result = _solve(space, map_, ball.center, config, (
+    return _solve(space, map_, ball.center, config, (
         lambda: _gate(closed_ball_hypotheses(space, map_, ball.center, ball.radius, ball.time, k),
                       "first-step ball bounds failed"),
         ball_constant,
     ), ball=ball)
-    if result.converged and not ball_contains(space, ball, result.fixed_point, mode="closed"):
-        result.status = "diverged_from_ball"
-        result.stop_reason = "fixed-point candidate left the closed ball"
-        result.fixed_point = None
-        result.residual_mu = None
-        result.residual_nu = None
-    return result
 
 
 def power_map_solve(

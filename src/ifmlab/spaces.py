@@ -33,6 +33,7 @@ DEFAULT_PROBE_TS: tuple[float, ...] = tuple(0.1 * 2.0**i for i in range(10))
 DEFAULT_AUDIT_BOX_HALFWIDTH = 5.0
 
 BASE_METRICS = ("euclidean", "chebyshev", "absolute-difference")
+FLOAT64 = np.dtype(float)
 
 # Continuity in t is judged by the largest jump of mu or nu between
 # neighbours of a grid that splits each probe interval this many times.
@@ -128,7 +129,12 @@ class CoordinateSpace:
     def _floats(self, values, rank: int, count: int | None = None, image: bool = False) -> np.ndarray:
         """``values`` as floats of ``rank`` 1 (one point) or 2 (a sequence, of
         ``count`` points when given), raising as :meth:`read` says, or as
-        :meth:`image` says for a map's images."""
+        :meth:`image` says for a map's images; a finite float64 ``(dim,)``
+        array is a point already and comes back as it is, as ``np.asarray`` returns it."""
+        if rank == 1 and type(values) is np.ndarray and values.dtype is FLOAT64 \
+                and values.shape == (self.dimension,) and all(map(math.isfinite, values.tolist())):
+            return values
+
         def misfit(message: str) -> Exception:
             return DomainEscapeError(message, point=values) if image else ValueError(message)
 
@@ -322,10 +328,11 @@ class IfmSpace:
 
 
 def points_equal(a, b) -> bool:
-    """Exact equality of two domain points (labels or coordinate arrays)."""
+    """Exact equality of two domain points (labels, or coordinate arrays as ``np.array_equal`` decides)."""
     if isinstance(a, str) or isinstance(b, str):
         return a == b
-    return bool(np.array_equal(np.asarray(a, float), np.asarray(b, float)))
+    a, b = np.asarray(a, float), np.asarray(b, float)
+    return a.shape == b.shape and a.tolist() == b.tolist()
 
 
 def point_jsonable(p):

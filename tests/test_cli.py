@@ -258,6 +258,17 @@ def test_validate_names_a_one_ulp_move_of_a_converged_result(tmp_path, capsys, p
     assert any(p.startswith(message) for p in problems), problems
 
 
+def test_validate_huge_integer_residual_exits_two_with_its_path(tmp_path, capsys):
+    # an OverflowError traceback before
+    doc = converged_document(tmp_path / "solve")
+    doc["residual_mu"][3] = 10**400
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["validate", str(path)]) == 2
+    assert "residual_mu[3]: integer is too large for a float" in capsys.readouterr().err
+
+
 def test_validate_unreadable_document(tmp_path):
     bad = tmp_path / "nope.json"
     bad.write_text("{not json")
@@ -411,6 +422,18 @@ def case(command, text, old, new, field, id):
          "space.tabulated.pairs[0].between[1]", "between-number"),
     # a traceback (numpy's OverflowError) before
     case("solve", PICARD_YAML, "x0: [0.0]", "x0: [1" + "0" * 400 + "]", "action.solve.x0", "x0-huge-int"),
+    case("solve", PICARD_YAML, "output:", "sampling: {halfwidth: 1" + "0" * 400 + "}\noutput:",
+         "sampling.halfwidth", "halfwidth-huge-int"),
+    case("solve", PICARD_YAML, "offset: [1.0]", "offset: [1" + "0" * 400 + "]", "map.affine.offset[0]",
+         "offset-huge-int"),
+    case("solve", PICARD_YAML, "matrix: [[0.5]]", "matrix: [[-1" + "0" * 400 + "]]", "map.affine.matrix[0][0]",
+         "matrix-huge-int"),
+    case("solve", PICARD_YAML, "affine: {matrix: [[0.5]], offset: [1.0]}", "constant: [1" + "0" * 400 + "]",
+         "map.constant[0]", "constant-huge-int"),
+    case("solve", PICARD_YAML, "output:", "solve: {probe_ts: [1.0, 1" + "0" * 400 + "]}\noutput:",
+         "solve.probe_ts[1]", "probe_ts-huge-int"),
+    case("solve", MISSING_PAIR_YAML, "{between: [a, b], mu: 0.4", "{between: [a, b], mu: [[1.0, 0.4], [1"
+         + "0" * 400 + ", 0.5]]", "space.tabulated.pairs[0].mu[1][0]", "curve-huge-int"),
 ])
 def test_mistyped_config_fields_exit_two_with_field_path(tmp_path, capsys, command, text, old, new,
                                                          field):

@@ -683,6 +683,9 @@ class TaggedArray(np.ndarray):
     pass
 
 
+TAGGED_FLOAT = np.dtype(np.float64, metadata={"tag": 1})
+
+
 any_float = st.floats(allow_nan=True, allow_infinity=True)
 
 
@@ -692,7 +695,7 @@ def coordinate_inputs(draw):
     dim = draw(st.integers(1, 3))
     size = st.integers(0, 4) if draw(st.booleans()) else st.just(dim)
     kind = draw(st.sampled_from(["float64", "float32", "int", "list", "0-d", "column", "subclass",
-                                 "byteswapped", "strided", "huge"]))
+                                 "byteswapped", "metadata", "strided", "huge"]))
     n = draw(size)
     if kind == "float64":
         return dim, draw(hnp.arrays(np.float64, n, elements=any_float))
@@ -710,6 +713,8 @@ def coordinate_inputs(draw):
         return dim, draw(hnp.arrays(np.float64, n, elements=any_float)).view(TaggedArray)
     if kind == "byteswapped":
         return dim, draw(hnp.arrays(np.float64, n, elements=any_float)).astype(">f8")
+    if kind == "metadata":  # equal to float64, but np.asarray makes a copy
+        return dim, draw(hnp.arrays(np.float64, n, elements=any_float)).astype(TAGGED_FLOAT)
     if kind == "strided":
         return dim, draw(hnp.arrays(np.float64, 2 * n, elements=any_float))[::2]
     return dim, [10**400] * n
@@ -721,6 +726,7 @@ def coordinate_inputs(draw):
 @example(case=(1, np.zeros((1, 1))))
 @example(case=(2, np.asarray([1.0, np.nan])))
 @example(case=(2, np.asarray([1.0, -np.inf]).view(TaggedArray)))
+@example(case=(2, np.asarray([1.0, 2.0]).astype(TAGGED_FLOAT)))
 def test_point_and_image_reads_match_the_reference_body(case):
     dim, value = case
     domain = CoordinateSpace(dim)
