@@ -17,7 +17,9 @@ associativity slab before both audits were blocked by cell count (2**15
 floats a block: 225 samples on the default probe grid, and slabs of
 max(1, 2**15 // n**2) rows at grid n), and that of a power solve whose
 candidate misses the original map's residual before the Picard step loop
-was made cheaper; a change that moves any artifact byte fails here unless
+was made cheaper, and those of a failing t-uniform continuity check and a
+nu-side contractive-sequence failure before the bulk audits were trimmed
+to the work their verdicts need; a change that moves any artifact byte fails here unless
 the change declares the numeric difference and records new digests.
 """
 
@@ -60,6 +62,18 @@ NU_SIDE = {
     }
 }
 NU_SIDE_MAP = {"table": {"a": "a", "b": "c", "c": "b"}}
+# mu decays fast enough from step (a, b) to step (b, c) at k = 0.5 (gap 1 to
+# 3/7), nu does not (reciprocal co-gap 3/2 to 7/3, below 3/2 / k = 3)
+NU_STEP = {
+    "tabulated": {
+        "labels": ["a", "b", "c"],
+        "pairs": [
+            {"between": ["a", "b"], "mu": 0.5, "nu": 0.4},
+            {"between": ["a", "c"], "mu": 0.5, "nu": 0.4},
+            {"between": ["b", "c"], "mu": 0.7, "nu": 0.3},
+        ],
+    }
+}
 INDISCERNIBLE = {
     "tabulated": {
         "labels": ["a", "b", "c"],
@@ -306,6 +320,18 @@ CONFIGS = {
         "map": {"affine": {"matrix": [[0.0, 1000.0], [0.00081, 0.0]], "offset": [0.0, 0.0]}},
         "action": {"solve": {"regime": "power", "m": 2, "x0": [1.0, -2.0]}},
     }),
+    # x -> 10**12 x: at t = 10**9 every sampled pair is near even at the
+    # smallest threshold, and no image pair is; the witness is the last
+    # epsilon's
+    "check-t-uniform-continuity-fails": ("check", {
+        "seed": 1, "space": LINE, "map": {"affine": {"matrix": [[1.0e12]], "offset": [0.0]}},
+        "sampling": {"pairs": 50, "halfwidth": 1.0}, "solve": {"probe_ts": [1.0e9]},
+        "action": {"check": {"notion": "t_uniform_continuity", "epsilons": [0.5, 0.1]}},
+    }),
+    "check-contractive-sequence-nu-side": ("check", {
+        "seed": 1, "space": NU_STEP,
+        "action": {"check": {"notion": "contractive_sequence", "k": 0.5, "prefix": ["a", "b", "c"]}},
+    }),
 }
 
 DIGESTS = {
@@ -395,6 +421,12 @@ DIGESTS = {
     }),
     "check-if-contractive-tabulated": (1, {
         "report.jsonl": "c4c042c0fd5b906eb4129ba1a7a55247c523ab1956fb08ba74649101845e2366",
+    }),
+    "check-t-uniform-continuity-fails": (1, {
+        "report.jsonl": "71dd173d5a7e194c7aadb5b811359abe7fc14eb111803a874702fcde4d0bf387",
+    }),
+    "check-contractive-sequence-nu-side": (1, {
+        "report.jsonl": "e91cf6a5b4b20c0386ae2b3da5cd0301b8079362580e93fce28ed15806f31856",
     }),
     "check-t-uniform-continuity": (0, {
         "report.jsonl": "7074eeb7ae5900824203f64b2a4ba346715a575a42c32eae11e0818b09afce21",

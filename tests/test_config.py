@@ -17,6 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ifmlab.cli import main
+from ifmlab.config import ConfigError, _float_sized, _is_number, _number
 
 LINE = {"induced": {"dimension": 1, "base_metric": "euclidean"}}
 PLANE = {"induced": {"dimension": 2, "base_metric": "chebyshev"}}
@@ -152,3 +153,29 @@ def test_one_bad_document_leaf_never_raises(tmp_path, capsys, picard_document, d
     assert code in (0, 1, 2)
     if code == 2:
         assert DOCUMENT_ERROR.match(err), err
+
+
+def reference_float_sized(value, path):
+    """``config._float_sized`` as it was, building a path for every number."""
+    for i, item in enumerate(value if isinstance(value, list) else ()):
+        reference_float_sized(item, f"{path}[{i}]")
+    return _number(value, path) if _is_number(value) else value
+
+
+def float_sized_outcome(read, value):
+    """The ConfigError's path and message, or whether ``value`` came back as is."""
+    try:
+        return "ok", read(value, "space.tabulated.pairs[0].mu") is value
+    except ConfigError as exc:
+        return "raised", exc.path, exc.message
+
+
+NESTED_NUMBERS = st.recursive(
+    st.floats(allow_nan=True) | st.integers(-5, 5) | st.sampled_from([10**400, -(10**309), True, "x", None]),
+    lambda inner: st.lists(inner, max_size=3), max_leaves=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=NESTED_NUMBERS)
+def test_float_sized_matches_the_reference_walk(value):
+    assert float_sized_outcome(_float_sized, value) == float_sized_outcome(reference_float_sized, value)

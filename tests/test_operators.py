@@ -17,7 +17,7 @@ from ifmlab import (
     product_probsum,
     unit_scalar,
 )
-from ifmlab.operators import _apply
+from ifmlab.operators import BLOCK_CELLS, _apply, _max_clause
 from ifmlab.report import ClauseResult
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -288,6 +288,49 @@ def test_associativity_witness_is_the_first_worst_row(grid_size, rows):
     first = int(np.argmax(values))  # the first NaN, else the first largest
     assert repr(clause.worst) == repr(float(values[first]))
     assert [clause.witness[n] for n in "abc"] == [grid[first], 0.0, 0.0]
+
+
+def reference_slab_associativity(label, op, grid, tolerance):
+    """The associativity clause as the audit scanned its slabs of a through
+    ``_apply``, before the slabs called the operator directly."""
+    a = grid[:, None]
+    table = _apply(op, a, grid[None, :])
+    assoc = None
+    rows = max(1, BLOCK_CELLS // grid.size**2)
+    buf = np.empty((min(rows, grid.size), grid.size, grid.size))
+    for lo in range(0, grid.size, rows):
+        viol = buf[:grid.size - lo]
+        np.subtract(_apply(op, table[lo:lo + rows, :, None], grid),
+                    _apply(op, a[lo:lo + rows, :, None], table), out=viol)
+        np.abs(viol, out=viol)
+        if assoc is None or not (np.isnan(assoc.worst) or viol.max() <= assoc.worst):
+            assoc = _max_clause(f"{label}.associativity", viol, grid, "abc", tolerance, lo)
+    return assoc
+
+
+INF = float("inf")
+
+
+# grids of one 2-row slab (2), one 3-row slab (3), 4-row slabs with a
+# part-full last slab (90), a one-row slab (181) and 200
+@given(grid_size=st.sampled_from([2, 3, 90, 181, 200]) | st.integers(2, 60),
+       factory=st.sampled_from(SHIPPED),
+       plants=st.lists(st.tuples(unit, unit, st.sampled_from([0.5, NAN, INF, -INF])), max_size=3))
+@settings(max_examples=40, deadline=None)
+@example(grid_size=90, factory=min_max, plants=[(0.99, 0.2, INF), (1.0, 0.5, NAN)])
+@example(grid_size=181, factory=product_probsum, plants=[(0.5, 0.5, -INF), (0.75, 0.25, INF)])
+@example(grid_size=200, factory=lukasiewicz, plants=[(0.1, 0.1, 0.5), (0.9, 0.1, 0.5)])
+@example(grid_size=2, factory=min_max, plants=[(1.0, 1.0, NAN)])
+@example(grid_size=3, factory=product_probsum, plants=[(0.5, 1.0, -INF)])
+def test_direct_slab_calls_match_the_apply_reference(grid_size, factory, plants):
+    grid = np.linspace(0.0, 1.0, grid_size)
+    pair = factory()
+    ops = {label: planted(getattr(pair, label), grid, plants) for label in ("tnorm", "tconorm")}
+    with np.errstate(all="ignore"):
+        report = audit_operator_pair(OperatorPair("planted", ops["tnorm"], ops["tconorm"]), grid_size)
+        for label, op in ops.items():
+            clause = report.clause(f"{label}.associativity")
+            assert repr(clause) == repr(reference_slab_associativity(label, op, grid, 1e-12))
 
 
 @pytest.mark.parametrize("name", ["min-max", "product-probsum", "lukasiewicz"])

@@ -14,6 +14,7 @@ from ifmlab import (
     Curve,
     FiniteTabulated,
     IfmSpace,
+    OperatorPair,
     asymptotic_nearness_probe,
     axiom_audit,
     ball_contains,
@@ -37,9 +38,11 @@ from ifmlab.spaces import (
     DEFAULT_PROBE_TS,
     DomainEscapeError,
     NonFiniteImageError,
+    _triangle_rank,
     point_jsonable,
     points_equal,
     probe_grid,
+    triangle_shifts,
 )
 
 coord = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
@@ -508,6 +511,159 @@ def test_triangle_witness_is_the_first_worst_across_blocks(line, planted):
         assert repr(clause.worst) == repr(clause.witness["violation"]) == repr(0.5 - planted)
         assert (clause.witness["x"], clause.witness["z"]) == ([xs[early, 0]], [zs[early, 0]])
         assert (clause.witness["s"], clause.witness["t"]) == (1.0, 8.0)
+
+
+def reference_triangle_worst(best, viol, xs, ys, zs, lo, ts):
+    """``_triangle_worst`` as it was, building the witness of every block."""
+    by_shift = viol.transpose(1, 2, 0)
+    i, j, m = np.unravel_index(int(np.argmax(by_shift)), by_shift.shape)
+    witness = {**{name: point_jsonable(points[lo + m]) for name, points in zip("xyz", (xs, ys, zs))},
+               "s": float(ts[i]), "t": float(ts[j]), "violation": float(viol[m, i, j])}
+    return witness if best is None or _triangle_rank(witness) > _triangle_rank(best) else best
+
+
+def reference_blocked_clauses(space, sample_count, ts, seed, tolerance=1e-9):
+    """The triangle and time-continuity clauses as the sample-block loop of
+    the audit computed them before it skipped the witness of a block that
+    cannot win and reduced the continuity jumps in place."""
+    ts = probe_grid(ts)
+    sums = triangle_shifts(ts)
+    rng = np.random.default_rng(seed)
+    xs, ys, zs = (space.domain.draw(rng, sample_count, (-5.0, 5.0)) for _ in range(3))
+    mu_xy, nu_xy = membership_grid(space, xs, ys, ts)
+    k = ts.size
+    fine = np.concatenate([ts[:1], *(np.linspace(lo_t, hi_t, CONTINUITY_REFINEMENT + 1)[1:]
+                                     for lo_t, hi_t in zip(ts[:-1], ts[1:]))])
+    block = max(1, BLOCK_CELLS // max(sums.size, fine.size))
+    mu_yz, nu_yz = membership_grid(space, ys, zs, ts)
+    tnorm, tconorm = space.operators.tnorm, space.operators.tconorm
+    triangles = [None, None]
+    steps = [np.zeros(k - 1), np.zeros(k - 1)]
+    for lo in range(0, sample_count, block):
+        rows = slice(lo, lo + block)
+        mu_xz, nu_xz = (g.reshape(-1, k, k) for g in membership_grid(space, xs[rows], zs[rows], sums))
+        viols = (np.asarray(tnorm(mu_xy[rows, :, None], mu_yz[rows, None]), dtype=float) - mu_xz,
+                 nu_xz - np.asarray(tconorm(nu_xy[rows, :, None], nu_yz[rows, None]), dtype=float))
+        triangles = [reference_triangle_worst(best, viol, xs, ys, zs, lo, ts)
+                     for best, viol in zip(triangles, viols)]
+        steps = [np.maximum(step, np.abs(np.diff(grid, axis=1))
+                            .reshape(len(grid), k - 1, CONTINUITY_REFINEMENT).max(axis=(0, 2)))
+                 for step, grid in zip(steps, membership_grid(space, xs[rows], ys[rows], fine))]
+    clauses = {}
+    for side, triangle, step in zip(("mu", "nu"), triangles, steps):
+        worst, jump = triangle["violation"], max([0.0, *step.tolist()])
+        clauses[f"{side}_triangle"] = ClauseResult(
+            f"{side}_triangle", passed=worst <= tolerance, worst=max(worst, 0.0), witness=triangle)
+        clauses[f"{side}_time_continuity"] = ClauseResult(
+            f"{side}_time_continuity", passed=jump <= CONTINUITY_BOUND, worst=jump,
+            witness={"bound": CONTINUITY_BOUND, "refinement": CONTINUITY_REFINEMENT},
+            note="finite-difference modulus on a refined t grid")
+    return clauses
+
+
+def planted_space(levels, plants, planted_ops):
+    """A line space whose ``mu = t/(t + |x - y|)`` is rounded to ``levels``
+    steps, so triangle violations tie often, with ``nu = 1 - mu``.  Each
+    plant ``(side, value)`` sets ``value`` (NaN, an infinity or a number) on
+    the cells whose hash of ``(x, y, t)`` falls in its own 1/16 band.  With
+    ``planted_ops``, both operators return NaN, +inf and -inf on three bands
+    of a hash of their arguments.  Every value depends on its cell alone, so
+    the blocks of an audit cannot change it."""
+    def membership(x, y, t):
+        t = np.asarray(t, dtype=float)
+        mu = np.round(t / (t + np.abs(x[..., 0] - y[..., 0])) * levels) / levels
+        sides = {"mu": mu, "nu": 1.0 - mu}
+        band = np.floor(((x[..., 0] * 12.9898 + y[..., 0] * 78.233 + t * 37.719) % 1.0) * 16)
+        for p, (side, value) in enumerate(plants):
+            sides[side] = np.where(band == p, value, sides[side])
+        return sides["mu"], sides["nu"]
+
+    def planted(op):
+        def apply(a, b):
+            out = np.asarray(op(a, b), dtype=float)
+            band = np.floor(((a * 45.164 + b * 94.673) % 1.0) * 32)
+            return np.where(band == 0, np.nan, np.where(band == 1, np.inf, np.where(band == 2, -np.inf, out)))
+        return apply
+
+    ops = OperatorPair("planted", planted(np.minimum), planted(np.maximum)) if planted_ops else min_max()
+    return IfmSpace(domain=CoordinateSpace(1), operators=ops, membership=membership)
+
+
+PLANTED_VALUE = st.sampled_from([np.nan, np.inf, -np.inf, 0.0, 0.5, 1.0, 2.0])
+
+
+@st.composite
+def planted_cases(draw):
+    levels = draw(st.sampled_from([1, 2, 4, 1000]))
+    plants = draw(st.lists(st.tuples(st.sampled_from(["mu", "nu"]), PLANTED_VALUE), max_size=4))
+    ts = sorted(set(draw(st.lists(positive_t, min_size=2, max_size=8))))
+    samples = draw(st.integers(1, 3 * audit_block(len(ts)) + 1))
+    return levels, tuple(plants), draw(st.booleans()), tuple(ts), samples, draw(st.integers(0, 2**16))
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=planted_cases())
+# a part-full last block, with ties in every block
+@example(case=(2, (), False, (1.0, 3.0, 8.0, 20.0), 2 * audit_block(4) + 7, 0))
+# NaN and both infinities in the kernel and in the operators
+@example(case=(4, (("mu", np.nan), ("nu", np.inf), ("mu", -np.inf)), True, DEFAULT_PROBE_TS, B10 + 1, 1))
+@example(case=(1000, (("nu", np.nan), ("mu", np.inf)), False, (0.5, 2.0, 8.0), 3 * audit_block(3), 2))
+def test_trimmed_audit_matches_the_blocked_reference(case):
+    levels, plants, planted_ops, ts, samples, seed = case
+    space = planted_space(levels, plants, planted_ops)
+    with np.errstate(all="ignore"):
+        report = axiom_audit(space, samples, t_samples=ts, seed=seed)
+        reference = reference_blocked_clauses(space, samples, ts, seed)
+    for name, clause in reference.items():
+        assert repr(report.clause(name)) == repr(clause)
+
+
+@pytest.mark.parametrize("planted", [np.nan, 0.25])
+def test_blocked_reference_keeps_the_first_worst_across_blocks(line, planted):
+    # the same plants as the test above: an equal worst value in a later
+    # block at a smaller (s, t) outranks the earlier block's
+    ts = (1.0, 3.0, 8.0, 20.0)
+    count = 3 * audit_block(len(ts))
+    rng = np.random.default_rng(0)
+    xs, _, zs = (line.domain.draw(rng, count, (-5.0, 5.0)) for _ in range(3))
+    plants = [(count - 1, 1.0 + 8.0, planted), (0, 3.0 + 20.0, planted)]
+
+    def membership(x, y, t):
+        mu = np.full(np.broadcast_shapes(x.shape[:-1], np.shape(t)), 0.5)
+        for m, at, value in plants:
+            mu = np.where((x[..., 0] == xs[m, 0]) & (y[..., 0] == zs[m, 0]) & (t == at), value, mu)
+        return mu, 1.0 - mu
+
+    space = IfmSpace(domain=line.domain, operators=line.operators, membership=membership)
+    report = axiom_audit(space, count, t_samples=ts, seed=0)
+    reference = reference_blocked_clauses(space, count, ts, 0)
+    for name, clause in reference.items():
+        assert repr(report.clause(name)) == repr(clause)
+    assert reference["mu_triangle"].witness["s"] == 1.0
+
+
+def test_bulk_audit_kernel_work_is_pinned(monkeypatch):
+    # kernel calls and evaluated cells, counted as the bench tracer counts
+    # them, of a 20,000-sample induced audit and a 16-label tabulated one:
+    # 4 whole-sample grids plus 2 calls per block of 225 samples, on
+    # 10 + 100 + 145 cells a sample (the grids, the sums s + t and the
+    # refined continuity grid); an audit that checks fewer cells fails here
+    work = []
+    kernel = IfmSpace.mu_nu
+
+    def counted(space, x, y, t):
+        result = kernel(space, x, y, t)
+        work.append(int(np.size(result[0])))
+        return result
+
+    monkeypatch.setattr(IfmSpace, "mu_nu", counted)
+    axiom_audit(induced_from_metric(CoordinateSpace(3), min_max()), 20_000, seed=1)
+    assert (len(work), sum(work)) == (182, 5_700_000)
+    labels = [f"p{i:02d}" for i in range(16)]
+    pairs = {(a, b): (0.6, 0.3) for i, a in enumerate(labels) for b in labels[i + 1:]}
+    work.clear()
+    axiom_audit(finite_tabulated(FiniteTabulated(labels, pairs), min_max()), 1000, seed=1)
+    assert (len(work), sum(work)) == (14, 285_000)
 
 
 def test_overflowing_time_shifts_are_rejected(line):
