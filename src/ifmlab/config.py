@@ -70,9 +70,10 @@ def _number(value: Any, path: str, integer: bool = False) -> Any:
 
 
 def _float_sized(value: Any, path: str, domain: Any = None) -> Any:
-    """``value`` as written, once each number in its nested lists fits a float."""
+    """``value`` as written, once each integer in its nested lists fits a float."""
     for i, item in enumerate(value if isinstance(value, list) else ()):
-        _float_sized(item, f"{path}[{i}]")
+        if not isinstance(item, float):  # a float fits already: no check, no path
+            _float_sized(item, f"{path}[{i}]")
     return _number(value, path) if _is_number(value) else value
 
 

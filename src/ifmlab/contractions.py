@@ -390,17 +390,16 @@ def t_uniform_continuity_probe(
                 break
         if found_r is None:
             all_found = False
-            bad = qualify & ~image_ok  # no break: qualify is the smallest candidate's mask
-            if np.any(bad):
-                i, j = np.unravel_index(int(np.argmax(bad)), bad.shape)
-                witness = {
-                    "epsilon": eps,
-                    "x": point_jsonable(xs[i]),
-                    "y": point_jsonable(ys[i]),
-                    "t": float(ts[j]),
-                    "mu_image": float(mu2[i, j]),
-                    "nu_image": float(nu2[i, j]),
-                }
+            # no break: a pair qualified at the smallest candidate and missed its image bound
+            i, j = np.unravel_index(int(np.argmax(qualify & ~image_ok)), qualify.shape)
+            witness = {
+                "epsilon": eps,
+                "x": point_jsonable(xs[i]),
+                "y": point_jsonable(ys[i]),
+                "t": float(ts[j]),
+                "mu_image": float(mu2[i, j]),
+                "nu_image": float(nu2[i, j]),
+            }
         table.append({"epsilon": eps, "r": found_r, "qualifying_samples": qualifying})
 
     return ContractivityReport(

@@ -423,15 +423,17 @@ def membership_grid(space: IfmSpace, xs, ys, ts) -> tuple[np.ndarray, np.ndarray
 
     ``xs`` and ``ys`` are points or point sequences, unchecked (see the
     domains' ``batch``); a single point pairs with every point of the
-    other side.  Returns read-only ``(mu, nu)`` arrays of shape ``(n, k)``
-    for ``n`` pairs and ``k`` times.
+    other side.  Returns ``(mu, nu)`` of shape ``(n, k)`` for ``n`` pairs and
+    ``k`` times: the kernel's arrays or read-only views; never written into.
     """
     xs = space.domain.batch(xs)
     ys = space.domain.batch(ys)
     ts = np.asarray(ts, dtype=float)
     mu, nu = space.mu_nu(xs[:, None], ys[:, None], ts)
     shape = (len(xs) if len(ys) == 1 else len(ys), len(ts))
-    return np.broadcast_to(mu, shape), np.broadcast_to(nu, shape)
+    if np.shape(mu) != shape or np.shape(nu) != shape:
+        mu, nu = np.broadcast_to(mu, shape), np.broadcast_to(nu, shape)
+    return mu, nu
 
 
 # ---------------------------------------------------------------------------
@@ -480,8 +482,12 @@ def _triangle_worst(best, viol, xs, ys, zs, lo, ts) -> dict:
 
     A block's entries are scanned by ``s``, then ``t``, then sample, and a
     later block replaces ``best`` only when it ranks strictly higher, so the
-    first worst entry in ``(s, t, sample)`` order wins.
+    first worst entry in ``(s, t, sample)`` order wins.  The block's witness
+    is built only when its maximum can outrank: NaN, or at least ``best``'s.
     """
+    top, worst = float(viol.max()), -math.inf if best is None else best["violation"]
+    if not math.isnan(top) and (math.isnan(worst) or top < worst):
+        return best
     by_shift = viol.transpose(1, 2, 0)
     i, j, m = np.unravel_index(int(np.argmax(by_shift)), by_shift.shape)
     witness = {**{name: point_jsonable(points[lo + m]) for name, points in zip("xyz", (xs, ys, zs))},
@@ -553,7 +559,8 @@ def axiom_audit(
     seed; failures are report entries, never exceptions.  A triangle
     witness is the first worst in ``(s, t, sample)`` order, a NaN above any
     value.  The triangle and continuity clauses run over sample blocks of
-    about ``BLOCK_CELLS`` floats; 20,000 samples in 3-D peak at 19.5 MiB.
+    about ``BLOCK_CELLS`` floats; 20,000 samples in 3-D peak at 19.5 MiB; a
+    block builds a triangle witness only when its maximum can outrank.
     """
     if sample_count < 1:
         raise ValueError("sample_count must be at least 1")
@@ -587,9 +594,11 @@ def axiom_audit(
                  nu_xz - np.asarray(tconorm(nu_xy[rows, :, None], nu_yz[rows, None]), dtype=float))
         triangles = [_triangle_worst(best, viol, xs, ys, zs, lo, ts)
                      for best, viol in zip(triangles, viols)]
-        steps = [np.maximum(step, np.abs(np.diff(grid, axis=1))
-                            .reshape(len(grid), k - 1, CONTINUITY_REFINEMENT).max(axis=(0, 2)))
-                 for step, grid in zip(steps, membership_grid(space, xs[rows], ys[rows], fine))]
+        # largest jump per probe interval: over samples, then refinement steps
+        for step, grid in zip(steps, membership_grid(space, xs[rows], ys[rows], fine)):
+            jump = np.subtract(grid[:, 1:], grid[:, :-1])
+            np.maximum(step, np.abs(jump, out=jump).max(axis=0)
+                       .reshape(k - 1, CONTINUITY_REFINEMENT).max(axis=1), out=step)
     # the largest jump of each side, over the intervals in order
     jumps = [max([0.0, *step.tolist()]) for step in steps]
 
