@@ -72,7 +72,8 @@ def _number(value: Any, path: str, integer: bool = False) -> Any:
 def _float_sized(value: Any, path: str, domain: Any = None) -> Any:
     """``value`` as written, once each integer in its nested lists fits a float."""
     for i, item in enumerate(value if isinstance(value, list) else ()):
-        if not isinstance(item, float):  # a float fits already: no check, no path
+        # a float fits already, and so does a list of floats: no check, no path
+        if not (isinstance(item, float) or type(item) is list and all(isinstance(v, float) for v in item)):
             _float_sized(item, f"{path}[{i}]")
     return _number(value, path) if _is_number(value) else value
 

@@ -560,7 +560,7 @@ def axiom_audit(
     witness is the first worst in ``(s, t, sample)`` order, a NaN above any
     value.  The triangle and continuity clauses run over sample blocks of
     about ``BLOCK_CELLS`` floats; 20,000 samples in 3-D peak at 19.5 MiB; a
-    block builds a triangle witness only when its maximum can outrank.
+    block builds a triangle witness only when its maximum can beat the worst.
     """
     if sample_count < 1:
         raise ValueError("sample_count must be at least 1")
