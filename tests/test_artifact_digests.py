@@ -19,8 +19,9 @@ max(1, 2**15 // n**2) rows at grid n), and that of a power solve whose
 candidate misses the original map's residual before the Picard step loop
 was made cheaper, and those of a failing t-uniform continuity check and a
 nu-side contractive-sequence failure before the bulk audits were trimmed
-to the work their verdicts need; a change that moves any artifact byte fails here unless
-the change declares the numeric difference and records new digests.
+to the work their verdicts need; a change that moves any artifact byte
+fails here unless the change declares the numeric difference and records
+new digests.
 """
 
 import hashlib
