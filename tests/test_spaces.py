@@ -1,4 +1,5 @@
 import math
+import operator
 import tracemalloc
 import warnings
 
@@ -29,12 +30,13 @@ from ifmlab import (
     sequence_diagnostics,
     time_parameter,
 )
-from ifmlab.operators import BLOCK_CELLS
-from ifmlab.report import ClauseResult
+from ifmlab.operators import BLOCK_CELLS, idempotency_witness, idempotent_within
+from ifmlab.report import AuditReport, ClauseResult
 from ifmlab.spaces import (
     BASE_METRICS,
     CONTINUITY_BOUND,
     CONTINUITY_REFINEMENT,
+    DEFAULT_AUDIT_BOX_HALFWIDTH,
     DEFAULT_PROBE_TS,
     DomainEscapeError,
     NonFiniteImageError,
@@ -621,6 +623,180 @@ def test_trimmed_audit_matches_the_blocked_reference(case):
         reference = reference_blocked_clauses(space, samples, ts, seed)
     for name, clause in reference.items():
         assert repr(report.clause(name)) == repr(clause)
+
+
+def reference_grid_witness(xs, ys, values, ts, extra=None):
+    """Witness for the worst entry of a (pairs x times) violation array."""
+    flat = int(np.argmax(values))
+    i, j = np.unravel_index(flat, values.shape)
+    wit = {
+        "x": point_jsonable(xs[i]),
+        "y": point_jsonable(ys[i]),
+        "t": float(ts[j]),
+        "violation": float(values[i, j]),
+    }
+    if extra:
+        wit.update(extra)
+    return wit
+
+
+def reference_max_clause(name, viol, xs, ys, ts, tolerance):
+    worst = float(viol.max(initial=-np.inf))
+    return ClauseResult(name, passed=worst <= tolerance, worst=max(worst, 0.0),
+                        witness=reference_grid_witness(xs, ys, viol, ts) if viol.size else None)
+
+
+REFERENCE_SIDE_RULES = {
+    "mu": ("mu_positive", operator.gt, 1.0, "max", operator.lt),
+    "nu": ("nu_nonnegative", operator.ge, 0.0, "min", operator.gt),
+}
+
+
+def reference_side_clauses(side, xy, yx, xx, distinct, triangle, jump, xs, ys, ts, tolerance):
+    floor_name, floor_ok, coincident, nearest, apart = REFERENCE_SIDE_RULES[side]
+    low = float(xy.min())
+    diag = np.abs(xx - coincident)
+    worst_diag = float(diag.max())
+    if np.any(distinct):
+        extreme = float(getattr(xy[distinct], nearest)())
+        distinct_ok, note = apart(extreme, coincident), ""
+    else:
+        extreme, distinct_ok, note = float("nan"), True, "no distinct pairs sampled"
+    worst_tri = triangle["violation"]
+    return [
+        ClauseResult(floor_name, passed=floor_ok(low, 0.0), worst=max(0.0, -low),
+                     witness=reference_grid_witness(xs, ys, -xy, ts, {f"min_{side}": low})),
+        ClauseResult(f"{side}_identity", passed=(worst_diag <= tolerance) and distinct_ok,
+                     worst=worst_diag, note=note,
+                     witness=reference_grid_witness(xs, xs, diag, ts,
+                                                    {f"{nearest}_{side}_distinct": extreme})),
+        reference_max_clause(f"{side}_symmetry", np.abs(xy - yx), xs, ys, ts, tolerance),
+        ClauseResult(f"{side}_triangle", passed=worst_tri <= tolerance, worst=max(worst_tri, 0.0),
+                     witness=triangle),
+        ClauseResult(f"{side}_time_continuity", passed=jump <= CONTINUITY_BOUND, worst=jump,
+                     witness={"bound": CONTINUITY_BOUND, "refinement": CONTINUITY_REFINEMENT},
+                     note="finite-difference modulus on a refined t grid"),
+    ]
+
+
+def reference_whole_grid_audit(space, sample_count, t_samples=None, tolerance=1e-9, seed=0):
+    """The audit as it was before every clause ran in sample blocks: the
+    sampled pairs, their swaps, the coincident pairs and the (y, z) pairs
+    each as one whole-sample grid, and one argmax per clause over a whole
+    (samples x times) violation grid."""
+    ts = probe_grid(t_samples)
+    sums = triangle_shifts(ts)
+    rng = np.random.default_rng(seed)
+    box = (-DEFAULT_AUDIT_BOX_HALFWIDTH, DEFAULT_AUDIT_BOX_HALFWIDTH)
+    xs, ys, zs = (space.domain.draw(rng, sample_count, box) for _ in range(3))
+
+    xy = mu_xy, nu_xy = membership_grid(space, xs, ys, ts)
+    yx = membership_grid(space, ys, xs, ts)
+    xx = membership_grid(space, xs, xs, ts)
+
+    k = ts.size
+    fine = np.concatenate([ts[:1], *(np.linspace(lo_t, hi_t, CONTINUITY_REFINEMENT + 1)[1:]
+                                     for lo_t, hi_t in zip(ts[:-1], ts[1:]))])
+    block = max(1, BLOCK_CELLS // max(sums.size, fine.size))
+    mu_yz, nu_yz = membership_grid(space, ys, zs, ts)
+    tnorm, tconorm = space.operators.tnorm, space.operators.tconorm
+    triangles = [None, None]
+    steps = [np.zeros(k - 1), np.zeros(k - 1)]
+    for lo in range(0, sample_count, block):
+        rows = slice(lo, lo + block)
+        mu_xz, nu_xz = (g.reshape(-1, k, k) for g in membership_grid(space, xs[rows], zs[rows], sums))
+        viols = (np.asarray(tnorm(mu_xy[rows, :, None], mu_yz[rows, None]), dtype=float) - mu_xz,
+                 nu_xz - np.asarray(tconorm(nu_xy[rows, :, None], nu_yz[rows, None]), dtype=float))
+        triangles = [reference_triangle_worst(best, viol, xs, ys, zs, lo, ts)
+                     for best, viol in zip(triangles, viols)]
+        for step, grid in zip(steps, membership_grid(space, xs[rows], ys[rows], fine)):
+            jump = np.subtract(grid[:, 1:], grid[:, :-1])
+            np.maximum(step, np.abs(jump, out=jump).max(axis=0)
+                       .reshape(k - 1, CONTINUITY_REFINEMENT).max(axis=1), out=step)
+    jumps = [max([0.0, *step.tolist()]) for step in steps]
+
+    distinct = space.domain.distinct(xs, ys)
+    clauses = [reference_max_clause("bounded_sum", mu_xy + nu_xy - 1.0, xs, ys, ts, tolerance)]
+    for side, *grids, triangle, jump in zip(("mu", "nu"), xy, yx, xx, triangles, jumps):
+        clauses += reference_side_clauses(side, *grids, distinct, triangle, jump, xs, ys, ts, tolerance)
+
+    wit_t, wit_s = witnesses = idempotency_witness(space.operators)
+    idempotent = all(idempotent_within(witnesses, max(tolerance, 1e-12)))
+    clauses.append(ClauseResult("idempotent_operators", passed=idempotent, worst=0.0 if idempotent else 1.0,
+                                witness={"tnorm": wit_t, "tconorm": wit_s, "pair": space.operators.name}))
+
+    mono_mu = mu_xy[:, :-1] - mu_xy[:, 1:]
+    mono_nu = nu_xy[:, 1:] - nu_xy[:, :-1]
+    clauses.append(reference_max_clause("mu_nondecreasing_t", mono_mu, xs, ys, ts[:-1], tolerance))
+    clauses.append(reference_max_clause("nu_nonincreasing_t", mono_nu, xs, ys, ts[:-1], tolerance))
+    return AuditReport(subject=space.description or "space", clauses=clauses)
+
+
+def assert_same_audit(report, reference):
+    assert report.subject == reference.subject
+    assert [repr(c) for c in report.clauses] == [repr(c) for c in reference.clauses]
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=planted_cases())
+# one probe time: both monotonicity grids are empty
+@example(case=(1000, (), 16, False, (1.0,), 1, 0))
+@example(case=(4, (("nu", np.nan),), 16, False, (2.0,), 2 * audit_block(1) + 3, 1))
+# fewer samples than one block, and a part-full last block
+@example(case=(1000, (("mu", 0.0),), 16, False, DEFAULT_PROBE_TS, 5, 2))
+@example(case=(2, (), 16, False, (1.0, 3.0, 8.0, 20.0), 2 * audit_block(4) + 7, 0))
+# NaN and both infinities in the kernel and in the operators
+@example(case=(4, (("mu", np.nan), ("nu", np.inf), ("mu", -np.inf)), 16, True, DEFAULT_PROBE_TS, B10 + 1, 1))
+# equal worst values in every block, and rare NaN or infinite plants that
+# first show up in a later block
+@example(case=(1, (), 16, False, (0.5, 2.0, 8.0), 3 * audit_block(3), 3))
+@example(case=(1000, (("nu", np.nan), ("mu", np.inf)), 2**14, False, (0.5, 2.0, 8.0), 3 * audit_block(3), 2))
+@example(case=(1000, (("mu", -np.inf),), 2**9, False, (1.0, 3.0, 8.0, 20.0), 3 * audit_block(4) + 5, 4))
+def test_streamed_audit_matches_the_whole_grid_reference(case):
+    levels, plants, bands, planted_ops, ts, samples, seed = case
+    space = planted_space(levels, plants, bands, planted_ops)
+    with np.errstate(all="ignore"):
+        report = axiom_audit(space, samples, t_samples=ts, seed=seed)
+        reference = reference_whole_grid_audit(space, samples, ts, seed=seed)
+    assert_same_audit(report, reference)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=audit_cases(), tolerance=st.sampled_from([0.0, 1e-9, 0.5]))
+@example(case=("euclidean", 1, (1.0,), 1, 0), tolerance=1e-9)
+@example(case=("tabulated", (), DEFAULT_PROBE_TS, B10 + 1, 1), tolerance=1e-9)
+@example(case=("tabulated", None, (0.5, 2.0), 2 * audit_block(2) + 1, 2), tolerance=0.0)
+def test_streamed_audit_of_real_spaces_matches_the_whole_grid_reference(case, tolerance):
+    kind, shape, ts, samples, seed = case
+    space = audit_space(kind, shape)
+    report = axiom_audit(space, samples, t_samples=ts, tolerance=tolerance, seed=seed)
+    assert_same_audit(report, reference_whole_grid_audit(space, samples, ts, tolerance, seed))
+
+
+@pytest.mark.parametrize("early, late", [(0.25, 0.25), (0.25, np.nan), (np.nan, np.nan)])
+def test_grid_witness_is_the_first_worst_across_blocks(line, early, late):
+    # bounded-sum violation 0 everywhere but at one sampled pair of the
+    # second block (``early``) and one of the third (``late``): an equal
+    # value later does not replace the first, a NaN does replace a number
+    ts = (1.0, 3.0, 8.0, 20.0)
+    block = audit_block(len(ts))
+    count = 3 * block
+    rng = np.random.default_rng(0)
+    xs, ys = (line.domain.draw(rng, count, (-5.0, 5.0)) for _ in range(2))
+    plants = [(block + 3, 8.0, early), (2 * block + 1, 3.0, late)]
+
+    def membership(x, y, t):
+        nu = np.full(np.broadcast_shapes(x.shape[:-1], np.shape(t)), 0.5)
+        for m, at, value in plants:
+            nu = np.where((x[..., 0] == xs[m, 0]) & (y[..., 0] == ys[m, 0]) & (t == at), 0.5 + value, nu)
+        return np.full_like(nu, 0.5), nu
+
+    space = IfmSpace(domain=line.domain, operators=line.operators, membership=membership)
+    clause = axiom_audit(space, count, t_samples=ts, seed=0).clause("bounded_sum")
+    m, at, value = plants[1] if math.isnan(late) and not math.isnan(early) else plants[0]
+    assert not clause.passed
+    assert repr(clause.worst) == repr(clause.witness["violation"]) == repr(value)
+    assert (clause.witness["x"], clause.witness["y"], clause.witness["t"]) == ([xs[m, 0]], [ys[m, 0]], at)
 
 
 def test_bulk_audit_kernel_work_is_pinned(monkeypatch):
