@@ -201,8 +201,10 @@ class Curve:
         return np.interp(t, self.ts, self.values)
 
     def is_monotone(self, direction: str) -> bool:
-        diffs = np.diff(self.values)
-        return bool(np.all(diffs >= 0.0) if direction == "nondecreasing" else np.all(diffs <= 0.0))
+        v = self.values
+        if direction == "nondecreasing":
+            return all(b - a >= 0.0 for a, b in zip(v, v[1:]))
+        return all(b - a <= 0.0 for a, b in zip(v, v[1:]))
 
 
 class FiniteTabulated:
@@ -440,26 +442,35 @@ def membership_grid(space: IfmSpace, xs, ys, ts) -> tuple[np.ndarray, np.ndarray
 # axiom audit
 
 
-def _grid_witness(xs, ys, values, ts, extra=None) -> dict:
-    """Witness for the worst entry of a (pairs x times) violation array."""
-    flat = int(np.argmax(values))
-    i, j = np.unravel_index(flat, values.shape)
-    wit = {
-        "x": point_jsonable(xs[i]),
-        "y": point_jsonable(ys[i]),
-        "t": float(ts[j]),
-        "violation": float(values[i, j]),
-    }
-    if extra:
-        wit.update(extra)
-    return wit
+def _fold_worst(worst: dict, name: str, viol, lo: int) -> None:
+    """Fold the (samples x times) violations ``viol`` of the sample block
+    starting at row ``lo`` into ``worst[name]``, a held ``(value, row,
+    column)`` worst entry (absent while no entry was seen).
+
+    NaN ranks above any value, and a later block replaces the held entry
+    only when strictly worse, so the first worst in ``(sample, t)`` order
+    wins, as one argmax over the whole grid finds it.
+    """
+    if not viol.size:
+        return
+    i, j = divmod(int(np.argmax(viol)), viol.shape[1])
+    value, held = float(viol[i, j]), worst.get(name)
+    if held is None or value > held[0] or (math.isnan(value) and not math.isnan(held[0])):
+        worst[name] = value, lo + i, j
 
 
-def _max_clause(name, viol, xs, ys, ts, tolerance) -> ClauseResult:
-    """Clause that passes iff the largest entry of ``viol`` (pairs x times) is within tolerance."""
-    worst = float(viol.max(initial=-np.inf))
+def _grid_witness(xs, ys, held, ts, extra=None) -> dict:
+    """Witness for a held worst ``(value, row, column)`` of a violation grid."""
+    value, i, j = held
+    return {"x": point_jsonable(xs[i]), "y": point_jsonable(ys[i]), "t": float(ts[j]),
+            "violation": value, **(extra or {})}
+
+
+def _max_clause(name, held, xs, ys, ts, tolerance) -> ClauseResult:
+    """Clause that passes iff the held worst entry (None: the grid is empty) is within tolerance."""
+    worst = -math.inf if held is None else held[0]
     return ClauseResult(name, passed=worst <= tolerance, worst=max(worst, 0.0),
-                        witness=_grid_witness(xs, ys, viol, ts) if viol.size else None)
+                        witness=None if held is None else _grid_witness(xs, ys, held, ts))
 
 
 def triangle_shifts(ts) -> np.ndarray:
@@ -506,31 +517,28 @@ _SIDE_RULES = {
 }
 
 
-def _side_clauses(side, xy, yx, xx, distinct, triangle, jump, xs, ys, ts, tolerance):
+def _side_clauses(side, worst, low, extreme, triangle, jump, xs, ys, ts, tolerance):
     """Lower bound, identity, symmetry, triangle and time continuity of ``side``.
 
-    ``xy``, ``yx`` and ``xx`` are the side's (pairs x times) grids of the
-    sampled pairs, their swaps and the coincident pairs; ``triangle`` is
-    the witness of the side's worst triangle violation and ``jump`` its
-    largest continuity jump.
+    ``worst`` holds the side's folded worst entries, ``low`` is its least
+    value on the sampled pairs, ``extreme`` its distinct-pair extreme (None
+    when no pair was distinct), ``triangle`` the witness of its worst
+    triangle violation and ``jump`` its largest continuity jump.
     """
     floor_name, floor_ok, coincident, nearest, apart = _SIDE_RULES[side]
-    low = float(xy.min())
-    diag = np.abs(xx - coincident)
-    worst_diag = float(diag.max())
-    if np.any(distinct):
-        extreme = float(getattr(xy[distinct], nearest)())
-        distinct_ok, note = apart(extreme, coincident), ""
-    else:
+    if extreme is None:
         extreme, distinct_ok, note = float("nan"), True, "no distinct pairs sampled"
+    else:
+        distinct_ok, note = apart(extreme, coincident), ""
+    diag = worst[f"{side}_identity"]
     worst_tri = triangle["violation"]
     return [
         ClauseResult(floor_name, passed=floor_ok(low, 0.0), worst=max(0.0, -low),
-                     witness=_grid_witness(xs, ys, -xy, ts, {f"min_{side}": low})),
-        ClauseResult(f"{side}_identity", passed=(worst_diag <= tolerance) and distinct_ok,
-                     worst=worst_diag, note=note,
+                     witness=_grid_witness(xs, ys, worst[floor_name], ts, {f"min_{side}": low})),
+        ClauseResult(f"{side}_identity", passed=(diag[0] <= tolerance) and distinct_ok,
+                     worst=diag[0], note=note,
                      witness=_grid_witness(xs, xs, diag, ts, {f"{nearest}_{side}_distinct": extreme})),
-        _max_clause(f"{side}_symmetry", np.abs(xy - yx), xs, ys, ts, tolerance),
+        _max_clause(f"{side}_symmetry", worst[f"{side}_symmetry"], xs, ys, ts, tolerance),
         ClauseResult(f"{side}_triangle", passed=worst_tri <= tolerance, worst=max(worst_tri, 0.0),
                      witness=triangle),
         ClauseResult(f"{side}_time_continuity", passed=jump <= CONTINUITY_BOUND, worst=jump,
@@ -556,11 +564,13 @@ def axiom_audit(
     grid pairs; continuity in ``t`` by a refined finite-difference modulus;
     operator idempotency; and monotonicity of ``mu`` (nondecreasing) and
     ``nu`` (nonincreasing) along the ``t`` grid.  Deterministic for a fixed
-    seed; failures are report entries, never exceptions.  A triangle
-    witness is the first worst in ``(s, t, sample)`` order, a NaN above any
-    value.  The triangle and continuity clauses run over sample blocks of
-    about ``BLOCK_CELLS`` floats; 20,000 samples in 3-D peak at 19.5 MiB; a
-    block builds a triangle witness only when its maximum can beat the worst.
+    seed; failures are report entries, never exceptions.  Every clause
+    runs over sample blocks of about ``BLOCK_CELLS`` floats, so only the
+    drawn points scale with ``sample_count``: 20,000 samples in 3-D peak at
+    3.3 MiB.  A triangle witness is the first worst in ``(s, t, sample)``
+    order and any other grid witness the first worst in ``(sample, t)``
+    order, a NaN above any value; a block builds a triangle witness only
+    when its maximum can beat the worst.
     """
     if sample_count < 1:
         raise ValueError("sample_count must be at least 1")
@@ -573,39 +583,59 @@ def axiom_audit(
         box = (-DEFAULT_AUDIT_BOX_HALFWIDTH, DEFAULT_AUDIT_BOX_HALFWIDTH)
     xs, ys, zs = (space.domain.draw(rng, sample_count, box) for _ in range(3))
 
-    xy = mu_xy, nu_xy = membership_grid(space, xs, ys, ts)
-    yx = membership_grid(space, ys, xs, ts)
-    xx = membership_grid(space, xs, xs, ts)
-
-    # per sample block, one kernel call at every sum s + t for the triangle,
-    # and one on every probe interval split CONTINUITY_REFINEMENT times
+    # per sample block, one kernel call for the sampled pairs, their swaps,
+    # the coincident pairs and the (y, z) pairs, one at every sum s + t for
+    # the triangle, and one on every probe interval split
+    # CONTINUITY_REFINEMENT times
     k = ts.size
     fine = np.concatenate([ts[:1], *(np.linspace(lo_t, hi_t, CONTINUITY_REFINEMENT + 1)[1:]
                                      for lo_t, hi_t in zip(ts[:-1], ts[1:]))])
     block = max(1, BLOCK_CELLS // max(sums.size, fine.size))
-    mu_yz, nu_yz = membership_grid(space, ys, zs, ts)
     tnorm, tconorm = space.operators.tnorm, space.operators.tconorm
+    worst: dict[str, tuple[float, int, int]] = {}
+    lows = {"mu": math.inf, "nu": math.inf}
+    # each side's distinct-pair extreme starts at the identity of its max or min
+    extremes = {"mu": -math.inf, "nu": math.inf}
+    any_distinct = False
     triangles = [None, None]
     steps = [np.zeros(k - 1), np.zeros(k - 1)]
     for lo in range(0, sample_count, block):
         rows = slice(lo, lo + block)
-        mu_xz, nu_xz = (g.reshape(-1, k, k) for g in membership_grid(space, xs[rows], zs[rows], sums))
-        viols = (np.asarray(tnorm(mu_xy[rows, :, None], mu_yz[rows, None]), dtype=float) - mu_xz,
-                 nu_xz - np.asarray(tconorm(nu_xy[rows, :, None], nu_yz[rows, None]), dtype=float))
+        x, y, z = xs[rows], ys[rows], zs[rows]
+        (mu_xy, mu_yx, mu_xx, mu_yz), (nu_xy, nu_yx, nu_xx, nu_yz) = (
+            g.reshape(4, -1, k)
+            for g in membership_grid(space, np.concatenate([x, y, x, y]), np.concatenate([y, x, x, z]), ts))
+
+        _fold_worst(worst, "bounded_sum", mu_xy + nu_xy - 1.0, lo)
+        apart = space.domain.distinct(x, y)
+        any_distinct = any_distinct or bool(apart.any())
+        for side, xy, yx, xx in (("mu", mu_xy, mu_yx, mu_xx), ("nu", nu_xy, nu_yx, nu_xx)):
+            floor_name, _, coincident, nearest, _ = _SIDE_RULES[side]
+            _fold_worst(worst, floor_name, -xy, lo)
+            lows[side] = float(xy.min(initial=lows[side]))
+            _fold_worst(worst, f"{side}_identity", np.abs(xx - coincident), lo)
+            extremes[side] = float(getattr(xy[apart], nearest)(initial=extremes[side]))
+            _fold_worst(worst, f"{side}_symmetry", np.abs(xy - yx), lo)
+        _fold_worst(worst, "mu_nondecreasing_t", mu_xy[:, :-1] - mu_xy[:, 1:], lo)
+        _fold_worst(worst, "nu_nonincreasing_t", nu_xy[:, 1:] - nu_xy[:, :-1], lo)
+
+        mu_xz, nu_xz = (g.reshape(-1, k, k) for g in membership_grid(space, x, z, sums))
+        viols = (np.asarray(tnorm(mu_xy[:, :, None], mu_yz[:, None]), dtype=float) - mu_xz,
+                 nu_xz - np.asarray(tconorm(nu_xy[:, :, None], nu_yz[:, None]), dtype=float))
         triangles = [_triangle_worst(best, viol, xs, ys, zs, lo, ts)
                      for best, viol in zip(triangles, viols)]
         # largest jump per probe interval: over samples, then refinement steps
-        for step, grid in zip(steps, membership_grid(space, xs[rows], ys[rows], fine)):
+        for step, grid in zip(steps, membership_grid(space, x, y, fine)):
             jump = np.subtract(grid[:, 1:], grid[:, :-1])
             np.maximum(step, np.abs(jump, out=jump).max(axis=0)
                        .reshape(k - 1, CONTINUITY_REFINEMENT).max(axis=1), out=step)
     # the largest jump of each side, over the intervals in order
     jumps = [max([0.0, *step.tolist()]) for step in steps]
 
-    distinct = space.domain.distinct(xs, ys)
-    clauses = [_max_clause("bounded_sum", mu_xy + nu_xy - 1.0, xs, ys, ts, tolerance)]
-    for side, *grids, triangle, jump in zip(("mu", "nu"), xy, yx, xx, triangles, jumps):
-        clauses += _side_clauses(side, *grids, distinct, triangle, jump, xs, ys, ts, tolerance)
+    clauses = [_max_clause("bounded_sum", worst["bounded_sum"], xs, ys, ts, tolerance)]
+    for side, triangle, jump in zip(("mu", "nu"), triangles, jumps):
+        extreme = extremes[side] if any_distinct else None
+        clauses += _side_clauses(side, worst, lows[side], extreme, triangle, jump, xs, ys, ts, tolerance)
 
     # operator idempotency
     wit_t, wit_s = witnesses = idempotency_witness(space.operators)
@@ -620,10 +650,8 @@ def axiom_audit(
     )
 
     # monotonicity along the t grid
-    mono_mu = mu_xy[:, :-1] - mu_xy[:, 1:]
-    mono_nu = nu_xy[:, 1:] - nu_xy[:, :-1]
-    clauses.append(_max_clause("mu_nondecreasing_t", mono_mu, xs, ys, ts[:-1], tolerance))
-    clauses.append(_max_clause("nu_nonincreasing_t", mono_nu, xs, ys, ts[:-1], tolerance))
+    for name in ("mu_nondecreasing_t", "nu_nonincreasing_t"):
+        clauses.append(_max_clause(name, worst.get(name), xs, ys, ts[:-1], tolerance))
 
     return AuditReport(subject=space.description or "space", clauses=clauses)
 

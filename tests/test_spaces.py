@@ -229,6 +229,16 @@ def test_sequence_diagnostics_divergent(line):
     assert report.witness is not None
 
 
+def test_sequence_report_passes_on_a_cauchy_prefix_with_no_failing_limit(line):
+    prefix = [2.0 ** -n for n in range(41)]
+    verdicts = [sequence_diagnostics(line, prefix, epsilon=0.01, window=8, candidate_limit=limit)
+                for limit in (None, 0.0, 1.0)]
+    assert [(r.cauchy, r.convergent, r.passed) for r in verdicts] == [
+        (True, None, True), (True, True, True), (True, False, False)]
+    divergent = sequence_diagnostics(line, list(range(20)), epsilon=0.01, window=4, candidate_limit=0.0)
+    assert (divergent.cauchy, divergent.passed) == (False, False)
+
+
 def test_sequence_diagnostics_input_errors(line):
     with pytest.raises(ValueError):
         sequence_diagnostics(line, [], epsilon=0.01, window=2)
@@ -296,8 +306,31 @@ def test_closedness_rejects_divergent_sequence(line):
 
 def test_curve_from_spec_forms():
     assert Curve.from_spec(0.4)(123.0) == 0.4
+    curve = Curve.from_spec([[1.0, 0.2], [2.0, 0.3]])
+    assert Curve.from_spec(curve) is curve
     with pytest.raises(ValueError, match="strictly increasing"):
         Curve.from_spec([[1.0, 0.2], [1.0, 0.3]])
+
+
+def reference_is_monotone(values, direction):
+    diffs = np.diff(values)
+    return bool(np.all(diffs >= 0.0) if direction == "nondecreasing" else np.all(diffs <= 0.0))
+
+
+EDGE_VALUES = st.sampled_from([0.0, -0.0, 1.0, np.inf, -np.inf, np.nan, 1e308, -1e308, 5e-324])
+
+
+@settings(max_examples=500, deadline=None)
+@given(values=st.lists(EDGE_VALUES | st.floats(), max_size=6),
+       direction=st.sampled_from(["nondecreasing", "nonincreasing"]))
+@example(values=[1e308, -1e308], direction="nonincreasing")
+@example(values=[-1e308, 1e308, np.inf], direction="nondecreasing")
+@example(values=[np.inf, np.inf], direction="nondecreasing")
+@example(values=[0.0, -0.0, 5e-324], direction="nondecreasing")
+def test_curve_monotonicity_matches_np_diff(values, direction):
+    curve = Curve(tuple(float(t) for t in range(1, len(values) + 1)), tuple(values))
+    with np.errstate(all="ignore"):
+        assert curve.is_monotone(direction) is reference_is_monotone(values, direction)
 
 
 @given(x=coord, y=coord, t=positive_t)
@@ -766,6 +799,8 @@ def test_streamed_audit_matches_the_whole_grid_reference(case):
 @example(case=("euclidean", 1, (1.0,), 1, 0), tolerance=1e-9)
 @example(case=("tabulated", (), DEFAULT_PROBE_TS, B10 + 1, 1), tolerance=1e-9)
 @example(case=("tabulated", None, (0.5, 2.0), 2 * audit_block(2) + 1, 2), tolerance=0.0)
+# two labels, and the one pair of the last block is coincident
+@example(case=("tabulated", ((0.6, 0.3),), DEFAULT_PROBE_TS, B10 + 1, 0), tolerance=1e-9)
 def test_streamed_audit_of_real_spaces_matches_the_whole_grid_reference(case, tolerance):
     kind, shape, ts, samples, seed = case
     space = audit_space(kind, shape)
@@ -802,9 +837,9 @@ def test_grid_witness_is_the_first_worst_across_blocks(line, early, late):
 def test_bulk_audit_kernel_work_is_pinned(monkeypatch):
     # kernel calls and evaluated cells, counted as the bench tracer counts
     # them, of a 20,000-sample induced audit and a 16-label tabulated one:
-    # 4 whole-sample grids plus 2 calls per block of 225 samples, on
-    # 10 + 100 + 145 cells a sample (the grids, the sums s + t and the
-    # refined continuity grid); an audit that checks fewer cells fails here
+    # 3 calls per block of 225 samples, on 40 + 100 + 145 cells a sample
+    # (the four probe-time grids in one call, the sums s + t and the refined
+    # continuity grid); an audit that checks fewer cells fails here
     work = []
     kernel = IfmSpace.mu_nu
 
@@ -815,12 +850,12 @@ def test_bulk_audit_kernel_work_is_pinned(monkeypatch):
 
     monkeypatch.setattr(IfmSpace, "mu_nu", counted)
     axiom_audit(induced_from_metric(CoordinateSpace(3), min_max()), 20_000, seed=1)
-    assert (len(work), sum(work)) == (182, 5_700_000)
+    assert (len(work), sum(work)) == (267, 5_700_000)
     labels = [f"p{i:02d}" for i in range(16)]
     pairs = {(a, b): (0.6, 0.3) for i, a in enumerate(labels) for b in labels[i + 1:]}
     work.clear()
     axiom_audit(finite_tabulated(FiniteTabulated(labels, pairs), min_max()), 1000, seed=1)
-    assert (len(work), sum(work)) == (14, 285_000)
+    assert (len(work), sum(work)) == (15, 285_000)
 
 
 def test_overflowing_time_shifts_are_rejected(line):
@@ -833,7 +868,8 @@ def test_overflowing_time_shifts_are_rejected(line):
 
 
 def test_axiom_audit_memory_stays_bounded():
-    # the whole-sample grids of the triangle and continuity loops peaked at 30.5 MiB
+    # the whole-sample grids of the triangle and continuity loops peaked at
+    # 30.5 MiB, and the whole-sample grids of the other clauses at 19.0 MiB
     space = induced_from_metric(CoordinateSpace(3), min_max())
     tracemalloc.start()
     try:
@@ -841,7 +877,7 @@ def test_axiom_audit_memory_stays_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 24 * 2**20
+    assert peak < 6 * 2**20
 
 
 # ---------------------------------------------------------------------------
