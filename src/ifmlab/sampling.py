@@ -17,7 +17,8 @@ from .spaces import CoordinateSpace, FiniteTabulated, IfmSpace, ball_contains, B
 DEFAULT_HALFWIDTH = 8.0
 MIN_SEPARATION_FRACTION = 1e-4
 MAX_SEPARATION_FRACTION = 0.5
-# Rejection rounds of sample_ball_pairs; the box doubles after each short one.
+# Rejection rounds of sample_ball_pairs; without a base metric the box
+# doubles after each short one.
 BALL_SAMPLING_ROUNDS = 12
 
 
@@ -90,8 +91,9 @@ def sample_ball_pairs(space: IfmSpace, ball: BallSpec, count: int, seed: int) ->
 
     Uses rejection sampling from a box around the center.  For induced
     spaces the metric radius of the ball is known exactly
-    (``d <= t * r / (1 - r)``); otherwise the box is grown geometrically
-    until enough members are found.
+    (``d <= t * r / (1 - r)``), so that box holds the whole ball and is
+    drawn again until enough members are found; otherwise the box is grown
+    geometrically.  An odd count of members loses its last one.
     """
     domain = space.domain
     if isinstance(domain, FiniteTabulated):
@@ -118,10 +120,11 @@ def sample_ball_pairs(space: IfmSpace, ball: BallSpec, count: int, seed: int) ->
         found += len(kept[-1])
         if found >= 2 * count:
             break
-        halfwidth *= 2.0
+        if space.base_distance is None:
+            halfwidth *= 2.0
     if found < 2:
         raise ValueError("could not sample points inside the closed ball")
-    pts = np.concatenate(kept)[: 2 * count]
+    pts = np.concatenate(kept)[: 2 * min(count, found // 2)]
     xs, ys = pts[0::2], pts[1::2]
     distinct = domain.distinct(xs, ys)
     return xs[distinct], ys[distinct]

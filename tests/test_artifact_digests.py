@@ -19,13 +19,16 @@ max(1, 2**15 // n**2) rows at grid n), and that of a power solve whose
 candidate misses the original map's residual before the Picard step loop
 was made cheaper, and those of a failing t-uniform continuity check and a
 nu-side contractive-sequence failure before the bulk audits were trimmed
-to the work their verdicts need; a change that moves any artifact byte
+to the work their verdicts need, and that of a 4-D closed-ball solve,
+which exited 2 before the ball sampler kept whole pairs and redrew the
+metric box, recorded once it did; a change that moves any artifact byte
 fails here unless the change declares the numeric difference and records
 new digests.
 """
 
 import hashlib
 
+import numpy as np
 import pytest
 import yaml
 
@@ -127,6 +130,14 @@ CONFIGS = {
         "seed": 11, "space": LINE, "map": HALF_SHIFT,
         "solve": {"hypothesis_checks": False, "max_iterations": 5},
         "action": {"solve": {"regime": "picard", "x0": [0.0]}},
+    }),
+    # 4-D ball members take a second rejection round from the metric box
+    "solve-closed-ball-4d": ("solve", {
+        "seed": 1, "space": {"induced": {"dimension": 4, "base_metric": "euclidean"}},
+        "map": {"affine": {"matrix": np.diag([0.5] * 4).tolist(), "offset": [0.05, 0.0, 0.0, 0.0]}},
+        "sampling": {"pairs": 4000},
+        "action": {"solve": {"regime": "closed_ball",
+                             "ball": {"center": [0.0] * 4, "radius": 0.5, "time": 1.0}, "k": 0.5}},
     }),
     "solve-closed-ball-first-step-fails": ("solve", {
         "seed": 23, "space": LINE, "map": {"affine": {"matrix": [[0.5]], "offset": [0.6]}},
@@ -441,6 +452,11 @@ DIGESTS = {
         "report.jsonl": "f11a956d06c50d5b75145903de73868bfbf310f36705d59e709acc841688d3df",
         "result.json": "6fdaca834ec46ab73f3482c9593210f12dfe4ae99de777a6569ac5fb17cf9dc0",
         "trace.csv": "7b8cb0b199704823fea76ff6017b0924fde9888a1e231d9cdf9fbfa09510f616",
+    }),
+    "solve-closed-ball-4d": (0, {
+        "report.jsonl": "d64e7dd0aa29bdf04efcf0487030fe9b5ef64d8724a25ba19470f8504aa5680e",
+        "result.json": "a7d3bdf677848e130d94a0ccab55c3840324440a672814697d64d66c29fd0008",
+        "trace.csv": "252e718390d0f4e8182af6d94f10d69bf946e2ac63f2a407fa960147a1eeb180",
     }),
     "solve-closed-ball-first-step-fails": (1, {
         "report.jsonl": "528f5e742f8191521816dc752825d96f2e93a5a5e6f681b9bd581eff07e381dc",

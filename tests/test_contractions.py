@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from ifmlab import (
+    BallSpec,
     CoordinateSpace,
     DomainEscapeError,
+    IfmSpace,
     SelfMap,
     closed_ball_hypotheses,
     contractive_sequence_check,
@@ -16,7 +18,7 @@ from ifmlab import (
     t_uniform_continuity_probe,
 )
 from ifmlab.contractions import NonFiniteImageError, apply_batch, apply_point
-from ifmlab.sampling import sample_coordinate_pairs
+from ifmlab.sampling import sample_ball_pairs, sample_coordinate_pairs
 
 
 def random_contraction(rng, dim=2, norm_low=0.1, norm_high=0.95):
@@ -234,6 +236,36 @@ def test_self_map_spec_round_trip(plane, swap_scale_map):
     assert np.allclose(powered(pt), pt / 4.0)
     with pytest.raises(ValueError):
         self_map_from_spec({"mystery": {}})
+
+
+def test_builtin_map_kind():
+    identity = self_map_from_spec({"builtin": "identity"})
+    assert identity.spec == {"builtin": "identity"}
+    assert np.array_equal(identity(np.asarray([3.0, -2.0])), [3.0, -2.0])
+    with pytest.raises(ValueError, match="unknown builtin map 'halving'"):
+        self_map_from_spec({"builtin": "halving"})
+
+
+def test_ball_sampler_redraws_the_metric_box():
+    # the box of the metric radius t r / (1 - r) = 1 holds about 31% of its
+    # draws in 4-D, so the 2 * 1000 members need a second round; a doubled
+    # box would accept 16 times fewer and leave an odd count
+    space = induced_from_metric(CoordinateSpace(4), min_max())
+    xs, ys = sample_ball_pairs(space, BallSpec([0.0] * 4, 0.5, 1.0), 1000, seed=1)
+    assert xs.shape == ys.shape == (1000, 4)
+    assert np.linalg.norm(xs, axis=1).max() <= 1.0 and np.linalg.norm(ys, axis=1).max() <= 1.0
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_ball_sampler_keeps_whole_pairs(line, seed):
+    # no base metric: the box doubles after each short round, and the few
+    # members found in all rounds may be odd in number
+    space = IfmSpace(domain=line.domain, operators=line.operators, membership=line.membership)
+    ball = BallSpec([0.0], 0.05, 1.0)
+    xs, ys = sample_ball_pairs(space, ball, 64, seed)
+    assert 0 < len(xs) == len(ys) < 64
+    members = np.concatenate([xs, ys])
+    assert np.abs(members).max() <= 0.05 / 0.95
 
 
 def test_power_equals_manual_composition(plane, swap_scale_map):
