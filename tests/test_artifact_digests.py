@@ -21,9 +21,12 @@ was made cheaper, and those of a failing t-uniform continuity check and a
 nu-side contractive-sequence failure before the bulk audits were trimmed
 to the work their verdicts need, and that of a 4-D closed-ball solve,
 which exited 2 before the ball sampler kept whole pairs and redrew the
-metric box, recorded once it did; a change that moves any artifact byte
-fails here unless the change declares the numeric difference and records
-new digests.
+metric box, recorded once it did, and those of an if-contractive check
+whose worst pair lies in its second pair block and of a t-uniform check
+whose threshold falls in a later block before the sampled checks were
+streamed through pair blocks; a change that moves any artifact byte fails
+here unless the change declares the numeric difference and records new
+digests.
 """
 
 import hashlib
@@ -78,6 +81,23 @@ NU_STEP = {
         ],
     }
 }
+# one near pair (p00, p01) whose image (p00, p02) is far, one very near pair
+# (p02, p03) that the map keeps, and four middling pairs that it maps onto
+# (p02, p03); every other pair is far
+RISING_LABELS = [f"p{i:02d}" for i in range(40)]
+RISING_CURVES = {("p00", "p01"): (0.999, 0.0005), ("p02", "p03"): (0.9999999, 5e-8),
+                 **dict.fromkeys([("p04", "p05"), ("p06", "p07"), ("p04", "p07"), ("p05", "p06")],
+                                 (0.95, 0.04))}
+RISING = {
+    "tabulated": {
+        "labels": RISING_LABELS,
+        "pairs": [{"between": [a, b], "mu": RISING_CURVES.get((a, b), (0.3, 0.6))[0],
+                   "nu": RISING_CURVES.get((a, b), (0.3, 0.6))[1]}
+                  for i, a in enumerate(RISING_LABELS) for b in RISING_LABELS[i + 1:]],
+    }
+}
+RISING_MAP = {"table": {**{p: p for p in RISING_LABELS},
+                        "p01": "p02", "p04": "p02", "p05": "p03", "p06": "p02", "p07": "p03"}}
 INDISCERNIBLE = {
     "tabulated": {
         "labels": ["a", "b", "c"],
@@ -344,6 +364,20 @@ CONFIGS = {
         "seed": 1, "space": NU_STEP,
         "action": {"check": {"notion": "contractive_sequence", "k": 0.5, "prefix": ["a", "b", "c"]}},
     }),
+    # 2,500 pairs in blocks of 819: the worst ratio, on the nu side, is at
+    # pair 1,300 in the second block
+    "check-if-contractive-multi-block": ("check", {
+        "seed": 4, "space": PLANE,
+        "map": {"affine": {"matrix": [[1.2, 0.3], [0.0, 0.9]], "offset": [0.5, -0.5]}},
+        "sampling": {"pairs": 2500}, "action": {"check": {"notion": "if_contractive"}},
+    }),
+    # the first block holds no (p00, p01) pair and admits r = 0.4 at epsilon
+    # 0.1; the near pair at pair 917 forces r below 0.001, so the middling
+    # pairs of the first block no longer qualify
+    "check-t-uniform-continuity-rises": ("check", {
+        "seed": 1, "space": RISING, "map": RISING_MAP, "sampling": {"pairs": 2000},
+        "action": {"check": {"notion": "t_uniform_continuity"}},
+    }),
 }
 
 DIGESTS = {
@@ -428,6 +462,9 @@ DIGESTS = {
     "check-if-contractive-fails": (1, {
         "report.jsonl": "a4ecebb45ab89479ba8cc50cbe95c526d049c9340b4714cc3168533274567a86",
     }),
+    "check-if-contractive-multi-block": (1, {
+        "report.jsonl": "9453f68e6168b95597693acd3bc800b632f5ceee592aadb0c5144fef791008a4",
+    }),
     "check-if-contractive-nu-side": (1, {
         "report.jsonl": "5537ccfa91dc5c2fbb364c9a393ef020eea089308ced85933b1f3eeee6ec912b",
     }),
@@ -439,6 +476,9 @@ DIGESTS = {
     }),
     "check-contractive-sequence-nu-side": (1, {
         "report.jsonl": "e91cf6a5b4b20c0386ae2b3da5cd0301b8079362580e93fce28ed15806f31856",
+    }),
+    "check-t-uniform-continuity-rises": (0, {
+        "report.jsonl": "bc54acfb4a5f205c5e08653f87772f86087c0dcc97826824718034e634938cb4",
     }),
     "check-t-uniform-continuity": (0, {
         "report.jsonl": "7074eeb7ae5900824203f64b2a4ba346715a575a42c32eae11e0818b09afce21",

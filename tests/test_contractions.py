@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ifmlab import (
     BallSpec,
@@ -17,8 +19,18 @@ from ifmlab import (
     self_map_from_spec,
     t_uniform_continuity_probe,
 )
-from ifmlab.contractions import NonFiniteImageError, apply_batch, apply_point
-from ifmlab.sampling import sample_ball_pairs, sample_coordinate_pairs
+from ifmlab.contractions import (
+    K_SAFETY_MARGIN,
+    UNIT_RESOLUTION,
+    ContractivityReport,
+    NonFiniteImageError,
+    apply_batch,
+    apply_point,
+)
+from ifmlab.operators import BLOCK_CELLS
+from ifmlab.report import json_text
+from ifmlab.sampling import sample_ball_pairs, sample_coordinate_pairs, sample_pairs
+from ifmlab.spaces import DEFAULT_PROBE_TS, membership_grid, point_jsonable, probe_grid
 
 
 def random_contraction(rng, dim=2, norm_low=0.1, norm_high=0.95):
@@ -280,3 +292,218 @@ def test_checks_are_seed_deterministic(plane, swap_scale_map):
     a = if_contractive_check(plane, swap_scale_map, 500, seed=11)
     b = if_contractive_check(plane, swap_scale_map, 500, seed=11)
     assert a.to_record() == b.to_record()
+
+
+# ---------------------------------------------------------------------------
+# the sampled checks against their whole-grid bodies
+
+
+def reference_reciprocal_gap(v):
+    with np.errstate(divide="ignore"):
+        return 1.0 / (np.asarray(v, dtype=float) + 0.0) - 1.0
+
+
+def reference_pair_grids(space, map_, xs, ys, ts):
+    mu1, nu1 = membership_grid(space, xs, ys, ts)
+    mu2, nu2 = membership_grid(space, apply_batch(space, map_, xs), apply_batch(space, map_, ys), ts)
+    return mu1, nu1, mu2, nu2
+
+
+def reference_worst_side(xs, ys, ts, keys, mu_side, nu_side):
+    sup_mu, sup_nu = (float(r.max()) if r.size else 0.0 for r, _, _ in (mu_side, nu_side))
+    side, (ratios, num, den) = ("mu", mu_side) if sup_mu >= sup_nu else ("nu", nu_side)
+    i, j = np.unravel_index(int(np.argmax(ratios)), ratios.shape)
+    witness = {
+        "x": point_jsonable(xs[i]),
+        "y": point_jsonable(ys[i]),
+        "t": float(ts[j]),
+        "side": side,
+        keys[0]: float(num[i, j]),
+        keys[1]: float(den[i, j]),
+        "ratio": max(sup_mu, sup_nu),
+    }
+    return sup_mu, sup_nu, witness
+
+
+def reference_if_contractive(space, map_, count, probe_ts, seed, box):
+    """``if_contractive_check`` as it was, on whole (pairs x times) grids."""
+    ts = probe_grid(probe_ts)
+    xs, ys = sample_pairs(space, count, seed, box)
+    gap1, co_gap1, gap2, co_gap2 = map(reference_reciprocal_gap, reference_pair_grids(space, map_, xs, ys, ts))
+    nu_skip = np.isinf(co_gap2)
+    degenerate = gap1 <= 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mu_ratio = np.where(degenerate | (gap2 == 0.0), 0.0, gap2 / gap1)
+        nu_ratio = np.where(degenerate | nu_skip, 0.0, co_gap1 / co_gap2)
+    sup_mu, sup_nu, witness = reference_worst_side(xs, ys, ts, ("lhs", "rhs_gap"),
+                                                   (mu_ratio, gap2, gap1), (nu_ratio, co_gap1, co_gap2))
+    sup = max(sup_mu, sup_nu)
+    estimated = sup + K_SAFETY_MARGIN
+    skipped = int(np.count_nonzero(nu_skip & ~degenerate))
+    notes = ""
+    if skipped:
+        notes = f"{skipped} nu-side samples with coincident images satisfy the inequality in the limit and were skipped"
+    passed = estimated < 1.0
+    return ContractivityReport(
+        notion="if_contractive",
+        verdict="pass" if passed else "fail",
+        estimated_k=estimated if passed else None,
+        worst_witness=None if passed else witness,
+        samples_used=int(gap1.shape[0]),
+        notes=notes,
+        details={"sup_ratio": sup, "sup_mu_ratio": sup_mu, "sup_nu_ratio": sup_nu,
+                 "nu_skipped": skipped, "witness": witness},
+    )
+
+
+def reference_direct_ratio(space, map_, count, probe_ts, seed, box):
+    """``direct_ratio_contractive_check`` over distinct pairs as it was."""
+    ts = probe_grid(probe_ts)
+    xs, ys = sample_pairs(space, count, seed, box)
+    mu1, nu1, mu2, nu2 = reference_pair_grids(space, map_, xs, ys, ts)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mu_ratio = np.where(mu2 == 0.0, np.inf, mu1 / mu2)
+        nu_ratio = np.where(nu2 == 0.0, 0.0, nu2 / nu1)
+    sup_mu, sup_nu, witness = reference_worst_side(xs, ys, ts, ("numerator", "denominator"),
+                                                   (mu_ratio, mu1, mu2), (nu_ratio, nu2, nu1))
+    sup = max(sup_mu, sup_nu)
+    estimated = sup + K_SAFETY_MARGIN
+    passed = estimated <= 1.0 - UNIT_RESOLUTION
+    notes = ""
+    if not passed and sup <= 1.0:
+        notes = (
+            f"ratio supremum {sup:.9f} lies within {UNIT_RESOLUTION:g} of 1 on the probe grid; "
+            "no contraction constant bounded away from 1 is admissible"
+        )
+    return ContractivityReport(
+        notion="direct_ratio_contractive",
+        verdict="pass" if passed else "fail",
+        estimated_k=estimated if passed else None,
+        worst_witness=None if passed else witness,
+        samples_used=int(np.shape(mu1)[0]),
+        notes=notes,
+        details={"sup_ratio": sup, "sup_mu_ratio": sup_mu, "sup_nu_ratio": sup_nu,
+                 "unit_margin": UNIT_RESOLUTION, "witness": witness},
+    )
+
+
+def reference_t_uniform(space, map_, epsilons, count, probe_ts, seed, box):
+    """``t_uniform_continuity_probe`` as it was."""
+    ts = probe_grid(probe_ts)
+    eps_list = [float(e) for e in epsilons]
+    xs, ys = sample_pairs(space, count, seed, box)
+    mu1, nu1, mu2, nu2 = reference_pair_grids(space, map_, xs, ys, ts)
+    table = []
+    witness = None
+    all_found = True
+    for eps in eps_list:
+        image_ok = (mu2 >= 1.0 - eps) & (nu2 <= eps)
+        found_r = None
+        qualifying = 0
+        candidates = [eps * 2.0**j for j in range(4, -25, -1) if eps * 2.0**j < 1.0]
+        for r in candidates:
+            qualify = (mu1 >= 1.0 - r) & (nu1 <= r)
+            if np.all(image_ok[qualify]):
+                found_r = r
+                qualifying = int(np.count_nonzero(qualify))
+                break
+        if found_r is None:
+            all_found = False
+            i, j = np.unravel_index(int(np.argmax(qualify & ~image_ok)), qualify.shape)
+            witness = {
+                "epsilon": eps,
+                "x": point_jsonable(xs[i]),
+                "y": point_jsonable(ys[i]),
+                "t": float(ts[j]),
+                "mu_image": float(mu2[i, j]),
+                "nu_image": float(nu2[i, j]),
+            }
+        table.append({"epsilon": eps, "r": found_r, "qualifying_samples": qualifying})
+    return ContractivityReport(
+        notion="t_uniform_continuity",
+        verdict="pass" if all_found else "fail",
+        worst_witness=None if all_found else witness,
+        samples_used=int(np.shape(mu1)[0]),
+        details={"table": table},
+    )
+
+
+def planted_line(levels, plants, bands):
+    """A line space whose ``mu = t/(t + |x - y|)`` is rounded to ``levels``
+    steps, so equal ratios recur in every block, with ``nu = 1 - mu``.
+    Each plant ``(mu, nu)`` sets its values (None keeps a side) on the cells
+    whose hash of ``(x, y, t)`` falls in its own band of ``bands``, pairs and
+    image pairs alike.  Every value depends on its cell alone, so the pair
+    blocks of a check cannot change it."""
+    def membership(x, y, t):
+        t = np.asarray(t, dtype=float)
+        mu = np.round(t / (t + np.abs(x[..., 0] - y[..., 0])) * levels) / levels
+        sides = [mu, 1.0 - mu]
+        band = np.floor(((x[..., 0] * 12.9898 + y[..., 0] * 78.233 + t * 37.719) % 1.0) * bands)
+        for p, plant in enumerate(plants):
+            for s, value in enumerate(plant):
+                if value is not None:
+                    sides[s] = np.where(band == p, value, sides[s])
+        return tuple(sides)
+
+    return IfmSpace(domain=CoordinateSpace(1), operators=min_max(), membership=membership)
+
+
+def check_block(k):
+    """Pairs per block of a sampled check over ``k`` probe times."""
+    return max(1, BLOCK_CELLS // (4 * k))
+
+
+B10 = check_block(len(DEFAULT_PROBE_TS))
+CHECK_MAPS = {
+    "halve": SelfMap.affine([[0.5]], [0.25]),
+    "flip": SelfMap.affine([[-0.9]], [1.0]),
+    "double": SelfMap.affine([[2.0]], [0.0]),
+    "identity": SelfMap.identity(),
+    "constant": SelfMap.constant([0.3]),
+}
+# NaN, both infinities, zero gaps (mu = 1 or nu = 1) and a near pair whose
+# image need not be near
+PLANT = st.sampled_from([None, np.nan, np.inf, -np.inf, 0.0, 0.0005, 0.5, 0.999, 1.0])
+
+
+@st.composite
+def planted_checks(draw):
+    levels = draw(st.sampled_from([1, 4, 1000]))
+    plants = tuple(draw(st.lists(st.tuples(PLANT, PLANT), max_size=3)))
+    bands = draw(st.sampled_from([16, 2**9, 2**13]))
+    ts = tuple(sorted(set(draw(st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=6)))))
+    count = draw(st.integers(1, 3 * check_block(len(ts)) + 1))
+    epsilons = tuple(draw(st.lists(st.sampled_from([0.5, 0.1, 0.01, 1e-6]), min_size=1, max_size=3)))
+    return (levels, plants, bands, draw(st.sampled_from(sorted(CHECK_MAPS))), ts, count, epsilons,
+            draw(st.sampled_from([0.5, 8.0])), draw(st.integers(0, 2**16)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=planted_checks())
+# one pair; exactly one block; a part-full last block with NaN, both
+# infinities and zero gaps on both sides of each block edge
+@example(case=(4, ((np.nan, None), (None, np.inf)), 16, "double", DEFAULT_PROBE_TS, 1, (0.1,), 8.0, 0))
+@example(case=(4, ((1.0, None), (None, -np.inf)), 16, "halve", DEFAULT_PROBE_TS, B10, (0.1, 0.01), 8.0, 1))
+@example(case=(1000, ((np.nan, 1.0), (np.inf, None), (None, 0.0)), 2**9, "flip", DEFAULT_PROBE_TS,
+               2 * B10 + 7, (0.1, 0.01), 8.0, 2))
+# ratios rounded to a few values, so equal maxima fall in every block
+@example(case=(4, (), 16, "double", (0.5, 2.0), 3 * check_block(2) + 1, (0.1,), 0.5, 3))
+# the first block admits r = 0.05 and 0.005, the second only r = 0.00078
+# and 0.000625; and a block after one that admitted r exhausts the ladder
+@example(case=(1000, ((0.999, 0.0005),), 2**13, "double", DEFAULT_PROBE_TS, 3 * B10 + 1, (0.1, 0.01), 8.0, 3))
+@example(case=(1000, ((1.0, 0.0),), 2**13, "halve", DEFAULT_PROBE_TS, 3 * B10 + 1, (0.1, 0.01), 8.0, 6))
+def test_streamed_checks_match_the_whole_grid_reference(case):
+    levels, plants, bands, map_name, ts, count, epsilons, halfwidth, seed = case
+    space, map_, box = planted_line(levels, plants, bands), CHECK_MAPS[map_name], (-halfwidth, halfwidth)
+    with np.errstate(all="ignore"):
+        runs = [
+            (if_contractive_check(space, map_, count, ts, seed, box),
+             reference_if_contractive(space, map_, count, ts, seed, box)),
+            (direct_ratio_contractive_check(space, map_, count, ts, seed=seed, box=box),
+             reference_direct_ratio(space, map_, count, ts, seed, box)),
+            (t_uniform_continuity_probe(space, map_, epsilons, count, ts, seed, box),
+             reference_t_uniform(space, map_, epsilons, count, ts, seed, box)),
+        ]
+    for report, reference in runs:
+        assert json_text(report.to_record()) == json_text(reference.to_record())
