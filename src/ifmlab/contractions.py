@@ -22,11 +22,13 @@ from typing import Any, Callable, Iterable
 
 import numpy as np
 
+from .operators import BLOCK_CELLS
 from .sampling import sample_pairs
 from .spaces import (  # the domain errors are re-exported here, beside the maps that raise them
     DomainEscapeError,
     IfmSpace,
     NonFiniteImageError,
+    _fold_worst,
     membership_grid,
     point_jsonable,
     points_equal,
@@ -142,7 +144,7 @@ def self_map_from_spec(spec: dict) -> SelfMap:
     if kind == "constant":
         return SelfMap.constant(payload)
     if kind == "builtin":
-        if payload not in BUILTIN_MAPS:
+        if not isinstance(payload, str) or payload not in BUILTIN_MAPS:
             raise ValueError(f"unknown builtin map {payload!r}")
         return BUILTIN_MAPS[payload]()
     if kind == "power":
@@ -199,11 +201,22 @@ class ContractivityReport:
         return rec
 
 
-def _pair_grids(space: IfmSpace, map_: SelfMap, xs, ys, ts):
-    """``(mu, nu)`` grids of the pairs, then of their images under the map."""
-    mu1, nu1 = membership_grid(space, xs, ys, ts)
-    mu2, nu2 = membership_grid(space, apply_batch(space, map_, xs), apply_batch(space, map_, ys), ts)
-    return mu1, nu1, mu2, nu2
+def _pair_blocks(space: IfmSpace, map_: SelfMap, xs, ys, ts):
+    """Per block of ``max(1, BLOCK_CELLS // 4k)`` pairs, its rows and the
+    ``(mu, nu)`` grids of the pairs, then of their images under the map.
+
+    The images are mapped once, over the whole batch.  The kernel works
+    pair by pair, so a block row is the row a whole-batch grid would hold,
+    and the four grids of a block hold about ``BLOCK_CELLS`` floats.
+    """
+    if not len(xs):
+        raise ValueError("the pair batch is empty")
+    txs, tys = apply_batch(space, map_, xs), apply_batch(space, map_, ys)
+    block = max(1, BLOCK_CELLS // (4 * len(ts)))
+    for lo in range(0, len(xs), block):
+        rows = slice(lo, lo + block)
+        yield rows, (*membership_grid(space, xs[rows], ys[rows], ts),
+                     *membership_grid(space, txs[rows], tys[rows], ts))
 
 
 def _reciprocal_gap(v):
@@ -212,22 +225,23 @@ def _reciprocal_gap(v):
         return 1.0 / (np.asarray(v, dtype=float) + 0.0) - 1.0  # + 0.0 turns -0.0 into 0.0
 
 
-def _worst_side(xs, ys, ts, keys, mu_side, nu_side) -> tuple[float, float, dict]:
+def _worst_side(xs, ys, ts, keys, worst) -> tuple[float, float, dict]:
     """Ratio suprema of both sides and the witness of the larger (``mu`` on a tie).
 
-    Each side is ``(ratios, numerators, denominators)`` over (pairs x
-    times); ``keys`` names the numerator and denominator in the witness.
+    ``worst`` holds each side's first worst ``(ratio, row, column,
+    numerator, denominator)`` in (pair, t) order, a NaN ratio above any
+    value; ``keys`` names the numerator and denominator in the witness.
     """
-    sup_mu, sup_nu = (float(r.max()) if r.size else 0.0 for r, _, _ in (mu_side, nu_side))
-    side, (ratios, num, den) = ("mu", mu_side) if sup_mu >= sup_nu else ("nu", nu_side)
-    i, j = np.unravel_index(int(np.argmax(ratios)), ratios.shape)
+    sup_mu, sup_nu = worst["mu"][0], worst["nu"][0]
+    side = "mu" if sup_mu >= sup_nu else "nu"
+    _, i, j, num, den = worst[side]
     witness = {
         "x": point_jsonable(xs[i]),
         "y": point_jsonable(ys[i]),
         "t": float(ts[j]),
         "side": side,
-        keys[0]: float(num[i, j]),
-        keys[1]: float(den[i, j]),
+        keys[0]: num,
+        keys[1]: den,
         "ratio": max(sup_mu, sup_nu),
     }
     return sup_mu, sup_nu, witness
@@ -253,25 +267,34 @@ def if_contractive_check(
     skipped on the ``nu`` side (their infinite gap satisfies the
     inequality in the limit).
 
-    ``pairs`` overrides the seeded sampler with an explicit pair batch.
+    ``pairs`` overrides the seeded sampler with an explicit pair batch; an
+    empty batch is a ValueError.  The pairs are checked in blocks of
+    ``max(1, BLOCK_CELLS // 4k)`` at ``k`` probe times (819 on the default
+    grid), so memory grows only with the pairs and their images; the
+    witness is the first worst pair and time in (pair, t) order, a NaN
+    ratio above any value.
     """
     ts = probe_grid(probe_ts)
     if pairs is None:
         xs, ys = sample_pairs(space, sample_pairs_count, seed, box)
     else:
         xs, ys = pairs
-    gap1, co_gap1, gap2, co_gap2 = map(_reciprocal_gap, _pair_grids(space, map_, xs, ys, ts))
-    nu_skip = np.isinf(co_gap2)
-    degenerate = gap1 <= 0.0  # coincident or mu==1 originals; sampler avoids these
-    with np.errstate(divide="ignore", invalid="ignore"):
-        mu_ratio = np.where(degenerate | (gap2 == 0.0), 0.0, gap2 / gap1)
-        nu_ratio = np.where(degenerate | nu_skip, 0.0, co_gap1 / co_gap2)
-    sup_mu, sup_nu, witness = _worst_side(xs, ys, ts, ("lhs", "rhs_gap"),
-                                          (mu_ratio, gap2, gap1), (nu_ratio, co_gap1, co_gap2))
+    worst: dict[str, tuple] = {}
+    skipped = 0
+    for rows, grids in _pair_blocks(space, map_, xs, ys, ts):
+        gap1, co_gap1, gap2, co_gap2 = map(_reciprocal_gap, grids)
+        nu_skip = np.isinf(co_gap2)
+        degenerate = gap1 <= 0.0  # coincident or mu==1 originals; sampler avoids these
+        with np.errstate(divide="ignore", invalid="ignore"):
+            mu_ratio = np.where(degenerate | (gap2 == 0.0), 0.0, gap2 / gap1)
+            nu_ratio = np.where(degenerate | nu_skip, 0.0, co_gap1 / co_gap2)
+        _fold_worst(worst, "mu", mu_ratio, rows.start, gap2, gap1)
+        _fold_worst(worst, "nu", nu_ratio, rows.start, co_gap1, co_gap2)
+        skipped += int(np.count_nonzero(nu_skip & ~degenerate))
+    sup_mu, sup_nu, witness = _worst_side(xs, ys, ts, ("lhs", "rhs_gap"), worst)
     sup = max(sup_mu, sup_nu)
     estimated = sup + K_SAFETY_MARGIN
 
-    skipped = int(np.count_nonzero(nu_skip & ~degenerate))
     notes = ""
     if skipped:
         notes = f"{skipped} nu-side samples with coincident images satisfy the inequality in the limit and were skipped"
@@ -281,7 +304,7 @@ def if_contractive_check(
         verdict="pass" if passed else "fail",
         estimated_k=estimated if passed else None,
         worst_witness=None if passed else witness,
-        samples_used=int(gap1.shape[0]),
+        samples_used=len(xs),
         notes=notes,
         details={"sup_ratio": sup, "sup_mu_ratio": sup_mu, "sup_nu_ratio": sup_nu,
                  "nu_skipped": skipped, "witness": witness},
@@ -306,7 +329,8 @@ def direct_ratio_contractive_check(
     iff the ratio supremum stays below ``1 - UNIT_RESOLUTION``: a sampled
     supremum within that margin of 1 means no constant bounded away from 1
     exists on the probe grid (typical for large-``t`` probes on spaces
-    whose nearness tends to certainty).
+    whose nearness tends to certainty).  Pairs are checked in blocks, and
+    the witness chosen, as in :func:`if_contractive_check`.
     """
     if include_coincident:
         return ContractivityReport(
@@ -320,13 +344,14 @@ def direct_ratio_contractive_check(
         )
     ts = probe_grid(probe_ts)
     xs, ys = sample_pairs(space, sample_pairs_count, seed, box)
-    mu1, nu1, mu2, nu2 = _pair_grids(space, map_, xs, ys, ts)
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        mu_ratio = np.where(mu2 == 0.0, np.inf, mu1 / mu2)
-        nu_ratio = np.where(nu2 == 0.0, 0.0, nu2 / nu1)
-    sup_mu, sup_nu, witness = _worst_side(xs, ys, ts, ("numerator", "denominator"),
-                                          (mu_ratio, mu1, mu2), (nu_ratio, nu2, nu1))
+    worst: dict[str, tuple] = {}
+    for rows, (mu1, nu1, mu2, nu2) in _pair_blocks(space, map_, xs, ys, ts):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            mu_ratio = np.where(mu2 == 0.0, np.inf, mu1 / mu2)
+            nu_ratio = np.where(nu2 == 0.0, 0.0, nu2 / nu1)
+        _fold_worst(worst, "mu", mu_ratio, rows.start, mu1, mu2)
+        _fold_worst(worst, "nu", nu_ratio, rows.start, nu2, nu1)
+    sup_mu, sup_nu, witness = _worst_side(xs, ys, ts, ("numerator", "denominator"), worst)
     sup = max(sup_mu, sup_nu)
     estimated = sup + K_SAFETY_MARGIN
 
@@ -342,7 +367,7 @@ def direct_ratio_contractive_check(
         verdict="pass" if passed else "fail",
         estimated_k=estimated if passed else None,
         worst_witness=None if passed else witness,
-        samples_used=int(np.shape(mu1)[0]),
+        samples_used=len(xs),
         notes=notes,
         details={"sup_ratio": sup, "sup_mu_ratio": sup_mu, "sup_nu_ratio": sup_nu,
                  "unit_margin": UNIT_RESOLUTION, "witness": witness},
@@ -366,47 +391,72 @@ def t_uniform_continuity_probe(
     probe passes iff a threshold is found for every ``epsilon``; the
     ``(epsilon, r)`` table, with the number of qualifying samples, is
     recorded in the details.
+
+    Pairs are checked in blocks, as in :func:`if_contractive_check`.  The
+    pairs that qualify only shrink as ``r`` falls, so each block is scanned
+    from the smallest index any earlier block needed, and the found ``r``
+    is the one the most demanding block admits; a block counted at a
+    larger ``r`` is evaluated once more to count its qualifying samples
+    at the found one.  Without a threshold, the witness is the first miss
+    at the smallest ``r``.
     """
     ts = probe_grid(probe_ts)
     eps_list = [float(e) for e in epsilons]
     if not eps_list or any(not 0.0 < e < 1.0 for e in eps_list):
         raise ValueError("epsilons must be a nonempty collection inside (0, 1)")
     xs, ys = sample_pairs(space, sample_pairs_count, seed, box)
-    mu1, nu1, mu2, nu2 = _pair_grids(space, map_, xs, ys, ts)
+    ladders = [[eps * 2.0**j for j in range(4, -25, -1) if eps * 2.0**j < 1.0] for eps in eps_list]
+    # per epsilon, the index into its ladder that every block so far admits,
+    # the ladder's length once a block admits none, and that block's miss
+    found = [0] * len(eps_list)
+    misses: list[dict | None] = [None] * len(eps_list)
+    tallies = []  # per block, its rows and each epsilon's (index, qualifying count)
+    for rows, (mu1, nu1, mu2, nu2) in _pair_blocks(space, map_, xs, ys, ts):
+        tally = []
+        for e, (eps, ladder) in enumerate(zip(eps_list, ladders)):
+            i, count = found[e], 0
+            if i < len(ladder):
+                image_ok = (mu2 >= 1.0 - eps) & (nu2 <= eps)
+                for i in range(i, len(ladder)):
+                    qualify = (mu1 >= 1.0 - ladder[i]) & (nu1 <= ladder[i])
+                    if np.all(image_ok[qualify]):
+                        count = int(np.count_nonzero(qualify))
+                        break
+                else:
+                    # a pair qualified at the smallest threshold and missed its image bound
+                    i = len(ladder)
+                    m, j = divmod(int(np.argmax(qualify & ~image_ok)), qualify.shape[1])
+                    misses[e] = {
+                        "epsilon": eps,
+                        "x": point_jsonable(xs[rows.start + m]),
+                        "y": point_jsonable(ys[rows.start + m]),
+                        "t": float(ts[j]),
+                        "mu_image": float(mu2[m, j]),
+                        "nu_image": float(nu2[m, j]),
+                    }
+            found[e] = i
+            tally.append((i, count))
+        tallies.append((rows, tally))
 
-    table: list[dict] = []
-    witness: dict | None = None
-    all_found = True
-    for eps in eps_list:
-        image_ok = (mu2 >= 1.0 - eps) & (nu2 <= eps)
-        found_r = None
-        qualifying = 0
-        candidates = [eps * 2.0**j for j in range(4, -25, -1) if eps * 2.0**j < 1.0]
-        for r in candidates:
-            qualify = (mu1 >= 1.0 - r) & (nu1 <= r)
-            if np.all(image_ok[qualify]):
-                found_r = r
-                qualifying = int(np.count_nonzero(qualify))
-                break
-        if found_r is None:
-            all_found = False
-            # no break: a pair qualified at the smallest candidate and missed its image bound
-            i, j = np.unravel_index(int(np.argmax(qualify & ~image_ok)), qualify.shape)
-            witness = {
-                "epsilon": eps,
-                "x": point_jsonable(xs[i]),
-                "y": point_jsonable(ys[i]),
-                "t": float(ts[j]),
-                "mu_image": float(mu2[i, j]),
-                "nu_image": float(nu2[i, j]),
-            }
-        table.append({"epsilon": eps, "r": found_r, "qualifying_samples": qualifying})
-
+    qualifying = [0] * len(eps_list)
+    for rows, tally in tallies:
+        stale = [e for e, (i, _) in enumerate(tally) if i < found[e] < len(ladders[e])]
+        if stale:
+            mu1, nu1 = membership_grid(space, xs[rows], ys[rows], ts)
+        for e, (_, count) in enumerate(tally):
+            if e in stale:
+                r = ladders[e][found[e]]
+                count = int(np.count_nonzero((mu1 >= 1.0 - r) & (nu1 <= r)))
+            qualifying[e] += count
+    table = [{"epsilon": eps, "r": ladder[i] if i < len(ladder) else None,
+              "qualifying_samples": q if i < len(ladder) else 0}
+             for eps, ladder, i, q in zip(eps_list, ladders, found, qualifying)]
+    witness = next((miss for miss in reversed(misses) if miss is not None), None)
     return ContractivityReport(
         notion="t_uniform_continuity",
-        verdict="pass" if all_found else "fail",
-        worst_witness=None if all_found else witness,
-        samples_used=int(np.shape(mu1)[0]),
+        verdict="fail" if witness else "pass",
+        worst_witness=witness,
+        samples_used=len(xs),
         details={"table": table},
     )
 

@@ -442,10 +442,11 @@ def membership_grid(space: IfmSpace, xs, ys, ts) -> tuple[np.ndarray, np.ndarray
 # axiom audit
 
 
-def _fold_worst(worst: dict, name: str, viol, lo: int) -> None:
+def _fold_worst(worst: dict, name: str, viol, lo: int, *extra) -> None:
     """Fold the (samples x times) violations ``viol`` of the sample block
     starting at row ``lo`` into ``worst[name]``, a held ``(value, row,
-    column)`` worst entry (absent while no entry was seen).
+    column)`` worst entry (absent while no entry was seen), followed by the
+    entry at the same cell of each grid of ``extra``.
 
     NaN ranks above any value, and a later block replaces the held entry
     only when strictly worse, so the first worst in ``(sample, t)`` order
@@ -456,7 +457,7 @@ def _fold_worst(worst: dict, name: str, viol, lo: int) -> None:
     i, j = divmod(int(np.argmax(viol)), viol.shape[1])
     value, held = float(viol[i, j]), worst.get(name)
     if held is None or value > held[0] or (math.isnan(value) and not math.isnan(held[0])):
-        worst[name] = value, lo + i, j
+        worst[name] = value, lo + i, j, *(float(grid[i, j]) for grid in extra)
 
 
 def _grid_witness(xs, ys, held, ts, extra=None) -> dict:
@@ -629,8 +630,8 @@ def axiom_audit(
             jump = np.subtract(grid[:, 1:], grid[:, :-1])
             np.maximum(step, np.abs(jump, out=jump).max(axis=0)
                        .reshape(k - 1, CONTINUITY_REFINEMENT).max(axis=1), out=step)
-    # the largest jump of each side, over the intervals in order
-    jumps = [max([0.0, *step.tolist()]) for step in steps]
+    # the largest jump of each side, a NaN above any value
+    jumps = [float(np.max(step, initial=0.0)) for step in steps]
 
     clauses = [_max_clause("bounded_sum", worst["bounded_sum"], xs, ys, ts, tolerance)]
     for side, triangle, jump in zip(("mu", "nu"), triangles, jumps):

@@ -443,6 +443,14 @@ def test_mistyped_config_fields_exit_two_with_field_path(tmp_path, capsys, comma
     assert capsys.readouterr().err.startswith(f"config error: {field}: ")
 
 
+def test_unhashable_builtin_map_exits_two_with_its_name(tmp_path, capsys):
+    # Python's "unhashable type: 'list'" before
+    cfg = write(tmp_path, "bad.yaml", PICARD_YAML.replace("affine: {matrix: [[0.5]], offset: [1.0]}",
+                                                          "builtin: [1]"))
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "config error: map: unknown builtin map [1]\n"
+
+
 def test_overflowing_probe_shifts_exit_two_on_space_audit(tmp_path, capsys):
     # the sums s + t overflowed with two RuntimeWarnings, and the NaN rows
     # they left were dropped, so both triangle clauses passed

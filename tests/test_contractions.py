@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -256,6 +259,9 @@ def test_builtin_map_kind():
     assert np.array_equal(identity(np.asarray([3.0, -2.0])), [3.0, -2.0])
     with pytest.raises(ValueError, match="unknown builtin map 'halving'"):
         self_map_from_spec({"builtin": "halving"})
+    # an unhashable name was Python's TypeError text before
+    with pytest.raises(ValueError, match=r"unknown builtin map \[1\]"):
+        self_map_from_spec({"builtin": [1]})
 
 
 def test_ball_sampler_redraws_the_metric_box():
@@ -310,7 +316,10 @@ def reference_pair_grids(space, map_, xs, ys, ts):
 
 
 def reference_worst_side(xs, ys, ts, keys, mu_side, nu_side):
-    sup_mu, sup_nu = (float(r.max()) if r.size else 0.0 for r, _, _ in (mu_side, nu_side))
+    # each supremum is the ratio at the first argmax, which is r.max() but
+    # for its sign when the largest ratio is a zero: the whole-grid max
+    # returned either zero, by the lane order of numpy's reduction
+    sup_mu, sup_nu = (float(r.flat[np.argmax(r)]) if r.size else 0.0 for r, _, _ in (mu_side, nu_side))
     side, (ratios, num, den) = ("mu", mu_side) if sup_mu >= sup_nu else ("nu", nu_side)
     i, j = np.unravel_index(int(np.argmax(ratios)), ratios.shape)
     witness = {
@@ -507,3 +516,77 @@ def test_streamed_checks_match_the_whole_grid_reference(case):
         ]
     for report, reference in runs:
         assert json_text(report.to_record()) == json_text(reference.to_record())
+
+
+def test_zero_supremum_takes_the_sign_of_its_witness():
+    # mu = 0 on x < -0.2 and 2 on the images, out of range on purpose: the
+    # ratio there is -1 / inf = -0.0, and +0.0 on every other pair, so the
+    # largest ratio is a zero of either sign; it is the first worst one's,
+    # +0.0 at the first pair, where the whole-grid max read -0.0
+    def membership(x, y, t):
+        x0 = x[..., 0] + 0.0 * np.asarray(t)
+        mu = np.where(x0 < -0.2, 0.0, np.where(x0 > 10.0, 2.0, 1.0))
+        return mu, 1.0 - np.minimum(mu, 1.0)
+
+    space = IfmSpace(domain=CoordinateSpace(1), operators=min_max(), membership=membership)
+    with np.errstate(all="ignore"):
+        report = if_contractive_check(space, SelfMap.affine([[1.0]], [20.0]), 3000, (1.0, 2.0), 1, (-0.5, 0.5))
+    witness = report.details["witness"]
+    assert witness["x"][0] >= -0.2 and witness["side"] == "mu"
+    assert math.copysign(1.0, report.details["sup_mu_ratio"]) == math.copysign(1.0, witness["ratio"]) == 1.0
+
+
+def test_sampled_check_kernel_work_is_pinned(monkeypatch):
+    # kernel calls and evaluated cells, counted as the bench tracer counts
+    # them, of 12,000-pair checks on the default grid: blocks of 819 pairs,
+    # two calls a block (the pairs and their images), 15 blocks, 240,000
+    # cells.  The whole-grid checks made 2 calls on the same cells.  The
+    # t-uniform case whose threshold falls in its second block evaluates
+    # its first block once more, to count its samples at the found r.
+    work = []
+    kernel = IfmSpace.mu_nu
+
+    def counted(space, x, y, t):
+        result = kernel(space, x, y, t)
+        work.append(int(np.size(result[0])))
+        return result
+
+    monkeypatch.setattr(IfmSpace, "mu_nu", counted)
+    space = induced_from_metric(CoordinateSpace(3), min_max())
+    halve = SelfMap.affine(np.eye(3) * 0.5, [1.0, 0.0, 0.0])
+    for check in (lambda: if_contractive_check(space, halve, 12_000, seed=1),
+                  lambda: direct_ratio_contractive_check(space, halve, 12_000, seed=1),
+                  lambda: t_uniform_continuity_probe(space, halve, [0.1, 0.01], 12_000, seed=1)):
+        work.clear()
+        check()
+        assert (len(work), sum(work)) == (30, 240_000)
+    work.clear()
+    with np.errstate(all="ignore"):
+        t_uniform_continuity_probe(planted_line(1000, ((0.999, 0.0005),), 2**13), CHECK_MAPS["double"],
+                                   (0.1, 0.01), 3 * B10 + 1, seed=3, box=(-8.0, 8.0))
+    assert (len(work), sum(work)) == (9, 2 * (3 * B10 + 1) * 10 + B10 * 10)
+
+
+def test_sampled_check_memory_stays_bounded():
+    # the whole-grid check of 100,000 pairs in 3-D peaked at 73.2 MiB; the
+    # drawn points and their images are 9.2 MiB
+    space = induced_from_metric(CoordinateSpace(3), min_max())
+    tracemalloc.start()
+    try:
+        if_contractive_check(space, SelfMap.affine(np.eye(3) * 0.5, [0.0] * 3), 100_000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+def test_empty_pair_batch_is_rejected(line, half_plus_one, three_point_space):
+    # numpy's "attempt to get argmax of an empty sequence" before
+    empty = np.empty((0, 1))
+    with pytest.raises(ValueError, match="the pair batch is empty"):
+        if_contractive_check(line, half_plus_one, 0, pairs=(empty, empty))
+    const = SelfMap.table({"a": "c", "b": "c", "c": "c"})
+    with pytest.raises(ValueError, match="the pair batch is empty"):
+        direct_ratio_contractive_check(three_point_space, const, 0)
+    with pytest.raises(ValueError, match="the pair batch is empty"):
+        t_uniform_continuity_probe(three_point_space, const, [0.1], 0)

@@ -586,7 +586,8 @@ def reference_blocked_clauses(space, sample_count, ts, seed, tolerance=1e-9):
                  for step, grid in zip(steps, membership_grid(space, xs[rows], ys[rows], fine))]
     clauses = {}
     for side, triangle, step in zip(("mu", "nu"), triangles, steps):
-        worst, jump = triangle["violation"], max([0.0, *step.tolist()])
+        # a NaN jump ranks above any value (Python's max dropped it before)
+        worst, jump = triangle["violation"], float(np.max(step, initial=0.0))
         clauses[f"{side}_triangle"] = ClauseResult(
             f"{side}_triangle", passed=worst <= tolerance, worst=max(worst, 0.0), witness=triangle)
         clauses[f"{side}_time_continuity"] = ClauseResult(
@@ -746,7 +747,8 @@ def reference_whole_grid_audit(space, sample_count, t_samples=None, tolerance=1e
             jump = np.subtract(grid[:, 1:], grid[:, :-1])
             np.maximum(step, np.abs(jump, out=jump).max(axis=0)
                        .reshape(k - 1, CONTINUITY_REFINEMENT).max(axis=1), out=step)
-    jumps = [max([0.0, *step.tolist()]) for step in steps]
+    # a NaN jump ranks above any value (Python's max dropped it before)
+    jumps = [float(np.max(step, initial=0.0)) for step in steps]
 
     distinct = space.domain.distinct(xs, ys)
     clauses = [reference_max_clause("bounded_sum", mu_xy + nu_xy - 1.0, xs, ys, ts, tolerance)]
@@ -865,6 +867,25 @@ def test_overflowing_time_shifts_are_rejected(line):
             axiom_audit(line, 10, t_samples=[1.0, 1e308, 1.7e308])
         report = axiom_audit(line, 10, t_samples=[1.0, 8e307])
     assert report.clause("mu_triangle").passed and report.clause("nu_triangle").passed
+
+
+def test_nan_continuity_jump_fails_the_audit(line):
+    # NaN strictly between the probe times 0.1 and 0.2, where only the
+    # refined continuity grid looks (at 0.1125 and 0.11875); the jumps were
+    # reduced with Python's max, which never picks a NaN, so both continuity
+    # clauses passed with worst 0.01515
+    def membership(x, y, t):
+        mu, nu = line.membership(x, y, t)
+        hole = (t > 0.11) & (t < 0.12)
+        return np.where(hole, np.nan, mu), np.where(hole, np.nan, nu)
+
+    space = IfmSpace(domain=line.domain, operators=line.operators, membership=membership)
+    with np.errstate(invalid="ignore"):
+        report = axiom_audit(space, 200, seed=1)
+    for side in ("mu", "nu"):
+        clause = report.clause(f"{side}_time_continuity")
+        assert not clause.passed and math.isnan(clause.worst)
+    assert [c.clause for c in report.clauses if not c.passed] == ["mu_time_continuity", "nu_time_continuity"]
 
 
 def test_axiom_audit_memory_stays_bounded():
