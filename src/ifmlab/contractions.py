@@ -394,11 +394,11 @@ def t_uniform_continuity_probe(
 
     Pairs are checked in blocks, as in :func:`if_contractive_check`.  The
     pairs that qualify only shrink as ``r`` falls, so each block is scanned
-    from the smallest index any earlier block needed, and the found ``r``
-    is the one the most demanding block admits; a block counted at a
-    larger ``r`` is evaluated once more to count its qualifying samples
-    at the found one.  Without a threshold, the witness is the first miss
-    at the smallest ``r``.
+    from the smallest ``r`` an earlier block needed, and the found ``r`` is
+    the one the most demanding block admits; a block counted at a larger
+    ``r`` is evaluated once more to count its qualifying samples at the
+    found one.  Without a threshold, the witness is the first miss at the
+    smallest ``r``.
     """
     ts = probe_grid(probe_ts)
     eps_list = [float(e) for e in epsilons]

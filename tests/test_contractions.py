@@ -568,7 +568,7 @@ def test_sampled_check_kernel_work_is_pinned(monkeypatch):
 
 
 def test_sampled_check_memory_stays_bounded():
-    # the whole-grid check of 100,000 pairs in 3-D peaked at 73.2 MiB; the
+    # the whole-grid check of 100,000 pairs in 3-D peaked at 74.0 MiB; the
     # drawn points and their images are 9.2 MiB
     space = induced_from_metric(CoordinateSpace(3), min_max())
     tracemalloc.start()
