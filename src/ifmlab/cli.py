@@ -48,7 +48,7 @@ from .contractions import (
     if_contractive_check,
     t_uniform_continuity_probe,
 )
-from .operators import audit_operator_pair, check_idempotent, operator_pair
+from .operators import BLOCK_CELLS, audit_operator_pair, check_idempotent, operator_pair
 from .report import format_float, json_text, records_to_jsonl, write_text_atomic
 from .solver import (
     SolveConfig,
@@ -110,46 +110,59 @@ def _csv_cell(text: str) -> str:
 def trace_rows(result: SolveResult) -> list[str]:
     """Lines of the tabular trace, header first (17-significant-digit floats).
 
-    A row's floats go through one ``%.17g`` format, which renders a finite
-    float exactly as :func:`format_float` does; a row holding NaN or an
-    infinity is rendered cell by cell instead.
+    The rows are rendered in blocks of about ``BLOCK_CELLS / 4`` floats: a
+    block's coordinates and step rows each become Python floats in one
+    ``tolist()``, so no float list of the whole trace is held.  A row's
+    floats go through one ``%.17g`` format per row width, which renders a
+    finite float exactly as :func:`format_float` does; a row holding NaN or
+    an infinity is rendered cell by cell instead.
     """
     trace = result.trace
-    ts = trace.probe_ts
-    first = trace.points[0] if trace.points else None
-    coordinate = not isinstance(first, str)
-    if coordinate:
-        dim = int(np.atleast_1d(np.asarray(first, float)).shape[0]) if first is not None else 0
-        point_cols = [f"x{i}" for i in range(dim)]
-    else:
-        point_cols = ["label"]
-    header = ["iteration", *point_cols]
-    header += [f"{side}@t={format_float(float(t))}" for side in ("mu", "nu") for t in ts]
-    if trace.ball_flags is not None:
+    points, k = trace.points, len(trace.probe_ts)
+    coordinate = not (points and isinstance(points[0], str))
+    dim = int(np.atleast_1d(np.asarray(points[0], float)).shape[0]) if coordinate and points else 0
+    header = ["iteration", *([f"x{i}" for i in range(dim)] if coordinate else ["label"])]
+    header += [f"{side}@t={format_float(float(t))}" for side in ("mu", "nu") for t in trace.probe_ts]
+    flags = trace.ball_flags
+    if flags is not None:
         header.append("in_ball")
-    steps = np.hstack([trace.step_mu, trace.step_nu]).tolist()
+    formats = {w: ",".join(["%.17g"] * w) for w in (dim, dim + 2 * k)}
+    no_steps = "," * (2 * k)
+    # a listed Python float takes 32 bytes (object and pointer), four times a
+    # float64, so a block's lists hold about the bytes of BLOCK_CELLS floats
+    block = max(1, BLOCK_CELLS // (4 * (dim + 2 * k)))
     lines = [",".join(header)]
-    for i, p in enumerate(trace.points):
-        row = [str(i)]
-        values = np.atleast_1d(np.asarray(p, float)).tolist() if coordinate else []
-        if not coordinate:
-            row.append(_csv_cell(str(p)))
-        if i < len(steps):
-            values += steps[i]
-        if values:
-            text = ",".join(["%.17g"] * len(values)) % tuple(values)
-            # only "nan" and "inf" put an "n" in a %g rendering
-            row.append(",".join(map(format_float, values)) if "n" in text else text)
-        if i >= len(steps):
-            row.extend("" for _ in range(2 * len(ts)))
-        if trace.ball_flags is not None:
-            row.append(str(trace.ball_flags[i]).lower() if i < len(trace.ball_flags) else "")
-        lines.append(",".join(row))
+    for lo in range(0, len(points), block):
+        hi = min(lo + block, len(points))
+        coords = (np.asarray(points[lo:hi], float).reshape(hi - lo, -1).tolist() if coordinate
+                  else [[]] * (hi - lo))
+        steps = np.hstack([trace.step_mu[lo:hi], trace.step_nu[lo:hi]]).tolist()
+        for i, values in enumerate(coords, lo):
+            row = str(i) if coordinate else f"{i},{_csv_cell(str(points[i]))}"
+            if i - lo < len(steps):
+                values = values + steps[i - lo]
+            if values:
+                text = formats[len(values)] % tuple(values)
+                # only "nan" and "inf" put an "n" in a %g rendering
+                row += "," + (",".join(map(format_float, values)) if "n" in text else text)
+            if i - lo >= len(steps):
+                row += no_steps
+            if flags is not None:
+                row += "," + (str(flags[i]).lower() if i < len(flags) else "")
+            lines.append(row)
     return lines
 
 
 def result_document(result: SolveResult, experiment: dict[str, Any]) -> dict[str, Any]:
-    """Structured result: enough to re-verify the certificate offline."""
+    """Structured result: enough to re-verify the certificate offline.
+
+    A coordinate trace's points become Python floats in one ``tolist()``.
+    """
+    points = result.trace.points
+    if points and not isinstance(points[0], str):
+        trace_points = np.asarray(points, float).reshape(len(points), -1).tolist()
+    else:
+        trace_points = [point_jsonable(p) for p in points]
     doc: dict[str, Any] = {
         "kind": "solve_result",
         "experiment": experiment,
@@ -157,7 +170,7 @@ def result_document(result: SolveResult, experiment: dict[str, Any]) -> dict[str
         "stop_reason": result.stop_reason,
         "iterations": result.iterations,
         "fixed_point": point_jsonable(result.fixed_point),
-        "trace_points": [point_jsonable(p) for p in result.trace.points],
+        "trace_points": trace_points,
         "probe_ts": [float(t) for t in result.trace.probe_ts],
         "residual_mu": None if result.residual_mu is None else [float(v) for v in result.residual_mu],
         "residual_nu": None if result.residual_nu is None else [float(v) for v in result.residual_nu],
@@ -177,7 +190,9 @@ def export_trace(result: SolveResult, path: str, format: str = "tabular",
     ``tabular`` emits a CSV with one row per iterate carrying the point,
     the per-step nearness records at each probe time, and the ball flag
     when present.  ``structured`` emits the full result document and needs
-    the experiment context for later re-validation.
+    the experiment context for later re-validation.  The tabular lines,
+    rendered per row block by :func:`trace_rows`, are joined once into the
+    file's text, so writing holds about twice that text.
     """
     if format == "tabular":
         text = "\n".join(trace_rows(result)) + "\n"

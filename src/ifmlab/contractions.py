@@ -29,6 +29,7 @@ from .spaces import (  # the domain errors are re-exported here, beside the maps
     IfmSpace,
     NonFiniteImageError,
     _fold_worst,
+    _outranks,
     membership_grid,
     point_jsonable,
     points_equal,
@@ -226,15 +227,17 @@ def _reciprocal_gap(v):
 
 
 def _worst_side(xs, ys, ts, keys, worst) -> tuple[float, float, dict]:
-    """Ratio suprema of both sides and the witness of the larger (``mu`` on a tie).
+    """Ratio suprema of both sides and the witness of the worse, whose
+    ``ratio`` is the overall supremum.
 
     ``worst`` holds each side's first worst ``(ratio, row, column,
-    numerator, denominator)`` in (pair, t) order, a NaN ratio above any
-    value; ``keys`` names the numerator and denominator in the witness.
+    numerator, denominator)`` in (pair, t) order; the sides are ranked as
+    the rows are, a NaN ratio above any value and ``mu`` on a tie.
+    ``keys`` names the numerator and denominator in the witness.
     """
     sup_mu, sup_nu = worst["mu"][0], worst["nu"][0]
-    side = "mu" if sup_mu >= sup_nu else "nu"
-    _, i, j, num, den = worst[side]
+    side = "nu" if _outranks(sup_nu, sup_mu) else "mu"
+    sup, i, j, num, den = worst[side]
     witness = {
         "x": point_jsonable(xs[i]),
         "y": point_jsonable(ys[i]),
@@ -242,7 +245,7 @@ def _worst_side(xs, ys, ts, keys, worst) -> tuple[float, float, dict]:
         "side": side,
         keys[0]: num,
         keys[1]: den,
-        "ratio": max(sup_mu, sup_nu),
+        "ratio": sup,
     }
     return sup_mu, sup_nu, witness
 
@@ -292,7 +295,7 @@ def if_contractive_check(
         _fold_worst(worst, "nu", nu_ratio, rows.start, co_gap1, co_gap2)
         skipped += int(np.count_nonzero(nu_skip & ~degenerate))
     sup_mu, sup_nu, witness = _worst_side(xs, ys, ts, ("lhs", "rhs_gap"), worst)
-    sup = max(sup_mu, sup_nu)
+    sup = witness["ratio"]
     estimated = sup + K_SAFETY_MARGIN
 
     notes = ""
@@ -352,7 +355,7 @@ def direct_ratio_contractive_check(
         _fold_worst(worst, "mu", mu_ratio, rows.start, mu1, mu2)
         _fold_worst(worst, "nu", nu_ratio, rows.start, nu2, nu1)
     sup_mu, sup_nu, witness = _worst_side(xs, ys, ts, ("numerator", "denominator"), worst)
-    sup = max(sup_mu, sup_nu)
+    sup = witness["ratio"]
     estimated = sup + K_SAFETY_MARGIN
 
     passed = estimated <= 1.0 - UNIT_RESOLUTION
@@ -478,7 +481,8 @@ def contractive_sequence_check(
     grows like ``eps * (1 + gap)**2`` and a fixed relative slack would
     reject exact-ratio sequences once the iterates are nearly coincident.
     A coincident consecutive pair fixes the tail exactly and is treated
-    as a pass from that index.  Reports the first violation.
+    as a pass from that index.  Reports the first violation; a NaN gap or
+    bound is one.
     """
     if not 0.0 < float(k) < 1.0:
         raise ValueError(f"k must lie strictly inside (0, 1), got {k!r}")
@@ -501,9 +505,10 @@ def contractive_sequence_check(
     with np.errstate(invalid="ignore"):
         mu_bound, nu_bound = k * gap_a, co_a / k
         mu_allow = eps_fp * ((1.0 + gap_b) ** 2 + k * (1.0 + gap_a) ** 2)
-        mu_bad = gap_b > mu_bound * slack + mu_allow
+        # negated so that a NaN gap is a violation
+        mu_bad = ~(gap_b <= mu_bound * slack + mu_allow)
         nu_allow = eps_fp * ((1.0 + co_b) ** 2 + (1.0 + co_a) ** 2 / k)
-        nu_bad = co_b < nu_bound / slack - nu_allow
+        nu_bad = ~(co_b >= nu_bound / slack - nu_allow)
     failed = np.nonzero(np.any(mu_bad | nu_bad, axis=1))[0]
     if failed.size:
         n = int(failed[0])

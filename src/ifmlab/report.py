@@ -15,6 +15,10 @@ import tempfile
 from dataclasses import dataclass, field
 from typing import Any
 
+# Characters per write of write_text_atomic: the text layer encodes each
+# write whole, so a slice bounds the encoded copy at 64 KiB of ASCII
+WRITE_SLICE = 2**16
+
 
 @dataclass
 class ClauseResult:
@@ -126,8 +130,11 @@ def _umask() -> int:
 def write_text_atomic(path: str, text: str) -> None:
     """Write ``text`` to ``path`` via a temp file and rename.
 
-    The file gets the mode a plain ``open`` would give it: ``0o666`` less
-    the process umask.
+    The text is written in slices of ``WRITE_SLICE`` characters, so no
+    encoded copy of the whole file is made.  The file gets the mode a plain
+    ``open`` would give it: ``0o666`` less the process umask.  A write that
+    fails (a character the encoding cannot take, a full disk) removes the
+    temp file and leaves ``path`` as it was.
     """
     directory = os.path.dirname(os.path.abspath(path)) or "."
     os.makedirs(directory, exist_ok=True)
@@ -135,7 +142,8 @@ def write_text_atomic(path: str, text: str) -> None:
     try:
         with os.fdopen(fd, "w") as handle:
             os.fchmod(handle.fileno(), 0o666 & ~_umask())
-            handle.write(text)
+            for lo in range(0, len(text), WRITE_SLICE):
+                handle.write(text[lo : lo + WRITE_SLICE])
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

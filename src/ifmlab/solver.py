@@ -45,7 +45,6 @@ from .spaces import (
     ball_contains,
     membership_grid,
     point_jsonable,
-    points_equal,
     probe_grid,
 )
 
@@ -141,9 +140,17 @@ def iterate_trace(space: IfmSpace, map_: SelfMap, x0, n: int) -> list:
 
 def chain_break(space: IfmSpace, map_: SelfMap, points: Sequence) -> int | None:
     """First step ``i`` whose stored successor is not the image of
-    ``points[i]``, or ``None`` when the whole chain holds."""
+    ``points[i]``, or ``None`` when the whole chain holds.
+
+    The stored chain is read once, as the domain's unchecked batch, into
+    Python values; each image's ``tolist()`` is compared with its stored
+    successor's, so equality is exact (``-0.0`` equals ``0.0``, NaN equals
+    nothing).  Each step applies the map to ``points[i]`` by
+    :func:`apply_point`, which raises on a bad point or an escaping image.
+    """
+    stored = space.domain.batch(points).tolist()
     for i in range(len(points) - 1):
-        if not points_equal(apply_point(space, map_, points[i]), points[i + 1]):
+        if np.asarray(apply_point(space, map_, points[i])).tolist() != stored[i + 1]:
             return i
     return None
 
@@ -173,13 +180,15 @@ def _solve(space: IfmSpace, map_: SelfMap, x0, config: SolveConfig,
     that overflows stops the solve at the last finite iterate as
     ``diverged``.  Step rows and their near flags are stored in one kernel
     call per block: the rows not yet stored when the window first needs row
-    ``c``, and the rest at the stop.  Every kernel call of the iteration
-    runs with numpy's overflow warnings off.
+    ``c``, and the rest at the stop.  The blocks are kept as the kernel's
+    arrays and concatenated once at the stop.  An image whose ``tolist()``
+    equals the previous iterate's is an exact fixed point.  Every kernel
+    call of the iteration runs with numpy's overflow warnings off.
     """
     ts = np.asarray(config.probe_ts)
     points = [space.domain.as_point(x0)]
-    mu_rows: list[np.ndarray] = []
-    nu_rows: list[np.ndarray] = []
+    mu_blocks: list[np.ndarray] = []
+    nu_blocks: list[np.ndarray] = []
     near_rows: list[bool] = []
     flags: list[bool] | None = None
     report = None
@@ -189,17 +198,19 @@ def _solve(space: IfmSpace, map_: SelfMap, x0, config: SolveConfig,
 
     def fill() -> None:
         # the step rows of every iterate not yet stored, in one kernel call
-        f = len(mu_rows)
+        f = len(near_rows)
         if f < len(points) - 1:
             mu, nu = membership_grid(space, points[f:-1], points[f + 1 :], ts)
-            mu_rows.extend(mu)
-            nu_rows.extend(nu)
+            mu_blocks.append(mu)
+            nu_blocks.append(nu)
             near_rows.extend(near(mu, nu, axis=1).tolist())
+
+    def rows(blocks: list[np.ndarray]) -> np.ndarray:
+        return np.concatenate(blocks) if blocks else np.empty((0, len(ts)))
 
     def stop(status: str, reason: str, c: int | None = None) -> SolveResult:
         fill()
-        trace = IterationTrace(points, tuple(float(t) for t in ts), np.reshape(mu_rows, (-1, len(ts))),
-                               np.reshape(nu_rows, (-1, len(ts))), flags)
+        trace = IterationTrace(points, tuple(float(t) for t in ts), rows(mu_blocks), rows(nu_blocks), flags)
         if c is None:
             return SolveResult(status, None, len(points) - 1, trace, reason, report)
         return SolveResult(status, points[c], c, trace, reason, report,
@@ -220,6 +231,7 @@ def _solve(space: IfmSpace, map_: SelfMap, x0, config: SolveConfig,
             flags = [ball_contains(space, ball, points[0], mode="open")]
             if not flags[0]:
                 return stop("diverged_from_ball", "starting point lies outside the open ball")
+        last = np.asarray(points[0]).tolist()
         while len(points) <= config.max_iterations:
             try:
                 nxt = apply_point(space, map_, points[-1])
@@ -231,10 +243,11 @@ def _solve(space: IfmSpace, map_: SelfMap, x0, config: SolveConfig,
                 flags.append(ball_contains(space, ball, nxt, mode="open"))
                 if not flags[-1]:
                     return stop("diverged_from_ball", f"iterate {m} left the open ball")
-            if points_equal(nxt, points[-2]):
+            last, previous = np.asarray(nxt).tolist(), last
+            if last == previous:
                 return stop("converged", f"exact fixed point reached at iteration {m - 1}", m - 1)
             c = m - config.window  # the candidate whose window x_{c+1} .. x_m is full
-            if c == len(mu_rows):
+            if c == len(near_rows):
                 fill()
             # x_{c+1} .. x_m all strictly eps-near x_c at every t; this implies
             # the (non-strict) residual bound at the candidate x_c

@@ -442,6 +442,13 @@ def membership_grid(space: IfmSpace, xs, ys, ts) -> tuple[np.ndarray, np.ndarray
 # axiom audit
 
 
+def _outranks(value: float, held: float) -> bool:
+    """Whether a worst ``value`` replaces the ``held`` one: NaN ranks above
+    any value, and otherwise only a strictly greater value wins, so of
+    equal values the first held stays."""
+    return value > held or (math.isnan(value) and not math.isnan(held))
+
+
 def _fold_worst(worst: dict, name: str, viol, lo: int, *extra) -> None:
     """Fold the (samples x times) violations ``viol`` of the sample block
     starting at row ``lo`` into ``worst[name]``, a held ``(value, row,
@@ -456,7 +463,7 @@ def _fold_worst(worst: dict, name: str, viol, lo: int, *extra) -> None:
         return
     i, j = divmod(int(np.argmax(viol)), viol.shape[1])
     value, held = float(viol[i, j]), worst.get(name)
-    if held is None or value > held[0] or (math.isnan(value) and not math.isnan(held[0])):
+    if held is None or _outranks(value, held[0]):
         worst[name] = value, lo + i, j, *(float(grid[i, j]) for grid in extra)
 
 

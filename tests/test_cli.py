@@ -1,9 +1,11 @@
 import csv
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 
 from ifmlab.cli import export_trace, main, trace_rows, validate_result_document
 from ifmlab.config import ConfigError, load_config
+from ifmlab.operators import BLOCK_CELLS
 from ifmlab.report import format_float
 from ifmlab.solver import IterationTrace, SolveConfig, SolveResult, picard_solve
 from ifmlab import CoordinateSpace, SelfMap, induced_from_metric, min_max
@@ -965,6 +968,13 @@ def test_tabulated_config_of_the_curve_cases_runs(tmp_path):
     assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 0
 
 
+def csv_cell(text):
+    """``text`` as the csv module writes it as one of several cells."""
+    buffer = io.StringIO()
+    csv.writer(buffer).writerow([text, ""])
+    return buffer.getvalue().removesuffix(",\r\n")
+
+
 def reference_trace_lines(result):
     """Lines of the tabular trace with one format_float call per cell."""
     trace = result.trace
@@ -987,7 +997,7 @@ def reference_trace_lines(result):
         if coordinate:
             row.extend(format_float(float(v)) for v in np.atleast_1d(np.asarray(p, float)))
         else:
-            row.append(str(p))
+            row.append(csv_cell(str(p)))
         if i < n_steps:
             row.extend(format_float(float(v)) for side in (trace.step_mu, trace.step_nu) for v in side[i])
         else:
@@ -1016,6 +1026,67 @@ def test_trace_rows_match_per_cell_rendering(dim, n, k, flags, data):
     trace = IterationTrace(points, ts, step_mu, step_nu, ball_flags)
     result = SolveResult("budget_exhausted", None, n - 1, trace, "")
     assert trace_rows(result) == reference_trace_lines(result)
+
+
+def trace_block(dim, k):
+    """Rows per rendering block of a trace of ``dim`` coordinates and ``k`` probe times."""
+    return max(1, BLOCK_CELLS // (4 * (dim + 2 * k)))
+
+
+# labels that need CSV quoting, and plain ones
+LABELS = ["a,b", 'q"t', "line\nbreak", "cr\rx", "plain", "c"]
+SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.0, 1e300]
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(dim=st.integers(0, 3), k=st.integers(1, 4), flags=st.booleans(), seed=st.integers(0, 2**16),
+       data=st.data())
+def test_tabular_export_matches_per_cell_rendering_across_row_blocks(tmp_path, dim, k, flags, seed, data):
+    block = trace_block(dim, k)
+    n = data.draw(st.sampled_from([1, block - 1, block, block + 1, 3 * block + 2]))
+    rng = np.random.default_rng(seed)
+    if dim == 0:
+        points = [LABELS[i] for i in rng.integers(0, len(LABELS), n)]
+    else:
+        coords = rng.uniform(-1.0, 1.0, (n, dim)) * 10.0 ** rng.integers(-30, 30, (n, dim))
+        points = list(coords)
+    step_mu, step_nu = rng.uniform(0.0, 1.0, (2, n - 1, k))
+    # NaN, infinities and other special cells in points and step rows, near
+    # block edges and anywhere
+    edges = [r for r in (block - 1, block, block + 1) if r < n]
+    for _ in range(data.draw(st.integers(0, 6))):
+        value = data.draw(st.sampled_from(SPECIAL))
+        row = data.draw(st.sampled_from(edges or [0]) | st.integers(0, n - 1))
+        grid = data.draw(st.sampled_from(["point", "mu", "nu"]))
+        if grid == "point" and dim:
+            points[row][data.draw(st.integers(0, dim - 1))] = value
+        elif grid != "point" and row < n - 1:
+            (step_mu if grid == "mu" else step_nu)[row, data.draw(st.integers(0, k - 1))] = value
+    ts = tuple(sorted(rng.uniform(1e-3, 1e3, k)))
+    ball_flags = rng.integers(0, 2, n).astype(bool).tolist() if flags else None
+    result = SolveResult("budget_exhausted", None, n - 1,
+                         IterationTrace(points, ts, step_mu, step_nu, ball_flags), "")
+    path = export_trace(result, str(tmp_path / "trace.csv"))
+    with open(path, "rb") as handle:
+        assert handle.read() == ("\n".join(reference_trace_lines(result)) + "\n").encode()
+
+
+def test_tabular_export_memory_stays_bounded(tmp_path):
+    # 23.4 MiB when every point and step row became a Python list at once;
+    # the lines and the file's text are 9.9 and 8.9 MiB
+    n, k = 20_000, len(SolveConfig().probe_ts)
+    rng = np.random.default_rng(1)
+    step_mu = rng.uniform(0.0, 1.0, (n - 1, k))
+    trace = IterationTrace(list(rng.uniform(-3.0, 3.0, (n, 3))), SolveConfig().probe_ts, step_mu,
+                           1.0 - step_mu)
+    result = SolveResult("budget_exhausted", None, n - 1, trace, "")
+    tracemalloc.start()
+    try:
+        export_trace(result, str(tmp_path / "trace.csv"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 19 * 2**20
 
 
 # a random affine contraction rho * P * diag(s) with a signed permutation P
@@ -1104,3 +1175,39 @@ def test_solve_and_validate_keep_their_map_and_kernel_call_counts(tmp_path, monk
     # blocks and the window grids; then the chain and the residual
     assert solved == {"apply_point": 1976, "mu_nu": 462}
     assert validated == {"apply_point": 1977, "mu_nu": 1}
+
+
+def test_every_file_write_passes_its_text_as_one_string(tmp_path, monkeypatch):
+    # The benchmark's tracer counts the bytes of a write as
+    # len(args[1].encode()) at report.write_text_atomic, rebound in every
+    # module that holds it; a writer that streams pieces would hide them.
+    import ifmlab.report
+
+    calls = []
+    atomic = ifmlab.report.write_text_atomic
+
+    def counted_write(*args, **kwargs):
+        calls.append((args, kwargs))
+        return atomic(*args, **kwargs)
+
+    holders = [(module, key) for name, module in sorted(sys.modules.items())
+               if name == "ifmlab" or name.startswith("ifmlab.")
+               for key, value in vars(module).items() if value is atomic]
+    assert {module.__name__ for module, _ in holders} >= {"ifmlab.report", "ifmlab.cli"}
+    for module, key in holders:
+        monkeypatch.setattr(module, key, counted_write)
+
+    runs = [(["solve", "--config", write(tmp_path, "solve.yaml", PICARD_YAML)], 0, 3),
+            (["audit", "--config", write(tmp_path, "audit.yaml", SPACE_AUDIT_YAML)], 0, 1),
+            (["check", "--config", write(tmp_path, "check.yaml", SEQUENCE_YAML)], 0, 1),
+            (["validate", str(tmp_path / "result.json")], 0, 0),
+            (["defaults", "--out", str(tmp_path / "defaults.json")], 0, 1)]
+    for argv, code, writes in runs:
+        calls.clear()
+        out = [] if argv[0] in ("validate", "defaults") else ["--out", str(tmp_path)]
+        assert main(argv + out) == code
+        assert len(calls) == writes
+        for args, kwargs in calls:
+            assert not kwargs and len(args) == 2 and type(args[1]) is str
+            with open(args[0], "rb") as handle:
+                assert handle.read() == args[1].encode("utf-8")

@@ -320,7 +320,10 @@ def reference_worst_side(xs, ys, ts, keys, mu_side, nu_side):
     # for its sign when the largest ratio is a zero: the whole-grid max
     # returned either zero, by the lane order of numpy's reduction
     sup_mu, sup_nu = (float(r.flat[np.argmax(r)]) if r.size else 0.0 for r, _, _ in (mu_side, nu_side))
-    side, (ratios, num, den) = ("mu", mu_side) if sup_mu >= sup_nu else ("nu", nu_side)
+    # the sides rank as the cells do: a NaN above any value, mu on a tie
+    # (``sup_mu >= sup_nu`` picked nu whenever either was NaN)
+    nu_worse = sup_nu > sup_mu or (math.isnan(sup_nu) and not math.isnan(sup_mu))
+    side, (ratios, num, den) = ("nu", nu_side) if nu_worse else ("mu", mu_side)
     i, j = np.unravel_index(int(np.argmax(ratios)), ratios.shape)
     witness = {
         "x": point_jsonable(xs[i]),
@@ -329,7 +332,7 @@ def reference_worst_side(xs, ys, ts, keys, mu_side, nu_side):
         "side": side,
         keys[0]: float(num[i, j]),
         keys[1]: float(den[i, j]),
-        "ratio": max(sup_mu, sup_nu),
+        "ratio": sup_nu if nu_worse else sup_mu,
     }
     return sup_mu, sup_nu, witness
 
@@ -346,7 +349,7 @@ def reference_if_contractive(space, map_, count, probe_ts, seed, box):
         nu_ratio = np.where(degenerate | nu_skip, 0.0, co_gap1 / co_gap2)
     sup_mu, sup_nu, witness = reference_worst_side(xs, ys, ts, ("lhs", "rhs_gap"),
                                                    (mu_ratio, gap2, gap1), (nu_ratio, co_gap1, co_gap2))
-    sup = max(sup_mu, sup_nu)
+    sup = witness["ratio"]
     estimated = sup + K_SAFETY_MARGIN
     skipped = int(np.count_nonzero(nu_skip & ~degenerate))
     notes = ""
@@ -375,7 +378,7 @@ def reference_direct_ratio(space, map_, count, probe_ts, seed, box):
         nu_ratio = np.where(nu2 == 0.0, 0.0, nu2 / nu1)
     sup_mu, sup_nu, witness = reference_worst_side(xs, ys, ts, ("numerator", "denominator"),
                                                    (mu_ratio, mu1, mu2), (nu_ratio, nu2, nu1))
-    sup = max(sup_mu, sup_nu)
+    sup = witness["ratio"]
     estimated = sup + K_SAFETY_MARGIN
     passed = estimated <= 1.0 - UNIT_RESOLUTION
     notes = ""
@@ -590,3 +593,47 @@ def test_empty_pair_batch_is_rejected(line, half_plus_one, three_point_space):
         direct_ratio_contractive_check(three_point_space, const, 0)
     with pytest.raises(ValueError, match="the pair batch is empty"):
         t_uniform_continuity_probe(three_point_space, const, [0.1], 0)
+
+
+def far_nan_line(side):
+    """The induced line ``mu = t/(t + d)``, ``nu = 1 - mu``, with ``side``
+    NaN on every pair more than 4 apart."""
+    def membership(x, y, t):
+        d = np.abs(x[..., 0] - y[..., 0])
+        sides = {"mu": t / (t + d)}
+        sides["nu"] = 1.0 - sides["mu"]
+        sides[side] = np.where(d > 4.0, np.nan, sides[side])
+        return sides["mu"], sides["nu"]
+
+    return IfmSpace(domain=CoordinateSpace(1), operators=min_max(), membership=membership)
+
+
+@pytest.mark.parametrize("side", ["mu", "nu"])
+def test_a_nan_ratio_fails_both_ratio_checks_on_either_side(side):
+    # Python's max(sup_mu, sup_nu) dropped a NaN nu supremum, so with NaN on
+    # nu the check passed with estimated_k 0.5000000010; a NaN mu supremum
+    # failed, but with the nu witness
+    space, halve = far_nan_line(side), SelfMap.affine([[0.5]], [0.0])
+    with np.errstate(invalid="ignore"):
+        checks = [if_contractive_check(space, halve, 1000, seed=1),
+                  direct_ratio_contractive_check(space, halve, 1000, seed=1)]
+    for report in checks:
+        assert report.verdict == "fail" and report.estimated_k is None
+        assert report.worst_witness["side"] == side and math.isnan(report.worst_witness["ratio"])
+        assert math.isnan(report.details["sup_ratio"]) and math.isnan(report.details[f"sup_{side}_ratio"])
+        # the direct-ratio note about a supremum within 1e-3 of 1 is not for a NaN
+        assert report.notes == ""
+
+
+def test_a_nan_gap_fails_the_sequence_check():
+    # gap > bound is False for NaN, so an all-NaN kernel passed where the
+    # honest one fails at n = 0
+    nan_line = IfmSpace(domain=CoordinateSpace(1), operators=min_max(),
+                        membership=lambda x, y, t: (np.full((len(x), len(t)), np.nan),) * 2)
+    report = contractive_sequence_check(nan_line, [0, 1, 5, 100], 0.5)
+    assert report.verdict == "fail"
+    assert report.worst_witness["n"] == 0 and report.worst_witness["side"] == "mu"
+    assert math.isnan(report.worst_witness["lhs"])
+    honest = contractive_sequence_check(induced_from_metric(CoordinateSpace(1), min_max()),
+                                        [0, 1, 5, 100], 0.5)
+    assert honest.verdict == "fail" and honest.worst_witness["n"] == 0

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ifmlab.report import (
+    WRITE_SLICE,
     AuditReport,
     ClauseResult,
     format_float,
@@ -75,3 +76,24 @@ def test_atomic_write_applies_the_umask(tmp_path):
     finally:
         os.umask(previous)
     assert os.stat(target).st_mode & 0o777 == 0o666 & ~0o027
+
+
+def test_failed_write_keeps_the_target_and_removes_the_temp_file(tmp_path):
+    # the lone surrogate cannot be encoded; it sits in the second slice, so
+    # the first slice is already in the temp file when the write fails
+    target = tmp_path / "artifact.txt"
+    target.write_bytes(b"kept\n")
+    os.chmod(target, 0o640)
+    with pytest.raises(UnicodeEncodeError):
+        write_text_atomic(str(target), "x" * (WRITE_SLICE + 3) + "\ud800")
+    assert target.read_bytes() == b"kept\n"
+    assert os.stat(target).st_mode & 0o777 == 0o640
+    assert os.listdir(tmp_path) == ["artifact.txt"]
+
+
+def test_sliced_write_keeps_every_character(tmp_path):
+    target = tmp_path / "long.txt"
+    text = "".join(f"{i},\n" for i in range(WRITE_SLICE // 2))
+    assert len(text) % WRITE_SLICE and len(text) > 2 * WRITE_SLICE
+    write_text_atomic(str(target), text)
+    assert target.read_bytes() == text.encode()

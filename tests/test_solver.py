@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -25,7 +26,7 @@ from ifmlab import (
     uniqueness_probe,
 )
 from ifmlab.contractions import NonFiniteImageError, apply_point
-from ifmlab.solver import IterationTrace, SolveResult, _solve
+from ifmlab.solver import IterationTrace, SolveResult, _solve, chain_break
 from ifmlab.spaces import membership_grid, points_equal
 
 
@@ -411,3 +412,64 @@ def test_solve_config_reads_any_probe_grid_sequence(grid):
     expected = SolveConfig(probe_ts=list(grid)).probe_ts
     assert SolveConfig(probe_ts=grid).probe_ts == expected
     assert expected == ((1.0, 2.0) if len(grid) else SolveConfig().probe_ts)
+
+
+def reference_chain_break(space, map_, points):
+    """``chain_break`` as it was, with one ``points_equal`` per step."""
+    for i in range(len(points) - 1):
+        if not points_equal(apply_point(space, map_, points[i]), points[i + 1]):
+            return i
+    return None
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # the exception's type and text are the outcome
+        return type(exc), str(exc)
+
+
+@settings(max_examples=80, deadline=None)
+@given(kind=st.sampled_from(["tabulated", *METRICS]), dim=st.integers(1, 3), n=st.integers(1, 8),
+       scale=st.sampled_from([0.0, 0.5, -1.0, 1e308]), as_array=st.booleans(), data=st.data())
+def test_chain_break_matches_the_per_step_reference(kind, dim, n, scale, as_array, data):
+    if kind == "tabulated":
+        space, map_ = STEP_TABLE, SelfMap.table({"a": "b", "b": "c", "c": "d", "d": "b"})
+        points = iterate_trace(space, map_, data.draw(st.sampled_from("abcd")), n)
+        tampers = st.sampled_from("abcd")
+    else:
+        space = induced_from_metric(CoordinateSpace(dim, kind), min_max())
+        offset = data.draw(st.sampled_from([0.0, 1.0]))
+        map_ = SelfMap.affine(scale * np.eye(dim), [offset] * dim)
+        x0 = np.asarray(data.draw(st.lists(st.sampled_from([0.0, 1.0, 10.0]), min_size=dim, max_size=dim)))
+        with np.errstate(over="ignore"):
+            points = iterate_trace(space, map_, x0, n) if scale != 1e308 else [x0] * (n + 1)
+        # a one-ulp move, a signed zero, a NaN or an infinity in one coordinate
+        tampers = st.sampled_from([np.nextafter(1.0, 2.0), -0.0, np.nan, np.inf, 10.0])
+    points = list(points)
+    for _ in range(data.draw(st.integers(0, 2))):
+        j = data.draw(st.integers(0, n))
+        value = data.draw(tampers)
+        if kind == "tabulated":
+            points[j] = value
+        else:
+            points[j] = points[j].copy()
+            points[j][data.draw(st.integers(0, dim - 1))] = value
+    if as_array:
+        points = np.asarray(points, dtype=object if kind == "tabulated" else float)
+    with np.errstate(over="ignore"):
+        assert outcome(chain_break, space, map_, points) == outcome(reference_chain_break, space, map_, points)
+
+
+def test_long_solve_memory_stays_bounded():
+    # 14.8 MiB when every step row was kept as its own view object
+    space = induced_from_metric(CoordinateSpace(3), min_max())
+    config = SolveConfig(max_iterations=30_000, hypothesis_checks=False)
+    tracemalloc.start()
+    try:
+        result = picard_solve(space, SelfMap.affine(np.eye(3) * 0.999, [0.0] * 3), [31.3] * 3, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.converged and len(result.trace.points) == 19_884
+    assert peak < 11 * 2**20
