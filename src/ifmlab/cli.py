@@ -119,8 +119,8 @@ def trace_rows(result: SolveResult) -> list[str]:
     """
     trace = result.trace
     points, k = trace.points, len(trace.probe_ts)
-    coordinate = not (points and isinstance(points[0], str))
-    dim = int(np.atleast_1d(np.asarray(points[0], float)).shape[0]) if coordinate and points else 0
+    coordinate = not (len(points) and isinstance(points[0], str))
+    dim = int(np.atleast_1d(np.asarray(points[0], float)).shape[0]) if coordinate and len(points) else 0
     header = ["iteration", *([f"x{i}" for i in range(dim)] if coordinate else ["label"])]
     header += [f"{side}@t={format_float(float(t))}" for side in ("mu", "nu") for t in trace.probe_ts]
     flags = trace.ball_flags
@@ -159,7 +159,7 @@ def result_document(result: SolveResult, experiment: dict[str, Any]) -> dict[str
     A coordinate trace's points become Python floats in one ``tolist()``.
     """
     points = result.trace.points
-    if points and not isinstance(points[0], str):
+    if len(points) and not isinstance(points[0], str):
         trace_points = np.asarray(points, float).reshape(len(points), -1).tolist()
     else:
         trace_points = [point_jsonable(p) for p in points]

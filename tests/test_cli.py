@@ -1197,15 +1197,15 @@ def test_every_file_write_passes_its_text_as_one_string(tmp_path, monkeypatch):
     for module, key in holders:
         monkeypatch.setattr(module, key, counted_write)
 
-    runs = [(["solve", "--config", write(tmp_path, "solve.yaml", PICARD_YAML)], 0, 3),
-            (["audit", "--config", write(tmp_path, "audit.yaml", SPACE_AUDIT_YAML)], 0, 1),
-            (["check", "--config", write(tmp_path, "check.yaml", SEQUENCE_YAML)], 0, 1),
-            (["validate", str(tmp_path / "result.json")], 0, 0),
-            (["defaults", "--out", str(tmp_path / "defaults.json")], 0, 1)]
-    for argv, code, writes in runs:
+    out = ["--out", str(tmp_path)]
+    runs = [(["solve", "--config", write(tmp_path, "solve.yaml", PICARD_YAML), *out], 3),
+            (["audit", "--config", write(tmp_path, "audit.yaml", SPACE_AUDIT_YAML), *out], 1),
+            (["check", "--config", write(tmp_path, "check.yaml", SEQUENCE_YAML), *out], 1),
+            (["validate", str(tmp_path / "result.json")], 0),
+            (["defaults", "--out", str(tmp_path / "defaults.json")], 1)]
+    for argv, writes in runs:
         calls.clear()
-        out = [] if argv[0] in ("validate", "defaults") else ["--out", str(tmp_path)]
-        assert main(argv + out) == code
+        assert main(argv) == 0
         assert len(calls) == writes
         for args, kwargs in calls:
             assert not kwargs and len(args) == 2 and type(args[1]) is str
