@@ -481,8 +481,9 @@ def contractive_sequence_check(
     grows like ``eps * (1 + gap)**2`` and a fixed relative slack would
     reject exact-ratio sequences once the iterates are nearly coincident.
     A coincident consecutive pair fixes the tail exactly and is treated
-    as a pass from that index.  Reports the first violation; a NaN gap or
-    bound is one.
+    as a pass from that index.  Reports the first violation; a NaN gap is
+    one, an infinite one is not (``nu`` rounds to exactly 0 on a close
+    enough step).
     """
     if not 0.0 < float(k) < 1.0:
         raise ValueError(f"k must lie strictly inside (0, 1), got {k!r}")
@@ -505,10 +506,11 @@ def contractive_sequence_check(
     with np.errstate(invalid="ignore"):
         mu_bound, nu_bound = k * gap_a, co_a / k
         mu_allow = eps_fp * ((1.0 + gap_b) ** 2 + k * (1.0 + gap_a) ** 2)
-        # negated so that a NaN gap is a violation
-        mu_bad = ~(gap_b <= mu_bound * slack + mu_allow)
+        # a NaN gap is a violation; a NaN bound is not, since an infinite
+        # earlier co-gap (nu rounded to 0) makes the nu side inf - inf
+        mu_bad = (gap_b > mu_bound * slack + mu_allow) | np.isnan(gap_a) | np.isnan(gap_b)
         nu_allow = eps_fp * ((1.0 + co_b) ** 2 + (1.0 + co_a) ** 2 / k)
-        nu_bad = ~(co_b >= nu_bound / slack - nu_allow)
+        nu_bad = (co_b < nu_bound / slack - nu_allow) | np.isnan(co_a) | np.isnan(co_b)
     failed = np.nonzero(np.any(mu_bad | nu_bad, axis=1))[0]
     if failed.size:
         n = int(failed[0])

@@ -45,6 +45,7 @@ from .spaces import (
     ball_contains,
     membership_grid,
     point_jsonable,
+    points_equal,
     probe_grid,
 )
 
@@ -99,7 +100,11 @@ class IterationTrace:
     ball_flags: list[bool] | None = None
 
     def verify(self, space: IfmSpace, map_: SelfMap) -> bool:
-        """Re-check chain consistency and stored nearness values exactly."""
+        """Re-check chain consistency and stored nearness values exactly.
+
+        A broken chain is ``False``, and so is a malformed stored point
+        after the first; a first point that is not a point of the space
+        raises, as :func:`chain_break` says."""
         if chain_break(space, map_, self.points) is not None:
             return False
         if len(self.points) == 1:
@@ -145,12 +150,21 @@ def chain_break(space: IfmSpace, map_: SelfMap, points: Sequence) -> int | None:
     The stored chain is read once, as the domain's unchecked batch, into
     Python values; each image's ``tolist()`` is compared with its stored
     successor's, so equality is exact (``-0.0`` equals ``0.0``, NaN equals
-    nothing).  Each step applies the map to ``points[i]`` by
-    :func:`apply_point`, which raises on a bad point or an escaping image.
+    nothing).  A chain that does not read as one batch (a ragged or
+    non-numeric point) is compared step by step by :func:`points_equal`,
+    so a malformed point is a break at the step before it, and a break
+    before that is still the answer.  Each step applies the map to
+    ``points[i]`` by :func:`apply_point`, which raises on a bad point or an
+    escaping image.
     """
-    stored = space.domain.batch(points).tolist()
+    try:
+        stored = space.domain.batch(points).tolist()
+    except (TypeError, ValueError):
+        stored = None
     for i in range(len(points) - 1):
-        if np.asarray(apply_point(space, map_, points[i])).tolist() != stored[i + 1]:
+        image = apply_point(space, map_, points[i])
+        if (not points_equal(image, points[i + 1]) if stored is None
+                else np.asarray(image).tolist() != stored[i + 1]):
             return i
     return None
 

@@ -1072,9 +1072,10 @@ def test_tabular_export_matches_per_cell_rendering_across_row_blocks(tmp_path, d
 
 
 def test_tabular_export_memory_stays_bounded(tmp_path):
-    # 23.4 MiB when every point and step row became a Python list at once;
-    # the lines and the file's text are 9.9 and 8.9 MiB
-    n, k = 20_000, len(SolveConfig().probe_ts)
+    # 5.84 MiB when every point and step row became a Python list at once;
+    # now 4.70 MiB, the rendered lines (2.5 MiB) and the file's text (2.2 MiB);
+    # the bound sits between the two
+    n, k = 5_000, len(SolveConfig().probe_ts)
     rng = np.random.default_rng(1)
     step_mu = rng.uniform(0.0, 1.0, (n - 1, k))
     trace = IterationTrace(list(rng.uniform(-3.0, 3.0, (n, 3))), SolveConfig().probe_ts, step_mu,
@@ -1086,7 +1087,7 @@ def test_tabular_export_memory_stays_bounded(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 19 * 2**20
+    assert peak < 5.25 * 2**20
 
 
 # a random affine contraction rho * P * diag(s) with a signed permutation P

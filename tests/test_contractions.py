@@ -149,6 +149,18 @@ def test_contractive_sequence_of_halving_iterates(line, half_plus_one):
     assert report.estimated_k == 0.5
 
 
+def test_a_long_halving_prefix_passes_where_nu_rounds_to_zero(line, half_plus_one):
+    # x/2 + 1 from 0 comes within 2**-48 of 2 before it is exactly fixed, so
+    # nu = d/(t + d) is 0 at the default t = 51.2 on the last steps; their
+    # co-gaps are infinite and the nu bound is inf - inf
+    prefix = iterate_trace(line, half_plus_one, 0.0, 60)
+    _, nu = membership_grid(line, prefix[:-1], prefix[1:], DEFAULT_PROBE_TS)
+    assert np.any(nu[:50] == 0.0)
+    report = contractive_sequence_check(line, prefix, k=0.5)
+    assert report.passed and report.worst_witness is None
+    assert "exactly fixed from index 54" in report.notes
+
+
 def test_contractive_sequence_constant(line):
     report = contractive_sequence_check(line, [4.0, 4.0, 4.0, 4.0], k=0.3)
     assert report.passed

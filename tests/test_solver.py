@@ -447,18 +447,37 @@ def test_chain_break_matches_the_per_step_reference(kind, dim, n, scale, as_arra
         # a one-ulp move, a signed zero, a NaN or an infinity in one coordinate
         tampers = st.sampled_from([np.nextafter(1.0, 2.0), -0.0, np.nan, np.inf, 10.0])
     points = list(points)
+    malformed = set()
     for _ in range(data.draw(st.integers(0, 2))):
         j = data.draw(st.integers(0, n))
         value = data.draw(tampers)
         if kind == "tabulated":
             points[j] = value
+        elif j in malformed or data.draw(st.integers(0, 4)) == 0:
+            # a whole point replaced by a ragged or a non-numeric one
+            points[j] = data.draw(st.sampled_from([[1.0] * (dim + 1), "x"]))
+            malformed.add(j)
         else:
             points[j] = points[j].copy()
             points[j][data.draw(st.integers(0, dim - 1))] = value
-    if as_array:
+    if as_array and not malformed:
         points = np.asarray(points, dtype=object if kind == "tabulated" else float)
     with np.errstate(over="ignore"):
         assert outcome(chain_break, space, map_, points) == outcome(reference_chain_break, space, map_, points)
+
+
+def test_a_break_before_a_malformed_point_is_still_found(line, half_plus_one):
+    # reading the chain as one batch raised on the ragged point at index 3,
+    # so verify raised where the break at step 1 makes it False
+    points = iterate_trace(line, half_plus_one, 0.0, 4)
+    points[2] = np.array([7.0])
+    points[3] = [1.0, 2.0]
+    assert chain_break(line, half_plus_one, points) == 1
+    step_mu, step_nu = membership_grid(line, points[:2], points[1:2], SolveConfig().probe_ts)
+    trace = IterationTrace(points, SolveConfig().probe_ts, step_mu, step_nu)
+    assert trace.verify(line, half_plus_one) is False
+    points[2] = half_plus_one(points[1])
+    assert chain_break(line, half_plus_one, points) == 2
 
 
 def test_long_solve_memory_stays_bounded():
