@@ -221,18 +221,19 @@ def validate_result_document(doc: Any) -> list[str]:
     residual certificate of a converged result is always checked against
     ``experiment.map``, the map whose fixed point is claimed; other
     statuses carry none.  A document that is not a mapping, one whose
-    experiment fails the config checks or whose trace points are not
-    finite points of its space, a converged one without ``probe_ts``,
-    ``fixed_point`` or ``iterations`` or whose ``probe_ts`` is not a probe
-    grid (nonempty, positive, strictly increasing), or one whose fields
-    have the wrong type raises :class:`ConfigError` with the field's path.
+    experiment fails the config checks or whose trace points are missing
+    (every solve stores its start) or not finite points of its space, a
+    converged one without ``probe_ts``, ``fixed_point`` or ``iterations``
+    or whose ``probe_ts`` is not a probe grid (nonempty, positive,
+    strictly increasing), or one whose fields have the wrong type raises
+    :class:`ConfigError` with the field's path.
     """
     doc = expect_mapping(doc, "document")
     exp = expect_mapping(doc.get("experiment") or {}, "experiment")
     space, map_, step_map, solve = _rebuild_experiment(exp)
     points = expect_list(doc.get("trace_points") or [], "trace_points")
     if not points:
-        return ["document carries no trace points"]
+        raise ConfigError("trace_points", "document carries no trace points")
     points = _point(points, "trace_points", space.domain, many=True)
 
     problems: list[str] = []

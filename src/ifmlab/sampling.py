@@ -12,7 +12,7 @@ from typing import Any
 
 import numpy as np
 
-from .spaces import CoordinateSpace, FiniteTabulated, IfmSpace, ball_contains, BallSpec, membership_grid
+from .spaces import BallSpec, CoordinateSpace, FiniteTabulated, IfmSpace, membership_grid
 
 DEFAULT_HALFWIDTH = 8.0
 MIN_SEPARATION_FRACTION = 1e-4
@@ -93,19 +93,24 @@ def sample_ball_pairs(space: IfmSpace, ball: BallSpec, count: int, seed: int) ->
     spaces the metric radius of the ball is known exactly
     (``d <= t * r / (1 - r)``), so that box holds the whole ball and is
     drawn again until enough members are found; otherwise the box is grown
-    geometrically.  An odd count of members loses its last one.
+    geometrically.  An odd count of members loses its last one.  One
+    closed-ball test, ``mu >= 1 - r`` and ``nu <= r`` at the ball's time,
+    keeps the members of each draw, and of a tabulated space's labels in
+    one kernel call.
     """
     domain = space.domain
-    if isinstance(domain, FiniteTabulated):
-        members = [
-            lab for lab in domain.labels if ball_contains(space, ball, lab, mode="closed")
-        ]
-        if len(members) < 2:
-            raise ValueError("closed ball contains fewer than two labels; nothing to sample")
-        return sample_label_pairs(members, count, seed)
+    center, r = domain.as_point(ball.center), float(ball.radius)
 
-    center = space.domain.as_point(ball.center)
-    r = float(ball.radius)
+    def members(points):
+        mu, nu = membership_grid(space, center, points, [ball.time])
+        return points[(mu[:, 0] >= 1.0 - r) & (nu[:, 0] <= r)]
+
+    if isinstance(domain, FiniteTabulated):
+        labels = members(domain.label_array)
+        if len(labels) < 2:
+            raise ValueError("closed ball contains fewer than two labels; nothing to sample")
+        return sample_label_pairs(labels, count, seed)
+
     if space.base_distance is not None:
         halfwidth = ball.time * r / (1.0 - r)
     else:
@@ -115,8 +120,7 @@ def sample_ball_pairs(space: IfmSpace, ball: BallSpec, count: int, seed: int) ->
     found = 0
     for _ in range(BALL_SAMPLING_ROUNDS):
         draw = rng.uniform(center - halfwidth, center + halfwidth, (4 * count, domain.dimension))
-        mu, nu = membership_grid(space, center, draw, [ball.time])
-        kept.append(draw[(mu[:, 0] >= 1.0 - r) & (nu[:, 0] <= r)])
+        kept.append(members(draw))
         found += len(kept[-1])
         if found >= 2 * count:
             break

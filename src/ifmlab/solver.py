@@ -455,7 +455,9 @@ def uniqueness_probe(
     tolerance, since two residual-accurate limits can legitimately sit a
     few residuals apart; coordinate distance is reported as auxiliary data
     when the space carries a base metric.  Starts that fail to converge
-    are marked and excluded from the mutual check.
+    are marked and excluded from the mutual check.  All pairs of limits,
+    ``i < j``, are evaluated in one kernel call, and ``worst_pair`` is the
+    first smallest margin in ``(pair, t)`` order, a NaN below any value.
     """
     config = config or SolveConfig()
     results = [picard_solve(space, map_, s, config) for s in starts]
@@ -464,29 +466,18 @@ def uniqueness_probe(
 
     eq_eps = min(EQUALITY_SLACK * config.epsilon, 0.5)
     ts = np.asarray(config.probe_ts)
-    agreement = True
-    worst_pair: dict | None = None
-    worst_margin = np.inf
-    max_dist: float | None = None
-    for i in range(len(limits)):
-        for j in range(i + 1, len(limits)):
-            mu, nu = membership_grid(space, limits[i], limits[j], ts)
-            margins = np.minimum(mu[0] - (1.0 - eq_eps), eq_eps - nu[0])
-            t_idx = int(np.argmin(margins))
-            margin = float(margins[t_idx])
-            agreement = agreement and margin >= 0.0
-            if margin < worst_margin:
-                worst_margin = margin
-                worst_pair = {
-                    "i": i,
-                    "j": j,
-                    "t": float(ts[t_idx]),
-                    "mu": float(mu[0, t_idx]),
-                    "nu": float(nu[0, t_idx]),
-                }
-            if space.base_distance is not None:
-                d = float(space.base_distance(limits[i], limits[j]))
-                max_dist = d if max_dist is None else max(max_dist, d)
+    agreement, worst_pair, max_dist = True, None, None
+    if len(limits) > 1:
+        i, j = np.triu_indices(len(limits), 1)
+        points = space.domain.batch(limits)
+        mu, nu = membership_grid(space, points[i], points[j], ts)
+        margins = np.minimum(mu - (1.0 - eq_eps), eq_eps - nu)
+        p, t = np.unravel_index(int(np.argmin(margins)), margins.shape)
+        agreement = bool(np.all(margins >= 0.0))
+        worst_pair = {"i": int(i[p]), "j": int(j[p]), "t": float(ts[t]),
+                      "mu": float(mu[p, t]), "nu": float(nu[p, t])}
+        if space.base_distance is not None:
+            max_dist = float(np.max(space.base_distance(points[i], points[j])))
     return UniquenessReport(
         statuses=statuses,
         limits=[point_jsonable(p) for p in limits],

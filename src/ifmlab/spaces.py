@@ -688,21 +688,19 @@ def asymptotic_nearness_probe(
 
     The horizon should be large relative to the scale of the pairs; this is
     a finite-horizon stand-in for the limit as ``t`` grows without bound.
+    Each point is read as :func:`evaluate` reads it, in pair order, and all
+    pairs are evaluated in one kernel call.
     """
     t_horizon = time_parameter(t_horizon, "t_horizon")
     epsilon = unit_scalar(epsilon, "epsilon")
     report = AsymptoticReport(t_horizon=t_horizon, epsilon=epsilon)
-    for x, y in pairs:
-        mu, nu = evaluate(space, x, y, t_horizon)
-        report.entries.append(
-            {
-                "x": point_jsonable(x),
-                "y": point_jsonable(y),
-                "mu": mu,
-                "nu": nu,
-                "ok": bool(mu >= 1.0 - epsilon and nu <= epsilon),
-            }
-        )
+    points = [space.domain.as_point(p) for x, y in pairs for p in (x, y)]
+    if points:  # the tabulated kernel cannot take an empty batch
+        xs, ys = points[0::2], points[1::2]
+        mu, nu = membership_grid(space, xs, ys, [t_horizon])
+        for x, y, m, n in zip(xs, ys, map(float, mu[:, 0]), map(float, nu[:, 0])):
+            report.entries.append({"x": point_jsonable(x), "y": point_jsonable(y), "mu": m, "nu": n,
+                                   "ok": m >= 1.0 - epsilon and n <= epsilon})
     return report
 
 
@@ -861,7 +859,8 @@ def joint_continuity_probe(
     """Compare tail values of ``mu(x_n, y_n, t)`` against the limit pair.
 
     Both prefixes are first verified convergent to their stated limits
-    (raises ``ValueError`` otherwise); the probe then passes iff the tail
+    (raises ``ValueError`` otherwise); the probe then evaluates the tail
+    pair and the limit pair in one kernel call and passes iff the tail
     deviations of ``mu`` and ``nu`` are within ``tolerance``.
     """
     t = time_parameter(t)
@@ -871,8 +870,9 @@ def joint_continuity_probe(
         )
         if not diag.convergent:
             raise ValueError(f"sequence {name} is not convergent to its stated limit: {diag.witness}")
-    mu_tail, nu_tail = evaluate(space, xs[-1], ys[-1], t)
-    mu_lim, nu_lim = evaluate(space, x_limit, y_limit, t)
+    read = space.domain.as_point
+    mu, nu = membership_grid(space, [read(xs[-1]), read(x_limit)], [read(ys[-1]), read(y_limit)], [t])
+    (mu_tail, mu_lim), (nu_tail, nu_lim) = map(float, mu[:, 0]), map(float, nu[:, 0])
     passed = abs(mu_tail - mu_lim) <= tolerance and abs(nu_tail - nu_lim) <= tolerance
     return JointContinuityReport(
         mu_tail=mu_tail,

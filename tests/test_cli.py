@@ -288,6 +288,9 @@ MISSING = object()
     pytest.param("iterations", MISSING, id="iterations"),
     pytest.param("iterations", [3], id="iterations-list"),
     pytest.param("trace_points", 5, id="trace_points-number"),
+    # exit 1 with "certificate problem: document carries no trace points" before
+    pytest.param("trace_points", [], id="trace_points-empty"),
+    pytest.param("trace_points", MISSING, id="trace_points-missing"),
     pytest.param("experiment", [1], id="experiment-list"),
     pytest.param("fixed_point", {"a": 1}, id="fixed_point-mapping"),
     pytest.param("experiment.solve_config", [1], id="solve_config-list"),
@@ -437,6 +440,19 @@ def case(command, text, old, new, field, id):
          "solve.probe_ts[1]", "probe_ts-huge-int"),
     case("solve", MISSING_PAIR_YAML, "{between: [a, b], mu: 0.4", "{between: [a, b], mu: [[1.0, 0.4], [1"
          + "0" * 400 + ", 0.5]]", "space.tabulated.pairs[0].mu[1][0]", "curve-huge-int"),
+    # rejections that no other case reached
+    case("check", UNIFORM_YAML, "epsilons: [0.1, 0.01]", "epsilons: []", "action.check.epsilons",
+         "epsilons-empty"),
+    case("check", SEQUENCE_YAML, "x0: [0.0]", "prefix: [0.0, 1.0]", "action.check.prefix", "prefix-two-points"),
+    case("solve", MISSING_PAIR_YAML, "{between: [a, b]", "{between: [a]", "space.tabulated.pairs[0].between",
+         "between-one-label"),
+    case("solve", PICARD_YAML, "space:\n  induced: {dimension: 1, base_metric: euclidean}", "space: {}", "space",
+         "space-empty"),
+    case("solve", PICARD_YAML, "affine: {matrix: [[0.5]], offset: [1.0]}", "table: {a: a}", "map",
+         "table-on-induced"),
+    case("check", SEQUENCE_YAML, "action:\n  check: {notion: contractive_sequence, x0: [0.0], steps: 12, k: 0.5}",
+         "action: {}", "action", "action-empty"),
+    case("check", SEQUENCE_YAML, "map:\n  affine: {matrix: [[0.5]], offset: [1.0]}\n", "", "map", "check-no-map"),
 ])
 def test_mistyped_config_fields_exit_two_with_field_path(tmp_path, capsys, command, text, old, new,
                                                          field):
@@ -546,6 +562,11 @@ def test_env_var_sets_output_dir(tmp_path, monkeypatch):
     flag_dir.mkdir()
     assert main(["solve", "--config", cfg, "--out", str(flag_dir)]) == 0
     assert (flag_dir / "result.json").exists()
+    # an absolute path ignores both
+    absolute = tmp_path / "absolute.json"
+    cfg = write(tmp_path, "absolute.yaml", PICARD_YAML.replace("result: result.json", f"result: {absolute}"))
+    assert main(["solve", "--config", cfg, "--out", str(flag_dir)]) == 0
+    assert absolute.exists() and not (flag_dir / "absolute.json").exists()
 
 
 def test_no_hypothesis_checks_flag(tmp_path):
@@ -1172,9 +1193,10 @@ def test_solve_and_validate_keep_their_map_and_kernel_call_counts(tmp_path, monk
     assert main(["validate", str(tmp_path / "result.json")]) == 0
     validated = {key: calls[key] - solved[key] for key in calls}
     assert (doc["iterations"], len(doc["trace_points"])) == (1968, 1977)
-    # one application per step; the gates' sampled checks, the step-row
-    # blocks and the window grids; then the chain and the residual
-    assert solved == {"apply_point": 1976, "mu_nu": 462}
+    # one application per step; the gates' sampled checks, one call for
+    # the eight pairs of the large-horizon probe (eight calls before), the
+    # step-row blocks and the window grids; then the chain and the residual
+    assert solved == {"apply_point": 1976, "mu_nu": 455}
     assert validated == {"apply_point": 1977, "mu_nu": 1}
 
 

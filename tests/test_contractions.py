@@ -10,11 +10,14 @@ from ifmlab import (
     BallSpec,
     CoordinateSpace,
     DomainEscapeError,
+    FiniteTabulated,
     IfmSpace,
     SelfMap,
+    ball_contains,
     closed_ball_hypotheses,
     contractive_sequence_check,
     direct_ratio_contractive_check,
+    finite_tabulated,
     if_contractive_check,
     induced_from_metric,
     iterate_trace,
@@ -32,7 +35,13 @@ from ifmlab.contractions import (
 )
 from ifmlab.operators import BLOCK_CELLS
 from ifmlab.report import json_text
-from ifmlab.sampling import sample_ball_pairs, sample_coordinate_pairs, sample_pairs
+from ifmlab.sampling import (
+    BALL_SAMPLING_ROUNDS,
+    sample_ball_pairs,
+    sample_coordinate_pairs,
+    sample_label_pairs,
+    sample_pairs,
+)
 from ifmlab.spaces import DEFAULT_PROBE_TS, membership_grid, point_jsonable, probe_grid
 
 
@@ -296,6 +305,74 @@ def test_ball_sampler_keeps_whole_pairs(line, seed):
     assert 0 < len(xs) == len(ys) < 64
     members = np.concatenate([xs, ys])
     assert np.abs(members).max() <= 0.05 / 0.95
+
+
+def reference_sample_ball_pairs(space, ball, count, seed):
+    """The closed-ball sampler as it was: a tabulated space's labels are
+    filtered by one ball_contains call each."""
+    domain = space.domain
+    if isinstance(domain, FiniteTabulated):
+        members = [lab for lab in domain.labels if ball_contains(space, ball, lab, mode="closed")]
+        if len(members) < 2:
+            raise ValueError("closed ball contains fewer than two labels; nothing to sample")
+        return sample_label_pairs(members, count, seed)
+    center = domain.as_point(ball.center)
+    r = float(ball.radius)
+    halfwidth = ball.time * r / (1.0 - r) if space.base_distance is not None else 1.0
+    rng = np.random.default_rng(seed)
+    kept, found = [], 0
+    for _ in range(BALL_SAMPLING_ROUNDS):
+        draw = rng.uniform(center - halfwidth, center + halfwidth, (4 * count, domain.dimension))
+        mu, nu = membership_grid(space, center, draw, [ball.time])
+        kept.append(draw[(mu[:, 0] >= 1.0 - r) & (nu[:, 0] <= r)])
+        found += len(kept[-1])
+        if found >= 2 * count:
+            break
+        if space.base_distance is None:
+            halfwidth *= 2.0
+    if found < 2:
+        raise ValueError("could not sample points inside the closed ball")
+    pts = np.concatenate(kept)[: 2 * min(count, found // 2)]
+    xs, ys = pts[0::2], pts[1::2]
+    distinct = domain.distinct(xs, ys)
+    return xs[distinct], ys[distinct]
+
+
+def sampled_or_rejected(sampler, *args):
+    try:
+        xs, ys = sampler(*args)
+    except ValueError as exc:
+        return "rejected", str(exc)
+    return [(np.asarray(side).dtype, np.asarray(side).tolist()) for side in (xs, ys)]
+
+
+@st.composite
+def ball_cases(draw):
+    """A tabulated space of 2-5 labels with constant or breakpoint curves, or
+    an induced space with or without its base metric, and a ball in it."""
+    kind = draw(st.sampled_from(["tabulated", "induced", "no-metric"]))
+    if kind == "tabulated":
+        labels = ["a", "b", "c", "d", "e"][:draw(st.integers(2, 5))]
+        mu = st.sampled_from([0.3, 0.6, 0.9, 1.0, [[0.5, 0.3], [4.0, 0.9]]])
+        nu = st.sampled_from([0.0, 0.1, 0.4, 0.7, [[0.5, 0.6], [4.0, 0.05]]])
+        pairs = {(a, b): (draw(mu), draw(nu)) for i, a in enumerate(labels) for b in labels[i + 1:]}
+        space = finite_tabulated(FiniteTabulated(labels, pairs), min_max())
+        center = draw(st.sampled_from(labels))
+    else:
+        dim = draw(st.integers(1, 3))
+        space = induced_from_metric(CoordinateSpace(dim), min_max())
+        if kind == "no-metric":
+            space = IfmSpace(domain=space.domain, operators=space.operators, membership=space.membership)
+        center = draw(st.lists(st.floats(-10.0, 10.0), min_size=dim, max_size=dim))
+    ball = BallSpec(center, draw(st.floats(0.01, 0.99)), draw(st.floats(0.1, 10.0)))
+    return space, ball, draw(st.integers(1, 40)), draw(st.integers(0, 2**16))
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=ball_cases())
+def test_ball_sampler_matches_the_per_label_reference(case):
+    assert sampled_or_rejected(sample_ball_pairs, *case) == \
+        sampled_or_rejected(reference_sample_ball_pairs, *case)
 
 
 def test_power_equals_manual_composition(plane, swap_scale_map):

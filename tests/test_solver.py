@@ -10,6 +10,7 @@ from ifmlab import (
     BallSpec,
     CoordinateSpace,
     FiniteTabulated,
+    IfmSpace,
     SelfMap,
     SolveConfig,
     ball_contains,
@@ -26,8 +27,17 @@ from ifmlab import (
     uniqueness_probe,
 )
 from ifmlab.contractions import NonFiniteImageError, apply_point
-from ifmlab.solver import IterationTrace, SolveResult, _solve, chain_break
-from ifmlab.spaces import membership_grid, points_equal
+from ifmlab.report import json_text
+from ifmlab.sampling import sample_ball_pairs, sample_pairs
+from ifmlab.solver import EQUALITY_SLACK, IterationTrace, SolveResult, UniquenessReport, _solve, chain_break
+from ifmlab.spaces import (
+    asymptotic_nearness_probe,
+    joint_continuity_probe,
+    membership_grid,
+    point_jsonable,
+    points_equal,
+    sequence_diagnostics,
+)
 
 
 def test_iterate_trace_examples(line, half_plus_one):
@@ -86,6 +96,9 @@ def test_picard_on_tabulated_space_gated_by_horizon_probe(three_point_space):
 def test_trace_records_reproduce(line, half_plus_one):
     result = picard_solve(line, half_plus_one, 0.0)
     assert result.trace.verify(line, half_plus_one)
+    # a trace of its start alone has no step rows to re-check
+    empty = np.empty((0, len(result.trace.probe_ts)))
+    assert IterationTrace(result.trace.points[:1], result.trace.probe_ts, empty, empty).verify(line, half_plus_one)
     # per-step nearness rows are nondecreasing across the probe grid
     assert np.all(np.diff(result.trace.step_mu, axis=1) >= 0)
     assert np.all(np.diff(result.trace.step_nu, axis=1) <= 0)
@@ -492,3 +505,108 @@ def test_long_solve_memory_stays_bounded():
         tracemalloc.stop()
     assert result.converged and len(result.trace.points) == 19_884
     assert peak < 11 * 2**20
+
+
+def reference_uniqueness(space, map_, starts, config):
+    """The uniqueness probe as it was: one kernel call per pair of limits,
+    and a pair replaces the witness only when its margin is strictly
+    smaller, so a NaN margin never does."""
+    results = [picard_solve(space, map_, s, config) for s in starts]
+    limits = [r.fixed_point for r in results if r.converged]
+    eq_eps = min(EQUALITY_SLACK * config.epsilon, 0.5)
+    ts = np.asarray(config.probe_ts)
+    agreement, worst_pair, worst_margin, max_dist = True, None, np.inf, None
+    for i in range(len(limits)):
+        for j in range(i + 1, len(limits)):
+            mu, nu = membership_grid(space, limits[i], limits[j], ts)
+            margins = np.minimum(mu[0] - (1.0 - eq_eps), eq_eps - nu[0])
+            t_idx = int(np.argmin(margins))
+            margin = float(margins[t_idx])
+            agreement = agreement and margin >= 0.0
+            if margin < worst_margin:
+                worst_margin = margin
+                worst_pair = {"i": i, "j": j, "t": float(ts[t_idx]),
+                              "mu": float(mu[0, t_idx]), "nu": float(nu[0, t_idx])}
+            if space.base_distance is not None:
+                d = float(space.base_distance(limits[i], limits[j]))
+                max_dist = d if max_dist is None else max(max_dist, d)
+    return UniquenessReport(statuses=[r.status for r in results], limits=[point_jsonable(p) for p in limits],
+                            equality_epsilon=eq_eps, agreement=agreement, worst_pair=worst_pair,
+                            max_pairwise_distance=max_dist, results=results)
+
+
+def uniqueness_text(report):
+    return json_text({key: value for key, value in vars(report).items() if key != "results"})
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from([*METRICS, "tabulated"]), dim=st.integers(1, 12), ts=probe_times,
+       epsilon=st.sampled_from([1e-12, 1e-8, 1e-4, 0.01, 0.2]), data=st.data())
+def test_uniqueness_probe_matches_the_per_pair_reference(kind, dim, ts, epsilon, data):
+    # the identity map fixes every start, so the starts are the limits;
+    # starts a scaled offset apart put margins on both sides of 0
+    count = data.draw(st.integers(0, 6))
+    if kind == "tabulated":
+        space = STEP_TABLE
+        starts = data.draw(st.lists(st.sampled_from(space.domain.labels), min_size=count, max_size=count))
+    else:
+        space = induced_from_metric(CoordinateSpace(dim, kind), min_max())
+        base = np.asarray(data.draw(st.lists(magnitude, min_size=dim, max_size=dim)))
+        scale = data.draw(st.sampled_from([0.0, 1e-12, 1e-9, 1e-6, 1e-3, 1.0, 1e3]))
+        starts = [base + scale * np.asarray(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=dim,
+                                                                max_size=dim)))
+                  for _ in range(count)]
+    config = SolveConfig(epsilon=epsilon, probe_ts=tuple(np.sort(ts)), hypothesis_checks=False)
+    identity = SelfMap.identity()
+    assert uniqueness_text(uniqueness_probe(space, identity, starts, config)) == \
+        uniqueness_text(reference_uniqueness(space, identity, starts, config))
+
+
+def test_a_nan_margin_is_the_uniqueness_witness(line):
+    # nu is NaN on pairs 4 apart, the limits 1.0 and 5.0: the per-pair loop
+    # never took a NaN margin and named the pair (0, 2), 5 apart
+    def membership(x, y, t):
+        mu, nu = line.membership(x, y, t)
+        return mu, np.where(np.abs(x[..., 0] - y[..., 0]) == 4.0, np.nan, nu)
+
+    space = IfmSpace(domain=line.domain, operators=line.operators, membership=membership,
+                     base_distance=line.base_distance)
+    config = SolveConfig(hypothesis_checks=False)
+    args = (space, SelfMap.identity(), [0.0, 1.0, 5.0], config)
+    report, reference = uniqueness_probe(*args), reference_uniqueness(*args)
+    assert report.agreement is False and reference.agreement is False
+    witness = report.worst_pair
+    assert (witness["i"], witness["j"], witness["t"], witness["mu"]) == (1, 2, 0.1, 0.1 / 4.1)
+    assert np.isnan(witness["nu"])
+    assert (reference.worst_pair["i"], reference.worst_pair["j"]) == (0, 2)
+    assert report.max_pairwise_distance == reference.max_pairwise_distance == 5.0
+
+
+def test_probes_evaluate_all_their_pairs_in_one_kernel_call(monkeypatch, line, three_point_space):
+    calls = []
+    kernel = IfmSpace.mu_nu
+
+    def counted(space, x, y, t):
+        calls.append(np.shape(x))
+        return kernel(space, x, y, t)
+
+    def kernel_calls(run):
+        calls.clear()
+        run()
+        return len(calls)
+
+    monkeypatch.setattr(IfmSpace, "mu_nu", counted)
+    pairs = list(zip(*sample_pairs(line, 8, seed=1)))
+    assert kernel_calls(lambda: asymptotic_nearness_probe(line, pairs, 1e6, 1e-2)) == 1
+    # the two probes below first run their sequence checks or solves, which
+    # make calls of their own; then one call serves all the pairs
+    xs, ys = [2.0 + 2.0 ** -n for n in range(31)], [5.0 - 3.0 ** -n for n in range(31)]
+    checks = kernel_calls(lambda: [sequence_diagnostics(line, seq, window=4, candidate_limit=limit)
+                                   for seq, limit in ((xs, 2.0), (ys, 5.0))])
+    assert kernel_calls(lambda: joint_continuity_probe(line, xs, 2.0, ys, 5.0, 1.0, 1e-6)) == checks + 1
+    config, identity, starts = SolveConfig(hypothesis_checks=False), SelfMap.identity(), [-1.0, 0.0, 1.0]
+    solves = kernel_calls(lambda: [picard_solve(line, identity, s, config) for s in starts])
+    assert kernel_calls(lambda: uniqueness_probe(line, identity, starts, config)) == solves + 1
+    assert calls[-1] == (3, 1, 1)  # the three pairs of three limits
+    # the tabulated ball filter tests all labels at once
+    assert kernel_calls(lambda: sample_ball_pairs(three_point_space, BallSpec("a", 0.6, 1.0), 10, 0)) == 1

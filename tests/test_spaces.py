@@ -30,15 +30,17 @@ from ifmlab import (
     sequence_diagnostics,
     time_parameter,
 )
-from ifmlab.operators import BLOCK_CELLS, idempotency_witness, idempotent_within
-from ifmlab.report import AuditReport, ClauseResult
+from ifmlab.operators import BLOCK_CELLS, idempotency_witness, idempotent_within, unit_scalar
+from ifmlab.report import AuditReport, ClauseResult, json_text
 from ifmlab.spaces import (
     BASE_METRICS,
     CONTINUITY_BOUND,
     CONTINUITY_REFINEMENT,
     DEFAULT_AUDIT_BOX_HALFWIDTH,
     DEFAULT_PROBE_TS,
+    AsymptoticReport,
     DomainEscapeError,
+    JointContinuityReport,
     NonFiniteImageError,
     _triangle_rank,
     point_jsonable,
@@ -1124,3 +1126,93 @@ def test_points_equal_matches_array_equal(a, b, same):
     got, want = points_equal(a, b), reference_points_equal(a, b)
     # a label against an array compares elementwise, in both
     assert (type(got), repr(got)) == (type(want), repr(want))
+
+
+def reference_asymptotic(space, pairs, t_horizon, epsilon):
+    """The large-horizon probe as it was: one evaluate call per pair."""
+    t_horizon = time_parameter(t_horizon, "t_horizon")
+    report = AsymptoticReport(t_horizon=t_horizon, epsilon=unit_scalar(epsilon, "epsilon"))
+    for x, y in pairs:
+        mu, nu = evaluate(space, x, y, t_horizon)
+        report.entries.append({"x": point_jsonable(x), "y": point_jsonable(y), "mu": mu, "nu": nu,
+                               "ok": bool(mu >= 1.0 - report.epsilon and nu <= report.epsilon)})
+    return report
+
+
+def reference_joint_continuity(space, xs, x_limit, ys, y_limit, t, tolerance, window=4):
+    """The joint-continuity probe as it was: one evaluate call for the tail
+    pair and one for the limit pair."""
+    t = time_parameter(t)
+    for seq, limit in ((xs, x_limit), (ys, y_limit)):
+        if not sequence_diagnostics(space, seq, window=window, candidate_limit=limit).convergent:
+            raise ValueError("not convergent")
+    mu_tail, nu_tail = evaluate(space, xs[-1], ys[-1], t)
+    mu_lim, nu_lim = evaluate(space, x_limit, y_limit, t)
+    passed = abs(mu_tail - mu_lim) <= tolerance and abs(nu_tail - nu_lim) <= tolerance
+    return JointContinuityReport(mu_tail, nu_tail, mu_lim, nu_lim, tolerance, passed)
+
+
+def report_text(probe, *args):
+    """A probe's report fields as deterministic JSON, or the text of its ValueError."""
+    try:
+        return json_text(vars(probe(*args)))
+    except ValueError as exc:
+        return "rejected", str(exc)
+
+
+@st.composite
+def probe_points(draw):
+    """A space of either domain kind and a strategy for its points: in each
+    form a point is read from, and now and then a malformed one."""
+    kind = draw(st.sampled_from([*BASE_METRICS, "tabulated"]))
+    if kind == "tabulated":
+        return FOUR_LABELS, st.sampled_from(FOUR_LABELS.domain.labels), label_point
+    dim = draw(st.integers(1, 3))
+    floats = st.floats(-50.0, 50.0)
+    point = st.lists(floats, min_size=dim, max_size=dim) | hnp.arrays(np.float64, dim, elements=floats)
+    return (induced_from_metric(CoordinateSpace(dim, kind), min_max()),
+            point | floats if dim == 1 else point, coordinate_point)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=probe_points(), data=st.data(), t_horizon=st.floats(1e-3, 1e9), epsilon=st.floats(0.0, 1.0))
+def test_asymptotic_probe_matches_the_per_pair_reference(case, data, t_horizon, epsilon):
+    space, good, bad = case
+    point = good | bad if data.draw(st.booleans()) else good
+    pairs = data.draw(st.lists(st.tuples(point, point), max_size=6))
+    assert report_text(asymptotic_nearness_probe, space, pairs, t_horizon, epsilon) == \
+        report_text(reference_asymptotic, space, pairs, t_horizon, epsilon)
+
+
+def test_asymptotic_probe_reads_mixed_point_forms_on_a_line(line):
+    # a whole-side read rejects this list ("inhomogeneous shape"); each
+    # point is read on its own, as evaluate reads it
+    pairs = [(0.0, 1.0), (2.0, [2.0])]
+    report = asymptotic_nearness_probe(line, pairs, 1e6, 1e-2)
+    assert [(e["x"], e["y"]) for e in report.entries] == [([0.0], [1.0]), ([2.0], [2.0])]
+    assert json_text(vars(report)) == json_text(vars(reference_asymptotic(line, pairs, 1e6, 1e-2)))
+
+
+@st.composite
+def convergent_sequences(draw):
+    """A space of either domain kind and two prefixes with their limits:
+    labels that settle on their limit, or points that halve their distance
+    to it."""
+    kind = draw(st.sampled_from([*BASE_METRICS, "tabulated"]))
+    if kind == "tabulated":
+        label = st.sampled_from(FOUR_LABELS.domain.labels)
+        limits = [draw(label), draw(label)]
+        return FOUR_LABELS, [draw(st.lists(label, max_size=4)) + [lim] * 6 for lim in limits], limits
+    dim = draw(st.integers(1, 3))
+    vector = st.lists(st.floats(-50.0, 50.0), min_size=dim, max_size=dim).map(np.asarray)
+    limits, offsets = [draw(vector), draw(vector)], [draw(vector) / 50.0, draw(vector) / 50.0]
+    seqs = [[(lim + off * 2.0**-n).tolist() for n in range(30)] for lim, off in zip(limits, offsets)]
+    return induced_from_metric(CoordinateSpace(dim, kind), min_max()), seqs, [lim.tolist() for lim in limits]
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=convergent_sequences(), t=positive_t, tolerance=st.floats(0.0, 1.0))
+def test_joint_continuity_probe_matches_the_two_call_reference(case, t, tolerance):
+    space, (xs, ys), (x_limit, y_limit) = case
+    args = (space, xs, x_limit, ys, y_limit, t, tolerance)
+    assert report_text(joint_continuity_probe, *args) == report_text(reference_joint_continuity, *args)
