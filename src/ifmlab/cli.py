@@ -111,11 +111,11 @@ def trace_rows(result: SolveResult) -> list[str]:
     """Lines of the tabular trace, header first (17-significant-digit floats).
 
     The rows are rendered in blocks of about ``BLOCK_CELLS / 4`` floats: a
-    block's coordinates and step rows each become Python floats in one
-    ``tolist()``, so no float list of the whole trace is held.  A row's
-    floats go through one ``%.17g`` format per row width, which renders a
-    finite float exactly as :func:`format_float` does; a row holding NaN or
-    an infinity is rendered cell by cell instead.
+    block's index column, coordinates and step rows become Python floats in
+    one ``tolist()`` and text in one ``%``, whose ``%.17g`` renders a finite
+    float exactly as :func:`format_float` does.  A block holding NaN or an
+    infinity, and a row with no step cells, are rendered cell by cell
+    instead; labels and ball flags are put in row by row.
     """
     trace = result.trace
     points, k = trace.points, len(trace.probe_ts)
@@ -126,7 +126,7 @@ def trace_rows(result: SolveResult) -> list[str]:
     flags = trace.ball_flags
     if flags is not None:
         header.append("in_ball")
-    formats = {w: ",".join(["%.17g"] * w) for w in (dim, dim + 2 * k)}
+    row_format = ",".join(["%d"] + ["%.17g"] * (dim + 2 * k)) + "\n"
     no_steps = "," * (2 * k)
     # a listed Python float takes 32 bytes (object and pointer), four times a
     # float64, so a block's lists hold about the bytes of BLOCK_CELLS floats
@@ -134,22 +134,23 @@ def trace_rows(result: SolveResult) -> list[str]:
     lines = [",".join(header)]
     for lo in range(0, len(points), block):
         hi = min(lo + block, len(points))
-        coords = (np.asarray(points[lo:hi], float).reshape(hi - lo, -1).tolist() if coordinate
-                  else [[]] * (hi - lo))
-        steps = np.hstack([trace.step_mu[lo:hi], trace.step_nu[lo:hi]]).tolist()
-        for i, values in enumerate(coords, lo):
-            row = str(i) if coordinate else f"{i},{_csv_cell(str(points[i]))}"
-            if i - lo < len(steps):
-                values = values + steps[i - lo]
-            if values:
-                text = formats[len(values)] % tuple(values)
-                # only "nan" and "inf" put an "n" in a %g rendering
-                row += "," + (",".join(map(format_float, values)) if "n" in text else text)
-            if i - lo >= len(steps):
-                row += no_steps
-            if flags is not None:
-                row += "," + (str(flags[i]).lower() if i < len(flags) else "")
-            lines.append(row)
+        coords = (np.asarray(points[lo:hi], float).reshape(hi - lo, -1) if coordinate
+                  else np.empty((hi - lo, 0)))
+        full = max(0, min(hi, len(trace.step_mu)) - lo)  # rows with step cells
+        cells = np.hstack([np.arange(lo, lo + full)[:, None], coords[:full],
+                           trace.step_mu[lo : lo + full], trace.step_nu[lo : lo + full]])
+        text = (row_format * full) % tuple(cells.ravel().tolist())
+        # only "nan" and "inf" put an "n" in a %g rendering
+        rows = text.splitlines() if "n" not in text else [
+            ",".join([str(i), *map(format_float, row[1:])]) for i, row in enumerate(cells.tolist(), lo)]
+        rows += [",".join([str(i), *map(format_float, coords[i - lo].tolist())]) + no_steps
+                 for i in range(lo + full, hi)]
+        if not coordinate:
+            rows = [f"{i},{_csv_cell(str(points[i]))}{row[len(str(i)):]}" for i, row in enumerate(rows, lo)]
+        if flags is not None:
+            rows = [f"{row},{str(flags[i]).lower() if i < len(flags) else ''}"
+                    for i, row in enumerate(rows, lo)]
+        lines += rows
     return lines
 
 

@@ -75,8 +75,13 @@ class SelfMap:
         if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
             raise ValueError("affine coefficients must be finite")
 
+        # dot and @ run one BLAS routine from dim 2 on; at dim 1, dot can give
+        # -0.0 where @ gives +0.0 (its product added to +0.0), so there a
+        # -0.0 offset is added as +0.0: every image stays x @ a.T + b bit for bit
+        at, shift = a.T, (b + 0.0 if b.shape[0] == 1 else b)
+
         def fn(x):
-            return np.asarray(x, dtype=float) @ a.T + b
+            return np.asarray(x, dtype=float).dot(at) + shift
 
         return cls(fn, label=f"affine(dim={b.shape[0]})",
                    spec={"affine": {"matrix": a.tolist(), "offset": b.tolist()}})

@@ -83,8 +83,10 @@ def json_text(obj: Any) -> str:
     """Deterministic JSON with explicit float formatting.
 
     The stdlib encoder renders floats via ``repr`` (shortest form); here
-    every float goes through :func:`format_float` so output width does not
-    depend on the value.  Dict keys are emitted sorted.
+    every float is rendered as :func:`format_float` renders it, so output
+    width does not depend on the value; a list of floats in one ``%``, or
+    item by item when it holds NaN or an infinity.  Dict keys are emitted
+    sorted.
     """
     if obj is None:
         return "null"
@@ -109,6 +111,11 @@ def json_text(obj: Any) -> str:
     if hasattr(obj, "tolist"):
         return json_text(obj.tolist())
     if isinstance(obj, (list, tuple)):
+        if all(type(v) is float for v in obj):
+            text = ", ".join(["%.17g"] * len(obj)) % tuple(obj)
+            # only "nan" and "inf" put an "n" in a %g rendering
+            if "n" not in text:
+                return "[" + text + "]"
         return "[" + ", ".join(json_text(v) for v in obj) + "]"
     if hasattr(obj, "to_record"):
         return json_text(obj.to_record())

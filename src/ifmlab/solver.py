@@ -208,7 +208,7 @@ def _solve(space: IfmSpace, map_: SelfMap, x0, config: SolveConfig,
     report = None
 
     def near(mu, nu, axis=None):
-        return np.all((mu > 1.0 - config.epsilon) & (nu < config.epsilon), axis=axis)
+        return ((mu > 1.0 - config.epsilon) & (nu < config.epsilon)).all(axis=axis)
 
     def fill() -> None:
         # the step rows of every iterate not yet stored, in one kernel call

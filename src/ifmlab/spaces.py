@@ -101,10 +101,10 @@ class CoordinateSpace:
     def distance(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         delta = np.abs(np.asarray(x, float) - np.asarray(y, float))
         if self.base_metric == "euclidean":
-            return np.sqrt(np.sum(delta * delta, axis=-1))
+            return np.sqrt((delta * delta).sum(axis=-1))
         if self.base_metric == "chebyshev":
-            return np.max(delta, axis=-1)
-        return np.sum(delta, axis=-1)  # absolute-difference (|x - y| on the line)
+            return delta.max(axis=-1)
+        return delta.sum(axis=-1)  # absolute-difference (|x - y| on the line)
 
     def read(self, points) -> np.ndarray:
         """A sequence of points as an ``(n, dim)`` float array; a point is ``dim``
@@ -403,7 +403,7 @@ def finite_tabulated(domain: FiniteTabulated, operators: OperatorPair) -> IfmSpa
         ids = pair_id[domain.indices(x), domain.indices(y)]
         used, inverse = np.unique(ids.ravel(), return_inverse=True)
         t = np.asarray(t, dtype=float)
-        mu, nu = (np.stack([curves[p][side](t) for p in used]) for side in (0, 1))
+        mu, nu = (np.reshape([curves[p][side](t) for p in used], (len(used), *t.shape)) for side in (0, 1))
         return mu[inverse], nu[inverse]
 
     return IfmSpace(
@@ -695,12 +695,11 @@ def asymptotic_nearness_probe(
     epsilon = unit_scalar(epsilon, "epsilon")
     report = AsymptoticReport(t_horizon=t_horizon, epsilon=epsilon)
     points = [space.domain.as_point(p) for x, y in pairs for p in (x, y)]
-    if points:  # the tabulated kernel cannot take an empty batch
-        xs, ys = points[0::2], points[1::2]
-        mu, nu = membership_grid(space, xs, ys, [t_horizon])
-        for x, y, m, n in zip(xs, ys, map(float, mu[:, 0]), map(float, nu[:, 0])):
-            report.entries.append({"x": point_jsonable(x), "y": point_jsonable(y), "mu": m, "nu": n,
-                                   "ok": m >= 1.0 - epsilon and n <= epsilon})
+    xs, ys = points[0::2], points[1::2]
+    mu, nu = membership_grid(space, xs, ys, [t_horizon])
+    for x, y, m, n in zip(xs, ys, map(float, mu[:, 0]), map(float, nu[:, 0])):
+        report.entries.append({"x": point_jsonable(x), "y": point_jsonable(y), "mu": m, "nu": n,
+                               "ok": m >= 1.0 - epsilon and n <= epsilon})
     return report
 
 

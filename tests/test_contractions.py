@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ifmlab import (
     BallSpec,
@@ -726,3 +727,62 @@ def test_a_nan_gap_fails_the_sequence_check():
     honest = contractive_sequence_check(induced_from_metric(CoordinateSpace(1), min_max()),
                                         [0, 1, 5, 100], 0.5)
     assert honest.verdict == "fail" and honest.worst_witness["n"] == 0
+
+
+def reference_affine(matrix, offset):
+    """The affine map's evaluator as it was: ``x @ a.T + b``."""
+    a, b = np.atleast_2d(np.asarray(matrix, float)), np.atleast_1d(np.asarray(offset, float))
+    return lambda x: np.asarray(x, dtype=float) @ a.T + b
+
+
+# finite values, with signed zeros, subnormals and magnitudes whose products overflow
+AFFINE_VALUE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, -1e308, 1.0, 0.5])
+
+
+@st.composite
+def affine_inputs(draw):
+    """Coefficients of a d-dimensional affine map, and one point or a batch
+    in C order, Fortran order or as a strided view."""
+    d = draw(st.integers(1, 4))
+    a = draw(hnp.arrays(np.float64, (d, d), elements=AFFINE_VALUE))
+    b = draw(hnp.arrays(np.float64, d, elements=AFFINE_VALUE))
+    batch = draw(st.booleans())
+    shape = (draw(st.integers(1, 9)), d) if batch else (d,)
+    layout = draw(st.sampled_from(["C", "F", "strided"]))
+    if layout == "strided":
+        # every other row and column of a larger array
+        wide = draw(hnp.arrays(np.float64, tuple(2 * n for n in shape), elements=AFFINE_VALUE))
+        x = wide[(slice(None, None, 2),) * len(shape)]
+    else:
+        x = np.array(draw(hnp.arrays(np.float64, shape, elements=AFFINE_VALUE)), order=layout)
+    return a, b, x
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=affine_inputs())
+# at d = 1, dot gives the product -0.0 where @ gives +0.0
+@example(case=(np.array([[-0.0]]), np.array([-0.0]), np.array([5e-324])))
+# a Fortran-ordered batch with a -0.0 offset
+@example(case=(np.eye(2) * 0.5, np.array([-0.0, 5e-324]),
+               np.asfortranarray([[-0.0, 1e-310], [3.0, -0.0], [1e308, 4.0]])))
+# at d = 4, BLAS gives -0.0 in column 0 of this batch, which a -0.0 offset keeps
+@example(case=(np.array([[3.733468626253329e-285, 1e308, 3.202432047275546e-280, 2.2250738585072014e-308],
+                         [1.0, 0.0, 9.574239667720827e173, -1.2387743263168362e-30],
+                         [1.292951164684709e279, 4.747993187379788e-126, 0.0, 2.2250738585072014e-308],
+                         [8.299271042495487e186, -1.4313942795106363e-252, 2.0407619398969418e-98,
+                          -8.134195295344778e-28]]),
+               np.array([-0.0, 0.0, 0.0, 0.0]),
+               np.asfortranarray([[0.0, -0.0, -7.497554511123924e-232, -2.2665206299327095e-73]] * 5)))
+def test_affine_images_are_bit_equal_to_the_matmul_reference(case):
+    a, b, x = case
+    map_, space = SelfMap.affine(a, b), induced_from_metric(CoordinateSpace(len(b)), min_max())
+    with np.errstate(over="ignore", invalid="ignore"):
+        image, expected = map_(x), reference_affine(a, b)(x)
+        assert image.shape == expected.shape and image.tobytes() == expected.tobytes()
+        apply = apply_point if x.ndim == 1 else apply_batch
+        if np.isfinite(expected).all():
+            assert apply(space, map_, x).tobytes() == expected.tobytes()
+        else:
+            with pytest.raises(NonFiniteImageError):
+                apply(space, map_, x)

@@ -4,6 +4,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ifmlab.report import (
     WRITE_SLICE,
@@ -34,6 +36,27 @@ def test_json_text_is_sorted_and_parseable():
 def test_json_text_handles_numpy_scalars_and_arrays():
     text = json_text({"v": np.float64(0.5), "n": np.int64(3), "arr": np.asarray([1.0, 2.0])})
     assert json.loads(text) == {"arr": [1.0, 2.0], "n": 3, "v": 0.5}
+
+
+def reference_json_list(items):
+    """A list's JSON as rendered item by item, with no fast path."""
+    def item(v):
+        if v is True or v is False:
+            return str(v).lower()
+        return str(v) if isinstance(v, int) else format_float(float(v))
+
+    return "[" + ", ".join(map(item, items)) + "]"
+
+
+SPECIAL_FLOAT = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324, 1e308, 0.1])
+PLAIN_FLOAT = st.floats() | SPECIAL_FLOAT
+LIST_ITEM = PLAIN_FLOAT | PLAIN_FLOAT.map(np.float64) | st.integers(-(2**70), 2**70) | st.booleans()
+
+
+@settings(max_examples=300, deadline=None)
+@given(items=st.lists(PLAIN_FLOAT, max_size=12) | st.lists(LIST_ITEM, max_size=12), as_tuple=st.booleans())
+def test_json_text_lists_match_the_per_item_rendering(items, as_tuple):
+    assert json_text(tuple(items) if as_tuple else items) == reference_json_list(items)
 
 
 def test_json_text_rejects_unknown_types():

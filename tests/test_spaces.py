@@ -1193,6 +1193,17 @@ def test_asymptotic_probe_reads_mixed_point_forms_on_a_line(line):
     assert json_text(vars(report)) == json_text(vars(reference_asymptotic(line, pairs, 1e6, 1e-2)))
 
 
+@pytest.mark.parametrize("name", ["line", "plane", "three_point_space", "four_labels"])
+def test_an_empty_pair_batch_gives_empty_grids(name, request):
+    # the tabulated kernel raised numpy's "need at least one array to stack"
+    space = FOUR_LABELS if name == "four_labels" else request.getfixturevalue(name)
+    for ts in ([1.0], [0.5, 2.0, 8.0]):
+        mu, nu = membership_grid(space, [], [], ts)
+        assert mu.shape == nu.shape == (0, len(ts))
+    report = asymptotic_nearness_probe(space, [], 1e6, 1e-2)
+    assert report.entries == [] and report.passed
+
+
 @st.composite
 def convergent_sequences(draw):
     """A space of either domain kind and two prefixes with their limits:
