@@ -689,15 +689,16 @@ def asymptotic_nearness_probe(
     The horizon should be large relative to the scale of the pairs; this is
     a finite-horizon stand-in for the limit as ``t`` grows without bound.
     Each point is read as :func:`evaluate` reads it, in pair order, and all
-    pairs are evaluated in one kernel call.
+    pairs are evaluated in one kernel call; an entry names its points as
+    they were given (a line's ``"1.5"`` stays ``"1.5"``).
     """
     t_horizon = time_parameter(t_horizon, "t_horizon")
     epsilon = unit_scalar(epsilon, "epsilon")
     report = AsymptoticReport(t_horizon=t_horizon, epsilon=epsilon)
+    pairs = list(pairs)
     points = [space.domain.as_point(p) for x, y in pairs for p in (x, y)]
-    xs, ys = points[0::2], points[1::2]
-    mu, nu = membership_grid(space, xs, ys, [t_horizon])
-    for x, y, m, n in zip(xs, ys, map(float, mu[:, 0]), map(float, nu[:, 0])):
+    mu, nu = membership_grid(space, points[0::2], points[1::2], [t_horizon])
+    for (x, y), m, n in zip(pairs, map(float, mu[:, 0]), map(float, nu[:, 0])):
         report.entries.append({"x": point_jsonable(x), "y": point_jsonable(y), "mu": m, "nu": n,
                                "ok": m >= 1.0 - epsilon and n <= epsilon})
     return report

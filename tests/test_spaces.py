@@ -1193,6 +1193,15 @@ def test_asymptotic_probe_reads_mixed_point_forms_on_a_line(line):
     assert json_text(vars(report)) == json_text(vars(reference_asymptotic(line, pairs, 1e6, 1e-2)))
 
 
+def test_asymptotic_probe_names_points_as_given(line):
+    # a numeric string is read as a coordinate; the batched probe reported
+    # the read point [1.5] where the per-pair probe kept "1.5"
+    pairs = [([0.0], "1.5")]
+    report = asymptotic_nearness_probe(line, pairs, 1.0, 0.0)
+    assert [(e["x"], e["y"]) for e in report.entries] == [([0.0], "1.5")]
+    assert json_text(vars(report)) == json_text(vars(reference_asymptotic(line, pairs, 1.0, 0.0)))
+
+
 @pytest.mark.parametrize("name", ["line", "plane", "three_point_space", "four_labels"])
 def test_an_empty_pair_batch_gives_empty_grids(name, request):
     # the tabulated kernel raised numpy's "need at least one array to stack"
