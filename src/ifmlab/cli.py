@@ -49,7 +49,7 @@ from .contractions import (
     t_uniform_continuity_probe,
 )
 from .operators import BLOCK_CELLS, audit_operator_pair, check_idempotent, operator_pair
-from .report import format_float, json_text, records_to_jsonl, write_text_atomic
+from .report import format_float, json_text, records_to_jsonl, spell_floats, write_text_atomic
 from .solver import (
     SolveConfig,
     SolveResult,
@@ -61,7 +61,6 @@ from .solver import (
     power_map_solve,
     residual_certificate,
 )
-from .sampling import sampling_box
 from .spaces import IfmSpace, axiom_audit, point_jsonable, points_equal, probe_grid
 
 OUTPUT_DIR_ENV = "IFMLAB_OUT"
@@ -112,10 +111,9 @@ def trace_rows(result: SolveResult) -> list[str]:
 
     The rows are rendered in blocks of about ``BLOCK_CELLS / 4`` floats: a
     block's index column, coordinates and step rows become Python floats in
-    one ``tolist()`` and text in one ``%``, whose ``%.17g`` renders a finite
-    float exactly as :func:`format_float` does.  A block holding NaN or an
-    infinity, and a row with no step cells, are rendered cell by cell
-    instead; labels and ball flags are put in row by row.
+    one ``tolist()`` and text in one ``%``, spelled as :func:`format_float`
+    spells a float.  A row with no step cells is rendered cell by cell;
+    labels and ball flags are put in row by row.
     """
     trace = result.trace
     points, k = trace.points, len(trace.probe_ts)
@@ -139,10 +137,7 @@ def trace_rows(result: SolveResult) -> list[str]:
         full = max(0, min(hi, len(trace.step_mu)) - lo)  # rows with step cells
         cells = np.hstack([np.arange(lo, lo + full)[:, None], coords[:full],
                            trace.step_mu[lo : lo + full], trace.step_nu[lo : lo + full]])
-        text = (row_format * full) % tuple(cells.ravel().tolist())
-        # only "nan" and "inf" put an "n" in a %g rendering
-        rows = text.splitlines() if "n" not in text else [
-            ",".join([str(i), *map(format_float, row[1:])]) for i, row in enumerate(cells.tolist(), lo)]
+        rows = spell_floats((row_format * full) % tuple(cells.ravel().tolist())).splitlines()
         rows += [",".join([str(i), *map(format_float, coords[i - lo].tolist())]) + no_steps
                  for i in range(lo + full, hi)]
         if not coordinate:
@@ -184,26 +179,15 @@ def result_document(result: SolveResult, experiment: dict[str, Any]) -> dict[str
     return doc
 
 
-def export_trace(result: SolveResult, path: str, format: str = "tabular",
-                 experiment: dict[str, Any] | None = None) -> str:
-    """Write a solve trace to ``path`` and return the path.
+def export_trace(result: SolveResult, path: str) -> str:
+    """Write a solve's tabular trace to ``path`` and return the path.
 
-    ``tabular`` emits a CSV with one row per iterate carrying the point,
-    the per-step nearness records at each probe time, and the ball flag
-    when present.  ``structured`` emits the full result document and needs
-    the experiment context for later re-validation.  The tabular lines,
-    rendered per row block by :func:`trace_rows`, are joined once into the
-    file's text, so writing holds about twice that text.
+    The CSV has one row per iterate carrying the point, the per-step
+    nearness records at each probe time, and the ball flag when present.
+    The lines, rendered per row block by :func:`trace_rows`, are joined
+    once into the file's text, so writing holds about twice that text.
     """
-    if format == "tabular":
-        text = "\n".join(trace_rows(result)) + "\n"
-    elif format == "structured":
-        if experiment is None:
-            raise ValueError("structured export needs the experiment context")
-        text = json_text(result_document(result, experiment)) + "\n"
-    else:
-        raise ValueError(f"unknown trace format {format!r}")
-    write_text_atomic(path, text)
+    write_text_atomic(path, "\n".join(trace_rows(result)) + "\n")
     return path
 
 
@@ -284,7 +268,7 @@ def _run_audit(config: ExperimentConfig, out_dir: str | None, summary: RunSummar
         space, _ = _space_and_map(config)
         report = axiom_audit(space, sample_count=action.samples, t_samples=cfg.probe_ts,
                              tolerance=action.tolerance, seed=cfg.seed,
-                             box=sampling_box(space, cfg.sample_halfwidth))
+                             box=space.domain.box(cfg.sample_halfwidth))
     path = _resolve_out(config.output.get("report", "audit_report.jsonl"), out_dir)
     write_text_atomic(path, records_to_jsonl(report.to_records()))
     summary.files.append(path)
@@ -323,7 +307,7 @@ SOLVES = {
 def _run_check(config: ExperimentConfig, out_dir: str | None, summary: RunSummary) -> int:
     space, map_ = _space_and_map(config)
     action, cfg = config.action, config.solve
-    report = CHECKS[action.name](space, map_, action, cfg, sampling_box(space, cfg.sample_halfwidth))
+    report = CHECKS[action.name](space, map_, action, cfg, space.domain.box(cfg.sample_halfwidth))
     path = _resolve_out(config.output.get("report", "check_report.jsonl"), out_dir)
     write_text_atomic(path, records_to_jsonl([report.to_record()]))
     summary.files.append(path)
@@ -356,10 +340,10 @@ def _run_solve(config: ExperimentConfig, out_dir: str | None, summary: RunSummar
         "solve_config": solve_record(cfg),
     }
     result_path = _resolve_out(config.output.get("result", "result.json"), out_dir)
-    export_trace(result, result_path, format="structured", experiment=experiment)
+    write_text_atomic(result_path, json_text(result_document(result, experiment)) + "\n")
     summary.files.append(result_path)
     trace_path = _resolve_out(config.output.get("trace", "trace.csv"), out_dir)
-    export_trace(result, trace_path, format="tabular")
+    export_trace(result, trace_path)
     summary.files.append(trace_path)
 
     hypothesis = result.hypothesis_report

@@ -9,7 +9,6 @@ produce byte-identical files and every float round-trips exactly.
 
 from __future__ import annotations
 
-import math
 import os
 import tempfile
 from dataclasses import dataclass, field
@@ -70,13 +69,17 @@ class AuditReport:
         return [c.to_record() for c in self.clauses]
 
 
+def spell_floats(text: str) -> str:
+    """``%.17g`` text in its written form: ``nan`` as ``NaN`` and ``inf`` as ``Infinity``."""
+    # only "nan" and "inf" put an "n" in a %g rendering
+    if "n" not in text:
+        return text
+    return text.replace("nan", "NaN").replace("inf", "Infinity")
+
+
 def format_float(x: float) -> str:
     """Render a float with 17 significant digits (exact round-trip)."""
-    if math.isnan(x):
-        return "NaN"
-    if math.isinf(x):
-        return "Infinity" if x > 0 else "-Infinity"
-    return format(x, ".17g")
+    return spell_floats("%.17g" % x)
 
 
 def json_text(obj: Any) -> str:
@@ -84,9 +87,8 @@ def json_text(obj: Any) -> str:
 
     The stdlib encoder renders floats via ``repr`` (shortest form); here
     every float is rendered as :func:`format_float` renders it, so output
-    width does not depend on the value; a list of floats in one ``%``, or
-    item by item when it holds NaN or an infinity.  Dict keys are emitted
-    sorted.
+    width does not depend on the value; a list of floats in one ``%``.
+    Dict keys are emitted sorted.
     """
     if obj is None:
         return "null"
@@ -112,10 +114,7 @@ def json_text(obj: Any) -> str:
         return json_text(obj.tolist())
     if isinstance(obj, (list, tuple)):
         if all(type(v) is float for v in obj):
-            text = ", ".join(["%.17g"] * len(obj)) % tuple(obj)
-            # only "nan" and "inf" put an "n" in a %g rendering
-            if "n" not in text:
-                return "[" + text + "]"
+            return "[" + spell_floats(", ".join(["%.17g"] * len(obj)) % tuple(obj)) + "]"
         return "[" + ", ".join(json_text(v) for v in obj) + "]"
     if hasattr(obj, "to_record"):
         return json_text(obj.to_record())

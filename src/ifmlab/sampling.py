@@ -1,9 +1,9 @@
 """Seeded, reproducible point-pair sampling for audits and checks.
 
-Contraction ratios degenerate both for nearly-coincident and far-apart
-pairs, so coordinate pairs are drawn with log-uniform separations spanning
-several decades around a base box.  Identical seeds yield identical
-streams; reports built from them are order-independent.
+Each point domain draws its own pairs (``CoordinateSpace.pairs``,
+``FiniteTabulated.pairs``); this module is the entry point the checks and
+solvers call, and the closed-ball sampler.  Identical seeds yield
+identical streams; reports built from them are order-independent.
 """
 
 from __future__ import annotations
@@ -12,78 +12,16 @@ from typing import Any
 
 import numpy as np
 
-from .spaces import BallSpec, CoordinateSpace, FiniteTabulated, IfmSpace, membership_grid
+from .spaces import BallSpec, FiniteTabulated, IfmSpace, label_pairs, membership_grid
 
-DEFAULT_HALFWIDTH = 8.0
-MIN_SEPARATION_FRACTION = 1e-4
-MAX_SEPARATION_FRACTION = 0.5
 # Rejection rounds of sample_ball_pairs; without a base metric the box
 # doubles after each short one.
 BALL_SAMPLING_ROUNDS = 12
 
 
-def sampling_box(space: IfmSpace, halfwidth: float = DEFAULT_HALFWIDTH, center=None):
-    """Box of ``halfwidth`` around ``center`` (default the origin) for a
-    coordinate space; ``None`` for a tabulated one."""
-    if not isinstance(space.domain, CoordinateSpace):
-        return None
-    c = np.zeros(space.domain.dimension) if center is None else np.asarray(center, float)
-    return c - halfwidth, c + halfwidth
-
-
-def sample_coordinate_pairs(
-    dimension: int,
-    count: int,
-    seed: int,
-    box: tuple[Any, Any] | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct point pairs with log-uniform separation scales.
-
-    Base points are uniform over the box; partners sit at a random
-    direction and a separation drawn log-uniformly between 1e-4 and 0.5 of
-    the box width, so ratio checks see both near and far pairs.  Partners
-    may fall slightly outside the box (the domain is the whole space).
-    """
-    if count < 1:
-        raise ValueError("count must be at least 1")
-    low, high = box if box is not None else (-DEFAULT_HALFWIDTH, DEFAULT_HALFWIDTH)
-    low = np.broadcast_to(np.asarray(low, float), (dimension,))
-    high = np.broadcast_to(np.asarray(high, float), (dimension,))
-    width = float(np.max(high - low))
-    if width <= 0:
-        raise ValueError("sampling box must have positive width")
-    rng = np.random.default_rng(seed)
-    base = rng.uniform(low, high, (count, dimension))
-    directions = rng.normal(size=(count, dimension))
-    norms = np.linalg.norm(directions, axis=1, keepdims=True)
-    norms[norms == 0.0] = 1.0
-    directions /= norms
-    log_lo = np.log(MIN_SEPARATION_FRACTION * width)
-    log_hi = np.log(MAX_SEPARATION_FRACTION * width)
-    separations = np.exp(rng.uniform(log_lo, log_hi, (count, 1)))
-    return base, base + separations * directions
-
-
-def sample_label_pairs(labels: list[str], count: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct ordered label pairs, uniform with replacement."""
-    if len(labels) < 2:
-        raise ValueError("need at least two labels to sample distinct pairs")
-    rng = np.random.default_rng(seed)
-    arr = np.asarray(labels, dtype=object)
-    xi = rng.integers(0, len(labels), count)
-    offset = rng.integers(1, len(labels), count)
-    yi = (xi + offset) % len(labels)
-    return arr[xi], arr[yi]
-
-
-def sample_pairs(
-    space: IfmSpace, count: int, seed: int, box: tuple[Any, Any] | None = None
-) -> tuple[Any, Any]:
-    """Domain-appropriate distinct pair batches for a space."""
-    domain = space.domain
-    if isinstance(domain, CoordinateSpace):
-        return sample_coordinate_pairs(domain.dimension, count, seed, box)
-    return sample_label_pairs(domain.labels, count, seed)
+def sample_pairs(space: IfmSpace, count: int, seed: int, box=None) -> tuple[Any, Any]:
+    """Distinct pair batches as the space's domain draws them; labels ignore ``box``."""
+    return space.domain.pairs(count, seed, box)
 
 
 def sample_ball_pairs(space: IfmSpace, ball: BallSpec, count: int, seed: int) -> tuple[Any, Any]:
@@ -98,6 +36,8 @@ def sample_ball_pairs(space: IfmSpace, ball: BallSpec, count: int, seed: int) ->
     keeps the members of each draw, and of a tabulated space's labels in
     one kernel call.
     """
+    if count < 1:
+        raise ValueError("count must be at least 1")
     domain = space.domain
     center, r = domain.as_point(ball.center), float(ball.radius)
 
@@ -109,7 +49,7 @@ def sample_ball_pairs(space: IfmSpace, ball: BallSpec, count: int, seed: int) ->
         labels = members(domain.label_array)
         if len(labels) < 2:
             raise ValueError("closed ball contains fewer than two labels; nothing to sample")
-        return sample_label_pairs(labels, count, seed)
+        return label_pairs(labels, count, seed)
 
     if space.base_distance is not None:
         halfwidth = ball.time * r / (1.0 - r)
@@ -119,8 +59,7 @@ def sample_ball_pairs(space: IfmSpace, ball: BallSpec, count: int, seed: int) ->
     kept: list[np.ndarray] = []
     found = 0
     for _ in range(BALL_SAMPLING_ROUNDS):
-        draw = rng.uniform(center - halfwidth, center + halfwidth, (4 * count, domain.dimension))
-        kept.append(members(draw))
+        kept.append(members(domain.draw(rng, 4 * count, domain.box(halfwidth, center))))
         found += len(kept[-1])
         if found >= 2 * count:
             break

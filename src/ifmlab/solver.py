@@ -36,8 +36,9 @@ from .contractions import (
     NonFiniteImageError,
     t_uniform_continuity_probe,
 )
-from .sampling import DEFAULT_HALFWIDTH, sample_ball_pairs, sample_pairs, sampling_box
+from .sampling import sample_ball_pairs, sample_pairs
 from .spaces import (
+    DEFAULT_HALFWIDTH,
     AsymptoticReport,
     BallSpec,
     IfmSpace,
@@ -292,7 +293,7 @@ def picard_solve(space: IfmSpace, map_: SelfMap, x0, config: SolveConfig | None 
     result carrying the report.
     """
     config = config or SolveConfig()
-    box = sampling_box(space, config.sample_halfwidth, x0)
+    box = space.domain.box(config.sample_halfwidth, x0)
 
     return _solve(space, map_, x0, config, (
         lambda: _gate(if_contractive_check(space, map_, config.sample_pairs, config.probe_ts,
@@ -357,7 +358,7 @@ def power_map_solve(
     config = config or SolveConfig()
     start = space.domain.default_start() if x0 is None else x0
     power = map_.power(m)
-    box = sampling_box(space, config.sample_halfwidth)
+    box = space.domain.box(config.sample_halfwidth)
     inner = config if m == 1 else replace(config, epsilon=config.epsilon / POWER_SOLVE_TIGHTENING)
     result = _solve(space, power, start, inner, (
         lambda: _gate(if_contractive_check(space, power, config.sample_pairs, config.probe_ts,
@@ -404,7 +405,7 @@ def direct_ratio_solve(
     """
     config = config or SolveConfig()
     start = space.domain.default_start() if x0 is None else x0
-    box = sampling_box(space, config.sample_halfwidth)
+    box = space.domain.box(config.sample_halfwidth)
 
     def ratio() -> tuple[ContractivityReport, str | None]:
         report = direct_ratio_contractive_check(

@@ -31,6 +31,9 @@ from .report import AuditReport, ClauseResult
 DEFAULT_PROBE_TS: tuple[float, ...] = tuple(0.1 * 2.0**i for i in range(10))
 
 DEFAULT_AUDIT_BOX_HALFWIDTH = 5.0
+DEFAULT_HALFWIDTH = 8.0  # of the sampling box when none is given
+MIN_SEPARATION_FRACTION = 1e-4
+MAX_SEPARATION_FRACTION = 0.5
 
 BASE_METRICS = ("euclidean", "chebyshev", "absolute-difference")
 FLOAT64 = np.dtype(float)
@@ -173,6 +176,38 @@ class CoordinateSpace:
     def default_start(self) -> np.ndarray:
         return np.zeros(self.dimension)
 
+    def box(self, halfwidth: float, center=None) -> tuple[np.ndarray, np.ndarray]:
+        """Box of ``halfwidth`` around ``center`` (default the origin)."""
+        c = np.zeros(self.dimension) if center is None else np.asarray(center, float)
+        return c - halfwidth, c + halfwidth
+
+    def pairs(self, count: int, seed: int, box=None) -> tuple[np.ndarray, np.ndarray]:
+        """Distinct point pairs with log-uniform separation scales.
+
+        Base points are uniform over the box; partners sit at a random
+        direction and a separation drawn log-uniformly between 1e-4 and 0.5 of
+        the box width, so ratio checks see both near and far pairs.  Partners
+        may fall slightly outside the box (the domain is the whole space).
+        """
+        if count < 1:
+            raise ValueError("count must be at least 1")
+        low, high = box if box is not None else (-DEFAULT_HALFWIDTH, DEFAULT_HALFWIDTH)
+        low = np.broadcast_to(np.asarray(low, float), (self.dimension,))
+        high = np.broadcast_to(np.asarray(high, float), (self.dimension,))
+        width = float(np.max(high - low))
+        if width <= 0:
+            raise ValueError("sampling box must have positive width")
+        rng = np.random.default_rng(seed)
+        base = rng.uniform(low, high, (count, self.dimension))
+        directions = rng.normal(size=(count, self.dimension))
+        norms = np.linalg.norm(directions, axis=1, keepdims=True)
+        norms[norms == 0.0] = 1.0
+        directions /= norms
+        log_lo = np.log(MIN_SEPARATION_FRACTION * width)
+        log_hi = np.log(MAX_SEPARATION_FRACTION * width)
+        separations = np.exp(rng.uniform(log_lo, log_hi, (count, 1)))
+        return base, base + separations * directions
+
 
 @dataclass(frozen=True)
 class Curve:
@@ -301,6 +336,28 @@ class FiniteTabulated:
 
     def default_start(self) -> str:
         return self.labels[0]
+
+    def box(self, halfwidth: float, center=None) -> None:
+        """No box: labels are drawn from the whole domain."""
+        return None
+
+    def pairs(self, count: int, seed: int, box=None) -> tuple[np.ndarray, np.ndarray]:
+        """Distinct label pairs over every label, as :func:`label_pairs` draws them."""
+        return label_pairs(self.labels, count, seed)
+
+
+def label_pairs(labels, count: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct ordered label pairs, uniform with replacement."""
+    if count < 1:
+        raise ValueError("count must be at least 1")
+    if len(labels) < 2:
+        raise ValueError("need at least two labels to sample distinct pairs")
+    rng = np.random.default_rng(seed)
+    arr = np.asarray(labels, dtype=object)
+    xi = rng.integers(0, len(labels), count)
+    offset = rng.integers(1, len(labels), count)
+    yi = (xi + offset) % len(labels)
+    return arr[xi], arr[yi]
 
 
 PointDomain = CoordinateSpace | FiniteTabulated

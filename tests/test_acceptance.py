@@ -13,7 +13,6 @@ import pytest
 
 import ifmlab as m
 from ifmlab.cli import main
-from ifmlab.sampling import sample_coordinate_pairs
 
 
 @contextmanager
@@ -67,7 +66,7 @@ def test_criterion_02_space_axioms_on_plane():
         plane = make_plane()
         report = m.axiom_audit(plane, 10_000, tolerance=1e-9, seed=42)
         assert report.passed, [c.clause for c in report.failures()]
-        xs, ys = sample_coordinate_pairs(2, 10_000, seed=43)
+        xs, ys = m.CoordinateSpace(2).pairs(10_000, seed=43)
         for t in m.DEFAULT_PROBE_TS:
             mu, nu = plane.mu_nu(xs, ys, t)
             assert np.all(mu + nu == 1.0)
@@ -99,7 +98,7 @@ def test_criterion_04_contractivity_oracle_equivalence():
         rng = np.random.default_rng(2024)
         for _ in range(20):
             map_ = scaled_affine(rng, rng.uniform(0.05, 0.95))
-            xs, ys = sample_coordinate_pairs(2, 10_000, seed=int(rng.integers(1 << 30)))
+            xs, ys = m.CoordinateSpace(2).pairs(10_000, seed=int(rng.integers(1 << 30)))
             report = m.if_contractive_check(plane, map_, 0, pairs=(xs, ys))
             assert report.passed
             oracle = float(np.max(plane.base_distance(map_(xs), map_(ys))

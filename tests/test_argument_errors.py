@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ifmlab import (
+    BallSpec,
     ClauseResult,
     CoordinateSpace,
     FiniteTabulated,
@@ -14,6 +15,7 @@ from ifmlab import (
     closed_ball_hypotheses,
     closedness_probe,
     finite_tabulated,
+    if_contractive_check,
     induced_from_metric,
     min_max,
     self_map_from_spec,
@@ -22,11 +24,13 @@ from ifmlab import (
 )
 from ifmlab.operators import idempotency_witness
 from ifmlab.report import json_text
-from ifmlab.sampling import sample_coordinate_pairs, sample_label_pairs
+from ifmlab.sampling import sample_ball_pairs
 
 LINE = induced_from_metric(CoordinateSpace(1), min_max())
 HALVE = SelfMap.affine([[0.5]], [0.0])
 PAIR = (0.4, 0.5)
+TABULATED = finite_tabulated(FiniteTabulated(["a", "b"], {("a", "b"): PAIR}), min_max())
+TABLE_MAP = SelfMap.table({"a": "a", "b": "a"})
 
 ARGUMENT_ERRORS = {
     "affine-shapes": (lambda: SelfMap.affine([[1.0, 2.0]], [1.0]), ValueError,
@@ -47,11 +51,17 @@ ARGUMENT_ERRORS = {
                         "tolerance must be nonnegative"),
     "idempotency-grid": (lambda: idempotency_witness(min_max(), 1), ValueError,
                          "grid_size must be at least 2"),
-    "sample-count": (lambda: sample_coordinate_pairs(1, 0, 0), ValueError, "count must be at least 1"),
-    "sample-box": (lambda: sample_coordinate_pairs(2, 5, 0, (1.0, 1.0)), ValueError,
+    "sample-count": (lambda: CoordinateSpace(1).pairs(0, 0), ValueError, "count must be at least 1"),
+    "sample-box": (lambda: CoordinateSpace(2).pairs(5, 0, (1.0, 1.0)), ValueError,
                    "sampling box must have positive width"),
-    "one-label": (lambda: sample_label_pairs(["a"], 5, 0), ValueError,
+    "one-label": (lambda: FiniteTabulated(["a"], {}).pairs(5, 0), ValueError,
                   "need at least two labels to sample distinct pairs"),
+    "label-count": (lambda: if_contractive_check(TABULATED, TABLE_MAP, -1), ValueError,
+                    "count must be at least 1"),
+    "probe-count": (lambda: t_uniform_continuity_probe(TABULATED, TABLE_MAP, [0.1], -2), ValueError,
+                    "count must be at least 1"),
+    "ball-count": (lambda: sample_ball_pairs(LINE, BallSpec(0.0, 0.5, 1.0), -1, 1), ValueError,
+                   "count must be at least 1"),
     "dimension": (lambda: CoordinateSpace(0), ValueError, "dimension must be at least 1"),
     "no-labels": (lambda: FiniteTabulated([], {}), ValueError, "at least one label is required"),
     "repeated-label": (lambda: FiniteTabulated(["a", "a"], {}), ValueError, "labels must be unique"),

@@ -905,14 +905,6 @@ def test_export_trace_17_digit_round_trip(tmp_path, line, half_plus_one):
     assert float(row1[2]) == result.trace.step_mu[0, 0]
 
 
-def test_export_trace_structured_needs_context(tmp_path, line, half_plus_one):
-    result = picard_solve(line, half_plus_one, 0.0)
-    with pytest.raises(ValueError, match="experiment context"):
-        export_trace(result, str(tmp_path / "x.json"), format="structured")
-    with pytest.raises(ValueError, match="unknown trace format"):
-        export_trace(result, str(tmp_path / "x.bin"), format="binary")
-
-
 def test_unwritable_output_path_is_input_error(tmp_path):
     blocker = tmp_path / "blocked"
     blocker.write_text("file, not a directory")

@@ -36,14 +36,8 @@ from ifmlab.contractions import (
 )
 from ifmlab.operators import BLOCK_CELLS
 from ifmlab.report import json_text
-from ifmlab.sampling import (
-    BALL_SAMPLING_ROUNDS,
-    sample_ball_pairs,
-    sample_coordinate_pairs,
-    sample_label_pairs,
-    sample_pairs,
-)
-from ifmlab.spaces import DEFAULT_PROBE_TS, membership_grid, point_jsonable, probe_grid
+from ifmlab.sampling import BALL_SAMPLING_ROUNDS, sample_ball_pairs, sample_pairs
+from ifmlab.spaces import DEFAULT_PROBE_TS, label_pairs, membership_grid, point_jsonable, probe_grid
 
 
 def random_contraction(rng, dim=2, norm_low=0.1, norm_high=0.95):
@@ -86,7 +80,7 @@ def test_estimated_k_matches_distance_ratio_oracle(plane):
     rng = np.random.default_rng(17)
     for _ in range(5):
         map_, _ = random_contraction(rng)
-        xs, ys = sample_coordinate_pairs(2, 2000, seed=int(rng.integers(1 << 30)))
+        xs, ys = CoordinateSpace(2).pairs(2000, seed=int(rng.integers(1 << 30)))
         report = if_contractive_check(plane, map_, 0, pairs=(xs, ys))
         d_pre = plane.base_distance(xs, ys)
         d_post = plane.base_distance(map_(xs), map_(ys))
@@ -316,7 +310,7 @@ def reference_sample_ball_pairs(space, ball, count, seed):
         members = [lab for lab in domain.labels if ball_contains(space, ball, lab, mode="closed")]
         if len(members) < 2:
             raise ValueError("closed ball contains fewer than two labels; nothing to sample")
-        return sample_label_pairs(members, count, seed)
+        return label_pairs(members, count, seed)
     center = domain.as_point(ball.center)
     r = float(ball.radius)
     halfwidth = ball.time * r / (1.0 - r) if space.base_distance is not None else 1.0
@@ -678,10 +672,11 @@ def test_empty_pair_batch_is_rejected(line, half_plus_one, three_point_space):
     empty = np.empty((0, 1))
     with pytest.raises(ValueError, match="the pair batch is empty"):
         if_contractive_check(line, half_plus_one, 0, pairs=(empty, empty))
+    # a sampled count of 0 is refused by the label sampler, as by the coordinate one
     const = SelfMap.table({"a": "c", "b": "c", "c": "c"})
-    with pytest.raises(ValueError, match="the pair batch is empty"):
+    with pytest.raises(ValueError, match="count must be at least 1"):
         direct_ratio_contractive_check(three_point_space, const, 0)
-    with pytest.raises(ValueError, match="the pair batch is empty"):
+    with pytest.raises(ValueError, match="count must be at least 1"):
         t_uniform_continuity_probe(three_point_space, const, [0.1], 0)
 
 

@@ -4,7 +4,7 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ifmlab.report import (
@@ -51,6 +51,24 @@ def reference_json_list(items):
 SPECIAL_FLOAT = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324, 1e308, 0.1])
 PLAIN_FLOAT = st.floats() | SPECIAL_FLOAT
 LIST_ITEM = PLAIN_FLOAT | PLAIN_FLOAT.map(np.float64) | st.integers(-(2**70), 2**70) | st.booleans()
+
+
+def reference_format_float(x):
+    """A float's rendering with NaN and the infinities spelled one test at a time."""
+    if math.isnan(x):
+        return "NaN"
+    if math.isinf(x):
+        return "Infinity" if x > 0 else "-Infinity"
+    return format(x, ".17g")
+
+
+@settings(max_examples=500, deadline=None)
+@given(x=PLAIN_FLOAT | PLAIN_FLOAT.map(np.float64))
+@example(x=-math.nan)
+@example(x=np.float64(-math.inf))
+@example(x=np.float64(-0.0))
+def test_format_float_matches_the_reference_spelling(x):
+    assert format_float(x) == reference_format_float(x)
 
 
 @settings(max_examples=300, deadline=None)

@@ -43,6 +43,7 @@ from ifmlab.spaces import (
     JointContinuityReport,
     NonFiniteImageError,
     _triangle_rank,
+    label_pairs,
     point_jsonable,
     points_equal,
     probe_grid,
@@ -1236,3 +1237,115 @@ def test_joint_continuity_probe_matches_the_two_call_reference(case, t, toleranc
     space, (xs, ys), (x_limit, y_limit) = case
     args = (space, xs, x_limit, ys, y_limit, t, tolerance)
     assert report_text(joint_continuity_probe, *args) == report_text(reference_joint_continuity, *args)
+
+
+# ---------------------------------------------------------------------------
+# pair sampling on the domains against the sampler bodies it came from
+
+REFERENCE_HALFWIDTH, REFERENCE_MIN_SEPARATION, REFERENCE_MAX_SEPARATION = 8.0, 1e-4, 0.5
+
+
+def reference_sampling_box(space, halfwidth=REFERENCE_HALFWIDTH, center=None):
+    """The sampling box as one function chose it by domain type."""
+    if not isinstance(space.domain, CoordinateSpace):
+        return None
+    c = np.zeros(space.domain.dimension) if center is None else np.asarray(center, float)
+    return c - halfwidth, c + halfwidth
+
+
+def reference_coordinate_pairs(dimension, count, seed, box=None):
+    """Coordinate pairs as one function of the dimension drew them."""
+    if count < 1:
+        raise ValueError("count must be at least 1")
+    low, high = box if box is not None else (-REFERENCE_HALFWIDTH, REFERENCE_HALFWIDTH)
+    low = np.broadcast_to(np.asarray(low, float), (dimension,))
+    high = np.broadcast_to(np.asarray(high, float), (dimension,))
+    width = float(np.max(high - low))
+    if width <= 0:
+        raise ValueError("sampling box must have positive width")
+    rng = np.random.default_rng(seed)
+    base = rng.uniform(low, high, (count, dimension))
+    directions = rng.normal(size=(count, dimension))
+    norms = np.linalg.norm(directions, axis=1, keepdims=True)
+    norms[norms == 0.0] = 1.0
+    directions /= norms
+    log_lo = np.log(REFERENCE_MIN_SEPARATION * width)
+    log_hi = np.log(REFERENCE_MAX_SEPARATION * width)
+    separations = np.exp(rng.uniform(log_lo, log_hi, (count, 1)))
+    return base, base + separations * directions
+
+
+def reference_label_pairs(labels, count, seed):
+    """Label pairs as they were drawn, before a count below 1 was refused."""
+    if len(labels) < 2:
+        raise ValueError("need at least two labels to sample distinct pairs")
+    rng = np.random.default_rng(seed)
+    arr = np.asarray(labels, dtype=object)
+    xi = rng.integers(0, len(labels), count)
+    offset = rng.integers(1, len(labels), count)
+    yi = (xi + offset) % len(labels)
+    return arr[xi], arr[yi]
+
+
+def drawn(sampler, *args):
+    """Each side's dtype and bytes (labels as a list), or the rejection.
+
+    A box narrower than about 1e-319 puts ``log(0)`` into the separation
+    range, which numpy's ``uniform`` rejects with an OverflowError."""
+    try:
+        sides = sampler(*args)
+    except (ValueError, OverflowError) as exc:
+        return "rejected", type(exc).__name__, str(exc)
+    return [(side.dtype, side.tolist() if side.dtype == object else side.tobytes()) for side in sides]
+
+
+def box_bytes(box):
+    return None if box is None else [np.asarray(edge).tobytes() for edge in box]
+
+
+seeds = st.integers(0, 2**64 - 1)
+counts = st.integers(1, 50)
+
+
+@st.composite
+def coordinate_boxes(draw):
+    """A dimension of 1-4, and a box with no width or more: none, scalar
+    edges or per-axis edges; or the halfwidth and center (a point or the
+    origin) of a domain box."""
+    dim = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["none", "scalar", "per-axis", "centred", "origin"]))
+    if kind == "none":
+        return dim, None, None
+    if kind == "scalar":
+        low = draw(st.floats(-20.0, 20.0))
+        return dim, (low, low + draw(st.floats(0.0, 40.0))), None
+    if kind == "per-axis":
+        low = np.asarray(draw(st.lists(st.floats(-20.0, 20.0), min_size=dim, max_size=dim)))
+        return dim, (low, low + draw(st.lists(st.floats(0.0, 40.0), min_size=dim, max_size=dim))), None
+    center = None if kind == "origin" else draw(st.lists(st.floats(-20.0, 20.0), min_size=dim, max_size=dim))
+    return dim, None, (draw(st.floats(1e-3, 20.0)), center)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=coordinate_boxes(), count=counts, seed=seeds)
+@example(case=(1, (0.0, 5e-324), None), count=1, seed=0)
+def test_coordinate_pairs_match_the_reference_body(case, count, seed):
+    dim, box, around = case
+    if around is not None:
+        box = CoordinateSpace(dim).box(*around)
+        space = induced_from_metric(CoordinateSpace(dim), min_max())
+        assert box_bytes(box) == box_bytes(reference_sampling_box(space, *around))
+    assert drawn(CoordinateSpace(dim).pairs, count, seed, box) == \
+        drawn(reference_coordinate_pairs, dim, count, seed, box)
+
+
+@settings(max_examples=200, deadline=None)
+@given(size=st.integers(2, 6), count=counts, seed=seeds, halfwidth=st.floats(1e-3, 20.0))
+def test_label_pairs_match_the_reference_body(size, count, seed, halfwidth):
+    labels = ["a", "b", "c", "d", "e", "f"][:size]
+    domain = FiniteTabulated(labels, {(a, b): (0.4, 0.5) for i, a in enumerate(labels) for b in labels[i + 1:]})
+    expected = drawn(reference_label_pairs, labels, count, seed)
+    assert drawn(label_pairs, labels, count, seed) == expected
+    assert drawn(domain.pairs, count, seed) == expected
+    assert domain.box(halfwidth, labels[0]) is None
+    assert reference_sampling_box(finite_tabulated(domain, min_max()), halfwidth, labels[0]) is None
