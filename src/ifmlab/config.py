@@ -25,6 +25,7 @@ from .spaces import (
     CoordinateSpace,
     FiniteTabulated,
     IfmSpace,
+    MIN_SEPARATION_FRACTION,
     PointDomain,
     finite_tabulated,
     induced_from_metric,
@@ -114,6 +115,14 @@ NONNEGATIVE = _between(0.0, math.inf, closed=True)
 
 def _at_least(lo: int) -> Reader:
     return _between(lo, math.inf, integer=True, closed=True)
+
+
+def _halfwidth(value: Any, path: str, domain: Any = None) -> float:
+    """A halfwidth whose box, twice as wide, is finite, as is the smallest pair separation in it."""
+    h = POSITIVE(value, path)
+    if not 0.0 < MIN_SEPARATION_FRACTION * (2.0 * h) < math.inf:
+        raise ConfigError(path, f"must give a box of finite width that separates pairs, got {value!r}")
+    return h
 
 
 def _flag(value: Any, path: str, domain: Any = None) -> bool:
@@ -226,7 +235,7 @@ def _ball(value: Any, path: str, domain: PointDomain) -> BallSpec:
 SOLVE_FIELDS = {"epsilon": (UNIT, UNSET), "max_iterations": (_at_least(1), UNSET),
                 "probe_ts": (_probe_ts, UNSET), "window": (_at_least(1), UNSET),
                 "hypothesis_checks": (_flag, UNSET)}
-SAMPLING_FIELDS = {"pairs": (_at_least(1), UNSET), "halfwidth": (POSITIVE, UNSET)}
+SAMPLING_FIELDS = {"pairs": (_at_least(1), UNSET), "halfwidth": (_halfwidth, UNSET)}
 CHECK_SAMPLING_FIELDS = {**SAMPLING_FIELDS, "pairs": (_at_least(1), 1000)}
 
 PAIR_FIELDS = {"between": (_between_labels, REQUIRED), "mu": (_curve, REQUIRED), "nu": (_curve, REQUIRED)}

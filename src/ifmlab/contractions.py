@@ -52,8 +52,14 @@ class SelfMap:
     Wraps an evaluator together with a serializable descriptor (used by
     the CLI to reconstruct maps from result documents).  Coordinate-domain
     evaluators must accept both single points ``(dim,)`` and batches
-    ``(n, dim)``; label evaluators get one label at a time.
+    ``(n, dim)``; label evaluators get one label at a time.  A batch row
+    may differ from the one-point image in the last bit (gemm against gemv).
+    ``_rows``, set on affine maps and their powers and ``None`` on others,
+    maps a batch whose rows are the one-point images bit for bit; the
+    stored chain of a solve is re-checked by it (:func:`~ifmlab.solver.chain_break`).
     """
+
+    _rows: Callable | None = None
 
     def __init__(self, fn: Callable, label: str = "custom", spec: dict | None = None):
         self.fn = fn
@@ -83,8 +89,11 @@ class SelfMap:
         def fn(x):
             return np.asarray(x, dtype=float).dot(at) + shift
 
-        return cls(fn, label=f"affine(dim={b.shape[0]})",
-                   spec={"affine": {"matrix": a.tolist(), "offset": b.tolist()}})
+        affine = cls(fn, label=f"affine(dim={b.shape[0]})",
+                     spec={"affine": {"matrix": a.tolist(), "offset": b.tolist()}})
+        # a stack of 1-by-dim rows: numpy maps each row as it maps one point
+        affine._rows = lambda xs: np.matmul(xs[:, None, :], at)[:, 0, :] + shift
+        return affine
 
     @classmethod
     def table(cls, mapping: dict[str, str]) -> "SelfMap":
@@ -124,13 +133,16 @@ class SelfMap:
         if m == 1:
             return self
 
-        def fn(x):
+        def fn(x, step=self.fn):
             for _ in range(m):
-                x = self.fn(x)
+                x = step(x)
             return x
 
         spec = {"power": {"of": self.spec, "m": m}} if self.spec is not None else None
-        return SelfMap(fn, label=f"{self.label}^{m}", spec=spec)
+        power = SelfMap(fn, label=f"{self.label}^{m}", spec=spec)
+        if self._rows is not None:
+            power._rows = lambda xs: fn(xs, self._rows)
+        return power
 
 
 BUILTIN_MAPS: dict[str, Callable[[], SelfMap]] = {
@@ -166,7 +178,9 @@ def apply_point(space: IfmSpace, map_: SelfMap, p):
 
 
 def apply_batch(space: IfmSpace, map_: SelfMap, pts):
-    """Apply a map to a point sequence, validating the images stay in the domain."""
+    """Apply a map to a point sequence in one call, validating the images stay
+    in the domain; an image may differ from :func:`apply_point`'s in the last
+    bit, as :class:`SelfMap` says."""
     return space.domain.apply(map_, pts)
 
 

@@ -80,7 +80,8 @@ def product_probsum() -> OperatorPair:
 
 def lukasiewicz() -> OperatorPair:
     def luk_norm(a, b):
-        return np.maximum(a + b - 1.0, 0.0)
+        # a - (1 - b), not a + b - 1: 1 - b is exact for b in [0.5, 1], so tnorm(a, 1) is a
+        return np.maximum(a - (1.0 - b), 0.0)
 
     def luk_conorm(a, b):
         return np.minimum(a + b, 1.0)
@@ -347,8 +348,9 @@ def find_separation_witnesses(
     The partner witnesses of ``product-probsum`` exist in double precision
     for any ``lower`` at least two doubles below ``upper``, and those of
     ``min-max`` for any ``lower < upper``; ``lukasiewicz`` computes
-    ``a + c - 1`` on the grid of doubles near 1, so it needs a gap of order
-    1e-16.
+    ``a - (1 - c)``, where ``1 - c`` is at least 2**-53 for a double
+    ``c < 1``, so its partners exist exactly when ``upper - lower`` exceeds
+    2**-53 (about 1.1e-16).
     """
     upper = unit_scalar(upper, "upper")
     lower = unit_scalar(lower, "lower")

@@ -87,8 +87,8 @@ def json_text(obj: Any) -> str:
 
     The stdlib encoder renders floats via ``repr`` (shortest form); here
     every float is rendered as :func:`format_float` renders it, so output
-    width does not depend on the value; a list of floats in one ``%``.
-    Dict keys are emitted sorted.
+    width does not depend on the value; a list of floats, or of lists of
+    floats all of one length, in one ``%``.  Dict keys are emitted sorted.
     """
     if obj is None:
         return "null"
@@ -115,6 +115,11 @@ def json_text(obj: Any) -> str:
     if isinstance(obj, (list, tuple)):
         if all(type(v) is float for v in obj):
             return "[" + spell_floats(", ".join(["%.17g"] * len(obj)) % tuple(obj)) + "]"
+        if all(type(v) is list for v in obj) and len(set(map(len, obj))) == 1:
+            flat = [x for v in obj for x in v]
+            if all(type(x) is float for x in flat):
+                row = "[" + ", ".join(["%.17g"] * len(obj[0])) + "]"
+                return "[" + spell_floats(", ".join([row] * len(obj)) % tuple(flat)) + "]"
         return "[" + ", ".join(json_text(v) for v in obj) + "]"
     if hasattr(obj, "to_record"):
         return json_text(obj.to_record())

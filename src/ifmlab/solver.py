@@ -148,24 +148,29 @@ def chain_break(space: IfmSpace, map_: SelfMap, points: Sequence) -> int | None:
     """First step ``i`` whose stored successor is not the image of
     ``points[i]``, or ``None`` when the whole chain holds.
 
-    The stored chain is read once, as the domain's unchecked batch, into
-    Python values; each image's ``tolist()`` is compared with its stored
-    successor's, so equality is exact (``-0.0`` equals ``0.0``, NaN equals
-    nothing).  A chain that does not read as one batch (a ragged or
-    non-numeric point) is compared step by step by :func:`points_equal`,
-    so a malformed point is a break at the step before it, and a break
-    before that is still the answer.  Each step applies the map to
-    ``points[i]`` by :func:`apply_point`, which raises on a bad point or an
-    escaping image.
+    Equality is exact (``-0.0`` equals ``0.0``, NaN equals nothing).  A map
+    with a row-exact batch form (``SelfMap._rows``) maps a chain that reads
+    as checked points in one call, and the first step that differs raises
+    through the domain's image check as its :func:`apply_point` would.
+    Other maps and chains are walked by :func:`apply_point`, which raises on
+    a bad point or an escaping image, and :func:`points_equal`, so a
+    malformed point is a break at the step before it, and a break before
+    that is still the answer.
     """
-    try:
-        stored = space.domain.batch(points).tolist()
-    except (TypeError, ValueError):
-        stored = None
+    if map_._rows is not None:
+        try:
+            pts = space.domain.read(points)
+            images = map_._rows(pts[:-1])
+            broken = np.flatnonzero(~(images == pts[1:]).all(axis=1))
+        except (TypeError, ValueError, IndexError):  # the walk below decides, step by step
+            broken = None
+        if broken is not None:
+            if broken.size:
+                space.domain.image(images[broken[0]])
+                return int(broken[0])
+            return None
     for i in range(len(points) - 1):
-        image = apply_point(space, map_, points[i])
-        if (not points_equal(image, points[i + 1]) if stored is None
-                else np.asarray(image).tolist() != stored[i + 1]):
+        if not points_equal(apply_point(space, map_, points[i]), points[i + 1]):
             return i
     return None
 

@@ -166,6 +166,9 @@ class CoordinateSpace:
 
     def draw(self, rng: np.random.Generator, count: int, box) -> np.ndarray:
         """``count`` audit points, uniform over ``box``."""
+        with np.errstate(over="ignore"):
+            if not np.isfinite(np.subtract(box[1], box[0])).all():
+                raise ValueError("sampling box must have a finite width")
         return rng.uniform(*box, (count, self.dimension))
 
     @staticmethod
@@ -194,9 +197,12 @@ class CoordinateSpace:
         low, high = box if box is not None else (-DEFAULT_HALFWIDTH, DEFAULT_HALFWIDTH)
         low = np.broadcast_to(np.asarray(low, float), (self.dimension,))
         high = np.broadcast_to(np.asarray(high, float), (self.dimension,))
-        width = float(np.max(high - low))
+        with np.errstate(over="ignore"):  # an infinite width is refused below
+            width = float(np.max(high - low))
         if width <= 0:
             raise ValueError("sampling box must have positive width")
+        if not 0.0 < MIN_SEPARATION_FRACTION * width < math.inf:
+            raise ValueError(f"sampling box must have a finite width that separates pairs, got {width!r}")
         rng = np.random.default_rng(seed)
         base = rng.uniform(low, high, (count, self.dimension))
         directions = rng.normal(size=(count, self.dimension))

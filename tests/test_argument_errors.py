@@ -54,6 +54,10 @@ ARGUMENT_ERRORS = {
     "sample-count": (lambda: CoordinateSpace(1).pairs(0, 0), ValueError, "count must be at least 1"),
     "sample-box": (lambda: CoordinateSpace(2).pairs(5, 0, (1.0, 1.0)), ValueError,
                    "sampling box must have positive width"),
+    "sample-box-too-wide": (lambda: CoordinateSpace(2).pairs(5, 0, (-1e308, 1e308)), ValueError,
+                            "sampling box must have a finite width that separates pairs, got inf"),
+    "draw-box-too-wide": (lambda: CoordinateSpace(2).draw(np.random.default_rng(0), 5, (-1e308, 1e308)),
+                          ValueError, "sampling box must have a finite width"),
     "one-label": (lambda: FiniteTabulated(["a"], {}).pairs(5, 0), ValueError,
                   "need at least two labels to sample distinct pairs"),
     "label-count": (lambda: if_contractive_check(TABULATED, TABLE_MAP, -1), ValueError,

@@ -339,6 +339,18 @@ def test_nonfinite_config_numbers_exit_two(tmp_path, capsys, old, new):
     assert "finite" in capsys.readouterr().err
 
 
+PLANE_CHECK_YAML = """
+operators: min-max
+space:
+  induced: {dimension: 2}
+map:
+  affine: {matrix: [[0.5, 0.0], [0.0, 0.5]], offset: [0.0, 0.0]}
+action:
+  check: {notion: if_contractive}
+output: {report: ifc.jsonl}
+"""
+
+
 def case(command, text, old, new, field, id):
     return pytest.param(command, text, old, new, field, id=id)
 
@@ -440,6 +452,14 @@ def case(command, text, old, new, field, id):
          "solve.probe_ts[1]", "probe_ts-huge-int"),
     case("solve", MISSING_PAIR_YAML, "{between: [a, b], mu: 0.4", "{between: [a, b], mu: [[1.0, 0.4], [1"
          + "0" * 400 + ", 0.5]]", "space.tabulated.pairs[0].mu[1][0]", "curve-huge-int"),
+    # a traceback before: numpy's OverflowError, drawing pairs or audit points
+    # in a box of infinite width, or a separation range from log(0)
+    case("check", PLANE_CHECK_YAML, "output:", "sampling: {halfwidth: 1.0e+308}\noutput:",
+         "sampling.halfwidth", "halfwidth-too-wide"),
+    case("check", PLANE_CHECK_YAML, "output:", "sampling: {halfwidth: 1.0e-320}\noutput:",
+         "sampling.halfwidth", "halfwidth-too-narrow"),
+    case("audit", SPACE_AUDIT_YAML, "output:", "sampling: {halfwidth: 1.0e+308}\noutput:",
+         "sampling.halfwidth", "audit-halfwidth-too-wide"),
     # rejections that no other case reached
     case("check", UNIFORM_YAML, "epsilons: [0.1, 0.01]", "epsilons: []", "action.check.epsilons",
          "epsilons-empty"),
@@ -1156,11 +1176,23 @@ def test_solve_and_validate_keep_their_map_and_kernel_call_counts(tmp_path, monk
     # The benchmark's tracer counts map applications at contractions.apply_point,
     # rebound in every module that holds it, and kernel calls at IfmSpace.mu_nu;
     # a loop that bypasses either, or adds kernel calls, changes these counts.
+    # An affine map's row-exact batch form (SelfMap._rows) is counted too.
     import ifmlab.contractions
-    from ifmlab import IfmSpace
+    from ifmlab import IfmSpace, SelfMap
 
-    calls = {"apply_point": 0, "mu_nu": 0}
-    apply_point, kernel = ifmlab.contractions.apply_point, IfmSpace.mu_nu
+    calls = {"apply_point": 0, "mu_nu": 0, "rows": 0}
+    apply_point, kernel, affine = ifmlab.contractions.apply_point, IfmSpace.mu_nu, SelfMap.affine.__func__
+
+    def counted_affine(cls, *args):
+        map_ = affine(cls, *args)
+        rows = map_._rows
+
+        def counted_rows(xs):
+            calls["rows"] += 1
+            return rows(xs)
+
+        map_._rows = counted_rows
+        return map_
 
     def counted_apply_point(*args):
         calls["apply_point"] += 1
@@ -1177,6 +1209,7 @@ def test_solve_and_validate_keep_their_map_and_kernel_call_counts(tmp_path, monk
     for module, key in holders:
         monkeypatch.setattr(module, key, counted_apply_point)
     monkeypatch.setattr(IfmSpace, "mu_nu", counted_kernel)
+    monkeypatch.setattr(SelfMap, "affine", classmethod(counted_affine))
 
     cfg = write(tmp_path, "counted.yaml", COUNTED_SOLVE_YAML)
     assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 0
@@ -1187,9 +1220,10 @@ def test_solve_and_validate_keep_their_map_and_kernel_call_counts(tmp_path, monk
     assert (doc["iterations"], len(doc["trace_points"])) == (1968, 1977)
     # one application per step; the gates' sampled checks, one call for
     # the eight pairs of the large-horizon probe (eight calls before), the
-    # step-row blocks and the window grids; then the chain and the residual
-    assert solved == {"apply_point": 1976, "mu_nu": 455}
-    assert validated == {"apply_point": 1977, "mu_nu": 1}
+    # step-row blocks and the window grids; then the residual, and the stored
+    # chain in one batch call (one apply_point per step before)
+    assert solved == {"apply_point": 1976, "mu_nu": 455, "rows": 0}
+    assert validated == {"apply_point": 1, "mu_nu": 1, "rows": 1}
 
 
 def test_every_file_write_passes_its_text_as_one_string(tmp_path, monkeypatch):

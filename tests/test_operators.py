@@ -170,10 +170,29 @@ def test_witness_gap_below_double_precision_is_value_error():
     # inequality, so this is a precision limit, not a malformed operator.
     with pytest.raises(ValueError, match="closer than double precision"):
         find_separation_witnesses(product_probsum(), doubles_above(1e-6, 1), 1e-6, 0.5)
-    # lukasiewicz computes upper + c - 1 on the coarse grid of doubles near 1
+    # the lukasiewicz partner needs a gap above 2**-53; 1000 doubles at 1e-6 are 2.1e-19
     for gap in (1, 16, 1000):
         with pytest.raises(ValueError, match="closer than double precision"):
             find_separation_witnesses(lukasiewicz(), doubles_above(1e-6, gap), 1e-6, 0.5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=st.floats(0.0, 1.0))
+def test_lukasiewicz_tnorm_keeps_one_as_its_exact_identity(a):
+    # a + b - 1 rounded a to the doubles near 1: tnorm(1e-6, 1) was 1e-6 - 8.2e-17
+    assert lukasiewicz().tnorm(a, 1.0) == a
+
+
+@settings(max_examples=100, deadline=None)
+@given(upper=inner_unit)
+def test_lukasiewicz_partners_separate_exactly_the_gaps_above_two_to_minus_53(upper):
+    # 1 - c is at least 2**-53 for a double c < 1, and upper - 2**-53 is exact
+    gap = 2.0**-53
+    with pytest.raises(ValueError, match="closer than double precision"):
+        find_separation_witnesses(lukasiewicz(), upper, upper - gap, 0.5)
+    lower = float(np.nextafter(upper - gap, 0.0))
+    witnesses = find_separation_witnesses(lukasiewicz(), upper, lower, 0.5)
+    assert lukasiewicz().tnorm(upper, witnesses.tnorm_partner) > lower
 
 
 @pytest.mark.parametrize("factory", [min_max, product_probsum])

@@ -14,6 +14,7 @@ from ifmlab.report import (
     format_float,
     json_text,
     records_to_jsonl,
+    spell_floats,
     write_text_atomic,
 )
 
@@ -75,6 +76,65 @@ def test_format_float_matches_the_reference_spelling(x):
 @given(items=st.lists(PLAIN_FLOAT, max_size=12) | st.lists(LIST_ITEM, max_size=12), as_tuple=st.booleans())
 def test_json_text_lists_match_the_per_item_rendering(items, as_tuple):
     assert json_text(tuple(items) if as_tuple else items) == reference_json_list(items)
+
+
+def reference_json_text(obj):
+    """``json_text`` as it was, before a list of equal-width float lists took one ``%``."""
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, float):
+        return format_float(obj)
+    if isinstance(obj, int):
+        return str(obj)
+    if hasattr(obj, "item") and not hasattr(obj, "__len__"):
+        return reference_json_text(obj.item())
+    if isinstance(obj, dict):
+        items = sorted(obj.items(), key=lambda kv: kv[0])
+        inner = ", ".join(f"{reference_json_text(str(k))}: {reference_json_text(v)}" for k, v in items)
+        return "{" + inner + "}"
+    if hasattr(obj, "tolist"):
+        return reference_json_text(obj.tolist())
+    if isinstance(obj, (list, tuple)):
+        if all(type(v) is float for v in obj):
+            return "[" + spell_floats(", ".join(["%.17g"] * len(obj)) % tuple(obj)) + "]"
+        return "[" + ", ".join(reference_json_text(v) for v in obj) + "]"
+    if hasattr(obj, "to_record"):
+        return reference_json_text(obj.to_record())
+    raise TypeError(f"cannot serialize {type(obj).__name__} deterministically")
+
+
+ROW_ITEM = LIST_ITEM | st.lists(PLAIN_FLOAT, max_size=2) | st.tuples(PLAIN_FLOAT)
+
+
+@settings(max_examples=300, deadline=None)
+@given(width=st.integers(0, 4), data=st.data())
+def test_json_text_float_rows_match_the_reference_body(width, data):
+    # equal-width rows of floats (a solve's trace points), then one row made
+    # ragged, a tuple, or given an item of another kind
+    rows = data.draw(st.lists(st.lists(PLAIN_FLOAT, min_size=width, max_size=width), max_size=8))
+    if rows and data.draw(st.booleans()):
+        i = data.draw(st.integers(0, len(rows) - 1))
+        rows[i] = data.draw(st.lists(ROW_ITEM, max_size=5) | st.tuples(PLAIN_FLOAT, PLAIN_FLOAT))
+    assert json_text(rows) == reference_json_text(rows)
+
+
+@pytest.mark.parametrize("rows", [
+    [], [[]], [[], []], [[math.nan, math.inf], [-math.inf, -0.0]], [[1, 2.0], [3.0, 4.0]],
+    [[1.0], [2.0, 3.0]], [[0.5], []], [[np.float64(0.5)], [0.5]], [[True], [0.5]],
+], ids=["empty", "one-empty-row", "empty-rows", "non-finite", "int-item", "ragged", "ragged-empty",
+        "numpy-item", "bool-item"])
+def test_json_text_float_rows_edge_cases(rows):
+    assert json_text(rows) == reference_json_text(rows)
+
+
+def test_json_text_float_rows_text():
+    assert json_text([[0.5, -0.0], [math.nan, -math.inf]]) == "[[0.5, -0], [NaN, -Infinity]]"
 
 
 def test_json_text_rejects_unknown_types():

@@ -610,3 +610,24 @@ def test_probes_evaluate_all_their_pairs_in_one_kernel_call(monkeypatch, line, t
     assert calls[-1] == (3, 1, 1)  # the three pairs of three limits
     # the tabulated ball filter tests all labels at once
     assert kernel_calls(lambda: sample_ball_pairs(three_point_space, BallSpec("a", 0.6, 1.0), 10, 0)) == 1
+
+
+def test_a_custom_map_chain_is_walked_step_by_step():
+    # x @ A with a Fortran-ordered A rounds a batch row (gemm) differently
+    # from a point (gemv); a custom map has no row-exact form, so its chain
+    # is walked one apply_point at a time and holds
+    space = induced_from_metric(CoordinateSpace(3), min_max())
+    a = np.asfortranarray([[0.3, -0.2, 0.1], [0.05, 0.4, -0.15], [0.2, 0.1, 0.25]])
+    map_ = SelfMap(lambda x: x @ a)
+    points = iterate_trace(space, map_, [1.0, -2.0, 3.0], 40)
+    batch = np.asarray(points)
+    assert map_._rows is None and np.any(map_(batch[:-1]) != batch[1:])
+    assert chain_break(space, map_, points) is None
+
+
+def test_an_affine_map_of_another_dimension_fails_as_its_first_step_does(line):
+    # the one-call form cannot map 2-D rows; the walk raises numpy's text
+    map_ = SelfMap.affine(np.eye(2), [0.0, 0.0])
+    assert outcome(chain_break, line, map_, [[1.0], [1.0]]) == \
+        outcome(reference_chain_break, line, map_, [[1.0], [1.0]])
+    assert outcome(chain_break, line, map_, [[1.0], [1.0]])[0] is ValueError
