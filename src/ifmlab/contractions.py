@@ -412,7 +412,9 @@ def t_uniform_continuity_probe(
     probe time maps to an ``epsilon``-near image pair at that time.  The
     probe passes iff a threshold is found for every ``epsilon``; the
     ``(epsilon, r)`` table, with the number of qualifying samples, is
-    recorded in the details.
+    recorded in the details.  A threshold that no sampled pair qualifies
+    at is found on no evidence, so a row with no qualifying samples makes
+    the verdict ``vacuous``, unless another row fails.
 
     Pairs are checked in blocks, as in :func:`if_contractive_check`.  The
     pairs that qualify only shrink as ``r`` falls, so each block is scanned
@@ -474,11 +476,15 @@ def t_uniform_continuity_probe(
               "qualifying_samples": q if i < len(ladder) else 0}
              for eps, ladder, i, q in zip(eps_list, ladders, found, qualifying)]
     witness = next((miss for miss in reversed(misses) if miss is not None), None)
+    empty = [repr(row["epsilon"]) for row in table if not row["qualifying_samples"]]
+    verdict = "fail" if witness else "vacuous" if empty else "pass"
     return ContractivityReport(
         notion="t_uniform_continuity",
-        verdict="fail" if witness else "pass",
+        verdict=verdict,
         worst_witness=witness,
         samples_used=len(xs),
+        notes=f"no sampled pair qualified at the threshold found for epsilon {', '.join(empty)}"
+        if verdict == "vacuous" else "",
         details={"table": table},
     )
 

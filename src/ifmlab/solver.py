@@ -6,12 +6,17 @@ single-step residual confirms ``x_n`` is fixed to tolerance; ``n`` is the
 reported iteration count and ``x_n`` the fixed-point candidate.  The extra
 confirmation iterates remain visible at the end of the trace.  An iterate
 that exactly reproduces its predecessor short-circuits the window (the
-tail is constant from there on).  Step rows ``(x_i, x_{i+1})`` are
-evaluated in blocks of up to ``window`` steps by one kernel call, which also
-gives each row its near flag (every probe t epsilon-near), and the window
-grid of ``x_c`` runs only when the flag of ``x_c``'s step row, the grid's
-first row, is set.  The kernel works pair by pair, so a batched row is the
-one-pair row bit for bit and the trace is that of a step-by-step loop.
+tail is constant from there on).
+
+The map steps a block of up to ``STEP_BLOCK`` iterates before the block's
+kernel calls: its step rows ``(x_i, x_{i+1})`` with their near flags (every
+probe t epsilon-near), its ball flags, and the window grids of candidates
+``x_c`` whose step row, the grid's first row, is near.  The stop rules are
+then replayed in step order; iterates past the stop are dropped, never
+written, so a solve makes up to ``STEP_BLOCK - 1`` map applications more
+than its trace shows, and a map must be a pure function.  The kernel works
+pair by pair, so a batched row is the one-pair row bit for bit and the
+trace is that of a step-by-step loop.
 
 Each solver enforces the hypothesis set of its regime before iterating
 (bypassable via configuration); hypothesis failures are reported as a
@@ -36,6 +41,7 @@ from .contractions import (
     NonFiniteImageError,
     t_uniform_continuity_probe,
 )
+from .operators import BLOCK_CELLS
 from .sampling import sample_ball_pairs, sample_pairs
 from .spaces import (
     DEFAULT_HALFWIDTH,
@@ -49,6 +55,11 @@ from .spaces import (
     points_equal,
     probe_grid,
 )
+
+# Iterates the Picard loop steps before its kernel calls (see _solve); up
+# to STEP_BLOCK - 1 of them, past the stop, are computed and dropped.  On
+# solve-long, 8 saved too few calls and 409 dropped more steps than it saved.
+STEP_BLOCK = 64
 
 # Extra precision for the inner solve of power_map_solve: the single-step
 # residual of the original map stacks the power-map residual with the
@@ -198,12 +209,20 @@ def _solve(space: IfmSpace, map_: SelfMap, x0, config: SolveConfig,
     none; otherwise the result carries the first gate's report.  With
     ``ball`` every iterate must stay in the open ball.  A coordinate image
     that overflows stops the solve at the last finite iterate as
-    ``diverged``.  Step rows and their near flags are stored in one kernel
-    call per block: the rows not yet stored when the window first needs row
-    ``c``, and the rest at the stop.  The blocks are kept as the kernel's
-    arrays and concatenated once at the stop.  An image whose ``tolist()``
-    equals the previous iterate's is an exact fixed point.  Every kernel
-    call of the iteration runs with numpy's overflow warnings off.
+    ``diverged``.  An image whose ``tolist()`` equals the previous
+    iterate's is an exact fixed point.
+
+    A block of up to ``STEP_BLOCK`` steps ends early at the budget, at an
+    exact fixed point, or at a map call that raises, whose exception is
+    kept.  One kernel call gives the block's step rows and near flags, one
+    its open-ball flags, and calls of about ``BLOCK_CELLS`` cells the window
+    grids of its candidates with a near flag.  The stop rules are replayed
+    in step order, at step ``m``: the kept exception, the ball flag, the
+    exact fixed point, the window of ``m - window``.  The first stop wins;
+    what follows it is dropped, a kept exception not reached included, so
+    a solve makes at most ``STEP_BLOCK - 1`` map applications more than a
+    step-by-step loop.  Every kernel call of the iteration runs with numpy's
+    overflow warnings off.
     """
     ts = np.asarray(config.probe_ts)
     points = [space.domain.as_point(x0)]
@@ -216,25 +235,37 @@ def _solve(space: IfmSpace, map_: SelfMap, x0, config: SolveConfig,
     def near(mu, nu, axis=None):
         return ((mu > 1.0 - config.epsilon) & (nu < config.epsilon)).all(axis=axis)
 
-    def fill() -> None:
-        # the step rows of every iterate not yet stored, in one kernel call
-        f = len(near_rows)
-        if f < len(points) - 1:
-            mu, nu = membership_grid(space, points[f:-1], points[f + 1 :], ts)
-            mu_blocks.append(mu)
-            nu_blocks.append(nu)
-            near_rows.extend(near(mu, nu, axis=1).tolist())
-
     def rows(blocks: list[np.ndarray]) -> np.ndarray:
-        return np.concatenate(blocks) if blocks else np.empty((0, len(ts)))
+        n = len(points) - 1
+        return np.concatenate(blocks)[:n] if blocks else np.empty((0, len(ts)))
 
-    def stop(status: str, reason: str, c: int | None = None) -> SolveResult:
-        fill()
+    def stop(status: str, reason: str, c: int | None = None, m: int | None = None) -> SolveResult:
+        # m, when given, is the step the solve stopped at; later iterates go
+        if m is not None:
+            del points[m + 1 :]
+        if flags is not None:
+            del flags[len(points) :]
         trace = IterationTrace(points, tuple(float(t) for t in ts), rows(mu_blocks), rows(nu_blocks), flags)
         if c is None:
             return SolveResult(status, None, len(points) - 1, trace, reason, report)
         return SolveResult(status, points[c], c, trace, reason, report,
                            residual_mu=trace.step_mu[c].copy(), residual_nu=trace.step_nu[c].copy())
+
+    def window_stop(candidates: list[int]) -> int | None:
+        # the first candidate whose window x_{c+1} .. x_{c+window} is all
+        # near x_c, from grids of about BLOCK_CELLS cells, in order
+        w = config.window
+        per = max(1, BLOCK_CELLS // (w * len(ts)))
+        for i in range(0, len(candidates), per):
+            chunk = candidates[i : i + per]
+            pts = space.domain.batch(points[chunk[0] : chunk[-1] + w + 1])
+            at = np.asarray(chunk) - chunk[0]
+            after = (at[:, None] + np.arange(1, w + 1)).ravel()
+            mu, nu = membership_grid(space, pts[at.repeat(w)], pts[after], ts)
+            ok = near(mu, nu, axis=1).reshape(len(chunk), w).all(axis=1)
+            if ok.any():
+                return chunk[int(ok.argmax())]
+        return None
 
     if config.hypothesis_checks:
         for i, gate in enumerate(gates):
@@ -251,34 +282,58 @@ def _solve(space: IfmSpace, map_: SelfMap, x0, config: SolveConfig,
             flags = [ball_contains(space, ball, points[0], mode="open")]
             if not flags[0]:
                 return stop("diverged_from_ball", "starting point lies outside the open ball")
+            center, radius = space.domain.as_point(ball.center), float(ball.radius)
         last = np.asarray(points[0]).tolist()
-        while len(points) <= config.max_iterations:
-            try:
-                nxt = apply_point(space, map_, points[-1])
-            except NonFiniteImageError as exc:
-                return stop("diverged", f"iterate {len(points)} overflowed: {exc}")
-            points.append(nxt)
-            m = len(points) - 1
-            if ball is not None:
-                flags.append(ball_contains(space, ball, nxt, mode="open"))
-                if not flags[-1]:
-                    return stop("diverged_from_ball", f"iterate {m} left the open ball")
-            last, previous = np.asarray(nxt).tolist(), last
-            if last == previous:
-                return stop("converged", f"exact fixed point reached at iteration {m - 1}", m - 1)
-            c = m - config.window  # the candidate whose window x_{c+1} .. x_m is full
-            if c == len(near_rows):
-                fill()
-            # x_{c+1} .. x_m all strictly eps-near x_c at every t; this implies
-            # the (non-strict) residual bound at the candidate x_c
-            if c >= 0 and near_rows[c] and near(*membership_grid(space, points[c], points[c + 1 :], ts)):
+        while True:
+            s = len(points)  # the block's first step
+            kept, fixed = None, False
+            for _ in range(min(STEP_BLOCK, config.max_iterations + 1 - s)):
+                try:
+                    points.append(apply_point(space, map_, points[-1]))
+                except Exception as exc:  # raised when the replay reaches its step
+                    kept = exc
+                    break
+                last, previous = np.asarray(points[-1]).tolist(), last
+                if last == previous:
+                    fixed = True
+                    break
+            e = len(points) - 1  # the block's last step
+            exit_at = None
+            if e >= s:
+                mu, nu = membership_grid(space, points[s - 1 : -1], points[s:], ts)
+                mu_blocks.append(mu)
+                nu_blocks.append(nu)
+                near_rows.extend(near(mu, nu, axis=1).tolist())
+                if ball is not None:
+                    mu, nu = membership_grid(space, center, points[s:], [ball.time])
+                    inside = ((mu[:, 0] > 1.0 - radius) & (nu[:, 0] < radius)).tolist()
+                    flags.extend(inside)
+                    if not all(inside):
+                        exit_at = s + inside.index(False)
+            # steps whose window is replayed: the ball flag and the exact
+            # fixed point of a step come before its window
+            last_window = e - fixed if exit_at is None else exit_at - 1
+            c = window_stop([m - config.window for m in range(max(s, config.window), last_window + 1)
+                             if near_rows[m - config.window]])
+            if c is not None:
+                # x_{c+1} .. x_{c+window} all strictly eps-near x_c at every t;
+                # this implies the (non-strict) residual bound at the candidate
                 return stop(
                     "converged",
                     f"window of {config.window} iterates after iteration {c} stayed "
                     f"within epsilon={config.epsilon:g} at every probe t",
-                    c,
+                    c, c + config.window,
                 )
-        return stop("budget_exhausted", f"no fixed point certified within {config.max_iterations} iterations")
+            if exit_at is not None:
+                return stop("diverged_from_ball", f"iterate {exit_at} left the open ball", m=exit_at)
+            if fixed:
+                return stop("converged", f"exact fixed point reached at iteration {e - 1}", e - 1)
+            if isinstance(kept, NonFiniteImageError):
+                return stop("diverged", f"iterate {e + 1} overflowed: {kept}")
+            if kept is not None:
+                raise kept
+            if len(points) > config.max_iterations:
+                return stop("budget_exhausted", f"no fixed point certified within {config.max_iterations} iterations")
 
 
 def _asymptotic_probe(space: IfmSpace, config: SolveConfig, box) -> AsymptoticReport:

@@ -1218,11 +1218,14 @@ def test_solve_and_validate_keep_their_map_and_kernel_call_counts(tmp_path, monk
     assert main(["validate", str(tmp_path / "result.json")]) == 0
     validated = {key: calls[key] - solved[key] for key in calls}
     assert (doc["iterations"], len(doc["trace_points"])) == (1968, 1977)
-    # one application per step; the gates' sampled checks, one call for
-    # the eight pairs of the large-horizon probe (eight calls before), the
-    # step-row blocks and the window grids; then the residual, and the stored
-    # chain in one batch call (one apply_point per step before)
-    assert solved == {"apply_point": 1976, "mu_nu": 455, "rows": 0}
+    # one application per step, and 8 past the stop, where the last block of
+    # 64 steps ends (1976 before); the gates' two sampled-check calls and one
+    # call for the eight pairs of the large-horizon probe (eight calls
+    # before), one step-row call for each of the 31 blocks and one
+    # window-grid call for each of the last 4 (455 before: a step-row call
+    # every 8 steps and a call per window grid); then the residual, and the
+    # stored chain in one batch call (one apply_point per step before)
+    assert solved == {"apply_point": 1984, "mu_nu": 38, "rows": 0}
     assert validated == {"apply_point": 1, "mu_nu": 1, "rows": 1}
 
 

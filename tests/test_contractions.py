@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -601,8 +602,30 @@ def test_streamed_checks_match_the_whole_grid_reference(case):
             (t_uniform_continuity_probe(space, map_, epsilons, count, ts, seed, box),
              reference_t_uniform(space, map_, epsilons, count, ts, seed, box)),
         ]
+    # the reference passed a t-uniform row with no qualifying samples; such a
+    # pass is now vacuous, with a note, and otherwise the same report
+    t_uniform, reference = runs[2]
+    if reference.passed and not all(row["qualifying_samples"] for row in reference.details["table"]):
+        assert t_uniform.verdict == "vacuous" and t_uniform.notes.startswith("no sampled pair qualified")
+        runs[2] = replace(t_uniform, verdict="pass", notes=""), reference
     for report, reference in runs:
         assert json_text(report.to_record()) == json_text(reference.to_record())
+
+
+def test_a_t_uniform_row_with_no_qualifying_samples_is_vacuous(line, half_plus_one):
+    # an all-NaN kernel qualifies no pair at any threshold, and the probe
+    # passed on that, with qualifying_samples 0 in every row
+    nan_line = IfmSpace(domain=CoordinateSpace(1), operators=min_max(),
+                        membership=lambda x, y, t: (np.full((len(x), len(t)), np.nan),) * 2)
+    report = t_uniform_continuity_probe(nan_line, SelfMap.affine([[0.5]], [0.0]), [0.1, 0.01], 200, seed=1)
+    assert report.verdict == "vacuous" and not report.passed and report.worst_witness is None
+    assert [row["qualifying_samples"] for row in report.details["table"]] == [0, 0]
+    assert report.notes == "no sampled pair qualified at the threshold found for epsilon 0.1, 0.01"
+    # one empty row is enough; a row that qualifies pairs keeps its pass
+    halving = t_uniform_continuity_probe(line, half_plus_one, [0.1, 1e-6], 50, seed=6, box=(-1.0, 1.0))
+    assert [row["qualifying_samples"] > 0 for row in halving.details["table"]] == [True, False]
+    assert halving.verdict == "vacuous" and halving.notes.endswith("epsilon 1e-06")
+    assert t_uniform_continuity_probe(line, half_plus_one, [0.1], 50, seed=6, box=(-1.0, 1.0)).passed
 
 
 def test_zero_supremum_takes_the_sign_of_its_witness():

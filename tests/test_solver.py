@@ -29,7 +29,15 @@ from ifmlab import (
 from ifmlab.contractions import NonFiniteImageError, apply_point
 from ifmlab.report import json_text
 from ifmlab.sampling import sample_ball_pairs, sample_pairs
-from ifmlab.solver import EQUALITY_SLACK, IterationTrace, SolveResult, UniquenessReport, _solve, chain_break
+from ifmlab.solver import (
+    EQUALITY_SLACK,
+    STEP_BLOCK,
+    IterationTrace,
+    SolveResult,
+    UniquenessReport,
+    _solve,
+    chain_break,
+)
 from ifmlab.spaces import (
     asymptotic_nearness_probe,
     joint_continuity_probe,
@@ -367,6 +375,21 @@ def same_bytes(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def counting_map(map_, raise_at=None):
+    """A plain Python map with ``map_``'s images that counts its calls and
+    raises a RuntimeError at call ``raise_at``; a solve calls it in step
+    order, so that call is step ``raise_at``."""
+    calls = [0]
+
+    def fn(x):
+        calls[0] += 1
+        if calls[0] == raise_at:
+            raise RuntimeError(f"map call {raise_at}")
+        return map_(x)
+
+    return SelfMap(fn), calls
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     metric=st.sampled_from(METRICS),
@@ -374,29 +397,40 @@ def same_bytes(a, b):
     scale=st.sampled_from([0.0, 1e-3, 0.3, 0.6, 0.9, 1.0, 3.0, 1e150]),
     x_scale=st.sampled_from([1.0, 1e3, 1e300]),
     epsilon=st.sampled_from([1e-8, 1e-4, 1e-2, 0.3]),
-    window=st.integers(1, 10),
-    max_iterations=st.integers(1, 40),
+    # windows below and above the block, and budgets over several blocks
+    window=st.integers(1, 10) | st.integers(STEP_BLOCK - 4, STEP_BLOCK + 12),
+    max_iterations=st.integers(1, 40) | st.integers(STEP_BLOCK - 2, 3 * STEP_BLOCK + 2),
     ball=st.none() | st.tuples(st.floats(0.05, 0.95), st.floats(0.1, 10.0)),
+    raise_at=st.none() | st.integers(1, 3 * STEP_BLOCK),
     data=st.data(),
 )
 def test_block_solve_matches_per_step_reference(metric, dim, scale, x_scale, epsilon, window,
-                                                max_iterations, ball, data):
+                                                max_iterations, ball, raise_at, data):
     unit = st.floats(min_value=-1.0, max_value=1.0)
     matrix = scale * np.asarray(data.draw(st.lists(unit, min_size=dim * dim, max_size=dim * dim)))
     offset = np.asarray(data.draw(st.lists(unit, min_size=dim, max_size=dim)))
     x0 = x_scale * np.asarray(data.draw(st.lists(unit, min_size=dim, max_size=dim)))
     space = induced_from_metric(CoordinateSpace(dim, metric), min_max())
-    map_ = SelfMap.affine(matrix.reshape(dim, dim), offset)
+    affine = SelfMap.affine(matrix.reshape(dim, dim), offset)
     config = SolveConfig(epsilon=epsilon, max_iterations=max_iterations, window=window,
                          hypothesis_checks=False)
     if ball is not None:
         ball = BallSpec(np.asarray(data.draw(st.lists(unit, min_size=dim, max_size=dim))), *ball)
 
+    map_, calls = counting_map(affine, raise_at)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = _solve(space, map_, x0, config, (), ball)
+        got = outcome(_solve, space, map_, x0, config, (), ball)
+    reference_map, reference_calls = counting_map(affine, raise_at)
     with np.errstate(over="ignore"):
-        want = reference_solve(space, map_, x0, config, ball)
+        want = outcome(reference_solve, space, reference_map, x0, config, ball)
+    # the steps of the last block past the stop are the only extra calls
+    assert 0 <= calls[0] - reference_calls[0] < STEP_BLOCK
+    if not isinstance(want, SolveResult):
+        # the reference reached the raising step before any stop
+        assert got == want == (RuntimeError, f"map call {raise_at}")
+        return
+    assert isinstance(got, SolveResult), got
     assert (got.status, got.stop_reason, got.iterations) == (want.status, want.stop_reason, want.iterations)
     assert len(got.trace.points) == len(want.trace.points)
     assert all(same_bytes(p, q) for p, q in zip(got.trace.points, want.trace.points))
@@ -406,6 +440,32 @@ def test_block_solve_matches_per_step_reference(metric, dim, scale, x_scale, eps
     assert same_bytes(got.fixed_point, want.fixed_point)
     assert same_bytes(got.residual_mu, want.residual_mu)
     assert same_bytes(got.residual_nu, want.residual_nu)
+
+
+def test_an_error_past_the_stop_is_computed_and_dropped(line):
+    # x -> x + 1 leaves the ball of radius 0.5 about 0 at t = 1 at step 1;
+    # the block steps on, and the map fails at step 3, after the stop
+    ball = BallSpec([0.0], 0.5, 1.0)
+    config = SolveConfig(hypothesis_checks=False)
+    shift = SelfMap.affine([[1.0]], [1.0])
+    for raise_at in (3, STEP_BLOCK):
+        map_, calls = counting_map(shift, raise_at)
+        result = _solve(line, map_, [0.0], config, (), ball)
+        assert (result.status, result.stop_reason) == ("diverged_from_ball", "iterate 1 left the open ball")
+        assert len(result.trace.points) == 2 and result.trace.ball_flags == [True, False]
+        assert result.trace.step_mu.shape == (1, len(config.probe_ts)) and calls[0] == raise_at
+    # an overflow past the stop is not a divergence either
+    blowup = SelfMap(lambda x: x + 1.0 if x[0] < 2.0 else x * 1e308)
+    result = _solve(line, blowup, [0.0], config, (), ball)
+    assert result.status == "diverged_from_ball" and len(result.trace.points) == 2
+
+
+def test_a_budget_on_a_block_edge_ends_there_with_every_step_row(line):
+    config = SolveConfig(hypothesis_checks=False, max_iterations=2 * STEP_BLOCK)
+    map_, calls = counting_map(SelfMap.affine([[1.0]], [1.0]))
+    result = _solve(line, map_, [0.0], config, ())
+    assert (result.status, result.iterations, calls[0]) == ("budget_exhausted", 2 * STEP_BLOCK, 2 * STEP_BLOCK)
+    assert result.trace.step_mu.shape == (2 * STEP_BLOCK, len(config.probe_ts))
 
 
 def test_overflowing_budget_stop_warns_nothing(line):
@@ -491,6 +551,34 @@ def test_a_break_before_a_malformed_point_is_still_found(line, half_plus_one):
     assert trace.verify(line, half_plus_one) is False
     points[2] = half_plus_one(points[1])
     assert chain_break(line, half_plus_one, points) == 2
+
+
+def test_a_ball_exit_outranks_a_window_at_the_same_step(line):
+    # 0 -> 0.5 -> 0.99 -> 1.0: step 3 is 0.01 from step 2, so the window of
+    # iterate 2 is full and near at step 3, where 1.0 leaves the ball |x| < 1
+    jumps = SelfMap(lambda x: {0.0: 0.5, 0.5: 0.99, 0.99: 1.0}.get(x[0], x[0]))
+    ball = BallSpec([0.0], 0.5, 1.0)
+    config = SolveConfig(epsilon=0.3, window=1, hypothesis_checks=False)
+    result = _solve(line, jumps, [0.0], config, (), ball)
+    assert (result.status, result.stop_reason) == ("diverged_from_ball", "iterate 3 left the open ball")
+    assert result.trace.ball_flags == reference_solve(line, jumps, [0.0], config, ball).trace.ball_flags
+    assert _solve(line, jumps, [0.0], config, ()).stop_reason.startswith("window of 1 iterates after iteration 2")
+
+
+def test_long_window_memory_stays_bounded():
+    # the window grids of a block's candidates in one call peaked at 27.2
+    # MiB; split into calls of about BLOCK_CELLS cells, one candidate a call
+    # here, 1.6 MiB.  The bound is the streamed sampled checks'.
+    space = induced_from_metric(CoordinateSpace(3), min_max())
+    config = SolveConfig(max_iterations=10_000, window=2000, hypothesis_checks=False)
+    tracemalloc.start()
+    try:
+        result = picard_solve(space, SelfMap.affine(np.eye(3) * 0.95, [0.0] * 3), [31.3] * 3, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.converged and (result.iterations, len(result.trace.points)) == (482, 2483)
+    assert peak < 16 * 2**20
 
 
 def test_long_solve_memory_stays_bounded():
