@@ -5,6 +5,8 @@ classify self-maps against sampled contraction notions, and compute fixed
 points by Picard iteration with nearness-based stopping.
 """
 
+from types import ModuleType as _ModuleType
+
 from .operators import (
     NoWitnessError,
     OperatorPair,
@@ -69,59 +71,6 @@ from .solver import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AsymptoticReport",
-    "AuditReport",
-    "BallSpec",
-    "ClauseResult",
-    "ClosednessReport",
-    "ContractivityReport",
-    "CoordinateSpace",
-    "Curve",
-    "DEFAULT_PROBE_TS",
-    "DomainEscapeError",
-    "FiniteTabulated",
-    "IfmSpace",
-    "IterationTrace",
-    "JointContinuityReport",
-    "MembershipPair",
-    "NoWitnessError",
-    "OperatorPair",
-    "SelfMap",
-    "SeparationWitnesses",
-    "SequenceReport",
-    "SolveConfig",
-    "SolveResult",
-    "UniquenessReport",
-    "asymptotic_nearness_probe",
-    "audit_operator_pair",
-    "axiom_audit",
-    "ball_contains",
-    "check_idempotent",
-    "closed_ball_hypotheses",
-    "closed_ball_solve",
-    "closedness_probe",
-    "contractive_sequence_check",
-    "direct_ratio_contractive_check",
-    "direct_ratio_solve",
-    "evaluate",
-    "find_separation_witnesses",
-    "finite_tabulated",
-    "if_contractive_check",
-    "induced_from_metric",
-    "iterate_trace",
-    "joint_continuity_probe",
-    "lukasiewicz",
-    "membership_grid",
-    "min_max",
-    "operator_pair",
-    "picard_solve",
-    "power_map_solve",
-    "product_probsum",
-    "self_map_from_spec",
-    "sequence_diagnostics",
-    "t_uniform_continuity_probe",
-    "time_parameter",
-    "uniqueness_probe",
-    "unit_scalar",
-]
+# every name imported above, in sorted order; not the submodules
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

@@ -49,7 +49,7 @@ from .contractions import (
     t_uniform_continuity_probe,
 )
 from .operators import BLOCK_CELLS, audit_operator_pair, check_idempotent, operator_pair
-from .report import format_float, json_text, records_to_jsonl, spell_floats, write_text_atomic
+from .report import _float_table, format_float, json_text, records_to_jsonl, write_text_atomic
 from .solver import (
     SolveConfig,
     SolveResult,
@@ -109,11 +109,12 @@ def _csv_cell(text: str) -> str:
 def trace_rows(result: SolveResult) -> list[str]:
     """Lines of the tabular trace, header first (17-significant-digit floats).
 
-    The rows are rendered in blocks of about ``BLOCK_CELLS / 4`` floats: a
-    block's index column, coordinates and step rows become Python floats in
-    one ``tolist()`` and text in one ``%``, spelled as :func:`format_float`
-    spells a float.  A row with no step cells is rendered cell by cell;
-    labels and ball flags are put in row by row.
+    The rows are rendered in blocks of about ``BLOCK_CELLS / 8`` floats: a
+    block's index column (as floats, which ``%.17g`` writes as integers
+    below 2**53), coordinates and step rows become text in one call of the
+    exact ``%.17g`` writer, ``report._float_table``.  A row with no step
+    cells is rendered cell by cell; labels and ball flags are put in row by
+    row.
     """
     trace = result.trace
     points, k = trace.points, len(trace.probe_ts)
@@ -124,20 +125,20 @@ def trace_rows(result: SolveResult) -> list[str]:
     flags = trace.ball_flags
     if flags is not None:
         header.append("in_ball")
-    row_format = ",".join(["%d"] + ["%.17g"] * (dim + 2 * k)) + "\n"
     no_steps = "," * (2 * k)
-    # a listed Python float takes 32 bytes (object and pointer), four times a
-    # float64, so a block's lists hold about the bytes of BLOCK_CELLS floats
-    block = max(1, BLOCK_CELLS // (4 * (dim + 2 * k)))
+    # the writer peaks at about 290 bytes a cell (its temporaries, its
+    # 48-byte table and the table's bytes), against about 60 for one %, and
+    # runs fastest near 4,096 cells a call
+    block = max(1, BLOCK_CELLS // (8 * (1 + dim + 2 * k)))
     lines = [",".join(header)]
     for lo in range(0, len(points), block):
         hi = min(lo + block, len(points))
         coords = (np.asarray(points[lo:hi], float).reshape(hi - lo, -1) if coordinate
                   else np.empty((hi - lo, 0)))
         full = max(0, min(hi, len(trace.step_mu)) - lo)  # rows with step cells
-        cells = np.hstack([np.arange(lo, lo + full)[:, None], coords[:full],
+        cells = np.hstack([np.arange(lo, lo + full, dtype=float)[:, None], coords[:full],
                            trace.step_mu[lo : lo + full], trace.step_nu[lo : lo + full]])
-        rows = spell_floats((row_format * full) % tuple(cells.ravel().tolist())).splitlines()
+        rows = _float_table(cells, ",", "", "\n").splitlines()
         rows += [",".join([str(i), *map(format_float, coords[i - lo].tolist())]) + no_steps
                  for i in range(lo + full, hi)]
         if not coordinate:
@@ -152,11 +153,12 @@ def trace_rows(result: SolveResult) -> list[str]:
 def result_document(result: SolveResult, experiment: dict[str, Any]) -> dict[str, Any]:
     """Structured result: enough to re-verify the certificate offline.
 
-    A coordinate trace's points become Python floats in one ``tolist()``.
+    A coordinate trace's points stay one float array, which
+    :func:`json_text` writes whole.
     """
     points = result.trace.points
     if len(points) and not isinstance(points[0], str):
-        trace_points = np.asarray(points, float).reshape(len(points), -1).tolist()
+        trace_points = np.asarray(points, float).reshape(len(points), -1)
     else:
         trace_points = [point_jsonable(p) for p in points]
     doc: dict[str, Any] = {

@@ -1063,7 +1063,7 @@ def test_trace_rows_match_per_cell_rendering(dim, n, k, flags, data):
 
 def trace_block(dim, k):
     """Rows per rendering block of a trace of ``dim`` coordinates and ``k`` probe times."""
-    return max(1, BLOCK_CELLS // (4 * (dim + 2 * k)))
+    return max(1, BLOCK_CELLS // (8 * (1 + dim + 2 * k)))
 
 
 # labels that need CSV quoting, and plain ones

@@ -8,9 +8,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ifmlab.report import (
+    _EXACT_MIN_CELLS,
     WRITE_SLICE,
     AuditReport,
     ClauseResult,
+    _float_table,
     format_float,
     json_text,
     records_to_jsonl,
@@ -135,6 +137,44 @@ def test_json_text_float_rows_edge_cases(rows):
 
 def test_json_text_float_rows_text():
     assert json_text([[0.5, -0.0], [math.nan, -math.inf]]) == "[[0.5, -0], [NaN, -Infinity]]"
+
+
+def reference_float_table(cells, sep, row_open, row_close):
+    """The table's text with one ``format(x, ".17g")`` per cell."""
+    return "".join(row_open + sep.join(spell_floats(format(x, ".17g")) for x in row) + row_close
+                   for row in cells.tolist())
+
+
+TABLE_LAYOUTS = [(",", "", "\n"), (", ", "[", "], ")]  # a trace's rows, a JSON list of lists
+# near-ties: 18-digit decimals ending in 5, parsed; and exact ties: n / 4 for odd n
+# near 2**53, and 3 / 2**24 and 2**-25, which are scaled in two steps
+NEAR_TIES = [float(text) for text in ("1.23456789012345675", "9.99999999999999995e-5", "0.100000000000000005",
+                                      "4.44444444444444445e-20", "5.00000000000000005e16", "1.00000000000000005")]
+NEAR_TIES += [(2**53 - 1) / 4, -(2**53 - 3) / 4, 3 / 2**24, 2**-25]
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(PLAIN_FLOAT, min_size=1, max_size=40), width=st.integers(1, 24),
+       count=st.integers(1, 2 * _EXACT_MIN_CELLS), layout=st.sampled_from(TABLE_LAYOUTS))
+@example(values=[0.0, -0.0, 5e-324, 2.2250738585072014e-308], width=4, count=800, layout=TABLE_LAYOUTS[0])
+@example(values=[1e16, 9.999999999999999e16, 1e17, 99999999999999999.0], width=3, count=900,
+         layout=TABLE_LAYOUTS[1])
+@example(values=[1e-4, 9.9999999999999991e-5, 1e-5, 0.1, 1 - 2**-53], width=5, count=800,
+         layout=TABLE_LAYOUTS[0])
+@example(values=NEAR_TIES, width=10, count=800, layout=TABLE_LAYOUTS[1])
+def test_float_table_matches_format_per_cell(values, width, count, layout):
+    # the values repeat to fill the table, which crosses the writer's
+    # crossover at about half the examples
+    cells = np.resize(np.asarray(values, float), (-(-count // width), width))
+    assert _float_table(cells, *layout) == reference_float_table(cells, *layout)
+
+
+@settings(max_examples=50, deadline=None)
+@given(values=st.lists(PLAIN_FLOAT, min_size=1, max_size=12), width=st.integers(0, 4),
+       count=st.integers(0, 2 * _EXACT_MIN_CELLS))
+def test_json_text_float_arrays_match_the_reference_body(values, width, count):
+    cells = np.resize(np.asarray(values, float), (count // max(width, 1), width))
+    assert json_text(cells) == reference_json_text(cells)
 
 
 def test_json_text_rejects_unknown_types():
