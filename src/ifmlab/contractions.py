@@ -23,13 +23,14 @@ from typing import Any, Callable, Iterable
 import numpy as np
 
 from .operators import BLOCK_CELLS
+from .report import _outranks
 from .sampling import sample_pairs
 from .spaces import (  # the domain errors are re-exported here, beside the maps that raise them
     DomainEscapeError,
     IfmSpace,
     NonFiniteImageError,
     _fold_worst,
-    _outranks,
+    _grid_witness,
     membership_grid,
     point_jsonable,
     points_equal,
@@ -245,28 +246,38 @@ def _reciprocal_gap(v):
         return 1.0 / (np.asarray(v, dtype=float) + 0.0) - 1.0  # + 0.0 turns -0.0 into 0.0
 
 
-def _worst_side(xs, ys, ts, keys, worst) -> tuple[float, float, dict]:
-    """Ratio suprema of both sides and the witness of the worse, whose
-    ``ratio`` is the overall supremum.
+def _ratio_check(notion: str, space: IfmSpace, map_: SelfMap, xs, ys, ts, sides: Callable,
+                 keys: tuple[str, str], passes: Callable[[float], bool]) -> tuple[ContractivityReport, int]:
+    """The sampled-ratio scan that both ratio notions run, and its skip count.
 
-    ``worst`` holds each side's first worst ``(ratio, row, column,
-    numerator, denominator)`` in (pair, t) order; the sides are ranked as
-    the rows are, a NaN ratio above any value and ``mu`` on a tie.
-    ``keys`` names the numerator and denominator in the witness.
+    ``sides`` maps a block's grids ``(mu1, nu1, mu2, nu2)`` of the pairs and
+    their images to the ``mu`` and the ``nu`` side's ``(ratio, numerator,
+    denominator)`` grids and a count of skipped samples.  Each side's
+    supremum is its first worst ratio in (pair, t) order, a NaN above any
+    value; the sides are ranked as the rows are, ``mu`` on a tie, and the
+    worse gives the witness, with its numerator and denominator under
+    ``keys``, and the overall supremum.  The reported constant is that
+    supremum plus ``K_SAFETY_MARGIN``, and the check passes iff ``passes``
+    holds for it.
     """
-    sup_mu, sup_nu = worst["mu"][0], worst["nu"][0]
-    side = "nu" if _outranks(sup_nu, sup_mu) else "mu"
+    worst: dict[str, tuple] = {}
+    skipped = 0
+    for rows, grids in _pair_blocks(space, map_, xs, ys, ts):
+        *per_side, skips = sides(*grids)
+        for name, (ratio, num, den) in zip(("mu", "nu"), per_side):
+            _fold_worst(worst, name, ratio, rows.start, num, den)
+        skipped += skips
+    side = "nu" if _outranks(worst["nu"][0], worst["mu"][0]) else "mu"
     sup, i, j, num, den = worst[side]
-    witness = {
-        "x": point_jsonable(xs[i]),
-        "y": point_jsonable(ys[i]),
-        "t": float(ts[j]),
-        "side": side,
-        keys[0]: num,
-        keys[1]: den,
-        "ratio": sup,
-    }
-    return sup_mu, sup_nu, witness
+    witness = _grid_witness(xs, ys, ts, i, j, {"side": side, keys[0]: num, keys[1]: den, "ratio": sup})
+    estimated = sup + K_SAFETY_MARGIN
+    passed = passes(estimated)
+    return ContractivityReport(
+        notion=notion, verdict="pass" if passed else "fail", samples_used=len(xs),
+        estimated_k=estimated if passed else None, worst_witness=None if passed else witness,
+        details={"sup_ratio": sup, "sup_mu_ratio": worst["mu"][0], "sup_nu_ratio": worst["nu"][0],
+                 "witness": witness},
+    ), skipped
 
 
 def if_contractive_check(
@@ -294,43 +305,27 @@ def if_contractive_check(
     ``max(1, BLOCK_CELLS // 4k)`` at ``k`` probe times (819 on the default
     grid), so memory grows only with the pairs and their images; the
     witness is the first worst pair and time in (pair, t) order, a NaN
-    ratio above any value.
+    ratio above any value and ``mu`` on a side tie.
     """
-    ts = probe_grid(probe_ts)
-    if pairs is None:
-        xs, ys = sample_pairs(space, sample_pairs_count, seed, box)
-    else:
-        xs, ys = pairs
-    worst: dict[str, tuple] = {}
-    skipped = 0
-    for rows, grids in _pair_blocks(space, map_, xs, ys, ts):
+
+    def sides(*grids):
         gap1, co_gap1, gap2, co_gap2 = map(_reciprocal_gap, grids)
         nu_skip = np.isinf(co_gap2)
         degenerate = gap1 <= 0.0  # coincident or mu==1 originals; sampler avoids these
         with np.errstate(divide="ignore", invalid="ignore"):
             mu_ratio = np.where(degenerate | (gap2 == 0.0), 0.0, gap2 / gap1)
             nu_ratio = np.where(degenerate | nu_skip, 0.0, co_gap1 / co_gap2)
-        _fold_worst(worst, "mu", mu_ratio, rows.start, gap2, gap1)
-        _fold_worst(worst, "nu", nu_ratio, rows.start, co_gap1, co_gap2)
-        skipped += int(np.count_nonzero(nu_skip & ~degenerate))
-    sup_mu, sup_nu, witness = _worst_side(xs, ys, ts, ("lhs", "rhs_gap"), worst)
-    sup = witness["ratio"]
-    estimated = sup + K_SAFETY_MARGIN
+        skipped = int(np.count_nonzero(nu_skip & ~degenerate))
+        return (mu_ratio, gap2, gap1), (nu_ratio, co_gap1, co_gap2), skipped
 
-    notes = ""
+    ts = probe_grid(probe_ts)
+    xs, ys = sample_pairs(space, sample_pairs_count, seed, box) if pairs is None else pairs
+    report, skipped = _ratio_check("if_contractive", space, map_, xs, ys, ts, sides, ("lhs", "rhs_gap"),
+                                   lambda k: k < 1.0)
+    report.details["nu_skipped"] = skipped
     if skipped:
-        notes = f"{skipped} nu-side samples with coincident images satisfy the inequality in the limit and were skipped"
-    passed = estimated < 1.0
-    return ContractivityReport(
-        notion="if_contractive",
-        verdict="pass" if passed else "fail",
-        estimated_k=estimated if passed else None,
-        worst_witness=None if passed else witness,
-        samples_used=len(xs),
-        notes=notes,
-        details={"sup_ratio": sup, "sup_mu_ratio": sup_mu, "sup_nu_ratio": sup_nu,
-                 "nu_skipped": skipped, "witness": witness},
-    )
+        report.notes = f"{skipped} nu-side samples with coincident images satisfy the inequality in the limit and were skipped"
+    return report
 
 
 def direct_ratio_contractive_check(
@@ -351,8 +346,8 @@ def direct_ratio_contractive_check(
     iff the ratio supremum stays below ``1 - UNIT_RESOLUTION``: a sampled
     supremum within that margin of 1 means no constant bounded away from 1
     exists on the probe grid (typical for large-``t`` probes on spaces
-    whose nearness tends to certainty).  Pairs are checked in blocks, and
-    the witness chosen, as in :func:`if_contractive_check`.
+    whose nearness tends to certainty).  Pairs are checked in blocks, as
+    in :func:`if_contractive_check`.
     """
     if include_coincident:
         return ContractivityReport(
@@ -364,36 +359,24 @@ def direct_ratio_contractive_check(
                 "for every k in (0, 1); no map on any space can satisfy it"
             ),
         )
-    ts = probe_grid(probe_ts)
-    xs, ys = sample_pairs(space, sample_pairs_count, seed, box)
-    worst: dict[str, tuple] = {}
-    for rows, (mu1, nu1, mu2, nu2) in _pair_blocks(space, map_, xs, ys, ts):
+
+    def sides(mu1, nu1, mu2, nu2):
         with np.errstate(divide="ignore", invalid="ignore"):
             mu_ratio = np.where(mu2 == 0.0, np.inf, mu1 / mu2)
             nu_ratio = np.where(nu2 == 0.0, 0.0, nu2 / nu1)
-        _fold_worst(worst, "mu", mu_ratio, rows.start, mu1, mu2)
-        _fold_worst(worst, "nu", nu_ratio, rows.start, nu2, nu1)
-    sup_mu, sup_nu, witness = _worst_side(xs, ys, ts, ("numerator", "denominator"), worst)
-    sup = witness["ratio"]
-    estimated = sup + K_SAFETY_MARGIN
+        return (mu_ratio, mu1, mu2), (nu_ratio, nu2, nu1), 0
 
-    passed = estimated <= 1.0 - UNIT_RESOLUTION
-    notes = ""
-    if not passed and sup <= 1.0:
-        notes = (
+    ts = probe_grid(probe_ts)
+    xs, ys = sample_pairs(space, sample_pairs_count, seed, box)
+    report, _ = _ratio_check("direct_ratio_contractive", space, map_, xs, ys, ts, sides,
+                             ("numerator", "denominator"), lambda k: k <= 1.0 - UNIT_RESOLUTION)
+    report.details["unit_margin"] = UNIT_RESOLUTION
+    if not report.passed and (sup := report.details["sup_ratio"]) <= 1.0:
+        report.notes = (
             f"ratio supremum {sup:.9f} lies within {UNIT_RESOLUTION:g} of 1 on the probe grid; "
             "no contraction constant bounded away from 1 is admissible"
         )
-    return ContractivityReport(
-        notion="direct_ratio_contractive",
-        verdict="pass" if passed else "fail",
-        estimated_k=estimated if passed else None,
-        worst_witness=None if passed else witness,
-        samples_used=len(xs),
-        notes=notes,
-        details={"sup_ratio": sup, "sup_mu_ratio": sup_mu, "sup_nu_ratio": sup_nu,
-                 "unit_margin": UNIT_RESOLUTION, "witness": witness},
-    )
+    return report
 
 
 def t_uniform_continuity_probe(
@@ -421,8 +404,10 @@ def t_uniform_continuity_probe(
     from the smallest ``r`` an earlier block needed, and the found ``r`` is
     the one the most demanding block admits; a block counted at a larger
     ``r`` is evaluated once more to count its qualifying samples at the
-    found one.  Without a threshold, the witness is the first miss at the
-    smallest ``r``.
+    found one.  An epsilon with no threshold has a miss: the first pair and
+    time in (pair, t) order that qualifies at the smallest ``r`` and maps
+    to a pair not ``epsilon``-near.  When several epsilons miss, the
+    witness is the miss of the last listed one.
     """
     ts = probe_grid(probe_ts)
     eps_list = [float(e) for e in epsilons]
@@ -450,14 +435,8 @@ def t_uniform_continuity_probe(
                     # a pair qualified at the smallest threshold and missed its image bound
                     i = len(ladder)
                     m, j = divmod(int(np.argmax(qualify & ~image_ok)), qualify.shape[1])
-                    misses[e] = {
-                        "epsilon": eps,
-                        "x": point_jsonable(xs[rows.start + m]),
-                        "y": point_jsonable(ys[rows.start + m]),
-                        "t": float(ts[j]),
-                        "mu_image": float(mu2[m, j]),
-                        "nu_image": float(nu2[m, j]),
-                    }
+                    misses[e] = _grid_witness(xs, ys, ts, rows.start + m, j, {
+                        "epsilon": eps, "mu_image": float(mu2[m, j]), "nu_image": float(nu2[m, j])})
             found[e] = i
             tally.append((i, count))
         tallies.append((rows, tally))

@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .report import AuditReport, ClauseResult
+from .report import AuditReport, ClauseResult, _outranks
 
 BinaryOp = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
@@ -160,7 +160,7 @@ def _audit_one_operator(
         np.subtract(np.asarray(op(table[lo:lo + rows, :, None], grid), dtype=float),
                     np.asarray(op(a[lo:lo + rows, :, None], table), dtype=float), out=viol)
         np.abs(viol, out=viol)
-        if assoc is None or not (np.isnan(assoc.worst) or viol.max() <= assoc.worst):
+        if assoc is None or _outranks(float(viol.max()), assoc.worst):
             assoc = _max_clause(f"{label}.associativity", viol, grid, "abc", tolerance, lo)
     clauses.append(assoc)
 

@@ -10,6 +10,7 @@ produce byte-identical files and every float round-trips exactly.
 from __future__ import annotations
 
 import functools
+import math
 import os
 import tempfile
 from dataclasses import dataclass, field
@@ -70,6 +71,13 @@ class AuditReport:
 
     def to_records(self) -> list[dict[str, Any]]:
         return [c.to_record() for c in self.clauses]
+
+
+def _outranks(value: float, held: float) -> bool:
+    """Whether a worst ``value`` replaces the ``held`` one, the rule of every
+    witness: NaN ranks above any value, and otherwise only a strictly
+    greater value wins, so of equal values the first held stays."""
+    return value > held or (math.isnan(value) and not math.isnan(held))
 
 
 def spell_floats(text: str) -> str:

@@ -12,7 +12,7 @@ from typing import Any
 
 import numpy as np
 
-from .spaces import BallSpec, FiniteTabulated, IfmSpace, label_pairs, membership_grid
+from .spaces import BallSpec, FiniteTabulated, IfmSpace, _ball_flags, label_pairs
 
 # Rejection rounds of sample_ball_pairs; without a base metric the box
 # doubles after each short one.
@@ -32,9 +32,8 @@ def sample_ball_pairs(space: IfmSpace, ball: BallSpec, count: int, seed: int) ->
     (``d <= t * r / (1 - r)``), so that box holds the whole ball and is
     drawn again until enough members are found; otherwise the box is grown
     geometrically.  An odd count of members loses its last one.  One
-    closed-ball test, ``mu >= 1 - r`` and ``nu <= r`` at the ball's time,
-    keeps the members of each draw, and of a tabulated space's labels in
-    one kernel call.
+    closed-ball test keeps the members of each draw, and of a tabulated
+    space's labels, in one kernel call.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
@@ -42,8 +41,7 @@ def sample_ball_pairs(space: IfmSpace, ball: BallSpec, count: int, seed: int) ->
     center, r = domain.as_point(ball.center), float(ball.radius)
 
     def members(points):
-        mu, nu = membership_grid(space, center, points, [ball.time])
-        return points[(mu[:, 0] >= 1.0 - r) & (nu[:, 0] <= r)]
+        return points[_ball_flags(space, ball, points, closed=True)]
 
     if isinstance(domain, FiniteTabulated):
         labels = members(domain.label_array)

@@ -48,8 +48,8 @@ from .spaces import (
     AsymptoticReport,
     BallSpec,
     IfmSpace,
+    _ball_flags,
     asymptotic_nearness_probe,
-    ball_contains,
     membership_grid,
     point_jsonable,
     points_equal,
@@ -279,10 +279,9 @@ def _solve(space: IfmSpace, map_: SelfMap, x0, config: SolveConfig,
     # warnings on the way there, in the map and in the kernel, are noise
     with np.errstate(over="ignore"):
         if ball is not None:
-            flags = [ball_contains(space, ball, points[0], mode="open")]
+            flags = _ball_flags(space, ball, points).tolist()
             if not flags[0]:
                 return stop("diverged_from_ball", "starting point lies outside the open ball")
-            center, radius = space.domain.as_point(ball.center), float(ball.radius)
         last = np.asarray(points[0]).tolist()
         while True:
             s = len(points)  # the block's first step
@@ -305,8 +304,7 @@ def _solve(space: IfmSpace, map_: SelfMap, x0, config: SolveConfig,
                 nu_blocks.append(nu)
                 near_rows.extend(near(mu, nu, axis=1).tolist())
                 if ball is not None:
-                    mu, nu = membership_grid(space, center, points[s:], [ball.time])
-                    inside = ((mu[:, 0] > 1.0 - radius) & (nu[:, 0] < radius)).tolist()
+                    inside = _ball_flags(space, ball, points[s:]).tolist()
                     flags.extend(inside)
                     if not all(inside):
                         exit_at = s + inside.index(False)
@@ -382,7 +380,7 @@ def closed_ball_solve(
     def ball_constant() -> tuple[ContractivityReport, str | None]:
         pairs = sample_ball_pairs(space, ball, max(64, config.sample_pairs // 4), config.seed)
         report = if_contractive_check(space, map_, 0, config.probe_ts, pairs=pairs)
-        sup = float(report.details.get("sup_ratio", np.inf))
+        sup = report.details["sup_ratio"]
         if report.passed and not sup > k + K_SAFETY_MARGIN * (1.0 + k):
             return report, None
         report.notes = (report.notes + "; " if report.notes else "") + (

@@ -25,7 +25,7 @@ from typing import Any, Callable, Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .operators import BLOCK_CELLS, OperatorPair, idempotency_witness, idempotent_within, unit_scalar
-from .report import AuditReport, ClauseResult
+from .report import AuditReport, ClauseResult, _outranks
 
 # Geometric grid spanning two decades; the finite stand-in for "all t > 0".
 DEFAULT_PROBE_TS: tuple[float, ...] = tuple(0.1 * 2.0**i for i in range(10))
@@ -505,22 +505,16 @@ def membership_grid(space: IfmSpace, xs, ys, ts) -> tuple[np.ndarray, np.ndarray
 # axiom audit
 
 
-def _outranks(value: float, held: float) -> bool:
-    """Whether a worst ``value`` replaces the ``held`` one: NaN ranks above
-    any value, and otherwise only a strictly greater value wins, so of
-    equal values the first held stays."""
-    return value > held or (math.isnan(value) and not math.isnan(held))
-
-
 def _fold_worst(worst: dict, name: str, viol, lo: int, *extra) -> None:
     """Fold the (samples x times) violations ``viol`` of the sample block
     starting at row ``lo`` into ``worst[name]``, a held ``(value, row,
     column)`` worst entry (absent while no entry was seen), followed by the
     entry at the same cell of each grid of ``extra``.
 
-    NaN ranks above any value, and a later block replaces the held entry
-    only when strictly worse, so the first worst in ``(sample, t)`` order
-    wins, as one argmax over the whole grid finds it.
+    A later block replaces the held entry only when it outranks it
+    (:func:`~ifmlab.report._outranks`), so the first worst in ``(sample,
+    t)`` order wins, a NaN above any value, as one argmax over the whole
+    grid finds it.
     """
     if not viol.size:
         return
@@ -530,18 +524,17 @@ def _fold_worst(worst: dict, name: str, viol, lo: int, *extra) -> None:
         worst[name] = value, lo + i, j, *(float(grid[i, j]) for grid in extra)
 
 
-def _grid_witness(xs, ys, held, ts, extra=None) -> dict:
-    """Witness for a held worst ``(value, row, column)`` of a violation grid."""
-    value, i, j = held
-    return {"x": point_jsonable(xs[i]), "y": point_jsonable(ys[i]), "t": float(ts[j]),
-            "violation": value, **(extra or {})}
+def _grid_witness(xs, ys, ts, i, j, fields: dict) -> dict:
+    """The witness at row ``i`` and column ``j`` of a (pair, t) grid: its
+    pair, its time, then ``fields``."""
+    return {"x": point_jsonable(xs[i]), "y": point_jsonable(ys[i]), "t": float(ts[j]), **fields}
 
 
 def _max_clause(name, held, xs, ys, ts, tolerance) -> ClauseResult:
     """Clause that passes iff the held worst entry (None: the grid is empty) is within tolerance."""
     worst = -math.inf if held is None else held[0]
-    return ClauseResult(name, passed=worst <= tolerance, worst=max(worst, 0.0),
-                        witness=None if held is None else _grid_witness(xs, ys, held, ts))
+    witness = None if held is None else _grid_witness(xs, ys, ts, *held[1:], {"violation": worst})
+    return ClauseResult(name, passed=worst <= tolerance, worst=max(worst, 0.0), witness=witness)
 
 
 def triangle_shifts(ts) -> np.ndarray:
@@ -552,29 +545,26 @@ def triangle_shifts(ts) -> np.ndarray:
     return (ts[:, None] + ts[None, :]).ravel()
 
 
-def _triangle_rank(witness: dict) -> tuple:
-    """Order of triangle witnesses: NaN above any value, then by value, then by smaller (s, t)."""
-    v = witness["violation"]
-    return math.isnan(v), 0.0 if math.isnan(v) else v, -witness["s"], -witness["t"]
-
-
 def _triangle_worst(best, viol, xs, ys, zs, lo, ts) -> dict:
     """The worse of witness ``best`` and the worst entry of ``viol``, the
     ``(samples, s, t)`` violations of the sample block starting at ``lo``.
 
-    A block's entries are scanned by ``s``, then ``t``, then sample, and a
-    later block replaces ``best`` only when it ranks strictly higher, so the
-    first worst entry in ``(s, t, sample)`` order wins.  The block's witness
-    is built only when its maximum can outrank: NaN, or at least ``best``'s.
+    A block's entries are scanned by ``s``, then ``t``, then sample.  A
+    later block replaces ``best`` when its maximum outranks it or, on a
+    tie, when its ``(s, t)`` is smaller, so the first worst entry in ``(s,
+    t, sample)`` order wins.  The block's witness is built only when
+    ``best`` does not outrank its maximum.
     """
-    top, worst = float(viol.max()), -math.inf if best is None else best["violation"]
-    if not math.isnan(top) and (math.isnan(worst) or top < worst):
+    top = float(viol.max())
+    if best is not None and _outranks(best["violation"], top):
         return best
     by_shift = viol.transpose(1, 2, 0)
     i, j, m = np.unravel_index(int(np.argmax(by_shift)), by_shift.shape)
     witness = {**{name: point_jsonable(points[lo + m]) for name, points in zip("xyz", (xs, ys, zs))},
                "s": float(ts[i]), "t": float(ts[j]), "violation": float(viol[m, i, j])}
-    return witness if best is None or _triangle_rank(witness) > _triangle_rank(best) else best
+    if best is None or _outranks(top, best["violation"]) or (ts[i], ts[j]) < (best["s"], best["t"]):
+        return witness
+    return best
 
 
 # Per side, the clauses that mirror each other: the lower-bound clause and
@@ -601,14 +591,15 @@ def _side_clauses(side, worst, low, extreme, triangle, jump, xs, ys, ts, toleran
         extreme, distinct_ok, note = float("nan"), True, "no distinct pairs sampled"
     else:
         distinct_ok, note = apart(extreme, coincident), ""
-    diag = worst[f"{side}_identity"]
+    floor, diag = worst[floor_name], worst[f"{side}_identity"]
     worst_tri = triangle["violation"]
     return [
-        ClauseResult(floor_name, passed=floor_ok(low, 0.0), worst=max(0.0, -low),
-                     witness=_grid_witness(xs, ys, worst[floor_name], ts, {f"min_{side}": low})),
+        ClauseResult(floor_name, passed=floor_ok(low, 0.0), worst=max(0.0, -low), witness=_grid_witness(
+            xs, ys, ts, *floor[1:], {"violation": floor[0], f"min_{side}": low})),
         ClauseResult(f"{side}_identity", passed=(diag[0] <= tolerance) and distinct_ok,
                      worst=diag[0], note=note,
-                     witness=_grid_witness(xs, xs, diag, ts, {f"{nearest}_{side}_distinct": extreme})),
+                     witness=_grid_witness(xs, xs, ts, *diag[1:],
+                                           {"violation": diag[0], f"{nearest}_{side}_distinct": extreme})),
         _max_clause(f"{side}_symmetry", worst[f"{side}_symmetry"], xs, ys, ts, tolerance),
         ClauseResult(f"{side}_triangle", passed=worst_tri <= tolerance, worst=max(worst_tri, 0.0),
                      witness=triangle),
@@ -781,6 +772,16 @@ class BallSpec:
         time_parameter(self.time, "time")
 
 
+def _ball_flags(space: IfmSpace, ball: BallSpec, points, closed: bool = False) -> np.ndarray:
+    """Per point of a batch, whether it lies in the ball, in one kernel call:
+    ``mu > 1 - r`` and ``nu < r`` at the ball's time, or their closure."""
+    mu, nu = membership_grid(space, space.domain.as_point(ball.center), points, [ball.time])
+    r = float(ball.radius)
+    if closed:
+        return (mu[:, 0] >= 1.0 - r) & (nu[:, 0] <= r)
+    return (mu[:, 0] > 1.0 - r) & (nu[:, 0] < r)
+
+
 def ball_contains(space: IfmSpace, ball: BallSpec, y, mode: str = "open") -> bool:
     """Ball membership: strict inequalities in open mode, closed otherwise.
 
@@ -789,11 +790,7 @@ def ball_contains(space: IfmSpace, ball: BallSpec, y, mode: str = "open") -> boo
     """
     if mode not in ("open", "closed"):
         raise ValueError(f"mode must be 'open' or 'closed', got {mode!r}")
-    mu, nu = evaluate(space, ball.center, y, ball.time)
-    r = float(ball.radius)
-    if mode == "open":
-        return mu > 1.0 - r and nu < r
-    return mu >= 1.0 - r and nu <= r
+    return bool(_ball_flags(space, ball, space.domain.as_point(y), closed=mode == "closed")[0])
 
 
 # ---------------------------------------------------------------------------

@@ -147,6 +147,23 @@ def test_expanding_map_still_t_uniformly_continuous(line):
     assert report.passed  # continuity is weaker than contraction
 
 
+@pytest.mark.parametrize("epsilons", [(0.1, 0.01), (0.01, 0.1)])
+def test_t_uniform_witness_is_the_miss_of_the_last_listed_epsilon(epsilons):
+    """(a, b) is certain-near at every t and maps to the far pair (a, c), so
+    it misses at every threshold of both epsilons; the witness is the miss
+    of the epsilon listed last, whichever order they come in."""
+    domain = FiniteTabulated(["a", "b", "c"], {("a", "b"): (1.0, 0.0), ("a", "c"): (0.2, 0.7),
+                                               ("b", "c"): (0.2, 0.7)})
+    space = finite_tabulated(domain, min_max())
+    report = t_uniform_continuity_probe(space, SelfMap.table({"a": "a", "b": "c", "c": "c"}), epsilons, 50)
+    assert report.verdict == "fail"
+    assert [row["r"] for row in report.details["table"]] == [None, None]
+    witness = report.worst_witness
+    assert witness["epsilon"] == epsilons[-1]
+    assert sorted((witness["x"], witness["y"])) == ["a", "b"]
+    assert (witness["mu_image"], witness["nu_image"]) == (0.2, 0.7)
+
+
 def test_contractive_sequence_of_halving_iterates(line, half_plus_one):
     prefix = iterate_trace(line, half_plus_one, 0.0, 20)
     report = contractive_sequence_check(line, prefix, k=0.5)

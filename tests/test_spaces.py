@@ -42,7 +42,7 @@ from ifmlab.spaces import (
     DomainEscapeError,
     JointContinuityReport,
     NonFiniteImageError,
-    _triangle_rank,
+    _ball_flags,
     label_pairs,
     point_jsonable,
     points_equal,
@@ -207,6 +207,26 @@ def test_open_ball_membership_implies_closed(line):
     for y in rng.uniform(-2, 2, 64):
         if ball_contains(line, ball, y, mode="open"):
             assert ball_contains(line, ball, y, mode="closed")
+
+
+@settings(max_examples=80, deadline=None)
+@given(kind=st.sampled_from(["line", "plane", "tabulated"]), radius=st.floats(0.01, 0.99),
+       time=positive_t, coords=st.lists(st.tuples(coord, coord), min_size=2, max_size=8))
+@example(kind="line", radius=0.5, time=1.0, coords=[(0.0, 0.0), (0.0, 0.0), (1.0, 0.0), (0.8, 0.0)])
+@example(kind="tabulated", radius=0.6, time=1.0, coords=[(0.0, 0.0), (2.0, 0.0), (1.0, 0.0)])
+def test_ball_flags_match_ball_contains_point_by_point(kind, radius, time, coords):
+    """One batch test gives each point the verdict of its own ball_contains
+    call, in both modes.  The first point is the ball's center; a tabulated
+    point is the label at its first coordinate's integer part, mod 4."""
+    if kind == "tabulated":
+        space, points = FOUR_LABELS, ["abcd"[int(x) % 4] for x, _ in coords]
+    else:
+        space = induced_from_metric(CoordinateSpace(1 if kind == "line" else 2), min_max())
+        points = [[x] if kind == "line" else [x, y] for x, y in coords]
+    ball = BallSpec(center=points[0], radius=radius, time=time)
+    for mode in ("open", "closed"):
+        flags = _ball_flags(space, ball, space.domain.batch(points[1:]), closed=mode == "closed")
+        assert flags.tolist() == [ball_contains(space, ball, p, mode=mode) for p in points[1:]]
 
 
 def test_sequence_diagnostics_geometric(line):
@@ -549,6 +569,12 @@ def test_triangle_witness_is_the_first_worst_across_blocks(line, planted):
         assert repr(clause.worst) == repr(clause.witness["violation"]) == repr(0.5 - planted)
         assert (clause.witness["x"], clause.witness["z"]) == ([xs[early, 0]], [zs[early, 0]])
         assert (clause.witness["s"], clause.witness["t"]) == (1.0, 8.0)
+
+
+def _triangle_rank(witness: dict) -> tuple:
+    """Order of triangle witnesses: NaN above any value, then by value, then by smaller (s, t)."""
+    v = witness["violation"]
+    return math.isnan(v), 0.0 if math.isnan(v) else v, -witness["s"], -witness["t"]
 
 
 def reference_triangle_worst(best, viol, xs, ys, zs, lo, ts):
