@@ -427,14 +427,18 @@ def main(argv: list[str] | None = None) -> int:
         text = json_text(doc)
         print(text)
         if args.out:
-            write_text_atomic(args.out, text + "\n")
+            try:
+                write_text_atomic(args.out, text + "\n")
+            except OSError as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return EXIT_INPUT_ERROR
         return EXIT_PASS
 
     if args.command == "validate":
         try:
             with open(args.result) as handle:
                 doc = json.load(handle)
-        except (OSError, ValueError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:
             print(f"error: cannot read result document: {exc}", file=sys.stderr)
             return EXIT_INPUT_ERROR
         try:

@@ -468,14 +468,17 @@ def validate_config(doc: Any, seed: int | None = None) -> ExperimentConfig:
 
 
 def load_config(path: str, seed: int | None = None) -> ExperimentConfig:
-    """Parse and validate a YAML experiment config file."""
+    """Parse and validate a YAML experiment config file.  A document nested
+    too deeply to parse or to walk is a ConfigError at ``config``."""
     try:
         with open(path) as handle:
             doc = yaml.safe_load(handle)
+        return validate_config(doc, seed)
     except FileNotFoundError:
         raise ConfigError("config", f"file not found: {path}") from None
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
         raise ConfigError("config", f"YAML parse error{where}: {exc}") from exc
-    return validate_config(doc, seed)
+    except RecursionError:
+        raise ConfigError("config", "nested too deeply to read") from None

@@ -31,6 +31,7 @@ from .spaces import (  # the domain errors are re-exported here, beside the maps
     NonFiniteImageError,
     _fold_worst,
     _grid_witness,
+    _near,
     membership_grid,
     point_jsonable,
     points_equal,
@@ -425,9 +426,9 @@ def t_uniform_continuity_probe(
         for e, (eps, ladder) in enumerate(zip(eps_list, ladders)):
             i, count = found[e], 0
             if i < len(ladder):
-                image_ok = (mu2 >= 1.0 - eps) & (nu2 <= eps)
+                image_ok = _near(mu2, nu2, eps, closed=True)
                 for i in range(i, len(ladder)):
-                    qualify = (mu1 >= 1.0 - ladder[i]) & (nu1 <= ladder[i])
+                    qualify = _near(mu1, nu1, ladder[i], closed=True)
                     if np.all(image_ok[qualify]):
                         count = int(np.count_nonzero(qualify))
                         break
@@ -448,8 +449,7 @@ def t_uniform_continuity_probe(
             mu1, nu1 = membership_grid(space, xs[rows], ys[rows], ts)
         for e, (_, count) in enumerate(tally):
             if e in stale:
-                r = ladders[e][found[e]]
-                count = int(np.count_nonzero((mu1 >= 1.0 - r) & (nu1 <= r)))
+                count = int(np.count_nonzero(_near(mu1, nu1, ladders[e][found[e]], closed=True)))
             qualifying[e] += count
     table = [{"epsilon": eps, "r": ladder[i] if i < len(ladder) else None,
               "qualifying_samples": q if i < len(ladder) else 0}

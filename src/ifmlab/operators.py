@@ -171,11 +171,9 @@ def _audit_one_operator(
     # grid steps: any a <= c, b <= d decomposes into such steps.
     step_a = table[:-1, :] - table[1:, :]
     step_b = table[:, :-1] - table[:, 1:]
-    worst_mono = max(float(step_a.max(initial=0.0)), float(step_b.max(initial=0.0)), 0.0)
-    if step_a.size and float(step_a.max()) >= float(step_b.max(initial=-np.inf)):
-        wit = _argmax_witness(step_a, grid, "ab")
-    else:
-        wit = _argmax_witness(step_b, grid, "ab")
+    mono_a, mono_b = float(step_a.max()), float(step_b.max())
+    worst_mono = max(mono_a, mono_b, 0.0)
+    wit = _argmax_witness(step_a if mono_a >= mono_b else step_b, grid, "ab")
     clauses.append(
         ClauseResult(
             clause=f"{label}.monotonicity",
@@ -187,12 +185,10 @@ def _audit_one_operator(
 
     # Continuity modulus: jumps between adjacent grid points must stay a
     # small multiple of the grid step.  Catches genuine discontinuities;
-    # cannot certify pointwise continuity.
-    step = grid[1] - grid[0] if grid.size > 1 else 1.0
-    bound = 4.0 * step + tolerance
-    jump_a = np.abs(table[1:, :] - table[:-1, :])
-    jump_b = np.abs(table[:, 1:] - table[:, :-1])
-    worst_jump = max(float(jump_a.max(initial=0.0)), float(jump_b.max(initial=0.0)))
+    # cannot certify pointwise continuity.  A jump is a monotonicity step's
+    # absolute value.
+    bound = 4.0 * (grid[1] - grid[0]) + tolerance
+    worst_jump = max(float(np.abs(step_a).max()), float(np.abs(step_b).max()))
     clauses.append(
         ClauseResult(
             clause=f"{label}.continuity_modulus",

@@ -218,7 +218,7 @@ def json_text(obj: Any) -> str:
 
     The stdlib encoder renders floats via ``repr`` (shortest form); here
     every float is rendered as :func:`format_float` renders it, so output
-    width does not depend on the value; a list of floats in one ``%``, a
+    width does not depend on the value; a list of floats (as one row) and a
     2-D float64 array (a solve's trace points) by ``_float_table``.  Dict
     keys are emitted sorted.
     """
@@ -248,7 +248,7 @@ def json_text(obj: Any) -> str:
         return json_text(obj.tolist())
     if isinstance(obj, (list, tuple)):
         if all(type(v) is float for v in obj):
-            return "[" + spell_floats(", ".join(["%.17g"] * len(obj)) % tuple(obj)) + "]"
+            return _float_table(np.array(obj, float).reshape(1, -1), ", ", "[", "]")
         return "[" + ", ".join(json_text(v) for v in obj) + "]"
     if hasattr(obj, "to_record"):
         return json_text(obj.to_record())

@@ -49,6 +49,8 @@ from .spaces import (
     BallSpec,
     IfmSpace,
     _ball_flags,
+    _margin,
+    _near,
     asymptotic_nearness_probe,
     membership_grid,
     point_jsonable,
@@ -191,7 +193,7 @@ def residual_certificate(space: IfmSpace, map_: SelfMap, x, ts, epsilon: float):
     whether it certifies ``x`` fixed: ``mu >= 1 - epsilon`` and
     ``nu <= epsilon`` at every t.  Returns ``(ok, mu, nu)``."""
     mu, nu = membership_grid(space, x, apply_point(space, map_, x), ts)
-    return bool(np.all((mu[0] >= 1.0 - epsilon) & (nu[0] <= epsilon))), mu[0], nu[0]
+    return bool(_near(mu[0], nu[0], epsilon, closed=True).all()), mu[0], nu[0]
 
 
 def _gate(report: ContractivityReport, reason: str) -> tuple[ContractivityReport, str | None]:
@@ -232,9 +234,6 @@ def _solve(space: IfmSpace, map_: SelfMap, x0, config: SolveConfig,
     flags: list[bool] | None = None
     report = None
 
-    def near(mu, nu, axis=None):
-        return ((mu > 1.0 - config.epsilon) & (nu < config.epsilon)).all(axis=axis)
-
     def rows(blocks: list[np.ndarray]) -> np.ndarray:
         n = len(points) - 1
         return np.concatenate(blocks)[:n] if blocks else np.empty((0, len(ts)))
@@ -262,7 +261,7 @@ def _solve(space: IfmSpace, map_: SelfMap, x0, config: SolveConfig,
             at = np.asarray(chunk) - chunk[0]
             after = (at[:, None] + np.arange(1, w + 1)).ravel()
             mu, nu = membership_grid(space, pts[at.repeat(w)], pts[after], ts)
-            ok = near(mu, nu, axis=1).reshape(len(chunk), w).all(axis=1)
+            ok = _near(mu, nu, config.epsilon).all(axis=1).reshape(len(chunk), w).all(axis=1)
             if ok.any():
                 return chunk[int(ok.argmax())]
         return None
@@ -302,7 +301,7 @@ def _solve(space: IfmSpace, map_: SelfMap, x0, config: SolveConfig,
                 mu, nu = membership_grid(space, points[s - 1 : -1], points[s:], ts)
                 mu_blocks.append(mu)
                 nu_blocks.append(nu)
-                near_rows.extend(near(mu, nu, axis=1).tolist())
+                near_rows.extend(_near(mu, nu, config.epsilon).all(axis=1).tolist())
                 if ball is not None:
                     inside = _ball_flags(space, ball, points[s:]).tolist()
                     flags.extend(inside)
@@ -530,9 +529,9 @@ def uniqueness_probe(
         i, j = np.triu_indices(len(limits), 1)
         points = space.domain.batch(limits)
         mu, nu = membership_grid(space, points[i], points[j], ts)
-        margins = np.minimum(mu - (1.0 - eq_eps), eq_eps - nu)
+        margins = _margin(mu, nu, eq_eps)
         p, t = np.unravel_index(int(np.argmin(margins)), margins.shape)
-        agreement = bool(np.all(margins >= 0.0))
+        agreement = bool(_near(mu, nu, eq_eps, closed=True).all())
         worst_pair = {"i": int(i[p]), "j": int(j[p]), "t": float(ts[t]),
                       "mu": float(mu[p, t]), "nu": float(nu[p, t])}
         if space.base_distance is not None:

@@ -754,7 +754,7 @@ def asymptotic_nearness_probe(
     mu, nu = membership_grid(space, points[0::2], points[1::2], [t_horizon])
     for (x, y), m, n in zip(pairs, map(float, mu[:, 0]), map(float, nu[:, 0])):
         report.entries.append({"x": point_jsonable(x), "y": point_jsonable(y), "mu": m, "nu": n,
-                               "ok": m >= 1.0 - epsilon and n <= epsilon})
+                               "ok": _near(m, n, epsilon, closed=True)})
     return report
 
 
@@ -772,14 +772,23 @@ class BallSpec:
         time_parameter(self.time, "time")
 
 
+def _near(mu, nu, r: float, closed: bool = False):
+    """The nearness rule ``mu > 1 - r`` and ``nu < r``, or its closure; a NaN is never near."""
+    if closed:
+        return (mu >= 1.0 - r) & (nu <= r)
+    return (mu > 1.0 - r) & (nu < r)
+
+
+def _margin(mu, nu, r: float):
+    """``min(mu - (1 - r), r - nu)``: positive where ``_near`` holds, nonnegative where its closure does."""
+    return np.minimum(mu - (1.0 - r), r - nu)
+
+
 def _ball_flags(space: IfmSpace, ball: BallSpec, points, closed: bool = False) -> np.ndarray:
     """Per point of a batch, whether it lies in the ball, in one kernel call:
-    ``mu > 1 - r`` and ``nu < r`` at the ball's time, or their closure."""
+    whether it is ``_near`` the centre at the ball's radius and time."""
     mu, nu = membership_grid(space, space.domain.as_point(ball.center), points, [ball.time])
-    r = float(ball.radius)
-    if closed:
-        return (mu[:, 0] >= 1.0 - r) & (nu[:, 0] <= r)
-    return (mu[:, 0] > 1.0 - r) & (nu[:, 0] < r)
+    return _near(mu[:, 0], nu[:, 0], float(ball.radius), closed)
 
 
 def ball_contains(space: IfmSpace, ball: BallSpec, y, mode: str = "open") -> bool:
@@ -846,20 +855,14 @@ def sequence_diagnostics(
     witness: dict | None = None
     for p in range(1, window + 1):
         mu, nu = membership_grid(space, batch[:-p], batch[p:], ts)
-        margin = np.minimum(mu - (1.0 - epsilon), epsilon - nu)
-        fails = np.nonzero(~np.all(margin > 0.0, axis=1))[0]
+        fails = np.nonzero(~_near(mu, nu, epsilon).all(axis=1))[0]
         if fails.size:
             i = int(fails[-1])
             if i > last_fail:
                 last_fail = i
-                bad_t = int(np.argmin(margin[i]))
-                witness = {
-                    "n": i,
-                    "m": i + p,
-                    "t": float(ts[bad_t]),
-                    "mu": float(mu[i, bad_t]),
-                    "nu": float(nu[i, bad_t]),
-                }
+                bad_t = int(np.argmin(_margin(mu[i], nu[i], epsilon)))
+                witness = {"n": i, "m": i + p, "t": float(ts[bad_t]),
+                           "mu": float(mu[i, bad_t]), "nu": float(nu[i, bad_t])}
     n0 = last_fail + 1
     cauchy = n0 + window <= length - 1
 
@@ -867,8 +870,7 @@ def sequence_diagnostics(
     conv_from = None
     if candidate_limit is not None:
         mu, nu = membership_grid(space, batch, space.domain.as_point(candidate_limit), ts)
-        ok = np.all((mu > 1.0 - epsilon) & (nu < epsilon), axis=1)
-        fails = np.nonzero(~ok)[0]
+        fails = np.nonzero(~_near(mu, nu, epsilon).all(axis=1))[0]
         m0 = int(fails[-1]) + 1 if fails.size else 0
         convergent = m0 <= length - 1
         conv_from = m0 if convergent else None

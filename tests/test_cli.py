@@ -933,6 +933,42 @@ def test_unwritable_output_path_is_input_error(tmp_path):
     assert code == 2
 
 
+def test_defaults_out_to_a_directory_exits_two_and_leaves_no_temp_file(tmp_path, capsys):
+    # IsADirectoryError reached the user as a traceback, exit 1, before
+    target = tmp_path / "out"
+    target.mkdir()
+    assert main(["defaults", "--out", str(target)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
+    assert list(target.iterdir()) == []
+
+
+def _alias_chain(depth):
+    # a YAML flow list whose last entry is nested `depth` deep through
+    # anchors, each one level on the one before, so parsing stays shallow
+    return "[&d0 [1.0], " + ", ".join(f"&d{i} [*d{i - 1}]" for i in range(1, depth)) + "]"
+
+
+@pytest.mark.parametrize("text", [
+    # yaml.safe_load recursed past the interpreter's limit
+    pytest.param("space: " + "[" * 5000 + "]" * 5000 + "\n", id="deep-list-in-yaml"),
+    # the map's constant, nested through aliases parked in the seed, which
+    # is checked after the map, recursed past the limit in validation
+    pytest.param(f"seed: {_alias_chain(5000)}\n" + PICARD_YAML.replace("seed: 11\n", "").replace(
+        "affine: {matrix: [[0.5]], offset: [1.0]}", "constant: *d4999"), id="deep-constant-in-validation"),
+])
+def test_deeply_nested_config_exits_two_at_config(tmp_path, capsys, text):
+    cfg = write(tmp_path, "deep.yaml", text)
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "config error: config: nested too deeply to read\n"
+
+
+def test_deeply_nested_result_document_exits_two(tmp_path, capsys):
+    path = write(tmp_path, "deep.json", "[" * 100000 + "]" * 100000)
+    assert main(["validate", path]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot read result document: ")
+
+
 def test_config_validation_details(tmp_path):
     with pytest.raises(ConfigError, match="action"):
         load_config(write(tmp_path, "noaction.yaml", "space:\n  induced: {dimension: 1}\n"))

@@ -43,6 +43,8 @@ from ifmlab.spaces import (
     JointContinuityReport,
     NonFiniteImageError,
     _ball_flags,
+    _margin,
+    _near,
     label_pairs,
     point_jsonable,
     points_equal,
@@ -227,6 +229,51 @@ def test_ball_flags_match_ball_contains_point_by_point(kind, radius, time, coord
     for mode in ("open", "closed"):
         flags = _ball_flags(space, ball, space.domain.batch(points[1:]), closed=mode == "closed")
         assert flags.tolist() == [ball_contains(space, ball, p, mode=mode) for p in points[1:]]
+
+
+def reference_near(mu, nu, r, closed):
+    """The nearness test as each verdict wrote it inline before ``_near``:
+    the open form for balls, Picard steps and windows and the Cauchy and
+    convergence tests, the closed form for the closed ball, the residual
+    certificate, the t-uniform probe and the large-horizon probe."""
+    if closed:
+        return (mu >= 1.0 - r) & (nu <= r)
+    return (mu > 1.0 - r) & (nu < r)
+
+
+# the t-uniform ladder eps * 2**j below 1, for its default epsilons and any
+# epsilon inside (0, 1), and ball radii inside (0, 1)
+nearness_radius = st.one_of(
+    st.builds(lambda eps, j: eps * 2.0**j, st.sampled_from([0.1, 0.01]), st.integers(-24, 3)),
+    st.builds(lambda eps, j: eps * 2.0**j,
+              st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), st.integers(-24, 0)),
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+)
+nearness_float = st.one_of(st.floats(), st.floats(0.0, 1.0),
+                           st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+                                            2.2250738585072014e-308, 1.0, 1.7976931348623157e308]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(r=nearness_radius, mu=st.lists(nearness_float, max_size=12), nu=st.lists(nearness_float, max_size=12))
+def test_near_and_margin_agree_with_the_inline_nearness_tests(r, mu, nu):
+    """``_near`` gives each cell the verdict of the old inline test, in both
+    forms, and the sign of ``_margin`` gives the same verdicts: positive for
+    the open form, nonnegative for the closed one.  Each (mu, nu) list also
+    carries the thresholds ``1 - r`` and ``r`` and their neighbours."""
+    edge = [np.nextafter(1.0 - r, -1.0), 1.0 - r, np.nextafter(1.0 - r, 2.0)]
+    mu = np.array(mu + edge + [1.0] * 3 + edge)
+    nu = np.array(nu + [0.0] * 3 + [np.nextafter(r, -1.0), r, np.nextafter(r, 2.0)] * 2)
+    size = min(len(mu), len(nu))
+    mu, nu = mu[-size:], nu[-size:]
+    for closed in (False, True):
+        expected = reference_near(mu, nu, r, closed)
+        got = _near(mu, nu, r, closed)
+        assert got.dtype == bool and np.array_equal(got, expected)
+        assert [_near(float(m), float(n), r, closed) for m, n in zip(mu, nu)] == expected.tolist()
+    margin = _margin(mu, nu, r)
+    assert np.array_equal(margin > 0.0, reference_near(mu, nu, r, False))
+    assert np.array_equal(margin >= 0.0, reference_near(mu, nu, r, True))
 
 
 def test_sequence_diagnostics_geometric(line):

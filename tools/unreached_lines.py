@@ -33,7 +33,23 @@ def main() -> int:
 
     # only src/ and the tests are traced, which keeps the slowdown down
     tracer = trace.Trace(count=1, trace=0, ignoredirs=[sys.prefix, sys.exec_prefix])
-    code = tracer.runfunc(pytest.main, ["-q", "-p", "no:cacheprovider", os.path.join(ROOT, "tests")])
+
+    def rearm(frame, event, arg):
+        if sys.gettrace() is None:
+            sys.settrace(tracer.globaltrace)
+
+    def run_tests() -> int:
+        # CPython turns a trace function off when it raises, as it does when
+        # a test runs the stack into the recursion limit; the trace function
+        # is called before the profile function, so a profile function that
+        # turns tracing back on survives the limit
+        sys.setprofile(rearm)
+        try:
+            return pytest.main(["-q", "-p", "no:cacheprovider", os.path.join(ROOT, "tests")])
+        finally:
+            sys.setprofile(None)
+
+    code = tracer.runfunc(run_tests)
     unreached = []
     with tempfile.TemporaryDirectory() as coverdir:
         tracer.results().write_results(show_missing=True, coverdir=coverdir)
