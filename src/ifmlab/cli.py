@@ -32,36 +32,26 @@ from .config import (
     _numbers,
     _point,
     _rebuild_experiment,
-    build_map,
-    build_space,
     expect_list,
     expect_mapping,
     load_config,
     solve_record,
 )
-from .contractions import (
-    DomainEscapeError,
-    SelfMap,
-    closed_ball_hypotheses,
-    contractive_sequence_check,
-    direct_ratio_contractive_check,
-    if_contractive_check,
-    t_uniform_continuity_probe,
-)
+from .contractions import DomainEscapeError
 from .operators import BLOCK_CELLS, audit_operator_pair, check_idempotent, operator_pair
 from .report import _float_table, format_float, json_text, records_to_jsonl, write_text_atomic
 from .solver import (
+    CHECKS,
     SolveConfig,
     SolveResult,
     chain_break,
     closed_ball_solve,
     direct_ratio_solve,
-    iterate_trace,
     picard_solve,
     power_map_solve,
     residual_certificate,
 )
-from .spaces import IfmSpace, axiom_audit, point_jsonable, points_equal, probe_grid
+from .spaces import axiom_audit, point_jsonable, points_equal, probe_grid
 
 OUTPUT_DIR_ENV = "IFMLAB_OUT"
 
@@ -255,21 +245,15 @@ def validate_result_document(doc: Any) -> list[str]:
 # action runners
 
 
-def _space_and_map(config: ExperimentConfig) -> tuple[IfmSpace, SelfMap | None]:
-    space = build_space(config.space_spec, config.domain, config.operators_name)
-    return space, None if config.map_spec is None else build_map(config)
-
-
 def _run_audit(config: ExperimentConfig, out_dir: str | None, summary: RunSummary) -> int:
-    action, cfg = config.action, config.solve
-    if action.name == "operators":
+    params, cfg, space = config.action.params, config.solve, config.space
+    if space is None:  # the operator audit
         pair = operator_pair(config.operators_name)
-        report = audit_operator_pair(pair, action.grid_size, action.tolerance)
+        report = audit_operator_pair(pair, **params)
         summary.key_numbers["idempotent"] = "tnorm={} tconorm={}".format(*check_idempotent(pair))
     else:
-        space, _ = _space_and_map(config)
-        report = axiom_audit(space, sample_count=action.samples, t_samples=cfg.probe_ts,
-                             tolerance=action.tolerance, seed=cfg.seed,
+        report = axiom_audit(space, sample_count=params["samples"], t_samples=cfg.probe_ts,
+                             tolerance=params["tolerance"], seed=cfg.seed,
                              box=space.domain.box(cfg.sample_halfwidth))
     path = _resolve_out(config.output.get("report", "audit_report.jsonl"), out_dir)
     write_text_atomic(path, records_to_jsonl(report.to_records()))
@@ -280,36 +264,20 @@ def _run_audit(config: ExperimentConfig, out_dir: str | None, summary: RunSummar
     return EXIT_PASS if report.passed else EXIT_FAIL
 
 
-# notion -> check of (space, map, action, solve settings, sampling box)
-CHECKS = {
-    "if_contractive": lambda space, map_, a, cfg, box: if_contractive_check(
-        space, map_, cfg.sample_pairs, cfg.probe_ts, seed=cfg.seed, box=box),
-    "direct_ratio": lambda space, map_, a, cfg, box: direct_ratio_contractive_check(
-        space, map_, cfg.sample_pairs, cfg.probe_ts, include_coincident=a.include_coincident,
-        seed=cfg.seed, box=box),
-    "t_uniform_continuity": lambda space, map_, a, cfg, box: t_uniform_continuity_probe(
-        space, map_, a.epsilons, cfg.sample_pairs, cfg.probe_ts, seed=cfg.seed, box=box),
-    "contractive_sequence": lambda space, map_, a, cfg, box: contractive_sequence_check(
-        space, iterate_trace(space, map_, a.x0, a.steps) if a.prefix is None else a.prefix,
-        a.k, cfg.probe_ts),
-    "closed_ball_hypotheses": lambda space, map_, a, cfg, box: closed_ball_hypotheses(
-        space, map_, a.ball.center, a.ball.radius, a.ball.time, a.k),
-}
-
-# regime -> solve of (space, map, action, solve settings)
+# regime -> its solve, called as (space, map, config=solve settings, **parameters); like
+# solver.CHECKS, each entry looks its solve up when called
 SOLVES = {
-    "picard": lambda space, map_, a, cfg: picard_solve(space, map_, a.x0, cfg),
-    "closed_ball": lambda space, map_, a, cfg: closed_ball_solve(space, map_, a.ball, a.k, cfg),
-    "power": lambda space, map_, a, cfg: power_map_solve(space, map_, a.m, cfg, x0=a.x0),
-    "direct_ratio": lambda space, map_, a, cfg: direct_ratio_solve(
-        space, map_, cfg, x0=a.x0, include_coincident=a.include_coincident),
+    "picard": lambda *args, **params: picard_solve(*args, **params),
+    "closed_ball": lambda *args, **params: closed_ball_solve(*args, **params),
+    "power": lambda *args, **params: power_map_solve(*args, **params),
+    "direct_ratio": lambda *args, **params: direct_ratio_solve(*args, **params),
 }
 
 
 def _run_check(config: ExperimentConfig, out_dir: str | None, summary: RunSummary) -> int:
-    space, map_ = _space_and_map(config)
-    action, cfg = config.action, config.solve
-    report = CHECKS[action.name](space, map_, action, cfg, space.domain.box(cfg.sample_halfwidth))
+    space, action, cfg = config.space, config.action, config.solve
+    box = space.domain.box(cfg.sample_halfwidth)
+    report = CHECKS[action.name](space, config.map, cfg, box, **action.params)
     path = _resolve_out(config.output.get("report", "check_report.jsonl"), out_dir)
     write_text_atomic(path, records_to_jsonl([report.to_record()]))
     summary.files.append(path)
@@ -322,10 +290,9 @@ def _run_check(config: ExperimentConfig, out_dir: str | None, summary: RunSummar
 
 
 def _run_solve(config: ExperimentConfig, out_dir: str | None, summary: RunSummary) -> int:
-    space, map_ = _space_and_map(config)
     action, cfg = config.action, config.solve
-    regime = action.name
-    result = SOLVES[regime](space, map_, action, cfg)
+    regime, params = action.name, action.params
+    result = SOLVES[regime](config.space, config.map, config=cfg, **params)
 
     experiment = {
         "space": config.space_spec,
@@ -335,7 +302,7 @@ def _run_solve(config: ExperimentConfig, out_dir: str | None, summary: RunSummar
         # the power regime, whose residual certificate is about the
         # original map while the iteration runs its m-th power
         "iteration_map": (
-            {"power": {"of": config.map_spec, "m": action.m}} if regime == "power" else config.map_spec
+            {"power": {"of": config.map_spec, "m": params["m"]}} if regime == "power" else config.map_spec
         ),
         "action": {"solve": action.written},
         "seed": cfg.seed,
@@ -472,7 +439,7 @@ def main(argv: list[str] | None = None) -> int:
     except DomainEscapeError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     print(summary.render())

@@ -3,14 +3,14 @@
 A config is a single YAML document selecting a space, an operator pair, an
 optional self-map, exactly one action (audit, check, or solve) with its
 parameters, solver settings, sampling settings, and output paths.
-Validation types, defaults and range-checks every field once, and its
-errors carry the offending field path.
+Validation types, defaults and range-checks every field once, builds the
+space and the map once, and its errors carry the offending field path.
 """
 
 from __future__ import annotations
 
-import functools
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -29,7 +29,6 @@ from .spaces import (
     PointDomain,
     finite_tabulated,
     induced_from_metric,
-    require_idempotent,
     triangle_shifts,
 )
 from .solver import DEFAULT_UNIFORM_EPSILONS, SolveConfig
@@ -287,27 +286,18 @@ class Action:
     kind: str  # audit | check | solve
     name: str  # the target, notion or regime
     written: dict  # the action body as written, pinned in result documents
-    samples: int | None = None
-    tolerance: float | None = None
-    grid_size: int | None = None
-    include_coincident: bool | None = None
-    epsilons: tuple[float, ...] | None = None
-    k: float | None = None
-    prefix: list | None = None
-    x0: Any = None
-    steps: int | None = None
-    ball: BallSpec | None = None
-    m: int | None = None
+    params: dict  # keyed as ACTIONS lists them
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     operators_name: str
     space_spec: dict
-    domain: PointDomain  # built once from space_spec, at validation
+    space: IfmSpace | None  # built once at validation, as is map; None for an operator audit
     action: Action
     solve: SolveConfig  # from solve:, seed and sampling:
     map_spec: dict | None = None
+    map: SelfMap | None = None
     output: dict = field(default_factory=dict)
 
 
@@ -336,27 +326,19 @@ def _validate_space(spec: Any) -> tuple[dict, PointDomain]:
 
 
 def build_space(space_spec: dict, domain: PointDomain, operators_name: str) -> IfmSpace:
-    """The space of a validated spec over ``domain``, the point domain built from it."""
+    """The space of a validated spec over ``domain``, the point domain built from it;
+    a pair that is not idempotent is a ConfigError at ``operators``."""
     (kind,) = space_spec
-    return SPACE_KINDS[kind][1](domain, operator_pair(operators_name))
-
-
-@functools.cache
-def _idempotency_error(name: str) -> str | None:
-    """Why the shipped pair ``name`` cannot build a space, or None; fixed per name."""
     try:
-        require_idempotent(operator_pair(name))
+        return SPACE_KINDS[kind][1](domain, operator_pair(operators_name))
     except ValueError as exc:
-        return str(exc)
+        raise ConfigError("operators", str(exc)) from exc
 
 
-def _validate_operators(name: Any, builds_space: bool = True) -> str:
-    """A known pair name; an idempotent one when the action builds a space."""
+def _validate_operators(name: Any) -> str:
     if not isinstance(name, str) or name not in OPERATOR_FACTORIES:
         known = ", ".join(sorted(OPERATOR_FACTORIES))
         raise ConfigError("operators", f"unknown operator pair {name!r} (known: {known})")
-    if builds_space and _idempotency_error(name):
-        raise ConfigError("operators", _idempotency_error(name))
     return name
 
 
@@ -369,13 +351,14 @@ def _map_fields(spec: dict, path: str) -> None:
                 _map_fields(body["of"], f"{path}.power.of")
 
 
-def _validate_map(spec: Any, space_spec: dict, path: str = "map") -> dict:
+def _validate_map(spec: Any, space_spec: dict, path: str = "map") -> SelfMap:
+    """The map of ``spec``, once it suits the space of ``space_spec``."""
     spec = expect_mapping(spec, path)
     _map_fields(spec, path)
     if "constant" in spec:
         _float_sized(spec["constant"], f"{path}.constant")
     try:
-        self_map_from_spec(spec)
+        map_ = build_map(spec)
     except (TypeError, ValueError, KeyError) as exc:
         raise ConfigError(path, str(exc)) from exc
     if "affine" in spec and "induced" in space_spec:
@@ -389,11 +372,11 @@ def _validate_map(spec: Any, space_spec: dict, path: str = "map") -> dict:
     if ("table" in spec or ("constant" in spec and isinstance(spec["constant"], str))) \
             and "tabulated" not in space_spec:
         raise ConfigError(path, "label-valued maps require a tabulated space")
-    return spec
+    return map_
 
 
-def build_map(config: ExperimentConfig) -> SelfMap:
-    return self_map_from_spec(config.map_spec)
+def build_map(spec: dict) -> SelfMap:
+    return self_map_from_spec(spec)
 
 
 def _validate_action(raw: Any, domain: PointDomain) -> Action:
@@ -409,7 +392,7 @@ def _validate_action(raw: Any, domain: PointDomain) -> Action:
     if not isinstance(name, str) or name not in ACTIONS[kind]:
         raise ConfigError(f"{path}.{key}", f"must be one of {tuple(ACTIONS[kind])}, got {name!r}")
     params = _fields({k: v for k, v in body.items() if k != key}, ACTIONS[kind][name], path, domain)
-    return Action(kind, name, dict(body), **params)
+    return Action(kind, name, dict(body), params)
 
 
 def _solve_config(body: Any, path: str, **settings: Any) -> SolveConfig:
@@ -430,14 +413,12 @@ def _rebuild_experiment(exp: dict) -> tuple[IfmSpace, SelfMap, SelfMap, SolveCon
     """Space, maps and solve settings of a result document's experiment, checked as in a config."""
     try:
         space_spec, domain = _validate_space(exp.get("space"))
-        operators = _validate_operators(exp.get("operators", "min-max"))
-        map_spec = _validate_map(exp.get("map"), space_spec)
-        step_spec = _validate_map(exp.get("iteration_map", map_spec), space_spec, "iteration_map")
-        solve = _solve_config(exp.get("solve_config"), "solve_config")
+        space = build_space(space_spec, domain, _validate_operators(exp.get("operators", "min-max")))
+        map_ = _validate_map(exp.get("map"), space_spec)
+        step_map = _validate_map(exp.get("iteration_map", exp.get("map")), space_spec, "iteration_map")
+        return space, map_, step_map, _solve_config(exp.get("solve_config"), "solve_config")
     except ConfigError as exc:
         raise ConfigError(f"experiment.{exc.path}", exc.message) from exc
-    space = build_space(space_spec, domain, operators)
-    return space, self_map_from_spec(map_spec), self_map_from_spec(step_spec), solve
 
 
 def validate_config(doc: Any, seed: int | None = None) -> ExperimentConfig:
@@ -447,11 +428,13 @@ def validate_config(doc: Any, seed: int | None = None) -> ExperimentConfig:
         doc = {**doc, "seed": seed}
     space_spec, domain = _validate_space(_get(doc, "space", "config"))
     action = _validate_action(_get(doc, "action", "config"), domain)
-    operators_name = _validate_operators(doc.get("operators", "min-max"),
-                                         builds_space=(action.kind, action.name) != ("audit", "operators"))
+    operators_name = _validate_operators(doc.get("operators", "min-max"))
+    space = None if (action.kind, action.name) == ("audit", "operators") else build_space(
+        space_spec, domain, operators_name)
 
-    map_spec = None if doc.get("map") is None else _validate_map(doc["map"], space_spec)
-    if map_spec is None and action.kind != "audit" and action.prefix is None:
+    map_spec = doc.get("map")
+    map_ = None if map_spec is None else _validate_map(map_spec, space_spec)
+    if map_ is None and action.kind != "audit" and action.params.get("prefix") is None:
         raise ConfigError("map", f"action {action.kind!r} requires a map")
 
     sampling = _fields(doc.get("sampling"),
@@ -464,15 +447,36 @@ def validate_config(doc: Any, seed: int | None = None) -> ExperimentConfig:
         except ValueError as exc:
             raise ConfigError("solve.probe_ts", str(exc)) from exc
     output = _fields(doc.get("output"), OUTPUT_FIELDS, "output")
-    return ExperimentConfig(operators_name, space_spec, domain, action, solve, map_spec, output)
+    return ExperimentConfig(operators_name, space_spec, space, action, solve, map_spec, map_, output)
+
+
+# Nodes a config may expand to through YAML aliases: far above a 120-label tabulated space
+# (about 3e5), far below the 1e8 of a 550-byte chain of eight anchors, each ten aliases of the last
+NODE_BUDGET = 10**7
+
+
+def _expansion(doc: Any, seen: dict[int, tuple[int, int]]) -> tuple[int, int]:
+    """Node count and depth of ``doc`` with its aliases expanded, each distinct container walked once."""
+    if not isinstance(doc, (dict, list)):
+        return 1, 0
+    if id(doc) not in seen:
+        parts = [_expansion(item, seen) for item in (doc.values() if isinstance(doc, dict) else doc)]
+        seen[id(doc)] = 1 + sum(n for n, _ in parts), 1 + max((d for _, d in parts), default=0)
+    return seen[id(doc)]
 
 
 def load_config(path: str, seed: int | None = None) -> ExperimentConfig:
     """Parse and validate a YAML experiment config file.  A document nested
-    too deeply to parse or to walk is a ConfigError at ``config``."""
+    too deeply to parse or to walk, or above ``NODE_BUDGET`` nodes, is a
+    ConfigError at ``config``."""
     try:
         with open(path) as handle:
             doc = yaml.safe_load(handle)
+        nodes, depth = _expansion(doc, {})
+        if depth >= sys.getrecursionlimit():  # too deep for validation, whose walks recurse
+            raise RecursionError
+        if nodes > NODE_BUDGET:
+            raise ConfigError("config", f"expands to more than {NODE_BUDGET:,} nodes through YAML aliases")
         return validate_config(doc, seed)
     except FileNotFoundError:
         raise ConfigError("config", f"file not found: {path}") from None

@@ -149,17 +149,16 @@ def _audit_one_operator(
 
     # Associativity, (a*b)*c against a*(b*c) with the table as both inner
     # applications, over slabs of a of about BLOCK_CELLS floats, calling op
-    # directly (``out`` checks the shapes).  Only a slab strictly worse or the
-    # first NaN runs the argmax and replaces the worst, so the witness is the
-    # first worst in (a, b, c) order, as one argmax gives.
+    # directly; numpy allocates each slab (a kept buffer cost page faults), and
+    # it is broadcast to its (a, b, c) shape, as an op may return a scalar.  Only
+    # a slab strictly worse or the first NaN runs the argmax and replaces the
+    # worst, so the witness is the first worst in (a, b, c) order, as one argmax gives.
     assoc = None
     rows = max(1, BLOCK_CELLS // grid.size**2)
-    buf = np.empty((min(rows, grid.size), grid.size, grid.size))
     for lo in range(0, grid.size, rows):
-        viol = buf[:grid.size - lo]
-        np.subtract(np.asarray(op(table[lo:lo + rows, :, None], grid), dtype=float),
-                    np.asarray(op(a[lo:lo + rows, :, None], table), dtype=float), out=viol)
-        np.abs(viol, out=viol)
+        viol = np.abs(np.asarray(op(table[lo:lo + rows, :, None], grid), dtype=float)
+                      - np.asarray(op(a[lo:lo + rows, :, None], table), dtype=float))
+        viol = np.broadcast_to(viol, (min(rows, grid.size - lo), grid.size, grid.size))
         if assoc is None or _outranks(float(viol.max()), assoc.worst):
             assoc = _max_clause(f"{label}.associativity", viol, grid, "abc", tolerance, lo)
     clauses.append(assoc)

@@ -35,6 +35,7 @@ from .contractions import (
     SelfMap,
     apply_point,
     closed_ball_hypotheses,
+    contractive_sequence_check,
     direct_ratio_contractive_check,
     if_contractive_check,
     K_SAFETY_MARGIN,
@@ -196,6 +197,29 @@ def residual_certificate(space: IfmSpace, map_: SelfMap, x, ts, epsilon: float):
     return bool(_near(mu[0], nu[0], epsilon, closed=True).all()), mu[0], nu[0]
 
 
+def _sampled(config: SolveConfig, box) -> dict:
+    """Keywords of a sampled check: the pair count, probe grid and seed of ``config``, and ``box``."""
+    return {"sample_pairs_count": config.sample_pairs, "probe_ts": config.probe_ts, "seed": config.seed,
+            "box": box}
+
+
+# notion -> check of (space, map, solve settings, sampling box, the notion's
+# parameters), for the check action and the solve gates alike.  Each entry
+# looks its check up when called, so a module attribute rebound after import
+# (as bench/tracing.py rebinds them) is what runs.
+CHECKS = {
+    "if_contractive": lambda space, map_, cfg, box: if_contractive_check(space, map_, **_sampled(cfg, box)),
+    "direct_ratio": lambda space, map_, cfg, box, include_coincident: direct_ratio_contractive_check(
+        space, map_, include_coincident=include_coincident, **_sampled(cfg, box)),
+    "t_uniform_continuity": lambda space, map_, cfg, box, epsilons: t_uniform_continuity_probe(
+        space, map_, epsilons, **_sampled(cfg, box)),
+    "contractive_sequence": lambda space, map_, cfg, box, k, prefix, x0, steps: contractive_sequence_check(
+        space, iterate_trace(space, map_, x0, steps) if prefix is None else prefix, k, cfg.probe_ts),
+    "closed_ball_hypotheses": lambda space, map_, cfg, box, ball, k: closed_ball_hypotheses(
+        space, map_, ball.center, ball.radius, ball.time, k),
+}
+
+
 def _gate(report: ContractivityReport, reason: str) -> tuple[ContractivityReport, str | None]:
     return report, None if report.passed else reason
 
@@ -353,8 +377,7 @@ def picard_solve(space: IfmSpace, map_: SelfMap, x0, config: SolveConfig | None 
     box = space.domain.box(config.sample_halfwidth, x0)
 
     return _solve(space, map_, x0, config, (
-        lambda: _gate(if_contractive_check(space, map_, config.sample_pairs, config.probe_ts,
-                                           seed=config.seed, box=box),
+        lambda: _gate(CHECKS["if_contractive"](space, map_, config, box),
                       "map failed the contraction check on sampled pairs"),
         # the probe's report is not a contraction report, so a failure
         # carries the contraction check's
@@ -388,7 +411,7 @@ def closed_ball_solve(
         return report, "map is not contractive with the supplied constant on ball pairs"
 
     return _solve(space, map_, ball.center, config, (
-        lambda: _gate(closed_ball_hypotheses(space, map_, ball.center, ball.radius, ball.time, k),
+        lambda: _gate(CHECKS["closed_ball_hypotheses"](space, map_, config, None, ball=ball, k=k),
                       "first-step ball bounds failed"),
         ball_constant,
     ), ball=ball)
@@ -418,12 +441,9 @@ def power_map_solve(
     box = space.domain.box(config.sample_halfwidth)
     inner = config if m == 1 else replace(config, epsilon=config.epsilon / POWER_SOLVE_TIGHTENING)
     result = _solve(space, power, start, inner, (
-        lambda: _gate(if_contractive_check(space, power, config.sample_pairs, config.probe_ts,
-                                           seed=config.seed, box=box),
+        lambda: _gate(CHECKS["if_contractive"](space, power, config, box),
                       f"power map (m={m}) failed the contraction check"),
-        lambda: _gate(t_uniform_continuity_probe(space, map_, DEFAULT_UNIFORM_EPSILONS,
-                                                 config.sample_pairs, config.probe_ts,
-                                                 seed=config.seed, box=box),
+        lambda: _gate(CHECKS["t_uniform_continuity"](space, map_, config, box, epsilons=DEFAULT_UNIFORM_EPSILONS),
                       "map failed the t-uniform continuity probe"),
     ))
     if not result.converged:
@@ -465,10 +485,7 @@ def direct_ratio_solve(
     box = space.domain.box(config.sample_halfwidth)
 
     def ratio() -> tuple[ContractivityReport, str | None]:
-        report = direct_ratio_contractive_check(
-            space, map_, config.sample_pairs, config.probe_ts,
-            include_coincident=include_coincident, seed=config.seed, box=box,
-        )
+        report = CHECKS["direct_ratio"](space, map_, config, box, include_coincident=include_coincident)
         if report.verdict == "vacuous":
             return _gate(report, "direct-ratio contraction is vacuous with coincident pairs included")
         return _gate(report, "direct-ratio contraction check failed on sampled pairs")

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 import warnings
 
@@ -967,6 +968,58 @@ def test_deeply_nested_result_document_exits_two(tmp_path, capsys):
     path = write(tmp_path, "deep.json", "[" * 100000 + "]" * 100000)
     assert main(["validate", path]) == 2
     assert capsys.readouterr().err.startswith("error: cannot read result document: ")
+
+
+def _alias_fan(depth, width=10):
+    # a YAML flow list of `depth` anchors, each a list of `width` aliases of
+    # the one before, so it expands to about width**depth nodes
+    levels = ["&f0 [" + ", ".join(["0.5"] * width) + "]"]
+    levels += [f"&f{i} [" + ", ".join([f"*f{i - 1}"] * width) + "]" for i in range(1, depth)]
+    return "[" + ", ".join(levels) + "]"
+
+
+def test_config_over_the_alias_node_budget_exits_two_at_config(tmp_path, capsys):
+    # validation walked the 1.1e8 expanded nodes, ten times the time and
+    # memory per level (0.9 s at depth 6), and failed with numpy's message
+    text = PICARD_YAML.replace("affine: {matrix: [[0.5]], offset: [1.0]}", f"constant: {_alias_fan(8)}")
+    cfg = write(tmp_path, "fan.yaml", text)
+    tracemalloc.start()
+    try:
+        started = time.perf_counter()
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 2
+        elapsed = time.perf_counter() - started
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr().err == \
+        "config error: config: expands to more than 10,000,000 nodes through YAML aliases\n"
+    assert elapsed < 1.0 and peak < 4 * 2**20
+    assert not (tmp_path / "result.json").exists()
+
+
+def test_aliased_config_under_the_node_budget_runs(tmp_path):
+    text = PICARD_YAML.replace("offset: [1.0]", "offset: &start [1.0]").replace("x0: [0.0]", "x0: *start")
+    assert main(["solve", "--config", write(tmp_path, "aliased.yaml", text), "--out", str(tmp_path)]) == 0
+    assert json.loads((tmp_path / "result.json").read_text())["trace_points"][0] == [1.0]
+
+
+def test_a_size_too_large_to_allocate_exits_two(tmp_path, capsys):
+    # numpy's _ArrayMemoryError reached the user as a traceback, exit 1,
+    # before; 2**54 two-coordinate samples are 2**58 bytes, which numpy
+    # refuses without allocating
+    cfg = write(tmp_path, "huge.yaml", SPACE_AUDIT_YAML.replace("samples: 40", f"samples: {2**54}"))
+    assert main(["audit", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "space.jsonl").exists()
+
+
+def test_space_audit_with_a_pair_that_is_not_idempotent_exits_two_at_operators(tmp_path, capsys):
+    cfg = write(tmp_path, "pp.yaml", SPACE_AUDIT_YAML.replace("min-max", "product-probsum"))
+    assert main(["audit", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: operators: operator pair 'product-probsum' is not idempotent (tnorm witness "
+        "{'a': 0.5, 'violation': 0.25}, tconorm witness {'a': 0.5, 'violation': 0.25}); "
+        "spaces require idempotent operators\n")
 
 
 def test_config_validation_details(tmp_path):

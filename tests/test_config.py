@@ -179,3 +179,27 @@ NESTED_NUMBERS = st.recursive(
 @given(value=NESTED_NUMBERS)
 def test_float_sized_matches_the_reference_walk(value):
     assert float_sized_outcome(_float_sized, value) == float_sized_outcome(reference_float_sized, value)
+
+
+def test_a_run_builds_its_map_once_and_validate_each_of_its_two(tmp_path, monkeypatch):
+    import ifmlab.config as config
+    from ifmlab import cli
+
+    specs = []
+    build = config.self_map_from_spec
+    monkeypatch.setattr(config, "self_map_from_spec", lambda spec: specs.append(spec) or build(spec))
+    cfg = config.validate_config({**SWEEP_CONFIGS["solve-picard"][1], "output": OUTPUT})
+    assert cli.run(cfg, out_dir=str(tmp_path))[0] == 0
+    assert specs == [HALF_SHIFT]
+    specs.clear()
+    assert cli.validate_result_document(json.loads((tmp_path / "result.json").read_text())) == []
+    assert specs == [HALF_SHIFT, HALF_SHIFT]  # experiment.map and experiment.iteration_map
+
+
+def test_alias_expansion_counts_each_use_and_the_deepest_path():
+    from ifmlab.config import _expansion
+
+    doc = yaml.safe_load("a: &x [1, 2]\nb: [*x, *x]\n")
+    # the mapping, a's list of two, and b's list of two lists of two
+    assert _expansion(doc, {}) == (1 + 3 + 7, 3)
+    assert _expansion(yaml.safe_load("[]"), {}) == (1, 1) and _expansion(yaml.safe_load("7"), {}) == (1, 0)

@@ -82,6 +82,16 @@ def test_out_of_range_operator_reported_as_range_violation():
     assert clause.worst == pytest.approx(1.0)  # 1 + 1 = 2
 
 
+def test_scalar_valued_operator_is_audited_on_the_whole_grid():
+    # each associativity slab is broadcast to its (a, b, c) shape, as the
+    # range and identity tables are through _apply
+    pair = OperatorPair("constant", lambda a, b: 0.5, np.maximum)
+    report = audit_operator_pair(pair, 11, tolerance=1e-12)
+    assoc = report.clause("tnorm.associativity")
+    assert assoc.passed and assoc.witness == {"a": 0.0, "b": 0.0, "c": 0.0, "violation": 0.0}
+    assert not report.clause("tnorm.identity").passed
+
+
 def test_step_discontinuity_caught_by_modulus_clause():
     def drastic(a, b):
         a, b = np.broadcast_arrays(np.asarray(a, float), np.asarray(b, float))
