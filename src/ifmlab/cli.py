@@ -224,6 +224,8 @@ def validate_result_document(doc: Any) -> list[str]:
             ts = probe_grid(ts)
         except ValueError as exc:
             raise ConfigError("probe_ts", str(exc)) from exc
+        if not np.array_equal(ts, solve.probe_ts):
+            problems.append("probe_ts differs from experiment.solve_config.probe_ts")
         x_star = _point(_required(doc, "fixed_point"), "fixed_point", space.domain)
         iterations = _number(_required(doc, "iterations"), "iterations", integer=True)
         if not 0 <= iterations < len(points) or not points_equal(points[iterations], x_star):

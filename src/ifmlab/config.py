@@ -10,6 +10,7 @@ space and the map once, and its errors carry the offending field path.
 from __future__ import annotations
 
 import math
+import reprlib
 import sys
 from dataclasses import dataclass, field
 from typing import Any, Callable
@@ -356,7 +357,11 @@ def _validate_map(spec: Any, space_spec: dict, path: str = "map") -> SelfMap:
     spec = expect_mapping(spec, path)
     _map_fields(spec, path)
     if "constant" in spec:
-        _float_sized(spec["constant"], f"{path}.constant")
+        constant = _float_sized(spec["constant"], f"{path}.constant")
+        if not (isinstance(constant, str) or _is_number(constant)
+                or isinstance(constant, list) and all(map(_is_number, constant))):
+            raise ConfigError(f"{path}.constant", "must be a number, a list of numbers or a label, "
+                              f"got {reprlib.aRepr.repr1(constant, 2)}")  # two levels shown
     try:
         map_ = build_map(spec)
     except (TypeError, ValueError, KeyError) as exc:
@@ -380,7 +385,7 @@ def build_map(spec: dict) -> SelfMap:
 
 
 def _validate_action(raw: Any, domain: PointDomain) -> Action:
-    raw = expect_mapping(raw, "action")
+    raw = _known(raw, ACTIONS, "action")
     kinds = [k for k in ACTIONS if k in raw]
     if len(kinds) != 1:
         raise ConfigError("action", "exactly one of 'audit', 'check' or 'solve' is required")

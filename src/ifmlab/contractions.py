@@ -23,13 +23,12 @@ from typing import Any, Callable, Iterable
 import numpy as np
 
 from .operators import BLOCK_CELLS
-from .report import _outranks
+from .report import _fold_worst, _outranks
 from .sampling import sample_pairs
 from .spaces import (  # the domain errors are re-exported here, beside the maps that raise them
     DomainEscapeError,
     IfmSpace,
     NonFiniteImageError,
-    _fold_worst,
     _grid_witness,
     _near,
     membership_grid,

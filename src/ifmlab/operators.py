@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .report import AuditReport, ClauseResult, _outranks
+from .report import AuditReport, ClauseResult, _fold_worst
 
 BinaryOp = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
@@ -111,93 +111,62 @@ def _apply(op: BinaryOp, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.broadcast_to(np.asarray(op(a, b), dtype=float), shape)
 
 
-def _argmax_witness(values: np.ndarray, grid: np.ndarray, names: str, offset: int = 0) -> dict:
-    """Grid arguments (one per letter of ``names``) of the largest entry of
-    ``values``, whose first axis starts at grid index ``offset``."""
-    idx = np.unravel_index(int(np.argmax(values)), values.shape)
-    witness = {n: float(grid[i]) for n, i in zip(names, (idx[0] + offset, *idx[1:]))}
-    witness["violation"] = float(values[idx])
-    return witness
-
-
-def _max_clause(clause: str, viol: np.ndarray, grid: np.ndarray, names: str,
-                tolerance: float, offset: int = 0) -> ClauseResult:
-    """Clause that passes iff the largest entry of ``viol`` is within tolerance."""
-    worst = float(viol.max())
-    return ClauseResult(clause=clause, passed=worst <= tolerance, worst=worst,
-                        witness=_argmax_witness(viol, grid, names, offset))
+def _max_clause(clause: str, held: tuple, grid: np.ndarray, names: str, tolerance: float) -> ClauseResult:
+    """Clause that passes iff the held worst entry ``(value, i, …)`` is within
+    tolerance; its witness is the grid argument at each index, one per letter
+    of ``names``, and the value."""
+    value, *idx = held
+    witness = {n: float(grid[i]) for n, i in zip(names, idx)}
+    witness["violation"] = value
+    return ClauseResult(clause, passed=value <= tolerance, worst=max(value, 0.0), witness=witness)
 
 
 def _audit_one_operator(
     label: str, op: BinaryOp, identity: float, grid: np.ndarray, tolerance: float
 ) -> list[ClauseResult]:
-    clauses: list[ClauseResult] = []
+    worst: dict[str, tuple] = {}
     a = grid[:, None]
     b = grid[None, :]
     table = _apply(op, a, b)
 
     # Range: values outside [0, 1] signal a malformed operator, not an
     # axiom failure, but they invalidate everything downstream.
-    over = np.maximum(table - 1.0, 0.0)
-    under = np.maximum(-table, 0.0)
-    clauses.append(_max_clause(f"{label}.range", np.maximum(over, under), grid, "ab", tolerance))
-    if not clauses[-1].passed:
-        clauses[-1].note = "operator returned a value outside [0, 1]"
-
-    comm = np.abs(table - table.T)
-    clauses.append(_max_clause(f"{label}.commutativity", comm, grid, "ab", tolerance))
+    _fold_worst(worst, "range", np.maximum(np.maximum(table - 1.0, 0.0), np.maximum(-table, 0.0)))
+    _fold_worst(worst, "commutativity", np.abs(table - table.T))
 
     # Associativity, (a*b)*c against a*(b*c) with the table as both inner
     # applications, over slabs of a of about BLOCK_CELLS floats, calling op
     # directly; numpy allocates each slab (a kept buffer cost page faults), and
-    # it is broadcast to its (a, b, c) shape, as an op may return a scalar.  Only
-    # a slab strictly worse or the first NaN runs the argmax and replaces the
-    # worst, so the witness is the first worst in (a, b, c) order, as one argmax gives.
-    assoc = None
+    # it is broadcast to its (a, b, c) shape, as an op may return a scalar.
     rows = max(1, BLOCK_CELLS // grid.size**2)
     for lo in range(0, grid.size, rows):
         viol = np.abs(np.asarray(op(table[lo:lo + rows, :, None], grid), dtype=float)
                       - np.asarray(op(a[lo:lo + rows, :, None], table), dtype=float))
-        viol = np.broadcast_to(viol, (min(rows, grid.size - lo), grid.size, grid.size))
-        if assoc is None or _outranks(float(viol.max()), assoc.worst):
-            assoc = _max_clause(f"{label}.associativity", viol, grid, "abc", tolerance, lo)
-    clauses.append(assoc)
+        _fold_worst(worst, "associativity",
+                    np.broadcast_to(viol, (min(rows, grid.size - lo), grid.size, grid.size)), lo)
 
-    ident = np.abs(_apply(op, grid, np.full_like(grid, identity)) - grid)
-    clauses.append(_max_clause(f"{label}.identity", ident, grid, "a", tolerance))
+    _fold_worst(worst, "identity", np.abs(_apply(op, grid, np.full_like(grid, identity)) - grid))
 
     # Monotonicity in both arguments reduces to monotonicity along adjacent
-    # grid steps: any a <= c, b <= d decomposes into such steps.
-    step_a = table[:-1, :] - table[1:, :]
-    step_b = table[:, :-1] - table[:, 1:]
-    mono_a, mono_b = float(step_a.max()), float(step_b.max())
-    worst_mono = max(mono_a, mono_b, 0.0)
-    wit = _argmax_witness(step_a if mono_a >= mono_b else step_b, grid, "ab")
-    clauses.append(
-        ClauseResult(
-            clause=f"{label}.monotonicity",
-            passed=worst_mono <= tolerance,
-            worst=worst_mono,
-            witness=wit,
-        )
-    )
+    # grid steps: any a <= c, b <= d decomposes into such steps.  The
+    # continuity modulus takes a step's absolute value as its jump: jumps
+    # between adjacent grid points must stay a small multiple of the grid
+    # step.  It catches genuine discontinuities; it cannot certify pointwise
+    # continuity.
+    for step in (table[:-1, :] - table[1:, :], table[:, :-1] - table[:, 1:]):
+        _fold_worst(worst, "monotonicity", step)
+        _fold_worst(worst, "continuity_modulus", np.abs(step))
 
-    # Continuity modulus: jumps between adjacent grid points must stay a
-    # small multiple of the grid step.  Catches genuine discontinuities;
-    # cannot certify pointwise continuity.  A jump is a monotonicity step's
-    # absolute value.
+    clauses = [_max_clause(f"{label}.{name}", worst[name], grid, names, tolerance)
+               for name, names in (("range", "ab"), ("commutativity", "ab"), ("associativity", "abc"),
+                                   ("identity", "a"), ("monotonicity", "ab"))]
+    if not clauses[0].passed:
+        clauses[0].note = "operator returned a value outside [0, 1]"
     bound = 4.0 * (grid[1] - grid[0]) + tolerance
-    worst_jump = max(float(np.abs(step_a).max()), float(np.abs(step_b).max()))
-    clauses.append(
-        ClauseResult(
-            clause=f"{label}.continuity_modulus",
-            passed=worst_jump <= bound,
-            worst=worst_jump,
-            witness={"bound": float(bound)},
-            note=f"max adjacent-grid jump vs bound {bound:.3g}",
-        )
-    )
-    return clauses
+    jump = worst["continuity_modulus"][0]
+    return clauses + [ClauseResult(f"{label}.continuity_modulus", passed=jump <= bound, worst=jump,
+                                   witness={"bound": float(bound)},
+                                   note=f"max adjacent-grid jump vs bound {bound:.3g}")]
 
 
 def audit_operator_pair(
@@ -208,10 +177,10 @@ def audit_operator_pair(
     Produces one clause per axiom (commutativity, associativity, identity,
     monotonicity) and per operator, each with the maximum observed
     violation and the grid arguments achieving it (the first worst in
-    (a, b, c) order), plus range and continuity-modulus clauses.  Memory is
-    O(grid_size**2) floats: the associativity clause scans slabs of
-    ``max(1, BLOCK_CELLS // grid_size**2)`` rows of a, and grid_size 200
-    peaks at 3.1 MiB.
+    (a, b, c) order, a NaN above any value), plus range and
+    continuity-modulus clauses.  Memory is O(grid_size**2) floats: the
+    associativity clause scans slabs of ``max(1, BLOCK_CELLS //
+    grid_size**2)`` rows of a, and grid_size 200 peaks at 1.53 MiB.
     """
     if grid_size < 2:
         raise ValueError("grid_size must be at least 2")

@@ -80,6 +80,27 @@ def _outranks(value: float, held: float) -> bool:
     return value > held or (math.isnan(value) and not math.isnan(held))
 
 
+def _fold_worst(worst: dict, name: str, viol: np.ndarray, lo: int = 0, *extra) -> None:
+    """Fold the violation grid ``viol``, of any rank, whose first axis starts
+    at index ``lo``, into ``worst[name]``: a held ``(value, lo + i0, i1, …)``
+    worst entry (absent while no entry was seen), followed by the entry at
+    the same cell of each grid of ``extra``.
+
+    A later grid replaces the held entry only when its maximum outranks it
+    (:func:`_outranks`), and only then runs the argmax, so the first worst
+    in index order wins, a NaN above any value, as one argmax over the
+    whole grid finds it.  The entry is read at the argmax, so a zero keeps
+    its sign.
+    """
+    if not viol.size:
+        return
+    held = worst.get(name)
+    if held is None or _outranks(float(viol.max()), held[0]):
+        idx = np.unravel_index(int(np.argmax(viol)), viol.shape)
+        worst[name] = (float(viol[idx]), lo + int(idx[0]), *map(int, idx[1:]),
+                       *(float(grid[idx]) for grid in extra))
+
+
 def spell_floats(text: str) -> str:
     """``%.17g`` text in its written form: ``nan`` as ``NaN`` and ``inf`` as ``Infinity``."""
     # only "nan" and "inf" put an "n" in a %g rendering

@@ -25,7 +25,7 @@ from typing import Any, Callable, Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .operators import BLOCK_CELLS, OperatorPair, idempotency_witness, idempotent_within, unit_scalar
-from .report import AuditReport, ClauseResult, _outranks
+from .report import AuditReport, ClauseResult, _fold_worst, _outranks
 
 # Geometric grid spanning two decades; the finite stand-in for "all t > 0".
 DEFAULT_PROBE_TS: tuple[float, ...] = tuple(0.1 * 2.0**i for i in range(10))
@@ -505,25 +505,6 @@ def membership_grid(space: IfmSpace, xs, ys, ts) -> tuple[np.ndarray, np.ndarray
 # axiom audit
 
 
-def _fold_worst(worst: dict, name: str, viol, lo: int, *extra) -> None:
-    """Fold the (samples x times) violations ``viol`` of the sample block
-    starting at row ``lo`` into ``worst[name]``, a held ``(value, row,
-    column)`` worst entry (absent while no entry was seen), followed by the
-    entry at the same cell of each grid of ``extra``.
-
-    A later block replaces the held entry only when it outranks it
-    (:func:`~ifmlab.report._outranks`), so the first worst in ``(sample,
-    t)`` order wins, a NaN above any value, as one argmax over the whole
-    grid finds it.
-    """
-    if not viol.size:
-        return
-    i, j = divmod(int(np.argmax(viol)), viol.shape[1])
-    value, held = float(viol[i, j]), worst.get(name)
-    if held is None or _outranks(value, held[0]):
-        worst[name] = value, lo + i, j, *(float(grid[i, j]) for grid in extra)
-
-
 def _grid_witness(xs, ys, ts, i, j, fields: dict) -> dict:
     """The witness at row ``i`` and column ``j`` of a (pair, t) grid: its
     pair, its time, then ``fields``."""
@@ -594,8 +575,8 @@ def _side_clauses(side, worst, low, extreme, triangle, jump, xs, ys, ts, toleran
     floor, diag = worst[floor_name], worst[f"{side}_identity"]
     worst_tri = triangle["violation"]
     return [
-        ClauseResult(floor_name, passed=floor_ok(low, 0.0), worst=max(0.0, -low), witness=_grid_witness(
-            xs, ys, ts, *floor[1:], {"violation": floor[0], f"min_{side}": low})),
+        ClauseResult(floor_name, passed=floor_ok(low, 0.0), worst=0.0 if -low <= 0.0 else -low,
+                     witness=_grid_witness(xs, ys, ts, *floor[1:], {"violation": floor[0], f"min_{side}": low})),
         ClauseResult(f"{side}_identity", passed=(diag[0] <= tolerance) and distinct_ok,
                      worst=diag[0], note=note,
                      witness=_grid_witness(xs, xs, ts, *diag[1:],

@@ -221,10 +221,22 @@ def _nudge_residual(doc):
     doc["residual_nu"][0] = float(np.nextafter(doc["residual_nu"][0], np.inf))
 
 
+# the two probe grids disagree: both printed "certificate verified" before
+def _probe_ts_of_solve_config(doc):
+    doc["experiment"]["solve_config"]["probe_ts"] = [1.0]
+
+
+def _probe_ts_of_document(doc):
+    doc["probe_ts"] = [1.0]
+    doc["residual_mu"] = doc["residual_nu"] = None
+
+
 @pytest.mark.parametrize("tamper, message", [
     (_nudge_fixed_point, "fixed_point does not match the trace at the stated iteration"),
     (_tighten_epsilon, "residual certificate fails: mu_min="),
     (_nudge_residual, "stored residual_nu does not reproduce from the stored points"),
+    (_probe_ts_of_solve_config, "probe_ts differs from experiment.solve_config.probe_ts"),
+    (_probe_ts_of_document, "probe_ts differs from experiment.solve_config.probe_ts"),
 ])
 def test_validate_rejects_a_tampered_converged_document(tmp_path, capsys, tamper, message):
     doc = converged_document(tmp_path / "solve")
@@ -425,6 +437,7 @@ def case(command, text, old, new, field, id):
          "map.power.of.affine.scale", "map-power-of-key"),
     case("solve", PICARD_YAML, "  report: report.jsonl", "  reprot: report.jsonl", "output.reprot",
          "output-key"),
+    case("solve", PICARD_YAML, "    x0: [0.0]\n", "    x0: [0.0]\n  bogus: 1\n", "action.bogus", "action-key"),
     # an unhashable name must not reach a table lookup
     case("solve", PICARD_YAML, "regime: picard", "regime: [1]", "action.solve.regime", "regime-list"),
     # named the whole map before
@@ -481,6 +494,22 @@ def test_mistyped_config_fields_exit_two_with_field_path(tmp_path, capsys, comma
     cfg = write(tmp_path, "bad.yaml", text.replace(old, new))
     assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith(f"config error: {field}: ")
+
+
+@pytest.mark.parametrize("constant, shown", [
+    # numpy's "only 0-dimensional arrays can be converted to Python scalars" before
+    pytest.param("[[0.5, 0.5], [0.5, 0.5]]", "[[0.5, 0.5], [0.5, 0.5]]", id="nested"),
+    pytest.param("[" + ", ".join(["[0.5]"] * 100) + "]", "[[0.5], [0.5], [0.5], [0.5], [0.5], [0.5], ...]",
+                 id="nested-long"),
+    pytest.param("{a: 0.5}", "{'a': 0.5}", id="mapping"),
+    pytest.param("true", "True", id="bool"),
+])
+def test_constant_that_is_not_a_point_exits_two_at_map_constant(tmp_path, capsys, constant, shown):
+    cfg = write(tmp_path, "bad.yaml", PLANE_PICARD_YAML.replace(
+        "affine: {matrix: [[0.5, 0.1], [0.0, 0.4]], offset: [1.0, -1.0]}", f"constant: {constant}"))
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == \
+        f"config error: map.constant: must be a number, a list of numbers or a label, got {shown}\n"
 
 
 def test_unhashable_builtin_map_exits_two_with_its_name(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -17,7 +18,7 @@ from ifmlab import (
     product_probsum,
     unit_scalar,
 )
-from ifmlab.operators import BLOCK_CELLS, _apply, _max_clause
+from ifmlab.operators import BLOCK_CELLS, _apply
 from ifmlab.report import ClauseResult
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -102,6 +103,23 @@ def test_step_discontinuity_caught_by_modulus_clause():
 
     report = audit_operator_pair(OperatorPair("drastic", drastic, np.maximum), 101)
     assert not report.clause("tnorm.continuity_modulus").passed
+
+
+def test_nan_step_fails_monotonicity_and_the_continuity_modulus():
+    # +inf on a = 1 at b = 0.5 and 0.52: the step between them along b is
+    # inf - inf, a NaN, which Python's max over the two step grids dropped,
+    # so monotonicity passed with worst 0.0
+    def tnorm(a, b):
+        return np.where((a == 1.0) & (b >= 0.5) & (b <= 0.52), np.inf, np.minimum(a, b))
+
+    with np.errstate(invalid="ignore"):
+        report = audit_operator_pair(OperatorPair("nan-step", tnorm, np.maximum), 51)
+    mono = report.clause("tnorm.monotonicity")
+    assert not mono.passed and math.isnan(mono.worst)
+    assert (mono.witness["a"], mono.witness["b"]) == (1.0, 0.5) and math.isnan(mono.witness["violation"])
+    jump = report.clause("tnorm.continuity_modulus")
+    assert not jump.passed and math.isnan(jump.worst)
+    assert report.clause("tconorm.monotonicity").passed
 
 
 def test_idempotency_flags():
@@ -319,6 +337,17 @@ def test_associativity_witness_is_the_first_worst_row(grid_size, rows):
     assert [clause.witness[n] for n in "abc"] == [grid[first], 0.0, 0.0]
 
 
+def reference_max_clause(clause, viol, grid, names, tolerance, offset=0):
+    """The operator audit's clause builder before every clause went through
+    one fold: one argmax over ``viol``, whose first axis starts at grid index
+    ``offset``, and its maximum as the worst."""
+    idx = np.unravel_index(int(np.argmax(viol)), viol.shape)
+    witness = {n: float(grid[i]) for n, i in zip(names, (idx[0] + offset, *idx[1:]))}
+    witness["violation"] = float(viol[idx])
+    worst = float(viol.max())
+    return ClauseResult(clause=clause, passed=worst <= tolerance, worst=worst, witness=witness)
+
+
 def reference_slab_associativity(label, op, grid, tolerance):
     """The associativity clause as the audit scanned its slabs of a through
     ``_apply``, before the slabs called the operator directly."""
@@ -333,7 +362,7 @@ def reference_slab_associativity(label, op, grid, tolerance):
                     _apply(op, a[lo:lo + rows, :, None], table), out=viol)
         np.abs(viol, out=viol)
         if assoc is None or not (np.isnan(assoc.worst) or viol.max() <= assoc.worst):
-            assoc = _max_clause(f"{label}.associativity", viol, grid, "abc", tolerance, lo)
+            assoc = reference_max_clause(f"{label}.associativity", viol, grid, "abc", tolerance, lo)
     return assoc
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ifmlab.report import (
     _EXACT_MIN_CELLS,
@@ -13,6 +14,7 @@ from ifmlab.report import (
     AuditReport,
     ClauseResult,
     _float_table,
+    _fold_worst,
     format_float,
     json_text,
     records_to_jsonl,
@@ -238,3 +240,40 @@ def test_sliced_write_keeps_every_character(tmp_path):
     assert len(text) % WRITE_SLICE and len(text) > 2 * WRITE_SLICE
     write_text_atomic(str(target), text)
     assert target.read_bytes() == text.encode()
+
+
+FOLD_VALUES = st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0, -1.0, 2.5])
+
+
+@st.composite
+def split_grids(draw):
+    """A 1-, 2- or 3-D grid, up to two ``extra`` grids of its shape, and cuts
+    of its first axis into row blocks (a repeated cut leaves an empty block)."""
+    rank = draw(st.integers(1, 3))
+    shape = (draw(st.integers(1, 9)), *(draw(st.integers(1, 4)) for _ in range(rank - 1)))
+    grid, *extra = (draw(hnp.arrays(float, shape, elements=FOLD_VALUES)) for _ in range(draw(st.integers(1, 3))))
+    return grid, extra, sorted(draw(st.lists(st.integers(0, shape[0]), max_size=4)))
+
+
+@given(case=split_grids())
+@settings(max_examples=300, deadline=None)
+@example(case=(np.array([-0.0, 0.0]), [], [1]))  # equal zeros: the first keeps its sign
+@example(case=(np.array([-1.0, -0.0, 0.0]), [np.array([1.0, 2.0, 3.0])], [1]))  # read at the argmax
+@example(case=(np.array([5.0, np.nan, np.nan]), [], [1, 2]))  # a NaN outranks, the first NaN stays
+@example(case=(np.array([[0.0, 2.5], [np.inf, -np.inf], [np.inf, 1.0]]), [], [1, 1, 2]))
+def test_fold_over_row_blocks_is_one_argmax_over_the_grid(case):
+    grid, extra, cuts = case
+    worst = {}
+    bounds = [0, *cuts, grid.shape[0]]
+    for lo, hi in zip(bounds, bounds[1:]):
+        _fold_worst(worst, "v", grid[lo:hi], lo, *(e[lo:hi] for e in extra))
+    idx = np.unravel_index(int(np.argmax(grid)), grid.shape)
+    expected = (float(grid[idx]), *map(int, idx), *(float(e[idx]) for e in extra))
+    assert repr(worst["v"]) == repr(expected)
+    assert [type(i) for i in worst["v"][1:grid.ndim + 1]] == [int] * grid.ndim
+
+
+def test_fold_of_an_empty_grid_holds_nothing():
+    worst = {}
+    _fold_worst(worst, "v", np.empty((0, 3)))
+    assert worst == {}

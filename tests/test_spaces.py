@@ -160,6 +160,22 @@ def test_corrupted_space_fails_bounded_sum(three_point_space):
     assert clause.worst == pytest.approx(0.2)  # 0.5 + 0.7 - 1
 
 
+def test_nan_membership_fails_both_lower_bounds_with_a_nan_worst(line):
+    # mu (and so nu = 1 - mu) is NaN at t = 2 on every pair; max(0.0, -low)
+    # read 0.0 on both lower bounds, while bounded_sum read NaN
+    def membership(x, y, t):
+        mu = line.membership(x, y, t)[0]
+        mu = np.where(np.asarray(t) == 2.0, np.nan, mu)
+        return mu, 1.0 - mu
+
+    space = IfmSpace(domain=line.domain, operators=line.operators, membership=membership)
+    report = axiom_audit(space, 50, t_samples=(1.0, 2.0, 4.0), seed=0)
+    for name in ("bounded_sum", "mu_positive", "nu_nonnegative"):
+        clause = report.clause(name)
+        assert not clause.passed and math.isnan(clause.worst) and math.isnan(clause.witness["violation"])
+        assert clause.witness["t"] == 2.0
+
+
 def test_audit_rejects_bad_arguments(plane):
     with pytest.raises(ValueError, match="sample_count"):
         axiom_audit(plane, 0)
@@ -774,7 +790,7 @@ def reference_side_clauses(side, xy, yx, xx, distinct, triangle, jump, xs, ys, t
         extreme, distinct_ok, note = float("nan"), True, "no distinct pairs sampled"
     worst_tri = triangle["violation"]
     return [
-        ClauseResult(floor_name, passed=floor_ok(low, 0.0), worst=max(0.0, -low),
+        ClauseResult(floor_name, passed=floor_ok(low, 0.0), worst=0.0 if -low <= 0.0 else -low,
                      witness=reference_grid_witness(xs, ys, -xy, ts, {f"min_{side}": low})),
         ClauseResult(f"{side}_identity", passed=(worst_diag <= tolerance) and distinct_ok,
                      worst=worst_diag, note=note,
