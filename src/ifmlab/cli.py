@@ -16,6 +16,7 @@ directory, in that order of precedence.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import os
 import sys
@@ -58,6 +59,9 @@ OUTPUT_DIR_ENV = "IFMLAB_OUT"
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_INPUT_ERROR = 2
+
+# glibc's malloc_trim, or None where the C library has none
+_malloc_trim = getattr(ctypes.CDLL(None), "malloc_trim", None) if os.name == "posix" else None
 
 
 @dataclass
@@ -257,6 +261,12 @@ def _run_audit(config: ExperimentConfig, out_dir: str | None, summary: RunSummar
         report = axiom_audit(space, sample_count=params["samples"], t_samples=cfg.probe_ts,
                              tolerance=params["tolerance"], seed=cfg.seed,
                              box=space.domain.box(cfg.sample_halfwidth))
+    # Hand the audit's freed bulk temporaries (kernel blocks, n² operator slabs)
+    # back to the system.  Otherwise glibc keeps or returns them by its dynamic
+    # trim threshold and a few KiB of heap layout, so whether the next large
+    # allocation of the process page-faults differs from run to run.
+    if _malloc_trim:
+        _malloc_trim(0)
     path = _resolve_out(config.output.get("report", "audit_report.jsonl"), out_dir)
     write_text_atomic(path, records_to_jsonl(report.to_records()))
     summary.files.append(path)

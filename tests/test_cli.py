@@ -902,6 +902,21 @@ def test_each_run_builds_its_point_domain_once(tmp_path, monkeypatch, text, comm
         assert len(built) == 2
 
 
+@pytest.mark.parametrize("text, command, trims", [
+    pytest.param(OPERATOR_AUDIT_YAML, "audit", [0], id="operator-audit"),
+    pytest.param(SPACE_AUDIT_YAML, "audit", [0], id="space-audit"),
+    pytest.param(SEQUENCE_YAML, "check", [], id="sequence-check"),
+])
+def test_an_audit_hands_its_freed_heap_back(tmp_path, monkeypatch, text, command, trims):
+    import ifmlab.cli
+
+    calls = []
+    monkeypatch.setattr(ifmlab.cli, "_malloc_trim", calls.append)
+    cfg = write(tmp_path, "run.yaml", text)
+    assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert calls == trims
+
+
 def test_defaults_subcommand(tmp_path, capsys):
     assert main(["defaults"]) == 0
     doc = json.loads(capsys.readouterr().out)
