@@ -29,6 +29,7 @@ import numpy as np
 from .config import (
     ConfigError,
     ExperimentConfig,
+    _flag,
     _number,
     _numbers,
     _point,
@@ -52,7 +53,7 @@ from .solver import (
     power_map_solve,
     residual_certificate,
 )
-from .spaces import axiom_audit, point_jsonable, points_equal, probe_grid
+from .spaces import _ball_flags, axiom_audit, point_jsonable, points_equal, probe_grid
 
 OUTPUT_DIR_ENV = "IFMLAB_OUT"
 
@@ -196,31 +197,44 @@ def _required(doc: dict[str, Any], key: str) -> Any:
 def validate_result_document(doc: Any) -> list[str]:
     """Re-verify a stored result from its own points; returns problems.
 
-    Each trace step must be the image of its predecessor under
+    The first trace point must be the solve's start (``x0``, or the
+    ball's centre), and each later one the image of its predecessor under
     ``experiment.iteration_map`` (the m-th power for the ``power`` regime;
-    documents without that key fall back to ``experiment.map``).  The
+    documents without that key fall back to ``experiment.map``).  A ball
+    solve's ``ball_flags`` must be one open-ball test of the points.  The
     residual certificate of a converged result is always checked against
     ``experiment.map``, the map whose fixed point is claimed; other
     statuses carry none.  A document that is not a mapping, one whose
-    experiment fails the config checks or whose trace points are missing
-    (every solve stores its start) or not finite points of its space, a
-    converged one without ``probe_ts``, ``fixed_point`` or ``iterations``
-    or whose ``probe_ts`` is not a probe grid (nonempty, positive,
-    strictly increasing), or one whose fields have the wrong type raises
-    :class:`ConfigError` with the field's path.
+    experiment fails the config checks or records no solve action, whose
+    trace points are missing (every solve stores its start) or not finite
+    points of its space, a converged one without ``probe_ts``,
+    ``fixed_point`` or ``iterations`` or whose ``probe_ts`` is not a probe
+    grid (nonempty, positive, strictly increasing), or one whose fields
+    have the wrong type raises :class:`ConfigError` with the field's path.
     """
     doc = expect_mapping(doc, "document")
     exp = expect_mapping(doc.get("experiment") or {}, "experiment")
-    space, map_, step_map, solve = _rebuild_experiment(exp)
+    space, map_, step_map, solve, action = _rebuild_experiment(exp)
     points = expect_list(doc.get("trace_points") or [], "trace_points")
     if not points:
         raise ConfigError("trace_points", "document carries no trace points")
     points = _point(points, "trace_points", space.domain, many=True)
 
     problems: list[str] = []
+    ball = action.params.get("ball")
+    if not points_equal(points[0], action.params["x0"] if ball is None else ball.center):
+        problems.append(f"trace_points[0] is not the solve's start, experiment.action.solve."
+                        f"{'x0' if ball is None else 'ball.center'}")
     step = chain_break(space, step_map, points)
     if step is not None:
         problems.append(f"trace breaks at step {step}: stored successor differs from the map image")
+    flags = doc.get("ball_flags")
+    if flags is not None:
+        flags = [_flag(v, f"ball_flags[{i}]") for i, v in enumerate(expect_list(flags, "ball_flags"))]
+    # a ball solve flags every point once past its gates; one stopped at a gate stores its start alone
+    if flags is not None or (ball is not None and len(points) > 1):
+        if ball is None or flags != _ball_flags(space, ball, points).tolist():
+            problems.append("ball_flags differ from the open-ball test of the stored points")
 
     if doc.get("status") == "converged":
         ts = _numbers(_required(doc, "probe_ts"), "probe_ts")

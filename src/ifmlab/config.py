@@ -414,14 +414,18 @@ def solve_record(config: SolveConfig) -> dict:
     return {key: getattr(config, key) for key in SOLVE_FIELDS}
 
 
-def _rebuild_experiment(exp: dict) -> tuple[IfmSpace, SelfMap, SelfMap, SolveConfig]:
-    """Space, maps and solve settings of a result document's experiment, checked as in a config."""
+def _rebuild_experiment(exp: dict) -> tuple[IfmSpace, SelfMap, SelfMap, SolveConfig, Action]:
+    """Space, maps, solve settings and solve action of a result document's
+    experiment, checked as in a config."""
     try:
         space_spec, domain = _validate_space(exp.get("space"))
         space = build_space(space_spec, domain, _validate_operators(exp.get("operators", "min-max")))
         map_ = _validate_map(exp.get("map"), space_spec)
         step_map = _validate_map(exp.get("iteration_map", exp.get("map")), space_spec, "iteration_map")
-        return space, map_, step_map, _solve_config(exp.get("solve_config"), "solve_config")
+        action = _validate_action(exp.get("action"), domain)
+        if action.kind != "solve":
+            raise ConfigError("action", f"must be a solve, got {action.kind!r}")
+        return space, map_, step_map, _solve_config(exp.get("solve_config"), "solve_config"), action
     except ConfigError as exc:
         raise ConfigError(f"experiment.{exc.path}", exc.message) from exc
 

@@ -425,16 +425,16 @@ def t_uniform_continuity_probe(
         for e, (eps, ladder) in enumerate(zip(eps_list, ladders)):
             i, count = found[e], 0
             if i < len(ladder):
-                image_ok = _near(mu2, nu2, eps, closed=True)
+                image_bad = ~_near(mu2, nu2, eps, closed=True)
                 for i in range(i, len(ladder)):
                     qualify = _near(mu1, nu1, ladder[i], closed=True)
-                    if np.all(image_ok[qualify]):
+                    if not (qualify & image_bad).any():
                         count = int(np.count_nonzero(qualify))
                         break
                 else:
                     # a pair qualified at the smallest threshold and missed its image bound
                     i = len(ladder)
-                    m, j = divmod(int(np.argmax(qualify & ~image_ok)), qualify.shape[1])
+                    m, j = divmod(int(np.argmax(qualify & image_bad)), qualify.shape[1])
                     misses[e] = _grid_witness(xs, ys, ts, rows.start + m, j, {
                         "epsilon": eps, "mu_image": float(mu2[m, j]), "nu_image": float(nu2[m, j])})
             found[e] = i

@@ -376,10 +376,10 @@ class IfmSpace:
     ``membership(x, y, t)`` is the kernel.  :func:`membership_grid` calls
     it once per grid, with point batches of shape ``(n, 1)`` (``(n, 1,
     dim)`` floats for coordinate domains, ``(n, 1)`` labels for tabulated
-    ones; either side may have ``n = 1``) against a ``(k,)`` time vector,
-    and the kernel returns ``(mu, nu)`` arrays of shape ``(n, k)``, or
-    arrays that broadcast to it.  Spaces are immutable after construction
-    and all evaluation is pure.
+    ones; either side may have ``n = 1``) against a ``(k,)`` time vector.
+    It returns ``(mu, nu)`` of shape ``(n, k)``, or arrays that broadcast
+    to it, in any memory layout (the induced kernel's are pair-contiguous).
+    Spaces are immutable after construction and all evaluation is pure.
     """
 
     domain: PointDomain
@@ -429,9 +429,8 @@ def induced_from_metric(domain: CoordinateSpace, operators: OperatorPair) -> Ifm
     require_idempotent(operators)
 
     def membership(x, y, t):
-        d = domain.distance(x, y)
         t = np.asarray(t, dtype=float)
-        mu = t / (t + d)
+        mu = np.divide(t, np.add(t, domain.distance(x, y), order="F"), order="F")  # pair-contiguous
         return mu, 1.0 - mu
 
     return IfmSpace(
@@ -489,7 +488,9 @@ def membership_grid(space: IfmSpace, xs, ys, ts) -> tuple[np.ndarray, np.ndarray
     ``xs`` and ``ys`` are points or point sequences, unchecked (see the
     domains' ``batch``); a single point pairs with every point of the
     other side.  Returns ``(mu, nu)`` of shape ``(n, k)`` for ``n`` pairs and
-    ``k`` times: the kernel's arrays or read-only views; never written into.
+    ``k`` times: the kernel's arrays or read-only views, in its layout; never
+    written into.  A reduction whose value is reported sees them in ``(pair,
+    t)`` order, as argmax does, unless they hold no tie of +0.0 and -0.0.
     """
     xs = space.domain.batch(xs)
     ys = space.domain.batch(ys)
@@ -641,7 +642,7 @@ def axiom_audit(
     extremes = {"mu": -math.inf, "nu": math.inf}
     any_distinct = False
     triangles = [None, None]
-    steps = [np.zeros(k - 1), np.zeros(k - 1)]
+    jumps = [0.0, 0.0]
     for lo in range(0, sample_count, block):
         rows = slice(lo, lo + block)
         x, y, z = xs[rows], ys[rows], zs[rows]
@@ -655,9 +656,10 @@ def axiom_audit(
         for side, xy, yx, xx in (("mu", mu_xy, mu_yx, mu_xx), ("nu", nu_xy, nu_yx, nu_xx)):
             floor_name, _, coincident, nearest, _ = _SIDE_RULES[side]
             _fold_worst(worst, floor_name, -xy, lo)
-            lows[side] = float(xy.min(initial=lows[side]))
+            ordered = np.ascontiguousarray(xy)  # (pair, t) order decides a tie of +0.0 and -0.0
+            lows[side] = float(ordered.min(initial=lows[side]))
             _fold_worst(worst, f"{side}_identity", np.abs(xx - coincident), lo)
-            extremes[side] = float(getattr(xy[apart], nearest)(initial=extremes[side]))
+            extremes[side] = float(getattr(ordered[apart], nearest)(initial=extremes[side]))
             _fold_worst(worst, f"{side}_symmetry", np.abs(xy - yx), lo)
         _fold_worst(worst, "mu_nondecreasing_t", mu_xy[:, :-1] - mu_xy[:, 1:], lo)
         _fold_worst(worst, "nu_nonincreasing_t", nu_xy[:, 1:] - nu_xy[:, :-1], lo)
@@ -667,13 +669,10 @@ def axiom_audit(
                  nu_xz - np.asarray(tconorm(nu_xy[:, :, None], nu_yz[:, None]), dtype=float))
         triangles = [_triangle_worst(best, viol, xs, ys, zs, lo, ts)
                      for best, viol in zip(triangles, viols)]
-        # largest jump per probe interval: over samples, then refinement steps
-        for step, grid in zip(steps, membership_grid(space, x, y, fine)):
+        # each side's largest jump, a NaN above any value; no jump is -0.0
+        for side, grid in enumerate(membership_grid(space, x, y, fine)):
             jump = np.subtract(grid[:, 1:], grid[:, :-1])
-            np.maximum(step, np.abs(jump, out=jump).max(axis=0)
-                       .reshape(k - 1, CONTINUITY_REFINEMENT).max(axis=1), out=step)
-    # the largest jump of each side, a NaN above any value
-    jumps = [float(np.max(step, initial=0.0)) for step in steps]
+            jumps[side] = float(np.max(np.abs(jump, out=jump), initial=jumps[side]))
 
     clauses = [_max_clause("bounded_sum", worst["bounded_sum"], xs, ys, ts, tolerance)]
     for side, triangle, jump in zip(("mu", "nu"), triangles, jumps):

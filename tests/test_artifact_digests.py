@@ -648,3 +648,5 @@ def artifact_digests(name, tmp_path):
 def test_artifacts_match_recorded_digests(name, tmp_path):
     code, digests = artifact_digests(name, tmp_path)
     assert (code, digests) == DIGESTS[name]
+    if CONFIGS[name][0] == "solve":  # every pinned result validates
+        assert main(["validate", str(tmp_path / "out" / "result.json")]) == 0

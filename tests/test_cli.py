@@ -248,6 +248,51 @@ def test_validate_rejects_a_tampered_converged_document(tmp_path, capsys, tamper
         assert len(problems) == 1
 
 
+START_MOVED = "trace_points[0] is not the solve's start, experiment.action.solve."
+
+
+@pytest.mark.parametrize("text, edit, problems", [
+    # printed "certificate verified" before
+    pytest.param(PICARD_YAML, lambda solve: solve.update(x0=[123.0]), [START_MOVED + "x0"], id="line-moved"),
+    pytest.param(PLANE_PICARD_YAML, lambda solve: solve.update(x0=[3.0, -2.0]), [START_MOVED + "x0"],
+                 id="plane-moved"),
+    pytest.param(PLANE_PICARD_YAML, lambda solve: solve.pop("x0"), [START_MOVED + "x0"], id="plane-absent"),
+    # its x0 is the default start, the origin
+    pytest.param(PICARD_YAML, lambda solve: solve.pop("x0"), [], id="line-absent"),
+])
+def test_validate_rejects_a_trace_that_does_not_start_at_x0(tmp_path, capsys, text, edit, problems):
+    doc = converged_document(tmp_path / "solve", text)
+    edit(doc["experiment"]["action"]["solve"])
+    assert validate_problems(tmp_path, capsys, doc) == (1 if problems else 0, problems)
+
+
+def ball_document(directory):
+    directory.mkdir(exist_ok=True)
+    assert main(["solve", "--config", write(directory, "ball.yaml", BALL_YAML), "--out", str(directory)]) == 0
+    return json.loads((directory / "ball_result.json").read_text())
+
+
+def test_validate_rejects_flipped_ball_flags(tmp_path, capsys):
+    # flipping every flag of a converged closed-ball result printed "certificate verified" before
+    doc = ball_document(tmp_path / "solve")
+    assert validate_problems(tmp_path, capsys, doc) == (0, [])
+    flags = doc["ball_flags"]
+    message = "ball_flags differ from the open-ball test of the stored points"
+    for tamper in ([not f for f in flags], flags[:-1], [False, *flags[1:]], None):
+        code, problems = validate_problems(tmp_path, capsys, {**doc, "ball_flags": tamper})
+        assert (code, problems) == (1, [message])
+    # every point stays within distance 1 of either centre, so inside either open ball
+    doc["experiment"]["action"]["solve"]["ball"]["center"] = [0.25]
+    assert validate_problems(tmp_path, capsys, doc) == (1, [START_MOVED + "ball.center"])
+
+
+def test_validate_rejects_ball_flags_on_a_solve_without_a_ball(tmp_path, capsys):
+    doc = converged_document(tmp_path / "solve")
+    doc["ball_flags"] = [True] * len(doc["trace_points"])
+    assert validate_problems(tmp_path, capsys, doc) == (
+        1, ["ball_flags differ from the open-ball test of the stored points"])
+
+
 @pytest.fixture(scope="module")
 def plane_document(tmp_path_factory):
     return converged_document(tmp_path_factory.mktemp("plane"), PLANE_PICARD_YAML)
@@ -318,6 +363,9 @@ MISSING = object()
     pytest.param("probe_ts", [0.0, 1.0], id="probe_ts-nonpositive"),
     pytest.param("probe_ts", [2.0, 1.0], id="probe_ts-decreasing"),
     pytest.param("experiment.space.induced.metric", "euclidean", id="space-unknown-key"),
+    pytest.param("ball_flags", "yes", id="ball_flags-text"),
+    pytest.param("experiment.action", {"audit": {"target": "space"}}, id="action-not-a-solve"),
+    pytest.param("experiment.action", MISSING, id="action-missing"),
 ])
 def test_validate_malformed_document_exits_two_with_field_path(tmp_path, capsys, field, value):
     cfg = write(tmp_path, "picard.yaml", PICARD_YAML)

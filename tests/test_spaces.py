@@ -16,22 +16,28 @@ from ifmlab import (
     FiniteTabulated,
     IfmSpace,
     OperatorPair,
+    SelfMap,
+    SolveConfig,
     asymptotic_nearness_probe,
     axiom_audit,
     ball_contains,
     closedness_probe,
     evaluate,
     finite_tabulated,
+    if_contractive_check,
     induced_from_metric,
     joint_continuity_probe,
     membership_grid,
     min_max,
+    picard_solve,
     product_probsum,
     sequence_diagnostics,
+    t_uniform_continuity_probe,
     time_parameter,
 )
+from ifmlab.cli import result_document
 from ifmlab.operators import BLOCK_CELLS, idempotency_witness, idempotent_within, unit_scalar
-from ifmlab.report import AuditReport, ClauseResult, json_text
+from ifmlab.report import AuditReport, ClauseResult, json_text, records_to_jsonl
 from ifmlab.spaces import (
     BASE_METRICS,
     CONTINUITY_BOUND,
@@ -991,6 +997,84 @@ def test_axiom_audit_memory_stays_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 6 * 2**20
+
+
+# ---------------------------------------------------------------------------
+# grid memory layout: the induced kernel's pair-contiguous grids
+
+
+def c_ordered(space):
+    """``space`` with a kernel that returns C-ordered copies of its grids."""
+    def membership(x, y, t):
+        return tuple(map(np.ascontiguousarray, space.membership(x, y, t)))
+    return IfmSpace(space.domain, space.operators, membership, space.base_distance, space.description)
+
+
+def test_induced_grids_are_pair_contiguous(plane):
+    xs, ys = plane.domain.pairs(5, seed=1)
+    for grid in membership_grid(plane, xs, ys, [0.5, 1.0, 2.0]):
+        assert grid.flags.f_contiguous and not grid.flags.c_contiguous
+    for grid in membership_grid(plane, xs[0], ys, [0.5, 1.0]):  # one point against a batch
+        assert grid.flags.f_contiguous and not grid.flags.c_contiguous
+
+
+@settings(max_examples=30, deadline=None)
+@given(dim=st.integers(1, 4), metric=st.sampled_from(BASE_METRICS),
+       ts=st.lists(positive_t, min_size=1, max_size=12, unique=True).map(sorted),
+       blocks=st.integers(1, 3), fill=st.integers(0, 2**16), seed=st.integers(0, 2**16))
+@example(dim=3, metric="euclidean", ts=list(DEFAULT_PROBE_TS), blocks=3, fill=100, seed=7)
+@example(dim=1, metric="chebyshev", ts=[0.5, 2.0], blocks=2, fill=2**16, seed=0)
+def test_grid_layout_changes_no_byte(dim, metric, ts, blocks, fill, seed):
+    space = induced_from_metric(CoordinateSpace(dim, metric), min_max())
+    map_ = SelfMap.affine(0.5 * np.eye(dim) + 0.1 * np.tri(dim, k=-1), np.linspace(-1.0, 1.0, dim))
+    k = len(ts)
+
+    def samples(per_block):  # a count that reaches the last of `blocks` blocks of `per_block`
+        return (blocks - 1) * per_block + 1 + fill % per_block
+
+    audit_n, check_n = samples(audit_block(k)), samples(max(1, BLOCK_CELLS // (4 * k)))
+    config = SolveConfig(epsilon=1e-6, probe_ts=tuple(ts), sample_pairs=check_n, seed=seed)
+
+    def texts(s):
+        return (records_to_jsonl(axiom_audit(s, audit_n, t_samples=ts, seed=seed).to_records()),
+                records_to_jsonl([if_contractive_check(s, map_, check_n, ts, seed=seed).to_record(),
+                                  t_uniform_continuity_probe(s, map_, [0.1, 1e-3], check_n, ts, seed).to_record()]),
+                json_text(result_document(picard_solve(s, map_, np.full(dim, 2.0), config), {})))
+
+    assert texts(space) == texts(c_ordered(space))
+
+
+# Distinct-pair non-nearness curves at +0.0 and -0.0: which zero the
+# reported minimum carries depends on the order its reduction sees them in.
+SIGNED_ZERO_CASES = [
+    ((0.0, -0.0), 3, [0.5, 1.0], 3,
+     '{"clause": "nu_nonnegative", "verdict": "pass", "witness": {"min_nu": -0, "t": 0.5, "violation": 0, "x": "c", "y": "a"}, "worst": 0}\n'
+     '{"clause": "nu_identity", "verdict": "fail", "witness": {"min_nu_distinct": -0, "t": 0.5, "violation": 0, "x": "c", "y": "c"}, "worst": 0}\n'),
+    ((0.0, -0.0), 40, [0.5, 1.0], 3,
+     '{"clause": "nu_nonnegative", "verdict": "pass", "witness": {"min_nu": 0, "t": 0.5, "violation": -0, "x": "c", "y": "c"}, "worst": 0}\n'
+     '{"clause": "nu_identity", "verdict": "fail", "witness": {"min_nu_distinct": 0, "t": 0.5, "violation": 0, "x": "c", "y": "c"}, "worst": 0}\n'),
+    ((-0.0, 0.0), 3, [0.5, 1.0], 3,
+     '{"clause": "nu_nonnegative", "verdict": "pass", "witness": {"min_nu": 0, "t": 0.5, "violation": -0, "x": "c", "y": "a"}, "worst": 0}\n'
+     '{"clause": "nu_identity", "verdict": "fail", "witness": {"min_nu_distinct": 0, "t": 0.5, "violation": 0, "x": "c", "y": "c"}, "worst": 0}\n'),
+    ((-0.0, 0.0), 40, [0.5, 1.0], 3,
+     '{"clause": "nu_nonnegative", "verdict": "pass", "witness": {"min_nu": -0, "t": 0.5, "violation": -0, "x": "c", "y": "c"}, "worst": 0}\n'
+     '{"clause": "nu_identity", "verdict": "fail", "witness": {"min_nu_distinct": -0, "t": 0.5, "violation": 0, "x": "c", "y": "c"}, "worst": 0}\n'),
+    ((0.0, -0.0), 9, [0.5], 1,
+     '{"clause": "nu_nonnegative", "verdict": "pass", "witness": {"min_nu": 0, "t": 0.5, "violation": -0, "x": "b", "y": "a"}, "worst": 0}\n'
+     '{"clause": "nu_identity", "verdict": "fail", "witness": {"min_nu_distinct": -0, "t": 0.5, "violation": 0, "x": "b", "y": "b"}, "worst": 0}\n'),
+    ((0.0, -0.0), 5, [0.5, 1.0], 14,
+     '{"clause": "nu_nonnegative", "verdict": "pass", "witness": {"min_nu": 0, "t": 0.5, "violation": 0, "x": "a", "y": "c"}, "worst": 0}\n'
+     '{"clause": "nu_identity", "verdict": "fail", "witness": {"min_nu_distinct": -0, "t": 0.5, "violation": 0, "x": "a", "y": "a"}, "worst": 0}\n'),
+]
+
+
+@pytest.mark.parametrize("zeros, samples, ts, seed, expected", SIGNED_ZERO_CASES, ids=[
+    "pos-neg-3", "pos-neg-40", "neg-pos-3", "neg-pos-40", "pos-neg-9-one-t", "pos-neg-5"])
+def test_signed_zero_extremes_keep_their_sign(zeros, samples, ts, seed, expected):
+    space = small_table([(0.5, zeros[0]), (0.5, zeros[1]), (0.5, 0.25)])
+    records = [r for r in axiom_audit(space, samples, t_samples=ts, seed=seed).to_records()
+               if r["clause"] in ("nu_identity", "nu_nonnegative")]
+    assert records_to_jsonl(records) == expected
 
 
 # ---------------------------------------------------------------------------
