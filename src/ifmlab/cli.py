@@ -102,14 +102,14 @@ def _csv_cell(text: str) -> str:
 
 
 def trace_rows(result: SolveResult) -> list[str]:
-    """Lines of the tabular trace, header first (17-significant-digit floats).
+    """The tabular trace as texts of whole lines, header first (17-significant-digit floats).
 
     The rows are rendered in blocks of about ``BLOCK_CELLS / 8`` floats: a
     block's index column (as floats, which ``%.17g`` writes as integers
     below 2**53), coordinates and step rows become text in one call of the
-    exact ``%.17g`` writer, ``report._float_table``.  A row with no step
-    cells is rendered cell by cell; labels and ball flags are put in row by
-    row.
+    exact ``%.17g`` writer, ``report._float_table``; that text is kept as it
+    is unless labels or ball flags are put in row by row.  A row with no
+    step cells is rendered cell by cell.
     """
     trace = result.trace
     points, k = trace.points, len(trace.probe_ts)
@@ -120,12 +120,11 @@ def trace_rows(result: SolveResult) -> list[str]:
     flags = trace.ball_flags
     if flags is not None:
         header.append("in_ball")
-    no_steps = "," * (2 * k)
     # the writer peaks at about 290 bytes a cell (its temporaries, its
     # 48-byte table and the table's bytes), against about 60 for one %, and
     # runs fastest near 4,096 cells a call
     block = max(1, BLOCK_CELLS // (8 * (1 + dim + 2 * k)))
-    lines = [",".join(header)]
+    texts = [",".join(header) + "\n"]
     for lo in range(0, len(points), block):
         hi = min(lo + block, len(points))
         coords = (np.asarray(points[lo:hi], float).reshape(hi - lo, -1) if coordinate
@@ -133,16 +132,19 @@ def trace_rows(result: SolveResult) -> list[str]:
         full = max(0, min(hi, len(trace.step_mu)) - lo)  # rows with step cells
         cells = np.hstack([np.arange(lo, lo + full, dtype=float)[:, None], coords[:full],
                            trace.step_mu[lo : lo + full], trace.step_nu[lo : lo + full]])
-        rows = _float_table(cells, ",", "", "\n").splitlines()
-        rows += [",".join([str(i), *map(format_float, coords[i - lo].tolist())]) + no_steps
-                 for i in range(lo + full, hi)]
-        if not coordinate:
-            rows = [f"{i},{_csv_cell(str(points[i]))}{row[len(str(i)):]}" for i, row in enumerate(rows, lo)]
-        if flags is not None:
-            rows = [f"{row},{str(flags[i]).lower() if i < len(flags) else ''}"
-                    for i, row in enumerate(rows, lo)]
-        lines += rows
-    return lines
+        text = _float_table(cells, ",", "", "\n") + "".join(
+            ",".join([str(i), *map(format_float, coords[i - lo].tolist())]) + "," * (2 * k) + "\n"
+            for i in range(lo + full, hi))
+        if not coordinate or flags is not None:
+            rows = text.splitlines()
+            if not coordinate:
+                rows = [f"{i},{_csv_cell(str(points[i]))}{row[len(str(i)):]}" for i, row in enumerate(rows, lo)]
+            if flags is not None:
+                rows = [f"{row},{str(flags[i]).lower() if i < len(flags) else ''}"
+                        for i, row in enumerate(rows, lo)]
+            text = "\n".join(rows) + "\n"
+        texts.append(text)
+    return texts
 
 
 def result_document(result: SolveResult, experiment: dict[str, Any]) -> dict[str, Any]:
@@ -181,10 +183,10 @@ def export_trace(result: SolveResult, path: str) -> str:
 
     The CSV has one row per iterate carrying the point, the per-step
     nearness records at each probe time, and the ball flag when present.
-    The lines, rendered per row block by :func:`trace_rows`, are joined
-    once into the file's text, so writing holds about twice that text.
+    The texts :func:`trace_rows` renders per row block are joined once
+    into the file's text, so writing holds about twice that text.
     """
-    write_text_atomic(path, "\n".join(trace_rows(result)) + "\n")
+    write_text_atomic(path, "".join(trace_rows(result)))
     return path
 
 

@@ -173,9 +173,11 @@ def self_map_from_spec(spec: dict) -> SelfMap:
     raise ValueError(f"unknown map kind {kind!r}")
 
 
-def apply_point(space: IfmSpace, map_: SelfMap, p):
-    """Apply a map to one point, validating the image stays in the domain."""
-    return space.domain.image(map_(space.domain.as_point(p)))
+def apply_point(space: IfmSpace, map_: SelfMap, p, checked: bool = False):
+    """Apply a map to one point, validating the image stays in the domain; ``p``
+    is read as a point first unless ``checked``, the solver's own, passed positionally,
+    says it was read already (the solver's start, or the image this function last returned)."""
+    return space.domain.image(map_(p if checked else space.domain.as_point(p)))
 
 
 def apply_batch(space: IfmSpace, map_: SelfMap, pts):

@@ -8,15 +8,13 @@ confirmation iterates remain visible at the end of the trace.  An iterate
 that exactly reproduces its predecessor short-circuits the window (the
 tail is constant from there on).
 
-The map steps a block of up to ``STEP_BLOCK`` iterates before the block's
-kernel calls: its step rows ``(x_i, x_{i+1})`` with their near flags (every
-probe t epsilon-near), its ball flags, and the window grids of candidates
-``x_c`` whose step row, the grid's first row, is near.  The stop rules are
-then replayed in step order; iterates past the stop are dropped, never
-written, so a solve makes up to ``STEP_BLOCK - 1`` map applications more
-than its trace shows, and a map must be a pure function.  The kernel works
-pair by pair, so a batched row is the one-pair row bit for bit and the
-trace is that of a step-by-step loop.
+The map steps blocks of up to ``STEP_BLOCK`` iterates, and each block's
+stop rules are replayed in step order (see :func:`_solve`); iterates past
+the stop are dropped, never written, so a solve makes up to
+``STEP_BLOCK - 1`` map applications more than its trace shows, and a map
+must be a pure function.  The kernel works pair by pair, so a batched row
+is the one-pair row bit for bit and the trace is that of a step-by-step
+loop.
 
 Each solver enforces the hypothesis set of its regime before iterating
 (bypassable via configuration); hypothesis failures are reported as a
@@ -149,12 +147,12 @@ class SolveResult:
 
 
 def iterate_trace(space: IfmSpace, map_: SelfMap, x0, n: int) -> list:
-    """Points ``x0 .. xn`` with each entry the image of its predecessor."""
+    """Points ``x0 .. xn`` with each entry the image of its predecessor, each checked once."""
     if n < 1:
         raise ValueError("n must be at least 1")
     pts = [space.domain.as_point(x0)]
     for _ in range(n):
-        pts.append(apply_point(space, map_, pts[-1]))
+        pts.append(apply_point(space, map_, pts[-1], True))
     return pts
 
 
@@ -166,10 +164,10 @@ def chain_break(space: IfmSpace, map_: SelfMap, points: Sequence) -> int | None:
     with a row-exact batch form (``SelfMap._rows``) maps a chain that reads
     as checked points in one call, and the first step that differs raises
     through the domain's image check as its :func:`apply_point` would.
-    Other maps and chains are walked by :func:`apply_point`, which raises on
-    a bad point or an escaping image, and :func:`points_equal`, so a
-    malformed point is a break at the step before it, and a break before
-    that is still the answer.
+    Other maps and chains are walked by :func:`apply_point`, which reads
+    each stored point and raises on a bad one or an escaping image, and
+    :func:`points_equal`, so a malformed point is a break at the step before
+    it, and a break before that is still the answer.
     """
     if map_._rows is not None:
         try:
@@ -235,20 +233,21 @@ def _solve(space: IfmSpace, map_: SelfMap, x0, config: SolveConfig,
     none; otherwise the result carries the first gate's report.  With
     ``ball`` every iterate must stay in the open ball.  A coordinate image
     that overflows stops the solve at the last finite iterate as
-    ``diverged``.  An image whose ``tolist()`` equals the previous
-    iterate's is an exact fixed point.
+    ``diverged``.  The start is read on entry and each image checked once,
+    by :func:`apply_point`.  An iterate equal to its predecessor (``-0.0``
+    equal to ``0.0``) is an exact fixed point.
 
-    A block of up to ``STEP_BLOCK`` steps ends early at the budget, at an
-    exact fixed point, or at a map call that raises, whose exception is
-    kept.  One kernel call gives the block's step rows and near flags, one
-    its open-ball flags, and calls of about ``BLOCK_CELLS`` cells the window
-    grids of its candidates with a near flag.  The stop rules are replayed
-    in step order, at step ``m``: the kept exception, the ball flag, the
-    exact fixed point, the window of ``m - window``.  The first stop wins;
-    what follows it is dropped, a kept exception not reached included, so
-    a solve makes at most ``STEP_BLOCK - 1`` map applications more than a
-    step-by-step loop.  Every kernel call of the iteration runs with numpy's
-    overflow warnings off.
+    A block of up to ``STEP_BLOCK`` steps ends early at the budget or at a
+    map call that raises, whose exception is kept.  One row comparison
+    finds its exact fixed points, one kernel call gives its step rows and
+    near flags, one its open-ball flags, and calls of about ``BLOCK_CELLS``
+    cells the window grids of its candidates with a near flag.  The stop
+    rules are replayed in step order, at step ``m``: the kept exception,
+    the ball flag, the exact fixed point, the window of ``m - window``.
+    The first stop wins; what follows it is dropped, a kept exception not
+    reached included, so a solve makes at most ``STEP_BLOCK - 1`` map
+    applications more than a step-by-step loop.  Every kernel call of the
+    iteration runs with numpy's overflow warnings off.
     """
     ts = np.asarray(config.probe_ts)
     points = [space.domain.as_point(x0)]
@@ -305,36 +304,32 @@ def _solve(space: IfmSpace, map_: SelfMap, x0, config: SolveConfig,
             flags = _ball_flags(space, ball, points).tolist()
             if not flags[0]:
                 return stop("diverged_from_ball", "starting point lies outside the open ball")
-        last = np.asarray(points[0]).tolist()
         while True:
             s = len(points)  # the block's first step
-            kept, fixed = None, False
+            kept = None
             for _ in range(min(STEP_BLOCK, config.max_iterations + 1 - s)):
                 try:
-                    points.append(apply_point(space, map_, points[-1]))
+                    points.append(apply_point(space, map_, points[-1], True))
                 except Exception as exc:  # raised when the replay reaches its step
                     kept = exc
                     break
-                last, previous = np.asarray(points[-1]).tolist(), last
-                if last == previous:
-                    fixed = True
-                    break
             e = len(points) - 1  # the block's last step
-            exit_at = None
+            exit_at = fixed_at = e + 1  # the first ball exit and exact fixed point; e + 1 for none
             if e >= s:
-                mu, nu = membership_grid(space, points[s - 1 : -1], points[s:], ts)
+                pts = space.domain.batch(points[s - 1 :])
+                same = ~space.domain.distinct(pts[:-1], pts[1:])
+                fixed_at = s + int(same.argmax()) if same.any() else fixed_at
+                mu, nu = membership_grid(space, pts[:-1], pts[1:], ts)
                 mu_blocks.append(mu)
                 nu_blocks.append(nu)
                 near_rows.extend(_near(mu, nu, config.epsilon).all(axis=1).tolist())
                 if ball is not None:
-                    inside = _ball_flags(space, ball, points[s:]).tolist()
+                    inside = _ball_flags(space, ball, pts[1:]).tolist()
                     flags.extend(inside)
                     if not all(inside):
                         exit_at = s + inside.index(False)
-            # steps whose window is replayed: the ball flag and the exact
-            # fixed point of a step come before its window
-            last_window = e - fixed if exit_at is None else exit_at - 1
-            c = window_stop([m - config.window for m in range(max(s, config.window), last_window + 1)
+            # replayed windows: a step's ball flag and exact fixed point come before its window
+            c = window_stop([m - config.window for m in range(max(s, config.window), min(exit_at, fixed_at))
                              if near_rows[m - config.window]])
             if c is not None:
                 # x_{c+1} .. x_{c+window} all strictly eps-near x_c at every t;
@@ -345,10 +340,10 @@ def _solve(space: IfmSpace, map_: SelfMap, x0, config: SolveConfig,
                     f"within epsilon={config.epsilon:g} at every probe t",
                     c, c + config.window,
                 )
-            if exit_at is not None:
+            if exit_at <= min(e, fixed_at):
                 return stop("diverged_from_ball", f"iterate {exit_at} left the open ball", m=exit_at)
-            if fixed:
-                return stop("converged", f"exact fixed point reached at iteration {e - 1}", e - 1)
+            if fixed_at <= e:
+                return stop("converged", f"exact fixed point reached at iteration {fixed_at - 1}", fixed_at - 1, fixed_at)
             if isinstance(kept, NonFiniteImageError):
                 return stop("diverged", f"iterate {e + 1} overflowed: {kept}")
             if kept is not None:

@@ -1225,21 +1225,42 @@ def reference_trace_lines(result):
 cell = st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324])
 
 
-@settings(max_examples=40, deadline=None)
-@given(dim=st.integers(0, 3), n=st.integers(1, 6), k=st.integers(1, 4), flags=st.booleans(),
-       data=st.data())
-def test_trace_rows_match_per_cell_rendering(dim, n, k, flags, data):
-    if dim == 0:
-        points = data.draw(st.lists(st.sampled_from(["a", "b", "c"]), min_size=n, max_size=n))
+@settings(max_examples=60, deadline=None)
+@given(dim=st.integers(0, 3), k=st.integers(1, 4), flags=st.booleans(), blocks=st.sampled_from([0, 3, 4]),
+       stepped_last=st.booleans(), seed=st.integers(0, 2**16), data=st.data())
+def test_trace_rows_match_per_cell_rendering(dim, k, flags, blocks, stepped_last, seed, data):
+    # a small trace draws every cell; one of 3 or 4 writer blocks and a part
+    # spreads drawn cells over seeded ones of every magnitude, so whole
+    # blocks go through the writer's exact path and are written as rendered
+    rng = np.random.default_rng(seed)
+    if blocks:
+        n = blocks * trace_block(dim, k) + data.draw(st.integers(0, trace_block(dim, k) - 1))
+        pool = np.asarray(data.draw(st.lists(cell, min_size=1, max_size=8)))
+
+        def cells(count):
+            values = rng.uniform(-1.0, 1.0, count) * 10.0 ** rng.integers(-30, 30, count)
+            drawn = rng.random(count) < 0.1
+            values[drawn] = pool[rng.integers(0, len(pool), drawn.sum())]
+            return values
     else:
-        points = [np.asarray(data.draw(st.lists(cell, min_size=dim, max_size=dim))) for _ in range(n)]
+        n = data.draw(st.integers(1, 6))
+
+        def cells(count):
+            return np.asarray(data.draw(st.lists(cell, min_size=count, max_size=count)), float)
+    if dim == 0:
+        points = [LABELS[i] for i in rng.integers(0, len(LABELS), n)]
+    else:
+        points = list(cells(n * dim).reshape(n, dim))
     ts = tuple(data.draw(st.lists(st.floats(1e-3, 1e3), min_size=k, max_size=k, unique=True)))
-    step_mu, step_nu = (np.reshape(data.draw(st.lists(cell, min_size=(n - 1) * k, max_size=(n - 1) * k)),
-                                   (n - 1, k)) for _ in range(2))
-    ball_flags = data.draw(st.lists(st.booleans(), min_size=n, max_size=n)) if flags else None
+    # a solve's trace has no step cells in its last row; a trace may have them
+    steps = n if stepped_last else n - 1
+    step_mu, step_nu = (cells(steps * k).reshape(steps, k) for _ in range(2))
+    ball_flags = rng.integers(0, 2, n).astype(bool).tolist() if flags else None
     trace = IterationTrace(points, ts, step_mu, step_nu, ball_flags)
     result = SolveResult("budget_exhausted", None, n - 1, trace, "")
-    assert trace_rows(result) == reference_trace_lines(result)
+    texts = trace_rows(result)
+    assert all(text.endswith("\n") for text in texts)
+    assert "".join(texts) == "".join(line + "\n" for line in reference_trace_lines(result))
 
 
 def trace_block(dim, k):
@@ -1286,9 +1307,10 @@ def test_tabular_export_matches_per_cell_rendering_across_row_blocks(tmp_path, d
 
 
 def test_tabular_export_memory_stays_bounded(tmp_path):
-    # 5.84 MiB when every point and step row became a Python list at once;
-    # now 4.70 MiB, the rendered lines (2.5 MiB) and the file's text (2.2 MiB);
-    # the bound sits between the two
+    # 5.84 MiB when every point and step row became a Python list at once,
+    # 4.79 MiB with the rendered lines (2.5 MiB) and the file's text (2.2 MiB);
+    # now 4.52 MiB, the rendered blocks' text and the file's text (2.2 MiB
+    # each); the bound sits between the first two
     n, k = 5_000, len(SolveConfig().probe_ts)
     rng = np.random.default_rng(1)
     step_mu = rng.uniform(0.0, 1.0, (n - 1, k))

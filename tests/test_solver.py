@@ -27,6 +27,7 @@ from ifmlab import (
     uniqueness_probe,
 )
 from ifmlab.contractions import NonFiniteImageError, apply_point
+from ifmlab.operators import BLOCK_CELLS
 from ifmlab.report import json_text
 from ifmlab.sampling import sample_ball_pairs, sample_pairs
 from ifmlab.solver import (
@@ -39,6 +40,8 @@ from ifmlab.solver import (
     chain_break,
 )
 from ifmlab.spaces import (
+    _ball_flags,
+    _near,
     asymptotic_nearness_probe,
     joint_continuity_probe,
     membership_grid,
@@ -442,6 +445,166 @@ def test_block_solve_matches_per_step_reference(metric, dim, scale, x_scale, eps
     assert same_bytes(got.residual_nu, want.residual_nu)
 
 
+def parent_solve(space, map_, x0, config, ball=None):
+    """The iteration of ``_solve`` before each iterate was checked once: a
+    block steps point by point, reading each input through ``apply_point``
+    and comparing each image's ``tolist()`` with its predecessor's."""
+    ts = np.asarray(config.probe_ts)
+    points = [space.domain.as_point(x0)]
+    mu_blocks, nu_blocks, near_rows = [], [], []
+    flags = None
+
+    def rows(blocks):
+        n = len(points) - 1
+        return np.concatenate(blocks)[:n] if blocks else np.empty((0, len(ts)))
+
+    def stop(status, reason, c=None, m=None):
+        if m is not None:
+            del points[m + 1 :]
+        if flags is not None:
+            del flags[len(points) :]
+        trace = IterationTrace(points, tuple(float(t) for t in ts), rows(mu_blocks), rows(nu_blocks), flags)
+        if c is None:
+            return SolveResult(status, None, len(points) - 1, trace, reason)
+        return SolveResult(status, points[c], c, trace, reason,
+                           residual_mu=trace.step_mu[c].copy(), residual_nu=trace.step_nu[c].copy())
+
+    def window_stop(candidates):
+        w = config.window
+        per = max(1, BLOCK_CELLS // (w * len(ts)))
+        for i in range(0, len(candidates), per):
+            chunk = candidates[i : i + per]
+            pts = space.domain.batch(points[chunk[0] : chunk[-1] + w + 1])
+            at = np.asarray(chunk) - chunk[0]
+            after = (at[:, None] + np.arange(1, w + 1)).ravel()
+            mu, nu = membership_grid(space, pts[at.repeat(w)], pts[after], ts)
+            ok = _near(mu, nu, config.epsilon).all(axis=1).reshape(len(chunk), w).all(axis=1)
+            if ok.any():
+                return chunk[int(ok.argmax())]
+        return None
+
+    with np.errstate(over="ignore"):
+        if ball is not None:
+            flags = _ball_flags(space, ball, points).tolist()
+            if not flags[0]:
+                return stop("diverged_from_ball", "starting point lies outside the open ball")
+        last = np.asarray(points[0]).tolist()
+        while True:
+            s = len(points)
+            kept, fixed = None, False
+            for _ in range(min(STEP_BLOCK, config.max_iterations + 1 - s)):
+                try:
+                    points.append(apply_point(space, map_, points[-1]))
+                except Exception as exc:
+                    kept = exc
+                    break
+                last, previous = np.asarray(points[-1]).tolist(), last
+                if last == previous:
+                    fixed = True
+                    break
+            e = len(points) - 1
+            exit_at = None
+            if e >= s:
+                mu, nu = membership_grid(space, points[s - 1 : -1], points[s:], ts)
+                mu_blocks.append(mu)
+                nu_blocks.append(nu)
+                near_rows.extend(_near(mu, nu, config.epsilon).all(axis=1).tolist())
+                if ball is not None:
+                    inside = _ball_flags(space, ball, points[s:]).tolist()
+                    flags.extend(inside)
+                    if not all(inside):
+                        exit_at = s + inside.index(False)
+            last_window = e - fixed if exit_at is None else exit_at - 1
+            c = window_stop([m - config.window for m in range(max(s, config.window), last_window + 1)
+                             if near_rows[m - config.window]])
+            if c is not None:
+                return stop(
+                    "converged",
+                    f"window of {config.window} iterates after iteration {c} stayed "
+                    f"within epsilon={config.epsilon:g} at every probe t",
+                    c, c + config.window,
+                )
+            if exit_at is not None:
+                return stop("diverged_from_ball", f"iterate {exit_at} left the open ball", m=exit_at)
+            if fixed:
+                return stop("converged", f"exact fixed point reached at iteration {e - 1}", e - 1)
+            if isinstance(kept, NonFiniteImageError):
+                return stop("diverged", f"iterate {e + 1} overflowed: {kept}")
+            if kept is not None:
+                raise kept
+            if len(points) > config.max_iterations:
+                return stop("budget_exhausted", f"no fixed point certified within {config.max_iterations} iterations")
+
+
+def event_map(step, form, event, at):
+    """A map with ``step``'s images in ``form`` (an array, a list or float32)
+    that, from call ``at`` on, returns its input (an exact fixed point), or
+    at call ``at`` returns an image of another shape, a NaN or an infinity;
+    a solve calls it in step order, so the call is the step."""
+    calls = [0]
+
+    def fn(x):
+        calls[0] += 1
+        x = np.asarray(x, float)
+        if event == "fixed" and calls[0] >= at:
+            y = x.copy()
+        elif calls[0] == at and event in ("shape", "nan", "inf"):
+            y = (np.zeros(x.size + 1) if event == "shape" else
+                 np.where(np.arange(x.size) == 0, np.nan if event == "nan" else -np.inf, x))
+        else:
+            y = step(x)
+        return y.tolist() if form == "list" else y.astype(np.float32) if form == "float32" else y
+
+    return SelfMap(fn)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    metric=st.sampled_from(METRICS),
+    dim=st.integers(1, 3),
+    form=st.sampled_from(["array", "list", "float32"]),
+    scale=st.sampled_from([0.0, 0.5, 0.9, 1.0, 2.0]),
+    event=st.sampled_from([None, "fixed", "shape", "nan", "inf"]),
+    # a step inside the first block, at its edges, and in later ones
+    at=st.integers(1, STEP_BLOCK - 1) | st.sampled_from([STEP_BLOCK, STEP_BLOCK + 1, 2 * STEP_BLOCK + 5]),
+    epsilon=st.sampled_from([1e-12, 1e-8, 1e-2]),
+    window=st.integers(1, 10),
+    max_iterations=st.integers(1, 40) | st.integers(STEP_BLOCK - 2, 3 * STEP_BLOCK + 2),
+    ball=st.none() | st.tuples(st.floats(0.05, 0.95), st.floats(0.1, 10.0)),
+    data=st.data(),
+)
+def test_solve_matches_the_point_by_point_block_loop(metric, dim, form, scale, event, at, epsilon, window,
+                                                     max_iterations, ball, data):
+    unit = st.floats(min_value=-1.0, max_value=1.0)
+    offset = np.asarray(data.draw(st.lists(unit, min_size=dim, max_size=dim)))
+    x0 = np.asarray(data.draw(st.lists(unit, min_size=dim, max_size=dim)))
+    space = induced_from_metric(CoordinateSpace(dim, metric), min_max())
+    config = SolveConfig(epsilon=epsilon, max_iterations=max_iterations, window=window,
+                         hypothesis_checks=False)
+    if ball is not None:
+        ball = BallSpec(x0, *ball)  # the start of a closed_ball solve
+
+    def step(x):
+        return scale * x + offset
+
+    got = outcome(_solve, space, event_map(step, form, event, at), x0, config, (), ball)
+    with np.errstate(over="ignore"):
+        want = outcome(parent_solve, space, event_map(step, form, event, at), x0, config, ball)
+    if not isinstance(want, SolveResult):
+        assert got == want
+        return
+    assert isinstance(got, SolveResult), got
+    assert (got.status, got.stop_reason, got.iterations) == (want.status, want.stop_reason, want.iterations)
+    assert len(got.trace.points) == len(want.trace.points)
+    assert all(same_bytes(p, q) for p, q in zip(got.trace.points, want.trace.points))
+    assert same_bytes(got.trace.step_mu, want.trace.step_mu)
+    assert same_bytes(got.trace.step_nu, want.trace.step_nu)
+    assert got.trace.ball_flags == want.trace.ball_flags
+    assert same_bytes(got.fixed_point, want.fixed_point)
+    assert same_bytes(got.residual_mu, want.residual_mu)
+    assert same_bytes(got.residual_nu, want.residual_nu)
+
+
 def test_an_error_past_the_stop_is_computed_and_dropped(line):
     # x -> x + 1 leaves the ball of radius 0.5 about 0 at t = 1 at step 1;
     # the block steps on, and the map fails at step 3, after the stop
@@ -551,6 +714,26 @@ def test_a_break_before_a_malformed_point_is_still_found(line, half_plus_one):
     assert trace.verify(line, half_plus_one) is False
     points[2] = half_plus_one(points[1])
     assert chain_break(line, half_plus_one, points) == 2
+
+
+@pytest.mark.parametrize("kind", ["custom", "table"])
+def test_a_malformed_point_of_a_walked_chain_is_read_as_a_point(line, kind):
+    # a custom or table map has no row-exact form, so its chain is walked,
+    # and each stored point, which comes from a document, is read as a
+    # point: a malformed middle or last one is a break at the step before
+    # it, and a malformed first one raises
+    if kind == "custom":
+        space, map_, start = line, SelfMap(lambda x: 0.5 * x + 1.0), 0.0
+        bads = [[np.nan], [-np.inf], [1.0, 2.0], "x", None]
+    else:
+        space, map_, start = STEP_TABLE, SelfMap.table({"a": "b", "b": "c", "c": "d", "d": "b"}), "a"
+        bads = ["zz", 3, None, ["a"]]
+    points = iterate_trace(space, map_, start, 5)
+    for bad in bads:
+        for j in (2, 5):
+            assert chain_break(space, map_, [*points[:j], bad, *points[j + 1 :]]) == j - 1
+        with pytest.raises(ValueError):
+            chain_break(space, map_, [bad, *points[1:]])
 
 
 def test_a_ball_exit_outranks_a_window_at_the_same_step(line):
