@@ -88,12 +88,12 @@ class SelfMap:
         at, shift = a.T, (b + 0.0 if b.shape[0] == 1 else b)
 
         def fn(x):
-            return np.asarray(x, dtype=float).dot(at) + shift
+            return _shifted(np.asarray(x, dtype=float).dot(at), shift)
 
         affine = cls(fn, label=f"affine(dim={b.shape[0]})",
                      spec={"affine": {"matrix": a.tolist(), "offset": b.tolist()}})
         # a stack of 1-by-dim rows: numpy maps each row as it maps one point
-        affine._rows = lambda xs: np.matmul(xs[:, None, :], at)[:, 0, :] + shift
+        affine._rows = lambda xs: _shifted(np.matmul(xs[:, None, :], at)[:, 0, :], shift)
         return affine
 
     @classmethod
@@ -144,6 +144,15 @@ class SelfMap:
         if self._rows is not None:
             power._rows = lambda xs: fn(xs, self._rows)
         return power
+
+
+def _shifted(images: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """``images + shift``; fresh batch images take it in place, one coordinate column at a time."""
+    if images.ndim < 2:
+        return images + shift
+    for i, b in enumerate(shift):
+        images[..., i] += b
+    return images
 
 
 BUILTIN_MAPS: dict[str, Callable[[], SelfMap]] = {

@@ -160,10 +160,11 @@ def chain_break(space: IfmSpace, map_: SelfMap, points: Sequence) -> int | None:
     """First step ``i`` whose stored successor is not the image of
     ``points[i]``, or ``None`` when the whole chain holds.
 
-    Equality is exact (``-0.0`` equals ``0.0``, NaN equals nothing).  A map
-    with a row-exact batch form (``SelfMap._rows``) maps a chain that reads
-    as checked points in one call, and the first step that differs raises
-    through the domain's image check as its :func:`apply_point` would.
+    Equality is exact (``-0.0`` equals ``0.0``, NaN equals nothing), as the
+    domain's ``distinct`` compares rows.  A map with a row-exact batch form
+    (``SelfMap._rows``) maps a chain that reads as checked points in one
+    call, and the first step that differs raises through the domain's image
+    check as its :func:`apply_point` would.
     Other maps and chains are walked by :func:`apply_point`, which reads
     each stored point and raises on a bad one or an escaping image, and
     :func:`points_equal`, so a malformed point is a break at the step before
@@ -173,7 +174,7 @@ def chain_break(space: IfmSpace, map_: SelfMap, points: Sequence) -> int | None:
         try:
             pts = space.domain.read(points)
             images = map_._rows(pts[:-1])
-            broken = np.flatnonzero(~(images == pts[1:]).all(axis=1))
+            broken = np.flatnonzero(space.domain.distinct(images, pts[1:]))
         except (TypeError, ValueError, IndexError):  # the walk below decides, step by step
             broken = None
         if broken is not None:

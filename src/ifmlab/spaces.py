@@ -17,6 +17,7 @@ finite ``t`` grid and reports per-clause worst-case witnesses.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -37,6 +38,9 @@ MAX_SEPARATION_FRACTION = 0.5
 
 BASE_METRICS = ("euclidean", "chebyshev", "absolute-difference")
 FLOAT64 = np.dtype(float)
+# numpy sums a contiguous run of fewer floats than this left to right, and a
+# longer one pairwise
+_PAIRWISE_SUM_LENGTH = 8
 
 # Continuity in t is judged by the largest jump of mu or nu between
 # neighbours of a grid that splits each probe interval this many times.
@@ -102,12 +106,19 @@ class CoordinateSpace:
             )
 
     def distance(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        delta = np.abs(np.asarray(x, float) - np.asarray(y, float))
-        if self.base_metric == "euclidean":
-            return np.sqrt((delta * delta).sum(axis=-1))
-        if self.base_metric == "chebyshev":
-            return delta.max(axis=-1)
-        return delta.sum(axis=-1)  # absolute-difference (|x - y| on the line)
+        """Base-metric distances over the last axis of two points or batches:
+        per-coordinate columns folded left to right, as ``sum(axis=-1)`` adds
+        fewer than 8 floats (from 8 on, numpy's pairwise sum stays), bit for bit."""
+        x, y = np.asarray(x, float), np.asarray(y, float)
+        euclidean = self.base_metric == "euclidean"
+        if self.dimension >= _PAIRWISE_SUM_LENGTH and self.base_metric != "chebyshev":
+            delta = np.abs(x - y)
+            total = (delta * delta if euclidean else delta).sum(axis=-1)
+        else:
+            columns = (np.abs(x[..., i] - y[..., i]) for i in range(self.dimension))
+            fold = np.maximum if self.base_metric == "chebyshev" else np.add
+            total = functools.reduce(fold, (c * c for c in columns) if euclidean else columns)
+        return np.sqrt(total) if euclidean else total  # absolute-difference: |x - y| on the line
 
     def read(self, points) -> np.ndarray:
         """A sequence of points as an ``(n, dim)`` float array; a point is ``dim``
@@ -150,9 +161,8 @@ class CoordinateSpace:
         shape = (*(() if rank == 1 else arr.shape[:1] if count is None else (count,)), self.dimension)
         if arr.shape != shape:
             raise misfit(f"expected {'image' if image else 'point'} shape {shape}, got {arr.shape}")
-        finite = np.isfinite(arr).all(axis=-1)
-        if not finite.all():
-            i = None if rank == 1 else int(np.argmin(finite))
+        if not np.isfinite(arr).all():  # the row scan below only names the first bad row
+            i = None if rank == 1 else int(np.argmin(np.isfinite(arr).all(axis=-1)))
             row, at = (arr, "") if i is None else (arr[i], f" {i}")
             if image:
                 raise NonFiniteImageError(f"image{at} {row.tolist()} left the coordinate domain",
@@ -173,8 +183,10 @@ class CoordinateSpace:
 
     @staticmethod
     def distinct(xs, ys) -> np.ndarray:
-        """Whether each pair of two point batches differs."""
-        return ~np.all(np.asarray(xs, float) == np.asarray(ys, float), axis=-1)
+        """Whether each pair of two point batches differs: any coordinate ``!=``
+        (``-0.0`` equals ``0.0``, NaN equals nothing), column by column."""
+        xs, ys = np.asarray(xs, float), np.asarray(ys, float)
+        return functools.reduce(np.logical_or, (xs[..., i] != ys[..., i] for i in range(xs.shape[-1])))
 
     def default_start(self) -> np.ndarray:
         return np.zeros(self.dimension)
@@ -206,13 +218,19 @@ class CoordinateSpace:
         rng = np.random.default_rng(seed)
         base = rng.uniform(low, high, (count, self.dimension))
         directions = rng.normal(size=(count, self.dimension))
-        norms = np.linalg.norm(directions, axis=1, keepdims=True)
+        if self.dimension >= _PAIRWISE_SUM_LENGTH:
+            norms = np.linalg.norm(directions, axis=1)
+        else:  # the same sums, left to right, column by column (see distance)
+            norms = np.sqrt(functools.reduce(np.add, (c * c for c in directions.T)))
         norms[norms == 0.0] = 1.0
-        directions /= norms
         log_lo = np.log(MIN_SEPARATION_FRACTION * width)
         log_hi = np.log(MAX_SEPARATION_FRACTION * width)
-        separations = np.exp(rng.uniform(log_lo, log_hi, (count, 1)))
-        return base, base + separations * directions
+        separations = np.exp(rng.uniform(log_lo, log_hi, count))
+        for partner, b in zip(directions.T, base.T):  # base + separation * unit direction
+            partner /= norms
+            partner *= separations
+            partner += b
+        return base, directions
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,9 @@ candidate misses the residual was recorded again when a t-uniform row with
 no qualifying samples became ``vacuous``: its probe's epsilon 0.01 row held
 none, so the solve now ends at that gate, and the same solve with its
 gates off was recorded before that change, to keep the residual miss
-pinned; a change that moves any artifact byte fails
+pinned; and those of an 8-D and three 9-D configs, where numpy sums a
+coordinate row pairwise, before the coordinate primitives were folded
+column by column; a change that moves any artifact byte fails
 here unless the change declares the numeric difference and records new
 digests.
 """
@@ -395,11 +397,44 @@ CONFIGS = {
         "seed": 1, "space": RISING, "map": RISING_MAP, "sampling": {"pairs": 2000},
         "action": {"check": {"notion": "t_uniform_continuity"}},
     }),
+    # 8 and 9 coordinates, where numpy sums a row pairwise and not left to
+    # right (about a third of 9-D rows differ in the last bit between the
+    # two); at seed 8 the sampled pairs' direction norms reach the witness,
+    # at seed 4 and t far below the pairs' distances the distances reach
+    # the ratios, and at seed 2 the audit's distances reach its witnesses
+    "check-if-contractive-9d": ("check", {
+        "seed": 8, "space": {"induced": {"dimension": 9, "base_metric": "euclidean"}},
+        "map": {"affine": {"matrix": (0.5 * np.eye(9) + 0.02 * np.ones((9, 9))).tolist(),
+                           "offset": [0.1 * i for i in range(9)]}},
+        "sampling": {"pairs": 2000}, "action": {"check": {"notion": "if_contractive"}},
+    }),
+    "check-if-contractive-9d-small-t": ("check", {
+        "seed": 4, "space": {"induced": {"dimension": 9, "base_metric": "euclidean"}},
+        "map": {"affine": {"matrix": (0.5 * np.eye(9) + 0.02 * np.ones((9, 9))).tolist(),
+                           "offset": [0.1 * i for i in range(9)]}},
+        "sampling": {"pairs": 2000}, "solve": {"probe_ts": [0.001, 0.01]},
+        "action": {"check": {"notion": "if_contractive"}},
+    }),
+    "audit-induced-absolute-difference-9d": ("audit", {
+        "seed": 2, "space": {"induced": {"dimension": 9, "base_metric": "absolute-difference"}},
+        "action": {"audit": {"target": "space", "samples": 500}},
+    }),
+    # np.maximum folds exactly at any dimension
+    "solve-closed-ball-chebyshev-8d": ("solve", {
+        "seed": 8, "space": {"induced": {"dimension": 8, "base_metric": "chebyshev"}},
+        "map": {"affine": {"matrix": np.diag([0.5] * 8).tolist(), "offset": [0.05] + [0.0] * 7}},
+        "sampling": {"pairs": 2000},
+        "action": {"solve": {"regime": "closed_ball",
+                             "ball": {"center": [0.0] * 8, "radius": 0.5, "time": 1.0}, "k": 0.5}},
+    }),
 }
 
 DIGESTS = {
     "audit-induced": (0, {
         "report.jsonl": "e74af2a89e998d352927b9fd172f67bbcb72fffa03cd59aec8a1395abf8b423c",
+    }),
+    "audit-induced-absolute-difference-9d": (0, {
+        "report.jsonl": "93d880b545279737af76932e6de8887d0e2ac63e08fd2a259296fd3ec6c95999",
     }),
     "audit-induced-chebyshev-1000": (0, {
         "report.jsonl": "2f0e73e09fdb58be79908a46586e6c6306ab6baab78dda2fc2f165d84ccbc037",
@@ -473,6 +508,12 @@ DIGESTS = {
     "check-if-contractive": (0, {
         "report.jsonl": "65f45b9a1ce027391ae778902296182539f2a421467e171b150865f632bbcd2b",
     }),
+    "check-if-contractive-9d": (0, {
+        "report.jsonl": "936a78618a226fc2920d5b5e0e716e604391969accaffe7fa417bbaf321881aa",
+    }),
+    "check-if-contractive-9d-small-t": (0, {
+        "report.jsonl": "11e1d29875e748630555e80455c99f63a2d886128398cea2a1e7e2c758948df5",
+    }),
     "check-if-contractive-default-pairs": (0, {
         "report.jsonl": "fdfa0103a26b1e9e921b85a453a9b54f693910f06c004a706af60f61c8d9593e",
     }),
@@ -499,6 +540,11 @@ DIGESTS = {
     }),
     "check-t-uniform-continuity": (0, {
         "report.jsonl": "7074eeb7ae5900824203f64b2a4ba346715a575a42c32eae11e0818b09afce21",
+    }),
+    "solve-closed-ball-chebyshev-8d": (0, {
+        "report.jsonl": "95b76ea4ca85b969eb5aedcbe366e5ac314a953ba4312df552508e3bca693df5",
+        "result.json": "4d671d5e390e8b63e0b3b85345c3409b096fe11f7c34efc2917c67045c016fbd",
+        "trace.csv": "c96000ec0c25d6198a828e1095a57f5efffb3b3476585cd93f17c8379c575c11",
     }),
     "solve-closed-ball-default-k": (0, {
         "report.jsonl": "9e73108cf526061ee7a28a91e3ecc5be323f0d8b1c3ccb289eefcf0f148114ef",

@@ -812,9 +812,16 @@ def affine_inputs(draw):
 def test_affine_images_are_bit_equal_to_the_matmul_reference(case):
     a, b, x = case
     map_, space = SelfMap.affine(a, b), induced_from_metric(CoordinateSpace(len(b)), min_max())
+    reference = reference_affine(a, b)
     with np.errstate(over="ignore", invalid="ignore"):
-        image, expected = map_(x), reference_affine(a, b)(x)
+        image, expected = map_(x), reference(x)
         assert image.shape == expected.shape and image.tobytes() == expected.tobytes()
+        if x.ndim == 2:  # a batch: its exact rows, and the square's batch form and exact rows
+            rows = np.asarray([reference(p) for p in x])
+            square = map_.power(2)
+            for got, want in ((map_._rows(x), rows), (square(x), reference(expected)),
+                              (square._rows(x), np.asarray([reference(r) for r in rows]))):
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
         apply = apply_point if x.ndim == 1 else apply_batch
         if np.isfinite(expected).all():
             assert apply(space, map_, x).tobytes() == expected.tobytes()

@@ -1484,10 +1484,10 @@ counts = st.integers(1, 50)
 
 @st.composite
 def coordinate_boxes(draw):
-    """A dimension of 1-4, and a box with no width or more: none, scalar
-    edges or per-axis edges; or the halfwidth and center (a point or the
-    origin) of a domain box."""
-    dim = draw(st.integers(1, 4))
+    """A dimension of 1-12 (numpy sums a row of 8 or more pairwise), and a
+    box with no width or more: none, scalar edges or per-axis edges; or the
+    halfwidth and center (a point or the origin) of a domain box."""
+    dim = draw(st.integers(1, 12))
     kind = draw(st.sampled_from(["none", "scalar", "per-axis", "centred", "origin"]))
     if kind == "none":
         return dim, None, None
@@ -1528,3 +1528,72 @@ def test_label_pairs_match_the_reference_body(size, count, seed, halfwidth):
     assert drawn(domain.pairs, count, seed) == expected
     assert domain.box(halfwidth, labels[0]) is None
     assert reference_sampling_box(finite_tabulated(domain, min_max()), halfwidth, labels[0]) is None
+
+
+# ---------------------------------------------------------------------------
+# the coordinate primitives, column by column, against the row reductions
+# they replaced
+
+
+def reference_distance(base_metric, x, y):
+    """``CoordinateSpace.distance`` as it was, reducing each row along its last axis."""
+    delta = np.abs(np.asarray(x, float) - np.asarray(y, float))
+    if base_metric == "euclidean":
+        return np.sqrt((delta * delta).sum(axis=-1))
+    if base_metric == "chebyshev":
+        return delta.max(axis=-1)
+    return delta.sum(axis=-1)
+
+
+def reference_distinct(xs, ys):
+    """``CoordinateSpace.distinct`` as it was."""
+    return ~np.all(np.asarray(xs, float) == np.asarray(ys, float), axis=-1)
+
+
+def same_bits(a, b):
+    """Equal shapes, and equal values bit for bit, sign bits included; a
+    NaN matches a NaN of either payload (no artifact can tell them apart)."""
+    a, b = np.asarray(a), np.asarray(b)
+    nan = np.isnan(a)
+    return (a.shape == b.shape and np.array_equal(nan, np.isnan(b))
+            and np.array_equal(np.signbit(a), np.signbit(b))
+            and a[~nan].tobytes() == b[~nan].tobytes())
+
+
+# signed zeros, subnormals, values whose squares overflow, NaN and infinities
+coordinate_cell = st.floats(-10.0, 10.0) | st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.5e154, -1e200, 1.7976931348623157e308,
+     -1.7976931348623157e308, math.nan, math.inf, -math.inf])
+
+
+@st.composite
+def coordinate_batches(draw):
+    """A base metric and batches of 1-12 coordinates: n points against n
+    others, or one point against n, as the kernel and _ball_flags pass them."""
+    dim, n = draw(st.integers(1, 12)), draw(st.integers(1, 20))
+    xs = draw(hnp.arrays(np.float64, (draw(st.sampled_from([1, n])), dim), elements=coordinate_cell))
+    ys = draw(hnp.arrays(np.float64, (n, dim), elements=coordinate_cell))
+    return draw(st.sampled_from(BASE_METRICS)), xs, ys
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=coordinate_batches())
+@example(case=("euclidean", np.array([[1e200, -0.0, 5e-324], [math.nan, math.inf, 0.0]]),
+               np.array([[-1e200, 0.0, -5e-324], [1.0, math.inf, -0.0]])))
+def test_coordinate_primitives_keep_the_bits_of_the_row_reductions(case):
+    metric, xs, ys = case
+    domain = CoordinateSpace(xs.shape[1], metric)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # as membership_grid passes the batches, then one point against one
+        assert same_bits(domain.distance(xs[:, None], ys[:, None]),
+                         reference_distance(metric, xs[:, None], ys[:, None]))
+        assert same_bits(domain.distance(xs[0], ys[0]), reference_distance(metric, xs[0], ys[0]))
+    assert np.array_equal(domain.distinct(xs, ys), reference_distinct(xs, ys))
+    assert np.array_equal(domain.distinct(ys, ys), reference_distinct(ys, ys))
+    # a rejected batch or image names the same row in the same words
+    assert exact_outcome(domain.read, ys) == exact_outcome(lambda v: reference_floats(domain, v, 2), ys)
+    assert exact_outcome(lambda v: domain.apply(lambda _: v, np.zeros_like(xs)), ys) == \
+        exact_outcome(lambda v: reference_floats(domain, v, 2, len(xs), image=True), ys)
+    for row in ys:
+        assert exact_outcome(domain.image, row) == \
+            exact_outcome(lambda v: reference_floats(domain, v, 1, image=True), row)
