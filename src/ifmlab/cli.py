@@ -2,9 +2,9 @@
 
 Subcommands: ``audit``, ``check``, ``solve`` (all driven by a YAML config),
 ``defaults`` (emit the default probe grid and solver settings), and
-``validate`` (re-verify the convergence certificate stored in a result
-document).  Exit codes: 0 for pass/converged, 1 for fail or hypothesis
-failure (reports are still written), 2 for input errors.
+``validate`` (re-derive a stored solve result from its trace).  Exit
+codes: 0 for pass/converged, 1 for fail or hypothesis failure (reports
+are still written), 2 for input errors.
 
 Identical config and seed produce byte-identical output files: writers are
 deterministic, floats are rendered with 17 significant digits, and files
@@ -29,8 +29,8 @@ import numpy as np
 from .config import (
     ConfigError,
     ExperimentConfig,
+    _at_least,
     _flag,
-    _number,
     _numbers,
     _point,
     _rebuild_experiment,
@@ -44,11 +44,16 @@ from .operators import BLOCK_CELLS, audit_operator_pair, check_idempotent, opera
 from .report import _float_table, format_float, json_text, records_to_jsonl, write_text_atomic
 from .solver import (
     CHECKS,
+    RESIDUAL_MISSED,
+    STATUSES,
     SolveConfig,
     SolveResult,
     chain_break,
     closed_ball_solve,
     direct_ratio_solve,
+    gate_reason,
+    inner_config,
+    judge_trace,
     picard_solve,
     power_map_solve,
     residual_certificate,
@@ -148,11 +153,8 @@ def trace_rows(result: SolveResult) -> list[str]:
 
 
 def result_document(result: SolveResult, experiment: dict[str, Any]) -> dict[str, Any]:
-    """Structured result: enough to re-verify the certificate offline.
-
-    A coordinate trace's points stay one float array, which
-    :func:`json_text` writes whole.
-    """
+    """Structured result: enough to re-verify the certificate offline (a
+    coordinate trace's points stay one float array, which :func:`json_text` writes whole)."""
     points = result.trace.points
     if len(points) and not isinstance(points[0], str):
         trace_points = np.asarray(points, float).reshape(len(points), -1)
@@ -179,40 +181,19 @@ def result_document(result: SolveResult, experiment: dict[str, Any]) -> dict[str
 
 
 def export_trace(result: SolveResult, path: str) -> str:
-    """Write a solve's tabular trace to ``path`` and return the path.
-
-    The CSV has one row per iterate carrying the point, the per-step
-    nearness records at each probe time, and the ball flag when present.
-    The texts :func:`trace_rows` renders per row block are joined once
-    into the file's text, so writing holds about twice that text.
-    """
+    """Write a solve's tabular trace, one CSV row per iterate, to ``path``
+    and return the path; joining :func:`trace_rows`' texts holds about twice the file's text."""
     write_text_atomic(path, "".join(trace_rows(result)))
     return path
-
-
-def _required(doc: dict[str, Any], key: str) -> Any:
-    if doc.get(key) is None:
-        raise ConfigError(key, "required field is missing")
-    return doc[key]
 
 
 def validate_result_document(doc: Any) -> list[str]:
     """Re-verify a stored result from its own points; returns problems.
 
-    The first trace point must be the solve's start (``x0``, or the
-    ball's centre), and each later one the image of its predecessor under
-    ``experiment.iteration_map`` (the m-th power for the ``power`` regime;
-    documents without that key fall back to ``experiment.map``).  A ball
-    solve's ``ball_flags`` must be one open-ball test of the points.  The
-    residual certificate of a converged result is always checked against
-    ``experiment.map``, the map whose fixed point is claimed; other
-    statuses carry none.  A document that is not a mapping, one whose
-    experiment fails the config checks or records no solve action, whose
-    trace points are missing (every solve stores its start) or not finite
-    points of its space, a converged one without ``probe_ts``,
-    ``fixed_point`` or ``iterations`` or whose ``probe_ts`` is not a probe
-    grid (nonempty, positive, strictly increasing), or one whose fields
-    have the wrong type raises :class:`ConfigError` with the field's path.
+    The checks are listed in README ("Validating a result"): the chain, start,
+    ball flags, probe grid and residual certificate, then, on a trace that
+    passes them, the stop :func:`solver.judge_trace` rules.  A malformed
+    document raises :class:`ConfigError` with the field's path.
     """
     doc = expect_mapping(doc, "document")
     exp = expect_mapping(doc.get("experiment") or {}, "experiment")
@@ -221,6 +202,20 @@ def validate_result_document(doc: Any) -> list[str]:
     if not points:
         raise ConfigError("trace_points", "document carries no trace points")
     points = _point(points, "trace_points", space.domain, many=True)
+    status = doc.get("status")
+    if status not in STATUSES:
+        raise ConfigError("status", f"must be one of {', '.join(STATUSES)}, got {status!r}")
+    iterations = _at_least(0)(doc.get("iterations"), "iterations")
+    if not isinstance(doc.get("stop_reason"), str):
+        raise ConfigError("stop_reason", f"expected a string, got {type(doc.get('stop_reason')).__name__}")
+    if "fixed_point" not in doc:
+        raise ConfigError("fixed_point", "required field is missing")
+    x_star = None if doc["fixed_point"] is None else _point(doc["fixed_point"], "fixed_point", space.domain)
+    ts = _numbers(doc.get("probe_ts"), "probe_ts")
+    try:
+        ts = probe_grid(ts)
+    except ValueError as exc:
+        raise ConfigError("probe_ts", str(exc)) from exc
 
     problems: list[str] = []
     ball = action.params.get("ball")
@@ -233,33 +228,45 @@ def validate_result_document(doc: Any) -> list[str]:
     flags = doc.get("ball_flags")
     if flags is not None:
         flags = [_flag(v, f"ball_flags[{i}]") for i, v in enumerate(expect_list(flags, "ball_flags"))]
+    inside = None if ball is None else _ball_flags(space, ball, points).tolist()
     # a ball solve flags every point once past its gates; one stopped at a gate stores its start alone
-    if flags is not None or (ball is not None and len(points) > 1):
-        if ball is None or flags != _ball_flags(space, ball, points).tolist():
-            problems.append("ball_flags differ from the open-ball test of the stored points")
-
-    if doc.get("status") == "converged":
-        ts = _numbers(_required(doc, "probe_ts"), "probe_ts")
-        try:
-            ts = probe_grid(ts)
-        except ValueError as exc:
-            raise ConfigError("probe_ts", str(exc)) from exc
-        if not np.array_equal(ts, solve.probe_ts):
-            problems.append("probe_ts differs from experiment.solve_config.probe_ts")
-        x_star = _point(_required(doc, "fixed_point"), "fixed_point", space.domain)
-        iterations = _number(_required(doc, "iterations"), "iterations", integer=True)
-        if not 0 <= iterations < len(points) or not points_equal(points[iterations], x_star):
+    if (flags is not None or (ball is not None and len(points) > 1)) and flags != inside:
+        problems.append("ball_flags differ from the open-ball test of the stored points")
+    if not np.array_equal(ts, solve.probe_ts):
+        problems.append("probe_ts differs from experiment.solve_config.probe_ts")
+    if status == "converged":
+        if x_star is None or iterations >= len(points) or not points_equal(points[iterations], x_star):
             problems.append("fixed_point does not match the trace at the stated iteration")
-        ok, mu, nu = residual_certificate(space, map_, x_star, ts, solve.epsilon)
-        if not ok:
-            problems.append(
-                f"residual certificate fails: mu_min={mu.min()!r}, nu_max={nu.max()!r}, "
-                f"epsilon={solve.epsilon!r}"
-            )
-        for key, values in (("residual_mu", mu), ("residual_nu", nu)):
-            stored = doc.get(key)
-            if stored is not None and not np.array_equal(_numbers(stored, key), values):
-                problems.append(f"stored {key} does not reproduce from the stored points")
+        if x_star is not None:
+            ok, mu, nu = residual_certificate(space, map_, x_star, ts, solve.epsilon)
+            if not ok:
+                problems.append(f"residual certificate fails: mu_min={mu.min()!r}, nu_max={nu.max()!r}, "
+                                f"epsilon={solve.epsilon!r}")
+            for key, values in (("residual_mu", mu), ("residual_nu", nu)):
+                stored = doc.get(key)
+                if stored is not None and not np.array_equal(_numbers(stored, key), values):
+                    problems.append(f"stored {key} does not reproduce from the stored points")
+    if problems:  # the stop is judged on a trace and certificate that hold
+        return problems
+
+    m = action.params.get("m", 1)
+    if status == "hypothesis_failed" and solve.hypothesis_checks and len(points) == 1:
+        record = expect_mapping(doc.get("hypothesis"), "hypothesis")  # trusted: the gates are not re-run
+        verdict = ("hypothesis_failed", gate_reason(action.name, record.get("clause"), record.get("verdict"), m),
+                   None, 0)
+    else:
+        verdict = judge_trace(space, step_map, points, inner_config(solve, m), inside)
+    if verdict is None:
+        return ["the trace ends before any stop rule holds, its budget is spent or its next image overflows"]
+    want_status, reason, c, last = verdict
+    if want_status == "converged" and action.name == "power" and not residual_certificate(
+            space, map_, points[c], ts, solve.epsilon)[0]:
+        want_status, reason = "budget_exhausted", RESIDUAL_MISSED
+    for key, value in (("status", want_status), ("stop_reason", reason), ("iterations", last if c is None else c)):
+        if doc[key] != value:
+            problems.append(f"{key} {doc[key]!r} differs from the stop rules' {value!r}")
+    if x_star is not None and want_status != "converged":
+        problems.append(f"fixed_point is stored, but the stop rules give status {want_status!r}")
     return problems
 
 
@@ -445,12 +452,9 @@ def main(argv: list[str] | None = None) -> int:
             for p in problems:
                 print(f"certificate problem: {p}")
             return EXIT_FAIL
-        status = doc.get("status")
-        if status == "converged":
-            print("certificate verified: trace is consistent and the residual bounds hold")
-        else:
-            print(f"trace verified: every stored step is the map image; status {status!r} "
-                  "carries no residual certificate")
+        print("certificate verified: trace is consistent and the residual bounds hold" if doc["status"] == "converged"
+              else f"trace verified: every stored step is the map image; status {doc['status']!r} carries no "
+              "residual certificate")
         return EXIT_PASS
 
     try:

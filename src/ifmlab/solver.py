@@ -1,24 +1,11 @@
 """Fixed-point computation by Picard iteration with nearness stopping.
 
-The iteration stops at the earliest index ``n`` whose following ``window``
-iterates are all epsilon-near ``x_n`` at every probe time and whose
-single-step residual confirms ``x_n`` is fixed to tolerance; ``n`` is the
-reported iteration count and ``x_n`` the fixed-point candidate.  The extra
-confirmation iterates remain visible at the end of the trace.  An iterate
-that exactly reproduces its predecessor short-circuits the window (the
-tail is constant from there on).
-
-The map steps blocks of up to ``STEP_BLOCK`` iterates, and each block's
-stop rules are replayed in step order (see :func:`_solve`); iterates past
-the stop are dropped, never written, so a solve makes up to
-``STEP_BLOCK - 1`` map applications more than its trace shows, and a map
-must be a pure function.  The kernel works pair by pair, so a batched row
-is the one-pair row bit for bit and the trace is that of a step-by-step
-loop.
-
-Each solver enforces the hypothesis set of its regime before iterating
-(bypassable via configuration); hypothesis failures are reported as a
-result status carrying the failing check, never as exceptions.
+:func:`judge` holds the stop rules, for the solver and ``validate`` alike.
+The map steps blocks of up to ``STEP_BLOCK`` iterates and the iterates past
+the stop are dropped, so a map must be a pure function; the kernel works
+pair by pair, so the trace is that of a step-by-step loop, bit for bit.
+Each solver enforces its regime's hypotheses before iterating (unless
+configured off), and a failure is a result status, never an exception.
 """
 
 from __future__ import annotations
@@ -57,22 +44,24 @@ from .spaces import (
     probe_grid,
 )
 
-# Iterates the Picard loop steps before its kernel calls (see _solve); up
-# to STEP_BLOCK - 1 of them, past the stop, are computed and dropped.  On
-# solve-long, 8 saved too few calls and 409 dropped more steps than it saved.
+# Iterates the Picard loop steps before its kernel calls, up to STEP_BLOCK - 1 of them past the
+# stop; on solve-long, 8 saved too few calls and 409 dropped more steps than it saved.
 STEP_BLOCK = 64
 
-# Extra precision for the inner solve of power_map_solve: the single-step
-# residual of the original map stacks the power-map residual with the
-# map's own modulus, so the inner iteration runs tighter than the target.
+# Extra precision for power_map_solve's inner solve: the original map's residual stacks the
+# power map's with the map's own modulus.
 POWER_SOLVE_TIGHTENING = 32.0
+# The stop reason of a power solve whose candidate misses the original map's residual
+RESIDUAL_MISSED = ("power-map iteration converged but the original map's residual missed "
+                   "tolerance; tolerance and probe grid are mismatched for this map")
 
-# Two residual-accurate fixed points can sit a few residuals apart, so
-# mutual-equality verdicts in uniqueness_probe allow this factor on top of
-# the solve tolerance.
+# Two residual-accurate fixed points can sit a few residuals apart, so uniqueness_probe's
+# mutual-equality verdicts allow this factor on top of the solve tolerance.
 EQUALITY_SLACK = 10.0
 
 DEFAULT_UNIFORM_EPSILONS = (0.1, 0.01)
+
+STATUSES = ("converged", "budget_exhausted", "hypothesis_failed", "diverged_from_ball", "diverged")
 
 # Horizon t and tolerance of the large-horizon nearness probe.
 ASYMPTOTIC_HORIZON = 1e6
@@ -120,9 +109,7 @@ class IterationTrace:
         raises, as :func:`chain_break` says."""
         if chain_break(space, map_, self.points) is not None:
             return False
-        if len(self.points) == 1:
-            return True
-        mu, nu = membership_grid(space, self.points[:-1], self.points[1:], self.probe_ts)
+        _, mu, nu, _ = _steps(space, self.points, self.probe_ts)
         return bool(np.array_equal(mu, self.step_mu) and np.array_equal(nu, self.step_nu))
 
 
@@ -130,8 +117,7 @@ class IterationTrace:
 class SolveResult:
     """Outcome of one solve: status, candidate, trace, and certificates."""
 
-    # converged | budget_exhausted | hypothesis_failed | diverged_from_ball | diverged
-    status: str
+    status: str  # one of STATUSES
     fixed_point: Any | None
     iterations: int
     trace: IterationTrace
@@ -158,18 +144,12 @@ def iterate_trace(space: IfmSpace, map_: SelfMap, x0, n: int) -> list:
 
 def chain_break(space: IfmSpace, map_: SelfMap, points: Sequence) -> int | None:
     """First step ``i`` whose stored successor is not the image of
-    ``points[i]``, or ``None`` when the whole chain holds.
-
-    Equality is exact (``-0.0`` equals ``0.0``, NaN equals nothing), as the
-    domain's ``distinct`` compares rows.  A map with a row-exact batch form
-    (``SelfMap._rows``) maps a chain that reads as checked points in one
-    call, and the first step that differs raises through the domain's image
-    check as its :func:`apply_point` would.
-    Other maps and chains are walked by :func:`apply_point`, which reads
-    each stored point and raises on a bad one or an escaping image, and
-    :func:`points_equal`, so a malformed point is a break at the step before
-    it, and a break before that is still the answer.
-    """
+    ``points[i]``, or ``None`` when the whole chain holds; equality is exact
+    (``-0.0`` equals ``0.0``, NaN equals nothing).  A chain that reads as
+    points, of a map with a row-exact batch form (``SelfMap._rows``), is
+    mapped in one call, and its first differing image is checked as
+    :func:`apply_point` checks; others are walked by :func:`apply_point`, so
+    a malformed point is a break at the step before it, or raises first."""
     if map_._rows is not None:
         try:
             pts = space.domain.read(points)
@@ -202,10 +182,8 @@ def _sampled(config: SolveConfig, box) -> dict:
             "box": box}
 
 
-# notion -> check of (space, map, solve settings, sampling box, the notion's
-# parameters), for the check action and the solve gates alike.  Each entry
-# looks its check up when called, so a module attribute rebound after import
-# (as bench/tracing.py rebinds them) is what runs.
+# notion -> check of (space, map, solve settings, sampling box, the notion's parameters), for the
+# check action and the solve gates; each looks its check up when called, so a rebound one runs.
 CHECKS = {
     "if_contractive": lambda space, map_, cfg, box: if_contractive_check(space, map_, **_sampled(cfg, box)),
     "direct_ratio": lambda space, map_, cfg, box, include_coincident: direct_ratio_contractive_check(
@@ -219,76 +197,143 @@ CHECKS = {
 }
 
 
-def _gate(report: ContractivityReport, reason: str) -> tuple[ContractivityReport, str | None]:
-    return report, None if report.passed else reason
+# regime -> the stop reasons of its first and second gate failures (direct_ratio: of a failed and a vacuous check)
+GATE_REASONS = {
+    "picard": ("map failed the contraction check on sampled pairs",
+               f"space failed the large-horizon nearness probe at t={ASYMPTOTIC_HORIZON:g}"),
+    "closed_ball": ("first-step ball bounds failed",
+                    "map is not contractive with the supplied constant on ball pairs"),
+    "power": ("power map (m={m}) failed the contraction check", "map failed the t-uniform continuity probe"),
+    "direct_ratio": ("direct-ratio contraction check failed on sampled pairs",
+                     "direct-ratio contraction is vacuous with coincident pairs included"),
+}
+
+
+def gate_reason(regime: str, notion: str, verdict: str, m: int | None = None) -> str:
+    """The stop reason of a failed gate, from the notion and verdict of the report the failure
+    carries; picard's large-horizon probe has none, so it carries the passed contraction report."""
+    second = {"picard": verdict == "pass", "closed_ball": notion != "closed_ball_hypotheses",
+              "power": notion != "if_contractive", "direct_ratio": verdict == "vacuous"}[regime]
+    return GATE_REASONS[regime][second].format(m=m)
+
+
+def _gate(report: ContractivityReport, regime: str, m: int | None = None) -> tuple[ContractivityReport, str | None]:
+    return report, None if report.passed else gate_reason(regime, report.notion, report.verdict, m)
+
+
+def judge(near: Sequence[bool], windows: dict[int, bool], flags: list[bool] | None, fixed_at: int | None,
+          overflow: str | None, config: SolveConfig) -> tuple[str, str, int | None, int] | None:
+    """The stop rules on a trace's evidence: ``(status, stop_reason, c, m)``
+    with candidate ``c`` (or ``None``) and last step kept ``m``, or ``None``
+    while the trace goes on.
+
+    ``near[i]``: step row ``i`` (``x_i`` against ``x_{i+1}``) is epsilon-near
+    at every probe time; the last step judged, ``n``, is the smaller of
+    ``len(near)`` and the budget; ``windows[c]``: ``x_{c+1} .. x_{c+window}``
+    are all near the near candidate ``x_c`` (a missing ``c`` is not); ``flags``: open-ball flags,
+    ``None`` without a ball; ``fixed_at``: the first step equal to its
+    predecessor; ``overflow``: the message of an overflow at step ``n + 1``.
+    The first step with a stop wins, a ball exit before an exact fixed point
+    before a window; then the spent budget, then an overflow.
+    """
+    n, w = min(len(near), config.max_iterations), config.window
+    exit_at = flags.index(False) if flags is not None and False in flags else n + 1
+    m = min(exit_at, fixed_at or n + 1, min((c + w for c, ok in windows.items() if ok and near[c]), default=n + 1))
+    if m == exit_at <= n:
+        return ("diverged_from_ball", f"iterate {m} left the open ball" if m else
+                "starting point lies outside the open ball", None, m)
+    if m == fixed_at <= n:
+        return "converged", f"exact fixed point reached at iteration {m - 1}", m - 1, m
+    if m <= n:
+        # x_{c+1} .. x_{c+window} all strictly eps-near x_c at every t; this
+        # implies the (non-strict) residual bound at the candidate c
+        return ("converged", f"window of {w} iterates after iteration {m - w} stayed within "
+                f"epsilon={config.epsilon:g} at every probe t", m - w, m)
+    if n == config.max_iterations:
+        return "budget_exhausted", f"no fixed point certified within {n} iterations", None, n
+    if overflow is not None:
+        return "diverged", f"iterate {n + 1} overflowed: {overflow}", None, n
+    return None
+
+
+def _steps(space: IfmSpace, points, ts, first: int = 1) -> tuple[np.ndarray, np.ndarray, np.ndarray, int | None]:
+    """``points`` (steps ``first - 1``, ``first``, ...) as one batch, their step rows (one kernel call)
+    and the first step equal to its predecessor (``-0.0`` equal to ``0.0``) or ``None``."""
+    pts = space.domain.batch(points)
+    same = ~space.domain.distinct(pts[:-1], pts[1:])
+    mu, nu = membership_grid(space, pts[:-1], pts[1:], ts)
+    return pts, mu, nu, first + int(same.argmax()) if same.any() else None
+
+
+def _windows(space: IfmSpace, points, candidates: list[int], config: SolveConfig) -> dict[int, bool]:
+    """Whether ``x_{c+1} .. x_{c+window}`` are all epsilon-near ``x_c``, per
+    candidate ``c``, from grids of about ``BLOCK_CELLS`` cells in order, up
+    to the first grid where a window holds."""
+    w, ts, table = config.window, config.probe_ts, {}
+    per = max(1, BLOCK_CELLS // (w * len(ts)))
+    for i in range(0, len(candidates), per):
+        chunk = candidates[i : i + per]
+        pts = space.domain.batch(points[chunk[0] : chunk[-1] + w + 1])
+        at = np.asarray(chunk) - chunk[0]
+        after = (at[:, None] + np.arange(1, w + 1)).ravel()
+        mu, nu = membership_grid(space, pts[at.repeat(w)], pts[after], ts)
+        ok = _near(mu, nu, config.epsilon).all(axis=1).reshape(len(chunk), w).all(axis=1)
+        table.update(zip(chunk, ok.tolist()))
+        if ok.any():
+            break
+    return table
+
+
+def judge_trace(space: IfmSpace, map_: SelfMap, points, config: SolveConfig,
+                flags: list[bool] | None) -> tuple[str, str, int | None, int] | None:
+    """:func:`judge` on the read points of a stored trace and their open-ball ``flags``: one
+    :func:`_steps`, the windows of every near candidate and, for a trace with no stop of its
+    own, ``map_`` applied to its last point, whose overflow ends a ``diverged`` solve."""
+    with np.errstate(over="ignore"):  # as in the solve, an overflow is a stop, not a warning
+        pts, mu, nu, fixed_at = _steps(space, points, config.probe_ts)
+        near = _near(mu, nu, config.epsilon).all(axis=1)
+        windows = _windows(space, pts, np.flatnonzero(near[: max(0, len(near) - config.window + 1)]).tolist(), config)
+        verdict = judge(near, windows, flags, fixed_at, None, config)
+        if verdict is None:
+            try:
+                apply_point(space, map_, points[-1], True)
+            except NonFiniteImageError as exc:
+                verdict = judge(near, windows, flags, fixed_at, str(exc), config)
+    return verdict
 
 
 def _solve(space: IfmSpace, map_: SelfMap, x0, config: SolveConfig,
            gates: Sequence[Callable[[], tuple]], ball: BallSpec | None = None) -> SolveResult:
     """Run a regime's hypothesis gates in order, then Picard iteration.
 
-    A gate runs one check and returns its report and a failure reason,
-    ``None`` when the check passes.  With hypothesis checks on, the first
-    failing gate ends the solve as ``hypothesis_failed`` carrying that
-    gate's report, or the first gate's report when the failing gate has
-    none; otherwise the result carries the first gate's report.  With
-    ``ball`` every iterate must stay in the open ball.  A coordinate image
-    that overflows stops the solve at the last finite iterate as
-    ``diverged``.  The start is read on entry and each image checked once,
-    by :func:`apply_point`.  An iterate equal to its predecessor (``-0.0``
-    equal to ``0.0``) is an exact fixed point.
-
-    A block of up to ``STEP_BLOCK`` steps ends early at the budget or at a
-    map call that raises, whose exception is kept.  One row comparison
-    finds its exact fixed points, one kernel call gives its step rows and
-    near flags, one its open-ball flags, and calls of about ``BLOCK_CELLS``
-    cells the window grids of its candidates with a near flag.  The stop
-    rules are replayed in step order, at step ``m``: the kept exception,
-    the ball flag, the exact fixed point, the window of ``m - window``.
-    The first stop wins; what follows it is dropped, a kept exception not
-    reached included, so a solve makes at most ``STEP_BLOCK - 1`` map
-    applications more than a step-by-step loop.  Every kernel call of the
-    iteration runs with numpy's overflow warnings off.
+    A gate returns its report and a failure reason (``None`` on a pass).
+    With checks on, the first failing gate ends the solve as
+    ``hypothesis_failed`` with its report, or the first gate's when it has
+    none; otherwise the result carries the first gate's report.  A block of
+    up to ``STEP_BLOCK`` steps (fewer at the budget or a map call that
+    raises, its exception kept) gives :func:`judge` its evidence: its
+    :func:`_steps`, open-ball flags, and the windows of its near candidates
+    before its first ball exit or exact fixed point.  What follows the
+    stop is dropped; an exception no stop precedes is raised.
     """
     ts = np.asarray(config.probe_ts)
     points = [space.domain.as_point(x0)]
-    mu_blocks: list[np.ndarray] = []
-    nu_blocks: list[np.ndarray] = []
-    near_rows: list[bool] = []
-    flags: list[bool] | None = None
-    report = None
+    blocks: list[tuple[np.ndarray, np.ndarray]] = []  # the step rows (mu, nu) of each block
+    near: list[bool] = []
+    windows: dict[int, bool] = {}
+    report = flags = None  # the result's gate report; the open-ball flags, None without a ball
 
-    def rows(blocks: list[np.ndarray]) -> np.ndarray:
-        n = len(points) - 1
-        return np.concatenate(blocks)[:n] if blocks else np.empty((0, len(ts)))
-
-    def stop(status: str, reason: str, c: int | None = None, m: int | None = None) -> SolveResult:
-        # m, when given, is the step the solve stopped at; later iterates go
-        if m is not None:
-            del points[m + 1 :]
+    def stop(status: str, reason: str, c: int | None, m: int) -> SolveResult:
+        del points[m + 1 :]
         if flags is not None:
-            del flags[len(points) :]
-        trace = IterationTrace(points, tuple(float(t) for t in ts), rows(mu_blocks), rows(nu_blocks), flags)
+            del flags[m + 1 :]
+        step_mu, step_nu = (np.concatenate([b[i] for b in blocks])[:m] if blocks else np.empty((0, len(ts)))
+                            for i in (0, 1))
+        trace = IterationTrace(points, config.probe_ts, step_mu, step_nu, flags)
         if c is None:
-            return SolveResult(status, None, len(points) - 1, trace, reason, report)
+            return SolveResult(status, None, m, trace, reason, report)
         return SolveResult(status, points[c], c, trace, reason, report,
-                           residual_mu=trace.step_mu[c].copy(), residual_nu=trace.step_nu[c].copy())
-
-    def window_stop(candidates: list[int]) -> int | None:
-        # the first candidate whose window x_{c+1} .. x_{c+window} is all
-        # near x_c, from grids of about BLOCK_CELLS cells, in order
-        w = config.window
-        per = max(1, BLOCK_CELLS // (w * len(ts)))
-        for i in range(0, len(candidates), per):
-            chunk = candidates[i : i + per]
-            pts = space.domain.batch(points[chunk[0] : chunk[-1] + w + 1])
-            at = np.asarray(chunk) - chunk[0]
-            after = (at[:, None] + np.arange(1, w + 1)).ravel()
-            mu, nu = membership_grid(space, pts[at.repeat(w)], pts[after], ts)
-            ok = _near(mu, nu, config.epsilon).all(axis=1).reshape(len(chunk), w).all(axis=1)
-            if ok.any():
-                return chunk[int(ok.argmax())]
-        return None
+                           residual_mu=step_mu[c].copy(), residual_nu=step_nu[c].copy())
 
     if config.hypothesis_checks:
         for i, gate in enumerate(gates):
@@ -296,103 +341,66 @@ def _solve(space: IfmSpace, map_: SelfMap, x0, config: SolveConfig,
             if i == 0 or (reason is not None and gate_report is not None):
                 report = gate_report
             if reason is not None:
-                return stop("hypothesis_failed", reason)
+                return stop("hypothesis_failed", reason, None, 0)
 
     # an overflowing image ends the solve as a status, so numpy's overflow
     # warnings on the way there, in the map and in the kernel, are noise
     with np.errstate(over="ignore"):
-        if ball is not None:
-            flags = _ball_flags(space, ball, points).tolist()
-            if not flags[0]:
-                return stop("diverged_from_ball", "starting point lies outside the open ball")
-        while True:
-            s = len(points)  # the block's first step
-            kept = None
+        flags = None if ball is None else _ball_flags(space, ball, points).tolist()
+        fixed_at, kept = None, None  # the last block's exact fixed point and exception (its windows too)
+        while (verdict := judge(near, windows, flags, fixed_at, str(kept) if isinstance(
+                kept, NonFiniteImageError) else None, config)) is None:
+            if kept is not None:
+                raise kept
+            s = len(points)
             for _ in range(min(STEP_BLOCK, config.max_iterations + 1 - s)):
                 try:
                     points.append(apply_point(space, map_, points[-1], True))
-                except Exception as exc:  # raised when the replay reaches its step
+                except Exception as exc:  # raised when the judge reaches its step
                     kept = exc
                     break
-            e = len(points) - 1  # the block's last step
-            exit_at = fixed_at = e + 1  # the first ball exit and exact fixed point; e + 1 for none
-            if e >= s:
-                pts = space.domain.batch(points[s - 1 :])
-                same = ~space.domain.distinct(pts[:-1], pts[1:])
-                fixed_at = s + int(same.argmax()) if same.any() else fixed_at
-                mu, nu = membership_grid(space, pts[:-1], pts[1:], ts)
-                mu_blocks.append(mu)
-                nu_blocks.append(nu)
-                near_rows.extend(_near(mu, nu, config.epsilon).all(axis=1).tolist())
-                if ball is not None:
+            if len(points) > s:
+                pts, mu, nu, fixed_at = _steps(space, points[s - 1 :], ts, s)
+                blocks.append((mu, nu))
+                near += _near(mu, nu, config.epsilon).all(axis=1).tolist()
+                end = fixed_at or len(points)
+                if flags is not None:
                     inside = _ball_flags(space, ball, pts[1:]).tolist()
-                    flags.extend(inside)
-                    if not all(inside):
-                        exit_at = s + inside.index(False)
-            # replayed windows: a step's ball flag and exact fixed point come before its window
-            c = window_stop([m - config.window for m in range(max(s, config.window), min(exit_at, fixed_at))
-                             if near_rows[m - config.window]])
-            if c is not None:
-                # x_{c+1} .. x_{c+window} all strictly eps-near x_c at every t;
-                # this implies the (non-strict) residual bound at the candidate
-                return stop(
-                    "converged",
-                    f"window of {config.window} iterates after iteration {c} stayed "
-                    f"within epsilon={config.epsilon:g} at every probe t",
-                    c, c + config.window,
-                )
-            if exit_at <= min(e, fixed_at):
-                return stop("diverged_from_ball", f"iterate {exit_at} left the open ball", m=exit_at)
-            if fixed_at <= e:
-                return stop("converged", f"exact fixed point reached at iteration {fixed_at - 1}", fixed_at - 1, fixed_at)
-            if isinstance(kept, NonFiniteImageError):
-                return stop("diverged", f"iterate {e + 1} overflowed: {kept}")
-            if kept is not None:
-                raise kept
-            if len(points) > config.max_iterations:
-                return stop("budget_exhausted", f"no fixed point certified within {config.max_iterations} iterations")
+                    flags += inside
+                    end = min(end, s + inside.index(False)) if False in inside else end
+                w = config.window
+                windows = _windows(space, points, [c for c in range(max(s - w, 0), end - w) if near[c]], config)
+    return stop(*verdict)
 
 
 def _asymptotic_probe(space: IfmSpace, config: SolveConfig, box) -> AsymptoticReport:
     """Large-horizon nearness probe on eight seeded pairs."""
     pair_x, pair_y = sample_pairs(space, 8, config.seed + 1, box)
-    return asymptotic_nearness_probe(
-        space, list(zip(pair_x, pair_y)), ASYMPTOTIC_HORIZON, ASYMPTOTIC_EPSILON
-    )
+    return asymptotic_nearness_probe(space, list(zip(pair_x, pair_y)), ASYMPTOTIC_HORIZON, ASYMPTOTIC_EPSILON)
 
 
 def picard_solve(space: IfmSpace, map_: SelfMap, x0, config: SolveConfig | None = None) -> SolveResult:
-    """Iterate a contraction to its fixed point from ``x0``.
-
-    With hypothesis checks enabled the map must pass the reciprocal-gap
-    contraction check on sampled pairs and the space must pass the
-    large-horizon nearness probe; failures return a ``hypothesis_failed``
-    result carrying the report.
-    """
+    """Iterate a contraction to its fixed point from ``x0``, gated on the
+    reciprocal-gap contraction check on sampled pairs and the large-horizon
+    nearness probe of the space."""
     config = config or SolveConfig()
     box = space.domain.box(config.sample_halfwidth, x0)
 
     return _solve(space, map_, x0, config, (
-        lambda: _gate(CHECKS["if_contractive"](space, map_, config, box),
-                      "map failed the contraction check on sampled pairs"),
+        lambda: _gate(CHECKS["if_contractive"](space, map_, config, box), "picard"),
         # the probe's report is not a contraction report, so a failure
         # carries the contraction check's
         lambda: (None, None if _asymptotic_probe(space, config, box).passed else
-                 f"space failed the large-horizon nearness probe at t={ASYMPTOTIC_HORIZON:g}"),
+                 gate_reason("picard", "if_contractive", "pass")),
     ))
 
 
 def closed_ball_solve(
     space: IfmSpace, map_: SelfMap, ball: BallSpec, k: float, config: SolveConfig | None = None
 ) -> SolveResult:
-    """Solve from the ball center, certifying containment of all iterates.
-
-    Hypothesis checks require the first-step ball bounds to hold and the
-    map to be contractive with constant ``k`` on pairs sampled inside the
-    closed ball.  Every iterate must stay in the open ball (matching the
-    strict per-step bounds); the fixed-point candidate is a stored iterate,
-    so it lies in the open ball and so in the closed one.
-    """
+    """Solve from the ball center, gated on the first-step ball bounds and
+    on contraction with constant ``k`` on pairs sampled in the closed ball.
+    Every iterate, the candidate included, must stay in the open ball."""
     config = config or SolveConfig()
 
     def ball_constant() -> tuple[ContractivityReport, str | None]:
@@ -404,13 +412,17 @@ def closed_ball_solve(
         report.notes = (report.notes + "; " if report.notes else "") + (
             f"observed ratio supremum {sup!r} is not within the supplied constant k={k!r}"
         )
-        return report, "map is not contractive with the supplied constant on ball pairs"
+        return report, gate_reason("closed_ball", report.notion, report.verdict)
 
     return _solve(space, map_, ball.center, config, (
-        lambda: _gate(CHECKS["closed_ball_hypotheses"](space, map_, config, None, ball=ball, k=k),
-                      "first-step ball bounds failed"),
+        lambda: _gate(CHECKS["closed_ball_hypotheses"](space, map_, config, None, ball=ball, k=k), "closed_ball"),
         ball_constant,
     ), ball=ball)
+
+
+def inner_config(config: SolveConfig, m: int) -> SolveConfig:
+    """The settings of :func:`power_map_solve`'s inner solve of the m-th power."""
+    return config if m == 1 else replace(config, epsilon=config.epsilon / POWER_SOLVE_TIGHTENING)
 
 
 def power_map_solve(
@@ -422,12 +434,10 @@ def power_map_solve(
 ) -> SolveResult:
     """Find the fixed point of a map whose m-th power is a contraction.
 
-    Iterates the power map (with a tightened inner tolerance for m > 1,
-    since the original map's residual stacks on top of the power map's),
-    then certifies the original map's residual at the candidate.  With
-    hypothesis checks on, the power map must pass the contraction check
-    and the original map the t-uniform continuity probe; the map itself
-    need not be contractive.
+    Iterates the power map at :func:`inner_config`'s tolerance, then
+    certifies the original map's residual at the candidate.  The gates: the
+    power map passes the contraction check and the map itself, which need
+    not contract, the t-uniform continuity probe.
     """
     if m < 1:
         raise ValueError("m must be at least 1")
@@ -435,26 +445,18 @@ def power_map_solve(
     start = space.domain.default_start() if x0 is None else x0
     power = map_.power(m)
     box = space.domain.box(config.sample_halfwidth)
-    inner = config if m == 1 else replace(config, epsilon=config.epsilon / POWER_SOLVE_TIGHTENING)
-    result = _solve(space, power, start, inner, (
-        lambda: _gate(CHECKS["if_contractive"](space, power, config, box),
-                      f"power map (m={m}) failed the contraction check"),
+    result = _solve(space, power, start, inner_config(config, m), (
+        lambda: _gate(CHECKS["if_contractive"](space, power, config, box), "power", m),
         lambda: _gate(CHECKS["t_uniform_continuity"](space, map_, config, box, epsilons=DEFAULT_UNIFORM_EPSILONS),
-                      "map failed the t-uniform continuity probe"),
+                      "power", m),
     ))
     if not result.converged:
         return result
 
-    ok, result.residual_mu, result.residual_nu = residual_certificate(
-        space, map_, result.fixed_point, config.probe_ts, config.epsilon
-    )
-    if not ok:
-        result.status = "budget_exhausted"
-        result.fixed_point = None
-        result.stop_reason = (
-            "power-map iteration converged but the original map's residual missed "
-            "tolerance; tolerance and probe grid are mismatched for this map"
-        )
+    ok, result.residual_mu, result.residual_nu = residual_certificate(space, map_, result.fixed_point,
+                                                                      config.probe_ts, config.epsilon)
+    if not ok:  # as validate rules on a stored power trace
+        result.status, result.fixed_point, result.stop_reason = "budget_exhausted", None, RESIDUAL_MISSED
         return result
     result.notes = f"power-map solve (m={m}); original-map residual certified at epsilon={config.epsilon:g}"
     return result
@@ -469,24 +471,17 @@ def direct_ratio_solve(
 ) -> SolveResult:
     """Picard solve gated on the direct membership-ratio contraction.
 
-    The regime formally also assumes nearness tends to certainty at large
-    ``t``; on such spaces the ratio check itself cannot pass, so the
-    large-horizon probe outcome is recorded in the notes instead of
-    gating (the two hypotheses are jointly unsatisfiable and the conflict
-    is surfaced, not resolved).  A vacuous ratio verdict propagates as a
-    hypothesis failure with its note.
+    The regime also assumes nearness tends to certainty at large ``t``, where
+    the ratio check cannot pass; so the large-horizon probe is recorded in
+    the notes, not gated on (the conflict is surfaced, not resolved).  A
+    vacuous ratio verdict is a hypothesis failure with its note.
     """
     config = config or SolveConfig()
     start = space.domain.default_start() if x0 is None else x0
     box = space.domain.box(config.sample_halfwidth)
 
-    def ratio() -> tuple[ContractivityReport, str | None]:
-        report = CHECKS["direct_ratio"](space, map_, config, box, include_coincident=include_coincident)
-        if report.verdict == "vacuous":
-            return _gate(report, "direct-ratio contraction is vacuous with coincident pairs included")
-        return _gate(report, "direct-ratio contraction check failed on sampled pairs")
-
-    result = _solve(space, map_, start, config, (ratio,))
+    result = _solve(space, map_, start, config, (lambda: _gate(CHECKS["direct_ratio"](
+        space, map_, config, box, include_coincident=include_coincident), "direct_ratio"),))
     if result.hypothesis_report is not None and result.hypothesis_report.passed:
         result.notes = (
             "large-horizon nearness probe "

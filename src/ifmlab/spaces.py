@@ -356,7 +356,7 @@ class FiniteTabulated:
     @staticmethod
     def distinct(xs, ys) -> np.ndarray:
         """Whether each pair of two label batches differs."""
-        return np.asarray([a != b for a, b in zip(xs, ys)])
+        return np.asarray([a != b for a, b in zip(xs, ys)], bool)
 
     def default_start(self) -> str:
         return self.labels[0]

@@ -35,18 +35,21 @@ none, so the solve now ends at that gate, and the same solve with its
 gates off was recorded before that change, to keep the residual miss
 pinned; and those of an 8-D and three 9-D configs, where numpy sums a
 coordinate row pairwise, before the coordinate primitives were folded
-column by column; a change that moves any artifact byte fails
+column by column, and that of a 9-D l1 check at small probe times before
+the stop rules were judged in one function; a change that moves any artifact byte fails
 here unless the change declares the numeric difference and records new
 digests.
 """
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
 import yaml
 
 from ifmlab.cli import main
+from ifmlab.solver import STATUSES
 
 OUTPUT = {"result": "result.json", "trace": "trace.csv", "report": "report.jsonl"}
 LINE = {"induced": {"dimension": 1, "base_metric": "euclidean"}}
@@ -415,6 +418,16 @@ CONFIGS = {
         "sampling": {"pairs": 2000}, "solve": {"probe_ts": [0.001, 0.01]},
         "action": {"check": {"notion": "if_contractive"}},
     }),
+    # the same check on the l1 base metric, whose 9-D sum of |x_i - y_i| is
+    # pairwise too: of seeds 0-15, only at seed 4 does a left-to-right fold
+    # of the distances move a byte of the report
+    "check-if-contractive-9d-absolute-difference-small-t": ("check", {
+        "seed": 4, "space": {"induced": {"dimension": 9, "base_metric": "absolute-difference"}},
+        "map": {"affine": {"matrix": (0.5 * np.eye(9) + 0.02 * np.ones((9, 9))).tolist(),
+                           "offset": [0.1 * i for i in range(9)]}},
+        "sampling": {"pairs": 2000}, "solve": {"probe_ts": [0.001, 0.01]},
+        "action": {"check": {"notion": "if_contractive"}},
+    }),
     "audit-induced-absolute-difference-9d": ("audit", {
         "seed": 2, "space": {"induced": {"dimension": 9, "base_metric": "absolute-difference"}},
         "action": {"audit": {"target": "space", "samples": 500}},
@@ -510,6 +523,9 @@ DIGESTS = {
     }),
     "check-if-contractive-9d": (0, {
         "report.jsonl": "936a78618a226fc2920d5b5e0e716e604391969accaffe7fa417bbaf321881aa",
+    }),
+    "check-if-contractive-9d-absolute-difference-small-t": (0, {
+        "report.jsonl": "ffd11bc8e8d5fb1532500e77ec087fb83dd0d42c36ef69cdd74b8c24d26564d6",
     }),
     "check-if-contractive-9d-small-t": (0, {
         "report.jsonl": "11e1d29875e748630555e80455c99f63a2d886128398cea2a1e7e2c758948df5",
@@ -694,5 +710,17 @@ def artifact_digests(name, tmp_path):
 def test_artifacts_match_recorded_digests(name, tmp_path):
     code, digests = artifact_digests(name, tmp_path)
     assert (code, digests) == DIGESTS[name]
-    if CONFIGS[name][0] == "solve":  # every pinned result validates
-        assert main(["validate", str(tmp_path / "out" / "result.json")]) == 0
+    if CONFIGS[name][0] == "solve":  # every pinned result validates, and none with its stop or budget edited
+        result = tmp_path / "out" / "result.json"
+        assert main(["validate", str(result)]) == 0
+        doc = json.loads(result.read_text())
+        edits = [("status", status) for status in STATUSES if status != doc["status"]]
+        edits += [("stop_reason", "edited"), ("iterations", doc["iterations"] + 1)]
+        edits += [("iterations", doc["iterations"] - 1)] if doc["iterations"] else []
+        edits += [("fixed_point", doc["trace_points"][-1])] if doc["fixed_point"] is None else []
+        last = len(doc["trace_points"]) - 1  # a budget short of the last step stops there
+        budget = {**doc["experiment"], "solve_config": {**doc["experiment"]["solve_config"], "max_iterations": last - 1}}
+        edits += [("experiment", budget)] if last > 1 else []
+        for key, value in edits:
+            result.write_text(json.dumps({**doc, key: value}))
+            assert main(["validate", str(result)]) == 1, (key, value)

@@ -16,10 +16,12 @@ from hypothesis import HealthCheck, Phase, given, settings
 from hypothesis import strategies as st
 
 from ifmlab.cli import export_trace, main, trace_rows, validate_result_document
-from ifmlab.config import ConfigError, load_config
+from ifmlab.config import ConfigError, _rebuild_experiment, load_config
 from ifmlab.operators import BLOCK_CELLS
 from ifmlab.report import format_float
-from ifmlab.solver import IterationTrace, SolveConfig, SolveResult, picard_solve
+from ifmlab.solver import (RESIDUAL_MISSED, IterationTrace, SolveConfig, SolveResult, inner_config, judge_trace,
+                           picard_solve)
+from ifmlab.spaces import _ball_flags
 from ifmlab import CoordinateSpace, SelfMap, induced_from_metric, min_max
 
 PICARD_YAML = """
@@ -319,6 +321,63 @@ def test_validate_names_a_one_ulp_move_of_a_converged_result(tmp_path, capsys, p
     assert any(p.startswith(message) for p in problems), problems
 
 
+# each stop a scenario ends at: the range of s in the map x -> s x + b, the status, stop_reason's start
+STOPS = {
+    "window": ((0.3, 0.8), "converged", "window of"),
+    "exact": ((0.0, 0.0), "converged", "exact fixed point"),
+    "budget": ((0.999, 0.999), "budget_exhausted", "no fixed point"),
+    "ball": ((1.0, 1.0), "diverged_from_ball", "iterate "),
+    "overflow": ((1e100, 1e100), "diverged", "iterate "),
+}
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(scenario=st.sampled_from([(regime, stop) for regime in ("picard", "power")
+                                 for stop in ("window", "exact", "budget", "overflow")]
+                                + [("closed_ball", stop) for stop in ("window", "exact", "budget", "ball")]),
+       metric=st.sampled_from(["euclidean", "chebyshev", "absolute-difference"]), dim=st.integers(1, 3),
+       window=st.integers(1, 10), epsilon=st.sampled_from([1e-8, 1e-3]), data=st.data())
+def test_validate_judges_the_stop_a_solve_made(tmp_path, capsys, scenario, metric, dim, window, epsilon, data):
+    # affine picard, closed_ball and power solves that stop at a window, an
+    # exact fixed point, the budget, a ball exit or an overflow: the judge,
+    # run on the stored trace, gives the solve's own status, stop_reason
+    # and iterations, and validate finds nothing to report
+    regime, stop = scenario
+    (lo, hi), status, reason = STOPS[stop]
+    coordinates = lambda a, b: st.lists(st.floats(a, b), min_size=dim, max_size=dim)  # noqa: E731
+    scale = data.draw(st.floats(lo, hi))
+    # the fixed point is the origin but for an exact one; a ball solve starts at its centre, and its
+    # ball (every point within distance 9 of it) holds the iterates unless the map pushes them out
+    offset = data.draw(coordinates(0.5, 1.0) if stop == "ball" else coordinates(-0.01, 0.01) if stop == "exact"
+                       else st.just([0.0] * dim))
+    x0 = data.draw(coordinates(0.01, 0.02) if stop == "window" else coordinates(0.5, 1.0))
+    m = data.draw(st.integers(1, 2 if stop == "overflow" else 3)) if regime == "power" else 1
+    solve = {"regime": regime, **({"ball": {"center": x0, "radius": 0.9, "time": 1.0}, "k": 0.5}
+                                  if regime == "closed_ball" else {"x0": x0}), **({"m": m} if regime == "power" else {})}
+    budget = data.draw(st.integers(1, 80)) if stop == "budget" else 10_000
+    cfg = tmp_path / "judged.yaml"
+    cfg.write_text(yaml.safe_dump({
+        "space": {"induced": {"dimension": dim, "base_metric": metric}},
+        "map": {"affine": {"matrix": (scale * np.eye(dim)).tolist(), "offset": offset}},
+        "action": {"solve": solve},
+        "solve": {"epsilon": epsilon, "window": window, "max_iterations": budget, "hypothesis_checks": False},
+        "output": {"result": "result.json", "trace": "trace.csv", "report": "report.jsonl"},
+    }))
+    main(["solve", "--config", str(cfg), "--out", str(tmp_path)])
+    doc = json.loads((tmp_path / "result.json").read_text())
+    if doc["stop_reason"] != RESIDUAL_MISSED:
+        assert (doc["status"], doc["stop_reason"][: len(reason)]) == (status, reason), doc["stop_reason"]
+    space, _, step_map, config, action = _rebuild_experiment(doc["experiment"])
+    points = space.domain.read(doc["trace_points"])
+    ball = action.params.get("ball")
+    flags = None if ball is None else _ball_flags(space, ball, points).tolist()
+    judged, judged_reason, c, last = judge_trace(space, step_map, points, inner_config(config, m), flags)
+    if doc["stop_reason"] == RESIDUAL_MISSED:  # the power candidate misses the original map's residual
+        judged, judged_reason = "budget_exhausted", RESIDUAL_MISSED
+    assert (judged, judged_reason, last if c is None else c) == (doc["status"], doc["stop_reason"], doc["iterations"])
+    assert validate_result_document(doc) == []
+
+
 def test_validate_huge_integer_residual_exits_two_with_its_path(tmp_path, capsys):
     # an OverflowError traceback before
     doc = converged_document(tmp_path / "solve")
@@ -337,6 +396,7 @@ def test_validate_unreadable_document(tmp_path):
 
 
 MISSING = object()
+DIVERGED = object()  # (DIVERGED, value): the field's value on the document relabelled diverged
 
 
 @pytest.mark.parametrize("field, value", [
@@ -366,11 +426,23 @@ MISSING = object()
     pytest.param("ball_flags", "yes", id="ball_flags-text"),
     pytest.param("experiment.action", {"audit": {"target": "space"}}, id="action-not-a-solve"),
     pytest.param("experiment.action", MISSING, id="action-missing"),
+    # each exited 0 before
+    pytest.param("status", 5, id="status-number"),
+    pytest.param("status", None, id="status-null"),
+    pytest.param("status", ["converged"], id="status-list"),
+    pytest.param("iterations", (DIVERGED, "x"), id="diverged-iterations-text"),
+    pytest.param("iterations", (DIVERGED, -3), id="diverged-iterations-negative"),
+    pytest.param("stop_reason", 7, id="stop_reason-number"),
+    pytest.param("stop_reason", MISSING, id="stop_reason-missing"),
+    pytest.param("status", MISSING, id="status-missing"),
 ])
 def test_validate_malformed_document_exits_two_with_field_path(tmp_path, capsys, field, value):
     cfg = write(tmp_path, "picard.yaml", PICARD_YAML)
     assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 0
     doc = json.loads((tmp_path / "result.json").read_text())
+    if isinstance(value, tuple) and value[0] is DIVERGED:
+        doc.update(status="diverged", fixed_point=None)
+        value = value[1]
     if field == "document":
         bad = [doc]
     else:
@@ -1429,9 +1501,11 @@ def test_solve_and_validate_keep_their_map_and_kernel_call_counts(tmp_path, monk
     # before), one step-row call for each of the 31 blocks and one
     # window-grid call for each of the last 4 (455 before: a step-row call
     # every 8 steps and a call per window grid); then the residual, and the
-    # stored chain in one batch call (one apply_point per step before)
+    # stored chain in one batch call (one apply_point per step before), and
+    # the stop rules' evidence: one step-row call and one window-grid call
+    # for the near candidates (the residual's call alone before)
     assert solved == {"apply_point": 1984, "mu_nu": 38, "rows": 0}
-    assert validated == {"apply_point": 1, "mu_nu": 1, "rows": 1}
+    assert validated == {"apply_point": 1, "mu_nu": 3, "rows": 1}
 
 
 def test_every_file_write_passes_its_text_as_one_string(tmp_path, monkeypatch):

@@ -902,3 +902,30 @@ def test_an_affine_map_of_another_dimension_fails_as_its_first_step_does(line):
     assert outcome(chain_break, line, map_, [[1.0], [1.0]]) == \
         outcome(reference_chain_break, line, map_, [[1.0], [1.0]])
     assert outcome(chain_break, line, map_, [[1.0], [1.0]])[0] is ValueError
+
+
+@settings(max_examples=100, deadline=None)
+@given(dim=st.integers(1, 4), rate=st.floats(0.1, 0.9), data=st.data())
+def test_a_converged_solve_obeys_banachs_a_posteriori_bound(dim, rate, data):
+    # x -> Ax + b with spectral norm L: every probe residual of a converged
+    # solve is closed eps-near, so at the smallest probe time t_min the
+    # certified distance d(x_c, T x_c) = t_min (1 - mu) / mu is at most
+    # t_min eps / (1 - eps), and d(x_c, x*) <= d(x_c, T x_c) / (1 - L).
+    # The residual is the metric one: mu = t / (t + d) on an induced space.
+    entries = st.floats(-1.0, 1.0, allow_subnormal=False)
+    matrix = np.asarray(data.draw(st.lists(entries, min_size=dim * dim, max_size=dim * dim))).reshape(dim, dim)
+    norm = np.linalg.norm(matrix, 2)
+    matrix = rate * (matrix / norm if norm > 1e-3 else np.eye(dim))
+    offset, x0 = (np.asarray(data.draw(st.lists(st.floats(-10.0, 10.0), min_size=dim, max_size=dim)))
+                  for _ in range(2))
+    space = induced_from_metric(CoordinateSpace(dim, "euclidean"), min_max())
+    map_ = SelfMap.affine(matrix, offset)
+    config = SolveConfig()
+    result = picard_solve(space, map_, x0, config)
+    assert result.converged, result.stop_reason
+    x_star = np.linalg.solve(np.eye(dim) - matrix, offset)
+    t_min, eps, lip = config.probe_ts[0], config.epsilon, np.linalg.norm(matrix, 2)
+    assert np.linalg.norm(result.fixed_point - x_star) <= t_min * eps / ((1 - eps) * (1 - lip))
+    d = np.linalg.norm(result.fixed_point - map_(result.fixed_point))
+    ts = np.asarray(config.probe_ts)
+    np.testing.assert_allclose(result.residual_mu, ts / (ts + d), rtol=1e-12, atol=0)
