@@ -234,18 +234,15 @@ def validate_result_document(doc: Any) -> list[str]:
         problems.append("ball_flags differ from the open-ball test of the stored points")
     if not np.array_equal(ts, solve.probe_ts):
         problems.append("probe_ts differs from experiment.solve_config.probe_ts")
+    residual = None  # (ok, mu, nu): the original map's residual at the stored fixed point, then at the candidate
     if status == "converged":
         if x_star is None or iterations >= len(points) or not points_equal(points[iterations], x_star):
             problems.append("fixed_point does not match the trace at the stated iteration")
         if x_star is not None:
-            ok, mu, nu = residual_certificate(space, map_, x_star, ts, solve.epsilon)
+            residual = ok, mu, nu = residual_certificate(space, map_, x_star, ts, solve.epsilon)
             if not ok:
                 problems.append(f"residual certificate fails: mu_min={mu.min()!r}, nu_max={nu.max()!r}, "
                                 f"epsilon={solve.epsilon!r}")
-            for key, values in (("residual_mu", mu), ("residual_nu", nu)):
-                stored = doc.get(key)
-                if stored is not None and not np.array_equal(_numbers(stored, key), values):
-                    problems.append(f"stored {key} does not reproduce from the stored points")
     if problems:  # the stop is judged on a trace and certificate that hold
         return problems
 
@@ -259,14 +256,22 @@ def validate_result_document(doc: Any) -> list[str]:
     if verdict is None:
         return ["the trace ends before any stop rule holds, its budget is spent or its next image overflows"]
     want_status, reason, c, last = verdict
-    if want_status == "converged" and action.name == "power" and not residual_certificate(
-            space, map_, points[c], ts, solve.epsilon)[0]:
+    if c is not None and (residual is None or c != iterations):  # else the stored fixed point's serves
+        residual = residual_certificate(space, map_, points[c], ts, solve.epsilon)
+    if c is not None and action.name == "power" and not residual[0]:
         want_status, reason = "budget_exhausted", RESIDUAL_MISSED
     for key, value in (("status", want_status), ("stop_reason", reason), ("iterations", last if c is None else c)):
         if doc[key] != value:
             problems.append(f"{key} {doc[key]!r} differs from the stop rules' {value!r}")
     if x_star is not None and want_status != "converged":
         problems.append(f"fixed_point is stored, but the stop rules give status {want_status!r}")
+    # the solve stores the residual at its candidate: converged, or a power candidate that misses it
+    for key, values in zip(("residual_mu", "residual_nu"), (None, None) if c is None else residual[1:]):
+        stored = None if doc.get(key) is None else _numbers(doc[key], key)
+        if values is None and stored is not None:
+            problems.append(f"{key} is stored, but the stop rules give status {want_status!r}")
+        elif values is not None and (stored is None or not np.array_equal(stored, values)):
+            problems.append(f"stored {key} does not reproduce from the stored points")
     return problems
 
 

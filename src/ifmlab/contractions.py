@@ -55,12 +55,14 @@ class SelfMap:
     evaluators must accept both single points ``(dim,)`` and batches
     ``(n, dim)``; label evaluators get one label at a time.  A batch row
     may differ from the one-point image in the last bit (gemm against gemv).
-    ``_rows``, set on affine maps and their powers and ``None`` on others,
-    maps a batch whose rows are the one-point images bit for bit; the
-    stored chain of a solve is re-checked by it (:func:`~ifmlab.solver.chain_break`).
+    Affine maps and their powers set two exact forms (``None`` on others): ``_rows``
+    maps a batch to its rows' one-point images, bit for bit (:func:`~ifmlab.solver.chain_break`
+    re-checks a stored chain by it), and ``_chain(x, n)`` lists the ``n`` successive
+    one-point images of ``x``, bit for bit (the solver steps by it, :func:`apply_chain`).
     """
 
     _rows: Callable | None = None
+    _chain: Callable | None = None
 
     def __init__(self, fn: Callable, label: str = "custom", spec: dict | None = None):
         self.fn = fn
@@ -94,6 +96,7 @@ class SelfMap:
                      spec={"affine": {"matrix": a.tolist(), "offset": b.tolist()}})
         # a stack of 1-by-dim rows: numpy maps each row as it maps one point
         affine._rows = lambda xs: _shifted(np.matmul(xs[:, None, :], at)[:, 0, :], shift)
+        affine._chain = lambda x, n: [x := x.dot(at) + shift for _ in range(n)]
         return affine
 
     @classmethod
@@ -143,6 +146,7 @@ class SelfMap:
         power = SelfMap(fn, label=f"{self.label}^{m}", spec=spec)
         if self._rows is not None:
             power._rows = lambda xs: fn(xs, self._rows)
+            power._chain = lambda x, n: self._chain(x, n * m)[m - 1 :: m]
         return power
 
 
@@ -187,6 +191,30 @@ def apply_point(space: IfmSpace, map_: SelfMap, p, checked: bool = False):
     is read as a point first unless ``checked``, the solver's own, passed positionally,
     says it was read already (the solver's start, or the image this function last returned)."""
     return space.domain.image(map_(p if checked else space.domain.as_point(p)))
+
+
+def apply_chain(space: IfmSpace, map_: SelfMap, x, n: int) -> tuple[list, Any, Exception | None]:
+    """``x``, read already, and its next ``n`` images, as a list and as one batch, and the exception
+    that cut them short (``None`` if none did).  A chain form (``SelfMap._chain``) maps them in one
+    call, checked once; from its first non-finite image, or an ``x`` it refuses, :func:`apply_point`
+    walks on as it walks other maps, so the same step raises with the same warnings."""
+    chain, kept = [x], None
+    if map_._chain is not None:
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):  # a non-finite image is mapped again below
+                chain += map_._chain(x, n)
+        except (AttributeError, TypeError, ValueError):  # an x it refuses: the walk raises as the map does
+            pass
+        else:
+            if np.isfinite(batch := space.domain.batch(chain)).all():
+                return chain, batch, None
+            del chain[int(np.isfinite(batch).all(axis=1).argmin()) :]
+    try:
+        for _ in range(n + 1 - len(chain)):
+            chain.append(apply_point(space, map_, chain[-1], True))
+    except Exception as exc:  # the caller decides whether it is raised
+        kept = exc
+    return chain, space.domain.batch(chain), kept
 
 
 def apply_batch(space: IfmSpace, map_: SelfMap, pts):

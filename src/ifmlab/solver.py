@@ -1,9 +1,10 @@
 """Fixed-point computation by Picard iteration with nearness stopping.
 
 :func:`judge` holds the stop rules, for the solver and ``validate`` alike.
-The map steps blocks of up to ``STEP_BLOCK`` iterates and the iterates past
-the stop are dropped, so a map must be a pure function; the kernel works
-pair by pair, so the trace is that of a step-by-step loop, bit for bit.
+The map steps blocks of up to ``STEP_BLOCK`` iterates, an affine map's in one
+call, and the iterates past the stop are dropped, so a map must be a pure
+function; the kernel works pair by pair, so the trace is that of a
+step-by-step loop, bit for bit.
 Each solver enforces its regime's hypotheses before iterating (unless
 configured off), and a failure is a result status, never an exception.
 """
@@ -18,6 +19,7 @@ import numpy as np
 from .contractions import (
     ContractivityReport,
     SelfMap,
+    apply_chain,
     apply_point,
     closed_ball_hypotheses,
     contractive_sequence_check,
@@ -133,12 +135,12 @@ class SolveResult:
 
 
 def iterate_trace(space: IfmSpace, map_: SelfMap, x0, n: int) -> list:
-    """Points ``x0 .. xn`` with each entry the image of its predecessor, each checked once."""
+    """Points ``x0 .. xn``, each the image of its predecessor: one :func:`apply_chain`, whose exception is raised."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    pts = [space.domain.as_point(x0)]
-    for _ in range(n):
-        pts.append(apply_point(space, map_, pts[-1], True))
+    pts, _, kept = apply_chain(space, map_, space.domain.as_point(x0), n)
+    if kept is not None:
+        raise kept
     return pts
 
 
@@ -309,10 +311,10 @@ def _solve(space: IfmSpace, map_: SelfMap, x0, config: SolveConfig,
     A gate returns its report and a failure reason (``None`` on a pass).
     With checks on, the first failing gate ends the solve as
     ``hypothesis_failed`` with its report, or the first gate's when it has
-    none; otherwise the result carries the first gate's report.  A block of
-    up to ``STEP_BLOCK`` steps (fewer at the budget or a map call that
-    raises, its exception kept) gives :func:`judge` its evidence: its
-    :func:`_steps`, open-ball flags, and the windows of its near candidates
+    none; otherwise the result carries the first gate's report.  A block of up
+    to ``STEP_BLOCK`` steps, one :func:`apply_chain` (fewer at the budget or a
+    map call that raises, its exception kept), gives :func:`judge` its evidence:
+    its :func:`_steps`, open-ball flags, and the windows of its near candidates
     before its first ball exit or exact fixed point.  What follows the
     stop is dropped; an exception no stop precedes is raised.
     """
@@ -353,14 +355,11 @@ def _solve(space: IfmSpace, map_: SelfMap, x0, config: SolveConfig,
             if kept is not None:
                 raise kept
             s = len(points)
-            for _ in range(min(STEP_BLOCK, config.max_iterations + 1 - s)):
-                try:
-                    points.append(apply_point(space, map_, points[-1], True))
-                except Exception as exc:  # raised when the judge reaches its step
-                    kept = exc
-                    break
-            if len(points) > s:
-                pts, mu, nu, fixed_at = _steps(space, points[s - 1 :], ts, s)
+            # an exception is kept, and raised when the judge reaches its step
+            chain, pts, kept = apply_chain(space, map_, points[-1], min(STEP_BLOCK, config.max_iterations + 1 - s))
+            if len(chain) > 1:
+                points += chain[1:]
+                pts, mu, nu, fixed_at = _steps(space, pts, ts, s)
                 blocks.append((mu, nu))
                 near += _near(mu, nu, config.epsilon).all(axis=1).tolist()
                 end = fixed_at or len(points)

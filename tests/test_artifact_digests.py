@@ -49,7 +49,7 @@ import pytest
 import yaml
 
 from ifmlab.cli import main
-from ifmlab.solver import STATUSES
+from ifmlab.solver import RESIDUAL_MISSED, STATUSES
 
 OUTPUT = {"result": "result.json", "trace": "trace.csv", "report": "report.jsonl"}
 LINE = {"induced": {"dimension": 1, "base_metric": "euclidean"}}
@@ -718,9 +718,24 @@ def test_artifacts_match_recorded_digests(name, tmp_path):
         edits += [("stop_reason", "edited"), ("iterations", doc["iterations"] + 1)]
         edits += [("iterations", doc["iterations"] - 1)] if doc["iterations"] else []
         edits += [("fixed_point", doc["trace_points"][-1])] if doc["fixed_point"] is None else []
+        # stored residuals reproduce where the solve stores them, and are null elsewhere
+        edits += [("residual_mu", [0.5] * len(doc["probe_ts"]))]
         last = len(doc["trace_points"]) - 1  # a budget short of the last step stops there
         budget = {**doc["experiment"], "solve_config": {**doc["experiment"]["solve_config"], "max_iterations": last - 1}}
         edits += [("experiment", budget)] if last > 1 else []
         for key, value in edits:
+            result.write_text(json.dumps({**doc, key: value}))
+            assert main(["validate", str(result)]) == 1, (key, value)
+
+
+def test_a_power_residual_miss_keeps_its_stored_residual(tmp_path):
+    # a power candidate that misses the original map's residual stores that
+    # residual; validate compared it only on converged documents, and exited 0
+    assert artifact_digests("solve-power-residual-misses-ungated", tmp_path)[0] == 1
+    result = tmp_path / "out" / "result.json"
+    doc = json.loads(result.read_text())
+    assert (doc["status"], doc["stop_reason"]) == ("budget_exhausted", RESIDUAL_MISSED)
+    for key in ("residual_mu", "residual_nu"):
+        for value in ([0.5] * len(doc[key]), None):
             result.write_text(json.dumps({**doc, key: value}))
             assert main(["validate", str(result)]) == 1, (key, value)

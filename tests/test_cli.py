@@ -1449,26 +1449,30 @@ output: {result: result.json, trace: trace.csv}
 """
 
 
-def test_solve_and_validate_keep_their_map_and_kernel_call_counts(tmp_path, monkeypatch):
-    # The benchmark's tracer counts map applications at contractions.apply_point,
-    # rebound in every module that holds it, and kernel calls at IfmSpace.mu_nu;
-    # a loop that bypasses either, or adds kernel calls, changes these counts.
-    # An affine map's row-exact batch form (SelfMap._rows) is counted too.
+def count_map_and_kernel_calls(monkeypatch):
+    """Counters, from here on, of apply_point calls, kernel calls and the
+    calls of an affine map's exact forms: ``_rows``, and ``_chain`` with
+    the steps it maps (``chain_steps``)."""
     import ifmlab.contractions
     from ifmlab import IfmSpace, SelfMap
 
-    calls = {"apply_point": 0, "mu_nu": 0, "rows": 0}
+    calls = {"apply_point": 0, "mu_nu": 0, "rows": 0, "chain": 0, "chain_steps": 0}
     apply_point, kernel, affine = ifmlab.contractions.apply_point, IfmSpace.mu_nu, SelfMap.affine.__func__
 
     def counted_affine(cls, *args):
         map_ = affine(cls, *args)
-        rows = map_._rows
+        rows, chain = map_._rows, map_._chain
 
         def counted_rows(xs):
             calls["rows"] += 1
             return rows(xs)
 
-        map_._rows = counted_rows
+        def counted_chain(x, n):
+            calls["chain"] += 1
+            calls["chain_steps"] += n
+            return chain(x, n)
+
+        map_._rows, map_._chain = counted_rows, counted_chain
         return map_
 
     def counted_apply_point(*args):
@@ -1487,25 +1491,50 @@ def test_solve_and_validate_keep_their_map_and_kernel_call_counts(tmp_path, monk
         monkeypatch.setattr(module, key, counted_apply_point)
     monkeypatch.setattr(IfmSpace, "mu_nu", counted_kernel)
     monkeypatch.setattr(SelfMap, "affine", classmethod(counted_affine))
+    return calls
 
-    cfg = write(tmp_path, "counted.yaml", COUNTED_SOLVE_YAML)
+
+def solve_and_validate_counts(tmp_path, calls, text):
+    """The counts of one solve of ``text`` and of the validate of its result, and the result."""
+    cfg = write(tmp_path, "counted.yaml", text)
     assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 0
-    doc = json.loads((tmp_path / "result.json").read_text())
+    result = tmp_path / yaml.safe_load(text)["output"]["result"]
+    doc = json.loads(result.read_text())
     solved = dict(calls)
-    assert main(["validate", str(tmp_path / "result.json")]) == 0
-    validated = {key: calls[key] - solved[key] for key in calls}
+    assert main(["validate", str(result)]) == 0
+    return solved, {key: calls[key] - solved[key] for key in calls}, doc
+
+
+def test_solve_and_validate_keep_their_map_and_kernel_call_counts(tmp_path, monkeypatch):
+    # The benchmark's tracer counts map applications at contractions.apply_point,
+    # rebound in every module that holds it, and kernel calls at IfmSpace.mu_nu;
+    # a loop that bypasses either, or adds kernel calls, changes these counts.
+    # An affine map's exact forms (SelfMap._rows and SelfMap._chain) are counted
+    # too: the tracer does not see a chained step, as it sees no batch row.
+    calls = count_map_and_kernel_calls(monkeypatch)
+    solved, validated, doc = solve_and_validate_counts(tmp_path, calls, COUNTED_SOLVE_YAML)
     assert (doc["iterations"], len(doc["trace_points"])) == (1968, 1977)
-    # one application per step, and 8 past the stop, where the last block of
-    # 64 steps ends (1976 before); the gates' two sampled-check calls and one
-    # call for the eight pairs of the large-horizon probe (eight calls
-    # before), one step-row call for each of the 31 blocks and one
-    # window-grid call for each of the last 4 (455 before: a step-row call
-    # every 8 steps and a call per window grid); then the residual, and the
-    # stored chain in one batch call (one apply_point per step before), and
-    # the stop rules' evidence: one step-row call and one window-grid call
-    # for the near candidates (the residual's call alone before)
-    assert solved == {"apply_point": 1984, "mu_nu": 38, "rows": 0}
-    assert validated == {"apply_point": 1, "mu_nu": 3, "rows": 1}
+    # 31 blocks of 64 steps chained, 8 of them past the stop, where the last
+    # block ends (1984 apply_point calls before, one a step); the gates' two
+    # sampled-check calls and one call for the eight pairs of the
+    # large-horizon probe, one step-row call for each block and one
+    # window-grid call for each of the last 4; then the residual, the stored
+    # chain in one batch call, and the stop rules' evidence: one step-row
+    # call and one window-grid call for the near candidates
+    assert solved == {"apply_point": 0, "mu_nu": 38, "rows": 0, "chain": 31, "chain_steps": 1984}
+    assert validated == {"apply_point": 1, "mu_nu": 3, "rows": 1, "chain": 0, "chain_steps": 0}
+
+
+def test_a_converged_power_validate_maps_the_residual_once(tmp_path, monkeypatch):
+    # the original map's residual at the candidate serves both the stored
+    # claim and the stop rules' residual-miss rule (two apply_point calls and
+    # four kernel calls before): the residual, one step-row and one
+    # window-grid call; the squared map's stored chain is mapped in one batch
+    # call of the square's batch form, two calls of the map's
+    calls = count_map_and_kernel_calls(monkeypatch)
+    _, validated, doc = solve_and_validate_counts(tmp_path, calls, POWER_YAML)
+    assert doc["status"] == "converged"
+    assert validated == {"apply_point": 1, "mu_nu": 3, "rows": 2, "chain": 0, "chain_steps": 0}
 
 
 def test_every_file_write_passes_its_text_as_one_string(tmp_path, monkeypatch):

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -33,12 +34,13 @@ from ifmlab.contractions import (
     ContractivityReport,
     NonFiniteImageError,
     apply_batch,
+    apply_chain,
     apply_point,
 )
 from ifmlab.operators import BLOCK_CELLS
 from ifmlab.report import json_text
 from ifmlab.sampling import BALL_SAMPLING_ROUNDS, sample_ball_pairs, sample_pairs
-from ifmlab.spaces import DEFAULT_PROBE_TS, label_pairs, membership_grid, point_jsonable, probe_grid
+from ifmlab.spaces import BASE_METRICS, DEFAULT_PROBE_TS, label_pairs, membership_grid, point_jsonable, probe_grid
 
 
 def random_contraction(rng, dim=2, norm_low=0.1, norm_high=0.95):
@@ -850,7 +852,112 @@ def test_exact_rows_are_the_one_point_images_bit_for_bit(d, m, data):
 
 
 def test_only_affine_maps_and_their_powers_carry_exact_rows():
-    assert SelfMap.affine([[0.5]], [1.0]).power(3)._rows is not None
+    power = SelfMap.affine([[0.5]], [1.0]).power(3)
+    assert power._rows is not None and power._chain is not None
     for map_ in (SelfMap(lambda x: x), SelfMap.identity(), SelfMap.constant([1.0]),
                  SelfMap.table({"a": "b"}), SelfMap(lambda x: x).power(2)):
-        assert map_._rows is None
+        assert map_._rows is None and map_._chain is None
+
+
+def walk(space, map_, x, n):
+    """``x`` and its next ``n`` images, one :func:`apply_point` call a step, up to the
+    first that raises, and that exception's type and text (``None`` if none raised)."""
+    chain = [x]
+    try:
+        for _ in range(n):
+            chain.append(apply_point(space, map_, chain[-1], True))
+    except Exception as exc:
+        return chain, (type(exc), str(exc))
+    return chain, None
+
+
+def warned(fn, *args):
+    """``fn(*args)`` and the warnings it raised, as (category, text) pairs."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = fn(*args)
+    return out, [(w.category, str(w.message)) for w in caught]
+
+
+@settings(max_examples=200, deadline=None)
+@given(d=st.sampled_from([1, 2, 3, 4, 9]), m=st.integers(1, 3), n=st.integers(1, 70),
+       blowup=st.none() | st.integers(1, 80), data=st.data())
+def test_apply_chain_matches_the_apply_point_walk(d, m, n, blowup, data):
+    # the chain of an affine map and its powers, and of the same evaluator without a
+    # chain form: the points, the batch, the kept exception and the warnings of the walk
+    if blowup is None:
+        a = data.draw(hnp.arrays(np.float64, (d, d), elements=st.floats(-2.0, 2.0) | st.just(-0.0)))
+        b = data.draw(hnp.arrays(np.float64, d, elements=ROW_VALUE | st.sampled_from([1e308, -1e308])))
+        x = data.draw(hnp.arrays(np.float64, d, elements=ROW_VALUE))
+    else:
+        # a signed permutation times 2**p maps exactly, so the map's images
+        # first overflow at step `blowup` (its m-th power's at the ceiling of blowup / m)
+        p = data.draw(st.integers(1, 24))
+        signs = data.draw(hnp.arrays(np.float64, d, elements=st.sampled_from([1.0, -1.0])))
+        a = 2.0**p * np.eye(d)[data.draw(st.permutations(range(d)))] * signs
+        b = data.draw(hnp.arrays(np.float64, d, elements=st.sampled_from([0.0, -0.0])))
+        x = data.draw(hnp.arrays(np.float64, d, elements=st.floats(1.0, 2.0, exclude_max=True)))
+        x *= signs * 2.0 ** (1024 - p * blowup)
+    space = induced_from_metric(CoordinateSpace(d), min_max())
+    chained = SelfMap.affine(a, b).power(m)
+    for map_ in (chained, SelfMap(chained.fn)):
+        (want, error), want_warnings = warned(walk, space, map_, x, n)
+        (got, batch, kept), got_warnings = warned(apply_chain, space, map_, x, n)
+        assert len(got) == len(want) and all(u.tobytes() == v.tobytes() for u, v in zip(got, want))
+        assert batch.shape == (len(want), d) and batch.tobytes() == np.asarray(want).tobytes()
+        assert (None if kept is None else (type(kept), str(kept))) == error
+        assert got_warnings == want_warnings
+    if blowup is not None:
+        assert (error is not None) == (-(-blowup // m) <= n)
+        assert error is None or error[0] is NonFiniteImageError
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_apply_chain_warns_once_as_the_walk_warns(line, m):
+    # x -> x + 1e308 overflows in the add of step 2; its chain steps on past
+    # it silently, and the walk from the last finite image warns and raises
+    map_ = SelfMap.affine([[1.0]], [1e308]).power(m)
+    (want, error), want_warnings = warned(walk, line, map_, np.array([0.0]), 5)
+    (got, _, kept), got_warnings = warned(apply_chain, line, map_, np.array([0.0]), 5)
+    assert want_warnings == got_warnings == [(RuntimeWarning, "overflow encountered in add")]
+    assert len(got) == len(want) == 3 - m and (type(kept), str(kept)) == error
+
+
+def test_apply_chain_walks_what_its_chain_form_refuses(line, plane):
+    # a start of another dimension than the map's: the walk raises numpy's
+    # error at the first step, and the chain keeps it there
+    map_ = SelfMap.affine(np.eye(2), [1.0, 2.0])
+    chain, batch, kept = apply_chain(line, map_, np.array([1.0]), 5)
+    assert len(chain) == 1 and batch.tolist() == [[1.0]] and type(kept) is ValueError
+    assert str(kept) == walk(line, map_, np.array([1.0]), 5)[1][1]
+    # a budget of no steps is the start alone
+    chain, batch, kept = apply_chain(plane, map_, np.array([1.0, 1.0]), 0)
+    assert len(chain) == 1 and batch.tolist() == [[1.0, 1.0]] and kept is None
+
+
+# the induced gap ratios of an affine map x -> A x + b are base-distance ratios,
+# at most the operator norm of A in the base metric
+OPERATOR_NORMS = {
+    "euclidean": lambda a: np.linalg.norm(a, 2),
+    "chebyshev": lambda a: np.abs(a).sum(axis=1).max(),
+    "absolute-difference": lambda a: np.abs(a).sum(axis=0).max(),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(metric=st.sampled_from(BASE_METRICS), d=st.sampled_from([1, 2, 3, 4, 9]), norm=st.floats(0.25, 2.0),
+       seed=st.integers(0, 2**16), data=st.data())
+def test_every_sampled_ratio_is_within_the_operator_norm(metric, d, norm, seed, data):
+    unit = st.floats(-1.0, 1.0, allow_subnormal=False)
+    a = data.draw(hnp.arrays(np.float64, (d, d), elements=unit))
+    b = data.draw(hnp.arrays(np.float64, d, elements=unit))
+    operator_norm = OPERATOR_NORMS[metric]
+    if not operator_norm(a) > 1e-6:
+        a = np.eye(d)
+    # from norm 0.25 on, the closest image pairs sit far enough from the largest probe
+    # time for the rounding of their gaps d/t to stay well inside the tolerance
+    a *= norm / operator_norm(a)
+    bound = operator_norm(a) * (1.0 + 1e-10)
+    space = induced_from_metric(CoordinateSpace(d, metric), min_max())
+    details = if_contractive_check(space, SelfMap.affine(a, b), 200, seed=seed).details
+    assert details["sup_mu_ratio"] <= bound and details["sup_nu_ratio"] <= bound, (details, bound)

@@ -26,7 +26,7 @@ from ifmlab import (
     power_map_solve,
     uniqueness_probe,
 )
-from ifmlab.contractions import NonFiniteImageError, apply_point
+from ifmlab.contractions import DomainEscapeError, NonFiniteImageError, apply_point
 from ifmlab.operators import BLOCK_CELLS
 from ifmlab.report import json_text
 from ifmlab.sampling import sample_ball_pairs, sample_pairs
@@ -60,6 +60,15 @@ def test_iterate_trace_examples(line, half_plus_one):
     assert len(iterate_trace(line, half_plus_one, 0.0, 1)) == 2
     with pytest.raises(ValueError):
         iterate_trace(line, half_plus_one, 0.0, 0)
+
+
+def test_iterate_trace_raises_the_error_of_the_step_it_reaches(line):
+    # x -> 1e200 x overflows at step 2, stepped by its chain form; the table
+    # map, walked point by point, has no image of "c" at step 2
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteImageError, match="image .* left the coordinate domain"):
+        iterate_trace(line, SelfMap.affine([[1e200]], [0.0]), 1.0, 5)
+    with pytest.raises(DomainEscapeError, match="label 'c' has no image"):
+        iterate_trace(STEP_TABLE, SelfMap.table({"a": "b", "b": "c"}), "a", 5)
 
 
 def test_picard_converges_to_two(line, half_plus_one):
@@ -562,8 +571,9 @@ def event_map(step, form, event, at):
 @given(
     metric=st.sampled_from(METRICS),
     dim=st.integers(1, 3),
-    form=st.sampled_from(["array", "list", "float32"]),
-    scale=st.sampled_from([0.0, 0.5, 0.9, 1.0, 2.0]),
+    # "affine": SelfMap.affine(scale * I, offset), stepped by its chain form, with no event
+    form=st.sampled_from(["array", "list", "float32", "affine"]),
+    scale=st.sampled_from([0.0, 0.5, 0.9, 1.0, 2.0, 1e100]),
     event=st.sampled_from([None, "fixed", "shape", "nan", "inf"]),
     # a step inside the first block, at its edges, and in later ones
     at=st.integers(1, STEP_BLOCK - 1) | st.sampled_from([STEP_BLOCK, STEP_BLOCK + 1, 2 * STEP_BLOCK + 5]),
@@ -587,9 +597,12 @@ def test_solve_matches_the_point_by_point_block_loop(metric, dim, form, scale, e
     def step(x):
         return scale * x + offset
 
-    got = outcome(_solve, space, event_map(step, form, event, at), x0, config, (), ball)
+    def new_map():
+        return SelfMap.affine(scale * np.eye(dim), offset) if form == "affine" else event_map(step, form, event, at)
+
+    got = outcome(_solve, space, new_map(), x0, config, (), ball)
     with np.errstate(over="ignore"):
-        want = outcome(parent_solve, space, event_map(step, form, event, at), x0, config, ball)
+        want = outcome(parent_solve, space, new_map(), x0, config, ball)
     if not isinstance(want, SolveResult):
         assert got == want
         return
