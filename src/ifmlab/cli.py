@@ -58,7 +58,7 @@ from .solver import (
     power_map_solve,
     residual_certificate,
 )
-from .spaces import _ball_flags, axiom_audit, point_jsonable, points_equal, probe_grid
+from .spaces import _ball_flags, axiom_audit, point_jsonable, probe_grid
 
 OUTPUT_DIR_ENV = "IFMLAB_OUT"
 
@@ -218,8 +218,8 @@ def validate_result_document(doc: Any) -> list[str]:
         raise ConfigError("probe_ts", str(exc)) from exc
 
     problems: list[str] = []
-    ball = action.params.get("ball")
-    if not points_equal(points[0], action.params["x0"] if ball is None else ball.center):
+    ball, distinct = action.params.get("ball"), space.domain.distinct
+    if distinct([points[0]], [action.params["x0"] if ball is None else ball.center])[0]:
         problems.append(f"trace_points[0] is not the solve's start, experiment.action.solve."
                         f"{'x0' if ball is None else 'ball.center'}")
     step = chain_break(space, step_map, points)
@@ -236,7 +236,7 @@ def validate_result_document(doc: Any) -> list[str]:
         problems.append("probe_ts differs from experiment.solve_config.probe_ts")
     residual = None  # (ok, mu, nu): the original map's residual at the stored fixed point, then at the candidate
     if status == "converged":
-        if x_star is None or iterations >= len(points) or not points_equal(points[iterations], x_star):
+        if x_star is None or iterations >= len(points) or distinct([points[iterations]], [x_star])[0]:
             problems.append("fixed_point does not match the trace at the stated iteration")
         if x_star is not None:
             residual = ok, mu, nu = residual_certificate(space, map_, x_star, ts, solve.epsilon)

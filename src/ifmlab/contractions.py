@@ -31,9 +31,9 @@ from .spaces import (  # the domain errors are re-exported here, beside the maps
     NonFiniteImageError,
     _grid_witness,
     _near,
+    _steps,
     membership_grid,
     point_jsonable,
-    points_equal,
     probe_grid,
     time_parameter,
 )
@@ -186,11 +186,9 @@ def self_map_from_spec(spec: dict) -> SelfMap:
     raise ValueError(f"unknown map kind {kind!r}")
 
 
-def apply_point(space: IfmSpace, map_: SelfMap, p, checked: bool = False):
-    """Apply a map to one point, validating the image stays in the domain; ``p``
-    is read as a point first unless ``checked``, the solver's own, passed positionally,
-    says it was read already (the solver's start, or the image this function last returned)."""
-    return space.domain.image(map_(p if checked else space.domain.as_point(p)))
+def apply_point(space: IfmSpace, map_: SelfMap, p):
+    """Apply a map to one point, read as a point first, validating the image stays in the domain."""
+    return space.domain.image(map_(space.domain.as_point(p)))
 
 
 def apply_chain(space: IfmSpace, map_: SelfMap, x, n: int) -> tuple[list, Any, Exception | None]:
@@ -211,7 +209,7 @@ def apply_chain(space: IfmSpace, map_: SelfMap, x, n: int) -> tuple[list, Any, E
             del chain[int(np.isfinite(batch).all(axis=1).argmin()) :]
     try:
         for _ in range(n + 1 - len(chain)):
-            chain.append(apply_point(space, map_, chain[-1], True))
+            chain.append(apply_point(space, map_, chain[-1]))
     except Exception as exc:  # the caller decides whether it is raised
         kept = exc
     return chain, space.domain.batch(chain), kept
@@ -534,15 +532,14 @@ def contractive_sequence_check(
     if len(pts) < 3:
         raise ValueError("prefix must contain at least 3 points")
     ts = probe_grid(probe_ts)
-    same = np.flatnonzero(~space.domain.distinct(pts[:-1], pts[1:]))
-    fixed_from = int(same[0]) if same.size else None
+    _, mu, nu, fixed_from = _steps(space, pts, ts, 0)
 
     # rows n of the step grids compare step (n, n+1) with step (n+1, n+2);
     # steps from an exactly fixed index on pass trivially
     checked = len(pts) - 2 if fixed_from is None else min(fixed_from, len(pts) - 2)
     slack = 1.0 + K_SAFETY_MARGIN
     eps_fp = 4.0 * np.finfo(float).eps
-    gap, co_gap = map(_reciprocal_gap, membership_grid(space, pts[:-1], pts[1:], ts))
+    gap, co_gap = _reciprocal_gap(mu), _reciprocal_gap(nu)
     gap_a, gap_b = gap[:checked], gap[1 : checked + 1]
     co_a, co_b = co_gap[:checked], co_gap[1 : checked + 1]
     with np.errstate(invalid="ignore"):
@@ -608,7 +605,7 @@ def closed_ball_hypotheses(
 
     mu_rhs = (1.0 - k) * (1.0 / (1.0 - r) - 1.0)
     nu_rhs = (1.0 / (1.0 - k)) * (1.0 / r - 1.0)
-    degenerate = points_equal(x0p, tx0)
+    degenerate = not space.domain.distinct([x0p], [tx0])[0]
     if degenerate:
         mu_lhs, nu_lhs = 0.0, float("inf")
     else:

@@ -39,10 +39,10 @@ from .spaces import (
     _ball_flags,
     _margin,
     _near,
+    _steps,
     asymptotic_nearness_probe,
     membership_grid,
     point_jsonable,
-    points_equal,
     probe_grid,
 )
 
@@ -150,8 +150,9 @@ def chain_break(space: IfmSpace, map_: SelfMap, points: Sequence) -> int | None:
     (``-0.0`` equals ``0.0``, NaN equals nothing).  A chain that reads as
     points, of a map with a row-exact batch form (``SelfMap._rows``), is
     mapped in one call, and its first differing image is checked as
-    :func:`apply_point` checks; others are walked by :func:`apply_point`, so
-    a malformed point is a break at the step before it, or raises first."""
+    :func:`apply_point` checks; others are walked by :func:`apply_point`,
+    each stored successor read as a point, so a malformed point is a break
+    at the step before it, or raises first."""
     if map_._rows is not None:
         try:
             pts = space.domain.read(points)
@@ -165,7 +166,12 @@ def chain_break(space: IfmSpace, map_: SelfMap, points: Sequence) -> int | None:
                 return int(broken[0])
             return None
     for i in range(len(points) - 1):
-        if not points_equal(apply_point(space, map_, points[i]), points[i + 1]):
+        image = apply_point(space, map_, points[i])
+        try:
+            successor = space.domain.as_point(points[i + 1])
+        except ValueError:  # a successor that is not a point
+            return i
+        if space.domain.distinct([image], [successor])[0]:
             return i
     return None
 
@@ -258,15 +264,6 @@ def judge(near: Sequence[bool], windows: dict[int, bool], flags: list[bool] | No
     return None
 
 
-def _steps(space: IfmSpace, points, ts, first: int = 1) -> tuple[np.ndarray, np.ndarray, np.ndarray, int | None]:
-    """``points`` (steps ``first - 1``, ``first``, ...) as one batch, their step rows (one kernel call)
-    and the first step equal to its predecessor (``-0.0`` equal to ``0.0``) or ``None``."""
-    pts = space.domain.batch(points)
-    same = ~space.domain.distinct(pts[:-1], pts[1:])
-    mu, nu = membership_grid(space, pts[:-1], pts[1:], ts)
-    return pts, mu, nu, first + int(same.argmax()) if same.any() else None
-
-
 def _windows(space: IfmSpace, points, candidates: list[int], config: SolveConfig) -> dict[int, bool]:
     """Whether ``x_{c+1} .. x_{c+window}`` are all epsilon-near ``x_c``, per
     candidate ``c``, from grids of about ``BLOCK_CELLS`` cells in order, up
@@ -298,7 +295,7 @@ def judge_trace(space: IfmSpace, map_: SelfMap, points, config: SolveConfig,
         verdict = judge(near, windows, flags, fixed_at, None, config)
         if verdict is None:
             try:
-                apply_point(space, map_, points[-1], True)
+                apply_point(space, map_, points[-1])
             except NonFiniteImageError as exc:
                 verdict = judge(near, windows, flags, fixed_at, str(exc), config)
     return verdict

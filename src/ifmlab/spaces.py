@@ -37,7 +37,6 @@ MIN_SEPARATION_FRACTION = 1e-4
 MAX_SEPARATION_FRACTION = 0.5
 
 BASE_METRICS = ("euclidean", "chebyshev", "absolute-difference")
-FLOAT64 = np.dtype(float)
 # numpy sums a contiguous run of fewer floats than this left to right, and a
 # longer one pairwise
 _PAIRWISE_SUM_LENGTH = 8
@@ -143,12 +142,8 @@ class CoordinateSpace:
     def _floats(self, values, rank: int, count: int | None = None, image: bool = False) -> np.ndarray:
         """``values`` as floats of ``rank`` 1 (one point) or 2 (a sequence, of
         ``count`` points when given), raising as :meth:`read` says, or as
-        :meth:`image` says for a map's images; a finite float64 ``(dim,)``
-        array is a point already and comes back as it is, as ``np.asarray`` returns it."""
-        if rank == 1 and type(values) is np.ndarray and values.dtype is FLOAT64 \
-                and values.shape == (self.dimension,) and all(map(math.isfinite, values.tolist())):
-            return values
-
+        :meth:`image` says for a map's images; a finite float64 array of the
+        right shape comes back as the same object, as ``np.asarray`` returns it."""
         def misfit(message: str) -> Exception:
             return DomainEscapeError(message, point=values) if image else ValueError(message)
 
@@ -410,14 +405,6 @@ class IfmSpace:
         return self.membership(x, y, t)
 
 
-def points_equal(a, b) -> bool:
-    """Exact equality of two domain points (labels, or coordinate arrays as ``np.array_equal`` decides)."""
-    if isinstance(a, str) or isinstance(b, str):
-        return a == b
-    a, b = np.asarray(a, float), np.asarray(b, float)
-    return a.shape == b.shape and a.tolist() == b.tolist()
-
-
 def point_jsonable(p):
     if p is None or isinstance(p, str):
         return p
@@ -518,6 +505,15 @@ def membership_grid(space: IfmSpace, xs, ys, ts) -> tuple[np.ndarray, np.ndarray
     if np.shape(mu) != shape or np.shape(nu) != shape:
         mu, nu = np.broadcast_to(mu, shape), np.broadcast_to(nu, shape)
     return mu, nu
+
+
+def _steps(space: IfmSpace, points, ts, first: int = 1) -> tuple[np.ndarray, np.ndarray, np.ndarray, int | None]:
+    """``points`` as one batch, its step rows (row ``i`` pairs points ``i`` and ``i + 1``; one kernel
+    call) and ``first`` plus the first row of two equal points (``-0.0`` equal to ``0.0``), or ``None``."""
+    pts = space.domain.batch(points)
+    same = ~space.domain.distinct(pts[:-1], pts[1:])
+    mu, nu = membership_grid(space, pts[:-1], pts[1:], ts)
+    return pts, mu, nu, first + int(same.argmax()) if same.any() else None
 
 
 # ---------------------------------------------------------------------------

@@ -865,7 +865,7 @@ def walk(space, map_, x, n):
     chain = [x]
     try:
         for _ in range(n):
-            chain.append(apply_point(space, map_, chain[-1], True))
+            chain.append(apply_point(space, map_, chain[-1]))
     except Exception as exc:
         return chain, (type(exc), str(exc))
     return chain, None
@@ -961,3 +961,31 @@ def test_every_sampled_ratio_is_within_the_operator_norm(metric, d, norm, seed, 
     space = induced_from_metric(CoordinateSpace(d, metric), min_max())
     details = if_contractive_check(space, SelfMap.affine(a, b), 200, seed=seed).details
     assert details["sup_mu_ratio"] <= bound and details["sup_nu_ratio"] <= bound, (details, bound)
+
+
+# a direction v along which the base distance of an affine map's images
+# grows by the operator norm of A: d(A(x + v), Ax) = ||A|| d(x + v, x)
+WORST_DIRECTIONS = {
+    "euclidean": lambda a: np.linalg.svd(a)[2][0],  # the top right singular vector
+    "chebyshev": lambda a: np.sign(a[np.abs(a).sum(axis=1).argmax()]),  # the signs of the largest row
+    "absolute-difference": lambda a: np.eye(len(a))[np.abs(a).sum(axis=0).argmax()],  # the largest column's axis
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(metric=st.sampled_from(BASE_METRICS), d=st.sampled_from([1, 2, 3, 4, 9]), norm=st.floats(0.25, 2.0),
+       data=st.data())
+def test_pairs_along_the_worst_direction_attain_the_operator_norm(metric, d, norm, data):
+    unit = st.floats(-1.0, 1.0, allow_subnormal=False)
+    a = data.draw(hnp.arrays(np.float64, (d, d), elements=unit))
+    b = data.draw(hnp.arrays(np.float64, d, elements=unit))
+    operator_norm = OPERATOR_NORMS[metric]
+    if not operator_norm(a) > 1e-6:
+        a = np.eye(d)
+    a *= norm / operator_norm(a)
+    xs = data.draw(hnp.arrays(np.float64, (3, d), elements=unit))
+    ys = xs + WORST_DIRECTIONS[metric](a)
+    space = induced_from_metric(CoordinateSpace(d, metric), min_max())
+    details = if_contractive_check(space, SelfMap.affine(a, b), len(xs), pairs=(xs, ys)).details
+    for side in ("sup_mu_ratio", "sup_nu_ratio"):
+        assert abs(details[side] - operator_norm(a)) <= 1e-10 * operator_norm(a), (side, details, operator_norm(a))

@@ -46,7 +46,6 @@ from ifmlab.spaces import (
     joint_continuity_probe,
     membership_grid,
     point_jsonable,
-    points_equal,
     sequence_diagnostics,
 )
 
@@ -328,6 +327,15 @@ def test_batched_step_rows_equal_one_pair_rows(kind, dim, n, ts, data):
     # the step row of x_0 is the first row of the window grid of x_0
     win_mu, win_nu = membership_grid(space, walk[0], walk[1:], ts)
     assert win_mu[0].tobytes() == mu[0].tobytes() and win_nu[0].tobytes() == nu[0].tobytes()
+
+
+def points_equal(a, b):
+    """The library's former ``points_equal``: exact equality of two points as written,
+    shapes compared, with no read and no ``distinct``."""
+    if isinstance(a, str) or isinstance(b, str):
+        return a == b
+    a, b = np.asarray(a, float), np.asarray(b, float)
+    return a.shape == b.shape and a.tolist() == b.tolist()
 
 
 def reference_solve(space, map_, x0, config, ball=None):
@@ -664,9 +672,13 @@ def test_solve_config_reads_any_probe_grid_sequence(grid):
 
 
 def reference_chain_break(space, map_, points):
-    """``chain_break`` as it was, with one ``points_equal`` per step."""
+    """``chain_break`` as it was, with one ``points_equal`` per step, but for a string
+    successor of a coordinate point: it is a break at every dimension, where the old
+    comparison broke on a line and raised numpy's ambiguous-truth error from two
+    coordinates on."""
     for i in range(len(points) - 1):
-        if not points_equal(apply_point(space, map_, points[i]), points[i + 1]):
+        image, successor = apply_point(space, map_, points[i]), points[i + 1]
+        if isinstance(successor, str) and not isinstance(image, str) or not points_equal(image, successor):
             return i
     return None
 
@@ -727,6 +739,20 @@ def test_a_break_before_a_malformed_point_is_still_found(line, half_plus_one):
     assert trace.verify(line, half_plus_one) is False
     points[2] = half_plus_one(points[1])
     assert chain_break(line, half_plus_one, points) == 2
+
+
+@pytest.mark.parametrize("chain, step", [([0.0, 0.5, 0.75], None), ([0.0, 0.6, 0.75], 0), ([0.0, 0.5, 0.7], 1)],
+                         ids=["holds", "middle-moved", "last-moved"])
+def test_a_bare_number_chain_on_a_line_reads_alike_on_both_paths(line, chain, step):
+    # x -> x/2 + 1/2 as an affine map is re-mapped in one call, and as a
+    # custom callable walked; the walk compared each (1,) image with the bare
+    # number stored after it by shape, so the chain that holds broke at step 0
+    ts = SolveConfig().probe_ts
+    step_mu, step_nu = membership_grid(line, chain[:-1], chain[1:], ts)
+    trace = IterationTrace(chain, ts, step_mu, step_nu)
+    for map_ in (SelfMap.affine([[0.5]], [0.5]), SelfMap(lambda x: 0.5 * x + 0.5)):
+        assert chain_break(line, map_, chain) == step
+        assert trace.verify(line, map_) is (step is None)
 
 
 @pytest.mark.parametrize("kind", ["custom", "table"])

@@ -53,7 +53,6 @@ from ifmlab.spaces import (
     _near,
     label_pairs,
     point_jsonable,
-    points_equal,
     probe_grid,
     triangle_shifts,
 )
@@ -1180,11 +1179,11 @@ def test_tabulated_labels_must_be_strings():
 
 
 # ---------------------------------------------------------------------------
-# the one-point fast paths against the bodies they shortcut
+# point reads and point equality against the bodies they replaced
 
 
 def reference_floats(domain, values, rank, count=None, image=False):
-    """``CoordinateSpace._floats`` as it was before checked float points were taken as they are."""
+    """``CoordinateSpace._floats`` with its finiteness scan row by row."""
     def misfit(message):
         return DomainEscapeError(message, point=values) if image else ValueError(message)
 
@@ -1209,7 +1208,7 @@ def reference_floats(domain, values, rank, count=None, image=False):
 
 
 def reference_points_equal(a, b):
-    """``points_equal`` as it was, through ``np.array_equal``."""
+    """The library's former ``points_equal``, through ``np.array_equal``."""
     if isinstance(a, str) or isinstance(b, str):
         return a == b
     return bool(np.array_equal(np.asarray(a, float), np.asarray(b, float)))
@@ -1237,7 +1236,7 @@ any_float = st.floats(allow_nan=True, allow_infinity=True)
 
 @st.composite
 def coordinate_inputs(draw):
-    """A dimension and a value to read as one of its points, mostly near the fast path's edges."""
+    """A dimension and a value to read as one of its points, mostly near a float64 point's edges."""
     dim = draw(st.integers(1, 3))
     size = st.integers(0, 4) if draw(st.booleans()) else st.just(dim)
     kind = draw(st.sampled_from(["float64", "float32", "int", "list", "0-d", "column", "subclass",
@@ -1289,6 +1288,11 @@ equality_operand = (st.sampled_from(["a", "b", "", 0.0, -0.0, math.nan, 1.0])
                     | st.lists(st.sampled_from([0.0, -0.0, 1.0, math.nan]), max_size=2))
 
 
+EQUALITY_DOMAINS = (CoordinateSpace(1), CoordinateSpace(2),
+                    FiniteTabulated(["a", "b", ""], {("a", "b"): (0.4, 0.5), ("a", ""): (0.4, 0.5),
+                                                     ("b", ""): (0.4, 0.5)}))
+
+
 @settings(max_examples=500, deadline=None)
 @given(a=equality_operand, b=equality_operand, same=st.booleans())
 @example(a=np.asarray([0.0]), b=np.asarray([-0.0]), same=False)
@@ -1296,10 +1300,18 @@ equality_operand = (st.sampled_from(["a", "b", "", 0.0, -0.0, math.nan, 1.0])
 @example(a=np.asarray([1.0, 2.0]), b=np.asarray([[1.0], [2.0]]), same=False)
 @example(a="a", b=np.asarray([1.0]), same=False)
 def test_points_equal_matches_array_equal(a, b, same):
+    # two points are equal when, read as points of one domain, ``distinct``
+    # finds their row pair equal: ``np.array_equal`` of the read points, and
+    # true of any two operands equal as written
     b = a if same else b
-    got, want = points_equal(a, b), reference_points_equal(a, b)
-    # a label against an array compares elementwise, in both
-    assert (type(got), repr(got)) == (type(want), repr(want))
+    for domain in EQUALITY_DOMAINS:
+        try:
+            pa, pb = domain.as_point(a), domain.as_point(b)
+        except ValueError:  # an operand that is not a point of this domain
+            continue
+        got = not domain.distinct([pa], [pb])[0]
+        assert (type(got), got) == (bool, reference_points_equal(pa, pb))
+        assert got or not reference_points_equal(a, b)
 
 
 def reference_asymptotic(space, pairs, t_horizon, epsilon):
