@@ -178,9 +178,12 @@ class CoordinateSpace:
 
     @staticmethod
     def distinct(xs, ys) -> np.ndarray:
-        """Whether each pair of two point batches differs: any coordinate ``!=``
-        (``-0.0`` equals ``0.0``, NaN equals nothing), column by column."""
+        """Whether each pair of two row batches of points differs: any coordinate
+        ``!=`` (``-0.0`` equals ``0.0``, NaN equals nothing), column by column;
+        a ValueError for an input of rank below 2."""
         xs, ys = np.asarray(xs, float), np.asarray(ys, float)
+        if min(xs.ndim, ys.ndim) < 2:
+            raise ValueError(f"distinct takes row batches of points, got shapes {xs.shape} and {ys.shape}")
         return functools.reduce(np.logical_or, (xs[..., i] != ys[..., i] for i in range(xs.shape[-1])))
 
     def default_start(self) -> np.ndarray:
@@ -350,7 +353,9 @@ class FiniteTabulated:
 
     @staticmethod
     def distinct(xs, ys) -> np.ndarray:
-        """Whether each pair of two label batches differs."""
+        """Whether each pair of two row batches of labels differs; a ValueError for a bare label."""
+        if isinstance(xs, str) or isinstance(ys, str):
+            raise ValueError("distinct takes row batches of labels, not a bare label")
         return np.asarray([a != b for a, b in zip(xs, ys)], bool)
 
     def default_start(self) -> str:
@@ -605,6 +610,29 @@ def _side_clauses(side, worst, low, extreme, triangle, jump, xs, ys, ts, toleran
     ]
 
 
+def _fold_pointwise(space, x, y, z, ts, lo, worst, lows, extremes) -> tuple[bool, tuple]:
+    """Fold the pointwise clauses of the sample block at ``lo`` into ``worst``, ``lows`` and ``extremes``,
+    from one kernel call for the pairs, their swaps, the coincident pairs and the (y, z) pairs; return
+    whether a pair is distinct and copies of the (x, y) and (y, z) grids, so the call's other grids can go."""
+    k = ts.size
+    (mu_xy, mu_yx, mu_xx, mu_yz), (nu_xy, nu_yx, nu_xx, nu_yz) = (
+        g.reshape(4, -1, k)
+        for g in membership_grid(space, np.concatenate([x, y, x, y]), np.concatenate([y, x, x, z]), ts))
+    _fold_worst(worst, "bounded_sum", mu_xy + nu_xy - 1.0, lo)
+    apart = space.domain.distinct(x, y)
+    for side, xy, yx, xx in (("mu", mu_xy, mu_yx, mu_xx), ("nu", nu_xy, nu_yx, nu_xx)):
+        floor_name, _, coincident, nearest, _ = _SIDE_RULES[side]
+        _fold_worst(worst, floor_name, -xy, lo)
+        ordered = np.ascontiguousarray(xy)  # (pair, t) order decides a tie of +0.0 and -0.0
+        lows[side] = float(ordered.min(initial=lows[side]))
+        _fold_worst(worst, f"{side}_identity", np.abs(xx - coincident), lo)
+        extremes[side] = float(getattr(ordered[apart], nearest)(initial=extremes[side]))
+        _fold_worst(worst, f"{side}_symmetry", np.abs(xy - yx), lo)
+    _fold_worst(worst, "mu_nondecreasing_t", mu_xy[:, :-1] - mu_xy[:, 1:], lo)
+    _fold_worst(worst, "nu_nonincreasing_t", nu_xy[:, 1:] - nu_xy[:, :-1], lo)
+    return bool(apart.any()), tuple(map(np.copy, (mu_xy, mu_yz, nu_xy, nu_yz)))
+
+
 def axiom_audit(
     space: IfmSpace,
     sample_count: int,
@@ -622,13 +650,16 @@ def axiom_audit(
     grid pairs; continuity in ``t`` by a refined finite-difference modulus;
     operator idempotency; and monotonicity of ``mu`` (nondecreasing) and
     ``nu`` (nonincreasing) along the ``t`` grid.  Deterministic for a fixed
-    seed; failures are report entries, never exceptions.  Every clause
-    runs over sample blocks of about ``BLOCK_CELLS`` floats, so only the
-    drawn points scale with ``sample_count``: 20,000 samples in 3-D peak at
-    3.3 MiB.  A triangle witness is the first worst in ``(s, t, sample)``
-    order and any other grid witness the first worst in ``(sample, t)``
-    order, a NaN above any value; a block builds a triangle witness only
-    when its maximum can beat the worst.
+    seed; failures are report entries, never exceptions.  The triangle and
+    continuity clauses run over inner sample blocks of ``b = max(1,
+    BLOCK_CELLS // max(k**2, CONTINUITY_REFINEMENT * (k - 1) + 1))`` at
+    ``k`` probe times, nested in outer blocks of ``b * max(1, BLOCK_CELLS
+    // (4 * k) // b)`` for the other clauses (225 and 675 on the default
+    grid), so only the drawn points scale with ``sample_count``: 20,000
+    samples in 3-D peak at 3.3 MiB.  A triangle witness is the first worst
+    in ``(s, t, sample)`` order and any other grid witness the first worst
+    in ``(sample, t)`` order, a NaN above any value; a block builds a
+    triangle witness only when its maximum can beat the worst.
     """
     if sample_count < 1:
         raise ValueError("sample_count must be at least 1")
@@ -641,14 +672,15 @@ def axiom_audit(
         box = (-DEFAULT_AUDIT_BOX_HALFWIDTH, DEFAULT_AUDIT_BOX_HALFWIDTH)
     xs, ys, zs = (space.domain.draw(rng, sample_count, box) for _ in range(3))
 
-    # per sample block, one kernel call for the sampled pairs, their swaps,
-    # the coincident pairs and the (y, z) pairs, one at every sum s + t for
-    # the triangle, and one on every probe interval split
-    # CONTINUITY_REFINEMENT times
+    # per outer block of samples, one kernel call at the probe times for the
+    # pointwise clauses (see _fold_pointwise); per inner block nested in it,
+    # one at every sum s + t for the triangle, and one on every probe
+    # interval split CONTINUITY_REFINEMENT times
     k = ts.size
     fine = np.concatenate([ts[:1], *(np.linspace(lo_t, hi_t, CONTINUITY_REFINEMENT + 1)[1:]
                                      for lo_t, hi_t in zip(ts[:-1], ts[1:]))])
-    block = max(1, BLOCK_CELLS // max(sums.size, fine.size))
+    inner = max(1, BLOCK_CELLS // max(sums.size, fine.size))
+    outer = inner * max(1, BLOCK_CELLS // (4 * k) // inner)
     tnorm, tconorm = space.operators.tnorm, space.operators.tconorm
     worst: dict[str, tuple[float, int, int]] = {}
     lows = {"mu": math.inf, "nu": math.inf}
@@ -657,36 +689,24 @@ def axiom_audit(
     any_distinct = False
     triangles = [None, None]
     jumps = [0.0, 0.0]
-    for lo in range(0, sample_count, block):
-        rows = slice(lo, lo + block)
-        x, y, z = xs[rows], ys[rows], zs[rows]
-        (mu_xy, mu_yx, mu_xx, mu_yz), (nu_xy, nu_yx, nu_xx, nu_yz) = (
-            g.reshape(4, -1, k)
-            for g in membership_grid(space, np.concatenate([x, y, x, y]), np.concatenate([y, x, x, z]), ts))
-
-        _fold_worst(worst, "bounded_sum", mu_xy + nu_xy - 1.0, lo)
-        apart = space.domain.distinct(x, y)
-        any_distinct = any_distinct or bool(apart.any())
-        for side, xy, yx, xx in (("mu", mu_xy, mu_yx, mu_xx), ("nu", nu_xy, nu_yx, nu_xx)):
-            floor_name, _, coincident, nearest, _ = _SIDE_RULES[side]
-            _fold_worst(worst, floor_name, -xy, lo)
-            ordered = np.ascontiguousarray(xy)  # (pair, t) order decides a tie of +0.0 and -0.0
-            lows[side] = float(ordered.min(initial=lows[side]))
-            _fold_worst(worst, f"{side}_identity", np.abs(xx - coincident), lo)
-            extremes[side] = float(getattr(ordered[apart], nearest)(initial=extremes[side]))
-            _fold_worst(worst, f"{side}_symmetry", np.abs(xy - yx), lo)
-        _fold_worst(worst, "mu_nondecreasing_t", mu_xy[:, :-1] - mu_xy[:, 1:], lo)
-        _fold_worst(worst, "nu_nonincreasing_t", nu_xy[:, 1:] - nu_xy[:, :-1], lo)
-
-        mu_xz, nu_xz = (g.reshape(-1, k, k) for g in membership_grid(space, x, z, sums))
-        viols = (np.asarray(tnorm(mu_xy[:, :, None], mu_yz[:, None]), dtype=float) - mu_xz,
-                 nu_xz - np.asarray(tconorm(nu_xy[:, :, None], nu_yz[:, None]), dtype=float))
-        triangles = [_triangle_worst(best, viol, xs, ys, zs, lo, ts)
-                     for best, viol in zip(triangles, viols)]
-        # each side's largest jump, a NaN above any value; no jump is -0.0
-        for side, grid in enumerate(membership_grid(space, x, y, fine)):
-            jump = np.subtract(grid[:, 1:], grid[:, :-1])
-            jumps[side] = float(np.max(np.abs(jump, out=jump), initial=jumps[side]))
+    for lo in range(0, sample_count, outer):
+        x, y, z = xs[lo:lo + outer], ys[lo:lo + outer], zs[lo:lo + outer]
+        apart, (mu_xy, mu_yz, nu_xy, nu_yz) = _fold_pointwise(space, x, y, z, ts, lo, worst, lows, extremes)
+        any_distinct = any_distinct or apart
+        for start in range(0, len(x), inner):
+            rows = slice(start, start + inner)
+            mu_xz, nu_xz = (g.reshape(-1, k, k) for g in membership_grid(space, x[rows], z[rows], sums))
+            viols = (np.asarray(tnorm(mu_xy[rows, :, None], mu_yz[rows, None]), dtype=float) - mu_xz,
+                     nu_xz - np.asarray(tconorm(nu_xy[rows, :, None], nu_yz[rows, None]), dtype=float))
+            triangles = [_triangle_worst(best, viol, xs, ys, zs, lo + start, ts)
+                         for best, viol in zip(triangles, viols)]
+            # each side's largest jump, a NaN above any value; no jump is -0.0
+            for side, grid in enumerate(membership_grid(space, x[rows], y[rows], fine)):
+                jump = np.subtract(grid[:, 1:], grid[:, :-1])
+                jumps[side] = float(np.max(np.abs(jump, out=jump), initial=jumps[side]))
+        # freed before the next outer block's kernel call, which lowers the
+        # peak RSS; freeing the continuity grids here too made audits slower
+        del mu_xy, mu_yz, nu_xy, nu_yz, mu_xz, nu_xz, viols
 
     clauses = [_max_clause("bounded_sum", worst["bounded_sum"], xs, ys, ts, tolerance)]
     for side, triangle, jump in zip(("mu", "nu"), triangles, jumps):

@@ -1,3 +1,4 @@
+import collections
 import math
 import tracemalloc
 
@@ -389,6 +390,77 @@ def test_direct_slab_calls_match_the_apply_reference(grid_size, factory, plants)
         for label, op in ops.items():
             clause = report.clause(f"{label}.associativity")
             assert repr(clause) == repr(reference_slab_associativity(label, op, grid, 1e-12))
+
+
+def second_view(x, y):
+    """``y``, broadcast against ``x`` as a view of ``y``'s own memory, writable when ``y`` is."""
+    y = np.asarray(y, dtype=float)
+    shape = np.broadcast_shapes(np.shape(x), y.shape)
+    return np.lib.stride_tricks.as_strided(y, shape, np.broadcast_to(y, shape).strides)
+
+
+def shared_result():
+    """``min`` written into one kept buffer per result shape, so both sides of a slab get the same array."""
+    kept = {}
+
+    def op(x, y):
+        shape = np.broadcast_shapes(np.shape(x), np.shape(y))
+        return np.minimum(x, y, out=kept.setdefault(shape, np.empty(shape)))
+    return op
+
+
+def kept_views():
+    """``min`` into a fresh array per call, kept until the next call, and returned as a view of it."""
+    kept = [None]
+
+    def op(x, y):
+        kept[0] = np.minimum(x, y)
+        return kept[0][...]
+    return op
+
+
+def read_only(x, y):
+    out = np.minimum(x, y)
+    out.flags.writeable = False
+    return out
+
+
+# results the audit may not overwrite in place, or that come back to it as a fresh copy
+RESULT_KINDS = {
+    "view of an input": lambda: second_view,
+    "view of a kept array": kept_views,
+    "read-only": lambda: read_only,
+    "0-d scalar": lambda: lambda x, y: np.float64(0.5),
+    "float32": lambda: lambda x, y: (np.asarray(x) * np.asarray(y)).astype(np.float32),
+    "int": lambda: lambda x, y: np.rint(4.0 * np.maximum(x, y)).astype(int),
+    "same array for both sides": shared_result,
+}
+
+
+@pytest.mark.parametrize("grid_size", [2, 17, 64, 91, 129])
+@pytest.mark.parametrize("kind", RESULT_KINDS)
+def test_in_place_slabs_keep_the_reference_and_their_inputs(kind, grid_size):
+    grid = np.linspace(0.0, 1.0, grid_size)
+    op = RESULT_KINDS[kind]()
+    # the array arguments and the results not owning their data of the last
+    # two calls, each with a copy as its call left it: an in-place slab
+    # changes them after the second call of its slab, and before the next
+    recent = collections.deque(maxlen=2)
+
+    def unchanged():
+        return all(np.array_equal(arg, kept, equal_nan=True) for call in recent for arg, kept in call)
+
+    def recorded(x, y):
+        assert unchanged()
+        out = op(x, y)
+        recent.append([(arg, np.array(arg)) for arg in (x, y, out)
+                       if isinstance(arg, np.ndarray) and (arg is not out or not arg.flags.owndata)])
+        return out
+
+    clause = audit_operator_pair(OperatorPair(kind, recorded, np.maximum), grid_size).clause("tnorm.associativity")
+    assert unchanged()
+    assert any(arg.shape == grid.shape and np.array_equal(kept, grid) for arg, kept in recent[-1])  # the grid went in
+    assert repr(clause) == repr(reference_slab_associativity("tnorm", RESULT_KINDS[kind](), grid, 1e-12))
 
 
 @pytest.mark.parametrize("name", ["min-max", "product-probsum", "lukasiewicz"])

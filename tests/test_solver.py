@@ -26,11 +26,12 @@ from ifmlab import (
     power_map_solve,
     uniqueness_probe,
 )
-from ifmlab.contractions import DomainEscapeError, NonFiniteImageError, apply_point
+from ifmlab.contractions import K_SAFETY_MARGIN, DomainEscapeError, NonFiniteImageError, apply_point
 from ifmlab.operators import BLOCK_CELLS
 from ifmlab.report import json_text
 from ifmlab.sampling import sample_ball_pairs, sample_pairs
 from ifmlab.solver import (
+    CHECKS,
     EQUALITY_SLACK,
     STEP_BLOCK,
     IterationTrace,
@@ -968,3 +969,17 @@ def test_a_converged_solve_obeys_banachs_a_posteriori_bound(dim, rate, data):
     d = np.linalg.norm(result.fixed_point - map_(result.fixed_point))
     ts = np.asarray(config.probe_ts)
     np.testing.assert_allclose(result.residual_mu, ts / (ts + d), rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "chebyshev", "absolute-difference"])
+def test_the_power_showcase_gate_estimates_its_squares_contraction(metric):
+    # the pinned power showcase (x, y) -> (1000 y, 0.00081 x) squares to
+    # 0.81 I in every base metric, so the power gate's sampled constant is
+    # 0.81 plus the safety margin, up to the rounding of the gaps (an
+    # excess of 4.2e-12 to 6.8e-12 at seed 7, so an exact bound fails)
+    space = induced_from_metric(CoordinateSpace(2, metric), min_max())
+    config = SolveConfig(seed=7)
+    power = SelfMap.affine([[0.0, 1000.0], [0.00081, 0.0]], [0.0, 0.0]).power(2)
+    report = CHECKS["if_contractive"](space, power, config, space.domain.box(config.sample_halfwidth))
+    assert report.passed
+    assert report.estimated_k <= (0.81 + K_SAFETY_MARGIN) * (1.0 + 1e-10), report.estimated_k

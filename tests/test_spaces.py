@@ -37,7 +37,7 @@ from ifmlab import (
 )
 from ifmlab.cli import result_document
 from ifmlab.operators import BLOCK_CELLS, idempotency_witness, idempotent_within, unit_scalar
-from ifmlab.report import AuditReport, ClauseResult, json_text, records_to_jsonl
+from ifmlab.report import AuditReport, ClauseResult, _fold_worst, json_text, records_to_jsonl
 from ifmlab.spaces import (
     BASE_METRICS,
     CONTINUITY_BOUND,
@@ -50,7 +50,10 @@ from ifmlab.spaces import (
     NonFiniteImageError,
     _ball_flags,
     _margin,
+    _max_clause,
     _near,
+    _side_clauses,
+    _triangle_worst,
     label_pairs,
     point_jsonable,
     probe_grid,
@@ -933,12 +936,98 @@ def test_grid_witness_is_the_first_worst_across_blocks(line, early, late):
     assert (clause.witness["x"], clause.witness["y"], clause.witness["t"]) == ([xs[m, 0]], [ys[m, 0]], at)
 
 
+def reference_one_block_audit(space, sample_count, t_samples=None, tolerance=1e-9, seed=0):
+    """The audit as it was before its pointwise clauses ran over outer blocks:
+    one sample block for every clause, with one kernel call at the probe
+    times per block of ``max(1, BLOCK_CELLS // max(k**2, fine.size))``
+    samples."""
+    ts = probe_grid(t_samples)
+    sums = triangle_shifts(ts)
+    rng = np.random.default_rng(seed)
+    box = (-DEFAULT_AUDIT_BOX_HALFWIDTH, DEFAULT_AUDIT_BOX_HALFWIDTH)
+    xs, ys, zs = (space.domain.draw(rng, sample_count, box) for _ in range(3))
+    k = ts.size
+    fine = np.concatenate([ts[:1], *(np.linspace(lo_t, hi_t, CONTINUITY_REFINEMENT + 1)[1:]
+                                     for lo_t, hi_t in zip(ts[:-1], ts[1:]))])
+    block = max(1, BLOCK_CELLS // max(sums.size, fine.size))
+    tnorm, tconorm = space.operators.tnorm, space.operators.tconorm
+    worst = {}
+    lows = {"mu": math.inf, "nu": math.inf}
+    extremes = {"mu": -math.inf, "nu": math.inf}
+    any_distinct = False
+    triangles = [None, None]
+    jumps = [0.0, 0.0]
+    for lo in range(0, sample_count, block):
+        rows = slice(lo, lo + block)
+        x, y, z = xs[rows], ys[rows], zs[rows]
+        (mu_xy, mu_yx, mu_xx, mu_yz), (nu_xy, nu_yx, nu_xx, nu_yz) = (
+            g.reshape(4, -1, k)
+            for g in membership_grid(space, np.concatenate([x, y, x, y]), np.concatenate([y, x, x, z]), ts))
+        _fold_worst(worst, "bounded_sum", mu_xy + nu_xy - 1.0, lo)
+        apart = space.domain.distinct(x, y)
+        any_distinct = any_distinct or bool(apart.any())
+        for side, xy, yx, xx in (("mu", mu_xy, mu_yx, mu_xx), ("nu", nu_xy, nu_yx, nu_xx)):
+            floor_name, _, coincident, nearest, _ = REFERENCE_SIDE_RULES[side]
+            _fold_worst(worst, floor_name, -xy, lo)
+            ordered = np.ascontiguousarray(xy)
+            lows[side] = float(ordered.min(initial=lows[side]))
+            _fold_worst(worst, f"{side}_identity", np.abs(xx - coincident), lo)
+            extremes[side] = float(getattr(ordered[apart], nearest)(initial=extremes[side]))
+            _fold_worst(worst, f"{side}_symmetry", np.abs(xy - yx), lo)
+        _fold_worst(worst, "mu_nondecreasing_t", mu_xy[:, :-1] - mu_xy[:, 1:], lo)
+        _fold_worst(worst, "nu_nonincreasing_t", nu_xy[:, 1:] - nu_xy[:, :-1], lo)
+        mu_xz, nu_xz = (g.reshape(-1, k, k) for g in membership_grid(space, x, z, sums))
+        viols = (np.asarray(tnorm(mu_xy[:, :, None], mu_yz[:, None]), dtype=float) - mu_xz,
+                 nu_xz - np.asarray(tconorm(nu_xy[:, :, None], nu_yz[:, None]), dtype=float))
+        triangles = [_triangle_worst(best, viol, xs, ys, zs, lo, ts) for best, viol in zip(triangles, viols)]
+        for side, grid in enumerate(membership_grid(space, x, y, fine)):
+            jump = np.subtract(grid[:, 1:], grid[:, :-1])
+            jumps[side] = float(np.max(np.abs(jump, out=jump), initial=jumps[side]))
+    clauses = [_max_clause("bounded_sum", worst["bounded_sum"], xs, ys, ts, tolerance)]
+    for side, triangle, jump in zip(("mu", "nu"), triangles, jumps):
+        extreme = extremes[side] if any_distinct else None
+        clauses += _side_clauses(side, worst, lows[side], extreme, triangle, jump, xs, ys, ts, tolerance)
+    wit_t, wit_s = witnesses = idempotency_witness(space.operators)
+    idempotent = all(idempotent_within(witnesses, max(tolerance, 1e-12)))
+    clauses.append(ClauseResult("idempotent_operators", passed=idempotent, worst=0.0 if idempotent else 1.0,
+                                witness={"tnorm": wit_t, "tconorm": wit_s, "pair": space.operators.name}))
+    for name in ("mu_nondecreasing_t", "nu_nonincreasing_t"):
+        clauses.append(_max_clause(name, worst.get(name), xs, ys, ts[:-1], tolerance))
+    return AuditReport(subject=space.description or "space", clauses=clauses)
+
+
+def audit_outer_block(k):
+    """Samples per outer block, the one of the pointwise clauses, of an audit over ``k`` probe times."""
+    inner = audit_block(k)
+    return inner * max(1, BLOCK_CELLS // (4 * k) // inner)
+
+
+SIXTEEN_LABELS = finite_tabulated(FiniteTabulated(
+    [f"p{i:02d}" for i in range(16)],
+    {(f"p{i:02d}", f"p{j:02d}"): ([(0.5, 0.3 + 0.01 * ((i * j) % 7)), (4.0, 0.9)],
+                                  [(0.5, 0.6 - 0.01 * ((i + j) % 5)), (4.0, 0.05)])
+     for i in range(16) for j in range(i + 1, 16)}), min_max())
+
+
+@pytest.mark.parametrize("space", [*(induced_from_metric(CoordinateSpace(d, m), min_max())
+                                     for d, m in ((1, "absolute-difference"), (2, "chebyshev"), (3, "euclidean"))),
+                                   SIXTEEN_LABELS], ids=["line", "plane", "space", "sixteen-labels"])
+@pytest.mark.parametrize("samples", [674, 675, 676, 20_000])
+def test_outer_blocks_match_the_one_block_reference(space, samples):
+    assert audit_outer_block(len(DEFAULT_PROBE_TS)) == 675
+    report = axiom_audit(space, samples, seed=samples)
+    reference = reference_one_block_audit(space, samples, seed=samples)
+    assert records_to_jsonl(report.to_records()) == records_to_jsonl(reference.to_records())
+    assert_same_audit(report, reference)
+
+
 def test_bulk_audit_kernel_work_is_pinned(monkeypatch):
     # kernel calls and evaluated cells, counted as the bench tracer counts
     # them, of a 20,000-sample induced audit and a 16-label tabulated one:
-    # 3 calls per block of 225 samples, on 40 + 100 + 145 cells a sample
-    # (the four probe-time grids in one call, the sums s + t and the refined
-    # continuity grid); an audit that checks fewer cells fails here
+    # one call per outer block of 675 samples for the four probe-time grids
+    # (40 cells a sample), and 2 per inner block of 225 for the sums s + t
+    # and the refined continuity grid (100 + 145 cells a sample); an audit
+    # that checks fewer cells fails here
     work = []
     kernel = IfmSpace.mu_nu
 
@@ -949,12 +1038,12 @@ def test_bulk_audit_kernel_work_is_pinned(monkeypatch):
 
     monkeypatch.setattr(IfmSpace, "mu_nu", counted)
     axiom_audit(induced_from_metric(CoordinateSpace(3), min_max()), 20_000, seed=1)
-    assert (len(work), sum(work)) == (267, 5_700_000)
+    assert (len(work), sum(work)) == (208, 5_700_000)
     labels = [f"p{i:02d}" for i in range(16)]
     pairs = {(a, b): (0.6, 0.3) for i, a in enumerate(labels) for b in labels[i + 1:]}
     work.clear()
     axiom_audit(finite_tabulated(FiniteTabulated(labels, pairs), min_max()), 1000, seed=1)
-    assert (len(work), sum(work)) == (15, 285_000)
+    assert (len(work), sum(work)) == (12, 285_000)
 
 
 def test_overflowing_time_shifts_are_rejected(line):
@@ -1031,7 +1120,7 @@ def test_grid_layout_changes_no_byte(dim, metric, ts, blocks, fill, seed):
     def samples(per_block):  # a count that reaches the last of `blocks` blocks of `per_block`
         return (blocks - 1) * per_block + 1 + fill % per_block
 
-    audit_n, check_n = samples(audit_block(k)), samples(max(1, BLOCK_CELLS // (4 * k)))
+    audit_n, check_n = samples(audit_outer_block(k)), samples(max(1, BLOCK_CELLS // (4 * k)))
     config = SolveConfig(epsilon=1e-6, probe_ts=tuple(ts), sample_pairs=check_n, seed=seed)
 
     def texts(s):
@@ -1041,6 +1130,33 @@ def test_grid_layout_changes_no_byte(dim, metric, ts, blocks, fill, seed):
                 json_text(result_document(picard_solve(s, map_, np.full(dim, 2.0), config), {})))
 
     assert texts(space) == texts(c_ordered(space))
+
+
+@pytest.mark.parametrize("xs, ys", [(np.zeros(2), np.ones(2)), (0.0, 1.0), (np.zeros(2), np.ones((3, 2))),
+                                     ([[0.0, 1.0]], [0.0, 1.0]), ([], [])])
+def test_coordinate_distinct_takes_row_batches_only(xs, ys):
+    with pytest.raises(ValueError, match="row batches"):
+        CoordinateSpace(2).distinct(xs, ys)
+
+
+def test_coordinate_distinct_compares_rows():
+    domain = CoordinateSpace(2)
+    assert domain.distinct([[0.0, -0.0], [1.0, np.nan]], [[-0.0, 0.0], [1.0, np.nan]]).tolist() == [False, True]
+    assert domain.distinct([[1.0, 2.0]], [[1.0, 2.0], [1.0, 3.0], [0.0, 2.0]]).tolist() == [False, True, True]
+    assert domain.distinct(np.empty((0, 2)), np.empty((0, 2))).shape == (0,)
+
+
+@pytest.mark.parametrize("xs, ys", [("a", "ab"), ("a", "a"), ("a", ["a"]), (["a"], "b")])
+def test_tabulated_distinct_refuses_a_bare_label(xs, ys):
+    with pytest.raises(ValueError, match="row batches"):
+        FOUR_LABELS.domain.distinct(xs, ys)
+
+
+def test_tabulated_distinct_compares_rows():
+    domain = FOUR_LABELS.domain
+    assert domain.distinct(["a", "b", "ab"], ["a", "c", "ab"]).tolist() == [False, True, False]
+    assert domain.distinct(np.array(["a", "b"], dtype=object), ("b", "b")).tolist() == [True, False]
+    assert domain.distinct([], []).shape == (0,)
 
 
 # Distinct-pair non-nearness curves at +0.0 and -0.0: which zero the

@@ -4,6 +4,7 @@ Run from anywhere, with ``BASE_SRC`` the ``src`` directory of another
 checkout (a ``git archive`` of the parent commit, say):
 
     python tools/ab_items.py BASE_SRC --workload solve-long --seed 13 --rounds 16
+    python tools/ab_items.py BASE_SRC --workload audit-mixed --match operators --match tabulated
 
 The ``ifmlab`` beside this script is the "change" side.  The package under
 ``BASE_SRC`` is copied into a temporary directory as ``ifmlab_base`` and
@@ -13,6 +14,8 @@ from ``bench/workloads.py`` and run as ``bench/worker.py`` runs them:
 written result and ``validate_result_document``.  One untimed round warms
 both sides up; then each round runs every item once on each side,
 alternating which side goes first, so host drift falls on both sides alike.
+With ``--match SUBSTR`` (repeatable), only the items whose id contains one
+of the substrings run; the ids of the items that run are printed first.
 
 It prints, per item, each side's minimum and median wall time and the
 change's ratio to the base; then the sums of the minima and of the medians
@@ -76,12 +79,18 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workload", default="solve-long")
     parser.add_argument("--seed", type=int, default=13)
     parser.add_argument("--rounds", type=int, default=16, help="timed rounds (default 16)")
+    parser.add_argument("--match", action="append", default=[], metavar="SUBSTR",
+                        help="time only the items whose id contains SUBSTR (repeatable; default all)")
     args = parser.parse_args(argv)
 
     sys.path.insert(0, os.path.join(ROOT, "bench"))
     from workloads import WORKLOADS
 
-    items = WORKLOADS[args.workload](args.seed)
+    items = [item for item in WORKLOADS[args.workload](args.seed)
+             if not args.match or any(s in item.id for s in args.match)]
+    if not items:
+        parser.error(f"no {args.workload} item id contains any of {args.match}")
+    print(f"items: {', '.join(item.id for item in items)}")
     times = {side: [[] for _ in items] for side in ("base", "change")}
     digests: dict[tuple[int, str], set[str]] = {}
     with tempfile.TemporaryDirectory() as scratch:
