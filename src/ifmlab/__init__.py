@@ -25,7 +25,6 @@ from .spaces import (
     DEFAULT_PROBE_TS,
     AsymptoticReport,
     BallSpec,
-    ClosednessReport,
     CoordinateSpace,
     Curve,
     FiniteTabulated,
@@ -36,7 +35,6 @@ from .spaces import (
     asymptotic_nearness_probe,
     axiom_audit,
     ball_contains,
-    closedness_probe,
     evaluate,
     finite_tabulated,
     induced_from_metric,

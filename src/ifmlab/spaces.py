@@ -958,46 +958,3 @@ def joint_continuity_probe(
         tolerance=tolerance,
         passed=passed,
     )
-
-
-@dataclass
-class ClosednessReport:
-    """Whether limits of in-set convergent sequences stay in the set."""
-
-    passed: bool
-    escapes: list[dict] = field(default_factory=list)
-    checked: int = 0
-
-
-def closedness_probe(
-    space: IfmSpace,
-    member_predicate: Callable[[Any], bool],
-    test_sequences: Sequence[tuple[Sequence[Any], Any]],
-    epsilon: float = 1e-6,
-    probe_ts: Iterable[float] | None = None,
-    window: int = 4,
-) -> ClosednessReport:
-    """Test sequential closedness of a point set given by a predicate.
-
-    Every listed ``(prefix, limit)`` must have its prefix inside the set
-    and be convergent to the stated limit (otherwise the input is
-    rejected).  The probe passes iff every limit satisfies the predicate;
-    escaping sequences are reported with their index.
-    """
-    escapes: list[dict] = []
-    for idx, (prefix, limit) in enumerate(test_sequences):
-        pts = space.domain.read(prefix)
-        outside = [i for i, p in enumerate(pts) if not member_predicate(p)]
-        if outside:
-            raise ValueError(
-                f"sequence {idx} leaves the candidate set at position {outside[0]}; "
-                "closedness only constrains sequences inside the set"
-            )
-        diag = sequence_diagnostics(
-            space, pts, probe_ts=probe_ts, epsilon=epsilon, window=window, candidate_limit=limit
-        )
-        if not diag.convergent:
-            raise ValueError(f"sequence {idx} is not convergent to its stated limit: {diag.witness}")
-        if not member_predicate(space.domain.as_point(limit)):
-            escapes.append({"sequence": idx, "limit": point_jsonable(limit)})
-    return ClosednessReport(passed=not escapes, escapes=escapes, checked=len(test_sequences))

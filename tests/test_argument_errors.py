@@ -13,7 +13,6 @@ from ifmlab import (
     SelfMap,
     audit_operator_pair,
     closed_ball_hypotheses,
-    closedness_probe,
     finite_tabulated,
     if_contractive_check,
     induced_from_metric,
@@ -83,9 +82,6 @@ ARGUMENT_ERRORS = {
                          "epsilon must lie strictly inside (0, 1)"),
     "sequence-window": (lambda: sequence_diagnostics(LINE, [0.0, 0.0], window=0), ValueError,
                         "window must be at least 1"),
-    "closedness-outside": (lambda: closedness_probe(LINE, lambda p: float(p[0]) < 1.0, [([0.0, 2.0], 2.0)]),
-                           ValueError, "sequence 0 leaves the candidate set at position 1; "
-                                       "closedness only constrains sequences inside the set"),
 }
 
 

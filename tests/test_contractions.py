@@ -989,3 +989,34 @@ def test_pairs_along_the_worst_direction_attain_the_operator_norm(metric, d, nor
     details = if_contractive_check(space, SelfMap.affine(a, b), len(xs), pairs=(xs, ys)).details
     for side in ("sup_mu_ratio", "sup_nu_ratio"):
         assert abs(details[side] - operator_norm(a)) <= 1e-10 * operator_norm(a), (side, details, operator_norm(a))
+
+
+# a pair r-near at t has d <= t r/(1 - r), so the affine image of an r-near pair
+# is epsilon-near whenever L r/(1 - r) <= epsilon/(1 - epsilon), with L the
+# operator norm of A: every ladder rung up to epsilon/(L(1 - epsilon) + epsilon)
+# is admissible, and the probe stops no lower than the largest of them
+@settings(max_examples=120, deadline=None)
+@given(metric=st.sampled_from(BASE_METRICS), d=st.integers(1, 4),
+       log_norm=st.one_of(st.none(), st.floats(-3.0, 3.0)),
+       epsilons=st.lists(st.floats(0.001, 0.5, exclude_min=True, exclude_max=True), min_size=1, max_size=3),
+       count=st.integers(50, 1000), probe_ts=st.sampled_from([None, (0.1, 1.0, 10.0)]),
+       seed=st.integers(0, 2**16), data=st.data())
+def test_every_t_uniform_threshold_is_at_least_the_largest_admissible_rung(
+        metric, d, log_norm, epsilons, count, probe_ts, seed, data):
+    unit = st.floats(-1.0, 1.0, allow_subnormal=False)
+    a = data.draw(hnp.arrays(np.float64, (d, d), elements=unit))
+    b = data.draw(hnp.arrays(np.float64, d, elements=unit))
+    operator_norm = OPERATOR_NORMS[metric]
+    if log_norm is None or not operator_norm(a) > 1e-6:
+        a = np.eye(d)  # the identity, L = 1 in every metric
+    else:
+        a *= 10.0**log_norm / operator_norm(a)
+    lipschitz = operator_norm(a)
+    space = induced_from_metric(CoordinateSpace(d, metric), min_max())
+    report = t_uniform_continuity_probe(space, SelfMap.affine(a, b), epsilons, count, probe_ts, seed)
+    for row in report.details["table"]:
+        eps = row["epsilon"]
+        # the factor absorbs rounding at the boundary: at L = 1 the bound is the rung epsilon itself
+        bound = eps / (lipschitz * (1.0 - eps) + eps) * (1.0 - 1e-9)
+        admissible = max(eps * 2.0**j for j in range(4, -25, -1) if eps * 2.0**j <= bound)
+        assert row["r"] is not None and row["r"] >= admissible, (row, lipschitz, admissible)

@@ -1,3 +1,5 @@
+import functools
+import operator
 import tracemalloc
 import warnings
 
@@ -38,6 +40,7 @@ from ifmlab.solver import (
     SolveResult,
     UniquenessReport,
     _solve,
+    _windows,
     chain_break,
 )
 from ifmlab.spaces import (
@@ -924,16 +927,32 @@ def test_probes_evaluate_all_their_pairs_in_one_kernel_call(monkeypatch, line, t
 
 
 def test_a_custom_map_chain_is_walked_step_by_step():
-    # x @ A with a Fortran-ordered A rounds a batch row (gemm) differently
-    # from a point (gemv); a custom map has no row-exact form, so its chain
-    # is walked one apply_point at a time and holds
+    # x @ A summed over the rows of A, left to right for a point and right to
+    # left for a batch, so a batch row rounds differently from its point on
+    # any BLAS; a custom map has no row-exact form, so its chain is walked
+    # one apply_point at a time and holds
     space = induced_from_metric(CoordinateSpace(3), min_max())
-    a = np.asfortranarray([[0.3, -0.2, 0.1], [0.05, 0.4, -0.15], [0.2, 0.1, 0.25]])
-    map_ = SelfMap(lambda x: x @ a)
+    a = np.array([[0.3, -0.2, 0.1], [0.05, 0.4, -0.15], [0.2, 0.1, 0.25]])
+
+    def times_a(x):
+        terms = [x[..., i, None] * a[i] for i in range(len(a))]
+        return functools.reduce(operator.add, terms if x.ndim == 1 else terms[::-1])
+
+    map_ = SelfMap(times_a)
     points = iterate_trace(space, map_, [1.0, -2.0, 3.0], 40)
     batch = np.asarray(points)
     assert map_._rows is None and np.any(map_(batch[:-1]) != batch[1:])
     assert chain_break(space, map_, points) is None
+
+
+def test_the_solvers_window_is_anchored_where_the_diagnostics_window_is_cauchy(line):
+    # x_1 .. x_8 each lie delta from x_0 = 0, so the solver's window at 0
+    # holds; the neighbours delta and -delta lie 2 delta apart, so no
+    # window of pairs is Cauchy
+    delta = 8e-4
+    points = [0.0] + [delta, -delta] * 8
+    assert _windows(line, points, [0], SolveConfig(epsilon=0.01, window=8)) == {0: True}
+    assert sequence_diagnostics(line, points, epsilon=0.01, window=8).cauchy is False
 
 
 def test_an_affine_map_of_another_dimension_fails_as_its_first_step_does(line):

@@ -21,7 +21,6 @@ from ifmlab import (
     asymptotic_nearness_probe,
     axiom_audit,
     ball_contains,
-    closedness_probe,
     evaluate,
     finite_tabulated,
     if_contractive_check,
@@ -367,35 +366,6 @@ def test_joint_continuity_coincident_tail(line):
 def test_joint_continuity_rejects_divergent_input(line):
     with pytest.raises(ValueError, match="not convergent"):
         joint_continuity_probe(line, list(range(10)), 0.0, [0.0] * 10, 0.0, t=1.0, tolerance=0.1)
-
-
-def test_closedness_closed_ball_passes(line):
-    ball = BallSpec(center=0.0, radius=0.5, time=1.0)
-    seq = [0.8 * (1 - 2.0 ** -n) for n in range(40)]
-    report = closedness_probe(
-        line, lambda p: ball_contains(line, ball, p, mode="closed"), [(seq, 0.8)]
-    )
-    assert report.passed
-
-
-def test_closedness_singleton(line):
-    report = closedness_probe(line, lambda p: float(np.atleast_1d(p)[0]) == 2.0, [([2.0] * 8, 2.0)])
-    assert report.passed
-
-
-def test_closedness_open_ball_fails(line):
-    ball = BallSpec(center=0.0, radius=0.5, time=1.0)
-    seq = [1.0 - 2.0 ** -n for n in range(1, 40)]
-    report = closedness_probe(
-        line, lambda p: ball_contains(line, ball, p, mode="open"), [(seq, 1.0)]
-    )
-    assert not report.passed
-    assert report.escapes[0]["limit"] == [1.0]
-
-
-def test_closedness_rejects_divergent_sequence(line):
-    with pytest.raises(ValueError, match="not convergent"):
-        closedness_probe(line, lambda p: True, [(list(range(10)), 0.0)])
 
 
 def test_curve_from_spec_forms():
